@@ -2,6 +2,7 @@
 //! node-then-shard-then-lane merge, live migration, and the virtual-clock
 //! rebalancer pump.
 
+use crate::ids::NodeIds;
 use crate::rebalancer::{RebalanceAction, RebalancerPolicy};
 use crate::ClusterError;
 use mcfpga_cost::attribution::{render_billing, TenantUsage};
@@ -30,6 +31,10 @@ pub const CLUSTER_FAULTS_METRIC: &str = "cluster_faults_total";
 /// Interventions taken by the rebalancer pump
 /// ([`MetricClass::Deterministic`]).
 pub const CLUSTER_REBALANCE_ACTIONS_METRIC: &str = "cluster_rebalance_actions";
+/// Id runs the cluster's translation tables hold across all nodes
+/// ([`MetricClass::Deterministic`]); published after every drain,
+/// migration and restart, never per submit.
+pub const CLUSTER_ID_RUNS_METRIC: &str = "cluster_id_runs";
 
 /// The cluster façade's own metric handles, registered on the cluster
 /// [`Telemetry`] (distinct from each member node's registry).
@@ -40,6 +45,7 @@ struct ClusterMetrics {
     migrations: Counter,
     faults: Counter,
     rebalance_actions: Counter,
+    id_runs: Gauge,
 }
 
 impl ClusterMetrics {
@@ -52,6 +58,7 @@ impl ClusterMetrics {
             migrations: r.counter(CLUSTER_MIGRATIONS_METRIC, det),
             faults: r.counter(CLUSTER_FAULTS_METRIC, det),
             rebalance_actions: r.counter(CLUSTER_REBALANCE_ACTIONS_METRIC, det),
+            id_runs: r.gauge(CLUSTER_ID_RUNS_METRIC, det),
         }
     }
 }
@@ -202,6 +209,8 @@ struct Node {
     /// rebalancer reads it back through a [`ClusterHealthSnapshot`]
     /// rather than poking cluster-private state.
     fault_gauge: Gauge,
+    /// Translation between this node's ids and the cluster's.
+    ids: NodeIds,
 }
 
 impl Node {
@@ -235,12 +244,6 @@ pub struct Cluster {
     nodes: Vec<Node>,
     policy: RouterPolicy,
     routes: Vec<RouteEntry>,
-    /// `(node, node-local tenant)` → cluster tenant.
-    tenant_map: HashMap<(usize, TenantId), ClusterTenantId>,
-    /// `(node, node-local raw request id)` → cluster request. Entries are
-    /// consumed when the response is merged and re-pointed when a
-    /// migration carries the pending request to another node.
-    request_map: HashMap<(usize, u64), ClusterRequestId>,
     next_request: u64,
     /// Round-robin cursor over the global shard space.
     cursor: usize,
@@ -258,11 +261,6 @@ pub struct Cluster {
     /// cluster request/tenant ids.
     telemetry: Telemetry,
     metrics: ClusterMetrics,
-    /// Cluster request → every `(node, node-local raw id)` incarnation it
-    /// has had, oldest first. Unlike `request_map` (consumed at merge),
-    /// hops are kept so [`trace`](Self::trace) can stitch the full
-    /// cross-node timeline after the response is long gone.
-    trace_map: HashMap<u64, Vec<(usize, u64)>>,
 }
 
 impl Cluster {
@@ -286,6 +284,7 @@ impl Cluster {
                     params: *svc.params(),
                     tech: svc.tech().clone(),
                     fault_gauge: Node::register_fault_gauge(&svc),
+                    ids: NodeIds::default(),
                     svc,
                 };
                 base += shards;
@@ -298,8 +297,6 @@ impl Cluster {
             nodes,
             policy: RouterPolicy::default(),
             routes: Vec::new(),
-            tenant_map: HashMap::new(),
-            request_map: HashMap::new(),
             next_request: 0,
             cursor: 0,
             affinity: HashMap::new(),
@@ -310,7 +307,6 @@ impl Cluster {
             threads: None,
             telemetry,
             metrics,
-            trace_map: HashMap::new(),
         })
     }
 
@@ -421,7 +417,7 @@ impl Cluster {
             node: node_idx,
             local,
         });
-        self.tenant_map.insert((node_idx, local), id);
+        self.nodes[node_idx].ids.bind_tenant(local, id);
         Ok(id)
     }
 
@@ -512,11 +508,7 @@ impl Cluster {
         let rid = self.nodes[node].svc.submit(local, inputs)?;
         let id = ClusterRequestId(self.next_request);
         self.next_request += 1;
-        self.request_map.insert((node, rid.value()), id);
-        self.trace_map
-            .entry(id.value())
-            .or_default()
-            .push((node, rid.value()));
+        self.nodes[node].ids.record(rid.value(), id);
         self.metrics.requests.inc();
         // the admission hop at the cluster level carries *where* the
         // request landed; node-local hops are stitched in by `trace`
@@ -539,10 +531,9 @@ impl Cluster {
         let mut merged = Vec::new();
         for node in 0..self.nodes.len() {
             let responses = self.nodes[node].svc.drain()?;
-            for r in responses {
-                merged.push(self.map_response(node, r)?);
-            }
+            self.merge(node, responses, &mut merged)?;
         }
+        self.publish_id_runs();
         Ok(merged)
     }
 
@@ -563,35 +554,36 @@ impl Cluster {
                 continue;
             }
             let responses = self.nodes[node].svc.flush_tenants(&locals)?;
-            for r in responses {
-                merged.push(self.map_response(node, r)?);
-            }
+            self.merge(node, responses, &mut merged)?;
         }
+        self.publish_id_runs();
         Ok(merged)
     }
 
-    /// Translates one node response to cluster ids, consuming the request
-    /// mapping (each admitted request is answered exactly once).
-    fn map_response(&mut self, node: usize, r: Response) -> Result<ClusterResponse, ClusterError> {
-        let request = self
-            .request_map
-            .remove(&(node, r.request.value()))
-            .ok_or_else(|| {
-                ClusterError::Service(ServiceError::BadConfig(format!(
-                    "node {node} answered {} which the cluster never submitted",
-                    r.request
-                )))
-            })?;
-        let tenant = *self
-            .tenant_map
-            .get(&(node, r.tenant))
-            .ok_or_else(|| ClusterError::UnknownTenant(r.tenant.index()))?;
-        self.metrics.responses.inc();
-        Ok(ClusterResponse {
-            request,
-            tenant,
-            outputs: r.outputs,
-        })
+    /// Translates one node's responses to cluster ids onto `merged`
+    /// (each admitted request is answered exactly once), then prunes the
+    /// node's id runs that its span ring no longer needs.
+    fn merge(
+        &mut self,
+        node: usize,
+        responses: Vec<Response>,
+        merged: &mut Vec<ClusterResponse>,
+    ) -> Result<(), ClusterError> {
+        let count = responses.len() as u64;
+        merged.reserve(responses.len());
+        let n = &mut self.nodes[node];
+        for r in responses {
+            merged.push(n.ids.translate(node, r)?);
+        }
+        self.metrics.responses.add(count);
+        n.ids.prune(n.svc.telemetry().trace_buffer().capacity());
+        Ok(())
+    }
+
+    /// Publishes the id runs held across all nodes.
+    fn publish_id_runs(&self) {
+        let runs: usize = self.nodes.iter().map(|n| n.ids.runs()).sum();
+        self.metrics.id_runs.set(runs as i64);
     }
 
     /// Removes and returns every fault recorded since the last call,
@@ -611,7 +603,7 @@ impl Cluster {
             for f in self.nodes[node].svc.take_faults() {
                 self.nodes[node].fault_gauge.add(1);
                 self.metrics.faults.inc();
-                if let Some(&tenant) = self.tenant_map.get(&(node, f.tenant)) {
+                if let Some(tenant) = self.nodes[node].ids.tenant(f.tenant) {
                     self.telemetry.trace_buffer().record(
                         tenant_key(tenant.index()),
                         SpanKind::Fault,
@@ -740,12 +732,8 @@ impl Cluster {
         // order) were re-queued under fresh destination-local ids (same
         // order): re-point each one at its original cluster id
         for (&old_raw, new_rid) in ckpt.pending.requests.iter().zip(&fresh) {
-            if let Some(cid) = self.request_map.remove(&(src_node, old_raw)) {
-                self.request_map.insert((dst_node, new_rid.value()), cid);
-                self.trace_map
-                    .entry(cid.value())
-                    .or_default()
-                    .push((dst_node, new_rid.value()));
+            if let Some(cid) = self.nodes[src_node].ids.consume(old_raw) {
+                self.nodes[dst_node].ids.record(new_rid.value(), cid);
                 // the hop every in-flight request takes when its tenant
                 // moves: recorded on the *destination*, detail = source
                 self.telemetry.trace_buffer().record(
@@ -767,8 +755,11 @@ impl Cluster {
         );
 
         self.nodes[src_node].svc.retire_tenant(src_local)?;
-        self.tenant_map.remove(&(src_node, src_local));
-        self.tenant_map.insert((dst_node, new_local), tenant);
+        let src = &mut self.nodes[src_node];
+        src.ids.unbind_tenant(src_local);
+        src.ids.prune(src.svc.telemetry().trace_buffer().capacity());
+        self.nodes[dst_node].ids.bind_tenant(new_local, tenant);
+        self.publish_id_runs();
         let route = &mut self.routes[tenant.0];
         route.node = dst_node;
         route.local = new_local;
@@ -838,13 +829,10 @@ impl Cluster {
         // the fresh service brings a fresh registry: re-register the
         // published fault gauge there, zeroed
         n.fault_gauge = Node::register_fault_gauge(&n.svc);
-        // any undrained response mappings for the old incarnation are
-        // gone, and so are its trace hops — the new service's telemetry
-        // knows nothing about old raw request ids
-        self.request_map.retain(|&(owner, _), _| owner != node);
-        for hops in self.trace_map.values_mut() {
-            hops.retain(|&(owner, _)| owner != node);
-        }
+        // the fresh service mints its ids from 0 again and its telemetry
+        // knows nothing of the old ones: the node's translation starts over
+        n.ids = NodeIds::default();
+        self.publish_id_runs();
         Ok(())
     }
 
@@ -1008,9 +996,10 @@ impl Cluster {
     /// every node-local span the request produced under each of its
     /// node-local incarnations — re-keyed to the cluster id and stamped
     /// with the owning node — in virtual-clock order
-    /// ([`sort_timeline`]). Spans survive node restarts only as far as
-    /// each node's telemetry does: a restarted node's old incarnation
-    /// contributes nothing.
+    /// ([`sort_timeline`]). The result is exactly what the rings still
+    /// hold: a node's incarnation is forgotten only once that node's ring
+    /// can hold none of its spans, and a restarted node's old
+    /// incarnations contribute nothing.
     #[must_use]
     pub fn trace(&self, request: ClusterRequestId) -> Vec<SpanEvent> {
         let mut events: Vec<SpanEvent> = self
@@ -1019,11 +1008,11 @@ impl Cluster {
             .trace(request.value())
             .into_iter()
             .collect();
-        if let Some(hops) = self.trace_map.get(&request.value()) {
-            for &(node, raw) in hops {
-                for mut ev in self.nodes[node].svc.telemetry().trace(raw) {
+        for (i, node) in self.nodes.iter().enumerate() {
+            for raw in node.ids.incarnations(request) {
+                for mut ev in node.svc.telemetry().trace(raw) {
                     ev.key = request.value();
-                    ev.node = node as u32;
+                    ev.node = i as u32;
                     events.push(ev);
                 }
             }

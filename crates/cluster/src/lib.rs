@@ -38,7 +38,10 @@
 //!   [`ClusterTenantId`]. [`Cluster::trace`] stitches those together
 //!   with every node-local span a request produced under each of its
 //!   node-local incarnations, yielding the complete cross-node
-//!   admitted→…→demuxed timeline in virtual-clock order.
+//!   admitted→…→demuxed timeline in virtual-clock order. The per-node
+//!   id-translation tables behind it forget an incarnation only once no
+//!   span ring can still show it, so they stay O(in-flight + ring
+//!   capacity) per node (the `cluster_id_runs` gauge).
 //!
 //! Tenant moves never lose planes: checkpoints carry a configuration
 //! *digest*, and if the destination's cache misses it the cluster first
@@ -80,11 +83,12 @@
 #![forbid(unsafe_code)]
 
 mod federation;
+mod ids;
 mod rebalancer;
 
 pub use federation::{
     Cluster, ClusterFault, ClusterRequestId, ClusterResponse, ClusterTenantId, NodeHealth,
-    RouterPolicy, CLUSTER_FAULTS_METRIC, CLUSTER_MIGRATIONS_METRIC,
+    RouterPolicy, CLUSTER_FAULTS_METRIC, CLUSTER_ID_RUNS_METRIC, CLUSTER_MIGRATIONS_METRIC,
     CLUSTER_REBALANCE_ACTIONS_METRIC, CLUSTER_REQUESTS_METRIC, CLUSTER_RESPONSES_METRIC,
 };
 pub use rebalancer::{RebalanceAction, RebalancerPolicy};

@@ -4,12 +4,13 @@
 //! mid-migration invariant that an in-flight request is counted by
 //! exactly one node at any instant.
 
-use mcfpga_cluster::{Cluster, ClusterTenantId, RebalancerPolicy};
+use mcfpga_cluster::{Cluster, ClusterRequestId, ClusterTenantId, RebalancerPolicy};
 use mcfpga_device::TechParams;
 use mcfpga_fabric::netlist_ir::generators;
 use mcfpga_fabric::FabricParams;
 use mcfpga_service::ShardedService;
-use mcfpga_telemetry::SpanKind;
+use mcfpga_telemetry::{sort_timeline, SpanEvent, SpanKind};
+use std::collections::HashMap;
 
 fn node(shards: usize) -> ShardedService {
     ShardedService::new(shards, FabricParams::default(), TechParams::default()).unwrap()
@@ -106,6 +107,183 @@ fn trace_of_local_request_covers_full_lifecycle() {
         ]
     );
     assert!(c.trace(rid).iter().all(|e| e.node == 0));
+}
+
+/// Sets the cluster's span ring and every node's to `capacity`.
+fn set_rings(c: &Cluster, capacity: usize) {
+    c.telemetry().trace_buffer().set_capacity(capacity);
+    for n in 0..c.node_count() {
+        c.node(n)
+            .unwrap()
+            .telemetry()
+            .trace_buffer()
+            .set_capacity(capacity);
+    }
+}
+
+/// A shadow of the cluster's id translation, built from the one fact the
+/// façade relies on: each node mints node-local ids densely, in submit
+/// and restore order.
+#[derive(Default)]
+struct IdModel {
+    next_local: Vec<u64>,
+    /// Cluster request → every `(node, node-local id)` it has had.
+    hops: HashMap<u64, Vec<(usize, u64)>>,
+    /// Per cluster tenant, its queued requests in submit order.
+    queued: HashMap<ClusterTenantId, Vec<ClusterRequestId>>,
+}
+
+impl IdModel {
+    fn new(nodes: usize) -> Self {
+        IdModel {
+            next_local: vec![0; nodes],
+            ..IdModel::default()
+        }
+    }
+
+    fn mint(&mut self, node: usize, rid: ClusterRequestId) {
+        let local = self.next_local[node];
+        self.next_local[node] += 1;
+        self.hops
+            .entry(rid.value())
+            .or_default()
+            .push((node, local));
+    }
+
+    fn submit(&mut self, c: &mut Cluster, t: ClusterTenantId, bits: u64) -> ClusterRequestId {
+        let rid = submit3(c, t, bits);
+        self.mint(c.tenant_node(t).unwrap(), rid);
+        self.queued.entry(t).or_default().push(rid);
+        rid
+    }
+
+    /// A migration re-queues the tenant's requests on its new node.
+    fn moved(&mut self, c: &Cluster, t: ClusterTenantId) {
+        let dst = c.tenant_node(t).unwrap();
+        for rid in self.queued.get(&t).cloned().unwrap_or_default() {
+            self.mint(dst, rid);
+        }
+    }
+
+    fn drained(&mut self) {
+        self.queued.clear();
+    }
+
+    fn restarted(&mut self, node: usize) {
+        self.next_local[node] = 0;
+        for hops in self.hops.values_mut() {
+            hops.retain(|&(n, _)| n != node);
+        }
+    }
+
+    /// The timeline stitched straight from the rings: the cluster ring's
+    /// spans for `rid` plus each node ring's spans for each incarnation.
+    fn expected(&self, c: &Cluster, rid: ClusterRequestId) -> Vec<SpanEvent> {
+        let mut events = c.telemetry().trace_buffer().trace(rid.value());
+        for &(n, local) in self.hops.get(&rid.value()).into_iter().flatten() {
+            for mut ev in c.node(n).unwrap().telemetry().trace_buffer().trace(local) {
+                ev.key = rid.value();
+                ev.node = n as u32;
+                events.push(ev);
+            }
+        }
+        sort_timeline(&mut events);
+        events
+    }
+}
+
+/// With every ring at 16 spans, `trace` still returns exactly what the
+/// rings hold, while the cluster forgets translations the rings have
+/// evicted: 240 requests with a mid-stream migration, then a node drain
+/// and restart whose fresh service mints the restarted node's old ids
+/// again.
+#[test]
+fn trace_follows_bounded_rings_through_migration_and_restart() {
+    const RING: usize = 16;
+    let mut c = Cluster::new(vec![node(2), node(2), node(1)]).unwrap();
+    set_rings(&c, RING);
+    let parity = generators::parity_tree(3).unwrap();
+    let tenants: Vec<ClusterTenantId> = (0..5)
+        .map(|i| c.admit(&format!("t{i}"), &parity).unwrap())
+        .collect();
+    let homes: Vec<usize> = tenants.iter().map(|&t| c.tenant_node(t).unwrap()).collect();
+    assert_eq!(homes, vec![0, 0, 1, 1, 2]);
+    let mut model = IdModel::new(c.node_count());
+    let mut all = Vec::new();
+
+    // 20 rounds of 3 requests to each of tenants 0..4; round 10 moves
+    // tenant 0 to node 1 with its requests still queued
+    for round in 0..20u64 {
+        c.advance(1);
+        for &t in &tenants[..4] {
+            for j in 0..3 {
+                all.push(model.submit(&mut c, t, round + j));
+            }
+        }
+        if round == 10 {
+            c.migrate_tenant(tenants[0], 1).unwrap();
+            model.moved(&c, tenants[0]);
+        }
+        assert_eq!(c.drain().unwrap().len(), 12);
+        model.drained();
+    }
+
+    // node 2 mints ids 0..3 for the only requests it ever serves, then
+    // drains them away to another node before answering
+    c.advance(1);
+    let old: Vec<ClusterRequestId> = (0..3)
+        .map(|j| model.submit(&mut c, tenants[4], j))
+        .collect();
+    all.extend(&old);
+    assert_eq!(c.drain_node(2).unwrap(), vec![tenants[4]]);
+    model.moved(&c, tenants[4]);
+    assert_eq!(c.drain().unwrap().len(), 3);
+    model.drained();
+
+    // the restarted node's fresh service mints ids 0..3 again, for new
+    // requests that old traces must not pick up
+    c.restart_node(2).unwrap();
+    model.restarted(2);
+    set_rings(&c, RING);
+    c.migrate_tenant(tenants[4], 2).unwrap();
+    c.advance(1);
+    let new: Vec<ClusterRequestId> = (0..3)
+        .map(|j| model.submit(&mut c, tenants[4], j))
+        .collect();
+    all.extend(&new);
+    assert_eq!(c.drain().unwrap().len(), 3);
+
+    assert!(all.len() > 200);
+    let mut empty = 0;
+    for &rid in &all {
+        let got = c.trace(rid);
+        assert_eq!(got, model.expected(&c, rid), "trace of {rid}");
+        empty += usize::from(got.is_empty());
+    }
+    assert!(c.trace(all[0]).is_empty(), "the oldest request is evicted");
+    assert!(empty > 200, "only {empty} traces were evicted");
+    for rid in &old {
+        assert!(
+            c.trace(*rid)
+                .iter()
+                .all(|e| e.node != 2 || e.kind == SpanKind::Admitted),
+            "{rid} picked up spans of the restarted node"
+        );
+    }
+    let last = c.trace(*new.last().unwrap());
+    let kinds: Vec<SpanKind> = last.iter().map(|e| e.kind).collect();
+    assert_eq!(
+        kinds,
+        vec![
+            SpanKind::Admitted,
+            SpanKind::Queued,
+            SpanKind::Planned,
+            SpanKind::Evaluated,
+            SpanKind::Applied,
+            SpanKind::Demuxed,
+        ]
+    );
+    assert!(last.iter().all(|e| e.node == 2));
 }
 
 /// The mid-drain regression pin: a health snapshot taken while requests

@@ -12,6 +12,8 @@ use mcfpga_core::ArchKind;
 
 const MAGIC: u32 = 0x4D43_4647; // "MCFG"
 const VERSION: u16 = 1;
+/// Bytes of one io binding with an empty name: x, y, port, ctx, name length.
+const BIND_MIN_BYTES: usize = 2 + 2 + 1 + 2 + 2;
 
 fn arch_code(a: ArchKind) -> u8 {
     match a {
@@ -142,9 +144,11 @@ pub fn unpack(mut data: Bytes) -> Result<Fabric, FabricError> {
     let read_binds = |data: &mut Bytes| -> Result<Vec<RawBind>, FabricError> {
         need(data, 4)?;
         let n = data.get_u32() as usize;
-        let mut v = Vec::with_capacity(n);
+        // the count is untrusted: reserve no more binds than the bytes
+        // left could hold
+        let mut v = Vec::with_capacity(n.min(data.remaining() / BIND_MIN_BYTES));
         for _ in 0..n {
-            need(data, 2 + 2 + 1 + 2 + 2)?;
+            need(data, BIND_MIN_BYTES)?;
             let x = data.get_u16() as usize;
             let y = data.get_u16() as usize;
             let port = data.get_u8() as usize;
@@ -207,6 +211,30 @@ mod tests {
         let f = Fabric::new(FabricParams::default()).unwrap();
         let mut raw = pack(&f).to_vec();
         raw[0] ^= 0xFF;
+        assert!(matches!(
+            unpack(Bytes::from(raw)),
+            Err(FabricError::BadBitstream(_))
+        ));
+    }
+
+    #[test]
+    fn hostile_bind_count_rejected() {
+        let nl = generators::parity_tree(4).unwrap();
+        let mut f = Fabric::new(FabricParams::default()).unwrap();
+        implement_netlist(&mut f, &nl, 0, 5).unwrap();
+        let mut raw = pack(&f).to_vec();
+        // the output bindings close the stream: a count, then the binds
+        let binds: usize = f
+            .output_binds()
+            .iter()
+            .map(|(.., name)| BIND_MIN_BYTES + name.len())
+            .sum();
+        let at = raw.len() - binds - 4;
+        assert_eq!(
+            raw[at..at + 4],
+            (f.output_binds().len() as u32).to_be_bytes()
+        );
+        raw[at..at + 4].copy_from_slice(&u32::MAX.to_be_bytes());
         assert!(matches!(
             unpack(Bytes::from(raw)),
             Err(FabricError::BadBitstream(_))

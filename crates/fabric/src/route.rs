@@ -78,6 +78,10 @@ impl RRNode {
 pub struct Router {
     /// sink-capable resource → owning net.
     occupancy: HashMap<RRNode, usize>,
+    /// net → the wires it owns, in the order it claimed them. The search
+    /// seeds from this list, never from a walk of `occupancy`, so the
+    /// same routing calls configure the same switches in every router.
+    wires: HashMap<usize, Vec<RRNode>>,
 }
 
 impl Router {
@@ -110,11 +114,7 @@ impl Router {
         let mut queue: VecDeque<RRNode> = VecDeque::new();
         // start set: the source plus every wire this net already owns
         queue.push_back(source);
-        for (node, owner) in &self.occupancy {
-            if *owner == net && matches!(node, RRNode::Wire { .. }) {
-                queue.push_back(*node);
-            }
-        }
+        queue.extend(self.wires.get(&net).into_iter().flatten().copied());
         let mut seen: HashMap<RRNode, ()> = queue.iter().map(|n| (*n, ())).collect();
         let mut found = false;
         while let Some(cur) = queue.pop_front() {
@@ -173,6 +173,9 @@ impl Router {
                 };
                 fabric.set_route(site, ctx, sink, Some(prev.as_source(site)))?;
                 self.occupancy.insert(cur, net);
+                if matches!(cur, RRNode::Wire { .. }) {
+                    self.wires.entry(net).or_default().push(cur);
+                }
                 hops += 1;
             }
             if cur == source {

@@ -1391,7 +1391,71 @@ impl ShardedService {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mcfpga_fabric::bitstream;
     use mcfpga_fabric::netlist_ir::generators;
+
+    /// Two fresh services admitting the same netlists route them into the
+    /// same switch configuration: identical bitstreams, and identical
+    /// `fabric_ops_total` after the same drain.
+    #[test]
+    fn routing_replays_bit_identically() {
+        let designs = [
+            generators::equality_comparator(16).unwrap(),
+            generators::ripple_adder(8).unwrap(),
+            generators::equality_comparator(12).unwrap(),
+            generators::ripple_adder(6).unwrap(),
+        ];
+        let params = FabricParams {
+            width: 8,
+            height: 8,
+            channel_width: 6,
+            ..FabricParams::default()
+        };
+        let replay = || {
+            let mut svc = ShardedService::new(1, params, TechParams::default()).unwrap();
+            let tenants: Vec<(TenantId, &LogicNetlist)> = designs
+                .iter()
+                .enumerate()
+                .map(|(i, nl)| (svc.admit(&format!("t{i}"), nl).unwrap(), nl))
+                .collect();
+            for round in 0..3u64 {
+                for (i, &(t, nl)) in tenants.iter().enumerate() {
+                    let names: Vec<String> = nl
+                        .input_ids()
+                        .into_iter()
+                        .map(|id| match nl.node(id) {
+                            mcfpga_fabric::netlist_ir::Node::Input { name } => name.clone(),
+                            _ => unreachable!("input ids name inputs"),
+                        })
+                        .collect();
+                    let bits = round * 31 + i as u64 * 7;
+                    let inputs: Vec<(&str, bool)> = names
+                        .iter()
+                        .enumerate()
+                        .map(|(b, n)| (n.as_str(), bits >> b & 1 == 1))
+                        .collect();
+                    svc.submit(t, &inputs).unwrap();
+                }
+            }
+            let responses = svc.drain().unwrap();
+            let bitstreams: Vec<_> = svc
+                .engines()
+                .iter()
+                .map(|e| bitstream::pack(e.fabric()).to_vec())
+                .collect();
+            let ops = svc
+                .telemetry()
+                .registry()
+                .counter_value("fabric_ops_total")
+                .unwrap();
+            (responses, bitstreams, ops)
+        };
+        let (first, second) = (replay(), replay());
+        assert_eq!(first.0.len(), 12);
+        assert_eq!(first.0, second.0, "responses");
+        assert!(first.1 == second.1, "routed bitstreams differ");
+        assert_eq!(first.2, second.2, "fabric_ops_total");
+    }
 
     /// Submit-time validation makes undriven-input passes unreachable
     /// through the public API, so the fault path is exercised by swapping a
