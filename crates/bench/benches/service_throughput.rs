@@ -16,7 +16,7 @@ use mcfpga_fabric::netlist_ir::{generators, LogicNetlist, Node};
 use mcfpga_fabric::FabricParams;
 use mcfpga_service::{
     OptimizeMode, PlacementPolicy, Response, ShardedService, TenantId, SPAWN_EVENTS_METRIC,
-    TASKS_EXECUTED_METRIC, TASKS_STOLEN_METRIC, TASKS_TOTAL_METRIC, WORKERS_SPAWNED_METRIC,
+    TASKS_EXECUTED_METRIC, TASKS_TOTAL_METRIC, WORKERS_SPAWNED_METRIC,
 };
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -141,7 +141,7 @@ fn serve(
 /// the same slot index across shards and share one cached compiled plane.
 /// The fabric and comparators are a step larger than the batching bench's
 /// so each drain carries enough per-pass work to amortize the executor's
-/// thread-spawn cost on modest core counts.
+/// wake-up cost on modest core counts.
 fn build_parallel_service() -> (ShardedService, Vec<(TenantId, Vec<String>)>) {
     let mut svc = ShardedService::with_policies(
         PAR_SHARDS,
@@ -212,7 +212,6 @@ struct ExecutorCounters {
     spawn_events: u64,
     workers_spawned: u64,
     tasks_total: u64,
-    tasks_stolen: u64,
     per_worker_executed: Vec<u64>,
 }
 
@@ -223,7 +222,6 @@ fn executor_counters(svc: &ShardedService) -> ExecutorCounters {
         spawn_events: get(SPAWN_EVENTS_METRIC),
         workers_spawned: get(WORKERS_SPAWNED_METRIC),
         tasks_total: get(TASKS_TOTAL_METRIC),
-        tasks_stolen: get(TASKS_STOLEN_METRIC),
         per_worker_executed: r.counter_cells(TASKS_EXECUTED_METRIC).unwrap_or_default(),
     }
 }
@@ -311,7 +309,11 @@ fn measure_parallel_drain() -> (DrainRun, DrainRun, usize, usize) {
         par.stats.spawn_events, 1,
         "steady-state drains must reuse the persistent pool, not respawn it"
     );
-    assert_eq!(par.stats.workers_spawned, threads as u64);
+    assert_eq!(
+        par.stats.workers_spawned,
+        threads as u64 - 1,
+        "the caller is the pool's first worker; only the helpers are spawned"
+    );
     let executed: u64 = par.stats.per_worker_executed.iter().sum();
     assert_eq!(
         executed, par.stats.tasks_total,
@@ -479,11 +481,10 @@ fn bench(c: &mut Criterion) {
          sequential (1 thread):  {par_seq_us:.1} µs/drain\n  \
          parallel ({par_threads} threads):   {par_par_us:.1} µs/drain \
          (first drain incl. pool spawn: {pool_first_us:.1} µs; \
-         {} spawn event over {} tasks, {} stolen, per-worker {histogram})\n  \
+         {} spawn event over {} tasks, per-worker {histogram})\n  \
          speedup: {par_speedup:.2}x (gate: >=2x, {})",
         par_par.stats.spawn_events,
         par_par.stats.tasks_total,
-        par_par.stats.tasks_stolen,
         if gate_enforced {
             "enforced"
         } else {
@@ -523,7 +524,6 @@ fn bench(c: &mut Criterion) {
             ("parallel_speedup", par_speedup.into()),
             ("parallel_gate_enforced", gate_enforced.into()),
             ("parallel_tasks_total", par_par.stats.tasks_total.into()),
-            ("parallel_tasks_stolen", par_par.stats.tasks_stolen.into()),
             ("per_worker_task_histogram", histogram.as_str().into()),
             ("lane_width", MAX_LANES.into()),
             ("pool_spawn_events", par_par.stats.spawn_events.into()),

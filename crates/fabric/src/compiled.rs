@@ -248,9 +248,11 @@ impl LaneBatch {
     /// *union* of all lanes' names, so a lane that omitted a name another
     /// lane drives would otherwise silently read 0.
     ///
-    /// Requests from one submitter present names in a stable order, so the
-    /// positional probe hits on every push after the first and the linear
-    /// rescan is cold.
+    /// Requests from one submitter present names in a stable order, so
+    /// they usually match the union name for name: such a request (one
+    /// that also covers the prefix) is committed in the same loop that
+    /// checks its names. Any other request takes the resolving path,
+    /// whose positional probe still spares most linear rescans.
     pub fn push_covering(
         &mut self,
         request: &[(&str, bool)],
@@ -259,6 +261,40 @@ impl LaneBatch {
         if self.is_full() {
             return Err(PushRefusal::Full);
         }
+        let lane = self.lanes;
+        let (word, shift) = (lane / 64, lane % 64);
+        if request.len() >= required {
+            // single pass: names line up with the union positionally (so
+            // the request covers the prefix), lane bits ORed as we go
+            let mut matched = 0;
+            for ((name, value), (n, chunk)) in request.iter().zip(&mut self.inputs) {
+                if n != name {
+                    break;
+                }
+                chunk[word] |= u64::from(*value) << shift;
+                matched += 1;
+            }
+            if matched == request.len() {
+                self.lanes += 1;
+                return Ok(lane);
+            }
+            // undo the partial commit: the lane's bits were clear before
+            for (_, chunk) in &mut self.inputs[..matched] {
+                chunk[word] &= !(1u64 << shift);
+            }
+        }
+        self.push_resolved(request, required)
+    }
+
+    /// The general path of [`push_covering`](Self::push_covering), for a
+    /// batch with a free lane: resolve every name to a union index
+    /// (appending unknown ones) while accumulating coverage of the
+    /// canonical prefix, then commit the lane by index.
+    fn push_resolved(
+        &mut self,
+        request: &[(&str, bool)],
+        required: usize,
+    ) -> Result<usize, PushRefusal> {
         // pass 1: resolve names to indices (the only string comparisons),
         // accumulating coverage of the canonical prefix as a bitmask
         let mut idx_scratch = std::mem::take(&mut self.idx_scratch);
@@ -2031,6 +2067,68 @@ mod tests {
             b.push_covering(&[("a", true), ("b", true)], 2),
             Err(PushRefusal::Full)
         );
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// The single-pass submit path commits exactly what the two-pass
+        /// resolving path commits: same lane, same refusal, same union
+        /// names and chunks — for requests in union order and for
+        /// permuted, duplicated, missing and extra names, until full.
+        #[test]
+        fn single_pass_push_matches_two_pass(
+            seed in proptest::prelude::any::<u64>(),
+            union in 0usize..8,
+            required_pick in 0usize..9,
+            width in 1usize..9,
+        ) {
+            use rand::rngs::StdRng;
+            use rand::{RngExt, SeedableRng};
+            let mut rng = StdRng::seed_from_u64(seed);
+            let required = required_pick.min(union);
+            let mut batch = LaneBatch::with_width(width).unwrap();
+            for i in 0..union {
+                batch.ensure_name(&format!("n{i}"));
+            }
+            let mut two_pass = batch.clone();
+            let pool: Vec<String> = (0..union + 3).map(|i| format!("n{i}")).collect();
+            for _ in 0..12 {
+                let mut names: Vec<&str> = pool[..union].iter().map(String::as_str).collect();
+                match rng.random_range(0..6u32) {
+                    0 => {}
+                    1 => {
+                        for i in (1..names.len()).rev() {
+                            names.swap(i, rng.random_range(0..i + 1));
+                        }
+                    }
+                    2 if !names.is_empty() => {
+                        let dup = names[rng.random_range(0..names.len())];
+                        names.insert(rng.random_range(0..names.len() + 1), dup);
+                    }
+                    3 if !names.is_empty() => {
+                        names.remove(rng.random_range(0..names.len()));
+                    }
+                    _ => {
+                        let extra = pool[union + rng.random_range(0..3usize)].as_str();
+                        names.insert(rng.random_range(0..names.len() + 1), extra);
+                    }
+                }
+                let request: Vec<(&str, bool)> = names
+                    .iter()
+                    .map(|n| (*n, rng.random_range(0..2u32) == 1))
+                    .collect();
+                let fast = batch.push_covering(&request, required);
+                let slow = if two_pass.is_full() {
+                    Err(PushRefusal::Full)
+                } else {
+                    two_pass.push_resolved(&request, required)
+                };
+                proptest::prop_assert_eq!(fast, slow, "request {:?}", request);
+                proptest::prop_assert_eq!(batch.len(), two_pass.len());
+                proptest::prop_assert_eq!(batch.lane_inputs(), two_pass.lane_inputs());
+            }
+        }
     }
 
     #[test]

@@ -85,7 +85,7 @@ pub(crate) struct TenantHandoff {
 }
 
 /// One per-context sweep task, planned sequentially and evaluated (maybe
-/// concurrently, maybe stolen onto a different worker) by [`eval_step`].
+/// concurrently, on whichever pool worker claims it) by [`eval_step`].
 /// Owns everything its evaluation needs — plane `Arc`, prebound plan,
 /// dense input chunks, occupied word count — so the worker borrows
 /// nothing from the engine: the engine's queue still holds the slot's
@@ -94,8 +94,7 @@ pub(crate) struct TenantHandoff {
 /// orders applies by.
 #[derive(Debug, Clone)]
 pub(crate) struct PlannedStep {
-    /// Shard of the slot (first half of the merge key, and the pool
-    /// affinity hint).
+    /// Shard of the slot (first half of the merge key).
     pub shard: usize,
     /// Position within the shard's planned sweep (second half of the
     /// merge key).
@@ -565,29 +564,37 @@ impl ShardEngine {
     /// optimizer saved; see [`mcfpga_cost::attribution`]). The broadcast
     /// spends that energy whether or not the step's pass later resolves.
     ///
+    /// Returns the CSS toggles charged, so the coordinator can mirror them
+    /// into its counter without re-summing every tenant's usage.
+    ///
     /// A structural failure (a broken schedule domain or plane invariant
     /// — never a mere failed pass, which surfaces at apply time as a
     /// [`SlotFault`]) stops the planning and is returned **alongside**
-    /// the steps planned first: those steps still evaluate and apply, so
-    /// no already-scheduled switch loses its pass.
+    /// the steps planned (and toggles charged) first: those steps still
+    /// evaluate and apply, so no already-scheduled switch loses its pass.
     pub(crate) fn plan_sweep(
         &mut self,
         active: &[(usize, TenantId)],
         optimize: OptimizeMode,
         matrix: &CostMatrix,
         steps: &mut Vec<PlannedStep>,
-    ) -> Option<ServiceError> {
-        self.plan_into(active, optimize, matrix, steps).err()
+    ) -> (u64, Option<ServiceError>) {
+        let mut charged = 0;
+        let error = self
+            .plan_into(active, optimize, matrix, steps, &mut charged)
+            .err();
+        (charged, error)
     }
 
     /// [`plan_sweep`](Self::plan_sweep)'s body; an early `?` loses no
-    /// step already pushed.
+    /// step already pushed and no toggle already charged.
     fn plan_into(
         &mut self,
         active: &[(usize, TenantId)],
         optimize: OptimizeMode,
         matrix: &CostMatrix,
         steps: &mut Vec<PlannedStep>,
+        charged: &mut u64,
     ) -> Result<(), ServiceError> {
         if active.is_empty() {
             return Ok(());
@@ -636,6 +643,7 @@ impl ShardEngine {
                 .ok_or(ServiceError::UnknownTenant(tenant.index()))?;
             tenant_state.usage.css_toggles += toggles;
             tenant_state.usage.css_toggles_baseline += toggles_baseline;
+            *charged += toggles as u64;
             let tenant_regs = &self
                 .tenants
                 .get(&tenant)
@@ -824,7 +832,7 @@ impl ShardEngine {
 
 // A future `Rc`, raw pointer or other non-thread-safe field anywhere in
 // these ownership trees must fail the *build*, not a code review: the
-// worker pool moves owned `PlannedStep`s across threads, and engines are
+// fork-join pool moves owned `PlannedStep`s across threads, and engines are
 // carried inside `ShardedService` clones.
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}

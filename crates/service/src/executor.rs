@@ -1,59 +1,58 @@
-//! A persistent, work-stealing worker pool for the service's parallel
-//! drain.
+//! A persistent fork-join pool for the service's parallel drain.
 //!
-//! [`ParallelExecutor::run_owned`] fans a batch of owned tasks out across
-//! a pool of **persistent** worker threads — spawned lazily on the first
-//! parallel run, fed over in-memory injector queues, parked on a condvar
-//! between runs, and joined when the executor drops. A drain is therefore
-//! an *enqueue + collect*, never a spawn + join: steady-state flushes
-//! create no threads (the bench artifact's `pool_spawn_events` field pins
-//! this).
+//! [`ParallelExecutor::run_owned`] runs a batch of owned tasks on the
+//! **calling thread plus `width − 1` persistent helper threads** — the
+//! helpers are spawned lazily on the first parallel run, parked on a
+//! condvar between runs, and joined when the executor drops. A drain is
+//! therefore a *wake + claim + wait*, never a spawn + join: steady-state
+//! flushes create no threads (the bench artifact's `pool_spawn_events`
+//! field pins this).
 //!
-//! ## Work stealing
+//! ## Fork-join
 //!
-//! Each worker owns one segment of the injector (`Mutex<VecDeque<Job>>`).
-//! A task is pushed to the segment `affinity % workers` — the service
-//! passes the task's shard index, so one shard's sweep steps land on one
-//! segment and run in cache-friendly order when load is even. A worker
-//! pops its own segment from the **front**; when that is empty it scans
-//! the other segments round-robin and **steals from the back** — so a
-//! skewed workload (one shard holding every tenant) spreads across all
-//! workers instead of serializing on one. Steals and per-worker execution
-//! counts are published as telemetry counters on the executor's
-//! [`Registry`] (`executor_tasks_stolen`, the per-worker-sharded
-//! `executor_tasks_executed`, …) so tests and the bench artifact can
-//! assert the distribution rather than trusting it.
+//! A run is one shared atomic claim cursor over the run's task slots. The
+//! caller publishes the run, bumps the pool's generation counter and wakes
+//! the helpers once, then claims tasks itself as worker 0; every helper
+//! that wakes claims from the same cursor until it runs dry. Once the
+//! cursor is used up the caller waits only for tasks a helper has already
+//! claimed. A helper the scheduler has not run yet finds the cursor used
+//! up when it does wake and does nothing, so an unscheduled helper never
+//! stalls a drain — and it never touches the next run, which has a cursor
+//! of its own.
 //!
-//! All executor metrics are [`MetricClass::WallClock`]: how many tasks
-//! go through the pool (versus the inline path) and who steals what
+//! Per-worker execution counts are published on the executor's
+//! [`Registry`] (the per-worker-sharded `executor_tasks_executed`, cell 0
+//! being the caller) next to the spawn and task totals, so tests and the
+//! bench artifact can assert the accounting rather than trusting it. All
+//! executor metrics are [`MetricClass::WallClock`]: how many tasks go
+//! through the pool (versus the inline path) and which worker ran what
 //! depend on the configured width and on scheduling, so none of them are
 //! part of the deterministic snapshot the chaos replays compare.
 //!
 //! ## Determinism
 //!
-//! Results come back **in task order** regardless of which worker ran what
-//! or in what order workers finished: every task is tagged with its index,
-//! the collector places results by index, and the caller sees a plain
-//! `Vec<R>` aligned with its input. Task execution itself must be
-//! independent (the service's per-context sweep steps are — each touches
-//! one slot's data, captured at plan time), and then the pool is
-//! invisible: 1 worker, N workers, stolen or not, the output is
+//! Results come back **in task order** regardless of which worker ran
+//! what or in what order workers finished: task `i`'s result goes into
+//! slot `i`, and the caller sees a plain `Vec<R>` aligned with its input.
+//! Task execution itself must be independent (the service's per-context
+//! sweep steps are — each touches one slot's data, captured at plan
+//! time), and then the pool is invisible: 1 worker or N, the output is
 //! byte-identical.
 //!
 //! ## Panics
 //!
-//! A panicking task never hangs the collector: jobs run under
-//! `catch_unwind` and always report back. The pool collects **all** of a
-//! run's results first, then re-raises the first panic in task order —
-//! workers stay parked and reusable, and no sibling task's work is lost
-//! half-applied.
+//! Every task runs under `catch_unwind`, so a panicking task still
+//! completes its slot and the caller never hangs. The caller waits for
+//! **all** of a run's tasks first, then re-raises the first panic in task
+//! order — helpers stay parked and reusable, and no sibling task's work
+//! is lost half-applied.
 //!
 //! ## Environment contract
 //!
 //! [`ParallelExecutor::from_env`] sizes the pool from [`THREADS_ENV`]
 //! (`MCFPGA_THREADS`), resolved **once per process** and cached:
 //!
-//! * set to a positive integer `n` — the pool gets `n` workers
+//! * set to a positive integer `n` — the pool is `n` workers wide
 //!   ([`ThreadSource::Env`]);
 //! * unset — the machine's available parallelism
 //!   ([`ThreadSource::Machine`]);
@@ -65,10 +64,10 @@
 //!
 //! The width is a pure throughput knob; it never changes results.
 
-use std::collections::VecDeque;
 use std::num::NonZeroUsize;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::{mpsc, Arc, Condvar, Mutex, OnceLock};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::thread::JoinHandle;
 
 use mcfpga_telemetry::{Counter, MetricClass, Registry};
@@ -79,19 +78,23 @@ use mcfpga_telemetry::{Counter, MetricClass, Registry};
 /// process-wide on first use.
 pub const THREADS_ENV: &str = "MCFPGA_THREADS";
 
-/// Counter: times a worker pool was spawned. Stays at 1 after warmup.
+/// Counter: times a helper pool was spawned. Stays at 1 after warmup.
 pub const SPAWN_EVENTS_METRIC: &str = "executor_spawn_events";
-/// Counter: total worker threads ever spawned.
+/// Counter: total helper threads ever spawned (`width − 1` per spawn —
+/// the caller is the pool's first worker).
 pub const WORKERS_SPAWNED_METRIC: &str = "executor_workers_spawned";
 /// Counter: tasks submitted through [`ParallelExecutor::run_owned`]
 /// (inline and pooled).
 pub const TASKS_TOTAL_METRIC: &str = "executor_tasks_total";
-/// Counter: pooled tasks a worker took from a segment other than its
-/// own.
-pub const TASKS_STOLEN_METRIC: &str = "executor_tasks_stolen";
-/// Sharded counter (one cell per worker): pooled tasks executed per
-/// worker — the work-distribution histogram.
+/// Sharded counter (one cell per worker, cell 0 the caller): pooled
+/// tasks executed per worker — the work-distribution histogram.
 pub const TASKS_EXECUTED_METRIC: &str = "executor_tasks_executed";
+
+/// Spin iterations the caller polls for in-flight helper tasks before
+/// blocking: a helper's last task often ends within a few microseconds,
+/// sooner than a park/unpark round trip (on `cluster_batch` this short
+/// spin cut eval time per drain by about 8% against blocking at once).
+const WAIT_SPINS: u32 = 1 << 8;
 
 /// Where an executor's width came from — the provenance half of
 /// [`ExecutorConfig`], so "why is the pool this wide?" is answerable from
@@ -117,7 +120,7 @@ pub enum ThreadSource {
 /// An executor's resolved width and its provenance.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ExecutorConfig {
-    /// Worker threads a parallel run fans out across (≥ 1).
+    /// Workers a parallel run fans out across, the caller included (≥ 1).
     pub threads: usize,
     /// How `threads` was decided.
     pub source: ThreadSource,
@@ -132,7 +135,6 @@ struct ExecutorMetrics {
     spawn_events: Counter,
     workers_spawned: Counter,
     tasks_total: Counter,
-    stolen: Counter,
     executed: Counter,
 }
 
@@ -142,7 +144,6 @@ impl ExecutorMetrics {
             spawn_events: registry.counter(SPAWN_EVENTS_METRIC, MetricClass::WallClock),
             workers_spawned: registry.counter(WORKERS_SPAWNED_METRIC, MetricClass::WallClock),
             tasks_total: registry.counter(TASKS_TOTAL_METRIC, MetricClass::WallClock),
-            stolen: registry.counter(TASKS_STOLEN_METRIC, MetricClass::WallClock),
             executed: registry.counter_sharded(
                 TASKS_EXECUTED_METRIC,
                 MetricClass::WallClock,
@@ -152,136 +153,167 @@ impl ExecutorMetrics {
     }
 }
 
-/// One unit of pooled work: consumes its payload, reports through its own
-/// channel. The `usize` argument is the executing worker's index.
-type Job = Box<dyn FnOnce(usize) + Send + 'static>;
+/// A run as the helpers see it: claims and executes tasks as worker `w`
+/// until the run's cursor is used up.
+type Job = Arc<dyn Fn(usize) + Send + Sync>;
 
-/// State the producer and every worker share under one mutex: the
-/// reservation counter and the shutdown flag. `queued` counts jobs pushed
-/// but not yet *claimed* — a worker decrements it (a reservation) before
-/// scanning the segments, so one notify never wakes two workers for one
-/// job and a job pushed between scan and park is never lost.
+/// One task slot: the owned task until a worker claims it, then the
+/// (possibly panicked) result until the caller collects it.
+enum Slot<T, R> {
+    Task(T),
+    Claimed,
+    Done(std::thread::Result<R>),
+}
+
+fn lock<G>(m: &Mutex<G>) -> std::sync::MutexGuard<'_, G> {
+    // nothing panics while holding a pool lock (tasks run unlocked and
+    // under `catch_unwind`), so poisoning cannot carry a broken invariant
+    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
+/// One fork-join run: the task slots, the claim cursor and the completion
+/// count the caller waits on.
+struct Run<T, R, F> {
+    f: F,
+    /// Per-worker-sharded telemetry counter for executed tasks.
+    executed: Counter,
+    slots: Vec<Mutex<Slot<T, R>>>,
+    next: AtomicUsize,
+    done: AtomicUsize,
+    done_lock: Mutex<()>,
+    all_done: Condvar,
+}
+
+impl<T, R, F: Fn(T) -> R> Run<T, R, F> {
+    /// Claims and runs tasks as worker `w` until the cursor is used up. A
+    /// worker arriving after the last claim runs nothing.
+    fn work(&self, w: usize) {
+        loop {
+            // the cursor publishes nothing: tasks and results travel
+            // under the slot mutexes
+            let i = self.next.fetch_add(1, Ordering::Relaxed);
+            let Some(slot) = self.slots.get(i) else {
+                return;
+            };
+            let Slot::Task(task) = std::mem::replace(&mut *lock(slot), Slot::Claimed) else {
+                unreachable!("the cursor hands out task {i} once");
+            };
+            let result = catch_unwind(AssertUnwindSafe(|| (self.f)(task)));
+            *lock(slot) = Slot::Done(result);
+            // counted before the completion, so the caller reads it: this
+            // release pairs with the acquire load in `wait`
+            self.executed.add_to(w, 1);
+            if self.done.fetch_add(1, Ordering::AcqRel) + 1 == self.slots.len() {
+                // taking the lock orders this notify after the caller's
+                // check-then-wait, so the wakeup cannot be lost
+                drop(lock(&self.done_lock));
+                self.all_done.notify_one();
+            }
+        }
+    }
+
+    /// Blocks until every task has finished.
+    fn wait(&self) {
+        let finished = || self.done.load(Ordering::Acquire) == self.slots.len();
+        for _ in 0..WAIT_SPINS {
+            if finished() {
+                return;
+            }
+            std::hint::spin_loop();
+        }
+        let mut guard = lock(&self.done_lock);
+        while !finished() {
+            guard = self
+                .all_done
+                .wait(guard)
+                .unwrap_or_else(std::sync::PoisonError::into_inner);
+        }
+    }
+}
+
+/// What the caller shares with the helpers: the current run and the
+/// generation counter that announces it.
 struct PoolState {
-    queued: usize,
+    generation: u64,
+    job: Option<Job>,
     shutdown: bool,
 }
 
-/// Everything the workers share with the executor.
 struct PoolShared {
-    /// Injector segments, one per worker; `affinity % workers` selects
-    /// the push target.
-    queues: Vec<Mutex<VecDeque<Job>>>,
     state: Mutex<PoolState>,
-    condvar: Condvar,
-    /// Telemetry counter for jobs taken from a foreign segment.
-    stolen: Counter,
-    /// Per-worker-sharded telemetry counter for executed jobs.
-    executed: Counter,
+    wake: Condvar,
 }
 
-/// The persistent worker threads plus their shared injector. Dropping the
-/// pool drains remaining jobs, then joins every worker.
-struct WorkerPool {
+/// The persistent helper threads. Dropping the pool joins them.
+struct Helpers {
     shared: Arc<PoolShared>,
     handles: Vec<JoinHandle<()>>,
 }
 
-impl WorkerPool {
-    fn spawn(workers: usize, stolen: Counter, executed: Counter) -> Self {
+impl Helpers {
+    /// Spawns `count` helpers, workers `1..=count` (the caller is 0).
+    fn spawn(count: usize) -> Self {
         let shared = Arc::new(PoolShared {
-            queues: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
             state: Mutex::new(PoolState {
-                queued: 0,
+                generation: 0,
+                job: None,
                 shutdown: false,
             }),
-            condvar: Condvar::new(),
-            stolen,
-            executed,
+            wake: Condvar::new(),
         });
-        let handles = (0..workers)
+        let handles = (1..=count)
             .map(|w| {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("mcfpga-worker-{w}"))
-                    .spawn(move || Self::worker_loop(w, &shared))
-                    .expect("spawning a pool worker thread")
+                    .spawn(move || Self::helper_loop(w, &shared))
+                    .expect("spawning a pool helper thread")
             })
             .collect();
-        WorkerPool { shared, handles }
+        Helpers { shared, handles }
     }
 
-    /// Enqueues one job on the segment `affinity % workers`. The push
-    /// happens *before* the reservation counter rises, so a worker
-    /// holding a reservation is guaranteed a job exists somewhere.
-    fn push(&self, affinity: usize, job: Job) {
-        let q = affinity % self.shared.queues.len();
-        self.shared.queues[q]
-            .lock()
-            .expect("injector segment poisoned")
-            .push_back(job);
-        let mut st = self.shared.state.lock().expect("pool state poisoned");
-        st.queued += 1;
+    /// Publishes `job` as the current run and wakes up to `wanted`
+    /// helpers. A helper not parked right now sees the new generation the
+    /// next time it checks, so no wakeup is lost.
+    fn start(&self, job: Job, wanted: usize) {
+        let mut st = lock(&self.shared.state);
+        st.generation += 1;
+        st.job = Some(job);
         drop(st);
-        self.shared.condvar.notify_one();
+        for _ in 0..wanted.min(self.handles.len()) {
+            self.shared.wake.notify_one();
+        }
     }
 
-    fn worker_loop(w: usize, shared: &PoolShared) {
+    fn helper_loop(w: usize, shared: &PoolShared) {
+        let mut seen = 0;
         loop {
-            // park until a job is reserved for us (or shutdown, which
-            // yields only once every queued job has been claimed)
-            {
-                let mut st = shared.state.lock().expect("pool state poisoned");
-                loop {
-                    if st.queued > 0 {
-                        st.queued -= 1;
-                        break;
-                    }
-                    if st.shutdown {
-                        return;
-                    }
-                    st = shared.condvar.wait(st).expect("pool state poisoned");
+            let job = {
+                let mut st = lock(&shared.state);
+                while st.generation == seen && !st.shutdown {
+                    st = shared
+                        .wake
+                        .wait(st)
+                        .unwrap_or_else(std::sync::PoisonError::into_inner);
                 }
-            }
-            // the reservation guarantees a job exists in *some* segment;
-            // scan until found (a concurrent push/claim can make a single
-            // scan miss, never starve — jobs only leave via reservations)
-            let n = shared.queues.len();
-            let (job, stolen) = 'find: loop {
-                if let Some(job) = shared.queues[w]
-                    .lock()
-                    .expect("injector segment poisoned")
-                    .pop_front()
-                {
-                    break 'find (job, false);
+                if st.shutdown {
+                    return;
                 }
-                for off in 1..n {
-                    let q = (w + off) % n;
-                    if let Some(job) = shared.queues[q]
-                        .lock()
-                        .expect("injector segment poisoned")
-                        .pop_back()
-                    {
-                        break 'find (job, true);
-                    }
-                }
-                std::hint::spin_loop();
+                seen = st.generation;
+                st.job.clone()
             };
-            if stolen {
-                shared.stolen.inc();
+            if let Some(job) = job {
+                job(w);
             }
-            shared.executed.add_to(w, 1);
-            job(w);
         }
     }
 }
 
-impl Drop for WorkerPool {
+impl Drop for Helpers {
     fn drop(&mut self) {
-        {
-            let mut st = self.shared.state.lock().expect("pool state poisoned");
-            st.shutdown = true;
-        }
-        self.shared.condvar.notify_all();
+        lock(&self.shared.state).shutdown = true;
+        self.shared.wake.notify_all();
         for handle in self.handles.drain(..) {
             let _ = handle.join();
         }
@@ -289,23 +321,19 @@ impl Drop for WorkerPool {
 }
 
 /// The service's parallel runtime: a resolved width plus a lazily spawned
-/// persistent [worker pool](self). See the [module docs](self).
+/// persistent [fork-join pool](self). See the [module docs](self).
 pub struct ParallelExecutor {
     config: ExecutorConfig,
-    pool: Option<WorkerPool>,
+    helpers: Option<Helpers>,
     registry: Registry,
     metrics: ExecutorMetrics,
-    /// Defense-in-depth against re-entrant dispatch. `run_owned` takes
-    /// `&mut self`, so re-entrancy is already rejected at compile time;
-    /// this catches a future refactor that weakens the receiver.
-    active: bool,
 }
 
 impl ParallelExecutor {
-    /// An executor of `threads` workers (clamped to at least 1), source
+    /// An executor `threads` workers wide (clamped to at least 1), source
     /// [`ThreadSource::Explicit`], publishing into its own private
-    /// [`Registry`]. No thread is spawned here — the pool appears on the
-    /// first run that can use it.
+    /// [`Registry`]. No thread is spawned here — the helpers appear on
+    /// the first run that can use them.
     #[must_use]
     pub fn new(threads: usize) -> Self {
         Self::new_on(threads, &Registry::new())
@@ -351,14 +379,13 @@ impl ParallelExecutor {
         let metrics = ExecutorMetrics::register(&registry, config.threads);
         ParallelExecutor {
             config,
-            pool: None,
+            helpers: None,
             registry,
             metrics,
-            active: false,
         }
     }
 
-    /// The configured worker count.
+    /// The configured worker count, the caller included.
     #[must_use]
     pub fn threads(&self) -> usize {
         self.config.threads
@@ -373,7 +400,7 @@ impl ParallelExecutor {
 
     /// The registry this executor publishes its `executor_*` counters
     /// on. Read pool accounting from here (e.g.
-    /// `registry().counter_value(`[`TASKS_STOLEN_METRIC`]`)` or the
+    /// `registry().counter_value(`[`SPAWN_EVENTS_METRIC`]`)` or the
     /// per-worker cells of [`TASKS_EXECUTED_METRIC`]).
     #[must_use]
     pub fn registry(&self) -> &Registry {
@@ -381,120 +408,83 @@ impl ParallelExecutor {
     }
 
     /// A clone that shares the configuration but publishes fresh zeroed
-    /// `executor_*` metrics on `registry` and spawns its own pool on
+    /// `executor_*` metrics on `registry` and spawns its own helpers on
     /// first parallel use.
     #[must_use]
     pub fn clone_on(&self, registry: &Registry) -> Self {
         Self::with_config(self.config.clone(), registry.clone())
     }
 
-    /// Runs every `(affinity, task)` through `f` and returns the results
-    /// **in task order**. With one configured worker or at most one task
-    /// the whole batch runs inline on the caller's thread — the inline
-    /// path and the pooled path execute the same `f` on the same data, so
-    /// width-1 *is* the sequential execution, not an approximation of it.
-    /// Otherwise tasks are enqueued on the persistent pool (spawned on
-    /// first use) keyed by `affinity`, workers steal across segments when
-    /// their own runs dry, and the call returns once every task has
-    /// reported.
+    /// Runs every task through `f` and returns the results **in task
+    /// order**. With one configured worker or at most one task the whole
+    /// batch runs inline on the caller's thread — the inline path and the
+    /// pooled path execute the same `f` on the same data, so width-1 *is*
+    /// the sequential execution, not an approximation of it. Otherwise the
+    /// caller wakes the persistent helpers (spawned on first use), claims
+    /// tasks alongside them from one shared cursor, and returns once every
+    /// task has finished.
     ///
     /// # Panics
     /// Re-raises the first panicking task (in task order) — but only
     /// after **all** tasks of this run have finished, so no task is left
     /// mid-flight and the pool stays reusable.
-    pub fn run_owned<T, R>(
-        &mut self,
-        tasks: Vec<(usize, T)>,
-        f: Arc<dyn Fn(T) -> R + Send + Sync>,
-    ) -> Vec<R>
+    pub fn run_owned<T, R, F>(&mut self, tasks: Vec<T>, f: F) -> Vec<R>
     where
         T: Send + 'static,
         R: Send + 'static,
+        F: Fn(T) -> R + Send + Sync + 'static,
     {
-        assert!(!self.active, "re-entrant ParallelExecutor dispatch");
-        self.active = true;
         self.metrics.tasks_total.add(tasks.len() as u64);
-        let out = if self.config.threads <= 1 || tasks.len() <= 1 {
-            tasks.into_iter().map(|(_, task)| f(task)).collect()
-        } else {
-            self.run_pooled(tasks, f)
-        };
-        self.active = false;
-        out
-    }
-
-    /// The pooled dispatch: enqueue every job, then collect exactly one
-    /// report per job. Each job catches its own panic and **always**
-    /// reports, so the collector cannot hang; panics re-raise only after
-    /// the full collection.
-    fn run_pooled<T, R>(
-        &mut self,
-        tasks: Vec<(usize, T)>,
-        f: Arc<dyn Fn(T) -> R + Send + Sync>,
-    ) -> Vec<R>
-    where
-        T: Send + 'static,
-        R: Send + 'static,
-    {
-        if self.pool.is_none() {
-            self.metrics.spawn_events.inc();
-            self.metrics.workers_spawned.add(self.config.threads as u64);
-            self.pool = Some(WorkerPool::spawn(
-                self.config.threads,
-                self.metrics.stolen.clone(),
-                self.metrics.executed.clone(),
-            ));
+        if self.config.threads <= 1 || tasks.len() <= 1 {
+            return tasks.into_iter().map(f).collect();
         }
-        let pool = self.pool.as_ref().expect("pool just ensured above");
+        let metrics = &self.metrics;
+        let helpers = self.helpers.get_or_insert_with(|| {
+            let count = self.config.threads - 1;
+            metrics.spawn_events.inc();
+            metrics.workers_spawned.add(count as u64);
+            Helpers::spawn(count)
+        });
         let n = tasks.len();
-        let (tx, rx) = mpsc::channel::<(usize, std::thread::Result<R>)>();
-        for (idx, (affinity, task)) in tasks.into_iter().enumerate() {
-            let f = Arc::clone(&f);
-            let tx = tx.clone();
-            pool.push(
-                affinity,
-                Box::new(move |_worker| {
-                    let result = catch_unwind(AssertUnwindSafe(|| f(task)));
-                    // the receiver only disconnects if the collector
-                    // itself died; nothing useful to do with the error
-                    let _ = tx.send((idx, result));
-                }),
-            );
-        }
-        drop(tx);
-        let mut slots: Vec<Option<std::thread::Result<R>>> = (0..n).map(|_| None).collect();
-        for _ in 0..n {
-            let (idx, result) = rx
-                .recv()
-                .expect("a pool job vanished without reporting (worker died?)");
-            debug_assert!(slots[idx].is_none(), "task {idx} reported twice");
-            slots[idx] = Some(result);
-        }
+        let run = Arc::new(Run {
+            f,
+            executed: metrics.executed.clone(),
+            slots: tasks
+                .into_iter()
+                .map(|t| Mutex::new(Slot::Task(t)))
+                .collect(),
+            next: AtomicUsize::new(0),
+            done: AtomicUsize::new(0),
+            done_lock: Mutex::new(()),
+            all_done: Condvar::new(),
+        });
+        let job = Arc::clone(&run);
+        helpers.start(Arc::new(move |w| job.work(w)), n - 1);
+        run.work(0);
+        run.wait();
         let mut out = Vec::with_capacity(n);
         let mut first_panic = None;
-        for slot in slots {
-            match slot.expect("every task reports exactly once") {
-                Ok(r) => out.push(r),
-                Err(panic) => {
-                    if first_panic.is_none() {
-                        first_panic = Some(panic);
-                    }
+        for slot in &run.slots {
+            match std::mem::replace(&mut *lock(slot), Slot::Claimed) {
+                Slot::Done(Ok(r)) => out.push(r),
+                Slot::Done(Err(panic)) => {
+                    first_panic.get_or_insert(panic);
                 }
+                _ => unreachable!("every task finished before the wait returned"),
             }
         }
         if let Some(panic) = first_panic {
-            self.active = false;
             resume_unwind(panic);
         }
         out
     }
 
     /// A weak handle on the pool's shared state, for lifecycle tests:
-    /// once the executor drops, a failed upgrade proves every worker
+    /// once the executor drops, a failed upgrade proves every helper
     /// (each holding a strong count) has exited.
     #[cfg(test)]
     fn pool_probe(&self) -> Option<std::sync::Weak<PoolShared>> {
-        self.pool.as_ref().map(|p| Arc::downgrade(&p.shared))
+        self.helpers.as_ref().map(|h| Arc::downgrade(&h.shared))
     }
 }
 
@@ -532,11 +522,11 @@ impl Default for ParallelExecutor {
     }
 }
 
-/// Cloning shares the *configuration*, never the pool or the metrics:
-/// the clone publishes fresh zeroed counters on its own private
-/// registry and spawns its own pool on first parallel use. (A shared
-/// pool would entangle two services' collectors; `ShardedService`'s
-/// `Clone` relies on this isolation and re-homes the clone's metrics via
+/// Cloning shares the *configuration*, never the helpers or the metrics:
+/// the clone publishes fresh zeroed counters on its own private registry
+/// and spawns its own helpers on first parallel use. (Shared helpers
+/// would entangle two services' runs; `ShardedService`'s `Clone` relies
+/// on this isolation and re-homes the clone's metrics via
 /// [`clone_on`](ParallelExecutor::clone_on).)
 impl Clone for ParallelExecutor {
     fn clone(&self) -> Self {
@@ -548,14 +538,10 @@ impl std::fmt::Debug for ParallelExecutor {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ParallelExecutor")
             .field("config", &self.config)
-            .field("pool_spawned", &self.pool.is_some())
+            .field("pool_spawned", &self.helpers.is_some())
             .field(
                 "tasks_total",
                 &self.registry.counter_value(TASKS_TOTAL_METRIC),
-            )
-            .field(
-                "tasks_stolen",
-                &self.registry.counter_value(TASKS_STOLEN_METRIC),
             )
             .finish()
     }
@@ -571,12 +557,12 @@ const _: () = {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Barrier;
+    use std::sync::atomic::AtomicU64;
+    use std::time::{Duration, Instant};
 
-    fn id_fn() -> Arc<dyn Fn(usize) -> usize + Send + Sync> {
-        Arc::new(|x| x)
-    }
+    /// Upper bound on any wait inside a test task: a broken pool fails
+    /// the test instead of hanging it.
+    const TIMEOUT: Duration = Duration::from_secs(10);
 
     fn counter(exec: &ParallelExecutor, name: &str) -> u64 {
         exec.registry()
@@ -584,12 +570,26 @@ mod tests {
             .expect("executor metric registered")
     }
 
+    /// Blocks until `cond` holds on the shared value or [`TIMEOUT`]
+    /// passes; returns whether it held.
+    fn wait_for(pair: &(Mutex<usize>, Condvar), cond: impl Fn(usize) -> bool) -> bool {
+        let (m, cv) = pair;
+        let deadline = Instant::now() + TIMEOUT;
+        let mut v = m.lock().unwrap();
+        while !cond(*v) {
+            let Some(left) = deadline.checked_duration_since(Instant::now()) else {
+                return false;
+            };
+            v = cv.wait_timeout(v, left).unwrap().0;
+        }
+        true
+    }
+
     #[test]
     fn results_come_back_in_task_order_at_any_width() {
         for threads in [1, 2, 3, 4, 8] {
             let mut exec = ParallelExecutor::new(threads);
-            let tasks: Vec<(usize, usize)> = (0..23).map(|i| (i % 3, i)).collect();
-            let out = exec.run_owned(tasks, Arc::new(|x: usize| x * 10));
+            let out = exec.run_owned((0..23).collect(), |x: usize| x * 10);
             assert_eq!(
                 out,
                 (0..23).map(|i| i * 10).collect::<Vec<_>>(),
@@ -602,77 +602,96 @@ mod tests {
     fn zero_threads_clamps_and_empty_input_is_fine() {
         let mut exec = ParallelExecutor::new(0);
         assert_eq!(exec.threads(), 1);
-        let out = exec.run_owned(Vec::new(), id_fn());
+        let out = exec.run_owned(Vec::new(), |x: usize| x);
         assert!(out.is_empty());
     }
 
-    /// The deterministic steal gate: 4 tasks, all pushed to worker 0's
-    /// segment, each blocking on a 4-way barrier — the run can only
-    /// complete if 4 distinct workers each take exactly one task, which
-    /// forces workers 1–3 to steal. No timing assumptions: this holds on
-    /// a 1-core machine.
+    /// The caller is worker 0: every helper task blocks until the
+    /// caller's thread has run a task of its own, so the run completes
+    /// only if the caller claims work instead of just waiting.
     #[test]
-    fn skewed_affinity_forces_stealing() {
-        let mut exec = ParallelExecutor::new(4);
-        let barrier = Arc::new(Barrier::new(4));
-        let tasks: Vec<(usize, usize)> = (0..4).map(|i| (0, i)).collect();
-        let b = Arc::clone(&barrier);
-        let out = exec.run_owned(
-            tasks,
-            Arc::new(move |i: usize| {
-                b.wait();
-                i
-            }),
-        );
+    fn the_caller_runs_tasks() {
+        let mut exec = ParallelExecutor::new(2);
+        let caller = std::thread::current().id();
+        let ran = Arc::new((Mutex::new(0usize), Condvar::new()));
+        let r = Arc::clone(&ran);
+        let out = exec.run_owned((0..4).collect(), move |i: usize| {
+            if std::thread::current().id() == caller {
+                *r.0.lock().unwrap() += 1;
+                r.1.notify_all();
+            } else {
+                assert!(wait_for(&r, |n| n > 0), "the caller never ran a task");
+            }
+            i
+        });
         assert_eq!(out, vec![0, 1, 2, 3]);
-        assert_eq!(counter(&exec, TASKS_TOTAL_METRIC), 4);
-        assert_eq!(
-            counter(&exec, TASKS_STOLEN_METRIC),
-            3,
-            "3 of 4 same-segment tasks must be stolen"
-        );
-        assert_eq!(
-            exec.registry().counter_cells(TASKS_EXECUTED_METRIC),
-            Some(vec![1, 1, 1, 1])
-        );
+        let cells = exec
+            .registry()
+            .counter_cells(TASKS_EXECUTED_METRIC)
+            .unwrap();
+        assert!(cells[0] > 0, "cell 0 is the caller: {cells:?}");
+        assert_eq!(cells.iter().sum::<u64>(), 4);
     }
 
-    /// The deterministic balance gate: 16 tasks on one segment, executed
-    /// in 4-way barrier waves — every wave occupies all 4 workers, so the
-    /// histogram must come out exactly even and 12 tasks stolen.
+    /// A run of `width` tasks that each wait until all `width` have
+    /// started completes only if the caller and every helper run one at
+    /// the same time. The wait times out, so a pool that serializes fails
+    /// instead of hanging.
     #[test]
-    fn barrier_waves_balance_a_fully_skewed_workload() {
-        let mut exec = ParallelExecutor::new(4);
-        let barrier = Arc::new(Barrier::new(4));
-        let executed = Arc::new(AtomicUsize::new(0));
-        let tasks: Vec<(usize, usize)> = (0..16).map(|i| (0, i)).collect();
-        let (b, e) = (Arc::clone(&barrier), Arc::clone(&executed));
-        let out = exec.run_owned(
-            tasks,
-            Arc::new(move |i: usize| {
-                b.wait();
-                e.fetch_add(1, Ordering::Relaxed);
-                i
-            }),
-        );
-        assert_eq!(out, (0..16).collect::<Vec<_>>(), "exactly-once, in order");
-        assert_eq!(executed.load(Ordering::Relaxed), 16);
+    fn helpers_run_tasks_concurrently() {
+        for width in [2, 4] {
+            let mut exec = ParallelExecutor::new(width);
+            let arrived = Arc::new((Mutex::new(0usize), Condvar::new()));
+            let a = Arc::clone(&arrived);
+            let met = exec.run_owned((0..width).collect(), move |_: usize| {
+                *a.0.lock().unwrap() += 1;
+                a.1.notify_all();
+                wait_for(&a, |n| n == width)
+            });
+            assert!(met.iter().all(|&m| m), "width {width}: {met:?}");
+            assert_eq!(
+                exec.registry().counter_cells(TASKS_EXECUTED_METRIC),
+                Some(vec![1; width]),
+                "width {width}: one task per worker"
+            );
+        }
+    }
+
+    /// Back-to-back 2-task runs: a helper that wakes late for run `k`
+    /// must find run `k`'s cursor used up, never execute a task after the
+    /// run returned, and never run a task of run `k + 1` twice.
+    #[test]
+    fn a_late_helper_never_touches_the_next_run() {
+        let mut exec = ParallelExecutor::new(2);
+        let current = Arc::new(AtomicU64::new(0));
+        let stray = Arc::new(AtomicU64::new(0));
+        for round in 0..10_000u64 {
+            current.store(round, Ordering::SeqCst);
+            let (c, s) = (Arc::clone(&current), Arc::clone(&stray));
+            let out = exec.run_owned(vec![2 * round, 2 * round + 1], move |v: u64| {
+                if c.load(Ordering::SeqCst) != v / 2 {
+                    s.fetch_add(1, Ordering::SeqCst);
+                }
+                v
+            });
+            assert_eq!(out, vec![2 * round, 2 * round + 1]);
+        }
         assert_eq!(
-            exec.registry().counter_cells(TASKS_EXECUTED_METRIC),
-            Some(vec![4, 4, 4, 4]),
-            "balanced"
+            stray.load(Ordering::SeqCst),
+            0,
+            "a task ran outside its run"
         );
-        assert_eq!(counter(&exec, TASKS_STOLEN_METRIC), 12);
+        assert_eq!(counter(&exec, TASKS_EXECUTED_METRIC), 20_000);
+        assert_eq!(counter(&exec, SPAWN_EVENTS_METRIC), 1);
     }
 
     /// Pool lifecycle: 1,000 runs spawn exactly one pool (no thread
-    /// leak — worker creation only ever happens inside a spawn event).
+    /// leak — helper creation only ever happens inside a spawn event).
     #[test]
     fn a_thousand_runs_reuse_one_pool() {
         let mut exec = ParallelExecutor::new(3);
         for round in 0..1_000 {
-            let tasks: Vec<(usize, usize)> = (0..4).map(|i| (i, round + i)).collect();
-            let out = exec.run_owned(tasks, id_fn());
+            let out = exec.run_owned((round..round + 4).collect(), |x: usize| x);
             assert_eq!(out, (round..round + 4).collect::<Vec<_>>());
         }
         assert_eq!(
@@ -680,45 +699,52 @@ mod tests {
             1,
             "drains must reuse the pool"
         );
-        assert_eq!(counter(&exec, WORKERS_SPAWNED_METRIC), 3);
+        assert_eq!(
+            counter(&exec, WORKERS_SPAWNED_METRIC),
+            2,
+            "3 wide = caller + 2"
+        );
         assert_eq!(counter(&exec, TASKS_TOTAL_METRIC), 4_000);
         assert_eq!(counter(&exec, TASKS_EXECUTED_METRIC), 4_000);
     }
 
-    /// Dropping the executor joins every worker: the workers are the only
+    /// Dropping the executor joins every helper: the helpers are the only
     /// strong holders of the shared state once the pool struct drops, so
     /// a dead weak handle proves they all exited.
     #[test]
     fn drop_joins_all_workers() {
         let mut exec = ParallelExecutor::new(4);
-        let tasks: Vec<(usize, usize)> = (0..8).map(|i| (i, i)).collect();
-        exec.run_owned(tasks, id_fn());
+        exec.run_owned((0..8).collect(), |x: usize| x);
         let probe = exec.pool_probe().expect("pool spawned");
         drop(exec);
         assert!(
             probe.upgrade().is_none(),
-            "a worker outlived the executor drop"
+            "a helper outlived the executor drop"
         );
     }
 
-    /// A panicking task is re-raised — after the whole run finished, so
-    /// the pool survives and the next run works.
+    /// A panicking task is re-raised — only after every other task of the
+    /// run finished, so the pool survives and the next run works.
     #[test]
     fn task_panic_propagates_and_pool_survives() {
-        let mut exec = ParallelExecutor::new(2);
-        let tasks: Vec<(usize, usize)> = (0..4).map(|i| (i, i)).collect();
+        let mut exec = ParallelExecutor::new(4);
+        let finished = Arc::new(AtomicUsize::new(0));
+        let f = Arc::clone(&finished);
         let result = catch_unwind(AssertUnwindSafe(|| {
-            exec.run_owned(
-                tasks,
-                Arc::new(|i: usize| {
-                    assert!(i != 2, "task 2 dies");
-                    i
-                }),
-            )
+            exec.run_owned((0..8).collect(), move |i: usize| {
+                assert!(i != 2, "task 2 dies");
+                std::thread::sleep(Duration::from_millis(2));
+                f.fetch_add(1, Ordering::SeqCst);
+                i
+            })
         }));
         assert!(result.is_err(), "panic must propagate to the caller");
-        // the pool is still usable
-        let out = exec.run_owned((0..4).map(|i| (i, i)).collect(), id_fn());
+        assert_eq!(
+            finished.load(Ordering::SeqCst),
+            7,
+            "the panic surfaced before its siblings finished"
+        );
+        let out = exec.run_owned((0..4).collect(), |x: usize| x);
         assert_eq!(out, vec![0, 1, 2, 3]);
         assert_eq!(
             counter(&exec, SPAWN_EVENTS_METRIC),
@@ -731,13 +757,10 @@ mod tests {
     fn inline_path_runs_on_caller_thread_without_a_pool() {
         let mut exec = ParallelExecutor::new(1);
         let caller = std::thread::current().id();
-        let out = exec.run_owned(
-            (0..5).map(|i| (i, i)).collect(),
-            Arc::new(move |i: usize| {
-                assert_eq!(std::thread::current().id(), caller);
-                i
-            }),
-        );
+        let out = exec.run_owned((0..5).collect(), move |i: usize| {
+            assert_eq!(std::thread::current().id(), caller);
+            i
+        });
         assert_eq!(out, vec![0, 1, 2, 3, 4]);
         assert_eq!(
             counter(&exec, SPAWN_EVENTS_METRIC),
@@ -746,14 +769,14 @@ mod tests {
         );
         // a single task also stays inline at any width
         let mut wide = ParallelExecutor::new(8);
-        wide.run_owned(vec![(0, 7usize)], id_fn());
+        wide.run_owned(vec![7usize], |x| x);
         assert_eq!(counter(&wide, SPAWN_EVENTS_METRIC), 0);
     }
 
     #[test]
     fn clone_shares_config_but_not_pool_or_metrics() {
         let mut exec = ParallelExecutor::new(2);
-        exec.run_owned((0..4).map(|i| (i, i)).collect(), id_fn());
+        exec.run_owned((0..4).collect(), |x: usize| x);
         assert_eq!(counter(&exec, SPAWN_EVENTS_METRIC), 1);
         let clone = exec.clone();
         assert_eq!(clone.config(), exec.config());
@@ -767,7 +790,7 @@ mod tests {
     fn clone_on_replaces_metrics_on_the_target_registry() {
         let registry = Registry::new();
         let mut first = ParallelExecutor::new_on(2, &registry);
-        first.run_owned((0..4).map(|i| (i, i)).collect(), id_fn());
+        first.run_owned((0..4).collect(), |x: usize| x);
         assert_eq!(registry.counter_value(TASKS_TOTAL_METRIC), Some(4));
         let _second = first.clone_on(&registry);
         assert_eq!(

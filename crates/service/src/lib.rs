@@ -32,7 +32,8 @@
 //!   concurrently.
 //! * [`service::ShardedService`] — the thin coordinator: registry, plane
 //!   cache, policies, and the [`executor::ParallelExecutor`] whose
-//!   **persistent work-stealing worker pool** evaluates the per-context
+//!   **persistent fork-join pool** (the calling thread plus parked helper
+//!   threads, claiming from one shared cursor) evaluates the per-context
 //!   steps that [`drain`](ShardedService::drain) plans. Every step carries
 //!   its `(shard, sweep-position)` merge key and results are applied in
 //!   that key order, making output bit-for-bit identical at any thread
@@ -100,7 +101,7 @@ pub use batch::{BatchQueue, RequestId, RequestIdSource, Response};
 pub use engine::ShardEngine;
 pub use executor::{
     ExecutorConfig, ParallelExecutor, ThreadSource, SPAWN_EVENTS_METRIC, TASKS_EXECUTED_METRIC,
-    TASKS_STOLEN_METRIC, TASKS_TOTAL_METRIC, THREADS_ENV, WORKERS_SPAWNED_METRIC,
+    TASKS_TOTAL_METRIC, THREADS_ENV, WORKERS_SPAWNED_METRIC,
 };
 pub use frontend::{
     FrontendDriver, FrontendError, FrontendEvent, QosClass, RateLimit, RejectReason, StreamPolicy,

@@ -74,6 +74,10 @@ pub struct TenantRegistry {
     records: Vec<TenantRecord>,
     slots: Vec<Vec<Option<TenantId>>>,
     cursor: usize,
+    /// Non-retired records — kept alongside `records`, which keeps every
+    /// retired record too, so [`len`](Self::len) is O(1) however many
+    /// tenants migrated away.
+    live: usize,
 }
 
 impl TenantRegistry {
@@ -90,6 +94,7 @@ impl TenantRegistry {
             records: Vec::new(),
             slots: vec![vec![None; contexts]; shards],
             cursor: 0,
+            live: 0,
         })
     }
 
@@ -136,6 +141,7 @@ impl TenantRegistry {
         });
         self.slots[placement.shard][placement.ctx] = Some(id);
         self.cursor = (placement.shard + 1) % self.shards;
+        self.live += 1;
         id
     }
 
@@ -167,6 +173,7 @@ impl TenantRegistry {
         let placement = self.tenant(id)?.placement;
         self.slots[placement.shard][placement.ctx] = None;
         self.records[id.0].retired = true;
+        self.live -= 1;
         Ok(placement)
     }
 
@@ -244,7 +251,7 @@ impl TenantRegistry {
     /// Number of admitted, non-retired tenants.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.records.iter().filter(|r| !r.retired).count()
+        self.live
     }
 
     /// Is the registry empty (no live tenants)?

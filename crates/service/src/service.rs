@@ -13,16 +13,16 @@
 //!
 //! [`drain`](ShardedService::drain) plans every busy shard's sweep
 //! sequentially (one owned `PlannedStep` per active context), evaluates
-//! the steps on the [`ParallelExecutor`]'s persistent work-stealing pool
-//! (shard-affine injector segments, so a skewed placement spreads instead
-//! of serializing), and applies the results back **in merge-key order**
-//! (shard, then sweep position, then lane) — so responses, faults and
-//! billing are bit-for-bit identical to sequential execution at any
-//! thread count; the thread count is a pure throughput knob
-//! ([`set_threads`], or the `MCFPGA_THREADS` environment variable at
-//! construction — see [`crate::executor`] for the env contract). The
-//! lanes coalesced per pass are likewise a pure throughput knob
-//! ([`set_lane_width`], up to 256).
+//! the steps on the [`ParallelExecutor`]'s persistent fork-join pool (the
+//! calling thread and its helpers claim steps from one shared cursor, so
+//! a skewed placement spreads instead of serializing), and applies the
+//! results back **in merge-key order** (shard, then sweep position, then
+//! lane) — so responses, faults and billing are bit-for-bit identical to
+//! sequential execution at any thread count; the thread count is a pure
+//! throughput knob ([`set_threads`], or the `MCFPGA_THREADS` environment
+//! variable at construction — see [`crate::executor`] for the env
+//! contract). The lanes coalesced per pass are likewise a pure throughput
+//! knob ([`set_lane_width`], up to 256).
 //!
 //! [`set_threads`]: ShardedService::set_threads
 //! [`set_lane_width`]: ShardedService::set_lane_width
@@ -311,9 +311,9 @@ impl ShardedService {
     /// Sets the drain fan-out width. **Never changes output**: responses,
     /// faults and billing are applied in merge-key order whatever the
     /// width — `set_threads(1)` *is* the sequential execution, not an
-    /// approximation of it. The previous executor's worker pool (if it
-    /// had spawned) is joined here; the new pool spawns lazily on the
-    /// next parallel drain.
+    /// approximation of it. The previous executor's helper threads (if
+    /// they had spawned) are joined here; the new helpers spawn lazily on
+    /// the next parallel drain.
     pub fn set_threads(&mut self, threads: usize) {
         // re-registers the `executor_*` metrics on this service's
         // registry, zeroing them — a new pool starts a new accounting era
@@ -492,13 +492,13 @@ impl ShardedService {
         let (id, full) =
             self.engines[placement.shard].submit(placement.ctx, tenant, inputs, &mut self.ids)?;
         self.metrics.requests_submitted.add_to(placement.shard, 1);
+        self.metrics.queue_depth.add(1);
         let queued = self.engines[placement.shard].tickets(placement.ctx).len();
         self.telemetry
             .span(SpanKind::Queued, id.value(), queued as i64);
         if full {
             self.run_engine(placement.shard, &[(placement.ctx, tenant)])?;
         }
-        self.sync_gauges();
         Ok(id)
     }
 
@@ -526,12 +526,13 @@ impl ShardedService {
     ///    `PlannedStep` tagged with its `(shard, sweep-position)` merge
     ///    key — switch toggles are charged here.
     /// 2. **Eval** (parallel): the steps — per-*context* tasks, not
-    ///    per-shard chunks — go to the executor's persistent
-    ///    work-stealing pool, keyed by shard affinity; a shard holding
-    ///    every tenant still spreads across all workers. Evaluation is
-    ///    pure, so execution order is free.
-    /// 3. **Apply** (sequential, merge-key order): results are placed
-    ///    back by task index, so responses, faults and billing land in
+    ///    per-shard chunks — go to the executor's persistent fork-join
+    ///    pool, where the calling thread and the helpers claim them from
+    ///    one shared cursor; a shard holding every tenant still spreads
+    ///    across all workers. Evaluation is pure, so execution order is
+    ///    free.
+    /// 3. **Apply** (sequential, merge-key order): step `i`'s result
+    ///    comes back in slot `i`, so responses, faults and billing land in
     ///    shard-then-sweep-position-then-lane order — bit-for-bit
     ///    identical at any thread count and any lane width.
     ///
@@ -590,20 +591,18 @@ impl ShardedService {
     ) -> Result<Vec<Response>, ServiceError> {
         let mut steps = Vec::new();
         let mut errors: Vec<Option<ServiceError>> = vec![None; self.engines.len()];
-        let toggles_before = self.total_css_toggles();
         let plan_start = Instant::now();
         for (shard, active) in work.iter().enumerate() {
             if !active.is_empty() {
-                errors[shard] =
+                let (toggles, error) =
                     self.engines[shard].plan_sweep(active, self.optimize, &self.matrix, &mut steps);
+                self.metrics.css_toggles.add(toggles);
+                errors[shard] = error;
             }
         }
         self.metrics
             .plan_us
             .observe(plan_start.elapsed().as_micros() as u64);
-        self.metrics
-            .css_toggles
-            .add(self.total_css_toggles().saturating_sub(toggles_before));
         self.eval_and_apply(steps, &mut errors);
         self.metrics.drains_total.inc();
         self.sync_gauges();
@@ -630,24 +629,14 @@ impl ShardedService {
         }
         type Evaluated = (PlannedStep, Result<EvalOutcome, ServiceError>);
         let eval_start = Instant::now();
+        let eval = |mut step: PlannedStep| {
+            let outs = eval_step(&mut step);
+            (step, outs)
+        };
         let results: Vec<Evaluated> = if self.executor.threads() > 1 && steps.len() > 1 {
-            let tasks: Vec<(usize, PlannedStep)> =
-                steps.into_iter().map(|s| (s.shard, s)).collect();
-            self.executor.run_owned(
-                tasks,
-                Arc::new(|mut step: PlannedStep| {
-                    let outs = eval_step(&mut step);
-                    (step, outs)
-                }),
-            )
+            self.executor.run_owned(steps, eval)
         } else {
-            steps
-                .into_iter()
-                .map(|mut step| {
-                    let outs = eval_step(&mut step);
-                    (step, outs)
-                })
-                .collect()
+            steps.into_iter().map(eval).collect()
         };
         self.metrics
             .eval_us
@@ -755,47 +744,36 @@ impl ShardedService {
     /// Runs one shard's sweep inline (the lane-full auto-flush path):
     /// same plan → eval → apply pipeline as [`drain`](Self::drain), minus
     /// the pool — a single slot just flushed, so fan-out buys nothing.
+    /// Moves the queue-depth gauge by the requests the sweep served,
+    /// whether or not it faulted.
     fn run_engine(
         &mut self,
         shard: usize,
         active: &[(usize, TenantId)],
     ) -> Result<(), ServiceError> {
+        let pending_before = self.engines[shard].pending_requests();
         let mut steps = Vec::new();
         let mut errors: Vec<Option<ServiceError>> = vec![None; self.engines.len()];
-        let toggles_before = self.total_css_toggles();
-        errors[shard] =
+        let (toggles, error) =
             self.engines[shard].plan_sweep(active, self.optimize, &self.matrix, &mut steps);
-        self.metrics
-            .css_toggles
-            .add(self.total_css_toggles().saturating_sub(toggles_before));
+        self.metrics.css_toggles.add(toggles);
+        errors[shard] = error;
         for mut step in steps {
             let outs = eval_step(&mut step);
             self.apply_step_traced(&mut step, outs, &mut errors);
         }
+        let served = pending_before - self.engines[shard].pending_requests();
+        self.metrics.queue_depth.add(-(served as i64));
         errors.into_iter().flatten().next().map_or(Ok(()), Err)
     }
 
     /// Resyncs the point-in-time gauges with the structures they mirror.
-    /// Called wherever queue depth or tenancy changes; cheap (sums one
-    /// counter per engine).
+    /// Called wherever tenancy changes or a drain ran; `submit` moves the
+    /// queue-depth gauge incrementally instead. Cheap: one ticket count
+    /// per slot, and the registry keeps its live count.
     fn sync_gauges(&self) {
         self.metrics.queue_depth.set(self.pending_requests() as i64);
         self.metrics.active_tenants.set(self.registry.len() as i64);
-    }
-
-    /// Every live tenant's accumulated CSS broadcast toggles — the
-    /// before/after delta around a plan phase is the sweep's toggle
-    /// charge, mirrored into the `service_css_toggles` counter.
-    fn total_css_toggles(&self) -> u64 {
-        self.registry
-            .iter()
-            .map(|(id, rec)| {
-                self.engines[rec.placement.shard]
-                    .tenant_state(id)
-                    .map(|s| s.usage.css_toggles as u64)
-                    .unwrap_or(0)
-            })
-            .sum()
     }
 
     /// Removes and returns the per-slot execution faults recorded since the

@@ -1,26 +1,13 @@
-//! Property test of the work-stealing pool's exactly-once contract under
-//! adversarial skew: whatever the task count, pool width, per-task
-//! runtime spread, and affinity pattern (including every task pinned to
-//! one worker's injector segment), `run_owned` returns **every task's
-//! result exactly once, in task order**, and the pool's own counters
-//! agree — the executed-per-worker histogram sums to the task total.
+//! Property test of the fork-join pool's exactly-once contract: whatever
+//! the task count, pool width and per-task runtime spread, `run_owned`
+//! returns **every task's result exactly once, in task order**, and the
+//! pool's own counters agree — the executed-per-worker histogram sums to
+//! the task total.
 
 use mcfpga_service::{
     ParallelExecutor, SPAWN_EVENTS_METRIC, TASKS_EXECUTED_METRIC, TASKS_TOTAL_METRIC,
 };
 use proptest::prelude::*;
-use std::sync::Arc;
-
-/// Affinity patterns chosen to stress the stealing paths differently:
-/// all-on-one-segment forces every other worker to steal, round-robin
-/// never requires a steal, and the hash spread lands unevenly.
-fn affinity(pattern: u8, idx: usize, workers: usize) -> usize {
-    match pattern % 3 {
-        0 => 0,                                   // fully skewed
-        1 => idx % workers,                       // perfectly spread
-        _ => (idx.wrapping_mul(0x9E37_79B9)) % 7, // lumpy
-    }
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
@@ -29,26 +16,20 @@ proptest! {
     fn every_task_runs_exactly_once_in_order(
         threads in 2usize..9,
         tasks in 0usize..120,
-        pattern in any::<u8>(),
         spin in 0u32..200,
     ) {
         let mut pool = ParallelExecutor::new(threads);
         // two rounds on the same pool: reuse must not leak or re-run work
         for round in 0..2u64 {
-            let input: Vec<(usize, u64)> = (0..tasks)
-                .map(|i| (affinity(pattern, i, threads), round * 10_000 + i as u64))
-                .collect();
-            let expect: Vec<u64> = input.iter().map(|(_, v)| v * 3 + 1).collect();
-            let got = pool.run_owned(
-                input,
-                Arc::new(move |v: u64| {
-                    // uneven busy-work widens the completion-order spread
-                    for _ in 0..(v % u64::from(spin + 1)) {
-                        std::hint::spin_loop();
-                    }
-                    v * 3 + 1
-                }),
-            );
+            let input: Vec<u64> = (0..tasks).map(|i| round * 10_000 + i as u64).collect();
+            let expect: Vec<u64> = input.iter().map(|v| v * 3 + 1).collect();
+            let got = pool.run_owned(input, move |v: u64| {
+                // uneven busy-work widens the completion-order spread
+                for _ in 0..(v % u64::from(spin + 1)) {
+                    std::hint::spin_loop();
+                }
+                v * 3 + 1
+            });
             prop_assert_eq!(&got, &expect, "results must land in task order");
         }
         let registry = pool.registry();

@@ -551,3 +551,95 @@ fn lane_width_rejects_bad_values_and_pending_work() {
     assert_eq!(out.len(), 1);
     assert!(out[0].outputs[0].1);
 }
+
+/// The queue-depth and live-tenant gauges are maintained incrementally
+/// (submit moves the depth by one; the registry keeps a live count), so
+/// after every operation of a seeded admit / submit / auto-flush / drain /
+/// flush / discard / fault / migrate / restore+retire sequence they must
+/// still equal `pending_requests()` and the live tenants counted afresh.
+#[test]
+fn gauges_track_queue_depth_and_live_tenants_through_seeded_churn() {
+    use mcfpga_telemetry::{ACTIVE_TENANTS_METRIC, QUEUE_DEPTH_METRIC};
+    use rand::rngs::StdRng;
+    use rand::{RngExt, SeedableRng};
+
+    let designs = [
+        generators::parity_tree(3).unwrap(),
+        generators::equality_comparator(2).unwrap(),
+        generators::popcount4().unwrap(),
+    ];
+    for seed in [1u64, 7, 31] {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut svc = service(3);
+        // a narrow datapath so submits regularly trigger lane-full flushes
+        svc.set_lane_width(4).unwrap();
+        let mut live: Vec<(mcfpga_service::TenantId, usize)> = Vec::new();
+        let mut admitted = 0;
+        for op in 0..400 {
+            let pick = (!live.is_empty()).then(|| rng.random_range(0..live.len()));
+            match (rng.random_range(0..10u32), pick) {
+                (0, _) | (_, None) => {
+                    let d = rng.random_range(0..designs.len());
+                    if let Ok(t) = svc.admit(&format!("t{admitted}"), &designs[d]) {
+                        live.push((t, d));
+                        admitted += 1;
+                    }
+                }
+                (1..=3, Some(i)) => {
+                    let (tenant, d) = live[i];
+                    let mut names = input_names(&designs[d]);
+                    if rng.random_range(0..8u32) == 0 {
+                        names.pop(); // an under-driven request is refused
+                    }
+                    let request: Vec<(&str, bool)> = names
+                        .iter()
+                        .map(|n| (n.as_str(), rng.random_range(0..2u32) == 1))
+                        .collect();
+                    let _ = svc.submit(tenant, &request);
+                }
+                (4, _) => {
+                    let _ = svc.drain();
+                }
+                (5, Some(i)) => {
+                    let _ = svc.flush_tenants(&[live[i].0]);
+                }
+                (6, Some(i)) => {
+                    svc.discard_pending(live[i].0).unwrap();
+                }
+                (7, Some(i)) => {
+                    // a faulted slot keeps its requests queued until repaired
+                    if rng.random_range(0..2u32) == 0 {
+                        svc.inject_plane_fault(live[i].0).unwrap();
+                    } else {
+                        svc.repair_plane(live[i].0).unwrap();
+                    }
+                }
+                (8, Some(i)) => {
+                    let _ = svc.migrate_tenant(live[i].0, rng.random_range(0..3usize));
+                }
+                (_, Some(i)) => {
+                    // the cross-node migration pattern, inside one service
+                    let (old, d) = live[i];
+                    let ckpt = svc.checkpoint_tenant(old).unwrap();
+                    if let Ok((fresh, _)) = svc.restore_tenant(&ckpt, rng.random_range(0..3usize)) {
+                        svc.retire_tenant(old).unwrap();
+                        live[i] = (fresh, d);
+                    }
+                }
+            }
+            let registry = svc.telemetry().registry();
+            assert_eq!(
+                registry.gauge_value(QUEUE_DEPTH_METRIC),
+                Some(svc.pending_requests() as i64),
+                "seed {seed} op {op}: queue depth"
+            );
+            assert_eq!(svc.registry().len(), live.len(), "seed {seed} op {op}");
+            assert_eq!(svc.registry().iter().count(), live.len());
+            assert_eq!(
+                registry.gauge_value(ACTIVE_TENANTS_METRIC),
+                Some(live.len() as i64),
+                "seed {seed} op {op}: live tenants"
+            );
+        }
+    }
+}
