@@ -9,7 +9,8 @@ use mcfpga_cost::attribution::{render_billing, TenantUsage};
 use mcfpga_device::TechParams;
 use mcfpga_fabric::{FabricParams, LogicNetlist};
 use mcfpga_service::{
-    best_slot_scored, netlist_fingerprint, Response, ServiceError, ShardedService, TenantId,
+    best_slot_scored, netlist_fingerprint, Outputs, Response, ServiceError, ShardedService,
+    TenantId,
 };
 use mcfpga_telemetry::{
     sort_timeline, tenant_key, ClusterHealthSnapshot, Counter, Gauge, MetricClass,
@@ -17,7 +18,6 @@ use mcfpga_telemetry::{
     QUEUE_DEPTH_METRIC,
 };
 use std::collections::HashMap;
-use std::sync::Arc;
 
 /// Requests submitted through the cluster façade
 /// ([`MetricClass::Deterministic`]).
@@ -106,15 +106,18 @@ impl std::fmt::Display for ClusterRequestId {
 
 /// One answered request, with node-local ids already translated to
 /// cluster ids — bit-identical for a given workload at any node count
-/// and any executor width.
+/// and any executor width. Translation moves the node's [`Outputs`]
+/// view across unchanged: no output is copied and no reference count
+/// moves.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ClusterResponse {
     /// The cluster id the answered submission returned.
     pub request: ClusterRequestId,
     /// The tenant the request belonged to.
     pub tenant: ClusterTenantId,
-    /// `(output name, value)` pairs, netlist output order.
-    pub outputs: Vec<(Arc<str>, bool)>,
+    /// `(output name, value)` pairs, netlist output order: the view of
+    /// the request's lane in its pass's output table.
+    pub outputs: Outputs,
 }
 
 /// One slot-execution fault, translated to cluster coordinates.

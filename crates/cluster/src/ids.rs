@@ -240,7 +240,7 @@ mod tests {
         let r = Response {
             request: mcfpga_service::RequestIdSource::new().mint(),
             tenant: tenant_ids(1)[0],
-            outputs: Vec::new(),
+            outputs: Vec::new().into(),
         };
         let err = ids.translate(2, r).unwrap_err();
         assert!(

@@ -71,10 +71,82 @@ pub struct Response {
     pub request: RequestId,
     /// The tenant that submitted it.
     pub tenant: TenantId,
-    /// Named output values, demuxed from the request's lane. Names are
-    /// `Arc<str>` shared across the up-to-64 responses of one pass, so
-    /// demuxing a full batch performs no per-response string allocation.
-    pub outputs: Vec<(Arc<str>, bool)>,
+    /// Named output values, demuxed from the request's lane: a view of
+    /// the lane's row in the output table its pass wrote, so demuxing a
+    /// full batch allocates nothing per response and touches no name's
+    /// reference count.
+    pub outputs: Outputs,
+}
+
+/// One pass's output table: lane-major rows of `(output name, value)`,
+/// one row per visible output per lane, in the plane's output order.
+pub(crate) type OutputRows = Vec<(Arc<str>, bool)>;
+
+/// A response's named output values, in netlist output order: a
+/// read-only view of one lane's row in a shared **output table**.
+///
+/// The engine writes each pass's visible outputs into one table per
+/// context slot and hands every lane a view of its row. A table is
+/// rewritten by a later pass only once no view of it is left (the
+/// engine's `Arc::get_mut` guard), so a held view never changes. Derefs
+/// to a slice, and compares and prints like one.
+///
+/// A view keeps its **whole** table alive — every lane's rows of the
+/// pass, up to 256 lanes × visible outputs — even after the slot's pool
+/// has evicted that table. Code that keeps a few responses for long
+/// (a sample, the latest answer per tenant) should store
+/// `outputs.to_vec()` instead, which holds only the lane's own rows.
+#[derive(Clone)]
+pub struct Outputs {
+    table: Arc<OutputRows>,
+    start: usize,
+    end: usize,
+}
+
+impl Outputs {
+    /// The view of `table[start..end]`.
+    pub(crate) fn view(table: &Arc<OutputRows>, start: usize, end: usize) -> Self {
+        debug_assert!(start <= end && end <= table.len(), "view outside its table");
+        Outputs {
+            table: Arc::clone(table),
+            start,
+            end,
+        }
+    }
+}
+
+impl std::ops::Deref for Outputs {
+    type Target = [(Arc<str>, bool)];
+
+    fn deref(&self) -> &Self::Target {
+        &self.table[self.start..self.end]
+    }
+}
+
+impl From<Vec<(Arc<str>, bool)>> for Outputs {
+    /// A view of a table holding exactly `rows`.
+    fn from(rows: Vec<(Arc<str>, bool)>) -> Self {
+        let end = rows.len();
+        Outputs {
+            table: Arc::new(rows),
+            start: 0,
+            end,
+        }
+    }
+}
+
+impl PartialEq for Outputs {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+impl Eq for Outputs {}
+
+impl std::fmt::Debug for Outputs {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
 }
 
 /// Work pending on one context slot.

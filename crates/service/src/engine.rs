@@ -24,8 +24,10 @@
 //! 3. **Apply** (`apply_step`), sequential on
 //!    the coordinator **in merge-key order** (shard, then sweep
 //!    position): consumes the slot's batch on success, harvests `reg:*`
-//!    chunks, demuxes responses, records a [`crate::service::SlotFault`]
-//!    on failure (requests stay queued). Thread completion order never
+//!    chunks, writes the visible outputs into the slot's recycled output
+//!    table and hands each response a view of its lane's row, records a
+//!    [`crate::service::SlotFault`] on failure (requests stay queued).
+//!    Thread completion order never
 //!    reaches this phase, so output is bit-for-bit identical at every
 //!    worker count and lane width.
 //!
@@ -37,7 +39,9 @@
 //! one engine to another (the coordinator sequences the two calls; they
 //! work unchanged when source and destination are the same engine).
 
-use crate::batch::{BatchQueue, RequestId, RequestIdSource, Response, TakenBatch};
+use crate::batch::{
+    BatchQueue, OutputRows, Outputs, RequestId, RequestIdSource, Response, TakenBatch,
+};
 use crate::registry::TenantId;
 use crate::service::SlotFault;
 use crate::ServiceError;
@@ -211,9 +215,14 @@ pub(crate) fn eval_step(step: &mut PlannedStep) -> Result<EvalOutcome, ServiceEr
     Ok(EvalOutcome { outs, stats })
 }
 
+/// Output tables a slot keeps for reuse. Two let a consumer hold one
+/// pass's responses while the next pass writes the other table.
+const POOLED_TABLES: usize = 2;
+
 /// Admission-time binding state of one context slot, kept parallel to
 /// the engine's plane pointers and rebuilt whenever a plane is installed
-/// — the "resolve names once" half of the v2 pipeline.
+/// or the slot is freed — the "resolve names once" half of the v2
+/// pipeline.
 #[derive(Debug, Clone, Default)]
 struct BoundSlot {
     /// The installed plane's prebound IO plan.
@@ -226,6 +235,41 @@ struct BoundSlot {
     /// fed from the tenant's [`RegisterFile`]); rebuilt by
     /// [`ShardEngine::seed_slot`].
     batch_idx: Vec<u32>,
+    /// Up to [`POOLED_TABLES`] output tables of this slot's past passes,
+    /// least recently written first. Their rows already hold `plan`'s
+    /// visible output names, which is why a rebuilt slot (new plan, or
+    /// none) starts with no tables. A cloned engine shares them, so
+    /// neither copy rewrites them.
+    tables: Vec<Arc<OutputRows>>,
+}
+
+impl BoundSlot {
+    /// The output table the next pass writes: the most recently written
+    /// pooled table that no response views any more (`Arc::get_mut`
+    /// proves it), else a new one, evicting the least recently written
+    /// table when the pool is full (its views keep it alive). Hand it
+    /// back with [`pool_table`](Self::pool_table).
+    fn claim_table(&mut self) -> Arc<OutputRows> {
+        match self
+            .tables
+            .iter_mut()
+            .rposition(|t| Arc::get_mut(t).is_some())
+        {
+            Some(i) => self.tables.remove(i),
+            None => {
+                if self.tables.len() == POOLED_TABLES {
+                    self.tables.remove(0);
+                }
+                Arc::default()
+            }
+        }
+    }
+
+    /// Returns a claimed table to the pool as the most recently written.
+    fn pool_table(&mut self, table: Arc<OutputRows>) {
+        debug_assert!(self.tables.len() < POOLED_TABLES, "pool over capacity");
+        self.tables.push(table);
+    }
 }
 
 /// A kernel slot's completed sweep: the dense input chunks it consumed
@@ -327,10 +371,15 @@ impl ShardEngine {
     pub(crate) fn install_plane(&mut self, ctx: usize, plane: Arc<CompiledFabric>) {
         self.bound[ctx] = BoundSlot {
             plan: plane.bind(ctx).ok().map(Arc::new),
-            cache: None,
-            batch_idx: Vec::new(),
+            ..BoundSlot::default()
         };
         self.planes[ctx] = Some(plane);
+    }
+
+    /// Output tables pooled on slot `ctx`.
+    #[cfg(test)]
+    pub(crate) fn pooled_tables(&self, ctx: usize) -> usize {
+        self.bound[ctx].tables.len()
     }
 
     /// The compiled plane of context `ctx`, if programmed.
@@ -749,15 +798,20 @@ impl ShardEngine {
     /// into the context was already charged at plan time). On success the
     /// slot's batch is consumed: `reg:*` output chunks are harvested into
     /// the tenant's register file (state, not answers), the visible
-    /// outputs demux into per-lane responses (sharing the bound plan's
-    /// interned names — no string allocation anywhere in the pass), and a
-    /// kernel slot's inputs + arena return to the slot cache to fuel the
-    /// next sweep's dirty-cone skip. Returns the pass's [`EvalStats`]
-    /// (`None` for a faulted pass) so the coordinator can bump the
-    /// deterministic op counters in apply order. An `Err` from *this*
-    /// function is structural (the planned tenant vanished mid-drain) and
-    /// practically unreachable — the coordinator sequences every mutation
-    /// between plan and apply.
+    /// outputs are written into one lane-major **output table** (a
+    /// reused table only rewrites its values, so a steady-state pass
+    /// allocates no rows and clones no names), every lane's response
+    /// gets a view of its row, and a kernel slot's inputs + arena return
+    /// to the slot cache to fuel the next sweep's dirty-cone skip.
+    /// Returns the pass's [`EvalStats`] (`None` for a faulted pass) so the
+    /// coordinator can bump the deterministic op counters in apply order.
+    ///
+    /// An `Err` from *this* function is structural and leaves the slot's
+    /// requests queued: [`ServiceError::UnknownTenant`] if the planned
+    /// tenant vanished, [`ServiceError::StaleStep`] if the pass did not
+    /// run through the slot's current bound plan or the slot's batch is
+    /// gone. The coordinator sequences every mutation between plan and
+    /// apply, so neither happens through the public API.
     pub(crate) fn apply_step(
         &mut self,
         step: &mut PlannedStep,
@@ -780,45 +834,67 @@ impl ShardEngine {
                 return Ok(None);
             }
         };
-        let bound = step
-            .bound
-            .as_ref()
-            .expect("a successful pass evaluated through its bound plan");
+        let stale = ServiceError::StaleStep {
+            shard: self.shard,
+            ctx: step.ctx,
+        };
+        let slot = &mut self.bound[step.ctx];
+        // the pooled tables' names are the slot plan's: only a pass run
+        // through that very plan may write them
+        let bound = match (&step.bound, &slot.plan) {
+            (Some(bound), Some(plan)) if Arc::ptr_eq(bound, plan) => bound,
+            _ => return Err(stale),
+        };
         let state = self
             .tenants
             .get_mut(&step.tenant)
             .ok_or(ServiceError::UnknownTenant(step.tenant.index()))?;
-        let taken = self
-            .queue
-            .take(step.ctx)
-            .expect("planned slot was non-empty and its pass succeeded");
+        let taken = self.queue.take(step.ctx).ok_or(stale)?;
         state.usage.passes += 1;
-        // One Arc clone per visible name, shared by all the pass's
-        // responses — demuxing a full batch allocates no strings
-        let mut visible: Vec<(Arc<str>, LaneChunk)> = Vec::with_capacity(outcome.outs.len());
+        let width = bound.outputs().iter().filter(|(_, _, reg)| !reg).count();
+        let lanes = taken.tickets.len();
+        let mut table = slot.claim_table();
+        let rows = Arc::make_mut(&mut table);
+        if width > 0 && rows.len() < lanes * width {
+            // first pass this wide: append rows for the new lanes, the
+            // only place a pass clones names
+            for _ in rows.len() / width..lanes {
+                rows.extend(
+                    bound
+                        .outputs()
+                        .iter()
+                        .filter(|(_, _, reg)| !reg)
+                        .map(|(_, name, _)| (Arc::clone(name), false)),
+                );
+            }
+        }
+        let mut col = 0;
         for ((_, name, is_reg), chunk) in bound.outputs().iter().zip(&outcome.outs) {
             if *is_reg {
                 state.regs.set_chunk(name, *chunk);
-            } else {
-                visible.push((Arc::clone(name), *chunk));
+                continue;
             }
+            let column = rows[col..].iter_mut().step_by(width).take(lanes);
+            for (lane, row) in column.enumerate() {
+                row.1 = chunk_bit(chunk, lane);
+            }
+            col += 1;
         }
+        responses.reserve(lanes);
         for (lane, (request, owner)) in taken.tickets.iter().enumerate() {
             responses.push(Response {
                 request: *request,
                 tenant: *owner,
-                outputs: visible
-                    .iter()
-                    .map(|(n, chunk)| (Arc::clone(n), chunk_bit(chunk, lane)))
-                    .collect(),
+                outputs: Outputs::view(&table, lane * width, (lane + 1) * width),
             });
         }
+        slot.pool_table(table);
         // hand the emptied buffers back to the slot (cleared, capacity
         // kept) so steady-state flushes re-allocate nothing
         self.queue.recycle(step.ctx, taken);
         if outcome.stats.kernel {
             if let Some(arena) = step.state.take() {
-                self.bound[step.ctx].cache = Some(SlotCache {
+                slot.cache = Some(SlotCache {
                     tenant: step.tenant,
                     words: step.words,
                     inputs: std::mem::take(&mut step.chunks),

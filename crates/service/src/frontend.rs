@@ -84,7 +84,7 @@
 //! # Ok::<(), mcfpga_service::frontend::FrontendError>(())
 //! ```
 
-use crate::batch::{RequestId, Response};
+use crate::batch::{Outputs, RequestId, Response};
 use crate::registry::TenantId;
 use crate::service::{ShardedService, SlotFault};
 use crate::ServiceError;
@@ -94,7 +94,6 @@ use mcfpga_telemetry::{
     ticket_key, Counter, Gauge, Histogram, MetricClass, SpanEvent, SpanKind, Telemetry,
 };
 use std::collections::{HashMap, VecDeque};
-use std::sync::Arc;
 
 /// Offers received, every outcome included ([`MetricClass::Deterministic`]).
 pub const FRONTEND_OFFERED_METRIC: &str = "frontend_offered";
@@ -396,8 +395,9 @@ pub enum FrontendEvent {
         request: RequestId,
         /// The serving tenant.
         tenant: TenantId,
-        /// Named output values, demuxed from the request's lane.
-        outputs: Vec<(Arc<str>, bool)>,
+        /// Named output values: the view of the request's lane in its
+        /// pass's output table.
+        outputs: Outputs,
         /// Virtual cycles from arrival ([`FrontendDriver::offer`]) to
         /// completion — the end-to-end QoS latency.
         latency: u64,

@@ -97,7 +97,7 @@ pub mod placement;
 pub mod registry;
 pub mod service;
 
-pub use batch::{BatchQueue, RequestId, RequestIdSource, Response};
+pub use batch::{BatchQueue, Outputs, RequestId, RequestIdSource, Response};
 pub use engine::ShardEngine;
 pub use executor::{
     ExecutorConfig, ParallelExecutor, ThreadSource, SPAWN_EVENTS_METRIC, TASKS_EXECUTED_METRIC,
@@ -160,6 +160,17 @@ pub enum ServiceError {
         /// Context slot.
         ctx: usize,
     },
+    /// An evaluated pass no longer matches its slot at apply time: the
+    /// pass ran without the slot's current bound plan, or the slot's
+    /// queued batch is gone. The coordinator sequences every slot change
+    /// between planning and applying, so this marks an internal bug; the
+    /// slot's requests, if any, stay queued.
+    StaleStep {
+        /// Shard index.
+        shard: usize,
+        /// Context slot.
+        ctx: usize,
+    },
     /// Referenced a shard index the service does not have.
     NoSuchShard {
         /// The requested shard.
@@ -213,6 +224,12 @@ impl std::fmt::Display for ServiceError {
                     f,
                     "slot (shard {shard}, ctx {ctx}) holds a full unflushed batch; \
                      drain or discard_pending first"
+                )
+            }
+            ServiceError::StaleStep { shard, ctx } => {
+                write!(
+                    f,
+                    "slot (shard {shard}, ctx {ctx}) changed between planning and applying its pass"
                 )
             }
             ServiceError::NoSuchShard { shard, shards } => {

@@ -1483,6 +1483,104 @@ mod tests {
         assert!(svc.take_faults().is_empty());
     }
 
+    /// `apply_step`'s structural errors: a pass that did not run through
+    /// its slot's current bound plan, or whose slot's batch is gone, is
+    /// refused with a typed error — no panic, nothing demuxed, no pass
+    /// billed, and the requests stay queued while they exist.
+    #[test]
+    fn apply_refuses_a_pass_its_slot_no_longer_matches() {
+        let mut svc =
+            ShardedService::new(1, FabricParams::default(), TechParams::default()).unwrap();
+        let t = svc
+            .admit("parity", &generators::parity_tree(3).unwrap())
+            .unwrap();
+        let ctx = svc.registry().tenant(t).unwrap().placement.ctx;
+        svc.submit(t, &[("x0", true), ("x1", false), ("x2", false)])
+            .unwrap();
+        let mut apply = |tamper: &dyn Fn(&mut PlannedStep, &mut ShardEngine)| {
+            let mut steps = Vec::new();
+            let (_, error) =
+                svc.engines[0].plan_sweep(&[(ctx, t)], svc.optimize, &svc.matrix, &mut steps);
+            assert!(error.is_none());
+            let mut step = steps.pop().unwrap();
+            let outcome = eval_step(&mut step);
+            assert!(outcome.is_ok(), "the pass itself succeeds");
+            tamper(&mut step, &mut svc.engines[0]);
+            let (mut responses, mut faults) = (Vec::new(), Vec::new());
+            let error = svc.engines[0]
+                .apply_step(&mut step, outcome, &mut responses, &mut faults)
+                .unwrap_err();
+            assert!(responses.is_empty() && faults.is_empty());
+            let pending = svc.pending_requests();
+            (error, pending)
+        };
+        let stale = ServiceError::StaleStep { shard: 0, ctx };
+        // the step lost its bound plan
+        assert_eq!(apply(&|step, _| step.bound = None), (stale.clone(), 1));
+        // the slot's plane was reinstalled (a new bound plan) after planning
+        let reinstall = |_: &mut PlannedStep, engine: &mut ShardEngine| {
+            let plane = engine.plane(ctx).unwrap();
+            engine.install_plane(ctx, plane);
+        };
+        assert_eq!(apply(&reinstall), (stale.clone(), 1));
+        // the slot's batch was discarded after planning
+        let discard = |_: &mut PlannedStep, engine: &mut ShardEngine| {
+            assert_eq!(engine.discard_pending(ctx, t).unwrap(), 1);
+        };
+        assert_eq!(apply(&discard), (stale, 0));
+        assert_eq!(svc.usage(t).unwrap().passes, 0, "no refused pass billed");
+    }
+
+    /// A consumer that keeps every response leaves at most two pooled
+    /// output tables per slot, even when lane-full flushes run three
+    /// passes on one slot between drains; a consumer that drops each
+    /// drain's responses gets the same table back, rewritten in place.
+    #[test]
+    fn output_tables_stay_bounded_and_are_reused() {
+        let mut svc =
+            ShardedService::new(2, FabricParams::default(), TechParams::default()).unwrap();
+        svc.set_lane_width(64).unwrap();
+        let adder = generators::ripple_adder(2).unwrap();
+        let tenants: Vec<TenantId> = (0..4)
+            .map(|i| svc.admit(&format!("a{i}"), &adder).unwrap())
+            .collect();
+        let submit = |svc: &mut ShardedService, n: usize| {
+            for &t in &tenants {
+                for i in 0..n {
+                    let bit = |b: usize| i >> b & 1 == 1;
+                    let inputs = [
+                        ("a0", bit(0)),
+                        ("a1", bit(1)),
+                        ("b0", bit(2)),
+                        ("b1", bit(3)),
+                        ("cin", bit(4)),
+                    ];
+                    svc.submit(t, &inputs).unwrap();
+                }
+            }
+        };
+        let mut kept = Vec::new();
+        for n in [3, 70, 10, 150, 1, 64] {
+            submit(&mut svc, n);
+            kept.extend(svc.drain().unwrap());
+        }
+        assert_eq!(kept.len(), 4 * (3 + 70 + 10 + 150 + 1 + 64));
+        for engine in svc.engines() {
+            for ctx in 0..FabricParams::default().contexts {
+                assert!(engine.pooled_tables(ctx) <= 2, "slot {ctx} pool grew");
+            }
+        }
+        drop(kept);
+        let mut first_row = || {
+            submit(&mut svc, 5);
+            let responses = svc.drain().unwrap();
+            let r = responses.iter().find(|r| r.tenant == tenants[0]).unwrap();
+            r.outputs.as_ptr()
+        };
+        let first = first_row();
+        assert_eq!(first, first_row(), "a free table is rewritten, not rebuilt");
+    }
+
     /// The same seeded traffic must produce identical responses, faults
     /// and billing at every executor width — the merge-order invariant,
     /// exercised at the unit level (the stress replay covers it at scale).

@@ -16,15 +16,14 @@ use mcfpga_device::TechParams;
 use mcfpga_fabric::netlist_ir::{generators, LogicNetlist};
 use mcfpga_fabric::FabricParams;
 use mcfpga_service::frontend::{FrontendDriver, FrontendEvent, RateLimit, StreamPolicy, Ticket};
-use mcfpga_service::ShardedService;
+use mcfpga_service::{Outputs, ShardedService};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::collections::HashMap;
-use std::sync::Arc;
 
 /// A completed ticket with its demuxed outputs, in completion order.
-type CompletedOutputs = Vec<(Ticket, Vec<(Arc<str>, bool)>)>;
+type CompletedOutputs = Vec<(Ticket, Outputs)>;
 /// Combinational designs only: lanes are independent, so a request's
 /// outputs depend on nothing but its own inputs — the precondition for
 /// comparing against a reference run that serves a *subset* in
