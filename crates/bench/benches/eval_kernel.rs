@@ -14,7 +14,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use mcfpga_bench::{smoke, time_us, write_bench_json};
 use mcfpga_fabric::compiled::{CompiledFabric, LaneChunk, LANE_WORDS, MAX_LANES};
-use mcfpga_fabric::netlist_ir::{generators, LogicNetlist, Node};
+use mcfpga_fabric::netlist_ir::{generators, LogicNetlist};
 use mcfpga_fabric::route::implement_netlist;
 use mcfpga_fabric::{Fabric, FabricParams, DIRTY_ALL};
 use rand::rngs::StdRng;
@@ -34,8 +34,8 @@ fn reference_designs() -> Vec<(&'static str, LogicNetlist)> {
 }
 
 /// The 8×8/4-context reference fabric with one comparator per context,
-/// compiled; returns the per-context input-name lists alongside.
-fn build_reference() -> (Fabric, CompiledFabric, Vec<Vec<String>>) {
+/// compiled.
+fn build_reference() -> CompiledFabric {
     let mut f = Fabric::new(FabricParams {
         width: 8,
         height: 8,
@@ -43,21 +43,10 @@ fn build_reference() -> (Fabric, CompiledFabric, Vec<Vec<String>>) {
         ..FabricParams::default()
     })
     .expect("fabric");
-    let mut names = Vec::new();
     for (ctx, (_, nl)) in reference_designs().iter().enumerate() {
         implement_netlist(&mut f, nl, ctx, ctx as u64).expect("route");
-        names.push(
-            nl.input_ids()
-                .into_iter()
-                .map(|n| match nl.node(n) {
-                    Node::Input { name } => name.clone(),
-                    _ => unreachable!(),
-                })
-                .collect(),
-        );
     }
-    let compiled = CompiledFabric::compile(&f).expect("compile");
-    (f, compiled, names)
+    CompiledFabric::compile(&f).expect("compile")
 }
 
 fn random_chunk(rng: &mut StdRng) -> LaneChunk {
@@ -73,7 +62,7 @@ struct CtxRun {
     mix_ops_skipped: u64,
 }
 
-fn run_context(compiled: &CompiledFabric, ctx: usize, names: &[String]) -> CtxRun {
+fn run_context(compiled: &CompiledFabric, ctx: usize) -> CtxRun {
     assert!(compiled.has_kernel(ctx), "comparator planes are acyclic");
     let bound = compiled.bind(ctx).expect("bind");
     let mut rng = StdRng::seed_from_u64(0xEA17 + ctx as u64);
@@ -82,18 +71,13 @@ fn run_context(compiled: &CompiledFabric, ctx: usize, names: &[String]) -> CtxRu
         .iter()
         .map(|_| random_chunk(&mut rng))
         .collect();
-    let named: Vec<(&str, LaneChunk)> = bound
-        .inputs()
-        .iter()
-        .zip(&chunks)
-        .map(|((_, n, _), c)| (n.as_ref(), *c))
-        .collect();
 
     // correctness first, always (smoke mode included): kernel output ==
     // interpreter output, bit for bit, across all 256 lanes
     let mut st = compiled.new_state();
-    let reference = compiled
-        .eval_chunks_into_reference(ctx, &named, LANE_WORDS, &mut st)
+    let mut reference = Vec::new();
+    compiled
+        .eval_bound_reference(&bound, &chunks, LANE_WORDS, &mut st, &mut reference)
         .expect("reference eval");
     let mut kst = compiled.new_state();
     let mut outs = Vec::new();
@@ -101,20 +85,14 @@ fn run_context(compiled: &CompiledFabric, ctx: usize, names: &[String]) -> CtxRu
         .eval_bound_into(&bound, &chunks, LANE_WORDS, DIRTY_ALL, &mut kst, &mut outs)
         .expect("kernel eval");
     assert!(stats.kernel);
-    for ((_, name, _), chunk) in bound.outputs().iter().zip(&outs) {
-        let r = reference
-            .iter()
-            .find(|(n, _)| n == name.as_ref())
-            .expect("output present");
-        assert_eq!(&r.1, chunk, "kernel diverged on output '{name}'");
-    }
+    assert_eq!(reference, outs, "kernel diverged from the interpreter");
 
     let iters = if smoke() { 8 } else { 2000 };
     let interpreter_us = time_us(iters, || {
-        let out = compiled
-            .eval_chunks_into_reference(ctx, &named, LANE_WORDS, &mut st)
+        let s = compiled
+            .eval_bound_reference(&bound, &chunks, LANE_WORDS, &mut st, &mut reference)
             .expect("reference eval");
-        black_box(out);
+        black_box(s);
     });
     let kernel_us = time_us(iters, || {
         let s = compiled
@@ -158,7 +136,6 @@ fn run_context(compiled: &CompiledFabric, ctx: usize, names: &[String]) -> CtxRu
         assert_eq!(outs, cold, "incremental sweep diverged (ctx {ctx})");
     }
 
-    let _ = names;
     CtxRun {
         ops_total: stats.ops_total,
         interpreter_us,
@@ -169,9 +146,10 @@ fn run_context(compiled: &CompiledFabric, ctx: usize, names: &[String]) -> CtxRu
 }
 
 fn bench(c: &mut Criterion) {
-    let (_f, compiled, names) = build_reference();
-    let runs: Vec<CtxRun> = (0..names.len())
-        .map(|ctx| run_context(&compiled, ctx, &names[ctx]))
+    let compiled = build_reference();
+    let contexts = compiled.params().contexts;
+    let runs: Vec<CtxRun> = (0..contexts)
+        .map(|ctx| run_context(&compiled, ctx))
         .collect();
 
     let ops: u64 = runs.iter().map(|r| r.ops_total).sum();
@@ -217,13 +195,13 @@ fn bench(c: &mut Criterion) {
         &[
             ("ops_per_sweep", ops.into()),
             ("lanes", MAX_LANES.into()),
-            ("contexts", names.len().into()),
+            ("contexts", contexts.into()),
             ("interpreter_us_per_sweep", interp_us.into()),
             ("kernel_us_per_sweep", kernel_us.into()),
             ("interpreter_ns_per_op", interp_ns_per_op.into()),
             ("kernel_ns_per_op", kernel_ns_per_op.into()),
             ("kernel_speedup", speedup.into()),
-            ("dirty_mix_sweeps", (MIX_SWEEPS * names.len()).into()),
+            ("dirty_mix_sweeps", (MIX_SWEEPS * contexts).into()),
             ("dirty_mix_ops_total", mix_total.into()),
             ("dirty_mix_ops_skipped", mix_skipped.into()),
             ("dirty_cone_hit_rate", hit_rate.into()),
@@ -232,15 +210,15 @@ fn bench(c: &mut Criterion) {
     .expect("write BENCH_eval_kernel.json");
     println!("wrote {}", json.display());
 
+    let bounds: Vec<_> = (0..contexts)
+        .map(|ctx| compiled.bind(ctx).expect("bind"))
+        .collect();
+    let mut rng = StdRng::seed_from_u64(0xC0DE);
+    let chunks: Vec<Vec<LaneChunk>> = bounds
+        .iter()
+        .map(|b| b.inputs().iter().map(|_| random_chunk(&mut rng)).collect())
+        .collect();
     c.bench_function("fabric/kernel_4ctx_256lane_sweep", |b| {
-        let bounds: Vec<_> = (0..names.len())
-            .map(|ctx| compiled.bind(ctx).expect("bind"))
-            .collect();
-        let mut rng = StdRng::seed_from_u64(0xC0DE);
-        let chunks: Vec<Vec<LaneChunk>> = bounds
-            .iter()
-            .map(|b| b.inputs().iter().map(|_| random_chunk(&mut rng)).collect())
-            .collect();
         let mut st = compiled.new_state();
         let mut outs = Vec::new();
         b.iter(|| {
@@ -254,24 +232,14 @@ fn bench(c: &mut Criterion) {
     });
 
     c.bench_function("fabric/interpreter_4ctx_256lane_sweep", |b| {
-        let mut rng = StdRng::seed_from_u64(0xC0DE);
-        let named: Vec<Vec<(String, LaneChunk)>> = names
-            .iter()
-            .map(|ns| {
-                ns.iter()
-                    .map(|n| (n.clone(), random_chunk(&mut rng)))
-                    .collect()
-            })
-            .collect();
         let mut st = compiled.new_state();
+        let mut outs = Vec::new();
         b.iter(|| {
-            for (ctx, inputs) in named.iter().enumerate() {
-                let refs: Vec<(&str, LaneChunk)> =
-                    inputs.iter().map(|(n, c)| (n.as_str(), *c)).collect();
-                let out = compiled
-                    .eval_chunks_into_reference(ctx, &refs, LANE_WORDS, &mut st)
+            for (bound, c) in bounds.iter().zip(&chunks) {
+                let s = compiled
+                    .eval_bound_reference(bound, c, LANE_WORDS, &mut st, &mut outs)
                     .expect("eval");
-                black_box(out);
+                black_box(s);
             }
         });
     });

@@ -106,11 +106,16 @@ fn measure_speedup(fabric: &Fabric, inputs: &[Vec<String>]) -> f64 {
         .iter()
         .map(|(lanes, _)| lanes.iter().map(|(n, v)| (n.as_str(), *v)).collect())
         .collect();
+    let mut st = compiled.new_state();
     let mut compiled_reps = 0usize;
     let t1 = Instant::now();
     while t1.elapsed() < min_elapsed {
         for (ctx, ins) in lane_ins.iter().enumerate() {
-            black_box(compiled.eval_batch(ctx, ins).expect("resolves"));
+            black_box(
+                compiled
+                    .eval_batch_into(ctx, ins, &mut st)
+                    .expect("resolves"),
+            );
         }
         compiled_reps += 1;
     }
@@ -151,7 +156,8 @@ fn bench(c: &mut Criterion) {
         let compiled = CompiledFabric::compile(&fabric).unwrap();
         let (lanes, _) = random_batch(&input_names[0], 7);
         let ins: Vec<(&str, u64)> = lanes.iter().map(|(n, v)| (n.as_str(), *v)).collect();
-        b.iter(|| black_box(compiled.eval_batch(0, &ins).unwrap()));
+        let mut st = compiled.new_state();
+        b.iter(|| black_box(compiled.eval_batch_into(0, &ins, &mut st).unwrap()));
     });
 
     c.bench_function("fabric/compile_8x8_4ctx", |b| {
@@ -246,9 +252,9 @@ fn bench(c: &mut Criterion) {
         let mut fabric = Fabric::new(FabricParams::default()).unwrap();
         mcfpga_fabric::route::implement_netlist(&mut fabric, &nl, 0, 5).unwrap();
         b.iter(|| {
-            let bits = mcfpga_fabric::bitstream::pack(&fabric);
+            let bits = mcfpga_fabric::bitstream::pack(&fabric).unwrap();
             black_box(
-                mcfpga_fabric::bitstream::unpack(bits)
+                mcfpga_fabric::bitstream::unpack(&bits)
                     .unwrap()
                     .crosspoint_count(),
             )

@@ -53,8 +53,9 @@ fn bench(c: &mut Criterion) {
             .map(|i| (format!("x{i}"), rng.random_range(0..u64::MAX)))
             .collect();
         let ins: Vec<(&str, u64)> = lanes.iter().map(|(s, v)| (s.as_str(), *v)).collect();
+        let mut st = compiled.new_state();
         g.bench_function(BenchmarkId::from_parameter(format!("{n}x{n}")), |b| {
-            b.iter(|| black_box(compiled.eval_batch(0, &ins).unwrap()));
+            b.iter(|| black_box(compiled.eval_batch_into(0, &ins, &mut st).unwrap()));
         });
     }
     g.finish();

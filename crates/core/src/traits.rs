@@ -5,7 +5,7 @@ use mcfpga_mvl::CtxSet;
 use mcfpga_netlist::Netlist;
 
 /// Which MC-switch architecture a value represents (for reports/tables).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ArchKind {
     /// Conventional SRAM-based switch (Fig. 2).
     Sram,
@@ -30,6 +30,29 @@ impl ArchKind {
     #[must_use]
     pub fn all() -> [ArchKind; 3] {
         [ArchKind::Sram, ArchKind::MvFgfp, ArchKind::Hybrid]
+    }
+
+    /// The one-byte code every byte format uses for this architecture:
+    /// the bitstream header, the checkpoint geometry and the
+    /// configuration digest.
+    #[must_use]
+    pub fn code(self) -> u8 {
+        match self {
+            ArchKind::Sram => 0,
+            ArchKind::MvFgfp => 1,
+            ArchKind::Hybrid => 2,
+        }
+    }
+
+    /// The inverse of [`code`](Self::code); `None` for an unknown byte.
+    #[must_use]
+    pub fn from_code(code: u8) -> Option<Self> {
+        match code {
+            0 => Some(ArchKind::Sram),
+            1 => Some(ArchKind::MvFgfp),
+            2 => Some(ArchKind::Hybrid),
+            _ => None,
+        }
     }
 }
 
@@ -167,5 +190,17 @@ mod tests {
         assert_eq!(ArchKind::MvFgfp.label(), "Only MV-FGFP-based one [2]");
         assert_eq!(ArchKind::Hybrid.label(), "Proposed one");
         assert_eq!(ArchKind::all().len(), 3);
+    }
+
+    #[test]
+    fn arch_codes_are_pinned_and_round_trip() {
+        // the codes are baked into bitstreams, checkpoints and digests
+        let codes: Vec<u8> = ArchKind::all().iter().map(|a| a.code()).collect();
+        assert_eq!(codes, vec![0, 1, 2]);
+        for arch in ArchKind::all() {
+            assert_eq!(ArchKind::from_code(arch.code()), Some(arch));
+        }
+        assert_eq!(ArchKind::from_code(3), None);
+        assert_eq!(ArchKind::from_code(u8::MAX), None);
     }
 }

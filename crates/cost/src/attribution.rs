@@ -31,10 +31,9 @@
 //! ```
 
 use mcfpga_device::TechParams;
-use serde::{Deserialize, Serialize};
 
 /// Raw usage counters accumulated for one tenant.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TenantUsage {
     /// Single-vector requests the tenant submitted.
     pub requests: usize,

@@ -16,10 +16,9 @@
 use crate::lut::MultiContextLut;
 use crate::FabricError;
 use mcfpga_core::{ArchKind, HybridMcSwitch, MvFgfpMcSwitch, SramMcSwitch};
-use serde::{Deserialize, Serialize};
 
 /// Compass directions of channel wires.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Dir {
     /// Toward `y − 1`.
     North,
@@ -59,7 +58,7 @@ impl Dir {
 }
 
 /// A tile coordinate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TileCoord {
     /// Column.
     pub x: usize,
@@ -106,7 +105,7 @@ pub enum Sink {
 }
 
 /// Fabric geometry and architecture parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FabricParams {
     /// Grid width (tiles).
     pub width: usize,
@@ -469,11 +468,7 @@ impl Fabric {
                 h = (h ^ u64::from(b)).wrapping_mul(PRIME);
             }
         };
-        put(&[match self.params.arch {
-            ArchKind::Sram => 0u8,
-            ArchKind::MvFgfp => 1,
-            ArchKind::Hybrid => 2,
-        }]);
+        put(&[self.params.arch.code()]);
         for v in [
             self.params.width,
             self.params.height,

@@ -2,12 +2,14 @@
 //!
 //! The wire format is deliberately simple: a header (magic, version,
 //! geometry), then per tile the LUT planes and the switch-block assignment
-//! table. Packing uses `bytes`; the self-describing header lets a loader
-//! reject mismatched fabrics instead of silently misconfiguring contexts.
+//! table, then the IO bindings. It is written and read through the
+//! length-guarded [`crate::wire`] codec; the self-describing header lets a
+//! loader reject mismatched fabrics instead of silently misconfiguring
+//! contexts.
 
-use crate::array::{Fabric, FabricParams};
+use crate::array::{Fabric, FabricParams, TileCoord};
+use crate::wire::{Reader, Writer};
 use crate::FabricError;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use mcfpga_core::ArchKind;
 
 const MAGIC: u32 = 0x4D43_4647; // "MCFG"
@@ -15,96 +17,82 @@ const VERSION: u16 = 1;
 /// Bytes of one io binding with an empty name: x, y, port, ctx, name length.
 const BIND_MIN_BYTES: usize = 2 + 2 + 1 + 2 + 2;
 
-fn arch_code(a: ArchKind) -> u8 {
-    match a {
-        ArchKind::Sram => 0,
-        ArchKind::MvFgfp => 1,
-        ArchKind::Hybrid => 2,
-    }
-}
-
-fn arch_from(c: u8) -> Result<ArchKind, FabricError> {
-    Ok(match c {
-        0 => ArchKind::Sram,
-        1 => ArchKind::MvFgfp,
-        2 => ArchKind::Hybrid,
-        _ => return Err(FabricError::BadBitstream(format!("arch code {c}"))),
+/// `value` narrowed to its field's width, or an error naming the field —
+/// a value that does not fit must never be written truncated.
+fn field<T: TryFrom<usize>>(value: usize, what: &str) -> Result<T, FabricError> {
+    T::try_from(value).map_err(|_| {
+        FabricError::BadBitstream(format!("{what} {value} does not fit its bitstream field"))
     })
 }
 
-/// Serialises the complete configuration of `fabric`.
-#[must_use]
-pub fn pack(fabric: &Fabric) -> Bytes {
+/// Serialises the complete configuration of `fabric`. Fails with
+/// [`FabricError::BadBitstream`] when a geometry value, coordinate or
+/// signal name is wider than its field, so everything `pack` emits,
+/// [`unpack`] reads back unchanged.
+pub fn pack(fabric: &Fabric) -> Result<Vec<u8>, FabricError> {
     let p = fabric.params();
-    let mut b = BytesMut::new();
-    b.put_u32(MAGIC);
-    b.put_u16(VERSION);
-    b.put_u8(arch_code(p.arch));
-    b.put_u8(p.lut_k as u8);
-    b.put_u16(p.width as u16);
-    b.put_u16(p.height as u16);
-    b.put_u16(p.channel_width as u16);
-    b.put_u16(p.contexts as u16);
-    b.put_u8(p.io_in as u8);
-    b.put_u8(p.io_out as u8);
+    let mut w = Writer::new();
+    w.u32(MAGIC);
+    w.u16(VERSION);
+    w.u8(p.arch.code());
+    w.u8(field(p.lut_k, "lut_k")?);
+    w.u16(field(p.width, "width")?);
+    w.u16(field(p.height, "height")?);
+    w.u16(field(p.channel_width, "channel_width")?);
+    w.u16(field(p.contexts, "contexts")?);
+    w.u8(field(p.io_in, "io_in")?);
+    w.u8(field(p.io_out, "io_out")?);
     for t in fabric.tiles() {
-        let tc = fabric.tile(t).expect("tile iterated");
+        let tc = fabric.tile(t)?;
         for ctx in 0..p.contexts {
-            b.put_u64(tc.lut.table(ctx).expect("ctx in range"));
+            w.u64(tc.lut.table(ctx)?);
         }
-        for ctx in 0..p.contexts {
-            let row = &tc.sb[ctx];
-            b.put_u16(row.len() as u16);
+        for row in &tc.sb {
+            w.u16(field(row.len(), "sink count")?);
             for slot in row {
-                match slot {
-                    Some(s) => b.put_u16(*s + 1),
-                    None => b.put_u16(0),
-                }
+                w.u16(field(
+                    slot.map_or(0, |s| usize::from(s) + 1),
+                    "source index",
+                )?);
             }
         }
     }
-    // io bindings
-    let put_binds =
-        |b: &mut BytesMut, binds: &[(crate::array::TileCoord, usize, usize, String)]| {
-            b.put_u32(binds.len() as u32);
-            for (t, port, ctx, name) in binds {
-                b.put_u16(t.x as u16);
-                b.put_u16(t.y as u16);
-                b.put_u8(*port as u8);
-                b.put_u16(*ctx as u16);
-                b.put_u16(name.len() as u16);
-                b.put_slice(name.as_bytes());
-            }
-        };
-    put_binds(&mut b, fabric.input_binds());
-    put_binds(&mut b, fabric.output_binds());
-    b.freeze()
+    for binds in [fabric.input_binds(), fabric.output_binds()] {
+        w.u32(field(binds.len(), "bind count")?);
+        for (t, port, ctx, name) in binds {
+            w.u16(field(t.x, "tile x")?);
+            w.u16(field(t.y, "tile y")?);
+            w.u8(field(*port, "port")?);
+            w.u16(field(*ctx, "bind context")?);
+            w.u16(field(name.len(), "signal name length")?);
+            w.bytes(name.as_bytes());
+        }
+    }
+    Ok(w.into_vec())
 }
 
 /// Reconstructs a fabric (geometry + full configuration) from a bitstream.
-pub fn unpack(mut data: Bytes) -> Result<Fabric, FabricError> {
-    let need = |data: &Bytes, n: usize| -> Result<(), FabricError> {
-        if data.remaining() < n {
-            Err(FabricError::BadBitstream("truncated".into()))
-        } else {
-            Ok(())
-        }
-    };
-    need(&data, 4 + 2 + 2 + 8 + 2)?;
-    if data.get_u32() != MAGIC {
+/// Truncated, trailing or undecodable bytes fail with
+/// [`FabricError::BadBitstream`]; a geometry or binding the fabric itself
+/// rejects fails with that error. No input makes it panic.
+pub fn unpack(data: &[u8]) -> Result<Fabric, FabricError> {
+    let mut r = Reader::new(data);
+    if r.u32()? != MAGIC {
         return Err(FabricError::BadBitstream("bad magic".into()));
     }
-    if data.get_u16() != VERSION {
+    if r.u16()? != VERSION {
         return Err(FabricError::BadBitstream("bad version".into()));
     }
-    let arch = arch_from(data.get_u8())?;
-    let lut_k = data.get_u8() as usize;
-    let width = data.get_u16() as usize;
-    let height = data.get_u16() as usize;
-    let channel_width = data.get_u16() as usize;
-    let contexts = data.get_u16() as usize;
-    let io_in = data.get_u8() as usize;
-    let io_out = data.get_u8() as usize;
+    let code = r.u8()?;
+    let arch = ArchKind::from_code(code)
+        .ok_or_else(|| FabricError::BadBitstream(format!("arch code {code}")))?;
+    let lut_k = r.u8()? as usize;
+    let width = r.u16()? as usize;
+    let height = r.u16()? as usize;
+    let channel_width = r.u16()? as usize;
+    let contexts = r.u16()? as usize;
+    let io_in = r.u8()? as usize;
+    let io_out = r.u8()? as usize;
     let params = FabricParams {
         width,
         height,
@@ -119,55 +107,42 @@ pub fn unpack(mut data: Bytes) -> Result<Fabric, FabricError> {
     let tiles: Vec<_> = fabric.tiles().collect();
     for t in tiles {
         for ctx in 0..contexts {
-            need(&data, 8)?;
-            let table = data.get_u64();
+            let table = r.u64()?;
             fabric.tile_mut(t)?.lut.program(ctx, table)?;
         }
+        let expect = fabric.sinks(t).len();
         for ctx in 0..contexts {
-            need(&data, 2)?;
-            let n = data.get_u16() as usize;
-            let expect = fabric.sinks(t).len();
+            let n = r.u16()? as usize;
             if n != expect {
                 return Err(FabricError::BadBitstream(format!(
                     "tile {t} ctx {ctx}: {n} sinks, expected {expect}"
                 )));
             }
             for sink_idx in 0..n {
-                need(&data, 2)?;
-                let raw = data.get_u16();
-                let tcfg = fabric.tile_mut(t)?;
-                tcfg.sb[ctx][sink_idx] = raw.checked_sub(1);
+                let raw = r.u16()?;
+                fabric.tile_mut(t)?.sb[ctx][sink_idx] = raw.checked_sub(1);
             }
         }
     }
-    type RawBind = (usize, usize, usize, usize, String);
-    let read_binds = |data: &mut Bytes| -> Result<Vec<RawBind>, FabricError> {
-        need(data, 4)?;
-        let n = data.get_u32() as usize;
-        // the count is untrusted: reserve no more binds than the bytes
-        // left could hold
-        let mut v = Vec::with_capacity(n.min(data.remaining() / BIND_MIN_BYTES));
+    for input in [true, false] {
+        // the count is untrusted: `count` refuses more binds than the
+        // bytes left could hold before anything is allocated
+        let n = r.count(BIND_MIN_BYTES)?;
         for _ in 0..n {
-            need(data, BIND_MIN_BYTES)?;
-            let x = data.get_u16() as usize;
-            let y = data.get_u16() as usize;
-            let port = data.get_u8() as usize;
-            let ctx = data.get_u16() as usize;
-            let len = data.get_u16() as usize;
-            need(data, len)?;
-            let raw = data.copy_to_bytes(len);
-            let name = String::from_utf8(raw.to_vec())
-                .map_err(|_| FabricError::BadBitstream("bad utf8 name".into()))?;
-            v.push((x, y, port, ctx, name));
+            let x = r.u16()? as usize;
+            let y = r.u16()? as usize;
+            let port = r.u8()? as usize;
+            let ctx = r.u16()? as usize;
+            let len = r.u16()? as usize;
+            let name = r.utf8(len)?;
+            if input {
+                fabric.bind_input(TileCoord { x, y }, port, ctx, &name)?;
+            } else {
+                fabric.bind_output(TileCoord { x, y }, port, ctx, &name)?;
+            }
         }
-        Ok(v)
-    };
-    for (x, y, port, ctx, name) in read_binds(&mut data)? {
-        fabric.bind_input(crate::array::TileCoord { x, y }, port, ctx, &name)?;
     }
-    for (x, y, port, ctx, name) in read_binds(&mut data)? {
-        fabric.bind_output(crate::array::TileCoord { x, y }, port, ctx, &name)?;
-    }
+    r.finish()?;
     Ok(fabric)
 }
 
@@ -183,8 +158,8 @@ mod tests {
         let nl = generators::parity_tree(4).unwrap();
         let mut f = Fabric::new(FabricParams::default()).unwrap();
         implement_netlist(&mut f, &nl, 0, 5).unwrap();
-        let bits = pack(&f);
-        let g = unpack(bits).unwrap();
+        let bits = pack(&f).unwrap();
+        let g = unpack(&bits).unwrap();
         for x in 0..16u32 {
             let ins: Vec<(String, bool)> = (0..4)
                 .map(|i| (format!("x{i}"), (x >> i) & 1 == 1))
@@ -201,20 +176,17 @@ mod tests {
     #[test]
     fn truncated_rejected() {
         let f = Fabric::new(FabricParams::default()).unwrap();
-        let bits = pack(&f);
-        let cut = bits.slice(0..bits.len() / 2);
+        let bits = pack(&f).unwrap();
+        let cut = &bits[..bits.len() / 2];
         assert!(matches!(unpack(cut), Err(FabricError::BadBitstream(_))));
     }
 
     #[test]
     fn bad_magic_rejected() {
         let f = Fabric::new(FabricParams::default()).unwrap();
-        let mut raw = pack(&f).to_vec();
+        let mut raw = pack(&f).unwrap();
         raw[0] ^= 0xFF;
-        assert!(matches!(
-            unpack(Bytes::from(raw)),
-            Err(FabricError::BadBitstream(_))
-        ));
+        assert!(matches!(unpack(&raw), Err(FabricError::BadBitstream(_))));
     }
 
     #[test]
@@ -222,7 +194,7 @@ mod tests {
         let nl = generators::parity_tree(4).unwrap();
         let mut f = Fabric::new(FabricParams::default()).unwrap();
         implement_netlist(&mut f, &nl, 0, 5).unwrap();
-        let mut raw = pack(&f).to_vec();
+        let mut raw = pack(&f).unwrap();
         // the output bindings close the stream: a count, then the binds
         let binds: usize = f
             .output_binds()
@@ -235,10 +207,7 @@ mod tests {
             (f.output_binds().len() as u32).to_be_bytes()
         );
         raw[at..at + 4].copy_from_slice(&u32::MAX.to_be_bytes());
-        assert!(matches!(
-            unpack(Bytes::from(raw)),
-            Err(FabricError::BadBitstream(_))
-        ));
+        assert!(matches!(unpack(&raw), Err(FabricError::BadBitstream(_))));
     }
 
     #[test]
@@ -254,7 +223,42 @@ mod tests {
             arch: ArchKind::MvFgfp,
         };
         let f = Fabric::new(p).unwrap();
-        let g = unpack(pack(&f)).unwrap();
+        let g = unpack(&pack(&f).unwrap()).unwrap();
         assert_eq!(*g.params(), p);
+    }
+
+    #[test]
+    fn trailing_bytes_rejected() {
+        let f = Fabric::new(FabricParams::default()).unwrap();
+        let mut raw = pack(&f).unwrap();
+        raw.push(0);
+        assert!(matches!(unpack(&raw), Err(FabricError::BadBitstream(_))));
+    }
+
+    #[test]
+    fn oversized_io_count_refuses_to_pack() {
+        // io_in is a one-byte field: 300 must not pack as 300 % 256 = 44
+        // and round-trip into a silently different geometry
+        let f = Fabric::new(FabricParams {
+            io_in: 300,
+            ..FabricParams::default()
+        })
+        .unwrap();
+        assert!(matches!(pack(&f), Err(FabricError::BadBitstream(_))));
+    }
+
+    #[test]
+    fn oversized_signal_name_refuses_to_pack() {
+        // name lengths are a two-byte field: a 70,000-byte name must not
+        // pack into a stream that its own unpack rejects as truncated
+        let mut f = Fabric::new(FabricParams::default()).unwrap();
+        let t = crate::array::TileCoord { x: 0, y: 0 };
+        f.bind_input(t, 0, 0, &"n".repeat(70_000)).unwrap();
+        assert!(matches!(pack(&f), Err(FabricError::BadBitstream(_))));
+        // the widest name that fits still round-trips
+        f.bind_input(t, 0, 0, &"n".repeat(usize::from(u16::MAX)))
+            .unwrap();
+        let g = unpack(&pack(&f).unwrap()).unwrap();
+        assert_eq!(g.input_binds(), f.input_binds());
     }
 }

@@ -22,11 +22,15 @@
 //!    ([`LaneBatch::words`]), so a ≤64-lane pass costs what the old
 //!    single-word engine did.
 //!
-//! [`crate::sim::evaluate`] wraps a 1-lane call for API compatibility;
-//! batch users call [`CompiledFabric::eval_batch`] directly, and
-//! [`crate::context::run_schedule`] drives whole context schedules through
-//! the per-context compiled planes. Independent single-vector requests are
-//! coalesced into one pass with [`LaneBatch`].
+//! The execution core is [`CompiledFabric::bind`] +
+//! [`CompiledFabric::eval_bound_into`]: a context's IO names resolve once
+//! into a [`BoundPlan`], and every pass after that indexes arrays.
+//! [`CompiledFabric::eval_batch_into`] is the one name-keyed adapter over
+//! that core ([`crate::context::run_schedule`], staged temporal execution,
+//! [`crate::sim::evaluate_sorted`]), and
+//! [`CompiledFabric::eval_bound_reference`] runs the reference interpreter
+//! in the same bound order as the test oracle. Independent single-vector
+//! requests are coalesced into one pass with [`LaneBatch`].
 //!
 //! ```
 //! use mcfpga_fabric::compiled::{pack_lanes, CompiledFabric};
@@ -45,7 +49,7 @@
 //!     .map(|i| (format!("x{i}"), pack_lanes(|v| v < 8 && (v >> i) & 1 == 1)))
 //!     .collect();
 //! let refs: Vec<(&str, u64)> = inputs.iter().map(|(n, v)| (n.as_str(), *v)).collect();
-//! let outs = compiled.eval_batch_sorted(0, &refs)?;
+//! let outs = compiled.eval_batch_into(0, &refs, &mut compiled.new_state())?;
 //! for v in 0..8u32 {
 //!     assert_eq!((outs[0].1 >> v) & 1 == 1, v.count_ones() % 2 == 1);
 //! }
@@ -122,14 +126,14 @@ pub fn pack_lanes(mut bit: impl FnMut(usize) -> bool) -> u64 {
 pub type ResourceId = u32;
 
 /// Coalesces independent single-vector requests into the lane chunks one
-/// [`CompiledFabric::eval_chunks`] pass consumes.
+/// evaluation pass consumes.
 ///
 /// Each pushed request occupies one lane; the batch keeps the union of all
 /// named inputs, with lane `l` of a name's [`LaneChunk`] holding request
 /// `l`'s value (a request that omits a name contributes 0 in its lane).
-/// After the pass, [`LaneBatch::extract_lane`] demuxes one request's
-/// outputs back out. The capacity is the batch's **width**: [`LANES`] (one
-/// word) for [`LaneBatch::new`], up to [`MAX_LANES`] via
+/// After the pass, lane `l` of each output chunk ([`chunk_bit`]) is
+/// request `l`'s answer. The capacity is the batch's **width**: [`LANES`]
+/// (one word) for [`LaneBatch::new`], up to [`MAX_LANES`] via
 /// [`LaneBatch::with_width`].
 ///
 /// ```
@@ -145,10 +149,6 @@ pub type ResourceId = u32;
 /// let inputs = batch.lane_inputs();
 /// let x = inputs.iter().find(|(n, _)| *n == "x").unwrap().1;
 /// assert_eq!(x[0] & 0b11, 0b01); // lane 0 true, lane 1 false
-///
-/// // outputs of an eval pass demux the same way
-/// let outs = vec![("z".to_string(), [0b10u64, 0, 0, 0])];
-/// assert_eq!(LaneBatch::extract_lane(&outs, lane_b), vec![("z".to_string(), true)]);
 /// ```
 #[derive(Debug, Clone)]
 pub struct LaneBatch {
@@ -450,7 +450,7 @@ impl LaneBatch {
         }
     }
 
-    /// The union lane chunks, ready for [`CompiledFabric::eval_chunks`].
+    /// The union lane chunks, in union order.
     #[must_use]
     pub fn lane_inputs(&self) -> Vec<(&str, LaneChunk)> {
         self.inputs.iter().map(|(n, v)| (n.as_str(), *v)).collect()
@@ -462,15 +462,6 @@ impl LaneBatch {
         for (_, chunk) in &mut self.inputs {
             *chunk = [0u64; LANE_WORDS];
         }
-    }
-
-    /// Demuxes one lane of a pass's outputs back to scalar booleans.
-    #[must_use]
-    pub fn extract_lane(outputs: &[(String, LaneChunk)], lane: usize) -> Vec<(String, bool)> {
-        outputs
-            .iter()
-            .map(|(n, v)| (n.clone(), chunk_bit(v, lane)))
-            .collect()
     }
 }
 
@@ -805,12 +796,6 @@ impl CompiledState {
     pub fn io_out(&self, tile: TileCoord, port: usize) -> Option<u64> {
         self.read(self.layout.io_out(tile, port))
     }
-
-    /// Full lane chunk of output wire `(tile, dir, w)`, if resolved.
-    #[must_use]
-    pub fn wire_chunk(&self, tile: TileCoord, dir: Dir, w: usize) -> Option<LaneChunk> {
-        self.read_chunk(self.layout.wire(tile, dir, w))
-    }
 }
 
 /// Lane-wise LUT evaluation: mux-reduce the truth table over the pin lanes.
@@ -887,8 +872,8 @@ impl CompiledFabric {
 
     /// Compiles only the plane of `ctx`, leaving the other contexts empty.
     ///
-    /// Single-context callers (like the 1-lane [`crate::sim::evaluate`]
-    /// wrapper) skip the O(contexts) compile cost of the unused planes.
+    /// Single-context callers (like [`crate::sim::evaluate_sorted`]) skip
+    /// the O(contexts) compile cost of the unused planes.
     /// Accessing any context other than `ctx` on the result errors with
     /// [`FabricError::ContextNotCompiled`].
     pub fn compile_context(fabric: &Fabric, ctx: usize) -> Result<Self, FabricError> {
@@ -1324,26 +1309,8 @@ impl CompiledFabric {
         })
     }
 
-    /// Evaluates context `ctx` on up to [`LANES`] input vectors at once —
-    /// the legacy single-word view: each input/output `u64` is word 0 of
-    /// the chunked datapath (see [`Self::eval_chunks`]).
-    ///
-    /// Bit `l` of each input's `u64` is that signal's value in vector `l`;
-    /// outputs use the same lane packing. Unknown-propagation semantics are
-    /// identical to [`crate::sim::evaluate_fixpoint`]: every bound input of
-    /// the context must be supplied, and every bound output must resolve.
-    pub fn eval_batch(
-        &self,
-        ctx: usize,
-        inputs: &[(&str, u64)],
-    ) -> Result<(Vec<(String, u64)>, CompiledState), FabricError> {
-        let mut st = self.new_state();
-        let outs = self.eval_batch_into(ctx, inputs, &mut st)?;
-        Ok((outs, st))
-    }
-
     /// A scratch state sized for this fabric, reusable across
-    /// [`Self::eval_chunks_into`] calls. The arena carries one extra
+    /// [`Self::eval_bound_into`] calls. The arena carries one extra
     /// always-zero cell past [`ResourceLayout::total`] — the sentinel an
     /// unconfigured kernel pin reads; nothing ever writes it.
     #[must_use]
@@ -1355,151 +1322,47 @@ impl CompiledFabric {
         }
     }
 
-    /// [`Self::eval_batch`] writing into a caller-owned scratch state —
-    /// hot loops (schedule replay, staged execution) evaluate many batches
-    /// without re-allocating the arena each step. The single-word path
-    /// seeds the arena directly from the `u64` inputs — no intermediate
-    /// chunk-widening vector is built.
+    /// Evaluates context `ctx` on up to [`LANES`] input vectors keyed by
+    /// signal name — the one name-keyed adapter over
+    /// [`Self::eval_bound_into`]: bind, resolve the names into bound
+    /// order, run one full single-word sweep.
+    ///
+    /// Bit `l` of each input's `u64` is that signal's value in vector `l`;
+    /// outputs use the same lane packing, in the plane's bind order.
+    /// Unknown-propagation semantics are identical to
+    /// [`crate::sim::evaluate_fixpoint`]: every bound input of the context
+    /// must be supplied, and every bound output must resolve. `st` is
+    /// caller-owned scratch; afterwards it holds the whole sweep.
     pub fn eval_batch_into(
         &self,
         ctx: usize,
         inputs: &[(&str, u64)],
         st: &mut CompiledState,
     ) -> Result<Vec<(String, u64)>, FabricError> {
-        let plane = self.plane(ctx)?;
-        self.prepare_state(st);
-        for (id, name) in &plane.inputs {
-            let v = inputs
-                .iter()
-                .find(|(n, _)| n == name)
-                .map(|(_, v)| *v)
-                .ok_or_else(|| FabricError::Unresolved(format!("input '{name}' not driven")))?;
-            st.values[*id as usize] = chunk_of_word(v);
-            st.known[*id as usize] = true;
-        }
-        if let Some(kernel) = &plane.kernel {
-            Self::kernel_run_all(kernel, 1, st);
-            Ok(plane
-                .outputs
-                .iter()
-                .map(|(id, name)| (name.clone(), st.values[*id as usize][0]))
-                .collect())
-        } else {
-            Self::run_interpreter(plane, 1, st);
-            plane
-                .outputs
-                .iter()
-                .map(|(id, name)| {
-                    st.read_chunk(*id)
-                        .map(|c| (name.clone(), c[0]))
-                        .ok_or_else(|| {
-                            FabricError::Unresolved(format!("output '{name}' unresolved"))
-                        })
-                })
-                .collect()
-        }
-    }
-
-    /// Evaluates context `ctx` on up to [`MAX_LANES`] input vectors at
-    /// once: lane `l` of each input's [`LaneChunk`] is that signal's value
-    /// in vector `l`, outputs use the same packing.
-    ///
-    /// `words` is the number of 64-lane words actually occupied
-    /// ([`LaneBatch::words`], clamped to `1..=LANE_WORDS`): only those
-    /// words are computed and words past it come back zero, so sparse
-    /// batches pay exactly the old single-word cost. Lanes are fully
-    /// independent — evaluating a chunk is bit-for-bit identical to
-    /// [`LANE_WORDS`] separate [`Self::eval_batch`] passes, one per word.
-    pub fn eval_chunks(
-        &self,
-        ctx: usize,
-        inputs: &[(&str, LaneChunk)],
-        words: usize,
-    ) -> Result<(Vec<(String, LaneChunk)>, CompiledState), FabricError> {
-        let mut st = self.new_state();
-        let outs = self.eval_chunks_into(ctx, inputs, words, &mut st)?;
-        Ok((outs, st))
-    }
-
-    /// [`Self::eval_chunks`] writing into a caller-owned scratch state.
-    /// Acyclic planes dispatch to the straight-line kernel; cyclic planes
-    /// (and planes with unreachable bound outputs) fall back to the
-    /// reference interpreter, with identical results and errors either
-    /// way.
-    pub fn eval_chunks_into(
-        &self,
-        ctx: usize,
-        inputs: &[(&str, LaneChunk)],
-        words: usize,
-        st: &mut CompiledState,
-    ) -> Result<Vec<(String, LaneChunk)>, FabricError> {
-        let words = words.clamp(1, LANE_WORDS);
-        let plane = self.plane(ctx)?;
-        self.prepare_state(st);
-        for (id, name) in &plane.inputs {
-            let v = inputs
-                .iter()
-                .find(|(n, _)| n == name)
-                .map(|(_, v)| *v)
-                .ok_or_else(|| FabricError::Unresolved(format!("input '{name}' not driven")))?;
-            Self::seed_input(st, *id, v, words);
-        }
-        if let Some(kernel) = &plane.kernel {
-            Self::kernel_run_all(kernel, words, st);
-            Ok(plane
-                .outputs
-                .iter()
-                .map(|(id, name)| (name.clone(), st.values[*id as usize]))
-                .collect())
-        } else {
-            Self::run_interpreter(plane, words, st);
-            let mut outs = Vec::with_capacity(plane.outputs.len());
-            for (id, name) in &plane.outputs {
-                let v = st.read_chunk(*id).ok_or_else(|| {
-                    FabricError::Unresolved(format!("output '{name}' unresolved"))
-                })?;
-                outs.push((name.clone(), v));
-            }
-            Ok(outs)
-        }
-    }
-
-    /// The v1 branchy interpreter, unconditionally — bit-for-bit the
-    /// pre-kernel [`Self::eval_chunks_into`]. Kept public as the
-    /// equivalence oracle for the kernel path (property tests, the
-    /// `eval_kernel` bench) and as executable documentation of the
-    /// semantics the kernel must reproduce.
-    pub fn eval_chunks_into_reference(
-        &self,
-        ctx: usize,
-        inputs: &[(&str, LaneChunk)],
-        words: usize,
-        st: &mut CompiledState,
-    ) -> Result<Vec<(String, LaneChunk)>, FabricError> {
-        let words = words.clamp(1, LANE_WORDS);
-        let plane = self.plane(ctx)?;
-        self.prepare_state(st);
-        for (id, name) in &plane.inputs {
-            let v = inputs
-                .iter()
-                .find(|(n, _)| n == name)
-                .map(|(_, v)| *v)
-                .ok_or_else(|| FabricError::Unresolved(format!("input '{name}' not driven")))?;
-            Self::seed_input(st, *id, v, words);
-        }
-        Self::run_interpreter(plane, words, st);
-        let mut outs = Vec::with_capacity(plane.outputs.len());
-        for (id, name) in &plane.outputs {
-            let v = st
-                .read_chunk(*id)
-                .ok_or_else(|| FabricError::Unresolved(format!("output '{name}' unresolved")))?;
-            outs.push((name.clone(), v));
-        }
-        Ok(outs)
+        let bound = self.bind(ctx)?;
+        let chunks = bound
+            .inputs
+            .iter()
+            .map(|(_, name, _)| {
+                inputs
+                    .iter()
+                    .find(|(n, _)| *n == &**name)
+                    .map(|(_, v)| chunk_of_word(*v))
+                    .ok_or_else(|| FabricError::Unresolved(format!("input '{name}' not driven")))
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        let mut outs = Vec::with_capacity(bound.outputs.len());
+        self.eval_bound_into(&bound, &chunks, 1, DIRTY_ALL, st, &mut outs)?;
+        Ok(bound
+            .outputs
+            .iter()
+            .zip(outs)
+            .map(|((_, name, _), chunk)| (name.to_string(), chunk[0]))
+            .collect())
     }
 
     /// Resolves context `ctx`'s IO names to a reusable [`BoundPlan`] —
-    /// the admission-time half of the v2 pipeline. Errors exactly like
+    /// the admission-time half of the execution core. Errors exactly like
     /// [`Self::plane`] for uncompiled contexts.
     pub fn bind(&self, ctx: usize) -> Result<BoundPlan, FabricError> {
         let plane = self.plane(ctx)?;
@@ -1519,9 +1382,15 @@ impl CompiledFabric {
         self.plane(ctx).is_ok_and(CompiledPlane::has_kernel)
     }
 
-    /// Evaluates a prebound plan: `chunks` parallel to
-    /// [`BoundPlan::inputs`], outputs pushed into `outs` parallel to
-    /// [`BoundPlan::outputs`] — no name resolution, no `String` clones.
+    /// Evaluates a prebound plan on up to [`MAX_LANES`] input vectors:
+    /// `chunks` parallel to [`BoundPlan::inputs`], outputs pushed into
+    /// `outs` parallel to [`BoundPlan::outputs`] — no name resolution, no
+    /// `String` clones. Lane `l` of each [`LaneChunk`] is that signal's
+    /// value in vector `l`.
+    ///
+    /// `words` is the number of 64-lane words actually occupied
+    /// ([`LaneBatch::words`], clamped to `1..=LANE_WORDS`): words past it
+    /// come back zero, even when an input chunk carries stray bits there.
     ///
     /// `dirty` drives the dirty-cone incremental path on kernel planes:
     /// bit `i` set means input `i`'s chunk may differ from the previous
@@ -1530,8 +1399,9 @@ impl CompiledFabric {
     /// plan **at the same `words`** and that every un-dirty chunk equals
     /// the chunk passed then; ops whose input cone misses every dirty bit
     /// are skipped and their cached values reused — observationally
-    /// equivalent to a full sweep. Non-kernel planes ignore `dirty` and
-    /// always sweep fully through the reference interpreter.
+    /// equivalent to a full sweep. Planes without a kernel (cyclic, or
+    /// with an unreachable bound output) ignore `dirty` and run
+    /// [`Self::eval_bound_reference`], with identical results and errors.
     pub fn eval_bound_into(
         &self,
         bound: &BoundPlan,
@@ -1541,15 +1411,11 @@ impl CompiledFabric {
         st: &mut CompiledState,
         outs: &mut Vec<LaneChunk>,
     ) -> Result<EvalStats, FabricError> {
+        let plane = self.bound_plane(bound, chunks)?;
+        let Some(kernel) = &plane.kernel else {
+            return self.eval_bound_reference(bound, chunks, words, st, outs);
+        };
         let words = words.clamp(1, LANE_WORDS);
-        let plane = self.plane(bound.ctx)?;
-        if chunks.len() != bound.inputs.len() {
-            return Err(FabricError::BadParams(format!(
-                "{} input chunks for {} bound inputs",
-                chunks.len(),
-                bound.inputs.len()
-            )));
-        }
         let mut dirty = dirty;
         if st.layout != self.layout {
             *st = self.new_state();
@@ -1561,62 +1427,88 @@ impl CompiledFabric {
             dirty = DIRTY_ALL;
         }
         outs.clear();
-        if let Some(kernel) = &plane.kernel {
-            let ops_total = kernel.ops.len() as u64;
-            let run = if dirty == DIRTY_ALL {
-                st.reset();
-                for ((id, _, _), chunk) in bound.inputs.iter().zip(chunks) {
-                    Self::seed_input(st, *id, *chunk, words);
-                }
-                Self::kernel_run_all(kernel, words, st);
-                ops_total
-            } else if dirty == 0 {
-                0
-            } else {
-                for (i, ((id, _, _), chunk)) in bound.inputs.iter().zip(chunks).enumerate() {
-                    if dirty >> i & 1 == 1 {
-                        Self::seed_input(st, *id, *chunk, words);
-                    }
-                }
-                Self::kernel_run_dirty(kernel, words, dirty, st)
-            };
-            for (id, _, _) in &bound.outputs {
-                outs.push(st.values[*id as usize]);
-            }
-            Ok(EvalStats {
-                ops_total,
-                ops_skipped: ops_total - run,
-                kernel: true,
-            })
-        } else {
+        let ops_total = kernel.ops.len() as u64;
+        let run = if dirty == DIRTY_ALL {
             st.reset();
             for ((id, _, _), chunk) in bound.inputs.iter().zip(chunks) {
                 Self::seed_input(st, *id, *chunk, words);
             }
-            Self::run_interpreter(plane, words, st);
-            for (id, name, _) in &bound.outputs {
-                let v = st.read_chunk(*id).ok_or_else(|| {
-                    FabricError::Unresolved(format!("output '{name}' unresolved"))
-                })?;
-                outs.push(v);
+            Self::kernel_run_all(kernel, words, st);
+            ops_total
+        } else if dirty == 0 {
+            0
+        } else {
+            for (i, ((id, _, _), chunk)) in bound.inputs.iter().zip(chunks).enumerate() {
+                if dirty >> i & 1 == 1 {
+                    Self::seed_input(st, *id, *chunk, words);
+                }
             }
-            Ok(EvalStats {
-                ops_total: plane.ops.len() as u64,
-                ops_skipped: 0,
-                kernel: false,
-            })
+            Self::kernel_run_dirty(kernel, words, dirty, st)
+        };
+        for (id, _, _) in &bound.outputs {
+            outs.push(st.values[*id as usize]);
         }
+        Ok(EvalStats {
+            ops_total,
+            ops_skipped: ops_total - run,
+            kernel: true,
+        })
     }
 
-    /// Readies a caller scratch state for a fresh sweep: rebuilt when it
-    /// came from a differently-shaped fabric (rather than silently
-    /// reading through the wrong resource layout), reset otherwise.
-    fn prepare_state(&self, st: &mut CompiledState) {
-        if st.layout != self.layout || st.values.len() != self.layout.total() + 1 {
-            *st = self.new_state();
-        } else {
+    /// [`Self::eval_bound_into`] through the branchy reference
+    /// interpreter, unconditionally, with the same bound-order inputs and
+    /// outputs and always a full sweep. It is the equivalence oracle for
+    /// the kernel path (property tests, the `eval_kernel` bench) and the
+    /// executable statement of the semantics the kernel must reproduce.
+    pub fn eval_bound_reference(
+        &self,
+        bound: &BoundPlan,
+        chunks: &[LaneChunk],
+        words: usize,
+        st: &mut CompiledState,
+        outs: &mut Vec<LaneChunk>,
+    ) -> Result<EvalStats, FabricError> {
+        let plane = self.bound_plane(bound, chunks)?;
+        let words = words.clamp(1, LANE_WORDS);
+        if st.layout == self.layout {
             st.reset();
+        } else {
+            *st = self.new_state();
         }
+        outs.clear();
+        for ((id, _, _), chunk) in bound.inputs.iter().zip(chunks) {
+            Self::seed_input(st, *id, *chunk, words);
+        }
+        Self::run_interpreter(plane, words, st);
+        for (id, name, _) in &bound.outputs {
+            let v = st
+                .read_chunk(*id)
+                .ok_or_else(|| FabricError::Unresolved(format!("output '{name}' unresolved")))?;
+            outs.push(v);
+        }
+        Ok(EvalStats {
+            ops_total: plane.ops.len() as u64,
+            ops_skipped: 0,
+            kernel: false,
+        })
+    }
+
+    /// The plane a [`BoundPlan`] evaluates, after checking that `chunks`
+    /// is parallel to its inputs.
+    fn bound_plane(
+        &self,
+        bound: &BoundPlan,
+        chunks: &[LaneChunk],
+    ) -> Result<&CompiledPlane, FabricError> {
+        let plane = self.plane(bound.ctx)?;
+        if chunks.len() != bound.inputs.len() {
+            return Err(FabricError::BadParams(format!(
+                "{} input chunks for {} bound inputs",
+                chunks.len(),
+                bound.inputs.len()
+            )));
+        }
+        Ok(plane)
     }
 
     /// Seeds one bound input chunk, zeroing lanes past the occupied words
@@ -1789,17 +1681,6 @@ impl CompiledFabric {
             }
         }
     }
-
-    /// Evaluates `ctx` on a batch and returns outputs sorted by name.
-    pub fn eval_batch_sorted(
-        &self,
-        ctx: usize,
-        inputs: &[(&str, u64)],
-    ) -> Result<Vec<(String, u64)>, FabricError> {
-        let (mut o, _) = self.eval_batch(ctx, inputs)?;
-        o.sort();
-        Ok(o)
-    }
 }
 
 // The multi-tenant service fans per-shard sweeps out across worker
@@ -1822,6 +1703,17 @@ mod tests {
     use crate::netlist_ir::generators;
     use crate::route::implement_netlist;
     use crate::sim::evaluate_fixpoint;
+
+    /// One name-keyed single-word pass on fresh scratch, outputs sorted.
+    fn eval_sorted(
+        compiled: &CompiledFabric,
+        ctx: usize,
+        inputs: &[(&str, u64)],
+    ) -> Result<Vec<(String, u64)>, FabricError> {
+        let mut outs = compiled.eval_batch_into(ctx, inputs, &mut compiled.new_state())?;
+        outs.sort();
+        Ok(outs)
+    }
 
     #[test]
     fn lut_lanes_matches_scalar_eval() {
@@ -1866,7 +1758,7 @@ mod tests {
             .map(|i| (format!("x{i}"), pack_lanes(|v| v < 16 && (v >> i) & 1 == 1)))
             .collect();
         let ins_ref: Vec<(&str, u64)> = ins.iter().map(|(n, v)| (n.as_str(), *v)).collect();
-        let outs = compiled.eval_batch_sorted(1, &ins_ref).unwrap();
+        let outs = eval_sorted(&compiled, 1, &ins_ref).unwrap();
         assert_eq!(outs.len(), 1);
         for v in 0..16u64 {
             let scalar_ins: Vec<(String, bool)> = (0..4)
@@ -1886,7 +1778,7 @@ mod tests {
         implement_netlist(&mut f, &nl, 0, 1).unwrap();
         let compiled = CompiledFabric::compile(&f).unwrap();
         assert!(matches!(
-            compiled.eval_batch(0, &[]),
+            compiled.eval_batch_into(0, &[], &mut compiled.new_state()),
             Err(FabricError::Unresolved(_))
         ));
     }
@@ -1933,10 +1825,11 @@ mod tests {
 
         let compiled = CompiledFabric::compile(&f).unwrap();
         assert!(compiled.plane(0).unwrap().is_cyclic());
-        let outs = compiled.eval_batch_sorted(0, &[("x", 0b10u64)]).unwrap();
+        let outs = eval_sorted(&compiled, 0, &[("x", 0b10u64)]).unwrap();
         assert_eq!(outs, vec![("y".to_string(), 0b10u64)]);
         // the looped wires stay unknown, exactly like the reference
-        let (_, st) = compiled.eval_batch(0, &[("x", 1)]).unwrap();
+        let mut st = compiled.new_state();
+        compiled.eval_batch_into(0, &[("x", 1)], &mut st).unwrap();
         assert_eq!(st.wire(a, Dir::East, 0), None);
         let (gold, gst) = evaluate_fixpoint(&f, 0, &[("x", true)]).unwrap();
         assert_eq!(gold, vec![("y".to_string(), true)]);
@@ -1954,7 +1847,7 @@ mod tests {
         assert!(!compiled.plane(0).unwrap().ops().is_empty());
         assert!(!compiled.plane(1).unwrap().ops().is_empty());
         assert!(compiled.plane(2).unwrap().ops().is_empty());
-        let out1 = compiled.eval_batch_sorted(1, &[("in0", !0u64)]).unwrap();
+        let out1 = eval_sorted(&compiled, 1, &[("in0", !0u64)]).unwrap();
         assert_eq!(out1, vec![("out0".to_string(), !0u64)]);
     }
 
@@ -1967,11 +1860,14 @@ mod tests {
         implement_netlist(&mut f, &w, 1, 3).unwrap();
         let partial = CompiledFabric::compile_context(&f, 0).unwrap();
         let ins: Vec<(&str, u64)> = vec![("x0", !0), ("x1", 0), ("x2", !0)];
-        assert!(partial.eval_batch(0, &ins).is_ok());
+        let mut st = partial.new_state();
+        assert!(partial.eval_batch_into(0, &ins, &mut st).is_ok());
         // ctx 1 has a real design, but this compilation never saw it —
         // error out rather than hand back empty outputs
         assert_eq!(
-            partial.eval_batch(1, &[("in0", 1)]).unwrap_err(),
+            partial
+                .eval_batch_into(1, &[("in0", 1)], &mut st)
+                .unwrap_err(),
             FabricError::ContextNotCompiled {
                 ctx: 1,
                 compiled: 0
@@ -2137,7 +2033,11 @@ mod tests {
         let mut f = Fabric::new(FabricParams::default()).unwrap();
         implement_netlist(&mut f, &nl, 0, 5).unwrap();
         let compiled = CompiledFabric::compile(&f).unwrap();
+        let bound = compiled.bind(0).unwrap();
         let mut batch = LaneBatch::new();
+        for (_, name, _) in bound.inputs() {
+            batch.ensure_name(name);
+        }
         let requests = [
             (true, false, true),
             (false, false, false),
@@ -2146,13 +2046,22 @@ mod tests {
         for (x0, x1, x2) in requests {
             batch.push(&[("x0", x0), ("x1", x1), ("x2", x2)]).unwrap();
         }
-        let (outs, _) = compiled
-            .eval_chunks(0, &batch.lane_inputs(), batch.words())
+        let chunks: Vec<LaneChunk> = (0..bound.inputs().len())
+            .map(|i| batch.input_chunk(i))
+            .collect();
+        let mut outs = Vec::new();
+        compiled
+            .eval_bound_into(
+                &bound,
+                &chunks,
+                batch.words(),
+                DIRTY_ALL,
+                &mut compiled.new_state(),
+                &mut outs,
+            )
             .unwrap();
         for (lane, (x0, x1, x2)) in requests.into_iter().enumerate() {
-            let scalar = LaneBatch::extract_lane(&outs, lane);
-            let want = x0 ^ x1 ^ x2;
-            assert_eq!(scalar[0].1, want, "lane {lane}");
+            assert_eq!(chunk_bit(&outs[0], lane), x0 ^ x1 ^ x2, "lane {lane}");
         }
     }
 
@@ -2164,28 +2073,35 @@ mod tests {
         let mut f = Fabric::new(FabricParams::default()).unwrap();
         implement_netlist(&mut f, &nl, 0, 5).unwrap();
         let compiled = CompiledFabric::compile(&f).unwrap();
-        let chunks: Vec<(String, LaneChunk)> = (0..3)
-            .map(|i| {
-                (
-                    format!("x{i}"),
-                    pack_chunk(|l| (l * 0x9E37 + i * 31) % (i + 2) == 0),
-                )
-            })
+        let bound = compiled.bind(0).unwrap();
+        let chunks: Vec<LaneChunk> = (0..bound.inputs().len())
+            .map(|i| pack_chunk(|l| (l * 0x9E37 + i * 31) % (i + 2) == 0))
             .collect();
-        let refs: Vec<(&str, LaneChunk)> = chunks.iter().map(|(n, c)| (n.as_str(), *c)).collect();
-        let (wide, _) = compiled.eval_chunks(0, &refs, LANE_WORDS).unwrap();
+        let mut st = compiled.new_state();
+        let mut wide = Vec::new();
+        compiled
+            .eval_bound_into(&bound, &chunks, LANE_WORDS, DIRTY_ALL, &mut st, &mut wide)
+            .unwrap();
         for w in 0..LANE_WORDS {
-            let words: Vec<(&str, u64)> = chunks.iter().map(|(n, c)| (n.as_str(), c[w])).collect();
-            let (narrow, _) = compiled.eval_batch(0, &words).unwrap();
-            for ((wn, wc), (nn, nv)) in wide.iter().zip(&narrow) {
-                assert_eq!(wn, nn);
+            let words: Vec<(&str, u64)> = bound
+                .inputs()
+                .iter()
+                .zip(&chunks)
+                .map(|((_, n, _), c)| (n.as_ref(), c[w]))
+                .collect();
+            let narrow = compiled.eval_batch_into(0, &words, &mut st).unwrap();
+            for (((_, wn, _), wc), (nn, nv)) in bound.outputs().iter().zip(&wide).zip(&narrow) {
+                assert_eq!(wn.as_ref(), nn);
                 assert_eq!(wc[w], *nv, "word {w}");
             }
         }
         // words < LANE_WORDS zeroes the unoccupied words, even when the
         // input chunk carries stray bits there
-        let (sparse, _) = compiled.eval_chunks(0, &refs, 1).unwrap();
-        for ((_, c), (_, full)) in sparse.iter().zip(&wide) {
+        let mut sparse = Vec::new();
+        compiled
+            .eval_bound_into(&bound, &chunks, 1, DIRTY_ALL, &mut st, &mut sparse)
+            .unwrap();
+        for (c, full) in sparse.iter().zip(&wide) {
             assert_eq!(c[0], full[0]);
             assert_eq!(c[1..], [0u64; LANE_WORDS - 1]);
         }
@@ -2287,17 +2203,16 @@ mod tests {
         let compiled = CompiledFabric::compile_context(&f, 1).unwrap();
         assert_eq!(compiled.compiled_context(), Some(1));
         let ins: Vec<(&str, u64)> = vec![("x0", 0xF0F0), ("x1", 0xFF00), ("x2", 0xAAAA)];
-        let want = compiled.eval_batch_sorted(1, &ins).unwrap();
+        let want = eval_sorted(&compiled, 1, &ins).unwrap();
         for dst in 0..4 {
             let moved = compiled.rebase_context(dst).unwrap();
             assert_eq!(moved.compiled_context(), Some(dst));
-            assert_eq!(
-                moved.eval_batch_sorted(dst, &ins).unwrap(),
-                want,
-                "dst {dst}"
-            );
+            assert_eq!(eval_sorted(&moved, dst, &ins).unwrap(), want, "dst {dst}");
             if dst != 1 {
-                assert!(moved.eval_batch(1, &ins).is_err(), "old slot must refuse");
+                assert!(
+                    eval_sorted(&moved, 1, &ins).is_err(),
+                    "old slot must refuse"
+                );
             }
         }
         assert!(compiled.rebase_context(99).is_err());
@@ -2327,20 +2242,16 @@ mod tests {
         implement_netlist(&mut f, &nl, 2, 5).unwrap();
         let compiled = CompiledFabric::compile_context(&f, 2).unwrap();
         let ins: Vec<(&str, u64)> = vec![("x0", 0xF0F0), ("x1", 0xFF00), ("x2", 0xAAAA)];
-        let want = compiled.eval_batch_sorted(2, &ins).unwrap();
+        let want = eval_sorted(&compiled, 2, &ins).unwrap();
         for dst in 0..big.contexts {
             let moved = compiled.rebase_onto(big, dst).unwrap();
             assert_eq!(moved.params(), &big);
             assert_eq!(moved.compiled_context(), Some(dst));
-            assert_eq!(
-                moved.eval_batch_sorted(dst, &ins).unwrap(),
-                want,
-                "dst {dst}"
-            );
+            assert_eq!(eval_sorted(&moved, dst, &ins).unwrap(), want, "dst {dst}");
         }
         // same-geometry calls fall through to rebase_context
         let same = compiled.rebase_onto(small, 0).unwrap();
-        assert_eq!(same.eval_batch_sorted(0, &ins).unwrap(), want);
+        assert_eq!(eval_sorted(&same, 0, &ins).unwrap(), want);
         // out-of-range destination context
         assert!(compiled.rebase_onto(big, big.contexts).is_err());
         // full compilations have nothing to move

@@ -16,16 +16,20 @@
 //!    context register file.
 //! 3. [`place`] — simulated-annealing placement of each stage's LUTs.
 //! 4. [`route`] — per-context maze routing through the crossbar SBs.
-//! 5. [`bitstream`] — serialisable configuration for all planes.
+//! 5. [`bitstream`] — serialisable configuration for all planes, written
+//!    and read through [`wire`], the length-guarded byte codec the tenant
+//!    checkpoint format (`mcfpga-migrate`) shares.
 //! 6. [`compiled`] — **compile → levelize → bit-parallel**: the production
 //!    simulation engine. [`compiled::CompiledFabric::compile`] flattens
 //!    every routing resource into a dense `u32` arena, turns each context's
 //!    routed configuration into a topologically levelized op list (with a
 //!    bounded-sweep fallback for genuinely cyclic configs), and evaluates
-//!    **64 input vectors per pass** in `u64` bit lanes.
-//! 7. [`sim`] — the one-vector API ([`sim::evaluate`], a thin 1-lane
-//!    wrapper over the compiled engine) and the reference fixpoint sweep
-//!    ([`sim::evaluate_fixpoint`]) the engine is verified against;
+//!    up to **256 input vectors per pass** in 4-word lane chunks. Its one
+//!    execution core is [`CompiledFabric::bind`] +
+//!    [`CompiledFabric::eval_bound_into`].
+//! 7. [`sim`] — the one-vector API ([`sim::evaluate_sorted`], over the
+//!    compiled engine's name-keyed adapter) and the reference fixpoint
+//!    sweep ([`sim::evaluate_fixpoint`]) the engine is verified against;
 //!    [`context`] sequences contexts through compiled planes and accounts
 //!    switching energy.
 //! 8. [`power`] — fabric-level area/static-power roll-up per architecture;
@@ -50,6 +54,7 @@ pub mod route;
 pub mod sim;
 pub mod stats;
 pub mod temporal;
+pub mod wire;
 
 pub use array::{Fabric, FabricParams, TileCoord};
 pub use compiled::{BoundPlan, CompiledFabric, EvalStats, DIRTY_ALL, REG_PREFIX};
@@ -104,6 +109,12 @@ pub enum FabricError {
     BadBitstream(String),
     /// Underlying switch error.
     Core(mcfpga_core::CoreError),
+}
+
+impl From<wire::WireError> for FabricError {
+    fn from(e: wire::WireError) -> Self {
+        FabricError::BadBitstream(e.to_string())
+    }
 }
 
 impl From<mcfpga_core::CoreError> for FabricError {

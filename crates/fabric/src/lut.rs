@@ -6,10 +6,9 @@
 //! (the storage cost per architecture is priced in [`crate::power`]).
 
 use crate::FabricError;
-use serde::{Deserialize, Serialize};
 
 /// A multi-context K-input lookup table.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MultiContextLut {
     k: usize,
     contexts: usize,

@@ -11,12 +11,12 @@
 //!   input). Simple, obviously correct, and slow — it re-scans every tile
 //!   per sweep per vector through `HashMap` keys.
 //! * [`crate::compiled::CompiledFabric`] — the production engine: compile
-//!   once into dense levelized ops, then evaluate 64 input vectors per
-//!   bit-parallel pass.
+//!   once into dense levelized ops, then evaluate up to 256 input vectors
+//!   per bit-parallel pass.
 //!
-//! [`evaluate`] keeps the original one-vector API as a thin wrapper over a
-//! 1-lane compiled call; the equivalence of both engines is enforced
-//! bit-for-bit by `tests/prop_compiled.rs`.
+//! [`evaluate_sorted`] keeps a one-vector API as a thin wrapper over the
+//! compiled engine's name-keyed adapter; the equivalence of both engines
+//! is enforced bit-for-bit by `tests/prop_compiled.rs`.
 
 use crate::array::{Dir, Fabric, Sink, Source, TileCoord};
 use crate::compiled::CompiledFabric;
@@ -49,49 +49,6 @@ impl FabricState {
     pub fn io_out(&self, tile: TileCoord, port: usize) -> Option<bool> {
         self.io_out.get(&(tile, port)).copied()
     }
-}
-
-/// Evaluates context `ctx` of `fabric` with named input signals.
-///
-/// Returns `(named outputs, full state)`. This compiles the fabric and
-/// runs a single bit-parallel lane — correct but paying compile cost per
-/// call. Callers evaluating many vectors or replaying schedules should
-/// compile once with [`CompiledFabric::compile`] and use
-/// [`CompiledFabric::eval_batch`].
-pub fn evaluate(
-    fabric: &Fabric,
-    ctx: usize,
-    inputs: &[(&str, bool)],
-) -> Result<(Vec<(String, bool)>, FabricState), FabricError> {
-    let compiled = CompiledFabric::compile_context(fabric, ctx)?;
-    let lane_inputs: Vec<(&str, u64)> = inputs
-        .iter()
-        .map(|(n, v)| (*n, if *v { 1u64 } else { 0 }))
-        .collect();
-    let (outs, cst) = compiled.eval_batch(ctx, &lane_inputs)?;
-    let outs = outs.into_iter().map(|(n, v)| (n, v & 1 == 1)).collect();
-
-    // lower lane 0 of the dense state into the sparse map form
-    let params = fabric.params();
-    let mut st = FabricState::default();
-    for t in fabric.tiles() {
-        for dir in Dir::ALL {
-            for w in 0..params.channel_width {
-                if let Some(v) = cst.wire(t, dir, w) {
-                    st.wire.insert((t, dir, w), v & 1 == 1);
-                }
-            }
-        }
-        if let Some(v) = cst.lut_out(t) {
-            st.lut_out.insert(t, v & 1 == 1);
-        }
-        for port in 0..params.io_out {
-            if let Some(v) = cst.io_out(t, port) {
-                st.io_out.insert((t, port), v & 1 == 1);
-            }
-        }
-    }
-    Ok((outs, st))
 }
 
 /// Reference implementation: monotone fixpoint sweep over the raw fabric.
@@ -210,11 +167,11 @@ pub fn evaluate_fixpoint(
     Ok((outs, st))
 }
 
-/// Convenience: evaluate and return outputs sorted by name.
-///
-/// Unlike [`evaluate`], this never materialises a [`FabricState`] — the
-/// caller only wants outputs, so the dense arena is not lowered into the
-/// sparse map form.
+/// Evaluates context `ctx` of `fabric` on one input vector and returns
+/// the outputs sorted by name. This compiles the context and runs one
+/// lane through [`CompiledFabric::eval_batch_into`] — correct but paying
+/// compile cost per call. Callers evaluating many vectors or replaying
+/// schedules should compile once with [`CompiledFabric::compile`].
 pub fn evaluate_sorted(
     fabric: &Fabric,
     ctx: usize,
@@ -222,11 +179,13 @@ pub fn evaluate_sorted(
 ) -> Result<Vec<(String, bool)>, FabricError> {
     let compiled = CompiledFabric::compile_context(fabric, ctx)?;
     let lane_inputs: Vec<(&str, u64)> = inputs.iter().map(|(n, v)| (*n, u64::from(*v))).collect();
-    Ok(compiled
-        .eval_batch_sorted(ctx, &lane_inputs)?
+    let mut outs: Vec<(String, bool)> = compiled
+        .eval_batch_into(ctx, &lane_inputs, &mut compiled.new_state())?
         .into_iter()
         .map(|(n, v)| (n, v & 1 == 1))
-        .collect())
+        .collect();
+    outs.sort();
+    Ok(outs)
 }
 
 #[cfg(test)]
@@ -338,24 +297,29 @@ mod tests {
             ("b1", true),
             ("cin", false),
         ];
-        let (mut o1, s1) = evaluate(&f, 2, &ins).unwrap();
+        // the compiled adapter's dense state, lane 0, against the sparse
+        // fixpoint state: values and known-ness of every resource
+        let compiled = CompiledFabric::compile_context(&f, 2).unwrap();
+        let lanes: Vec<(&str, u64)> = ins.iter().map(|(n, v)| (*n, u64::from(*v))).collect();
+        let mut s1 = compiled.new_state();
+        compiled.eval_batch_into(2, &lanes, &mut s1).unwrap();
         let (mut o2, s2) = evaluate_fixpoint(&f, 2, &ins).unwrap();
-        o1.sort();
         o2.sort();
-        assert_eq!(o1, o2);
+        assert_eq!(evaluate_sorted(&f, 2, &ins).unwrap(), o2);
+        let lane0 = |v: Option<u64>| v.map(|w| w & 1 == 1);
         for t in f.tiles() {
-            assert_eq!(s1.lut_out(t), s2.lut_out(t), "lut_out {t}");
+            assert_eq!(lane0(s1.lut_out(t)), s2.lut_out(t), "lut_out {t}");
             for dir in Dir::ALL {
                 for w in 0..f.params().channel_width {
                     assert_eq!(
-                        s1.wire(t, dir, w),
+                        lane0(s1.wire(t, dir, w)),
                         s2.wire(t, dir, w),
                         "wire {t} {dir:?} {w}"
                     );
                 }
             }
             for p in 0..f.params().io_out {
-                assert_eq!(s1.io_out(t, p), s2.io_out(t, p), "io_out {t} {p}");
+                assert_eq!(lane0(s1.io_out(t, p)), s2.io_out(t, p), "io_out {t} {p}");
             }
         }
     }

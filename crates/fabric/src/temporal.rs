@@ -27,7 +27,7 @@ use std::collections::HashMap;
 /// order, so serializations of the same execution are deterministic.
 /// Single-word callers use [`get`](Self::get)/[`set`](Self::set), which
 /// view word 0 of each chunk — the legacy 64-lane representation.
-#[derive(Debug, Clone, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RegisterFile {
     entries: Vec<(String, LaneChunk)>,
 }

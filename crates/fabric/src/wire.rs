@@ -1,19 +1,49 @@
-//! Primitive readers/writers of the checkpoint wire format.
+//! The one byte codec behind both of the workspace's binary formats: the
+//! configuration bitstream ([`crate::bitstream`]) and the tenant
+//! checkpoint (`mcfpga-migrate`).
 //!
-//! Big-endian, length-prefixed. Writing builds on the workspace's `bytes`
-//! buffer; reading is a zero-copy cursor over the caller's slice — no
-//! duplication of the checkpoint before the first field is parsed. Every
-//! read is bounds-checked up front, so a truncated or hostile buffer
-//! (including absurd length prefixes) surfaces as a typed
-//! [`MigrateError`] instead of a panic or an over-allocation: a claimed
-//! length is validated against the bytes actually present *before*
-//! anything is copied, which is also why encode and decode accept exactly
-//! the same domain — any string that fits in a buffer decodes from it.
+//! Big-endian, length-prefixed. Writing appends to a plain `Vec<u8>`;
+//! reading is a zero-copy cursor over the caller's slice — no duplication
+//! of the buffer before the first field is parsed. Every read is
+//! bounds-checked up front, so a truncated or hostile buffer (including
+//! absurd length prefixes) surfaces as a typed [`WireError`] instead of a
+//! panic or an over-allocation: a claimed length is validated against the
+//! bytes actually present *before* anything is copied, which is also why
+//! encode and decode accept exactly the same domain — any string that fits
+//! in a buffer decodes from it.
 
-use crate::MigrateError;
-use bytes::{BufMut, BytesMut};
+/// Why a [`Reader`] refused its input. Each format maps this onto its
+/// own error vocabulary (`FabricError::BadBitstream`,
+/// `WireError::{Truncated, Corrupt}`).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum WireError {
+    /// The buffer ended before the field being read.
+    Truncated {
+        /// Bytes the next field needs.
+        needed: usize,
+        /// Bytes left in the buffer.
+        remaining: usize,
+    },
+    /// The bytes are present but do not decode (bad UTF-8, trailing
+    /// bytes, …).
+    Corrupt(String),
+}
 
-/// A bounds-checked, zero-copy read cursor over a checkpoint buffer.
+impl std::fmt::Display for WireError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            WireError::Truncated { needed, remaining } => write!(
+                f,
+                "truncated: next field needs {needed} bytes, {remaining} remain"
+            ),
+            WireError::Corrupt(what) => f.write_str(what),
+        }
+    }
+}
+
+impl std::error::Error for WireError {}
+
+/// A bounds-checked, zero-copy read cursor over an encoded buffer.
 #[derive(Debug)]
 pub struct Reader<'a> {
     buf: &'a [u8],
@@ -32,9 +62,9 @@ impl<'a> Reader<'a> {
         self.buf.len()
     }
 
-    fn need(&self, n: usize) -> Result<(), MigrateError> {
+    fn need(&self, n: usize) -> Result<(), WireError> {
         if self.buf.len() < n {
-            return Err(MigrateError::Truncated {
+            return Err(WireError::Truncated {
                 needed: n,
                 remaining: self.buf.len(),
             });
@@ -42,7 +72,7 @@ impl<'a> Reader<'a> {
         Ok(())
     }
 
-    fn take(&mut self, n: usize) -> Result<&'a [u8], MigrateError> {
+    fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
         self.need(n)?;
         let (head, rest) = self.buf.split_at(n);
         self.buf = rest;
@@ -50,53 +80,58 @@ impl<'a> Reader<'a> {
     }
 
     /// Reads one byte.
-    pub fn u8(&mut self) -> Result<u8, MigrateError> {
+    pub fn u8(&mut self) -> Result<u8, WireError> {
         Ok(self.take(1)?[0])
     }
 
     /// Reads a big-endian u16.
-    pub fn u16(&mut self) -> Result<u16, MigrateError> {
+    pub fn u16(&mut self) -> Result<u16, WireError> {
         Ok(u16::from_be_bytes(self.take(2)?.try_into().unwrap()))
     }
 
     /// Reads a big-endian u32.
-    pub fn u32(&mut self) -> Result<u32, MigrateError> {
+    pub fn u32(&mut self) -> Result<u32, WireError> {
         Ok(u32::from_be_bytes(self.take(4)?.try_into().unwrap()))
     }
 
     /// Reads a big-endian u64.
-    pub fn u64(&mut self) -> Result<u64, MigrateError> {
+    pub fn u64(&mut self) -> Result<u64, WireError> {
         Ok(u64::from_be_bytes(self.take(8)?.try_into().unwrap()))
     }
 
     /// Reads a `u32` length prefix destined to count `unit`-byte records,
     /// verifying the buffer can actually hold that many.
-    pub fn count(&mut self, unit: usize) -> Result<usize, MigrateError> {
+    pub fn count(&mut self, unit: usize) -> Result<usize, WireError> {
         let n = self.u32()? as usize;
         self.need(n.saturating_mul(unit))?;
         Ok(n)
     }
 
     /// Reads `n` raw bytes (borrowed from the input).
-    pub fn bytes(&mut self, n: usize) -> Result<&'a [u8], MigrateError> {
+    pub fn bytes(&mut self, n: usize) -> Result<&'a [u8], WireError> {
         self.take(n)
     }
 
-    /// Reads a length-prefixed UTF-8 string. The length prefix is checked
-    /// against the bytes actually remaining before anything is touched, so
-    /// a hostile prefix costs nothing.
-    pub fn string(&mut self) -> Result<String, MigrateError> {
-        let len = self.u32()? as usize;
+    /// Reads `len` bytes as a UTF-8 string.
+    pub fn utf8(&mut self, len: usize) -> Result<String, WireError> {
         let raw = self.bytes(len)?;
         String::from_utf8(raw.to_vec())
-            .map_err(|_| MigrateError::Corrupt("string is not UTF-8".into()))
+            .map_err(|_| WireError::Corrupt("string is not UTF-8".into()))
+    }
+
+    /// Reads a `u32`-length-prefixed UTF-8 string. The length prefix is
+    /// checked against the bytes actually remaining before anything is
+    /// touched, so a hostile prefix costs nothing.
+    pub fn string(&mut self) -> Result<String, WireError> {
+        let len = self.u32()? as usize;
+        self.utf8(len)
     }
 
     /// The decode is only valid when it consumed the whole buffer.
-    pub fn finish(self) -> Result<(), MigrateError> {
+    pub fn finish(self) -> Result<(), WireError> {
         if !self.buf.is_empty() {
-            return Err(MigrateError::Corrupt(format!(
-                "{} trailing bytes after the checkpoint",
+            return Err(WireError::Corrupt(format!(
+                "{} trailing bytes after the last field",
                 self.buf.len()
             )));
         }
@@ -104,10 +139,10 @@ impl<'a> Reader<'a> {
     }
 }
 
-/// A write cursor building a checkpoint buffer.
+/// A write cursor building an encoded buffer.
 #[derive(Debug, Default)]
 pub struct Writer {
-    buf: BytesMut,
+    buf: Vec<u8>,
 }
 
 impl Writer {
@@ -119,30 +154,30 @@ impl Writer {
 
     /// Appends one byte.
     pub fn u8(&mut self, v: u8) {
-        self.buf.put_u8(v);
+        self.buf.push(v);
     }
 
     /// Appends a big-endian u16.
     pub fn u16(&mut self, v: u16) {
-        self.buf.put_u16(v);
+        self.bytes(&v.to_be_bytes());
     }
 
     /// Appends a big-endian u32.
     pub fn u32(&mut self, v: u32) {
-        self.buf.put_u32(v);
+        self.bytes(&v.to_be_bytes());
     }
 
     /// Appends a big-endian u64.
     pub fn u64(&mut self, v: u64) {
-        self.buf.put_u64(v);
+        self.bytes(&v.to_be_bytes());
     }
 
     /// Appends raw bytes.
     pub fn bytes(&mut self, v: &[u8]) {
-        self.buf.put_slice(v);
+        self.buf.extend_from_slice(v);
     }
 
-    /// Appends a length-prefixed UTF-8 string.
+    /// Appends a `u32`-length-prefixed UTF-8 string.
     pub fn string(&mut self, s: &str) {
         self.u32(s.len() as u32);
         self.bytes(s.as_bytes());
@@ -151,7 +186,7 @@ impl Writer {
     /// The finished buffer.
     #[must_use]
     pub fn into_vec(self) -> Vec<u8> {
-        self.buf.freeze().to_vec()
+        self.buf
     }
 }
 
@@ -181,7 +216,7 @@ mod tests {
         short.u8().unwrap();
         assert_eq!(
             short.u16(),
-            Err(MigrateError::Truncated {
+            Err(WireError::Truncated {
                 needed: 2,
                 remaining: 1
             })
@@ -198,7 +233,7 @@ mod tests {
         let buf = w.into_vec();
         assert!(matches!(
             Reader::new(&buf).string(),
-            Err(MigrateError::Truncated { .. })
+            Err(WireError::Truncated { .. })
         ));
         // a record count the buffer cannot possibly hold
         let mut w = Writer::new();
@@ -206,7 +241,7 @@ mod tests {
         let buf = w.into_vec();
         assert!(matches!(
             Reader::new(&buf).count(8),
-            Err(MigrateError::Truncated { .. })
+            Err(WireError::Truncated { .. })
         ));
         // trailing garbage fails the finish check
         let mut w = Writer::new();
@@ -215,7 +250,7 @@ mod tests {
         let buf = w.into_vec();
         let mut r = Reader::new(&buf);
         r.u8().unwrap();
-        assert!(matches!(r.finish(), Err(MigrateError::Corrupt(_))));
+        assert!(matches!(r.finish(), Err(WireError::Corrupt(_))));
     }
 
     #[test]
@@ -238,7 +273,7 @@ mod tests {
         let buf = w.into_vec();
         assert!(matches!(
             Reader::new(&buf).string(),
-            Err(MigrateError::Corrupt(_))
+            Err(WireError::Corrupt(_))
         ));
     }
 }

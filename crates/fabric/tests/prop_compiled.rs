@@ -2,10 +2,11 @@
 //! match the legacy fixpoint sweep **bit-for-bit** — on random routed
 //! fabrics, across every context, across all 64 lanes of a batch — and
 //! the straight-line kernel (with its dirty-cone incremental path) must
-//! match the branchy interpreter across all 256 chunked lanes.
+//! match the branchy reference interpreter at every lane width from one
+//! to [`LANE_WORDS`] words, leaving every word past the width zero.
 
 use mcfpga_fabric::array::{Dir, Sink, Source};
-use mcfpga_fabric::compiled::{CompiledFabric, LaneChunk, LANES, LANE_WORDS, MAX_LANES};
+use mcfpga_fabric::compiled::{BoundPlan, CompiledFabric, LaneChunk, LANES, LANE_WORDS};
 use mcfpga_fabric::netlist_ir::{LogicNetlist, NodeId};
 use mcfpga_fabric::route::implement_netlist;
 use mcfpga_fabric::sim::evaluate_fixpoint;
@@ -54,8 +55,56 @@ fn fabric() -> Fabric {
 }
 
 /// Random full-width lane chunk: one of 256 vectors per bit position.
+/// Words past a pass's width carry stray bits the engine must ignore.
 fn random_chunk(rng: &mut StdRng) -> LaneChunk {
     std::array::from_fn(|_| rng.random_range(0..u64::MAX))
+}
+
+/// Every output word past the pass's `words` must come back zero.
+fn assert_zero_past(outs: &[LaneChunk], words: usize) -> Result<(), TestCaseError> {
+    for (i, chunk) in outs.iter().enumerate() {
+        prop_assert!(
+            chunk[words..].iter().all(|w| *w == 0),
+            "output {} carries bits past word {}: {:?}",
+            i,
+            words,
+            chunk
+        );
+    }
+    Ok(())
+}
+
+/// Every occupied lane of a context-0 pass (`outs` parallel to the
+/// bound outputs) equals a scalar fixpoint evaluation of that lane.
+fn assert_lanes_match_fixpoint(
+    f: &Fabric,
+    bound: &BoundPlan,
+    chunks: &[LaneChunk],
+    outs: &[LaneChunk],
+    words: usize,
+) -> Result<(), TestCaseError> {
+    for lane in 0..words * 64 {
+        let (word, bit) = (lane / 64, lane % 64);
+        let scalar: Vec<(&str, bool)> = bound
+            .inputs()
+            .iter()
+            .zip(chunks)
+            .map(|((_, n, _), c)| (n.as_ref(), (c[word] >> bit) & 1 == 1))
+            .collect();
+        let (gold, _) = evaluate_fixpoint(f, 0, &scalar).unwrap();
+        prop_assert_eq!(gold.len(), outs.len());
+        for ((_, name, _), chunk) in bound.outputs().iter().zip(outs) {
+            let want = gold.iter().find(|(n, _)| n == name.as_ref()).unwrap().1;
+            prop_assert_eq!(
+                want,
+                (chunk[word] >> bit) & 1 == 1,
+                "output {} lane {}",
+                name,
+                lane
+            );
+        }
+    }
+    Ok(())
 }
 
 /// Overlay a two-tile combinational wire loop on free sinks of `ctx`,
@@ -123,8 +172,10 @@ proptest! {
             .map(|(n, v)| (n.as_str(), *v))
             .collect();
 
+        let mut st = compiled.new_state();
         for &ctx in &mapped {
-            let got = compiled.eval_batch_sorted(ctx, &batch).unwrap();
+            let mut got = compiled.eval_batch_into(ctx, &batch, &mut st).unwrap();
+            got.sort();
             for lane in 0..LANES {
                 let scalar: Vec<(&str, bool)> = names
                     .iter()
@@ -171,7 +222,8 @@ proptest! {
             .collect();
 
         let (_, want) = evaluate_fixpoint(&f, 0, &scalar_ref).unwrap();
-        let (_, got) = compiled.eval_batch(0, &batch).unwrap();
+        let mut got = compiled.new_state();
+        compiled.eval_batch_into(0, &batch, &mut got).unwrap();
         let p = *f.params();
         for t in f.tiles() {
             prop_assert_eq!(
@@ -203,13 +255,15 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// The straight-line kernel equals the branchy interpreter — and the
-    /// legacy fixpoint sweep — bit-for-bit across all 256 chunked lanes,
-    /// with and without stream-register (`reg:`) IO names.
+    /// legacy fixpoint sweep — bit-for-bit on every occupied lane, at
+    /// every width of 1..=4 words, with and without stream-register
+    /// (`reg:`) IO names.
     #[test]
     fn kernel_matches_interpreter_and_fixpoint_across_chunked_lanes(
         seed in 0u64..5000,
         lane_seed in any::<u64>(),
         reg_io in any::<bool>(),
+        words in 1usize..=LANE_WORDS,
     ) {
         const INPUTS: usize = 4;
         let prefix = if reg_io { "reg:" } else { "" };
@@ -219,84 +273,38 @@ proptest! {
         let compiled = CompiledFabric::compile(&f).unwrap();
         prop_assert!(compiled.has_kernel(0), "acyclic plane must compile a kernel");
 
-        let mut rng = StdRng::seed_from_u64(lane_seed);
-        let names: Vec<String> = (0..INPUTS).map(|i| format!("{prefix}i{i}")).collect();
-        let chunks: Vec<LaneChunk> = names.iter().map(|_| random_chunk(&mut rng)).collect();
-        let inputs: Vec<(&str, LaneChunk)> = names
-            .iter()
-            .zip(&chunks)
-            .map(|(n, c)| (n.as_str(), *c))
-            .collect();
-
-        let mut st_kernel = compiled.new_state();
-        let kernel_outs = compiled
-            .eval_chunks_into(0, &inputs, LANE_WORDS, &mut st_kernel)
-            .unwrap();
-        let mut st_ref = compiled.new_state();
-        let ref_outs = compiled
-            .eval_chunks_into_reference(0, &inputs, LANE_WORDS, &mut st_ref)
-            .unwrap();
-        prop_assert_eq!(&kernel_outs, &ref_outs, "kernel vs interpreter");
-
-        // the prebound path agrees too, and flags the reg-ness of the IO
+        // the bound plan flags the reg-ness of the IO
         let bound = compiled.bind(0).unwrap();
         for (_, name, is_reg) in bound.inputs().iter().chain(bound.outputs()) {
             prop_assert_eq!(*is_reg, reg_io, "reg flag of '{}'", name);
         }
-        let bound_chunks: Vec<LaneChunk> = bound
-            .inputs()
-            .iter()
-            .map(|(_, name, _)| {
-                inputs.iter().find(|(n, _)| *n == name.as_ref()).unwrap().1
-            })
-            .collect();
-        let mut st_bound = compiled.new_state();
-        let mut outs = Vec::new();
+        let mut rng = StdRng::seed_from_u64(lane_seed);
+        let chunks: Vec<LaneChunk> =
+            bound.inputs().iter().map(|_| random_chunk(&mut rng)).collect();
+
+        let (mut kernel_outs, mut ref_outs) = (Vec::new(), Vec::new());
         let stats = compiled
-            .eval_bound_into(&bound, &bound_chunks, LANE_WORDS, DIRTY_ALL, &mut st_bound, &mut outs)
+            .eval_bound_into(&bound, &chunks, words, DIRTY_ALL, &mut compiled.new_state(), &mut kernel_outs)
             .unwrap();
         prop_assert!(stats.kernel);
         prop_assert_eq!(stats.ops_skipped, 0, "a DIRTY_ALL sweep skips nothing");
-        for ((_, name, _), chunk) in bound.outputs().iter().zip(&outs) {
-            let named = kernel_outs
-                .iter()
-                .find(|(n, _)| n == name.as_ref())
-                .unwrap();
-            prop_assert_eq!(&named.1, chunk, "bound output '{}'", name);
-        }
-
-        // every one of the 256 lanes equals a scalar fixpoint evaluation
-        let mut want_sorted = kernel_outs.clone();
-        want_sorted.sort();
-        for lane in 0..MAX_LANES {
-            let (word, bit) = (lane / 64, lane % 64);
-            let scalar: Vec<(&str, bool)> = names
-                .iter()
-                .zip(&chunks)
-                .map(|(n, c)| (n.as_str(), (c[word] >> bit) & 1 == 1))
-                .collect();
-            let (mut gold, _) = evaluate_fixpoint(&f, 0, &scalar).unwrap();
-            gold.sort();
-            prop_assert_eq!(gold.len(), want_sorted.len());
-            for (g, (name, chunk)) in gold.iter().zip(&want_sorted) {
-                prop_assert_eq!(&g.0, name, "lane {}", lane);
-                prop_assert_eq!(
-                    g.1,
-                    (chunk[word] >> bit) & 1 == 1,
-                    "output {} lane {}", g.0, lane
-                );
-            }
-        }
+        let reference = compiled
+            .eval_bound_reference(&bound, &chunks, words, &mut compiled.new_state(), &mut ref_outs)
+            .unwrap();
+        prop_assert!(!reference.kernel);
+        prop_assert_eq!(&kernel_outs, &ref_outs, "kernel vs interpreter at {} words", words);
+        assert_zero_past(&kernel_outs, words)?;
+        assert_lanes_match_fixpoint(&f, &bound, &chunks, &kernel_outs, words)?;
     }
 
-    /// A cyclic plane compiles no kernel; `eval_chunks_into` falls back
-    /// to the interpreter and stays the bit-exact oracle, and the
-    /// prebound path reports a full non-kernel sweep regardless of the
-    /// dirty mask.
+    /// A cyclic plane compiles no kernel; `eval_bound_into` falls back to
+    /// the interpreter — a full non-kernel sweep regardless of the dirty
+    /// mask — and stays bit-exact with the reference at every width.
     #[test]
     fn cyclic_overlay_falls_back_to_the_interpreter(
         seed in 0u64..3000,
         lane_seed in any::<u64>(),
+        words in 1usize..=LANE_WORDS,
     ) {
         const INPUTS: usize = 4;
         let nl = random_dag(seed, INPUTS, 5, "");
@@ -307,75 +315,36 @@ proptest! {
         prop_assert!(compiled.plane(0).unwrap().is_cyclic());
         prop_assert!(!compiled.has_kernel(0), "cyclic planes carry no kernel");
 
-        let mut rng = StdRng::seed_from_u64(lane_seed);
-        let names: Vec<String> = (0..INPUTS).map(|i| format!("i{i}")).collect();
-        let chunks: Vec<LaneChunk> = names.iter().map(|_| random_chunk(&mut rng)).collect();
-        let inputs: Vec<(&str, LaneChunk)> = names
-            .iter()
-            .zip(&chunks)
-            .map(|(n, c)| (n.as_str(), *c))
-            .collect();
-
-        let mut st_a = compiled.new_state();
-        let got = compiled.eval_chunks_into(0, &inputs, LANE_WORDS, &mut st_a).unwrap();
-        let mut st_b = compiled.new_state();
-        let reference = compiled
-            .eval_chunks_into_reference(0, &inputs, LANE_WORDS, &mut st_b)
-            .unwrap();
-        prop_assert_eq!(&got, &reference);
-
         let bound = compiled.bind(0).unwrap();
-        let bound_chunks: Vec<LaneChunk> = bound
-            .inputs()
-            .iter()
-            .map(|(_, name, _)| {
-                inputs.iter().find(|(n, _)| *n == name.as_ref()).unwrap().1
-            })
-            .collect();
-        let mut st_c = compiled.new_state();
-        let mut outs = Vec::new();
+        let mut rng = StdRng::seed_from_u64(lane_seed);
+        let chunks: Vec<LaneChunk> =
+            bound.inputs().iter().map(|_| random_chunk(&mut rng)).collect();
+        let (mut got, mut reference) = (Vec::new(), Vec::new());
         // dirty = 0 is ignored off the kernel path: still a full sweep
         let stats = compiled
-            .eval_bound_into(&bound, &bound_chunks, LANE_WORDS, 0, &mut st_c, &mut outs)
+            .eval_bound_into(&bound, &chunks, words, 0, &mut compiled.new_state(), &mut got)
             .unwrap();
         prop_assert!(!stats.kernel);
         prop_assert_eq!(stats.ops_skipped, 0);
-        for ((_, name, _), chunk) in bound.outputs().iter().zip(&outs) {
-            let named = got.iter().find(|(n, _)| n == name.as_ref()).unwrap();
-            prop_assert_eq!(&named.1, chunk, "bound output '{}'", name);
-        }
-
-        for lane in 0..MAX_LANES {
-            let (word, bit) = (lane / 64, lane % 64);
-            let scalar: Vec<(&str, bool)> = names
-                .iter()
-                .zip(&chunks)
-                .map(|(n, c)| (n.as_str(), (c[word] >> bit) & 1 == 1))
-                .collect();
-            let (mut gold, _) = evaluate_fixpoint(&f, 0, &scalar).unwrap();
-            gold.sort();
-            let mut got_sorted = got.clone();
-            got_sorted.sort();
-            for (g, (name, chunk)) in gold.iter().zip(&got_sorted) {
-                prop_assert_eq!(&g.0, name);
-                prop_assert_eq!(
-                    g.1,
-                    (chunk[word] >> bit) & 1 == 1,
-                    "output {} lane {}", g.0, lane
-                );
-            }
-        }
+        compiled
+            .eval_bound_reference(&bound, &chunks, words, &mut compiled.new_state(), &mut reference)
+            .unwrap();
+        prop_assert_eq!(&got, &reference);
+        assert_zero_past(&got, words)?;
+        assert_lanes_match_fixpoint(&f, &bound, &chunks, &got, words)?;
     }
 
     /// Dirty-cone partial sweeps on a persistent state are
-    /// observationally equivalent to fresh full sweeps: after any
-    /// sequence of partial input changes, outputs match both a cold
-    /// DIRTY_ALL kernel run and the reference interpreter.
+    /// observationally equivalent to fresh full sweeps at every width:
+    /// after any sequence of partial input changes, outputs match both a
+    /// cold DIRTY_ALL kernel run and the reference interpreter, with
+    /// every word past the width zero.
     #[test]
     fn dirty_cone_partial_sweeps_match_full_evals(
         seed in 0u64..5000,
         lane_seed in any::<u64>(),
         rounds in 1usize..5,
+        words in 1usize..=LANE_WORDS,
     ) {
         const INPUTS: usize = 4;
         let nl = random_dag(seed, INPUTS, 7, "");
@@ -391,7 +360,7 @@ proptest! {
         let mut st = compiled.new_state();
         let mut outs = Vec::new();
         let full = compiled
-            .eval_bound_into(&bound, &chunks, LANE_WORDS, DIRTY_ALL, &mut st, &mut outs)
+            .eval_bound_into(&bound, &chunks, words, DIRTY_ALL, &mut st, &mut outs)
             .unwrap();
         prop_assert!(full.kernel);
         prop_assert_eq!(full.ops_skipped, 0);
@@ -406,7 +375,7 @@ proptest! {
                 }
             }
             let stats = compiled
-                .eval_bound_into(&bound, &chunks, LANE_WORDS, dirty, &mut st, &mut outs)
+                .eval_bound_into(&bound, &chunks, words, dirty, &mut st, &mut outs)
                 .unwrap();
             prop_assert!(stats.kernel);
             prop_assert_eq!(stats.ops_total, full.ops_total);
@@ -417,33 +386,20 @@ proptest! {
                 );
             }
             let incremental = outs.clone();
+            assert_zero_past(&incremental, words)?;
 
             // oracle 1: a cold full kernel sweep on a fresh state
-            let mut st_cold = compiled.new_state();
             let cold = compiled
-                .eval_bound_into(&bound, &chunks, LANE_WORDS, DIRTY_ALL, &mut st_cold, &mut outs)
+                .eval_bound_into(&bound, &chunks, words, DIRTY_ALL, &mut compiled.new_state(), &mut outs)
                 .unwrap();
             prop_assert_eq!(cold.ops_skipped, 0);
             prop_assert_eq!(&incremental, &outs, "round {}: partial vs cold", round);
 
             // oracle 2: the branchy reference interpreter
-            let named: Vec<(&str, LaneChunk)> = bound
-                .inputs()
-                .iter()
-                .zip(&chunks)
-                .map(|((_, n, _), c)| (n.as_ref(), *c))
-                .collect();
-            let mut st_ref = compiled.new_state();
-            let reference = compiled
-                .eval_chunks_into_reference(0, &named, LANE_WORDS, &mut st_ref)
+            compiled
+                .eval_bound_reference(&bound, &chunks, words, &mut compiled.new_state(), &mut outs)
                 .unwrap();
-            for ((_, name, _), chunk) in bound.outputs().iter().zip(&incremental) {
-                let r = reference.iter().find(|(n, _)| n == name.as_ref()).unwrap();
-                prop_assert_eq!(
-                    &r.1, chunk,
-                    "round {}: output '{}' vs interpreter", round, name
-                );
-            }
+            prop_assert_eq!(&incremental, &outs, "round {}: partial vs interpreter", round);
         }
     }
 }

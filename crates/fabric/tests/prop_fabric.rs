@@ -106,7 +106,7 @@ proptest! {
         let mut f = fabric();
         let ok = implement_netlist(&mut f, &nl, (seed % 4) as usize, seed);
         prop_assume!(ok.is_ok());
-        let restored = unpack(pack(&f)).unwrap();
+        let restored = unpack(&pack(&f).unwrap()).unwrap();
         // identical behaviour on a random vector
         let ins: Vec<(String, bool)> = (0..3)
             .map(|i| (format!("i{i}"), (seed >> i) & 1 == 1))

@@ -1,12 +1,11 @@
 //! The tenant checkpoint model and its versioned wire codec.
 
-use crate::wire::{Reader, Writer};
 use crate::{MigrateError, FORMAT_VERSION};
 use mcfpga_core::ArchKind;
 use mcfpga_cost::attribution::TenantUsage;
 use mcfpga_fabric::compiled::{LaneChunk, LANE_WORDS, MAX_LANES};
+use mcfpga_fabric::wire::{Reader, Writer};
 use mcfpga_fabric::{FabricParams, RegisterFile};
-use serde::{Deserialize, Serialize};
 
 /// First bytes of every checkpoint buffer.
 pub const MAGIC: [u8; 4] = *b"MCKP";
@@ -19,7 +18,7 @@ pub const MAGIC: [u8; 4] = *b"MCKP";
 /// (a restore issues *fresh* ids — see the service docs — so a stale
 /// checkpoint can never resurrect requests that were answered or
 /// discarded after it was taken).
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PendingBatch {
     /// Occupied lanes (queued requests).
     pub lanes: usize,
@@ -34,7 +33,7 @@ pub struct PendingBatch {
 /// Taken at a context-switch boundary (between fabric passes), where the
 /// tenant's whole execution state is explicit; see the
 /// [crate docs](crate) for the field-by-field rationale.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TenantCheckpoint {
     /// Human-readable tenant name.
     pub name: String,
@@ -60,25 +59,6 @@ pub struct TenantCheckpoint {
     pub usage: TenantUsage,
 }
 
-fn arch_code(arch: ArchKind) -> u8 {
-    match arch {
-        ArchKind::Sram => 0,
-        ArchKind::MvFgfp => 1,
-        ArchKind::Hybrid => 2,
-    }
-}
-
-fn arch_from(code: u8) -> Result<ArchKind, MigrateError> {
-    match code {
-        0 => Ok(ArchKind::Sram),
-        1 => Ok(ArchKind::MvFgfp),
-        2 => Ok(ArchKind::Hybrid),
-        other => Err(MigrateError::Corrupt(format!(
-            "unknown architecture code {other}"
-        ))),
-    }
-}
-
 impl TenantCheckpoint {
     /// Serializes through the versioned wire format. Deterministic: equal
     /// checkpoints produce equal bytes (every collection in the model is
@@ -102,7 +82,7 @@ impl TenantCheckpoint {
         ] {
             w.u32(dim as u32);
         }
-        w.u8(arch_code(p.arch));
+        w.u8(p.arch.code());
         w.u32(self.ctx as u32);
         w.u32(self.css_position as u32);
         w.u32(self.pending.lanes as u32);
@@ -179,7 +159,9 @@ impl TenantCheckpoint {
         for d in &mut dims {
             *d = r.u32()? as usize;
         }
-        let arch = arch_from(r.u8()?)?;
+        let code = r.u8()?;
+        let arch = ArchKind::from_code(code)
+            .ok_or_else(|| MigrateError::Corrupt(format!("unknown architecture code {code}")))?;
         let params = FabricParams {
             width: dims[0],
             height: dims[1],

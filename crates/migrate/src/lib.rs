@@ -29,11 +29,11 @@
 //! tenant.
 //!
 //! [`TenantCheckpoint`] serializes through a small versioned wire format
-//! ([`FORMAT_VERSION`], golden-file pinned); deserializing a checkpoint
-//! written by an unknown future format fails loudly with
-//! [`MigrateError::VersionMismatch`] instead of corrupting state. The
-//! in-memory types additionally derive the workspace's (stand-in) `serde`
-//! markers, so swapping in real serde needs no source changes.
+//! ([`FORMAT_VERSION`], golden-file pinned) built on the same
+//! length-guarded codec as the configuration bitstream
+//! ([`mcfpga_fabric::wire`]); deserializing a checkpoint written by an
+//! unknown future format fails loudly with
+//! [`MigrateError::VersionMismatch`] instead of corrupting state.
 //!
 //! The live operations themselves — `checkpoint_tenant`, `restore_tenant`,
 //! `migrate_tenant`, `evacuate_shard` — live on
@@ -64,9 +64,9 @@
 #![forbid(unsafe_code)]
 
 pub mod checkpoint;
-pub mod wire;
 
 pub use checkpoint::{PendingBatch, TenantCheckpoint};
+use mcfpga_fabric::wire::WireError;
 
 /// Version stamped into every serialized checkpoint. Bump on any layout
 /// change; decoders reject other versions with
@@ -179,3 +179,14 @@ impl std::fmt::Display for MigrateError {
 }
 
 impl std::error::Error for MigrateError {}
+
+impl From<WireError> for MigrateError {
+    fn from(e: WireError) -> Self {
+        match e {
+            WireError::Truncated { needed, remaining } => {
+                MigrateError::Truncated { needed, remaining }
+            }
+            WireError::Corrupt(what) => MigrateError::Corrupt(what),
+        }
+    }
+}

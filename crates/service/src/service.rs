@@ -1419,7 +1419,7 @@ mod tests {
             let bitstreams: Vec<_> = svc
                 .engines()
                 .iter()
-                .map(|e| bitstream::pack(e.fabric()).to_vec())
+                .map(|e| bitstream::pack(e.fabric()).unwrap())
                 .collect();
             let ops = svc
                 .telemetry()

@@ -51,12 +51,13 @@ fn main() {
 
     // Compile once: every context plane flattened and levelized.
     let compiled = CompiledFabric::compile(&fabric).expect("compile");
+    let mut scratch = compiled.new_state();
 
     // Single queries through the batch engine (lane 0 carries the vector).
     println!("\ncycling contexts over shared input pads:");
 
     let out = compiled
-        .eval_batch_sorted(
+        .eval_batch_into(
             0,
             &[
                 ("x0", u64::from(true)),
@@ -64,12 +65,13 @@ fn main() {
                 ("x2", u64::from(false)),
                 ("x3", u64::from(true)),
             ],
+            &mut scratch,
         )
         .expect("parity");
     println!("  ctx 0 parity(1101)   → {}", out[0].1 & 1 == 1);
 
     let out = compiled
-        .eval_batch_sorted(
+        .eval_batch_into(
             1,
             &[
                 ("d0", u64::from(false)),
@@ -79,12 +81,13 @@ fn main() {
                 ("sel0", u64::from(false)),
                 ("sel1", u64::from(true)),
             ],
+            &mut scratch,
         )
         .expect("mux");
     println!("  ctx 1 mux(sel=2)     → {}", out[0].1 & 1 == 1);
 
     let out = compiled
-        .eval_batch_sorted(
+        .eval_batch_into(
             2,
             &[
                 ("a0", u64::from(true)),
@@ -96,12 +99,13 @@ fn main() {
                 ("b2", u64::from(true)),
                 ("b3", u64::from(false)),
             ],
+            &mut scratch,
         )
         .expect("compare");
     println!("  ctx 2 eq(0b0101, 0b0101) → {}", out[0].1 & 1 == 1);
 
     let out = compiled
-        .eval_batch_sorted(
+        .eval_batch_into(
             3,
             &[
                 ("x0", u64::from(true)),
@@ -109,6 +113,7 @@ fn main() {
                 ("x2", u64::from(true)),
                 ("x3", u64::from(false)),
             ],
+            &mut scratch,
         )
         .expect("popcount");
     let count = out.iter().fold(0u32, |acc, (n, v)| {
@@ -125,7 +130,9 @@ fn main() {
         .map(|i| (format!("x{i}"), pack_lanes(|v| v < 16 && (v >> i) & 1 == 1)))
         .collect();
     let ins: Vec<(&str, u64)> = lanes.iter().map(|(n, v)| (n.as_str(), *v)).collect();
-    let batch = compiled.eval_batch_sorted(0, &ins).expect("batch parity");
+    let batch = compiled
+        .eval_batch_into(0, &ins, &mut scratch)
+        .expect("batch parity");
     println!(
         "\nbatch query: parity of all 16 vectors in one {LANES}-lane pass → {:#06x}",
         batch[0].1 & 0xFFFF

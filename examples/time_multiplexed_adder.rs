@@ -99,12 +99,12 @@ fn main() {
     );
 
     // Bitstream round-trip.
-    let bits = bitstream::pack(&fabric);
+    let bits = bitstream::pack(&fabric).expect("pack");
     println!(
         "\nbitstream: {} bytes for all 4 configuration planes",
         bits.len()
     );
-    let restored = bitstream::unpack(bits).expect("unpack");
+    let restored = bitstream::unpack(&bits).expect("unpack");
     let out = execute(
         &restored,
         &part,

@@ -38,7 +38,9 @@ fn parity8_exhaustive_in_four_batches() {
             })
             .collect();
         let ins_ref: Vec<(&str, u64)> = ins.iter().map(|(n, v)| (n.as_str(), *v)).collect();
-        let out = compiled.eval_batch_sorted(0, &ins_ref).unwrap();
+        let out = compiled
+            .eval_batch_into(0, &ins_ref, &mut compiled.new_state())
+            .unwrap();
         for l in 0..LANES as u64 {
             let v = batch * LANES as u64 + l;
             let want = (0..8).filter(|i| (v >> i) & 1 == 1).count() % 2 == 1;
@@ -54,7 +56,7 @@ fn bitstream_roundtrip_preserves_compiled_behaviour() {
     let nl = generators::ripple_adder(2).unwrap();
     let mut f = fabric(4, 4, 3);
     implement_netlist(&mut f, &nl, 1, 23).unwrap();
-    let restored = bitstream::unpack(bitstream::pack(&f)).unwrap();
+    let restored = bitstream::unpack(&bitstream::pack(&f).unwrap()).unwrap();
     let a = CompiledFabric::compile(&f).unwrap();
     let b = CompiledFabric::compile(&restored).unwrap();
     let names = ["a0", "a1", "b0", "b1", "cin"];
@@ -64,8 +66,8 @@ fn bitstream_roundtrip_preserves_compiled_behaviour() {
         .map(|(i, n)| (*n, 0xA5A5_5A5A_DEAD_BEEFu64.rotate_left(i as u32 * 7)))
         .collect();
     assert_eq!(
-        a.eval_batch_sorted(1, &ins).unwrap(),
-        b.eval_batch_sorted(1, &ins).unwrap()
+        a.eval_batch_into(1, &ins, &mut a.new_state()).unwrap(),
+        b.eval_batch_into(1, &ins, &mut b.new_state()).unwrap()
     );
 }
 

@@ -71,7 +71,7 @@ fn eight_context_bitstream_roundtrip() {
     let mut f = fabric8(ArchKind::Hybrid);
     let nl = generators::popcount4().unwrap();
     implement_netlist_robust(&mut f, &nl, 5, 77, 8).unwrap();
-    let restored = unpack(pack(&f)).unwrap();
+    let restored = unpack(&pack(&f).unwrap()).unwrap();
     for x in 0..16u32 {
         let ins: Vec<(String, bool)> = (0..4)
             .map(|i| (format!("x{i}"), (x >> i) & 1 == 1))

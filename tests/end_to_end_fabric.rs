@@ -133,7 +133,7 @@ fn bitstream_roundtrip_preserves_all_contexts() {
     let lanes = generators::wire_lanes(2).unwrap();
     implement_netlist(&mut f, &parity, 0, 4).unwrap();
     implement_netlist(&mut f, &lanes, 2, 5).unwrap();
-    let restored = bitstream::unpack(bitstream::pack(&f)).unwrap();
+    let restored = bitstream::unpack(&bitstream::pack(&f).unwrap()).unwrap();
     for x in 0..16u32 {
         let ins: Vec<(String, bool)> = (0..4)
             .map(|i| (format!("x{i}"), (x >> i) & 1 == 1))

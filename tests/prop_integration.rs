@@ -110,7 +110,7 @@ proptest! {
         let nl = generators::parity_tree(4).unwrap();
         let mut f = Fabric::new(FabricParams::default()).unwrap();
         implement_netlist(&mut f, &nl, (seed % 4) as usize, seed).unwrap();
-        let restored = unpack(pack(&f)).unwrap();
+        let restored = unpack(&pack(&f).unwrap()).unwrap();
         prop_assert_eq!(f.crosspoint_count(), restored.crosspoint_count());
         // spot check behaviour
         let ins = [("x0", true), ("x1", false), ("x2", true), ("x3", false)];
