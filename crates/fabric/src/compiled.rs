@@ -30,7 +30,9 @@
 //! [`crate::sim::evaluate_sorted`]), and
 //! [`CompiledFabric::eval_bound_reference`] runs the reference interpreter
 //! in the same bound order as the test oracle. Independent single-vector
-//! requests are coalesced into one pass with [`LaneBatch`].
+//! requests are coalesced into one pass with [`LaneBatch`], which keeps
+//! one lane chunk per fixed input column
+//! ([`BoundPlan::input_columns`]).
 //!
 //! ```
 //! use mcfpga_fabric::compiled::{pack_lanes, CompiledFabric};
@@ -128,64 +130,59 @@ pub type ResourceId = u32;
 /// Coalesces independent single-vector requests into the lane chunks one
 /// evaluation pass consumes.
 ///
-/// Each pushed request occupies one lane; the batch keeps the union of all
-/// named inputs, with lane `l` of a name's [`LaneChunk`] holding request
-/// `l`'s value (a request that omits a name contributes 0 in its lane).
-/// After the pass, lane `l` of each output chunk ([`chunk_bit`]) is
-/// request `l`'s answer. The capacity is the batch's **width**: [`LANES`]
-/// (one word) for [`LaneBatch::new`], up to [`MAX_LANES`] via
+/// A batch has fixed **columns**: the input names its owner binds, fixed
+/// when the batch is made (a service tenant's columns are its plane's
+/// distinct non-register inputs, [`BoundPlan::input_columns`]). Each
+/// pushed request occupies one lane; lane `l` of column `c`'s
+/// [`LaneChunk`] holds request `l`'s value for that name. A request must
+/// drive every column, and names that are not columns are ignored. After
+/// the pass, lane `l` of each output chunk ([`chunk_bit`]) is request
+/// `l`'s answer. The capacity is the batch's **width**: [`LANES`] (one
+/// word) for [`LaneBatch::new`], up to [`MAX_LANES`] via
 /// [`LaneBatch::with_width`].
 ///
 /// ```
-/// use mcfpga_fabric::compiled::{LaneBatch, LANES};
+/// use mcfpga_fabric::compiled::{LaneBatch, PushRefusal};
+/// use std::sync::Arc;
 ///
-/// let mut batch = LaneBatch::new();
+/// let mut batch = LaneBatch::new(Arc::from([Arc::from("x"), Arc::from("y")]));
 /// let lane_a = batch.push(&[("x", true), ("y", false)]).unwrap();
-/// let lane_b = batch.push(&[("x", false), ("y", true)]).unwrap();
+/// let lane_b = batch.push(&[("y", true), ("x", false), ("extra", true)]).unwrap();
 /// assert_eq!((lane_a, lane_b), (0, 1));
+/// assert_eq!(batch.push(&[("x", true)]), Err(PushRefusal::MissingInput(1)));
 /// assert_eq!(batch.len(), 2);
-/// assert!(!batch.is_full());
-///
-/// let inputs = batch.lane_inputs();
-/// let x = inputs.iter().find(|(n, _)| *n == "x").unwrap().1;
-/// assert_eq!(x[0] & 0b11, 0b01); // lane 0 true, lane 1 false
+/// assert_eq!(batch.chunks()[0][0] & 0b11, 0b01); // x: lane 0 true, lane 1 false
 /// ```
 #[derive(Debug, Clone)]
 pub struct LaneBatch {
     width: usize,
     lanes: usize,
-    inputs: Vec<(String, LaneChunk)>,
-    /// Resolved input indices of the request being pushed; reused across
-    /// [`LaneBatch::push_covering`] calls so the hot path allocates nothing.
-    idx_scratch: Vec<u32>,
+    columns: Arc<[Arc<str>]>,
+    /// One chunk per column, column order.
+    chunks: Vec<LaneChunk>,
 }
 
-impl Default for LaneBatch {
-    fn default() -> Self {
-        LaneBatch::new()
-    }
-}
-
-/// Why [`LaneBatch::push_covering`] refused a request.
+/// Why [`LaneBatch::push`] refused a request. The batch is unchanged.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PushRefusal {
     /// All of the batch's [`LaneBatch::width`] lanes are occupied.
     Full,
-    /// The request did not drive the canonical input at this index (see
-    /// [`LaneBatch::ensure_name`]); [`LaneBatch::input_name`] maps it back
-    /// to the signal name. The batch is unchanged.
+    /// The request did not drive the column at this index — the first
+    /// such column, in column order ([`LaneBatch::columns`]).
     MissingInput(usize),
 }
 
 impl LaneBatch {
-    /// An empty batch at the legacy single-word width ([`LANES`]).
+    /// An empty batch over `columns` at the legacy single-word width
+    /// ([`LANES`]).
     #[must_use]
-    pub fn new() -> Self {
-        LaneBatch::with_width(LANES).expect("LANES is a valid width")
+    pub fn new(columns: Arc<[Arc<str>]>) -> Self {
+        LaneBatch::with_width(LANES, columns).expect("LANES is a valid width")
     }
 
-    /// An empty batch holding up to `width` lanes, `1..=MAX_LANES`.
-    pub fn with_width(width: usize) -> Result<Self, FabricError> {
+    /// An empty batch over `columns` holding up to `width` lanes,
+    /// `1..=MAX_LANES`.
+    pub fn with_width(width: usize, columns: Arc<[Arc<str>]>) -> Result<Self, FabricError> {
         if width == 0 || width > MAX_LANES {
             return Err(FabricError::BadParams(format!(
                 "batch width {width} outside 1..={MAX_LANES}"
@@ -194,9 +191,75 @@ impl LaneBatch {
         Ok(LaneBatch {
             width,
             lanes: 0,
-            inputs: Vec::new(),
-            idx_scratch: Vec::new(),
+            chunks: vec![[0u64; LANE_WORDS]; columns.len()],
+            columns,
         })
+    }
+
+    /// Rebuilds a batch over `columns` from serialized parts: the target
+    /// width, the occupied-lane count and `(name, chunk)` pairs in any
+    /// order — the inverse of reading [`len`](Self::len),
+    /// [`columns`](Self::columns) and [`chunks`](Self::chunks). Names
+    /// resolve to columns by name, so a restored batch evaluates
+    /// bit-for-bit like the original whatever order its names came in.
+    /// Names that are not columns are dropped. Refused: a column named
+    /// twice, a column missing while lanes are occupied, and lane bits
+    /// set above the occupied lanes.
+    pub fn from_parts(
+        width: usize,
+        lanes: usize,
+        columns: Arc<[Arc<str>]>,
+        inputs: &[(String, LaneChunk)],
+    ) -> Result<Self, FabricError> {
+        let mut batch = LaneBatch::with_width(width, columns)?;
+        if lanes > width {
+            return Err(FabricError::BadParams(format!(
+                "{lanes} lanes exceed the {width}-lane batch width"
+            )));
+        }
+        let mut filled = vec![false; batch.columns.len()];
+        for (i, (name, chunk)) in inputs.iter().enumerate() {
+            // bits above the occupied lanes must be clear: push ORs new
+            // values in assuming them zero, so a stray high bit would leak
+            // into a later request's lane as a silently wrong input
+            for (w, word) in chunk.iter().enumerate() {
+                let occupied_here = lanes.saturating_sub(w * 64).min(64);
+                let unoccupied = if occupied_here == 64 {
+                    0
+                } else {
+                    !0u64 << occupied_here
+                };
+                if word & unoccupied != 0 {
+                    return Err(FabricError::BadParams(format!(
+                        "input '{name}' has lane bits set beyond the {lanes} occupied lanes"
+                    )));
+                }
+            }
+            // names usually arrive in column order: probe position `i` first
+            let col = match batch.columns.get(i) {
+                Some(col) if **col == **name => Some(i),
+                _ => batch.columns.iter().position(|col| **col == **name),
+            };
+            if let Some(c) = col {
+                if std::mem::replace(&mut filled[c], true) {
+                    return Err(FabricError::BadParams(format!(
+                        "input '{name}' appears twice"
+                    )));
+                }
+                batch.chunks[c] = *chunk;
+            }
+        }
+        match filled.iter().position(|f| !f) {
+            Some(c) if lanes > 0 => {
+                return Err(FabricError::BadParams(format!(
+                    "input '{}' missing from a batch with {lanes} occupied lanes",
+                    batch.columns[c]
+                )))
+            }
+            _ => {}
+        }
+        batch.lanes = lanes;
+        Ok(batch)
     }
 
     /// Lane capacity of this batch.
@@ -231,237 +294,79 @@ impl LaneBatch {
         self.lanes == self.width
     }
 
-    /// Adds one single-vector request, returning the lane it occupies, or
-    /// `None` when the batch is already full.
-    pub fn push(&mut self, request: &[(&str, bool)]) -> Option<usize> {
-        self.push_covering(request, 0).ok()
+    /// The input names every request must drive, in column order.
+    #[must_use]
+    pub fn columns(&self) -> &Arc<[Arc<str>]> {
+        &self.columns
     }
 
-    /// [`push`](Self::push) that additionally verifies the request drives
-    /// every one of the batch's first `required` input names (the canonical
-    /// prefix an executor seeds with [`ensure_name`](Self::ensure_name)) —
-    /// in the *same* single name-resolution scan, so the coverage check
-    /// costs no extra string comparisons. On refusal the batch's lane
-    /// contents are unchanged.
+    /// One lane chunk per column, column order.
+    #[must_use]
+    pub fn chunks(&self) -> &[LaneChunk] {
+        &self.chunks
+    }
+
+    /// Adds one single-vector request, returning the lane it occupies.
+    /// Each column takes the OR of the request's values under its name;
+    /// other names are ignored. Refused, with the batch unchanged, when
+    /// the batch is full or the request leaves a column undriven.
     ///
-    /// This is the check a batch executor needs: evaluation consumes the
-    /// *union* of all lanes' names, so a lane that omitted a name another
-    /// lane drives would otherwise silently read 0.
-    ///
-    /// Requests from one submitter present names in a stable order, so
-    /// they usually match the union name for name: such a request (one
-    /// that also covers the prefix) is committed in the same loop that
-    /// checks its names. Any other request takes the resolving path,
-    /// whose positional probe still spares most linear rescans.
-    pub fn push_covering(
-        &mut self,
-        request: &[(&str, bool)],
-        required: usize,
-    ) -> Result<usize, PushRefusal> {
+    /// A request whose names are the columns in column order — what a
+    /// submitter that reuses one name list sends — is committed in the
+    /// same loop that compares its names. Any other request is checked
+    /// for coverage first, then committed by name search.
+    pub fn push(&mut self, request: &[(&str, bool)]) -> Result<usize, PushRefusal> {
         if self.is_full() {
             return Err(PushRefusal::Full);
         }
         let lane = self.lanes;
         let (word, shift) = (lane / 64, lane % 64);
-        if request.len() >= required {
-            // single pass: names line up with the union positionally (so
-            // the request covers the prefix), lane bits ORed as we go
-            let mut matched = 0;
-            for ((name, value), (n, chunk)) in request.iter().zip(&mut self.inputs) {
-                if n != name {
-                    break;
-                }
-                chunk[word] |= u64::from(*value) << shift;
-                matched += 1;
+        let mut matched = 0;
+        for ((name, value), (col, chunk)) in request
+            .iter()
+            .zip(self.columns.iter().zip(&mut self.chunks))
+        {
+            if **col != **name {
+                break;
             }
-            if matched == request.len() {
-                self.lanes += 1;
-                return Ok(lane);
-            }
-            // undo the partial commit: the lane's bits were clear before
-            for (_, chunk) in &mut self.inputs[..matched] {
-                chunk[word] &= !(1u64 << shift);
-            }
+            chunk[word] |= u64::from(*value) << shift;
+            matched += 1;
         }
-        self.push_resolved(request, required)
+        if matched == self.columns.len() && matched == request.len() {
+            self.lanes += 1;
+            return Ok(lane);
+        }
+        // undo the partial commit: the lane's bits were clear before
+        for chunk in &mut self.chunks[..matched] {
+            chunk[word] &= !(1u64 << shift);
+        }
+        self.push_by_name(request)
     }
 
-    /// The general path of [`push_covering`](Self::push_covering), for a
-    /// batch with a free lane: resolve every name to a union index
-    /// (appending unknown ones) while accumulating coverage of the
-    /// canonical prefix, then commit the lane by index.
-    fn push_resolved(
-        &mut self,
-        request: &[(&str, bool)],
-        required: usize,
-    ) -> Result<usize, PushRefusal> {
-        // pass 1: resolve names to indices (the only string comparisons),
-        // accumulating coverage of the canonical prefix as a bitmask
-        let mut idx_scratch = std::mem::take(&mut self.idx_scratch);
-        idx_scratch.clear();
-        let mut covered = 0u64;
-        for (i, (name, _)) in request.iter().enumerate() {
-            let idx = match self.inputs.get(i) {
-                Some((n, _)) if n == name => i,
-                _ => match self.inputs.iter().position(|(n, _)| n == name) {
-                    Some(j) => j,
-                    None => {
-                        // appending with a zero chunk is harmless even if the
-                        // coverage check below refuses the request
-                        self.inputs.push(((*name).to_string(), [0u64; LANE_WORDS]));
-                        self.inputs.len() - 1
-                    }
-                },
-            };
-            if idx < required.min(64) {
-                covered |= 1 << idx;
-            }
-            idx_scratch.push(idx as u32);
+    /// [`push`](Self::push) for a request whose names do not line up with
+    /// the columns. Kept out of line so the positional path stays small.
+    #[inline(never)]
+    fn push_by_name(&mut self, request: &[(&str, bool)]) -> Result<usize, PushRefusal> {
+        let undriven = |col: &Arc<str>| !request.iter().any(|(n, _)| *n == &**col);
+        if let Some(c) = self.columns.iter().position(undriven) {
+            return Err(PushRefusal::MissingInput(c));
         }
-        let refusal = self.first_uncovered(required, covered, request);
-        if let Some(missing) = refusal {
-            self.idx_scratch = idx_scratch;
-            return Err(PushRefusal::MissingInput(missing));
-        }
-        // pass 2: commit the lane by index — no further name lookups
         let lane = self.lanes;
-        for (&idx, (_, value)) in idx_scratch.iter().zip(request) {
-            self.inputs[idx as usize].1[lane / 64] |= u64::from(*value) << (lane % 64);
+        for (name, value) in request {
+            if *value {
+                if let Some(c) = self.columns.iter().position(|col| **col == **name) {
+                    self.chunks[c][lane / 64] |= 1u64 << (lane % 64);
+                }
+            }
         }
         self.lanes += 1;
-        self.idx_scratch = idx_scratch;
         Ok(lane)
     }
 
-    /// First canonical-prefix index the request left undriven, if any.
-    /// Prefix indices past 64 exceed the coverage bitmask and fall back to
-    /// a name search (bound-input counts that large do not occur on real
-    /// geometries).
-    fn first_uncovered(
-        &self,
-        required: usize,
-        covered: u64,
-        request: &[(&str, bool)],
-    ) -> Option<usize> {
-        let in_mask = required.min(64);
-        let need = if in_mask == 64 {
-            u64::MAX
-        } else {
-            (1u64 << in_mask) - 1
-        };
-        if covered & need != need {
-            return Some((!covered & need).trailing_zeros() as usize);
-        }
-        for idx in 64..required {
-            let name = &self.inputs[idx].0;
-            if !request.iter().any(|(n, _)| n == name) {
-                return Some(idx);
-            }
-        }
-        None
-    }
-
-    /// Rebuilds a batch from its serialized parts: the target width, the
-    /// occupied-lane count and the union lane chunks, in union order — the
-    /// inverse of reading [`len`](Self::len) and
-    /// [`lane_inputs`](Self::lane_inputs). The checkpoint/restore path uses
-    /// this to reinstall pending requests exactly as they were queued (same
-    /// names, same lane bits), so a restored batch evaluates bit-for-bit
-    /// like the original.
-    pub fn from_parts(
-        width: usize,
-        lanes: usize,
-        inputs: Vec<(String, LaneChunk)>,
-    ) -> Result<Self, FabricError> {
-        let mut batch = LaneBatch::with_width(width)?;
-        if lanes > width {
-            return Err(FabricError::BadParams(format!(
-                "{lanes} lanes exceed the {width}-lane batch width"
-            )));
-        }
-        // bits above the occupied lanes must be clear: push_covering ORs
-        // new values in assuming them zero, so a stray high bit would leak
-        // into a later request's lane as a silently wrong input
-        for (name, chunk) in &inputs {
-            for (w, word) in chunk.iter().enumerate() {
-                let occupied_here = lanes.saturating_sub(w * 64).min(64);
-                let unoccupied = if occupied_here == 64 {
-                    0
-                } else {
-                    !0u64 << occupied_here
-                };
-                if word & unoccupied != 0 {
-                    return Err(FabricError::BadParams(format!(
-                        "input '{name}' has lane bits set beyond the {lanes} occupied lanes"
-                    )));
-                }
-            }
-        }
-        batch.lanes = lanes;
-        batch.inputs = inputs;
-        Ok(batch)
-    }
-
-    /// Union index of `name`, if present.
-    #[must_use]
-    pub fn name_index(&self, name: &str) -> Option<usize> {
-        self.inputs.iter().position(|(n, _)| n == name)
-    }
-
-    /// Appends `name` to the input union with an all-zero word when absent.
-    /// Executors call this at admission, in bound-input order, to seed the
-    /// canonical prefix [`push_covering`](Self::push_covering) checks
-    /// coverage against.
-    pub fn ensure_name(&mut self, name: &str) {
-        if !self.inputs.iter().any(|(n, _)| n == name) {
-            self.inputs.push((name.to_string(), [0u64; LANE_WORDS]));
-        }
-    }
-
-    /// The input name at union index `idx`, if any.
-    #[must_use]
-    pub fn input_name(&self, idx: usize) -> Option<&str> {
-        self.inputs.get(idx).map(|(n, _)| n.as_str())
-    }
-
-    /// The union lane chunk at index `idx` (zeros when out of range) —
-    /// the indexed companion to [`name_index`](Self::name_index), letting
-    /// executors that resolved names once read chunks without further
-    /// string comparisons.
-    #[must_use]
-    pub fn input_chunk(&self, idx: usize) -> LaneChunk {
-        self.inputs.get(idx).map_or([0u64; LANE_WORDS], |(_, c)| *c)
-    }
-
-    /// Number of distinct input names in the union.
-    #[must_use]
-    pub fn name_count(&self) -> usize {
-        self.inputs.len()
-    }
-
-    /// Drops union names past the first `keep` from an **empty** batch —
-    /// executors trim request-added names (unbound extras) back to the
-    /// canonical prefix when recycling, so the union cannot grow without
-    /// bound across a service's lifetime. No-op on a non-empty batch
-    /// (trimming would drop live lane values).
-    pub fn truncate_names(&mut self, keep: usize) {
-        if self.is_empty() {
-            self.inputs.truncate(keep);
-        }
-    }
-
-    /// The union lane chunks, in union order.
-    #[must_use]
-    pub fn lane_inputs(&self) -> Vec<(&str, LaneChunk)> {
-        self.inputs.iter().map(|(n, v)| (n.as_str(), *v)).collect()
-    }
-
-    /// Empties the batch for reuse, keeping the input-name capacity.
+    /// Empties the batch for reuse, keeping its columns.
     pub fn clear(&mut self) {
         self.lanes = 0;
-        for (_, chunk) in &mut self.inputs {
-            *chunk = [0u64; LANE_WORDS];
-        }
+        self.chunks.fill([0u64; LANE_WORDS]);
     }
 }
 
@@ -730,6 +635,20 @@ impl BoundPlan {
     #[must_use]
     pub fn outputs(&self) -> &[(ResourceId, Arc<str>, bool)] {
         &self.outputs
+    }
+
+    /// The plan's **input columns**: its distinct non-register input
+    /// names, in bind order — what a request must drive. Stream registers
+    /// are fed by their owner between passes, never by requests.
+    #[must_use]
+    pub fn input_columns(&self) -> Arc<[Arc<str>]> {
+        let mut columns: Vec<Arc<str>> = Vec::new();
+        for (_, name, is_reg) in &self.inputs {
+            if !is_reg && !columns.contains(name) {
+                columns.push(Arc::clone(name));
+            }
+        }
+        columns.into()
     }
 }
 
@@ -1875,32 +1794,39 @@ mod tests {
         );
     }
 
+    /// Batch columns from names.
+    fn cols(names: &[&str]) -> Arc<[Arc<str>]> {
+        names.iter().map(|n| Arc::from(*n)).collect()
+    }
+
     #[test]
     fn lane_batch_coalesces_and_demuxes() {
-        let mut batch = LaneBatch::new();
+        let mut batch = LaneBatch::new(cols(&["a", "b"]));
         assert!(batch.is_empty());
         for i in 0..LANES {
             let lane = batch.push(&[("a", i % 2 == 0), ("b", i % 3 == 0)]).unwrap();
             assert_eq!(lane, i);
         }
         assert!(batch.is_full());
-        assert_eq!(batch.push(&[("a", true)]), None, "65th request refused");
-        let ins = batch.lane_inputs();
-        let a = ins.iter().find(|(n, _)| *n == "a").unwrap().1;
-        let b = ins.iter().find(|(n, _)| *n == "b").unwrap().1;
-        assert_eq!(a, chunk_of_word(pack_lanes(|l| l % 2 == 0)));
-        assert_eq!(b, chunk_of_word(pack_lanes(|l| l % 3 == 0)));
+        assert_eq!(
+            batch.push(&[("a", true), ("b", true)]),
+            Err(PushRefusal::Full),
+            "65th request refused"
+        );
+        let [a, b] = batch.chunks() else {
+            panic!("two columns")
+        };
+        assert_eq!(*a, chunk_of_word(pack_lanes(|l| l % 2 == 0)));
+        assert_eq!(*b, chunk_of_word(pack_lanes(|l| l % 3 == 0)));
         batch.clear();
         assert!(batch.is_empty());
-        assert!(batch
-            .lane_inputs()
-            .iter()
-            .all(|(_, w)| *w == [0u64; LANE_WORDS]));
+        assert_eq!(batch.columns().len(), 2, "clear keeps the columns");
+        assert!(batch.chunks().iter().all(|w| *w == [0u64; LANE_WORDS]));
     }
 
     #[test]
     fn wide_batch_fills_past_64_lanes() {
-        let mut batch = LaneBatch::with_width(MAX_LANES).unwrap();
+        let mut batch = LaneBatch::with_width(MAX_LANES, cols(&["a"])).unwrap();
         assert_eq!(batch.width(), MAX_LANES);
         assert_eq!(batch.words(), 1, "empty batch still evaluates one word");
         for i in 0..MAX_LANES {
@@ -1909,17 +1835,21 @@ mod tests {
         }
         assert!(batch.is_full());
         assert_eq!(batch.words(), LANE_WORDS);
-        assert_eq!(batch.push(&[("a", true)]), None, "257th request refused");
-        let a = batch.lane_inputs()[0].1;
+        assert_eq!(
+            batch.push(&[("a", true)]),
+            Err(PushRefusal::Full),
+            "257th request refused"
+        );
+        let a = batch.chunks()[0];
         assert_eq!(a, pack_chunk(|l| l % 2 == 0));
         // lane 100 lives in word 1 bit 36
         assert!(chunk_bit(&a, 100));
         assert!(!chunk_bit(&a, 101));
         // widths outside 1..=MAX_LANES refuse
-        assert!(LaneBatch::with_width(0).is_err());
-        assert!(LaneBatch::with_width(MAX_LANES + 1).is_err());
+        assert!(LaneBatch::with_width(0, cols(&[])).is_err());
+        assert!(LaneBatch::with_width(MAX_LANES + 1, cols(&[])).is_err());
         // 65 occupied lanes need two words
-        let mut b = LaneBatch::with_width(MAX_LANES).unwrap();
+        let mut b = LaneBatch::with_width(MAX_LANES, cols(&["x"])).unwrap();
         for _ in 0..65 {
             b.push(&[("x", true)]).unwrap();
         }
@@ -1927,102 +1857,110 @@ mod tests {
     }
 
     #[test]
-    fn push_covering_checks_the_canonical_prefix() {
-        let mut b = LaneBatch::new();
-        b.ensure_name("a");
-        b.ensure_name("b");
-        b.ensure_name("a"); // idempotent
-                            // full coverage in any order; extra names are fine
-        assert_eq!(
-            b.push_covering(&[("b", true), ("a", false), ("zz", true)], 2),
-            Ok(0)
-        );
+    fn push_refuses_the_first_undriven_column() {
+        let mut b = LaneBatch::new(cols(&["a", "b"]));
+        // every column in any order; names that are not columns are ignored
+        assert_eq!(b.push(&[("b", true), ("a", false), ("zz", true)]), Ok(0));
         // missing "b": refused, lane contents unchanged
+        assert_eq!(b.push(&[("a", true)]), Err(PushRefusal::MissingInput(1)));
+        // both missing: the first in column order is named
+        assert_eq!(b.push(&[("zz", true)]), Err(PushRefusal::MissingInput(0)));
+        // a partial positional match is undone before the refusal
         assert_eq!(
-            b.push_covering(&[("a", true)], 2),
+            b.push(&[("a", true), ("zz", true)]),
             Err(PushRefusal::MissingInput(1))
         );
-        assert_eq!(b.input_name(1), Some("b"));
         assert_eq!(b.len(), 1);
-        let ins = b.lane_inputs();
-        assert_eq!(
-            ins.iter().find(|(n, _)| *n == "a").unwrap().1,
-            chunk_of_word(0)
-        );
-        assert_eq!(
-            ins.iter().find(|(n, _)| *n == "b").unwrap().1,
-            chunk_of_word(1)
-        );
-        // required = 0 behaves like a plain push
-        assert_eq!(b.push_covering(&[], 0), Ok(1));
+        assert_eq!(b.chunks(), [chunk_of_word(0), chunk_of_word(1)]);
+        // a repeated name ORs its values into its column
+        assert_eq!(b.push(&[("a", false), ("b", false), ("a", true)]), Ok(1));
+        assert_eq!(b.chunks(), [chunk_of_word(0b10), chunk_of_word(0b01)]);
+        // a column-less batch takes any request
+        assert_eq!(LaneBatch::new(cols(&[])).push(&[("q", true)]), Ok(0));
         // a full batch refuses regardless
         while !b.is_full() {
-            b.push(&[("a", true)]).unwrap();
+            b.push(&[("a", true), ("b", true)]).unwrap();
         }
-        assert_eq!(
-            b.push_covering(&[("a", true), ("b", true)], 2),
-            Err(PushRefusal::Full)
-        );
+        assert_eq!(b.push(&[("a", true), ("b", true)]), Err(PushRefusal::Full));
     }
 
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
 
-        /// The single-pass submit path commits exactly what the two-pass
-        /// resolving path commits: same lane, same refusal, same union
-        /// names and chunks — for requests in union order and for
-        /// permuted, duplicated, missing and extra names, until full.
+        /// `push` packs what a by-name reference packs: every column's
+        /// chunk is the OR of the values each lane's request gave under
+        /// that name; a refusal names the first undriven column and leaves
+        /// the batch unchanged; bits above the occupied lanes stay clear.
+        /// Columns are shuffled; requests carry extras, duplicates and
+        /// omissions, until the batch is full.
         #[test]
-        fn single_pass_push_matches_two_pass(
+        fn push_matches_a_by_name_reference(
             seed in proptest::prelude::any::<u64>(),
-            union in 0usize..8,
-            required_pick in 0usize..9,
-            width in 1usize..9,
+            ncols in 0usize..8,
+            width in 1usize..=MAX_LANES,
         ) {
             use rand::rngs::StdRng;
             use rand::{RngExt, SeedableRng};
             let mut rng = StdRng::seed_from_u64(seed);
-            let required = required_pick.min(union);
-            let mut batch = LaneBatch::with_width(width).unwrap();
-            for i in 0..union {
-                batch.ensure_name(&format!("n{i}"));
+            let mut names: Vec<String> = (0..ncols).map(|i| format!("n{i}")).collect();
+            for i in (1..names.len()).rev() {
+                names.swap(i, rng.random_range(0..i + 1));
             }
-            let mut two_pass = batch.clone();
-            let pool: Vec<String> = (0..union + 3).map(|i| format!("n{i}")).collect();
-            for _ in 0..12 {
-                let mut names: Vec<&str> = pool[..union].iter().map(String::as_str).collect();
-                match rng.random_range(0..6u32) {
-                    0 => {}
-                    1 => {
-                        for i in (1..names.len()).rev() {
-                            names.swap(i, rng.random_range(0..i + 1));
+            let columns: Arc<[Arc<str>]> = names.iter().map(|n| Arc::from(n.as_str())).collect();
+            let mut batch = LaneBatch::with_width(width, columns).unwrap();
+            let mut reference = vec![[0u64; LANE_WORDS]; ncols];
+            let extras = ["e0", "e1", "reg:e"];
+            for _ in 0..width + 2 {
+                let mut request: Vec<&str> = names.iter().map(String::as_str).collect();
+                for _ in 0..rng.random_range(0..3u32) {
+                    match rng.random_range(0..4u32) {
+                        0 => {
+                            for i in (1..request.len()).rev() {
+                                request.swap(i, rng.random_range(0..i + 1));
+                            }
+                        }
+                        1 if !request.is_empty() => {
+                            let dup = request[rng.random_range(0..request.len())];
+                            request.insert(rng.random_range(0..request.len() + 1), dup);
+                        }
+                        // omissions are rarer, so most requests land
+                        2 if !request.is_empty() && rng.random_range(0..3u32) == 0 => {
+                            request.remove(rng.random_range(0..request.len()));
+                        }
+                        _ => {
+                            let extra = extras[rng.random_range(0..extras.len())];
+                            request.insert(rng.random_range(0..request.len() + 1), extra);
                         }
                     }
-                    2 if !names.is_empty() => {
-                        let dup = names[rng.random_range(0..names.len())];
-                        names.insert(rng.random_range(0..names.len() + 1), dup);
+                }
+                let request: Vec<(&str, bool)> = request
+                    .into_iter()
+                    .map(|n| (n, rng.random_range(0..2u32) == 1))
+                    .collect();
+                let lane = batch.len();
+                let expected = if batch.is_full() {
+                    Err(PushRefusal::Full)
+                } else if let Some(c) = names
+                    .iter()
+                    .position(|col| !request.iter().any(|(n, _)| n == col))
+                {
+                    Err(PushRefusal::MissingInput(c))
+                } else {
+                    for (col, chunk) in names.iter().zip(&mut reference) {
+                        if request.iter().any(|(n, v)| n == col && *v) {
+                            chunk[lane / 64] |= 1 << (lane % 64);
+                        }
                     }
-                    3 if !names.is_empty() => {
-                        names.remove(rng.random_range(0..names.len()));
-                    }
-                    _ => {
-                        let extra = pool[union + rng.random_range(0..3usize)].as_str();
-                        names.insert(rng.random_range(0..names.len() + 1), extra);
+                    Ok(lane)
+                };
+                proptest::prop_assert_eq!(batch.push(&request), expected, "request {:?}", request);
+                proptest::prop_assert_eq!(batch.len(), lane + usize::from(expected.is_ok()));
+                proptest::prop_assert_eq!(batch.chunks(), &reference[..]);
+                for chunk in batch.chunks() {
+                    for l in batch.len()..MAX_LANES {
+                        proptest::prop_assert!(!chunk_bit(chunk, l), "bit above lane {}", l);
                     }
                 }
-                let request: Vec<(&str, bool)> = names
-                    .iter()
-                    .map(|n| (*n, rng.random_range(0..2u32) == 1))
-                    .collect();
-                let fast = batch.push_covering(&request, required);
-                let slow = if two_pass.is_full() {
-                    Err(PushRefusal::Full)
-                } else {
-                    two_pass.push_resolved(&request, required)
-                };
-                proptest::prop_assert_eq!(fast, slow, "request {:?}", request);
-                proptest::prop_assert_eq!(batch.len(), two_pass.len());
-                proptest::prop_assert_eq!(batch.lane_inputs(), two_pass.lane_inputs());
             }
         }
     }
@@ -2034,10 +1972,7 @@ mod tests {
         implement_netlist(&mut f, &nl, 0, 5).unwrap();
         let compiled = CompiledFabric::compile(&f).unwrap();
         let bound = compiled.bind(0).unwrap();
-        let mut batch = LaneBatch::new();
-        for (_, name, _) in bound.inputs() {
-            batch.ensure_name(name);
-        }
+        let mut batch = LaneBatch::new(bound.input_columns());
         let requests = [
             (true, false, true),
             (false, false, false),
@@ -2046,14 +1981,14 @@ mod tests {
         for (x0, x1, x2) in requests {
             batch.push(&[("x0", x0), ("x1", x1), ("x2", x2)]).unwrap();
         }
-        let chunks: Vec<LaneChunk> = (0..bound.inputs().len())
-            .map(|i| batch.input_chunk(i))
-            .collect();
+        // parity binds x0..x2 once each, no registers: columns are the
+        // bound inputs themselves
+        assert_eq!(batch.columns(), &cols(&["x0", "x1", "x2"]));
         let mut outs = Vec::new();
         compiled
             .eval_bound_into(
                 &bound,
-                &chunks,
+                batch.chunks(),
                 batch.words(),
                 DIRTY_ALL,
                 &mut compiled.new_state(),
@@ -2298,49 +2233,61 @@ mod tests {
 
     #[test]
     fn lane_batch_parts_round_trip() {
-        let mut batch = LaneBatch::new();
-        batch.ensure_name("a");
+        let ab = cols(&["a", "b"]);
+        let mut batch = LaneBatch::new(Arc::clone(&ab));
         batch.push(&[("a", true), ("b", false)]).unwrap();
         batch.push(&[("a", false), ("b", true)]).unwrap();
         let lanes = batch.len();
-        let inputs: Vec<(String, LaneChunk)> = batch
-            .lane_inputs()
-            .into_iter()
-            .map(|(n, v)| (n.to_string(), v))
+        let mut inputs: Vec<(String, LaneChunk)> = ab
+            .iter()
+            .zip(batch.chunks())
+            .map(|(n, v)| (n.to_string(), *v))
             .collect();
-        let rebuilt = LaneBatch::from_parts(LANES, lanes, inputs).unwrap();
+        let rebuilt = LaneBatch::from_parts(LANES, lanes, Arc::clone(&ab), &inputs).unwrap();
         assert_eq!(rebuilt.len(), batch.len());
         assert_eq!(rebuilt.width(), LANES);
-        assert_eq!(rebuilt.lane_inputs(), batch.lane_inputs());
-        assert_eq!(rebuilt.name_index("b"), Some(1));
-        assert_eq!(rebuilt.name_index("zz"), None);
-        assert!(LaneBatch::from_parts(LANES, LANES + 1, Vec::new()).is_err());
-        assert!(LaneBatch::from_parts(MAX_LANES, LANES + 1, Vec::new()).is_ok());
+        assert_eq!(rebuilt.chunks(), batch.chunks());
+        // names resolve by name: any order, and non-columns are dropped
+        inputs.reverse();
+        inputs.push(("zz".to_string(), chunk_of_word(0b11)));
+        let reordered = LaneBatch::from_parts(LANES, lanes, Arc::clone(&ab), &inputs).unwrap();
+        assert_eq!(reordered.chunks(), batch.chunks());
+        // a repeated name, or a column missing while lanes are occupied,
+        // is refused; a lane-less batch needs no names
+        let mut twice = inputs.clone();
+        twice.push(inputs[0].clone());
+        assert!(LaneBatch::from_parts(LANES, lanes, Arc::clone(&ab), &twice).is_err());
+        // a repeated name that is not a column is dropped like any other
+        twice.truncate(inputs.len());
+        twice.push(("zz".to_string(), chunk_of_word(0)));
+        assert!(LaneBatch::from_parts(LANES, lanes, Arc::clone(&ab), &twice).is_ok());
+        assert!(LaneBatch::from_parts(LANES, lanes, Arc::clone(&ab), &inputs[1..]).is_err());
+        assert!(LaneBatch::from_parts(LANES, 0, Arc::clone(&ab), &[]).is_ok());
+        assert!(LaneBatch::from_parts(LANES, LANES + 1, cols(&[]), &[]).is_err());
+        assert!(LaneBatch::from_parts(MAX_LANES, LANES + 1, cols(&[]), &[]).is_ok());
         // stray bits beyond the occupied lanes would leak into the next
         // pushed request's lane — refused, in any word
+        let a = cols(&["a"]);
+        let one = |chunk: LaneChunk| [("a".to_string(), chunk)];
         assert!(
-            LaneBatch::from_parts(LANES, 2, vec![("a".to_string(), chunk_of_word(0b100))]).is_err()
+            LaneBatch::from_parts(LANES, 2, Arc::clone(&a), &one(chunk_of_word(0b100))).is_err()
         );
         assert!(
-            LaneBatch::from_parts(MAX_LANES, 66, vec![("a".to_string(), [0, 0b100, 0, 0])])
-                .is_err()
+            LaneBatch::from_parts(MAX_LANES, 66, Arc::clone(&a), &one([0, 0b100, 0, 0])).is_err()
         );
-        assert!(LaneBatch::from_parts(
-            LANES,
-            LANES,
-            vec![("a".to_string(), chunk_of_word(u64::MAX))]
-        )
-        .is_ok());
+        assert!(
+            LaneBatch::from_parts(LANES, LANES, Arc::clone(&a), &one(chunk_of_word(u64::MAX)))
+                .is_ok()
+        );
         assert!(LaneBatch::from_parts(
             MAX_LANES,
             MAX_LANES,
-            vec![("a".to_string(), [u64::MAX; LANE_WORDS])]
+            Arc::clone(&a),
+            &one([u64::MAX; LANE_WORDS])
         )
         .is_ok());
         // occupied lanes within a wider word budget keep their bits
-        let wide =
-            LaneBatch::from_parts(MAX_LANES, 66, vec![("a".to_string(), [!0u64, 0b11, 0, 0])])
-                .unwrap();
+        let wide = LaneBatch::from_parts(MAX_LANES, 66, a, &one([!0u64, 0b11, 0, 0])).unwrap();
         assert_eq!(wide.words(), 2);
     }
 }

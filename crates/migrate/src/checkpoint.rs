@@ -11,18 +11,22 @@ use mcfpga_fabric::{FabricParams, RegisterFile};
 pub const MAGIC: [u8; 4] = *b"MCKP";
 
 /// A tenant's submitted-but-unexecuted requests, exactly as they sit in
-/// the slot's lane batch: the union input names with their lane chunks
-/// (lane `l` = request `l`'s value) plus the original request ids, lane
-/// order. Restoring re-queues the chunks unchanged, so the batch evaluates
-/// bit-for-bit as it would have at the source; the ids are an audit trail
-/// (a restore issues *fresh* ids — see the service docs — so a stale
-/// checkpoint can never resurrect requests that were answered or
-/// discarded after it was taken).
+/// the slot's lane batch: the tenant's input columns with their lane
+/// chunks (lane `l` = request `l`'s value) plus the original request ids,
+/// lane order. Restoring resolves the names to the destination's columns
+/// by name — any order; a missing column or a column named twice is
+/// corrupt, and a name that is not a column is dropped — and re-queues
+/// the chunks unchanged, so the batch evaluates bit-for-bit as it would
+/// have at the source; the ids are an audit trail (a restore issues
+/// *fresh* ids — see the service docs — so a stale checkpoint can never
+/// resurrect requests that were answered or discarded after it was
+/// taken).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PendingBatch {
     /// Occupied lanes (queued requests).
     pub lanes: usize,
-    /// Union input names and their lane chunks, union order.
+    /// Input column names and their lane chunks, column order as
+    /// captured.
     pub inputs: Vec<(String, LaneChunk)>,
     /// Source-side request ids, lane order (`lanes` entries).
     pub requests: Vec<u64>,

@@ -14,7 +14,8 @@
 //! * the **temporal register file** ([`mcfpga_fabric::RegisterFile`]) —
 //!   stream state carried across pass boundaries,
 //! * the **pending lane batch** — submitted-but-unexecuted requests, as
-//!   the exact union lane words they were queued with,
+//!   the exact lane words of the tenant's input columns they were queued
+//!   with,
 //! * the **CSS sweep position** the source shard's broadcast sat on,
 //! * and the tenant's accumulated usage counters, so billing follows it.
 //!
@@ -22,7 +23,8 @@
 //! moved: the compiled plane is context-independent (it can be *rebased*
 //! onto whatever slot the destination has free —
 //! [`mcfpga_fabric::CompiledFabric::rebase_context`]), the lane words
-//! re-enter the queue unchanged, and the register file resumes exactly
+//! re-enter the queue unchanged (resolved to the tenant's input columns
+//! by name), and the register file resumes exactly
 //! where the last pass left it. Only the *energy* differs, and that
 //! difference is billed: `mcfpga_cost::attribution` carries bytes moved,
 //! downtime cycles and the destination's broadcast-realignment toggles per

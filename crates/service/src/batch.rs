@@ -154,35 +154,30 @@ impl std::fmt::Debug for Outputs {
 struct PendingSlot {
     batch: LaneBatch,
     tickets: Vec<(RequestId, TenantId)>,
-    /// Length of the canonical (seeded, deduplicated) input-name prefix —
-    /// what [`BatchQueue::enqueue`] requires every request to cover.
-    seeded: usize,
 }
 
 impl PendingSlot {
-    fn with_width(width: usize) -> Result<Self, FabricError> {
+    fn open(width: usize, columns: Arc<[Arc<str>]>) -> Result<Self, FabricError> {
         Ok(PendingSlot {
-            batch: LaneBatch::with_width(width)?,
+            batch: LaneBatch::with_width(width, columns)?,
             tickets: Vec::new(),
-            seeded: 0,
         })
     }
 }
 
 /// One shard's per-context accumulation of single-vector requests into
-/// lane batches. Every slot batches up to [`width`](Self::width) lanes —
-/// the queue remembers its width so freed and taken slots are rebuilt at
-/// the same capacity.
+/// lane batches. Every slot batches up to [`width`](Self::width) lanes
+/// over its occupant's input columns — a free slot has none.
 #[derive(Debug, Clone)]
 pub struct BatchQueue {
     slots: Vec<PendingSlot>,
     width: usize,
 }
 
-/// A slot's pending work, handed out by [`BatchQueue::take`].
+/// A slot's pending work, handed out by [`BatchQueue::vacate`].
 #[derive(Debug, Clone)]
 pub struct TakenBatch {
-    /// The coalesced lane batch (non-empty).
+    /// The coalesced lane batch.
     pub batch: LaneBatch,
     /// Per-lane `(request, tenant)` tickets, in lane order.
     pub tickets: Vec<(RequestId, TenantId)>,
@@ -200,10 +195,9 @@ impl BatchQueue {
     /// (`1..=MAX_LANES`; see
     /// [`mcfpga_fabric::compiled::MAX_LANES`]).
     pub fn with_width(contexts: usize, width: usize) -> Result<Self, FabricError> {
-        let mut slots = Vec::with_capacity(contexts);
-        for _ in 0..contexts {
-            slots.push(PendingSlot::with_width(width)?);
-        }
+        let slots = (0..contexts)
+            .map(|_| PendingSlot::open(width, Arc::default()))
+            .collect::<Result<_, _>>()?;
         Ok(BatchQueue { slots, width })
     }
 
@@ -213,33 +207,41 @@ impl BatchQueue {
         self.width
     }
 
-    /// Seeds a slot's canonical input-name prefix (bound inputs, in bind
-    /// order; duplicates collapse) so [`enqueue`](Self::enqueue) can verify
-    /// coverage of every bound input within its single name-resolution
-    /// scan. Call at admission and again after a [`take`](Self::take) that
-    /// is not [`recycle`](Self::recycle)d (a fresh slot starts unseeded).
-    pub fn seed<'a>(&mut self, ctx: usize, names: impl Iterator<Item = &'a str>) {
-        let slot = &mut self.slots[ctx];
-        let mut prefix = 0;
-        for name in names {
-            slot.batch.ensure_name(name);
-            let idx = slot
-                .batch
-                .name_index(name)
-                .expect("name was just ensured into the union");
-            prefix = prefix.max(idx + 1);
-        }
-        slot.seeded = prefix;
+    /// Rebuilds every slot at `width` lanes, keeping each slot's columns.
+    /// Pending work would be dropped, so the caller drains first.
+    pub fn set_width(&mut self, width: usize) -> Result<(), FabricError> {
+        self.slots = self
+            .slots
+            .iter()
+            .map(|s| PendingSlot::open(width, Arc::clone(s.batch.columns())))
+            .collect::<Result<_, _>>()?;
+        self.width = width;
+        Ok(())
+    }
+
+    /// Opens the **free** slot `ctx` for a tenant whose requests drive
+    /// `columns` (see [`LaneBatch`]).
+    pub fn open(&mut self, ctx: usize, columns: Arc<[Arc<str>]>) {
+        debug_assert!(
+            self.slots[ctx].tickets.is_empty(),
+            "open on a busy slot {ctx}"
+        );
+        self.slots[ctx] = PendingSlot::open(self.width, columns).expect("width validated");
+    }
+
+    /// The input columns of slot `ctx`.
+    #[must_use]
+    pub fn columns(&self, ctx: usize) -> &Arc<[Arc<str>]> {
+        self.slots[ctx].batch.columns()
     }
 
     /// Enqueues one single-vector request on its tenant's slot, verifying
-    /// it drives the slot's whole canonical prefix (see
-    /// [`seed`](Self::seed)). Mints the request id from the coordinator's
-    /// `ids` source only on success, and returns it with whether the
-    /// slot's [`width`](Self::width) lanes are now full (the caller should
-    /// flush before the
-    /// next enqueue). [`PushRefusal::Full`] means the slot already holds a
-    /// full, unflushed batch (a previous flush failed and left its requests
+    /// it drives every one of the slot's columns. Mints the request id
+    /// from the coordinator's `ids` source only on success, and returns it
+    /// with whether the slot's [`width`](Self::width) lanes are now full
+    /// (the caller should flush before the next enqueue).
+    /// [`PushRefusal::Full`] means the slot already holds a full,
+    /// unflushed batch (a previous flush failed and left its requests
     /// queued); [`PushRefusal::MissingInput`] leaves the slot unchanged.
     pub fn enqueue(
         &mut self,
@@ -249,17 +251,11 @@ impl BatchQueue {
         ids: &mut RequestIdSource,
     ) -> Result<(RequestId, bool), PushRefusal> {
         let slot = &mut self.slots[ctx];
-        let lane = slot.batch.push_covering(inputs, slot.seeded)?;
+        let lane = slot.batch.push(inputs)?;
         debug_assert_eq!(lane, slot.tickets.len());
         let id = ids.mint();
         slot.tickets.push((id, tenant));
         Ok((id, slot.batch.is_full()))
-    }
-
-    /// The input name at `idx` of a slot's union (for refusal reporting).
-    #[must_use]
-    pub fn input_name(&self, ctx: usize, idx: usize) -> Option<&str> {
-        self.slots[ctx].batch.input_name(idx)
     }
 
     /// Context slots that currently hold pending work, ascending.
@@ -280,21 +276,13 @@ impl BatchQueue {
     }
 
     /// Borrows a slot's pending lane batch without removing it, or `None`
-    /// when empty. Lets the executor evaluate first and [`take`](Self::take)
-    /// only on success, so a failed pass leaves the requests queued instead
-    /// of dropping them.
+    /// when empty. Lets the executor evaluate first and
+    /// [`clear`](Self::clear) only on success, so a failed pass leaves the
+    /// requests queued instead of dropping them.
     #[must_use]
     pub fn slot(&self, ctx: usize) -> Option<&LaneBatch> {
         let slot = &self.slots[ctx];
         (!slot.batch.is_empty()).then_some(&slot.batch)
-    }
-
-    /// Borrows a slot's lane batch whether or not it holds work — the
-    /// union names (canonical prefix included) are live even on an empty
-    /// batch, which is what admission-time index resolution needs.
-    #[must_use]
-    pub fn batch(&self, ctx: usize) -> &LaneBatch {
-        &self.slots[ctx].batch
     }
 
     /// A slot's per-lane `(request, tenant)` tickets, lane order — what a
@@ -304,11 +292,10 @@ impl BatchQueue {
         &self.slots[ctx].tickets
     }
 
-    /// Moves a [`TakenBatch`] into an **empty** slot wholesale, tickets
-    /// and all — the live-migration path, which must preserve request ids
-    /// so every in-flight request is still answered exactly once. The
-    /// slot's canonical prefix is unchanged (the caller seeds it for the
-    /// destination plane first).
+    /// Moves a [`TakenBatch`] into an **empty** slot wholesale, tickets,
+    /// columns and all — the live-migration path (which must preserve
+    /// request ids so every in-flight request is still answered exactly
+    /// once) and the restore path (whose tickets carry fresh ids).
     pub fn install(&mut self, ctx: usize, taken: TakenBatch) {
         let slot = &mut self.slots[ctx];
         assert!(
@@ -319,78 +306,22 @@ impl BatchQueue {
         slot.tickets = taken.tickets;
     }
 
-    /// Re-queues a deserialized pending batch into an **empty** slot,
-    /// minting a *fresh* request id per occupied lane (returned in lane
-    /// order). Restored checkpoints never reuse their recorded ids: the
-    /// originals may have been answered or discarded since the checkpoint
-    /// was taken, and a resurrected id would break queue conservation.
-    pub fn restore(
-        &mut self,
-        ctx: usize,
-        batch: LaneBatch,
-        tenant: TenantId,
-        ids: &mut RequestIdSource,
-    ) -> Vec<RequestId> {
+    /// Drops a slot's pending work in place, keeping its columns and
+    /// buffers, and returns how many requests were dropped.
+    pub fn clear(&mut self, ctx: usize) -> usize {
         let slot = &mut self.slots[ctx];
-        assert!(
-            slot.batch.is_empty() && slot.tickets.is_empty(),
-            "restore target (ctx {ctx}) already holds work"
-        );
-        let lanes = batch.len();
-        slot.batch = batch;
-        let fresh: Vec<RequestId> = (0..lanes).map(|_| ids.mint()).collect();
-        slot.tickets.extend(fresh.iter().map(|&id| (id, tenant)));
-        fresh
+        slot.batch.clear();
+        let dropped = slot.tickets.len();
+        slot.tickets.clear();
+        dropped
     }
 
-    /// Fully resets a slot — union names, tickets and canonical prefix all
-    /// drop. Called when a slot is *freed* (its tenant migrated away): a
-    /// recycled empty batch still carries the old tenant's union names,
-    /// and a future occupant seeding on top of them would compute a
-    /// canonical prefix longer than its own union, refusing every submit.
-    pub fn clear_slot(&mut self, ctx: usize) {
-        self.slots[ctx] =
-            PendingSlot::with_width(self.width).expect("width validated at construction");
-    }
-
-    /// Removes and returns a slot's pending work, or `None` when empty.
-    /// The slot's canonical-prefix length survives the take, but the fresh
-    /// batch holds no names until [`recycle`](Self::recycle) or
-    /// [`seed`](Self::seed) restores them.
-    pub fn take(&mut self, ctx: usize) -> Option<TakenBatch> {
-        let slot = &mut self.slots[ctx];
-        if slot.batch.is_empty() {
-            return None;
-        }
-        // replace with a fresh batch at the queue's own width — a
-        // `mem::take` default would silently shrink the slot back to the
-        // legacy 64 lanes on any take that is not recycled
-        let fresh = LaneBatch::with_width(self.width).expect("width validated at construction");
-        Some(TakenBatch {
-            batch: std::mem::replace(&mut slot.batch, fresh),
-            tickets: std::mem::take(&mut slot.tickets),
-        })
-    }
-
-    /// Returns a consumed [`TakenBatch`]'s buffers to their slot for reuse
-    /// (cleared, keeping capacity), if the slot is still empty — the
-    /// allocation-recycling half of [`LaneBatch::clear`]. Union names the
-    /// flushed requests appended beyond the canonical prefix (unbound
-    /// extras) are dropped, so the name union stays bounded over the
-    /// service's lifetime.
-    pub fn recycle(&mut self, ctx: usize, taken: TakenBatch) {
-        let slot = &mut self.slots[ctx];
-        if slot.batch.is_empty() && slot.tickets.is_empty() && slot.batch.name_count() == 0 {
-            let TakenBatch {
-                mut batch,
-                mut tickets,
-            } = taken;
-            batch.clear();
-            batch.truncate_names(slot.seeded);
-            tickets.clear();
-            slot.batch = batch;
-            slot.tickets = tickets;
-        }
+    /// Frees a slot whose tenant is leaving: returns its pending work, if
+    /// any, and leaves the slot empty with no columns.
+    pub fn vacate(&mut self, ctx: usize) -> Option<TakenBatch> {
+        let freed = PendingSlot::open(self.width, Arc::default()).expect("width validated");
+        let PendingSlot { batch, tickets } = std::mem::replace(&mut self.slots[ctx], freed);
+        (!batch.is_empty()).then_some(TakenBatch { batch, tickets })
     }
 }
 
@@ -404,11 +335,16 @@ mod tests {
         reg.commit(name, p, 0)
     }
 
+    fn cols(names: &[&str]) -> Arc<[Arc<str>]> {
+        names.iter().map(|n| Arc::from(*n)).collect()
+    }
+
     #[test]
     fn fills_a_slot_lane_by_lane() {
         let mut reg = crate::TenantRegistry::new(1, 4).unwrap();
         let t = tenant(&mut reg, "a");
         let mut q = BatchQueue::new(4);
+        q.open(0, cols(&["x"]));
         let mut ids = RequestIdSource::new();
         for i in 0..LANES {
             let (_, full) = q.enqueue(0, t, &[("x", i % 2 == 0)], &mut ids).unwrap();
@@ -421,11 +357,11 @@ mod tests {
             q.enqueue(0, t, &[("x", true)], &mut ids),
             Err(PushRefusal::Full)
         );
-        let taken = q.take(0).unwrap();
+        let taken = q.vacate(0).unwrap();
         assert_eq!(taken.tickets.len(), LANES);
         assert!(taken.batch.is_full());
         assert_eq!(q.pending_total(), 0);
-        assert!(q.take(0).is_none());
+        assert!(q.vacate(0).is_none());
     }
 
     #[test]
@@ -437,54 +373,57 @@ mod tests {
         // one queue per shard now; a shared id source keeps ids global
         let mut q0 = BatchQueue::new(2);
         let mut q1 = BatchQueue::new(2);
+        q0.open(0, cols(&["x"]));
+        q1.open(0, cols(&["y"]));
         q0.enqueue(0, a, &[("x", true)], &mut ids).unwrap();
         q1.enqueue(0, b, &[("y", false)], &mut ids).unwrap();
         q1.enqueue(0, b, &[("y", true)], &mut ids).unwrap();
         assert_eq!(q0.pending(), vec![0]);
         assert_eq!(q1.pending(), vec![0]);
-        assert_eq!(q1.take(0).unwrap().tickets.len(), 2);
+        assert_eq!(q1.vacate(0).unwrap().tickets.len(), 2);
         assert_eq!(q0.pending_total() + q1.pending_total(), 1);
     }
 
     #[test]
-    fn seed_dedups_and_gates_enqueue() {
+    fn open_columns_gate_enqueue() {
         let mut reg = crate::TenantRegistry::new(1, 4).unwrap();
         let t = tenant(&mut reg, "a");
         let mut q = BatchQueue::new(4);
         let mut ids = RequestIdSource::new();
-        // duplicate bound names collapse: coverage needs 2 names, not 3
-        q.seed(0, ["x", "x", "y"].into_iter());
+        q.open(0, cols(&["x", "y"]));
         assert_eq!(
             q.enqueue(0, t, &[("x", true)], &mut ids),
             Err(PushRefusal::MissingInput(1))
         );
-        assert_eq!(q.input_name(0, 1), Some("y"));
+        assert_eq!(&*q.columns(0)[1], "y");
         // any order, extras allowed
         q.enqueue(0, t, &[("y", true), ("x", false), ("zz", true)], &mut ids)
             .unwrap();
         assert_eq!(q.pending_total(), 1);
+        assert_eq!(q.slot(0).unwrap().chunks(), [[0; 4], [1, 0, 0, 0]]);
     }
 
     #[test]
-    fn recycle_trims_request_added_names() {
+    fn clear_keeps_columns_and_vacate_drops_them() {
         let mut reg = crate::TenantRegistry::new(1, 4).unwrap();
         let t = tenant(&mut reg, "a");
         let mut q = BatchQueue::new(4);
         let mut ids = RequestIdSource::new();
-        q.seed(0, ["a"].into_iter());
+        q.open(0, cols(&["a"]));
         q.enqueue(0, t, &[("a", true), ("extra", true)], &mut ids)
             .unwrap();
-        let taken = q.take(0).unwrap();
-        q.recycle(0, taken);
-        // the canonical prefix survives; the request's extra name is gone
-        assert_eq!(q.input_name(0, 0), Some("a"));
-        assert_eq!(q.input_name(0, 1), None);
-        // coverage still enforced after recycling
+        assert_eq!(q.clear(0), 1);
+        assert!(q.slot(0).is_none() && q.tickets(0).is_empty());
+        // the columns survive, and coverage is still enforced
+        assert_eq!(q.columns(0), &cols(&["a"]));
         assert_eq!(
             q.enqueue(0, t, &[("other", true)], &mut ids),
             Err(PushRefusal::MissingInput(0))
         );
         q.enqueue(0, t, &[("a", false)], &mut ids).unwrap();
+        // a vacated slot forgets its tenant's columns
+        assert_eq!(q.vacate(0).unwrap().batch.columns(), &cols(&["a"]));
+        assert!(q.columns(0).is_empty());
     }
 
     #[test]
@@ -494,6 +433,7 @@ mod tests {
         let t = tenant(&mut reg, "a");
         let mut q = BatchQueue::with_width(2, 128).unwrap();
         assert_eq!(q.width(), 128);
+        q.open(0, cols(&["x"]));
         let mut ids = RequestIdSource::new();
         for i in 0..128 {
             let (_, full) = q.enqueue(0, t, &[("x", i % 2 == 0)], &mut ids).unwrap();
@@ -503,22 +443,28 @@ mod tests {
             q.enqueue(0, t, &[("x", true)], &mut ids),
             Err(PushRefusal::Full)
         );
-        // take hands out the 128-lane batch and leaves a 128-wide slot
-        let taken = q.take(0).unwrap();
-        assert_eq!(taken.batch.len(), 128);
+        // clear empties the 128-lane batch in place
+        assert_eq!(q.clear(0), 128);
         for i in 0..65 {
             q.enqueue(0, t, &[("x", true)], &mut ids)
-                .unwrap_or_else(|e| panic!("lane {i} after take refused: {e:?}"));
+                .unwrap_or_else(|e| panic!("lane {i} after clear refused: {e:?}"));
         }
-        // clear_slot also rebuilds at the queue's width, not the default
-        q.clear_slot(1);
+        // vacate and open also rebuild at the queue's width, not the default
+        q.vacate(1);
+        q.open(1, cols(&["y"]));
         for _ in 0..65 {
             q.enqueue(1, t, &[("y", false)], &mut ids).unwrap();
         }
         assert_eq!(q.pending_total(), 65 + 65);
+        // a width change keeps every slot's columns
+        q.clear(0);
+        q.clear(1);
+        q.set_width(64).unwrap();
+        assert_eq!((q.width(), q.columns(1)), (64, &cols(&["y"])));
         // width bounds are validated
         assert!(BatchQueue::with_width(1, 0).is_err());
         assert!(BatchQueue::with_width(1, MAX_LANES + 1).is_err());
+        assert!(q.set_width(0).is_err());
     }
 
     #[test]
@@ -531,7 +477,8 @@ mod tests {
         let (r1, _) = q.enqueue(1, t, &[], &mut ids).unwrap();
         assert!(r0 < r1);
         // a refused push must not consume an id
-        q.seed(0, ["x"].into_iter());
+        q.clear(0);
+        q.open(0, cols(&["x"]));
         assert!(q.enqueue(0, t, &[("nope", true)], &mut ids).is_err());
         let (r2, _) = q.enqueue(1, t, &[], &mut ids).unwrap();
         assert_eq!(r2.value(), r1.value() + 1, "refusal burned an id");

@@ -58,23 +58,20 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// Prefix of signal names that are *stream registers*: outputs so named
-/// are captured into the tenant's [`RegisterFile`] after each pass and
-/// re-driven as inputs on its next pass (lane-aligned), instead of being
-/// returned in responses. Re-exported from the fabric crate, which owns
-/// the convention (`fabric::temporal` uses it for values crossing
-/// context-switch boundaries).
-pub(crate) use mcfpga_fabric::compiled::REG_PREFIX;
-
 /// Per-tenant state an engine keeps for each tenant placed on it: the
-/// usage counters billing reads and the stream-register file carried
-/// between the tenant's passes. Moves wholesale in a migration handoff.
+/// usage counters billing reads, the stream-register file carried
+/// between the tenant's passes, and the input columns its requests
+/// drive. Moves wholesale in a migration handoff.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct TenantState {
     /// Accumulated usage counters (requests, passes, toggles, migrations).
     pub usage: TenantUsage,
     /// `reg:*` stream state (lane words from the tenant's previous pass).
     pub regs: RegisterFile,
+    /// The tenant's input columns ([`BoundPlan::input_columns`] of its
+    /// plane), fixed when it is admitted or restored. Installing a plane
+    /// — faulted, repaired or rebased — never changes them.
+    pub columns: Arc<[Arc<str>]>,
 }
 
 /// Everything a tenant hands from one engine to another in a migration:
@@ -123,10 +120,6 @@ pub(crate) struct PlannedStep {
     /// Dirty mask over the bound inputs vs the slot's previous sweep
     /// ([`DIRTY_ALL`] when no valid cached sweep exists).
     pub dirty: u64,
-    /// A bound non-register input the batch union lacked (possible only
-    /// on a slot installed without seeding): evaluation must fail with
-    /// the interpreter's exact undriven-input error.
-    pub missing: Option<Arc<str>>,
     /// The slot's persistent evaluation state (kernel slots only): moved
     /// out of the slot cache at plan time, returned to it at apply time —
     /// the arena the dirty-cone path reuses values from.
@@ -169,11 +162,6 @@ pub(crate) fn eval_step(step: &mut PlannedStep) -> Result<EvalOutcome, ServiceEr
             }),
         };
     };
-    if let Some(name) = &step.missing {
-        return Err(
-            mcfpga_fabric::FabricError::Unresolved(format!("input '{name}' not driven")).into(),
-        );
-    }
     let mut outs = Vec::with_capacity(bound.outputs().len());
     let stats = if let Some(state) = step.state.as_mut() {
         step.plane.eval_bound_into(
@@ -230,11 +218,11 @@ struct BoundSlot {
     /// The completed previous sweep (kernel slots only), fueling the
     /// dirty-cone incremental path.
     cache: Option<SlotCache>,
-    /// Batch-union index of each bound input, in bind order
-    /// (`u32::MAX` = not in the canonical prefix, i.e. a `reg:*` input
-    /// fed from the tenant's [`RegisterFile`]); rebuilt by
-    /// [`ShardEngine::seed_slot`].
-    batch_idx: Vec<u32>,
+    /// Batch column of each bound input, in bind order, so planning
+    /// reads request chunks without comparing names. A `reg:*` input has
+    /// no column (it is fed from the tenant's [`RegisterFile`]) and holds
+    /// 0, unused.
+    columns: Vec<u32>,
     /// Up to [`POOLED_TABLES`] output tables of this slot's past passes,
     /// least recently written first. Their rows already hold `plan`'s
     /// visible output names, which is why a rebuilt slot (new plan, or
@@ -327,23 +315,20 @@ impl ShardEngine {
         self.queue.width()
     }
 
-    /// Rebuilds this engine's queue partition at `width` lanes per slot
-    /// and re-seeds every programmed slot's canonical prefix. The
-    /// coordinator guarantees no work is pending (it refuses the width
-    /// change otherwise — a rebuild would silently drop queued requests).
+    /// Rebuilds this engine's queue partition at `width` lanes per slot,
+    /// keeping every slot's columns. The coordinator guarantees no work is
+    /// pending (it refuses the width change otherwise — a rebuild would
+    /// silently drop queued requests).
     pub(crate) fn set_lane_width(&mut self, width: usize) -> Result<(), ServiceError> {
         debug_assert_eq!(
             self.queue.pending_total(),
             0,
             "lane-width change with requests pending"
         );
-        self.queue = BatchQueue::with_width(self.planes.len(), width)?;
-        for ctx in 0..self.planes.len() {
+        self.queue.set_width(width)?;
+        for slot in &mut self.bound {
             // a cached sweep at the old width cannot seed the new one
-            self.bound[ctx].cache = None;
-            if self.planes[ctx].is_some() {
-                self.seed_slot(ctx)?;
-            }
+            slot.cache = None;
         }
         Ok(())
     }
@@ -366,14 +351,46 @@ impl ShardEngine {
 
     /// Installs (or replaces) the compiled plane of context `ctx` — an
     /// `Arc` clone of a cache entry, never a deep copy. Binding runs
-    /// once, here; the slot's dirty-cone cache is discarded (it described
-    /// sweeps of the previous plane).
-    pub(crate) fn install_plane(&mut self, ctx: usize, plane: Arc<CompiledFabric>) {
+    /// once, here, and each bound input is resolved to its column of the
+    /// slot's batch; the slot's dirty-cone cache is discarded (it
+    /// described sweeps of the previous plane). Refuses, changing
+    /// nothing, a plane that binds a non-register input the slot's
+    /// columns lack: the tenant's requests never drive it.
+    pub(crate) fn install_plane(
+        &mut self,
+        ctx: usize,
+        plane: Arc<CompiledFabric>,
+    ) -> Result<(), ServiceError> {
+        let plan = plane.bind(ctx).ok().map(Arc::new);
+        let columns = self.queue.columns(ctx);
+        let mut index = Vec::new();
+        let mut next = 0;
+        for (_, name, is_reg) in plan.iter().flat_map(|p| p.inputs()) {
+            if *is_reg {
+                index.push(0);
+                continue;
+            }
+            // columns follow bind order: probe the one after the last match
+            let col = match columns.get(next) {
+                Some(c) if c == name => next,
+                _ => columns.iter().position(|c| c == name).ok_or_else(|| {
+                    ServiceError::BadConfig(format!(
+                        "plane for slot (shard {}, ctx {ctx}) binds input '{name}', \
+                         which is not one of its tenant's input columns",
+                        self.shard
+                    ))
+                })?,
+            };
+            next = col + 1;
+            index.push(col as u32);
+        }
         self.bound[ctx] = BoundSlot {
-            plan: plane.bind(ctx).ok().map(Arc::new),
+            plan,
+            columns: index,
             ..BoundSlot::default()
         };
         self.planes[ctx] = Some(plane);
+        Ok(())
     }
 
     /// Output tables pooled on slot `ctx`.
@@ -405,16 +422,6 @@ impl ShardEngine {
         &self.seq
     }
 
-    /// Registers a tenant placed on this shard, with zeroed state.
-    pub(crate) fn add_tenant(&mut self, tenant: TenantId) {
-        self.tenants.insert(tenant, TenantState::default());
-    }
-
-    /// Registers a tenant arriving with pre-existing state (restore path).
-    pub(crate) fn add_tenant_with(&mut self, tenant: TenantId, state: TenantState) {
-        self.tenants.insert(tenant, state);
-    }
-
     /// One placed tenant's state, read-only.
     pub(crate) fn tenant_state(&self, tenant: TenantId) -> Result<&TenantState, ServiceError> {
         self.tenants
@@ -431,49 +438,6 @@ impl ShardEngine {
         self.tenants
             .get_mut(&tenant)
             .ok_or(ServiceError::UnknownTenant(tenant.index()))
-    }
-
-    /// Seeds the slot's canonical input-name prefix from its plane's bound
-    /// inputs, so submit-time coverage checking is a bitmask instead of a
-    /// second name scan. Stream registers (`reg:*` bound inputs) are
-    /// excluded — requests never drive them; the sweep feeds them from the
-    /// tenant's [`RegisterFile`] at pass time.
-    pub(crate) fn seed_slot(&mut self, ctx: usize) -> Result<(), ServiceError> {
-        let plane = self.planes[ctx]
-            .as_ref()
-            .ok_or(ServiceError::SlotNotProgrammed {
-                shard: self.shard,
-                ctx,
-            })?;
-        let binds = plane.plane(ctx)?.input_binds();
-        self.queue.seed(
-            ctx,
-            binds
-                .iter()
-                .map(|(_, n)| n.as_str())
-                .filter(|n| !n.starts_with(REG_PREFIX)),
-        );
-        // re-resolve each bound input's union index once — sweeps then
-        // read request chunks by index, with no per-pass name scans.
-        // Non-register names are all in the canonical prefix just seeded;
-        // register inputs are fed from the RegisterFile (or a live
-        // explicit drive, resolved at plan time) and get the sentinel.
-        let slot = &mut self.bound[ctx];
-        slot.batch_idx.clear();
-        if let Some(plan) = &slot.plan {
-            for (_, name, is_reg) in plan.inputs() {
-                let idx = if *is_reg {
-                    u32::MAX
-                } else {
-                    self.queue
-                        .batch(ctx)
-                        .name_index(name)
-                        .map_or(u32::MAX, |i| i as u32)
-                };
-                slot.batch_idx.push(idx);
-            }
-        }
-        Ok(())
     }
 
     /// Enqueues one request on `ctx`'s lane batch, charging the tenant's
@@ -494,8 +458,8 @@ impl ShardEngine {
                     ctx,
                 })
             }
-            Err(PushRefusal::MissingInput(idx)) => {
-                let name = self.queue.input_name(ctx, idx).unwrap_or("?").to_string();
+            Err(PushRefusal::MissingInput(col)) => {
+                let name = self.queue.columns(ctx)[col].to_string();
                 return Err(ServiceError::MissingInput { name });
             }
         };
@@ -504,16 +468,14 @@ impl ShardEngine {
     }
 
     /// Discards `ctx`'s queued, not-yet-executed requests (un-counting
-    /// them from `tenant`'s usage), re-seeds the slot's canonical prefix,
-    /// and returns how many were dropped.
+    /// them from `tenant`'s usage) and returns how many were dropped.
     pub(crate) fn discard_pending(
         &mut self,
         ctx: usize,
         tenant: TenantId,
     ) -> Result<usize, ServiceError> {
-        let dropped = self.queue.take(ctx).map_or(0, |t| t.tickets.len());
+        let dropped = self.queue.clear(ctx);
         self.tenant_state_mut(tenant)?.usage.requests -= dropped;
-        self.seed_slot(ctx)?;
         Ok(dropped)
     }
 
@@ -539,18 +501,6 @@ impl ShardEngine {
         self.queue.tickets(ctx)
     }
 
-    /// Re-queues a restored pending batch into the (empty) slot `ctx`,
-    /// minting fresh ids. See [`BatchQueue::restore`].
-    pub(crate) fn restore_batch(
-        &mut self,
-        ctx: usize,
-        batch: LaneBatch,
-        tenant: TenantId,
-        ids: &mut RequestIdSource,
-    ) -> Vec<RequestId> {
-        self.queue.restore(ctx, batch, tenant, ids)
-    }
-
     /// The source half of a migration handoff: surrenders `tenant`'s
     /// per-tenant state and queued lanes, wipes its slot (plane pointer,
     /// queue names, and — for a fabric-resident tenant — the routed
@@ -572,17 +522,16 @@ impl ShardEngine {
         if resident {
             self.fabric.clear_context(ctx)?;
         }
-        let batch = self.queue.take(ctx);
-        // the freed slot must not leak its union names or canonical prefix
-        // into whatever tenant occupies it next
-        self.queue.clear_slot(ctx);
+        let batch = self.queue.vacate(ctx);
         Ok(TenantHandoff { state, batch })
     }
 
-    /// The destination half of a migration handoff: installs the plane
-    /// (already rebased for `ctx` by the coordinator), adopts the tenant's
-    /// state, seeds the slot from the plane's binds, and re-queues the
-    /// moved lanes with their original ids.
+    /// Lands `tenant` on the free slot `ctx` — the destination half of a
+    /// migration handoff, and how admission and restore place a new
+    /// tenant: opens the slot over the tenant's input columns, re-queues
+    /// the moved lanes with their original ids, installs the plane
+    /// (already rebased for `ctx` by the coordinator) and adopts the
+    /// tenant's state.
     pub(crate) fn adopt(
         &mut self,
         tenant: TenantId,
@@ -590,12 +539,12 @@ impl ShardEngine {
         plane: Arc<CompiledFabric>,
         handoff: TenantHandoff,
     ) -> Result<(), ServiceError> {
-        self.install_plane(ctx, plane);
-        self.tenants.insert(tenant, handoff.state);
-        self.seed_slot(ctx)?;
+        self.queue.open(ctx, Arc::clone(&handoff.state.columns));
         if let Some(batch) = handoff.batch {
             self.queue.install(ctx, batch);
         }
+        self.install_plane(ctx, plane)?;
+        self.tenants.insert(tenant, handoff.state);
         Ok(())
     }
 
@@ -702,59 +651,27 @@ impl ShardEngine {
             let slot = &mut self.bound[ctx];
             let bound = slot.plan.clone();
             let mut chunks: Vec<LaneChunk> = Vec::new();
-            let mut missing: Option<Arc<str>> = None;
             if let Some(bound) = &bound {
-                chunks.reserve_exact(bound.inputs().len());
-                // indices were resolved at seed time; a slot installed
-                // without seeding (fault injection) resolves live
-                let idx_valid = slot.batch_idx.len() == bound.inputs().len();
-                for (i, (_, name, is_reg)) in bound.inputs().iter().enumerate() {
-                    let chunk = if *is_reg {
-                        // stream registers: every bound `reg:*` input reads
-                        // the tenant's chunk from its previous pass (0
-                        // before the first) — lane-aligned, so lane `l` of
-                        // pass `p+1` consumes the state lane `l` of pass
-                        // `p` produced. A request that drove the name
-                        // explicitly wins (the batch entry resolves first),
-                        // which is how a caller seeds stream state by hand.
-                        match batch.name_index(name) {
-                            Some(j) => batch.input_chunk(j),
-                            None => tenant_regs.get_chunk(name).unwrap_or([0u64; LANE_WORDS]),
-                        }
-                    } else {
-                        let j = if idx_valid {
-                            Some(slot.batch_idx[i] as usize).filter(|&j| j != u32::MAX as usize)
+                let column_chunks = batch.chunks();
+                chunks.extend(bound.inputs().iter().zip(&slot.columns).map(
+                    |((_, name, is_reg), &col)| {
+                        if *is_reg {
+                            // stream registers come only from the tenant's
+                            // register file (0 before the first pass) —
+                            // lane-aligned, so lane `l` of pass `p+1`
+                            // consumes the state lane `l` of pass `p`
+                            // produced
+                            tenant_regs.get_chunk(name).unwrap_or([0u64; LANE_WORDS])
                         } else {
-                            batch.name_index(name)
-                        };
-                        match j {
-                            Some(j) => {
-                                debug_assert_eq!(
-                                    batch.input_name(j),
-                                    Some(name.as_ref()),
-                                    "stale bound-input index for slot {ctx}"
-                                );
-                                batch.input_chunk(j)
-                            }
-                            None => {
-                                // the union lacks a bound non-register
-                                // input — the pass must fail exactly as the
-                                // interpreter's seed scan would
-                                if missing.is_none() {
-                                    missing = Some(Arc::clone(name));
-                                }
-                                [0u64; LANE_WORDS]
-                            }
+                            column_chunks[col as usize]
                         }
-                    };
-                    chunks.push(chunk);
-                }
+                    },
+                ));
             }
             // dirty-cone basis: reuse the slot's cached sweep only when it
             // demonstrably describes the same tenant, word count and input
             // arity (the kernel path then skips ops whose cone is clean)
-            let kernel_ok =
-                missing.is_none() && bound.is_some() && chunks.len() <= 64 && plane.has_kernel(ctx);
+            let kernel_ok = bound.is_some() && chunks.len() <= 64 && plane.has_kernel(ctx);
             let mut dirty = DIRTY_ALL;
             let mut state = None;
             if kernel_ok {
@@ -784,7 +701,6 @@ impl ShardEngine {
                 bound,
                 chunks,
                 dirty,
-                missing,
                 state,
             });
             pos += 1;
@@ -849,10 +765,13 @@ impl ShardEngine {
             .tenants
             .get_mut(&step.tenant)
             .ok_or(ServiceError::UnknownTenant(step.tenant.index()))?;
-        let taken = self.queue.take(step.ctx).ok_or(stale)?;
+        let tickets = self.queue.tickets(step.ctx);
+        if tickets.is_empty() {
+            return Err(stale);
+        }
         state.usage.passes += 1;
         let width = bound.outputs().iter().filter(|(_, _, reg)| !reg).count();
-        let lanes = taken.tickets.len();
+        let lanes = tickets.len();
         let mut table = slot.claim_table();
         let rows = Arc::make_mut(&mut table);
         if width > 0 && rows.len() < lanes * width {
@@ -881,7 +800,7 @@ impl ShardEngine {
             col += 1;
         }
         responses.reserve(lanes);
-        for (lane, (request, owner)) in taken.tickets.iter().enumerate() {
+        for (lane, (request, owner)) in tickets.iter().enumerate() {
             responses.push(Response {
                 request: *request,
                 tenant: *owner,
@@ -889,9 +808,9 @@ impl ShardEngine {
             });
         }
         slot.pool_table(table);
-        // hand the emptied buffers back to the slot (cleared, capacity
-        // kept) so steady-state flushes re-allocate nothing
-        self.queue.recycle(step.ctx, taken);
+        // empty the batch in place, buffers kept, so steady-state flushes
+        // re-allocate nothing
+        self.queue.clear(step.ctx);
         if outcome.stats.kernel {
             if let Some(arena) = step.state.take() {
                 slot.cache = Some(SlotCache {

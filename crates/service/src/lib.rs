@@ -142,10 +142,11 @@ pub enum ServiceError {
         /// Context slot.
         ctx: usize,
     },
-    /// A submitted request did not drive one of its tenant's bound
-    /// inputs. Checked per request at submit time: batched evaluation sees
-    /// the union of all lanes' input names, so an unchecked omission would
-    /// silently read as 0 whenever a sibling request drives the name.
+    /// A submitted request did not drive one of its tenant's input
+    /// columns (the non-register inputs its plane binds); `name` is the
+    /// first such column, in column order. Checked per request at submit
+    /// time: a batched pass reads every column for every lane, so an
+    /// unchecked omission would silently read as 0.
     MissingInput {
         /// The undriven input signal.
         name: String,

@@ -27,8 +27,8 @@
 //! [`set_threads`]: ShardedService::set_threads
 //! [`set_lane_width`]: ShardedService::set_lane_width
 
-use crate::batch::{RequestId, RequestIdSource, Response};
-use crate::engine::{eval_step, EvalOutcome, PlannedStep, ShardEngine, TenantState};
+use crate::batch::{RequestId, RequestIdSource, Response, TakenBatch};
+use crate::engine::{eval_step, EvalOutcome, PlannedStep, ShardEngine, TenantHandoff, TenantState};
 use crate::executor::{ExecutorConfig, ParallelExecutor};
 use crate::placement::{best_slot, choose_energy_aware, netlist_fingerprint, PlacementPolicy};
 use crate::registry::{Placement, PlaneCache, TenantId, TenantRegistry};
@@ -38,7 +38,9 @@ use mcfpga_css::optimize::{sweep_cost, CostMatrix, OptimizeMode};
 use mcfpga_device::TechParams;
 use mcfpga_fabric::compiled::{LaneBatch, MAX_LANES};
 use mcfpga_fabric::route::implement_netlist_robust;
-use mcfpga_fabric::{CompiledFabric, Fabric, FabricParams, LogicNetlist, RegisterFile, TileCoord};
+use mcfpga_fabric::{
+    CompiledFabric, Fabric, FabricError, FabricParams, LogicNetlist, RegisterFile, TileCoord,
+};
 use mcfpga_migrate::{MigrateError, PendingBatch, TenantCheckpoint};
 use mcfpga_telemetry::{
     tenant_key, Counter, Gauge, Histogram, MetricClass, SpanEvent, SpanKind, Telemetry,
@@ -68,7 +70,7 @@ pub struct SlotFault {
     pub shard: usize,
     /// Context of the failing slot.
     pub ctx: usize,
-    /// What went wrong (typically an undriven bound input).
+    /// What went wrong (typically a corrupted plane's unresolved output).
     pub error: ServiceError,
 }
 
@@ -357,8 +359,8 @@ impl ShardedService {
     /// (`1..=MAX_LANES`). **Never changes output** — a narrower width
     /// just flushes more often — but it may only change while no request
     /// is pending: every engine's queue partition is rebuilt at the new
-    /// width (and every programmed slot re-seeded), which would silently
-    /// drop queued lanes. Drain or discard first.
+    /// width, which would silently drop queued lanes. Drain or discard
+    /// first.
     pub fn set_lane_width(&mut self, width: usize) -> Result<(), ServiceError> {
         if width == 0 || width > MAX_LANES {
             return Err(ServiceError::BadConfig(format!(
@@ -452,12 +454,14 @@ impl ShardedService {
         let plane = self.cache.get_or_compile(digest, || {
             CompiledFabric::compile_context(engine.fabric(), placement.ctx)
         })?;
-        engine.install_plane(placement.ctx, plane);
+        let state = TenantState {
+            columns: plane.bind(placement.ctx)?.input_columns(),
+            ..TenantState::default()
+        };
         let id = self.registry.commit(name, placement, digest);
         self.affinity.entry(fingerprint).or_insert(placement.ctx);
-        let engine = &mut self.engines[placement.shard];
-        engine.add_tenant(id);
-        engine.seed_slot(placement.ctx)?;
+        let handoff = TenantHandoff { state, batch: None };
+        engine.adopt(id, placement.ctx, plane, handoff)?;
         self.sync_gauges();
         Ok(id)
     }
@@ -469,15 +473,15 @@ impl ShardedService {
     /// one slot, so there is nothing to fan out) and its responses become
     /// available on the next [`drain`](Self::drain).
     ///
-    /// Every input the tenant's plane binds must be driven —
-    /// [`ServiceError::MissingInput`] otherwise. The check happens at
-    /// submit, per request, because a batched pass evaluates the union of
-    /// its lanes' input names: without it, a request omitting an input a
-    /// sibling request supplies would silently compute with that input
-    /// as 0. Extra names the plane does not bind are ignored. (The check
-    /// rides the enqueue's own name-resolution scan — see
-    /// [`LaneBatch::push_covering`](mcfpga_fabric::compiled::LaneBatch::push_covering)
-    /// — so it costs no extra string comparisons.)
+    /// Every one of the tenant's input columns — the non-register inputs
+    /// its plane binds — must be driven, [`ServiceError::MissingInput`]
+    /// naming the first undriven one otherwise. Any other name is
+    /// ignored, and that includes stream registers (`reg:*`): they are
+    /// fed only from the tenant's [`register_file`](Self::register_file),
+    /// so one lane cannot overwrite its siblings' stream state. (The
+    /// check rides the enqueue's own name scan — see
+    /// [`LaneBatch::push`](mcfpga_fabric::compiled::LaneBatch::push) — so
+    /// it costs no extra string comparisons.)
     ///
     /// If the lane-full auto-flush's pass fails, the request (and the rest
     /// of its batch) stays queued and a [`SlotFault`] is recorded; recover
@@ -536,11 +540,10 @@ impl ShardedService {
     ///    shard-then-sweep-position-then-lane order — bit-for-bit
     ///    identical at any thread count and any lane width.
     ///
-    /// A slot whose pass fails (e.g. a request omitted one of its tenant's
-    /// bound inputs) never blocks the others: its requests stay queued, a
-    /// [`SlotFault`] is recorded (see [`take_faults`](Self::take_faults)),
-    /// and the sweep continues — one tenant's malformed request cannot
-    /// withhold other tenants' responses.
+    /// A slot whose pass fails (e.g. its plane is corrupted) never blocks
+    /// the others: its requests stay queued, a [`SlotFault`] is recorded
+    /// (see [`take_faults`](Self::take_faults)), and the sweep continues —
+    /// one tenant's faulted slot cannot withhold other tenants' responses.
     pub fn drain(&mut self) -> Result<Vec<Response>, ServiceError> {
         let work: Result<Vec<Vec<(usize, TenantId)>>, ServiceError> = (0..self.engines.len())
             .map(|s| self.active_slots(s))
@@ -796,8 +799,7 @@ impl ShardedService {
         self.engines[placement.shard].install_plane(
             placement.ctx,
             Arc::new(CompiledFabric::compile_context(&broken, placement.ctx)?),
-        );
-        Ok(())
+        )
     }
 
     /// Restores `tenant`'s true compiled plane after
@@ -826,15 +828,7 @@ impl ShardedService {
                 .ok_or(MigrateError::PlaneUnavailable { digest })?
         };
         let plane = self.plane_for_slot(plane, placement.ctx)?;
-        let engine = &mut self.engines[placement.shard];
-        engine.install_plane(placement.ctx, plane);
-        // re-establish the canonical submit-coverage prefix from the true
-        // plane: a migration or discard that happened *while* the slot held
-        // a corrupted plane seeded from that plane's (empty) binds, and
-        // without this the repaired tenant would accept under-driven
-        // requests and silently evaluate the omissions as 0
-        engine.seed_slot(placement.ctx)?;
-        Ok(())
+        self.engines[placement.shard].install_plane(placement.ctx, plane)
     }
 
     /// `plane`, usable from context `ctx` of *this* service's fabrics:
@@ -935,9 +929,10 @@ impl ShardedService {
             Some(batch) => PendingBatch {
                 lanes: batch.len(),
                 inputs: batch
-                    .lane_inputs()
-                    .into_iter()
-                    .map(|(n, v)| (n.to_string(), v))
+                    .columns()
+                    .iter()
+                    .zip(batch.chunks())
+                    .map(|(n, v)| (n.to_string(), *v))
                     .collect(),
                 requests: engine
                     .tickets(placement.ctx)
@@ -1006,11 +1001,17 @@ impl ShardedService {
                 digest: ckpt.digest,
             })?;
         let plane = self.plane_for_slot(plane, slot.ctx)?;
+        let columns = plane.bind(slot.ctx)?.input_columns();
         let batch = LaneBatch::from_parts(
             self.lane_width,
             ckpt.pending.lanes,
-            ckpt.pending.inputs.clone(),
-        )?;
+            Arc::clone(&columns),
+            &ckpt.pending.inputs,
+        )
+        .map_err(|e| match e {
+            FabricError::BadParams(what) => MigrateError::Corrupt(what).into(),
+            e => ServiceError::from(e),
+        })?;
         // an idle destination shard adopts the checkpointed CSS sweep
         // position: its broadcast resumes where the source's sat at the
         // boundary, so subsequent sweeps are planned and charged from the
@@ -1032,25 +1033,18 @@ impl ShardedService {
         usage.migration_bytes += ckpt.encoded_len();
         usage.migration_downtime_cycles += 1 + ckpt.pending.lanes;
         usage.migration_css_toggles += realign;
-        let engine = &mut self.engines[dst_shard];
-        engine.add_tenant_with(
-            id,
-            TenantState {
-                usage,
-                regs: ckpt.regs.clone(),
-            },
-        );
-        engine.install_plane(slot.ctx, plane);
-        engine.seed_slot(slot.ctx)?;
-        // install the pending batch only when it holds work: a lane-less
-        // checkpoint carries no union names (its source slot read as
-        // empty), and overwriting the freshly seeded batch with it would
-        // erase the canonical prefix the coverage check depends on
-        let fresh = if ckpt.pending.lanes > 0 {
-            self.engines[dst_shard].restore_batch(slot.ctx, batch, id, &mut self.ids)
-        } else {
-            Vec::new()
+        let state = TenantState {
+            usage,
+            regs: ckpt.regs.clone(),
+            columns,
         };
+        // restored lanes never reuse their recorded ids: the originals may
+        // have been answered or discarded since the checkpoint was taken,
+        // and a resurrected id would break queue conservation
+        let fresh: Vec<RequestId> = (0..batch.len()).map(|_| self.ids.mint()).collect();
+        let tickets = fresh.iter().map(|&r| (r, id)).collect();
+        let batch = Some(TakenBatch { batch, tickets });
+        self.engines[dst_shard].adopt(id, slot.ctx, plane, TenantHandoff { state, batch })?;
         self.metrics.migrations.inc();
         // cross-node hop spans are the *cluster's* to record: it alone
         // knows both the source node and the old↔new request-id mapping
@@ -1520,7 +1514,7 @@ mod tests {
         // the slot's plane was reinstalled (a new bound plan) after planning
         let reinstall = |_: &mut PlannedStep, engine: &mut ShardEngine| {
             let plane = engine.plane(ctx).unwrap();
-            engine.install_plane(ctx, plane);
+            engine.install_plane(ctx, plane).unwrap();
         };
         assert_eq!(apply(&reinstall), (stale.clone(), 1));
         // the slot's batch was discarded after planning

@@ -469,9 +469,9 @@ fn migration_error_paths() {
 }
 
 /// Review regression: a tenant migrated *while its plane was faulted*
-/// seeds the destination from the corrupted plane (which binds nothing) —
-/// repair must re-establish the canonical prefix, or the tenant would
-/// accept under-driven requests forever after.
+/// lands with the corrupted plane (which binds nothing) — after repair it
+/// must still refuse under-driven requests, which holds because its input
+/// columns travel with it rather than coming from the installed plane.
 #[test]
 fn repair_after_faulted_migration_restores_submit_validation() {
     let mut svc = service(2);
@@ -492,8 +492,8 @@ fn repair_after_faulted_migration_restores_submit_validation() {
 }
 
 /// Review regression: restoring a checkpoint with NO pending work must
-/// not erase the freshly seeded slot's canonical prefix — the restored
-/// tenant still refuses under-driven requests exactly like a fresh one.
+/// still open the slot over the tenant's input columns — the restored
+/// tenant refuses under-driven requests exactly like a fresh one.
 #[test]
 fn empty_pending_restore_keeps_submit_validation() {
     let mut svc = service(2);
@@ -643,4 +643,123 @@ fn checkpoints_roundtrip_across_lane_widths() {
         tight.restore_tenant(&fat_ckpt, 1).is_err(),
         "65 pending lanes must not restore into a 64-lane slot"
     );
+}
+
+/// `y = a AND NOT b` — asymmetric in its inputs, so a restore that
+/// matched checkpoint chunks to inputs by position would answer wrongly.
+fn a_and_not_b() -> LogicNetlist {
+    let mut nl = LogicNetlist::new();
+    let a = nl.add_input("a");
+    let b = nl.add_input("b");
+    let y = nl.add_lut("t", &[a, b], 0b0010).unwrap();
+    nl.add_output("y", y).unwrap();
+    nl
+}
+
+/// The outputs a restore of `ckpt` on shard 1 produces for its pending
+/// requests.
+fn restored_outputs(svc: &mut ShardedService, ckpt: &TenantCheckpoint) -> Vec<(String, bool)> {
+    let (_, fresh) = svc.restore_tenant(ckpt, 1).unwrap();
+    let responses = svc.drain().unwrap();
+    assert!(svc.take_faults().is_empty());
+    let mut outputs = Vec::new();
+    for id in fresh {
+        let r = responses.iter().find(|r| r.request == id).unwrap();
+        outputs.extend(r.outputs.iter().map(|(n, v)| (n.to_string(), *v)));
+    }
+    outputs
+}
+
+/// A checkpoint's pending names resolve to the tenant's input columns
+/// by name: reversing them changes nothing, and names that are not
+/// columns are dropped.
+#[test]
+fn restore_resolves_pending_names_by_name() {
+    let nl = a_and_not_b();
+    let expected = nl.eval(&[("a", true), ("b", false)]).unwrap();
+    assert_eq!(expected, vec![("y".to_string(), true)]);
+    let mut svc = service(2);
+    let t = svc.admit("t", &nl).unwrap();
+    svc.submit(t, &[("a", true), ("b", false)]).unwrap();
+    let ckpt = svc.checkpoint_tenant(t).unwrap();
+    let names: Vec<&str> = ckpt
+        .pending
+        .inputs
+        .iter()
+        .map(|(n, _)| n.as_str())
+        .collect();
+    assert_eq!(names, ["a", "b"]);
+    assert_eq!(restored_outputs(&mut svc, &ckpt), expected);
+
+    let mut reversed = ckpt.clone();
+    reversed.pending.inputs.reverse();
+    assert_eq!(restored_outputs(&mut svc, &reversed), expected);
+
+    let mut extra = ckpt.clone();
+    extra.pending.inputs.insert(0, ("zz".into(), [1, 0, 0, 0]));
+    let (clone, _) = svc.restore_tenant(&extra, 1).unwrap();
+    let names: Vec<String> = svc
+        .checkpoint_tenant(clone)
+        .unwrap()
+        .pending
+        .inputs
+        .into_iter()
+        .map(|(n, _)| n)
+        .collect();
+    assert_eq!(names, ["a", "b"], "the extra name was dropped");
+}
+
+/// A pending batch that misses one of the tenant's columns, or repeats
+/// a name, is corrupt: restore refuses it and changes nothing.
+#[test]
+fn restore_refuses_a_pending_batch_missing_or_repeating_a_name() {
+    let mut svc = service(2);
+    let parity = generators::parity_tree(3).unwrap();
+    let t = svc.admit("t", &parity).unwrap();
+    submit3(&mut svc, t, 0b100);
+    let ckpt = svc.checkpoint_tenant(t).unwrap();
+
+    let mut missing = ckpt.clone();
+    missing.pending.inputs.retain(|(n, _)| n != "x2");
+    let mut repeated = ckpt.clone();
+    repeated.pending.inputs.push(ckpt.pending.inputs[0].clone());
+    for bad in [missing, repeated] {
+        let (tenants, pending) = (svc.registry().len(), svc.pending_requests());
+        let report = svc.billing_report();
+        let err = svc.restore_tenant(&bad, 1).unwrap_err();
+        assert!(
+            matches!(err, ServiceError::Migrate(MigrateError::Corrupt(_))),
+            "{err}"
+        );
+        assert_eq!(svc.registry().len(), tenants);
+        assert_eq!(svc.pending_requests(), pending);
+        assert_eq!(svc.billing_report(), report);
+    }
+    // the intact checkpoint still restores and answers parity(0,0,1)
+    svc.restore_tenant(&ckpt, 1).unwrap();
+    let responses = svc.drain().unwrap();
+    assert_eq!(responses.len(), 2);
+    assert!(responses.iter().all(|r| r.outputs[0].1));
+}
+
+/// A request naming a stream register does not drive it: `reg:*` inputs
+/// come only from the tenant's register file, so one lane cannot
+/// overwrite its siblings' stream state.
+#[test]
+fn a_request_naming_a_register_does_not_drive_it() {
+    let mut svc = service(1);
+    let t = svc.admit("t", &accumulator()).unwrap();
+    // pass 1: both lanes x=1, so reg:acc holds 1 in lanes 0 and 1
+    svc.submit(t, &[("x", true)]).unwrap();
+    svc.submit(t, &[("x", true)]).unwrap();
+    assert_eq!(svc.drain().unwrap().len(), 2);
+    // pass 2: lane 0 also names reg:acc; both lanes still read 1 ⊕ 0
+    svc.submit(t, &[("x", false), ("reg:acc", true)]).unwrap();
+    svc.submit(t, &[("x", false)]).unwrap();
+    let responses = svc.drain().unwrap();
+    let ys: Vec<bool> = responses.iter().map(|r| r.outputs[0].1).collect();
+    assert_eq!(ys, [true, true]);
+    // a request that drives only a register still misses its column
+    let err = svc.submit(t, &[("reg:acc", true)]).unwrap_err();
+    assert!(matches!(err, ServiceError::MissingInput { ref name } if name == "x"));
 }
