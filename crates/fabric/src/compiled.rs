@@ -139,7 +139,9 @@ pub type ResourceId = u32;
 /// the pass, lane `l` of each output chunk ([`chunk_bit`]) is request
 /// `l`'s answer. The capacity is the batch's **width**: [`LANES`] (one
 /// word) for [`LaneBatch::new`], up to [`MAX_LANES`] via
-/// [`LaneBatch::with_width`].
+/// [`LaneBatch::with_width`]. A request arrives either by name
+/// ([`LaneBatch::push`]) or as an input row already resolved against the
+/// columns ([`resolve_row`], [`LaneBatch::push_row`]).
 ///
 /// ```
 /// use mcfpga_fabric::compiled::{LaneBatch, PushRefusal};
@@ -162,7 +164,8 @@ pub struct LaneBatch {
     chunks: Vec<LaneChunk>,
 }
 
-/// Why [`LaneBatch::push`] refused a request. The batch is unchanged.
+/// Why [`LaneBatch::push`] (or [`LaneBatch::push_row`]) refused a
+/// request. The batch is unchanged.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PushRefusal {
     /// All of the batch's [`LaneBatch::width`] lanes are occupied.
@@ -344,19 +347,50 @@ impl LaneBatch {
     }
 
     /// [`push`](Self::push) for a request whose names do not line up with
-    /// the columns. Kept out of line so the positional path stays small.
+    /// the columns: [`resolve_row`], then [`push_row`](Self::push_row).
+    /// Kept out of line so the positional path stays small.
     #[inline(never)]
     fn push_by_name(&mut self, request: &[(&str, bool)]) -> Result<usize, PushRefusal> {
-        let undriven = |col: &Arc<str>| !request.iter().any(|(n, _)| *n == &**col);
-        if let Some(c) = self.columns.iter().position(undriven) {
-            return Err(PushRefusal::MissingInput(c));
+        let words = row_words(self.columns.len());
+        let mut inline = [0u64; LANE_WORDS];
+        let mut spilled = Vec::new();
+        let row = if words <= LANE_WORDS {
+            &mut inline[..words]
+        } else {
+            spilled.resize(words, 0);
+            &mut spilled[..]
+        };
+        resolve_row(&self.columns, request, row).map_err(PushRefusal::MissingInput)?;
+        self.push_row(row)
+    }
+
+    /// Adds one request given as an **input row** — bit `c % 64` of word
+    /// `c / 64` is column `c`'s value, as [`resolve_row`] writes it —
+    /// returning the lane it occupies. A row always drives every column,
+    /// so the only refusal is [`PushRefusal::Full`]. Costs one OR per set
+    /// bit, with no name comparisons.
+    ///
+    /// # Panics
+    ///
+    /// If `row` is not [`row_words`]`(columns().len())` words long (a
+    /// short row would silently read its missing columns as 0), or sets a
+    /// bit at or past `columns().len()`.
+    pub fn push_row(&mut self, row: &[u64]) -> Result<usize, PushRefusal> {
+        assert_eq!(
+            row.len(),
+            row_words(self.columns.len()),
+            "an input row must span the batch's columns"
+        );
+        if self.is_full() {
+            return Err(PushRefusal::Full);
         }
         let lane = self.lanes;
-        for (name, value) in request {
-            if *value {
-                if let Some(c) = self.columns.iter().position(|col| **col == **name) {
-                    self.chunks[c][lane / 64] |= 1u64 << (lane % 64);
-                }
+        let (word, bit) = (lane / 64, 1u64 << (lane % 64));
+        for (w, &bits) in row.iter().enumerate() {
+            let mut bits = bits;
+            while bits != 0 {
+                self.chunks[w * 64 + bits.trailing_zeros() as usize][word] |= bit;
+                bits &= bits - 1;
             }
         }
         self.lanes += 1;
@@ -368,6 +402,91 @@ impl LaneBatch {
         self.lanes = 0;
         self.chunks.fill([0u64; LANE_WORDS]);
     }
+}
+
+/// Words in one input row over `columns` columns: `⌈columns / 64⌉`.
+#[must_use]
+pub fn row_words(columns: usize) -> usize {
+    columns.div_ceil(64)
+}
+
+/// Resolves one named request into an **input row** over `columns`: bit
+/// `c % 64` of word `c / 64` becomes column `c`'s value — the OR of the
+/// request's values under that name, exactly what [`LaneBatch::push`]
+/// would put in the request's lane. Names that are not columns are
+/// ignored. `row` is [`row_words`]`(columns.len())` words long and is
+/// overwritten; bits past the last column are left clear.
+///
+/// A request whose names are the columns in order is written in the same
+/// loop that compares them; any other is checked for coverage first, then
+/// written by name search. Fails with the first column (in column order)
+/// the request leaves undriven — the column
+/// [`PushRefusal::MissingInput`] names — and the row's contents are then
+/// unspecified.
+///
+/// Resolve once, push many: a row feeds [`LaneBatch::push_row`] with no
+/// name comparisons, so a caller that holds a request before it can be
+/// batched pays for its names up front, when it is accepted.
+///
+/// # Panics
+///
+/// If `row` is shorter than [`row_words`]`(columns.len())`.
+///
+/// ```
+/// use mcfpga_fabric::compiled::{resolve_row, LaneBatch};
+/// use std::sync::Arc;
+///
+/// let columns: Arc<[Arc<str>]> = Arc::from([Arc::from("x"), Arc::from("y")]);
+/// let mut row = [0u64];
+/// resolve_row(&columns, &[("y", true), ("x", false), ("extra", true)], &mut row).unwrap();
+/// assert_eq!(row[0], 0b10);
+/// assert_eq!(resolve_row(&columns, &[("x", true)], &mut row), Err(1));
+/// let mut batch = LaneBatch::new(columns);
+/// assert_eq!(batch.push_row(&[0b10]), Ok(0));
+/// assert_eq!(batch.chunks()[1][0], 1); // y: lane 0 true
+/// ```
+pub fn resolve_row(
+    columns: &[Arc<str>],
+    request: &[(&str, bool)],
+    row: &mut [u64],
+) -> Result<(), usize> {
+    row.fill(0);
+    let mut matched = 0;
+    for ((name, value), col) in request.iter().zip(columns) {
+        if **col != **name {
+            break;
+        }
+        row[matched / 64] |= u64::from(*value) << (matched % 64);
+        matched += 1;
+    }
+    if matched == columns.len() && matched == request.len() {
+        return Ok(());
+    }
+    resolve_by_name(columns, request, row)
+}
+
+/// [`resolve_row`] for a request whose names do not line up with the
+/// columns. Kept out of line so the positional path stays small.
+#[inline(never)]
+fn resolve_by_name(
+    columns: &[Arc<str>],
+    request: &[(&str, bool)],
+    row: &mut [u64],
+) -> Result<(), usize> {
+    let undriven = |col: &Arc<str>| !request.iter().any(|(n, _)| *n == &**col);
+    if let Some(c) = columns.iter().position(undriven) {
+        return Err(c);
+    }
+    // no need to clear what the positional loop wrote: it set only bits
+    // of columns whose own entry is true, which this loop sets again
+    for (name, value) in request {
+        if *value {
+            if let Some(c) = columns.iter().position(|col| **col == **name) {
+                row[c / 64] |= 1u64 << (c % 64);
+            }
+        }
+    }
+    Ok(())
 }
 
 /// Maps `(tile, resource)` coordinates onto the dense arena.
@@ -1958,6 +2077,95 @@ mod tests {
                 proptest::prop_assert_eq!(batch.chunks(), &reference[..]);
                 for chunk in batch.chunks() {
                     for l in batch.len()..MAX_LANES {
+                        proptest::prop_assert!(!chunk_bit(chunk, l), "bit above lane {}", l);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "an input row must span the batch's columns")]
+    fn push_row_refuses_a_row_that_misses_columns() {
+        let names: Vec<String> = (0..65).map(|i| format!("n{i}")).collect();
+        let columns: Arc<[Arc<str>]> = names.iter().map(|n| Arc::from(n.as_str())).collect();
+        // one word covers 64 of the 65 columns: column 64 would read 0
+        let _ = LaneBatch::new(columns).push_row(&[!0]);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        /// `resolve_row` + `push_row` build what `push` builds: the same
+        /// chunks, the same refusal column, and no bits above the occupied
+        /// lanes. Columns are shuffled and run past one and two row words;
+        /// requests carry extras (`reg:*` too), duplicates and omissions,
+        /// until the batch is full.
+        #[test]
+        fn row_push_matches_name_push(
+            seed in proptest::prelude::any::<u64>(),
+            ncols in 0usize..160,
+            width in 1usize..=MAX_LANES,
+        ) {
+            use rand::rngs::StdRng;
+            use rand::{RngExt, SeedableRng};
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut names: Vec<String> = (0..ncols).map(|i| format!("n{i}")).collect();
+            for i in (1..names.len()).rev() {
+                names.swap(i, rng.random_range(0..i + 1));
+            }
+            let columns: Arc<[Arc<str>]> = names.iter().map(|n| Arc::from(n.as_str())).collect();
+            let mut by_name = LaneBatch::with_width(width, Arc::clone(&columns)).unwrap();
+            let mut by_row = LaneBatch::with_width(width, Arc::clone(&columns)).unwrap();
+            let mut row = vec![0u64; row_words(ncols)];
+            let extras = ["e0", "reg:e", "n999"];
+            for _ in 0..width + 2 {
+                let mut request: Vec<&str> = names.iter().map(String::as_str).collect();
+                for _ in 0..rng.random_range(0..3u32) {
+                    match rng.random_range(0..4u32) {
+                        0 => {
+                            for i in (1..request.len()).rev() {
+                                request.swap(i, rng.random_range(0..i + 1));
+                            }
+                        }
+                        1 if !request.is_empty() => {
+                            let dup = request[rng.random_range(0..request.len())];
+                            request.insert(rng.random_range(0..request.len() + 1), dup);
+                        }
+                        2 if !request.is_empty() && rng.random_range(0..3u32) == 0 => {
+                            request.remove(rng.random_range(0..request.len()));
+                        }
+                        _ => {
+                            let extra = extras[rng.random_range(0..extras.len())];
+                            request.insert(rng.random_range(0..request.len() + 1), extra);
+                        }
+                    }
+                }
+                let request: Vec<(&str, bool)> = request
+                    .into_iter()
+                    .map(|n| (n, rng.random_range(0..2u32) == 1))
+                    .collect();
+                let resolved = resolve_row(&columns, &request, &mut row);
+                let pushed = match resolved {
+                    Ok(()) => {
+                        for (w, word) in row.iter().enumerate() {
+                            let live = ncols.saturating_sub(w * 64).min(64);
+                            let dead = if live == 64 { 0 } else { !0u64 << live };
+                            proptest::prop_assert_eq!(word & dead, 0, "bit past the last column");
+                        }
+                        by_row.push_row(&row)
+                    }
+                    Err(c) if by_row.is_full() => {
+                        proptest::prop_assert!(c < ncols);
+                        Err(PushRefusal::Full)
+                    }
+                    Err(c) => Err(PushRefusal::MissingInput(c)),
+                };
+                proptest::prop_assert_eq!(by_name.push(&request), pushed, "request {:?}", request);
+                proptest::prop_assert_eq!(by_row.len(), by_name.len());
+                proptest::prop_assert_eq!(by_row.chunks(), by_name.chunks());
+                for chunk in by_row.chunks() {
+                    for l in by_row.len()..MAX_LANES {
                         proptest::prop_assert!(!chunk_bit(chunk, l), "bit above lane {}", l);
                     }
                 }

@@ -157,6 +157,20 @@ struct PendingSlot {
 }
 
 impl PendingSlot {
+    /// Mints the id of the request just pushed into `lane` and records
+    /// its ticket; returns the id and whether the batch is now full.
+    fn ticket(
+        &mut self,
+        lane: usize,
+        tenant: TenantId,
+        ids: &mut RequestIdSource,
+    ) -> (RequestId, bool) {
+        debug_assert_eq!(lane, self.tickets.len());
+        let id = ids.mint();
+        self.tickets.push((id, tenant));
+        (id, self.batch.is_full())
+    }
+
     fn open(width: usize, columns: Arc<[Arc<str>]>) -> Result<Self, FabricError> {
         Ok(PendingSlot {
             batch: LaneBatch::with_width(width, columns)?,
@@ -252,10 +266,23 @@ impl BatchQueue {
     ) -> Result<(RequestId, bool), PushRefusal> {
         let slot = &mut self.slots[ctx];
         let lane = slot.batch.push(inputs)?;
-        debug_assert_eq!(lane, slot.tickets.len());
-        let id = ids.mint();
-        slot.tickets.push((id, tenant));
-        Ok((id, slot.batch.is_full()))
+        Ok(slot.ticket(lane, tenant, ids))
+    }
+
+    /// [`enqueue`](Self::enqueue) for a request already resolved into an
+    /// input row over the slot's columns
+    /// ([`mcfpga_fabric::compiled::resolve_row`]). A row drives every
+    /// column, so the only refusal is [`PushRefusal::Full`].
+    pub(crate) fn enqueue_row(
+        &mut self,
+        ctx: usize,
+        tenant: TenantId,
+        row: &[u64],
+        ids: &mut RequestIdSource,
+    ) -> Result<(RequestId, bool), PushRefusal> {
+        let slot = &mut self.slots[ctx];
+        let lane = slot.batch.push_row(row)?;
+        Ok(slot.ticket(lane, tenant, ids))
     }
 
     /// Context slots that currently hold pending work, ascending.

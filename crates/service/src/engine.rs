@@ -450,7 +450,34 @@ impl ShardEngine {
         inputs: &[(&str, bool)],
         ids: &mut RequestIdSource,
     ) -> Result<(RequestId, bool), ServiceError> {
-        let (id, full) = match self.queue.enqueue(ctx, tenant, inputs, ids) {
+        let pushed = self.queue.enqueue(ctx, tenant, inputs, ids);
+        self.charge_enqueued(ctx, tenant, pushed)
+    }
+
+    /// [`submit`](Self::submit) for a request already resolved into an
+    /// input row over the tenant's columns; it can only be refused as
+    /// [`ServiceError::SlotBacklogged`].
+    pub(crate) fn submit_row(
+        &mut self,
+        ctx: usize,
+        tenant: TenantId,
+        row: &[u64],
+        ids: &mut RequestIdSource,
+    ) -> Result<(RequestId, bool), ServiceError> {
+        let pushed = self.queue.enqueue_row(ctx, tenant, row, ids);
+        self.charge_enqueued(ctx, tenant, pushed)
+    }
+
+    /// The shared tail of [`submit`](Self::submit) and
+    /// [`submit_row`](Self::submit_row): types a refusal, or charges the
+    /// tenant's request counter.
+    fn charge_enqueued(
+        &mut self,
+        ctx: usize,
+        tenant: TenantId,
+        pushed: Result<(RequestId, bool), PushRefusal>,
+    ) -> Result<(RequestId, bool), ServiceError> {
+        let (id, full) = match pushed {
             Ok(ok) => ok,
             Err(PushRefusal::Full) => {
                 return Err(ServiceError::SlotBacklogged {

@@ -46,9 +46,16 @@
 //!   an id — so [`trace`](FrontendDriver::trace) replays the full
 //!   admitted→…→demuxed lifecycle.
 //!
-//! The flow per request: `offer` (admit / backpressure / reject) → bounded
-//! stream queue → `pump` (expire, then flush-decision per stream) →
-//! [`ShardedService::submit`] + [`flush_tenants`] → [`FrontendEvent`]s.
+//! The flow per request: `offer` (admit / backpressure / reject, then
+//! resolve the names once into an input row over the tenant's columns —
+//! [`resolve_row`]) → bounded stream queue → `pump` (expire, then
+//! flush-decision per stream) → the row handed to the service with no
+//! name comparisons, and the touched slots run through [`flush_tenants`]
+//! → responses matched to the front of each stream's in-flight FIFO →
+//! [`FrontendEvent`]s. A request that leaves an input column undriven
+//! keeps its names and is submitted by name
+//! ([`ShardedService::submit`]), so the service refuses it exactly as it
+//! would a direct submission, at the same pump.
 //!
 //! [`LatencySensitive`]: QosClass::LatencySensitive
 //! [`Throughput`]: QosClass::Throughput
@@ -89,11 +96,13 @@ use crate::registry::TenantId;
 use crate::service::{ShardedService, SlotFault};
 use crate::ServiceError;
 use mcfpga_cost::attribution::{render_frontend_billing, FrontendUsage};
+use mcfpga_fabric::compiled::{resolve_row, row_words};
 use mcfpga_fabric::LogicNetlist;
 use mcfpga_telemetry::{
     ticket_key, Counter, Gauge, Histogram, MetricClass, SpanEvent, SpanKind, Telemetry,
 };
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
+use std::sync::Arc;
 
 /// Offers received, every outcome included ([`MetricClass::Deterministic`]).
 pub const FRONTEND_OFFERED_METRIC: &str = "frontend_offered";
@@ -443,11 +452,69 @@ pub enum FrontendEvent {
 #[derive(Debug, Clone)]
 struct QueuedRequest {
     ticket: Ticket,
-    inputs: Vec<(String, bool)>,
+    payload: Payload,
     /// Absolute virtual-clock deadline, if any.
     deadline: Option<u64>,
     /// Virtual cycle the request was admitted.
     arrived: u64,
+}
+
+/// What a queued request hands the service.
+#[derive(Debug, Clone)]
+enum Payload {
+    /// Resolved at admission: the slot of its input row in the stream's
+    /// [`RowPool`].
+    Row(usize),
+    /// Leaves one of the tenant's input columns undriven: the names as
+    /// offered, submitted by name at the pump so the service refuses the
+    /// request with its own error, in its own order of precedence.
+    Names(Vec<(String, bool)>),
+}
+
+/// The input rows of one stream's queued requests: fixed-stride slots
+/// (`⌈columns / 64⌉` words each) in one buffer, reused through a free
+/// list. A stream's queue never exceeds its capacity, so the pool stops
+/// growing at the queue's high-water mark and admission allocates
+/// nothing after that.
+#[derive(Debug, Clone)]
+struct RowPool {
+    stride: usize,
+    words: Vec<u64>,
+    slots: usize,
+    free: Vec<usize>,
+}
+
+impl RowPool {
+    fn new(columns: usize) -> Self {
+        RowPool {
+            stride: row_words(columns),
+            words: Vec::new(),
+            slots: 0,
+            free: Vec::new(),
+        }
+    }
+
+    fn claim(&mut self) -> usize {
+        self.free.pop().unwrap_or_else(|| {
+            self.words.resize(self.words.len() + self.stride, 0);
+            self.slots += 1;
+            self.slots - 1
+        })
+    }
+
+    fn release(&mut self, slot: usize) {
+        self.free.push(slot);
+    }
+
+    fn row(&self, slot: usize) -> &[u64] {
+        let start = slot * self.stride;
+        &self.words[start..start + self.stride]
+    }
+
+    fn row_mut(&mut self, slot: usize) -> &mut [u64] {
+        let start = slot * self.stride;
+        &mut self.words[start..start + self.stride]
+    }
 }
 
 /// One tenant's stream state.
@@ -455,7 +522,12 @@ struct QueuedRequest {
 struct Stream {
     tenant: TenantId,
     policy: StreamPolicy,
+    /// The tenant's input columns, cached when the stream opens: they are
+    /// fixed for a tenant's lifetime, so a row resolved at admission still
+    /// lines up with the slot when the pump submits it.
+    columns: Arc<[Arc<str>]>,
     queue: VecDeque<QueuedRequest>,
+    rows: RowPool,
     /// Token bucket level, scaled by `rate.refill_den` (integer-exact).
     tokens_scaled: u64,
     /// Clock of the last bucket refill.
@@ -467,27 +539,40 @@ struct Stream {
     /// nonzero gap after a burst reset the estimator instead of blending.
     gap_ewma_q8: Option<u64>,
     last_arrival: Option<u64>,
-    /// Requests flushed into the service, awaiting responses.
-    inflight: usize,
+    /// Requests flushed into the service, awaiting responses, in submit
+    /// order. The stream's requests share one slot and demux runs in lane
+    /// order, so they complete in this order too.
+    inflight: VecDeque<Inflight>,
     usage: FrontendUsage,
 }
 
 impl Stream {
-    fn new(tenant: TenantId, policy: StreamPolicy, now: u64) -> Self {
+    fn new(tenant: TenantId, policy: StreamPolicy, columns: Arc<[Arc<str>]>, now: u64) -> Self {
         let tokens_scaled = policy
             .rate
             .map_or(0, |r| r.burst.saturating_mul(r.refill_den));
         Stream {
             tenant,
             policy,
+            rows: RowPool::new(columns.len()),
+            columns,
             queue: VecDeque::new(),
             tokens_scaled,
             refilled_at: now,
             gap_ewma_q8: None,
             last_arrival: None,
-            inflight: 0,
+            inflight: VecDeque::new(),
             usage: FrontendUsage::default(),
         }
+    }
+
+    /// Removes queued request `i`, returning its row slot to the pool.
+    fn dequeue(&mut self, i: usize) -> QueuedRequest {
+        let req = self.queue.remove(i).expect("index checked");
+        if let Payload::Row(slot) = req.payload {
+            self.rows.release(slot);
+        }
+        req
     }
 
     /// Brings the token bucket up to `now` (integer-exact, saturating at
@@ -524,11 +609,11 @@ impl Stream {
     }
 }
 
-/// Metadata of one request handed to the service, keyed by its
-/// [`RequestId`] until the response arrives.
+/// Metadata of one request handed to the service, held in its stream's
+/// in-flight queue until the response arrives.
 #[derive(Debug, Clone, Copy)]
 struct Inflight {
-    stream: usize,
+    request: RequestId,
     ticket: Ticket,
     arrived: u64,
     flushed: u64,
@@ -545,8 +630,12 @@ pub struct FrontendDriver {
     /// Virtual clock, in cycles. Advanced only by the caller.
     now: u64,
     next_ticket: u64,
-    /// Requests flushed into the service, awaiting their responses.
-    inflight: HashMap<RequestId, Inflight>,
+    /// The tenants one pump flushes, kept to reuse its buffer.
+    flush_list: Vec<TenantId>,
+    /// Set once the caller has borrowed the service mutably: direct
+    /// submissions and discards are then possible, and a stream's
+    /// responses may no longer arrive at the front of its in-flight queue.
+    direct_access: bool,
     metrics: FrontendMetrics,
 }
 
@@ -559,13 +648,14 @@ impl Clone for FrontendDriver {
         let svc = self.svc.clone();
         let metrics = FrontendMetrics::register(svc.telemetry());
         svc.telemetry().set_cycle(self.now);
-        metrics.inflight.set(self.inflight.len() as i64);
+        metrics.inflight.set(self.inflight_requests() as i64);
         FrontendDriver {
             svc,
             streams: self.streams.clone(),
             now: self.now,
             next_ticket: self.next_ticket,
-            inflight: self.inflight.clone(),
+            flush_list: Vec::new(),
+            direct_access: self.direct_access,
             metrics,
         }
     }
@@ -582,7 +672,8 @@ impl FrontendDriver {
             streams: Vec::new(),
             now: 0,
             next_ticket: 0,
-            inflight: HashMap::new(),
+            flush_list: Vec::new(),
+            direct_access: false,
             metrics,
         }
     }
@@ -598,6 +689,7 @@ impl FrontendDriver {
     /// Submitting directly here bypasses admission control; such
     /// requests' responses surface as [`FrontendEvent::PassThrough`].
     pub fn service_mut(&mut self) -> &mut ShardedService {
+        self.direct_access = true;
         &mut self.svc
     }
 
@@ -646,7 +738,7 @@ impl FrontendDriver {
         policy: StreamPolicy,
     ) -> Result<(), FrontendError> {
         // surface unknown tenants now, not at first offer
-        self.svc.registry().tenant(tenant)?;
+        let columns = self.svc.input_columns(tenant)?;
         if self.stream_index(tenant).is_some() {
             return Err(FrontendError::StreamExists(tenant));
         }
@@ -662,7 +754,8 @@ impl FrontendDriver {
                 ));
             }
         }
-        self.streams.push(Stream::new(tenant, policy, self.now));
+        self.streams
+            .push(Stream::new(tenant, policy, columns, self.now));
         Ok(())
     }
 
@@ -683,6 +776,16 @@ impl FrontendDriver {
     /// deadline_budget` from the policy, or none — and a fresh
     /// [`Ticket`] is returned. Every outcome increments the stream's
     /// [`FrontendUsage`] counters.
+    ///
+    /// An admitted request's names are resolved here, once, into an input
+    /// row over the tenant's input columns ([`resolve_row`]; names that
+    /// are not columns, `reg:*` included, are ignored), held in a
+    /// per-stream row pool that stops growing at the queue's high-water
+    /// mark — admission copies no names and, after warm-up, allocates
+    /// nothing. Admission never refuses a payload: a request that leaves
+    /// a column undriven is queued with its names, and the pump that
+    /// hands it over surfaces the service's refusal as a
+    /// [`FrontendEvent::Failed`].
     pub fn offer(
         &mut self,
         tenant: TenantId,
@@ -756,9 +859,17 @@ impl FrontendDriver {
         stream.last_arrival = Some(now);
         let ticket = Ticket(self.next_ticket);
         self.next_ticket += 1;
+        let slot = stream.rows.claim();
+        let payload = match resolve_row(&stream.columns, inputs, stream.rows.row_mut(slot)) {
+            Ok(()) => Payload::Row(slot),
+            Err(_) => {
+                stream.rows.release(slot);
+                Payload::Names(inputs.iter().map(|(n, v)| ((*n).to_string(), *v)).collect())
+            }
+        };
         stream.queue.push_back(QueuedRequest {
             ticket,
-            inputs: inputs.iter().map(|(n, v)| ((*n).to_string(), *v)).collect(),
+            payload,
             deadline,
             arrived: now,
         });
@@ -783,6 +894,17 @@ impl FrontendDriver {
     /// * a stream with requests already in the service (a faulted slot
     ///   keeps them queued there) is re-flushed every pump, so repaired
     ///   tenants complete without new traffic.
+    ///
+    /// A handed-over request is submitted as the input row it was
+    /// resolved into at [`offer`](Self::offer) (no name comparisons), or
+    /// by name if it did not resolve; the service's refusals keep their
+    /// order — unknown tenant, then backlogged slot (the request stays
+    /// queued for a later pump), then missing input. Responses are
+    /// matched to the front of their stream's in-flight FIFO. A stream
+    /// whose tenant is no longer registered (retired underneath the front
+    /// end) resolves its in-flight requests as [`FrontendEvent::Failed`]
+    /// with [`ServiceError::UnknownTenant`] and is left out of the flush,
+    /// so the other streams keep completing.
     ///
     /// With nothing queued, nothing in flight and nothing due, a pump is
     /// a pure no-op: no service call, no clock movement, no events.
@@ -829,7 +951,7 @@ impl FrontendDriver {
             while i < stream.queue.len() {
                 let overdue = stream.queue[i].deadline.is_some_and(|d| d < now);
                 if overdue {
-                    let req = stream.queue.remove(i).expect("index checked");
+                    let req = stream.dequeue(i);
                     stream.usage.expired += 1;
                     self.metrics.expired.inc();
                     let deadline = req.deadline.expect("overdue implies a deadline");
@@ -879,7 +1001,7 @@ impl FrontendDriver {
             // lane width. Capping at the stream's own capacity propagates
             // the stall upstream as front-end backpressure instead,
             // identically at every lane width.
-            let window = stream.policy.capacity.saturating_sub(stream.inflight);
+            let window = stream.policy.capacity.saturating_sub(stream.inflight.len());
             // hand over at most one batch per pump (force hands over all)
             let handover = if force {
                 self.streams[idx].queue.len().min(window)
@@ -889,12 +1011,19 @@ impl FrontendDriver {
             for _ in 0..handover {
                 let stream = &mut self.streams[idx];
                 let head = stream.queue.front().expect("handover bounded by len");
-                let refs: Vec<(&str, bool)> =
-                    head.inputs.iter().map(|(n, v)| (n.as_str(), *v)).collect();
-                match self.svc.submit(stream.tenant, &refs) {
+                let submitted = match &head.payload {
+                    Payload::Row(slot) => {
+                        self.svc.submit_row(stream.tenant, stream.rows.row(*slot))
+                    }
+                    Payload::Names(names) => {
+                        let refs: Vec<(&str, bool)> =
+                            names.iter().map(|(n, v)| (n.as_str(), *v)).collect();
+                        self.svc.submit(stream.tenant, &refs)
+                    }
+                };
+                match submitted {
                     Ok(request) => {
-                        let req = stream.queue.pop_front().expect("head existed");
-                        stream.inflight += 1;
+                        let req = stream.dequeue(0);
                         // now the ticket has a RequestId, backfill its
                         // admission hop at the cycle it actually arrived
                         // (detail: deadline slack at admission, -1 = none)
@@ -907,21 +1036,18 @@ impl FrontendDriver {
                             now,
                             (now - req.arrived) as i64,
                         );
-                        self.inflight.insert(
+                        stream.inflight.push_back(Inflight {
                             request,
-                            Inflight {
-                                stream: idx,
-                                ticket: req.ticket,
-                                arrived: req.arrived,
-                                flushed: now,
-                            },
-                        );
+                            ticket: req.ticket,
+                            arrived: req.arrived,
+                            flushed: now,
+                        });
                     }
                     // a poisoned slot's backlog clears after repair —
                     // keep the rest queued and retry on a later pump
                     Err(ServiceError::SlotBacklogged { .. }) => break,
                     Err(error) => {
-                        let req = stream.queue.pop_front().expect("head existed");
+                        let req = stream.dequeue(0);
                         stream.usage.failed += 1;
                         self.metrics.failed.inc();
                         self.svc.telemetry().span_at(
@@ -940,28 +1066,51 @@ impl FrontendDriver {
             }
         }
         // 3. execute: every stream with in-flight work is flushed — the
-        // just-submitted batches, plus faulted slots being retried
-        let flush_list: Vec<TenantId> = self
-            .streams
-            .iter()
-            .filter(|s| s.inflight > 0)
-            .map(|s| s.tenant)
-            .collect();
+        // just-submitted batches, plus faulted slots being retried. A
+        // stream whose tenant was retired underneath the front end (a
+        // cross-node move retires the source) will never see its
+        // in-flight requests answered: they fail here instead, and the
+        // stream stays out of the flush.
+        let mut flush_list = std::mem::take(&mut self.flush_list);
+        flush_list.clear();
+        for stream in &mut self.streams {
+            if stream.inflight.is_empty() {
+                continue;
+            }
+            if self.svc.registry().tenant(stream.tenant).is_ok() {
+                flush_list.push(stream.tenant);
+                continue;
+            }
+            for meta in stream.inflight.drain(..) {
+                stream.usage.failed += 1;
+                self.metrics.failed.inc();
+                self.svc.telemetry().span_at(
+                    SpanKind::Fault,
+                    meta.request.value(),
+                    now,
+                    stream.tenant.index() as i64,
+                );
+                events.push(FrontendEvent::Failed {
+                    ticket: meta.ticket,
+                    tenant: stream.tenant,
+                    error: ServiceError::UnknownTenant(stream.tenant.index()),
+                });
+            }
+        }
         if flush_list.is_empty() && !(force && self.svc.pending_requests() > 0) {
-            self.metrics.inflight.set(self.inflight.len() as i64);
+            self.flush_list = flush_list;
+            self.metrics.inflight.set(self.inflight_requests() as i64);
             return Ok(events);
         }
         let responses = if force {
-            self.svc.drain()?
+            self.svc.drain()
         } else {
-            self.svc.flush_tenants(&flush_list)?
+            self.svc.flush_tenants(&flush_list)
         };
-        for response in responses {
-            match self.inflight.remove(&response.request) {
+        self.flush_list = flush_list;
+        for response in responses? {
+            match self.take_inflight(&response) {
                 Some(meta) => {
-                    let stream = &mut self.streams[meta.stream];
-                    stream.inflight -= 1;
-                    stream.usage.completed += 1;
                     self.metrics.completed.inc();
                     self.metrics.latency_cycles.observe(now - meta.arrived);
                     self.metrics
@@ -979,8 +1128,40 @@ impl FrontendDriver {
                 None => events.push(FrontendEvent::PassThrough { response }),
             }
         }
-        self.metrics.inflight.set(self.inflight.len() as i64);
+        self.metrics.inflight.set(self.inflight_requests() as i64);
         Ok(events)
+    }
+
+    /// Matches `response` to the in-flight request it answers, removing
+    /// it and counting the completion on its stream; `None` for a
+    /// response the front end never submitted. A stream's requests come
+    /// back in the order it submitted them, so the match is its queue's
+    /// front — unless the caller has submitted or discarded directly on
+    /// the service, which the fallback search covers.
+    fn take_inflight(&mut self, response: &Response) -> Option<Inflight> {
+        let direct_access = self.direct_access;
+        let stream = self
+            .streams
+            .iter_mut()
+            .find(|s| s.tenant == response.tenant)?;
+        let at = if stream
+            .inflight
+            .front()
+            .is_some_and(|m| m.request == response.request)
+        {
+            0
+        } else {
+            debug_assert!(
+                direct_access,
+                "front-end-only traffic completes in submit order"
+            );
+            stream
+                .inflight
+                .iter()
+                .position(|m| m.request == response.request)?
+        };
+        stream.usage.completed += 1;
+        stream.inflight.remove(at)
     }
 
     /// Requests queued in front-end streams (admitted, not yet flushed).
@@ -992,7 +1173,7 @@ impl FrontendDriver {
     /// Requests flushed into the service, awaiting responses.
     #[must_use]
     pub fn inflight_requests(&self) -> usize {
-        self.inflight.len()
+        self.streams.iter().map(|s| s.inflight.len()).sum()
     }
 
     /// Sets the wrapped service's lane width. Refused while any stream

@@ -495,6 +495,46 @@ impl ShardedService {
         let placement = self.registry.tenant(tenant)?.placement;
         let (id, full) =
             self.engines[placement.shard].submit(placement.ctx, tenant, inputs, &mut self.ids)?;
+        self.enqueued(placement, tenant, id, full)
+    }
+
+    /// [`submit`](Self::submit) for a request already resolved into an
+    /// input row over the tenant's
+    /// [`input_columns`](Self::input_columns)
+    /// ([`mcfpga_fabric::compiled::resolve_row`]): no names are compared.
+    /// Refused only as [`ServiceError::UnknownTenant`] or
+    /// [`ServiceError::SlotBacklogged`] — a row drives every column.
+    pub(crate) fn submit_row(
+        &mut self,
+        tenant: TenantId,
+        row: &[u64],
+    ) -> Result<RequestId, ServiceError> {
+        let placement = self.registry.tenant(tenant)?.placement;
+        let (id, full) =
+            self.engines[placement.shard].submit_row(placement.ctx, tenant, row, &mut self.ids)?;
+        self.enqueued(placement, tenant, id, full)
+    }
+
+    /// The input columns `tenant`'s requests drive, in the order an input
+    /// row lays them out. Fixed for the tenant's lifetime: migration keeps
+    /// them, and a restore mints a new tenant.
+    pub(crate) fn input_columns(&self, tenant: TenantId) -> Result<Arc<[Arc<str>]>, ServiceError> {
+        let placement = self.registry.tenant(tenant)?.placement;
+        let state = self.engines[placement.shard].tenant_state(tenant)?;
+        Ok(Arc::clone(&state.columns))
+    }
+
+    /// The shared tail of [`submit`](Self::submit) and
+    /// [`submit_row`](Self::submit_row) once the engine has queued
+    /// request `id`: metrics, the `Queued` span, and the lane-full
+    /// auto-flush.
+    fn enqueued(
+        &mut self,
+        placement: Placement,
+        tenant: TenantId,
+        id: RequestId,
+        full: bool,
+    ) -> Result<RequestId, ServiceError> {
         self.metrics.requests_submitted.add_to(placement.shard, 1);
         self.metrics.queue_depth.add(1);
         let queued = self.engines[placement.shard].tickets(placement.ctx).len();
@@ -568,8 +608,8 @@ impl ShardedService {
         for &tenant in tenants {
             let placement = self.registry.tenant(tenant)?.placement;
             if self.engines[placement.shard]
-                .pending()
-                .contains(&placement.ctx)
+                .pending_batch(placement.ctx)
+                .is_some()
                 && !work[placement.shard]
                     .iter()
                     .any(|&(ctx, _)| ctx == placement.ctx)
