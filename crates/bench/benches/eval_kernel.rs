@@ -1,5 +1,6 @@
 //! X6 — hot-path evaluation pipeline: straight-line kernel vs branchy
-//! interpreter, plus the dirty-cone incremental path's hit rate.
+//! interpreter, the kernel at one occupied lane word, plus the
+//! dirty-cone incremental path's hit rate.
 //!
 //! The reference workload is the service-throughput fabric: an 8×8,
 //! 4-context, channel-width-6 fabric holding the four wide equality
@@ -7,9 +8,16 @@
 //! evaluated at the full 256-lane chunk width three ways — the branchy
 //! reference interpreter, the branch-free straight-line kernel (full
 //! sweeps), and the prebound dirty-cone path under a service-like
-//! repeat/partial-change request mix. Outputs are cross-checked
-//! bit-for-bit on every path; outside smoke mode the bench **fails if
-//! the kernel is slower than the interpreter** on this workload.
+//! repeat/partial-change request mix — and the kernel is timed once more
+//! at one word (64 lanes), the width of a sparse pass. Outputs are
+//! cross-checked bit-for-bit on every path; outside smoke mode the bench
+//! **fails if the kernel is slower than the interpreter**, or if a
+//! one-word sweep costs more than 0.6× a four-word one, on this workload.
+//!
+//! Last run (2-core shared host, `cargo bench -p mcfpga-bench --bench
+//! eval_kernel`): the kernel is 2.65× faster than the interpreter at 256
+//! lanes (5.5 against 14.6 µs per 4-context sweep), and a one-word
+//! sweep costs 0.45× a four-word one (2.5 µs).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use mcfpga_bench::{smoke, time_us, write_bench_json};
@@ -23,6 +31,9 @@ use std::hint::black_box;
 
 /// Sweeps in the dirty-cone request mix per context.
 const MIX_SWEEPS: usize = 64;
+
+/// Most a one-word kernel sweep may cost, as a share of a four-word one.
+const ONE_WORD_MAX_RATIO: f64 = 0.6;
 
 fn reference_designs() -> Vec<(&'static str, LogicNetlist)> {
     vec![
@@ -58,6 +69,7 @@ struct CtxRun {
     ops_total: u64,
     interpreter_us: f64,
     kernel_us: f64,
+    kernel_1word_us: f64,
     mix_ops_total: u64,
     mix_ops_skipped: u64,
 }
@@ -86,6 +98,18 @@ fn run_context(compiled: &CompiledFabric, ctx: usize) -> CtxRun {
         .expect("kernel eval");
     assert!(stats.kernel);
     assert_eq!(reference, outs, "kernel diverged from the interpreter");
+    // one occupied word: word 0 as at full width, nothing past it
+    compiled
+        .eval_bound_into(&bound, &chunks, 1, DIRTY_ALL, &mut kst, &mut outs)
+        .expect("one-word kernel eval");
+    for (narrow, full) in outs.iter().zip(&reference) {
+        assert_eq!(narrow[0], full[0], "one-word kernel diverged in word 0");
+        assert_eq!(
+            narrow[1..],
+            [0u64; LANE_WORDS - 1],
+            "bits past the occupied word"
+        );
+    }
 
     let iters = if smoke() { 8 } else { 2000 };
     let interpreter_us = time_us(iters, || {
@@ -98,6 +122,12 @@ fn run_context(compiled: &CompiledFabric, ctx: usize) -> CtxRun {
         let s = compiled
             .eval_bound_into(&bound, &chunks, LANE_WORDS, DIRTY_ALL, &mut kst, &mut outs)
             .expect("kernel eval");
+        black_box(s);
+    });
+    let kernel_1word_us = time_us(iters, || {
+        let s = compiled
+            .eval_bound_into(&bound, &chunks, 1, DIRTY_ALL, &mut kst, &mut outs)
+            .expect("one-word kernel eval");
         black_box(s);
     });
 
@@ -140,6 +170,7 @@ fn run_context(compiled: &CompiledFabric, ctx: usize) -> CtxRun {
         ops_total: stats.ops_total,
         interpreter_us,
         kernel_us,
+        kernel_1word_us,
         mix_ops_total: mix_total,
         mix_ops_skipped: mix_skipped,
     }
@@ -158,22 +189,26 @@ fn bench(c: &mut Criterion) {
     let interp_ns_per_op = interp_us * 1e3 / ops as f64;
     let kernel_ns_per_op = kernel_us * 1e3 / ops as f64;
     let speedup = interp_us / kernel_us.max(f64::MIN_POSITIVE);
+    let kernel_1word_us: f64 = runs.iter().map(|r| r.kernel_1word_us).sum();
+    let one_word_ratio = kernel_1word_us / kernel_us.max(f64::MIN_POSITIVE);
     let mix_total: u64 = runs.iter().map(|r| r.mix_ops_total).sum();
     let mix_skipped: u64 = runs.iter().map(|r| r.mix_ops_skipped).sum();
     let hit_rate = mix_skipped as f64 / mix_total.max(1) as f64;
 
     let gate_enforced = !smoke();
+    let gates = if gate_enforced {
+        "enforced"
+    } else {
+        "skipped: smoke mode"
+    };
     println!(
         "eval kernel (8x8, 4 contexts, cmp16..cmp13, {MAX_LANES} lanes, {ops} ops/4-ctx sweep):\n  \
          interpreter: {interp_us:.2} µs/4-ctx sweep ({interp_ns_per_op:.2} ns/op)\n  \
          kernel:      {kernel_us:.2} µs/4-ctx sweep ({kernel_ns_per_op:.2} ns/op)\n  \
-         speedup: {speedup:.2}x (gate: kernel <= interpreter, {})\n  \
+         speedup: {speedup:.2}x (gate: kernel <= interpreter, {gates})\n  \
+         kernel, 1 word: {kernel_1word_us:.2} µs/4-ctx sweep = {one_word_ratio:.2}x the 4-word \
+         sweep (gate: <= {ONE_WORD_MAX_RATIO}, {gates})\n  \
          dirty-cone mix: {mix_skipped}/{mix_total} ops skipped ({:.1}% hit rate)",
-        if gate_enforced {
-            "enforced"
-        } else {
-            "skipped: smoke mode"
-        },
         hit_rate * 100.0,
     );
     if gate_enforced {
@@ -181,6 +216,11 @@ fn bench(c: &mut Criterion) {
             kernel_us <= interp_us,
             "straight-line kernel ({kernel_us:.2} µs) slower than the branchy \
              interpreter ({interp_us:.2} µs) on the reference workload"
+        );
+        assert!(
+            one_word_ratio <= ONE_WORD_MAX_RATIO,
+            "a one-word kernel sweep ({kernel_1word_us:.2} µs) costs {one_word_ratio:.2}x \
+             a four-word one ({kernel_us:.2} µs): sparse passes are paying for empty words"
         );
     }
     assert!(
@@ -198,6 +238,8 @@ fn bench(c: &mut Criterion) {
             ("contexts", contexts.into()),
             ("interpreter_us_per_sweep", interp_us.into()),
             ("kernel_us_per_sweep", kernel_us.into()),
+            ("kernel_1word_us_per_sweep", kernel_1word_us.into()),
+            ("kernel_1word_ratio", one_word_ratio.into()),
             ("interpreter_ns_per_op", interp_ns_per_op.into()),
             ("kernel_ns_per_op", kernel_ns_per_op.into()),
             ("kernel_speedup", speedup.into()),

@@ -114,19 +114,20 @@ impl HybridCssGen {
     /// `(block 0: S0·Vs, S0·¬Vs, ¬S0·Vs, ¬S0·¬Vs), (block 1: …), …`.
     #[must_use]
     pub fn lines(&self) -> Vec<LineId> {
-        let mut v = Vec::with_capacity(self.blocks() * 4);
-        for block in 0..self.blocks() {
-            for (s0_polarity, inverted) in
-                [(true, false), (true, true), (false, false), (false, true)]
-            {
-                v.push(LineId {
+        self.line_ids().collect()
+    }
+
+    /// [`lines`](Self::lines) without collecting them.
+    fn line_ids(&self) -> impl Iterator<Item = LineId> {
+        (0..self.blocks()).flat_map(|block| {
+            [(true, false), (true, true), (false, false), (false, true)]
+                .into_iter()
+                .map(move |(s0_polarity, inverted)| LineId {
                     block,
                     s0_polarity,
                     inverted,
-                });
-            }
-        }
-        v
+                })
+        })
     }
 
     /// Number of broadcast lines (`4 × blocks`).
@@ -182,7 +183,7 @@ impl HybridCssGen {
     /// proxy; a line "toggles" when its level changes).
     pub fn toggles_between(&self, a: usize, b: usize) -> Result<usize, CssError> {
         let mut toggles = 0;
-        for line in self.lines() {
+        for line in self.line_ids() {
             if self.line_value_at(line, a)? != self.line_value_at(line, b)? {
                 toggles += 1;
             }

@@ -42,7 +42,10 @@ pub use gen_netlist::GeneratorNetlist;
 pub use generator::GeneratorCost;
 pub use hybrid::{HybridCssGen, LineId};
 pub use mv::MvCss;
-pub use optimize::{optimize_sweep, sweep_cost, CostMatrix, OptimizeMode, OptimizedSweep};
+pub use optimize::{
+    optimize_sweep, optimize_sweep_into, sweep_cost, CostMatrix, OptimizeMode, OptimizedSweep,
+    SweepScratch,
+};
 pub use schedule::Schedule;
 pub use waveform::Waveform;
 

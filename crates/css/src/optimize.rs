@@ -143,28 +143,34 @@ impl CostMatrix {
     /// entry transition from `start` to `seq[0]` (a `None` start charges
     /// the first step zero — the walk begins *on* `seq[0]`).
     pub fn step_costs(&self, start: Option<usize>, seq: &[usize]) -> Result<Vec<usize>, CssError> {
-        if let Some(s) = start {
-            self.cost(s, s)?;
-        }
-        let mut costs = Vec::with_capacity(seq.len());
-        let mut cur = start;
-        for &ctx in seq {
-            costs.push(match cur {
-                Some(c) => self.cost(c, ctx)?,
-                None => {
-                    self.cost(ctx, ctx)?;
-                    0
-                }
-            });
-            cur = Some(ctx);
-        }
-        Ok(costs)
+        self.walk(start, seq)?.collect()
     }
 
     /// Total transition cost of walking `seq` (sum of
-    /// [`step_costs`](Self::step_costs)).
+    /// [`step_costs`](Self::step_costs), without collecting them).
     pub fn path_cost(&self, start: Option<usize>, seq: &[usize]) -> Result<usize, CssError> {
-        Ok(self.step_costs(start, seq)?.into_iter().sum())
+        self.walk(start, seq)?.sum()
+    }
+
+    /// The checked cost of each step of walking `seq` from `start`, after
+    /// checking `start` itself.
+    fn walk<'a>(
+        &'a self,
+        start: Option<usize>,
+        seq: &'a [usize],
+    ) -> Result<impl Iterator<Item = Result<usize, CssError>> + 'a, CssError> {
+        if let Some(s) = start {
+            self.cost(s, s)?;
+        }
+        let mut cur = start;
+        Ok(seq.iter().map(move |&ctx| {
+            let cost = match cur {
+                Some(c) => self.cost(c, ctx),
+                None => self.cost(ctx, ctx).map(|_| 0),
+            };
+            cur = Some(ctx);
+            cost
+        }))
     }
 }
 
@@ -207,9 +213,47 @@ pub fn optimize_sweep(
     matrix: &CostMatrix,
     start: Option<usize>,
 ) -> Result<OptimizedSweep, CssError> {
-    if sweep.contexts() != matrix.contexts() {
+    let mut order = Vec::new();
+    let (naive_cost, optimized_cost) = optimize_sweep_into(
+        sweep.contexts(),
+        sweep.as_slice(),
+        matrix,
+        start,
+        &mut SweepScratch::default(),
+        &mut order,
+    )?;
+    Ok(OptimizedSweep {
+        schedule: Schedule::explicit(sweep.contexts(), order)?,
+        naive_cost,
+        optimized_cost,
+    })
+}
+
+/// Working memory of [`optimize_sweep_into`], reused across calls so a
+/// caller that plans a sweep per flush allocates nothing once its
+/// buffers have grown to its largest sweep.
+#[derive(Debug, Clone, Default)]
+pub struct SweepScratch {
+    nodes: Vec<usize>,
+    dp: Vec<usize>,
+    parent: Vec<usize>,
+}
+
+/// [`optimize_sweep`] over a sweep of `contexts`-wide domain given as a
+/// slice, writing the chosen order into `order` (cleared first) and
+/// returning `(naive_cost, optimized_cost)`. Same order, costs and errors
+/// as [`optimize_sweep`]; all working memory comes from `scratch`.
+pub fn optimize_sweep_into(
+    contexts: usize,
+    sweep: &[usize],
+    matrix: &CostMatrix,
+    start: Option<usize>,
+    scratch: &mut SweepScratch,
+    order: &mut Vec<usize>,
+) -> Result<(usize, usize), CssError> {
+    if contexts != matrix.contexts() {
         return Err(CssError::DomainMismatch {
-            schedule: sweep.contexts(),
+            schedule: contexts,
             matrix: matrix.contexts(),
         });
     }
@@ -217,34 +261,40 @@ pub fn optimize_sweep(
         matrix.cost(s, s)?;
     }
     // duplicates collapse, first occurrence kept (specified: dedup, not error)
-    let mut nodes: Vec<usize> = Vec::new();
-    for ctx in sweep.iter() {
+    let nodes = &mut scratch.nodes;
+    nodes.clear();
+    for &ctx in sweep {
         matrix.cost(ctx, ctx)?;
         if !nodes.contains(&ctx) {
             nodes.push(ctx);
         }
     }
-    let naive_cost = matrix.path_cost(start, &nodes)?;
-    let candidate = if nodes.len() <= 1 {
-        nodes.clone()
+    let naive_cost = matrix.path_cost(start, nodes)?;
+    order.clear();
+    if nodes.len() <= 1 {
+        order.extend_from_slice(nodes);
     } else if nodes.len() <= EXACT_LIMIT {
-        exact_order(&nodes, matrix, start)
+        exact_order(
+            nodes,
+            matrix,
+            start,
+            &mut scratch.dp,
+            &mut scratch.parent,
+            order,
+        );
     } else {
-        greedy_order(&nodes, matrix, start)
-    };
-    let optimized_cost = matrix.path_cost(start, &candidate)?;
+        greedy_order(nodes, matrix, start, order);
+    }
+    let optimized_cost = matrix.path_cost(start, order)?;
     // the optimizer is advisory: if a heuristic ever loses to the input
     // order, the input order ships — "never worse" is structural, not hoped
-    let (seq, optimized_cost) = if optimized_cost <= naive_cost {
-        (candidate, optimized_cost)
+    if optimized_cost <= naive_cost {
+        Ok((naive_cost, optimized_cost))
     } else {
-        (nodes, naive_cost)
-    };
-    Ok(OptimizedSweep {
-        schedule: Schedule::explicit(sweep.contexts(), seq)?,
-        naive_cost,
-        optimized_cost,
-    })
+        order.clear();
+        order.extend_from_slice(nodes);
+        Ok((naive_cost, naive_cost))
+    }
 }
 
 /// Optimized cost of sweeping the context set `ctxs` from `start` — the
@@ -267,12 +317,22 @@ pub fn sweep_cost(
 
 /// Held–Karp minimum-cost Hamiltonian path over `nodes` (`2 ≤ n ≤ 8`):
 /// `dp[mask][i]` = cheapest way to visit exactly the contexts in `mask`
-/// ending on `nodes[i]`.
-fn exact_order(nodes: &[usize], matrix: &CostMatrix, start: Option<usize>) -> Vec<usize> {
+/// ending on `nodes[i]`. The path goes into `order`; `dp` and `parent`
+/// are working memory.
+fn exact_order(
+    nodes: &[usize],
+    matrix: &CostMatrix,
+    start: Option<usize>,
+    dp: &mut Vec<usize>,
+    parent: &mut Vec<usize>,
+    order: &mut Vec<usize>,
+) {
     let n = nodes.len();
     let full = (1usize << n) - 1;
-    let mut dp = vec![usize::MAX; (1 << n) * n];
-    let mut parent = vec![usize::MAX; (1 << n) * n];
+    dp.clear();
+    dp.resize((1 << n) * n, usize::MAX);
+    parent.clear();
+    parent.resize((1 << n) * n, usize::MAX);
     for i in 0..n {
         dp[(1 << i) * n + i] = start.map_or(0, |s| matrix.at(s, nodes[i]));
     }
@@ -298,7 +358,6 @@ fn exact_order(nodes: &[usize], matrix: &CostMatrix, start: Option<usize>) -> Ve
     let mut last = (0..n)
         .min_by_key(|&i| dp[full * n + i])
         .expect("n >= 2 nodes");
-    let mut order = Vec::with_capacity(n);
     let mut mask = full;
     loop {
         order.push(nodes[last]);
@@ -310,16 +369,21 @@ fn exact_order(nodes: &[usize], matrix: &CostMatrix, start: Option<usize>) -> Ve
         last = p;
     }
     order.reverse();
-    order
 }
 
 /// Greedy nearest-neighbour path: from `start` (or the cheapest-pair seed
 /// when there is none), repeatedly hop to the cheapest unvisited context.
 /// Ties break toward the lowest context id, so the result is deterministic.
-fn greedy_order(nodes: &[usize], matrix: &CostMatrix, start: Option<usize>) -> Vec<usize> {
+/// The path goes into `order`. Only sweeps wider than [`EXACT_LIMIT`]
+/// contexts come here, and only this regime allocates.
+fn greedy_order(
+    nodes: &[usize],
+    matrix: &CostMatrix,
+    start: Option<usize>,
+    order: &mut Vec<usize>,
+) {
     let mut remaining: Vec<usize> = nodes.to_vec();
     remaining.sort_unstable();
-    let mut order = Vec::with_capacity(nodes.len());
     let mut cur = start;
     while !remaining.is_empty() {
         let pick = match cur {
@@ -336,7 +400,6 @@ fn greedy_order(nodes: &[usize], matrix: &CostMatrix, start: Option<usize>) -> V
         order.push(ctx);
         cur = Some(ctx);
     }
-    order
 }
 
 #[cfg(test)]

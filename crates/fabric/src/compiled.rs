@@ -81,6 +81,22 @@ pub const DIRTY_ALL: u64 = u64::MAX;
 /// `u64` words per [`LaneChunk`].
 pub const LANE_WORDS: usize = 4;
 
+/// `WORD_MASKS[w]`: all ones in the first `w` words of a chunk, zero
+/// past them.
+const WORD_MASKS: [LaneChunk; LANE_WORDS + 1] = {
+    let mut masks = [[0u64; LANE_WORDS]; LANE_WORDS + 1];
+    let mut w = 0;
+    while w <= LANE_WORDS {
+        let mut i = 0;
+        while i < w {
+            masks[w][i] = u64::MAX;
+            i += 1;
+        }
+        w += 1;
+    }
+    masks
+};
+
 /// Widest supported batch: [`LANE_WORDS`] × 64 lanes per evaluation pass.
 pub const MAX_LANES: usize = LANE_WORDS * 64;
 
@@ -273,7 +289,8 @@ impl LaneBatch {
 
     /// Number of `u64` words an evaluation pass must process to cover the
     /// occupied lanes — the sparse-traffic optimization: a ≤64-lane batch
-    /// evaluates one word no matter how wide the batch is.
+    /// evaluates one word no matter how wide the batch is (the
+    /// straight-line kernel computes only these words of every LUT).
     #[must_use]
     pub fn words(&self) -> usize {
         self.lanes.div_ceil(64).max(1)
@@ -685,7 +702,7 @@ impl CompiledPlane {
 /// dispatch and no `known`-bitmap branching.
 #[derive(Debug, Clone)]
 enum KernelOp {
-    /// `values[dst] = values[src]`, one word at a time.
+    /// `values[dst] = values[src]`, the whole chunk.
     Copy { src: u32, dst: u32 },
     /// `values[dst] = lut(tables[table], pins…)`, one word at a time.
     Lut {
@@ -861,7 +878,8 @@ fn lut_lanes(table: u64, pins: &[u64]) -> u64 {
 /// [`lut_lanes`] monomorphized to an exact row count (`ROWS = 2^k`): the
 /// accumulator is exactly sized (no 64-entry scratch to initialize for a
 /// 2-pin mux) and the fold loops fully unroll. The straight-line kernel
-/// dispatches to this per op; `debug_assert` keeps the pin count honest.
+/// dispatches to this per LUT word ([`lut_chunk`]); `debug_assert` keeps
+/// the pin count honest.
 #[inline]
 fn mux_reduce<const ROWS: usize>(table: u64, pins: &[u64]) -> u64 {
     debug_assert_eq!(ROWS, 1usize << pins.len());
@@ -877,6 +895,46 @@ fn mux_reduce<const ROWS: usize>(table: u64, pins: &[u64]) -> u64 {
         }
     }
     acc[0]
+}
+
+/// [`lut_words`], out of line.
+#[inline(never)]
+fn lut_chunk<const W: usize>(
+    table: u64,
+    pins: &[u32; MultiContextLut::MAX_K],
+    k: u8,
+    values: &[LaneChunk],
+) -> LaneChunk {
+    lut_words::<W>(table, pins, k, values)
+}
+
+/// One kernel LUT over the first `W` words of its first `k` pin chunks
+/// (arena indices into `values`), as a chunk that is zero past word `W`:
+/// per word, [`mux_reduce`] monomorphized to the pin count.
+#[inline(always)]
+fn lut_words<const W: usize>(
+    table: u64,
+    pins: &[u32; MultiContextLut::MAX_K],
+    k: u8,
+    values: &[LaneChunk],
+) -> LaneChunk {
+    let k = k as usize;
+    let mut out = [0u64; LANE_WORDS];
+    for (w, slot) in out.iter_mut().enumerate().take(W) {
+        let mut lanes = [0u64; MultiContextLut::MAX_K];
+        for (lane, pin) in lanes.iter_mut().zip(pins).take(k) {
+            *lane = values[*pin as usize][w];
+        }
+        *slot = match k {
+            1 => mux_reduce::<2>(table, &lanes[..1]),
+            2 => mux_reduce::<4>(table, &lanes[..2]),
+            3 => mux_reduce::<8>(table, &lanes[..3]),
+            4 => mux_reduce::<16>(table, &lanes[..4]),
+            5 => mux_reduce::<32>(table, &lanes[..5]),
+            _ => mux_reduce::<64>(table, &lanes[..6]),
+        };
+    }
+    out
 }
 
 /// A fabric flattened, levelized and ready for bit-parallel evaluation.
@@ -1471,8 +1529,7 @@ impl CompiledFabric {
             for ((id, _, _), chunk) in bound.inputs.iter().zip(chunks) {
                 Self::seed_input(st, *id, *chunk, words);
             }
-            Self::kernel_run_all(kernel, words, st);
-            ops_total
+            Self::kernel_run(kernel, words, DIRTY_ALL, st)
         } else if dirty == 0 {
             0
         } else {
@@ -1481,7 +1538,7 @@ impl CompiledFabric {
                     Self::seed_input(st, *id, *chunk, words);
                 }
             }
-            Self::kernel_run_dirty(kernel, words, dirty, st)
+            Self::kernel_run(kernel, words, dirty, st)
         };
         for (id, _, _) in &bound.outputs {
             outs.push(st.values[*id as usize]);
@@ -1554,11 +1611,13 @@ impl CompiledFabric {
     /// outputs (and harvested stream registers) never carry stale or
     /// stray high-word bits.
     #[inline]
-    fn seed_input(st: &mut CompiledState, id: ResourceId, mut chunk: LaneChunk, words: usize) {
-        for word in chunk.iter_mut().skip(words) {
-            *word = 0;
-        }
-        st.values[id as usize] = chunk;
+    fn seed_input(st: &mut CompiledState, id: ResourceId, chunk: LaneChunk, words: usize) {
+        // masked, not zeroed word by word: the chunk then goes out in
+        // full-width stores, which the kernel's whole-chunk copy loads
+        // can forward from (per-word stores would stall every one-word
+        // sweep on store forwarding)
+        let mask = WORD_MASKS[words];
+        st.values[id as usize] = std::array::from_fn(|w| chunk[w] & mask[w]);
         st.known[id as usize] = true;
     }
 
@@ -1584,90 +1643,92 @@ impl CompiledFabric {
         }
     }
 
-    /// Executes the whole straight-line program in topological op order
-    /// (every source chunk is fully written before it is read, so no
-    /// `known` checks are needed), computing all [`LANE_WORDS`] words of
-    /// each op unconditionally — a fixed-width inner loop the compiler
-    /// unrolls — then zeroes each produced chunk's unoccupied high words
-    /// and marks it known. The resulting value *and* known arrays are
-    /// bit-identical to an interpreter sweep.
-    fn kernel_run_all(kernel: &PlaneKernel, words: usize, st: &mut CompiledState) {
-        for op in &kernel.ops {
-            Self::run_kernel_op_chunk(kernel, op, st);
-        }
-        for op in &kernel.ops {
-            let dst = op.dst() as usize;
-            for word in &mut st.values[dst][words..] {
-                *word = 0;
-            }
-            st.known[dst] = true;
+    /// Runs a kernel sweep at `words` occupied lane words: every op when
+    /// `dirty` is [`DIRTY_ALL`], else only the ops whose input cone
+    /// intersects `dirty`, reusing every other op's value from the
+    /// previous sweep held in `st`. Returns the number of ops run.
+    ///
+    /// The word count is dispatched once per sweep, not once per op: each
+    /// arm is a copy of [`Self::kernel_run_words`] monomorphised to its
+    /// width, so the full-width sweep keeps its fixed-trip, unrolled
+    /// inner loops and a one-word sweep computes a quarter of the LUT
+    /// words. (Copies move a whole chunk at any width — two vector moves,
+    /// cheaper than moving one word and zeroing three.)
+    fn kernel_run(kernel: &PlaneKernel, words: usize, dirty: u64, st: &mut CompiledState) -> u64 {
+        debug_assert!((1..=LANE_WORDS).contains(&words), "words {words} unclamped");
+        match words {
+            1 => Self::kernel_run_words::<1>(kernel, dirty, st),
+            2 => Self::kernel_run_words::<2>(kernel, dirty, st),
+            3 => Self::kernel_run_words::<3>(kernel, dirty, st),
+            _ => Self::kernel_run_words::<LANE_WORDS>(kernel, dirty, st),
         }
     }
 
-    /// The incremental variant of [`Self::kernel_run_all`]: runs only ops
-    /// whose input cone intersects `dirty`, reusing every other op's
-    /// value (and already-zeroed high words) from the previous sweep held
-    /// in `st`. Returns the number of ops run.
-    fn kernel_run_dirty(
+    /// [`Self::kernel_run`] at a compile-time word count `W`. A full sweep
+    /// executes the straight-line program in topological op order (every
+    /// source chunk is fully written before it is read, so no `known`
+    /// checks are needed) and marks each produced chunk known; the
+    /// resulting value *and* known arrays are bit-identical to an
+    /// interpreter sweep. A dirty sweep leaves `known` as the previous
+    /// sweep set it: the same ops produce the same resources.
+    ///
+    /// Every produced chunk is zero past word `W` by construction (see
+    /// [`Self::run_kernel_op_chunk`]), so no op pays a separate zeroing
+    /// pass over the high words.
+    fn kernel_run_words<const W: usize>(
         kernel: &PlaneKernel,
-        words: usize,
         dirty: u64,
         st: &mut CompiledState,
     ) -> u64 {
+        if dirty == DIRTY_ALL {
+            for op in &kernel.ops {
+                Self::run_kernel_op_chunk::<W>(kernel, op, st);
+                st.known[op.dst() as usize] = true;
+            }
+            return kernel.ops.len() as u64;
+        }
         let mut run = 0u64;
         for (op, cone) in kernel.ops.iter().zip(&kernel.cones) {
             if cone & dirty != 0 {
-                Self::run_kernel_op_chunk(kernel, op, st);
+                Self::run_kernel_op_chunk::<W>(kernel, op, st);
                 run += 1;
-            }
-        }
-        if words < LANE_WORDS {
-            // re-run ops recomputed their high words from the (zeroed)
-            // input tails; restore the all-zero-past-`words` invariant
-            for (op, cone) in kernel.ops.iter().zip(&kernel.cones) {
-                if cone & dirty != 0 {
-                    for word in &mut st.values[op.dst() as usize][words..] {
-                        *word = 0;
-                    }
-                }
             }
         }
         run
     }
 
-    /// One kernel op over a whole [`LaneChunk`] — branch-free on `known`,
-    /// `Option`-free on pins, mux reduction monomorphized per pin count
-    /// so the row array is exactly sized and the folds fully unrolled.
-    #[inline]
-    fn run_kernel_op_chunk(kernel: &PlaneKernel, op: &KernelOp, st: &mut CompiledState) {
-        match op {
+    /// One kernel op over the first `W` words of its [`LaneChunk`]s,
+    /// branch-free on `known` and `Option`-free on pins. The destination
+    /// chunk is written whole: a LUT computes `W` words into a
+    /// zero-initialised chunk ([`lut_words`]), and a copy — most of a
+    /// routed plane's ops — moves its source's whole chunk, which is
+    /// already zero past word `W` (a seeded input, or an earlier op's
+    /// output). So every produced chunk is zero past `W` whatever the
+    /// destination held before.
+    #[inline(always)]
+    fn run_kernel_op_chunk<const W: usize>(
+        kernel: &PlaneKernel,
+        op: &KernelOp,
+        st: &mut CompiledState,
+    ) {
+        match *op {
             KernelOp::Copy { src, dst } => {
-                st.values[*dst as usize] = st.values[*src as usize];
+                st.values[dst as usize] = st.values[src as usize];
             }
             KernelOp::Lut {
-                pins,
+                ref pins,
                 k,
                 table,
                 dst,
             } => {
-                let k = *k as usize;
-                let table = kernel.tables[*table as usize];
-                let mut out = [0u64; LANE_WORDS];
-                for (w, slot) in out.iter_mut().enumerate() {
-                    let mut lanes = [0u64; MultiContextLut::MAX_K];
-                    for (lane, pin) in lanes.iter_mut().zip(pins).take(k) {
-                        *lane = st.values[*pin as usize][w];
-                    }
-                    *slot = match k {
-                        1 => mux_reduce::<2>(table, &lanes[..1]),
-                        2 => mux_reduce::<4>(table, &lanes[..2]),
-                        3 => mux_reduce::<8>(table, &lanes[..3]),
-                        4 => mux_reduce::<16>(table, &lanes[..4]),
-                        5 => mux_reduce::<32>(table, &lanes[..5]),
-                        _ => mux_reduce::<64>(table, &lanes[..6]),
-                    };
-                }
-                st.values[*dst as usize] = out;
+                let table = kernel.tables[table as usize];
+                // a one-word LUT is small enough to inline; wider ones
+                // stay out of line, keeping the sweep loop small
+                st.values[dst as usize] = if W == 1 {
+                    lut_words::<W>(table, pins, k, &st.values)
+                } else {
+                    lut_chunk::<W>(table, pins, k, &st.values)
+                };
             }
         }
     }
@@ -2248,6 +2309,87 @@ mod tests {
             assert_eq!(c[0], full[0]);
             assert_eq!(c[1..], [0u64; LANE_WORDS - 1]);
         }
+    }
+
+    #[test]
+    fn narrow_sweeps_after_a_wide_one_leave_no_high_words() {
+        // a one-word sweep on an arena a four-word sweep filled must leave
+        // every output and every op destination zero past word 0 — the
+        // kernel's invariant now that no zeroing pass backs it up
+        let nl = generators::parity_tree(4).unwrap();
+        let mut f = Fabric::new(FabricParams::default()).unwrap();
+        implement_netlist(&mut f, &nl, 0, 11).unwrap();
+        let compiled = CompiledFabric::compile(&f).unwrap();
+        let bound = compiled.bind(0).unwrap();
+        let kernel = compiled.plane(0).unwrap().kernel.as_ref().unwrap();
+        assert!(kernel
+            .ops
+            .iter()
+            .any(|op| matches!(op, KernelOp::Copy { .. })));
+        assert!(kernel
+            .ops
+            .iter()
+            .any(|op| matches!(op, KernelOp::Lut { .. })));
+        // dense in every word, so the wide sweep leaves high bits behind
+        let mut chunks: Vec<LaneChunk> = (0..bound.inputs().len())
+            .map(|i| pack_chunk(|l| (l * 0x9E37 + i * 31) % (i + 3) < 2))
+            .collect();
+        let reference = |chunks: &[LaneChunk]| {
+            let mut outs = Vec::new();
+            compiled
+                .eval_bound_reference(&bound, chunks, 1, &mut compiled.new_state(), &mut outs)
+                .unwrap();
+            outs
+        };
+        let clean_past_word0 =
+            |st: &CompiledState, outs: &[LaneChunk], ran: &dyn Fn(usize) -> bool| {
+                for c in outs {
+                    assert_eq!(c[1..], [0u64; LANE_WORDS - 1], "output");
+                }
+                for (i, op) in kernel.ops.iter().enumerate().filter(|(i, _)| ran(*i)) {
+                    let v = st.values[op.dst() as usize];
+                    assert_eq!(v[1..], [0u64; LANE_WORDS - 1], "op {i} ({op:?})");
+                }
+            };
+        let mut outs = Vec::new();
+        // full, full, then dirty-cone on one state
+        let mut st = compiled.new_state();
+        compiled
+            .eval_bound_into(&bound, &chunks, LANE_WORDS, DIRTY_ALL, &mut st, &mut outs)
+            .unwrap();
+        assert!(
+            kernel
+                .ops
+                .iter()
+                .all(|op| st.values[op.dst() as usize][1..] != [0; 3]),
+            "the wide sweep must fill the high words this test watches"
+        );
+        let stats = compiled
+            .eval_bound_into(&bound, &chunks, 1, DIRTY_ALL, &mut st, &mut outs)
+            .unwrap();
+        assert_eq!(stats.ops_skipped, 0);
+        assert_eq!(outs, reference(&chunks));
+        clean_past_word0(&st, &outs, &|_| true);
+        chunks[1][0] ^= 0xF0F0;
+        chunks[1][2] ^= u64::MAX; // stray bits past the occupied word
+        let stats = compiled
+            .eval_bound_into(&bound, &chunks, 1, 1 << 1, &mut st, &mut outs)
+            .unwrap();
+        assert!(stats.ops_skipped > 0, "the cone of input 1 is not every op");
+        assert_eq!(outs, reference(&chunks));
+        clean_past_word0(&st, &outs, &|_| true);
+        // a dirty-cone sweep straight after the wide one, every input
+        // dirty: each op it runs must shed the wide sweep's high words
+        let mut st = compiled.new_state();
+        compiled
+            .eval_bound_into(&bound, &chunks, LANE_WORDS, DIRTY_ALL, &mut st, &mut outs)
+            .unwrap();
+        let all = (1u64 << bound.inputs().len()) - 1;
+        compiled
+            .eval_bound_into(&bound, &chunks, 1, all, &mut st, &mut outs)
+            .unwrap();
+        assert_eq!(outs, reference(&chunks));
+        clean_past_word0(&st, &outs, &|i| kernel.cones[i] & all != 0);
     }
 
     #[test]

@@ -34,7 +34,9 @@
 use crate::compiled::CompiledFabric;
 use crate::FabricError;
 use mcfpga_core::ArchKind;
-use mcfpga_css::optimize::{optimize_sweep, CostMatrix, OptimizeMode};
+use mcfpga_css::optimize::{
+    optimize_sweep, optimize_sweep_into, CostMatrix, OptimizeMode, SweepScratch,
+};
 use mcfpga_css::{BinaryCss, HybridCssGen, Schedule};
 use mcfpga_device::TechParams;
 
@@ -173,6 +175,32 @@ impl ContextSequencer {
                 .map_err(mcfpga_core::CoreError::Css)?
                 .schedule),
         }
+    }
+
+    /// [`plan_sweep_with`](Self::plan_sweep_with) over a sweep of this
+    /// sequencer's own context domain given as a slice, writing the order
+    /// into `order` with the optimizer's working memory taken from
+    /// `scratch` — the allocation-free form a service flushing every
+    /// cycle uses.
+    pub fn plan_sweep_into(
+        &self,
+        sweep: &[usize],
+        mode: OptimizeMode,
+        matrix: &CostMatrix,
+        scratch: &mut SweepScratch,
+        order: &mut Vec<usize>,
+    ) -> Result<(), FabricError> {
+        match mode {
+            OptimizeMode::Naive => {
+                order.clear();
+                order.extend_from_slice(sweep);
+            }
+            OptimizeMode::Optimized => {
+                optimize_sweep_into(self.contexts, sweep, matrix, Some(self.cur), scratch, order)
+                    .map_err(mcfpga_core::CoreError::Css)?;
+            }
+        }
+        Ok(())
     }
 
     /// Returns the sequencer to context 0 without charging toggles, so the

@@ -47,7 +47,7 @@ use crate::service::SlotFault;
 use crate::ServiceError;
 use mcfpga_cost::attribution::TenantUsage;
 use mcfpga_css::optimize::{CostMatrix, OptimizeMode};
-use mcfpga_css::Schedule;
+use mcfpga_css::{CssError, SweepScratch};
 use mcfpga_fabric::compiled::{
     chunk_bit, BoundPlan, CompiledState, EvalStats, LaneBatch, LaneChunk, PushRefusal, DIRTY_ALL,
     LANE_WORDS,
@@ -105,7 +105,8 @@ pub(crate) struct PlannedStep {
     /// The slot's occupant.
     pub tenant: TenantId,
     /// Occupied 64-lane words ([`LaneBatch::words`]) — sparse batches pay
-    /// for only the words they fill.
+    /// for only the words they fill: the straight-line kernel computes
+    /// just these words of every LUT.
     pub words: usize,
     /// The slot's compiled plane (shared, immutable).
     pub plane: Arc<CompiledFabric>,
@@ -115,7 +116,8 @@ pub(crate) struct PlannedStep {
     pub bound: Option<Arc<BoundPlan>>,
     /// Dense input chunks, parallel to the bound plan's inputs: queued
     /// request lanes plus the tenant's `reg:*` stream state, captured at
-    /// plan time.
+    /// plan time. A kernel slot's buffer is its slot cache's previous
+    /// inputs, overwritten in place, and returns to the cache at apply.
     pub chunks: Vec<LaneChunk>,
     /// Dirty mask over the bound inputs vs the slot's previous sweep
     /// ([`DIRTY_ALL`] when no valid cached sweep exists).
@@ -124,6 +126,9 @@ pub(crate) struct PlannedStep {
     /// out of the slot cache at plan time, returned to it at apply time —
     /// the arena the dirty-cone path reuses values from.
     pub state: Option<CompiledState>,
+    /// The buffer evaluation writes the output chunks into: the slot's,
+    /// lent out at plan time and returned by a successful apply.
+    pub outs: Vec<LaneChunk>,
 }
 
 /// What one evaluated step hands to the apply phase.
@@ -162,7 +167,7 @@ pub(crate) fn eval_step(step: &mut PlannedStep) -> Result<EvalOutcome, ServiceEr
             }),
         };
     };
-    let mut outs = Vec::with_capacity(bound.outputs().len());
+    let mut outs = std::mem::take(&mut step.outs);
     let stats = if let Some(state) = step.state.as_mut() {
         step.plane.eval_bound_into(
             &bound,
@@ -229,6 +234,9 @@ struct BoundSlot {
     /// none) starts with no tables. A cloned engine shares them, so
     /// neither copy rewrites them.
     tables: Vec<Arc<OutputRows>>,
+    /// The output-chunk buffer of this slot's passes, lent to each
+    /// [`PlannedStep`] and returned by its apply.
+    outs: Vec<LaneChunk>,
 }
 
 impl BoundSlot {
@@ -271,6 +279,22 @@ struct SlotCache {
     state: CompiledState,
 }
 
+/// An engine's reusable planning buffers. A shard sweeps at most its
+/// context count, so once these have grown to it planning allocates
+/// nothing.
+#[derive(Debug, Clone, Default)]
+struct PlanScratch {
+    /// The naive sweep: the active contexts, ascending.
+    naive: Vec<usize>,
+    /// Toggles of each naive step from the broadcast's position,
+    /// parallel to `naive` — the billing baseline.
+    baseline: Vec<usize>,
+    /// The sweep order the shard runs.
+    order: Vec<usize>,
+    /// The CSS optimizer's working memory.
+    sweep: SweepScratch,
+}
+
 /// One independent fabric shard's execution engine. See the
 /// [module docs](self) for the ownership map.
 #[derive(Debug, Clone)]
@@ -288,6 +312,8 @@ pub struct ShardEngine {
     queue: BatchQueue,
     /// Usage + stream registers of tenants placed on this shard.
     tenants: HashMap<TenantId, TenantState>,
+    /// Planning buffers, reused by every sweep.
+    scratch: PlanScratch,
 }
 
 impl ShardEngine {
@@ -306,6 +332,7 @@ impl ShardEngine {
             seq: ContextSequencer::new(params.arch, params.contexts)?,
             queue: BatchQueue::with_width(params.contexts, lane_width)?,
             tenants: HashMap::new(),
+            scratch: PlanScratch::default(),
         })
     }
 
@@ -605,9 +632,11 @@ impl ShardEngine {
         steps: &mut Vec<PlannedStep>,
     ) -> (u64, Option<ServiceError>) {
         let mut charged = 0;
+        let mut scratch = std::mem::take(&mut self.scratch);
         let error = self
-            .plan_into(active, optimize, matrix, steps, &mut charged)
+            .plan_into(active, optimize, matrix, &mut scratch, steps, &mut charged)
             .err();
+        self.scratch = scratch;
         (charged, error)
     }
 
@@ -618,6 +647,7 @@ impl ShardEngine {
         active: &[(usize, TenantId)],
         optimize: OptimizeMode,
         matrix: &CostMatrix,
+        scratch: &mut PlanScratch,
         steps: &mut Vec<PlannedStep>,
         charged: &mut u64,
     ) -> Result<(), ServiceError> {
@@ -625,21 +655,35 @@ impl ShardEngine {
             return Ok(());
         }
         let contexts = self.seq.contexts();
-        let active_ctxs: Vec<usize> = active.iter().map(|(ctx, _)| *ctx).collect();
-        let naive = Schedule::active_sweep(contexts, &active_ctxs)?;
+        let PlanScratch {
+            naive,
+            baseline,
+            order,
+            sweep,
+        } = scratch;
+        // the naive sweep: each active context once, ascending (what
+        // `Schedule::active_sweep` builds)
+        naive.clear();
+        for &(ctx, _) in active {
+            if ctx >= contexts {
+                return Err(CssError::ContextOutOfRange { ctx, contexts }.into());
+            }
+            naive.push(ctx);
+        }
+        naive.sort_unstable();
+        naive.dedup();
         // the counterfactual: per-context toggles of the naive ascending
-        // walk from the broadcast's current position (each active context
-        // appears exactly once in a sweep, so a map by context is sound)
-        let start = self.seq.current();
-        let baseline: Vec<(usize, usize)> = naive
-            .as_slice()
-            .iter()
-            .copied()
-            .zip(matrix.step_costs(Some(start), naive.as_slice())?)
-            .collect();
-        let schedule = self.seq.plan_sweep_with(&naive, optimize, matrix)?;
+        // walk from the broadcast's current position
+        baseline.clear();
+        let mut prev = self.seq.current();
+        for &ctx in naive.iter() {
+            baseline.push(matrix.cost(prev, ctx)?);
+            prev = ctx;
+        }
+        self.seq
+            .plan_sweep_into(naive, optimize, matrix, sweep, order)?;
         let mut pos = 0;
-        for ctx in schedule.iter() {
+        for &ctx in order.iter() {
             let Some(batch) = self.queue.slot(ctx) else {
                 continue;
             };
@@ -658,10 +702,9 @@ impl ShardEngine {
                     ctx,
                 })?;
             let toggles = self.seq.step_to(ctx)?;
-            let toggles_baseline = baseline
-                .iter()
-                .find(|(c, _)| *c == ctx)
-                .map_or(toggles, |(_, cost)| *cost);
+            // each active context appears exactly once in a sweep, so the
+            // naive step into `ctx` is its baseline
+            let toggles_baseline = naive.binary_search(&ctx).map_or(toggles, |i| baseline[i]);
             let tenant_state = self
                 .tenants
                 .get_mut(&tenant)
@@ -669,53 +712,49 @@ impl ShardEngine {
             tenant_state.usage.css_toggles += toggles;
             tenant_state.usage.css_toggles_baseline += toggles_baseline;
             *charged += toggles as u64;
-            let tenant_regs = &self
-                .tenants
-                .get(&tenant)
-                .ok_or(ServiceError::UnknownTenant(tenant.index()))?
-                .regs;
+            let tenant_regs = &tenant_state.regs;
             let words = batch.words();
             let slot = &mut self.bound[ctx];
             let bound = slot.plan.clone();
-            let mut chunks: Vec<LaneChunk> = Vec::new();
-            if let Some(bound) = &bound {
-                let column_chunks = batch.chunks();
-                chunks.extend(bound.inputs().iter().zip(&slot.columns).map(
-                    |((_, name, is_reg), &col)| {
-                        if *is_reg {
-                            // stream registers come only from the tenant's
-                            // register file (0 before the first pass) —
-                            // lane-aligned, so lane `l` of pass `p+1`
-                            // consumes the state lane `l` of pass `p`
-                            // produced
-                            tenant_regs.get_chunk(name).unwrap_or([0u64; LANE_WORDS])
-                        } else {
-                            column_chunks[col as usize]
-                        }
-                    },
-                ));
-            }
+            let inputs = bound.as_ref().map_or(0, |b| b.inputs().len());
             // dirty-cone basis: reuse the slot's cached sweep only when it
             // demonstrably describes the same tenant, word count and input
-            // arity (the kernel path then skips ops whose cone is clean)
-            let kernel_ok = bound.is_some() && chunks.len() <= 64 && plane.has_kernel(ctx);
-            let mut dirty = DIRTY_ALL;
-            let mut state = None;
-            if kernel_ok {
-                if let Some(cache) = slot.cache.take() {
-                    if cache.tenant == tenant
+            // arity (the kernel path then skips ops whose cone is clean).
+            // The cache's input buffer becomes this step's, either way.
+            let kernel_ok = bound.is_some() && inputs <= 64 && plane.has_kernel(ctx);
+            let (mut chunks, state, cached) = match slot.cache.take_if(|_| kernel_ok) {
+                Some(cache) => {
+                    let cached = cache.tenant == tenant
                         && cache.words == words
-                        && cache.inputs.len() == chunks.len()
-                    {
-                        let mut mask = 0u64;
-                        for (i, (new, old)) in chunks.iter().zip(&cache.inputs).enumerate() {
-                            if new != old {
-                                mask |= 1 << i;
-                            }
-                        }
-                        dirty = mask;
+                        && cache.inputs.len() == inputs;
+                    (cache.inputs, Some(cache.state), cached)
+                }
+                None => (Vec::new(), None, false),
+            };
+            let mut dirty = if cached { 0 } else { DIRTY_ALL };
+            if !cached {
+                chunks.clear();
+            }
+            if let Some(bound) = &bound {
+                let column_chunks = batch.chunks();
+                let sources = bound.inputs().iter().zip(&slot.columns);
+                for (i, ((_, name, is_reg), &col)) in sources.enumerate() {
+                    let chunk = if *is_reg {
+                        // stream registers come only from the tenant's
+                        // register file (0 before the first pass) —
+                        // lane-aligned, so lane `l` of pass `p+1`
+                        // consumes the state lane `l` of pass `p`
+                        // produced
+                        tenant_regs.get_chunk(name).unwrap_or([0u64; LANE_WORDS])
+                    } else {
+                        column_chunks[col as usize]
+                    };
+                    if !cached {
+                        chunks.push(chunk);
+                    } else if chunks[i] != chunk {
+                        chunks[i] = chunk;
+                        dirty |= 1 << i;
                     }
-                    state = Some(cache.state);
                 }
             }
             steps.push(PlannedStep {
@@ -729,6 +768,7 @@ impl ShardEngine {
                 chunks,
                 dirty,
                 state,
+                outs: std::mem::take(&mut slot.outs),
             });
             pos += 1;
         }
@@ -835,6 +875,7 @@ impl ShardEngine {
             });
         }
         slot.pool_table(table);
+        slot.outs = outcome.outs;
         // empty the batch in place, buffers kept, so steady-state flushes
         // re-allocate nothing
         self.queue.clear(step.ctx);

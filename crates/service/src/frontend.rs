@@ -630,13 +630,25 @@ pub struct FrontendDriver {
     /// Virtual clock, in cycles. Advanced only by the caller.
     now: u64,
     next_ticket: u64,
-    /// The tenants one pump flushes, kept to reuse its buffer.
-    flush_list: Vec<TenantId>,
+    /// A pump's working memory, kept between pumps.
+    buffers: PumpBuffers,
     /// Set once the caller has borrowed the service mutably: direct
     /// submissions and discards are then possible, and a stream's
     /// responses may no longer arrive at the front of its in-flight queue.
     direct_access: bool,
     metrics: FrontendMetrics,
+}
+
+/// The buffers one pump fills and empties again, kept so a steady-state
+/// pump allocates only the `Vec` of events it returns.
+#[derive(Debug, Default)]
+struct PumpBuffers {
+    /// The tenants the pump flushes.
+    flush_list: Vec<TenantId>,
+    /// The flush's responses, matched to in-flight requests.
+    responses: Vec<Response>,
+    /// The pump's events, moved out into the returned `Vec`.
+    events: Vec<FrontendEvent>,
 }
 
 impl Clone for FrontendDriver {
@@ -654,7 +666,7 @@ impl Clone for FrontendDriver {
             streams: self.streams.clone(),
             now: self.now,
             next_ticket: self.next_ticket,
-            flush_list: Vec::new(),
+            buffers: PumpBuffers::default(),
             direct_access: self.direct_access,
             metrics,
         }
@@ -672,7 +684,7 @@ impl FrontendDriver {
             streams: Vec::new(),
             now: 0,
             next_ticket: 0,
-            flush_list: Vec::new(),
+            buffers: PumpBuffers::default(),
             direct_access: false,
             metrics,
         }
@@ -940,10 +952,30 @@ impl FrontendDriver {
         Ok(events)
     }
 
+    /// One pump: its events go into the driver's event buffer and come
+    /// back as one exactly-sized `Vec` — the pump's only allocation in
+    /// steady state, and none when there are no events. On `Err` the
+    /// events gathered so far are dropped.
     fn pump_inner(&mut self, force: bool) -> Result<Vec<FrontendEvent>, FrontendError> {
+        let mut events = std::mem::take(&mut self.buffers.events);
+        let pumped = self.pump_into(force, &mut events).map(|()| {
+            // moved, not taken: the buffer keeps its capacity
+            let mut out = Vec::with_capacity(events.len());
+            out.append(&mut events);
+            out
+        });
+        events.clear();
+        self.buffers.events = events;
+        pumped
+    }
+
+    fn pump_into(
+        &mut self,
+        force: bool,
+        events: &mut Vec<FrontendEvent>,
+    ) -> Result<(), FrontendError> {
         let now = self.now;
         let lane_width = self.svc.lane_width();
-        let mut events = Vec::new();
         // 1. expiry: a queued request whose deadline has passed is
         // removed with a typed event, never silently served late
         for stream in &mut self.streams {
@@ -1071,7 +1103,7 @@ impl FrontendDriver {
         // cross-node move retires the source) will never see its
         // in-flight requests answered: they fail here instead, and the
         // stream stays out of the flush.
-        let mut flush_list = std::mem::take(&mut self.flush_list);
+        let mut flush_list = std::mem::take(&mut self.buffers.flush_list);
         flush_list.clear();
         for stream in &mut self.streams {
             if stream.inflight.is_empty() {
@@ -1098,17 +1130,21 @@ impl FrontendDriver {
             }
         }
         if flush_list.is_empty() && !(force && self.svc.pending_requests() > 0) {
-            self.flush_list = flush_list;
+            self.buffers.flush_list = flush_list;
             self.metrics.inflight.set(self.inflight_requests() as i64);
-            return Ok(events);
+            return Ok(());
         }
-        let responses = if force {
-            self.svc.drain()
-        } else {
-            self.svc.flush_tenants(&flush_list)
-        };
-        self.flush_list = flush_list;
-        for response in responses? {
+        // force drains the whole service, not just the streams' slots
+        let mut responses = std::mem::take(&mut self.buffers.responses);
+        let flushed = self
+            .svc
+            .flush_into((!force).then_some(&flush_list[..]), &mut responses);
+        self.buffers.flush_list = flush_list;
+        if let Err(e) = flushed {
+            self.buffers.responses = responses;
+            return Err(e.into());
+        }
+        for response in responses.drain(..) {
             match self.take_inflight(&response) {
                 Some(meta) => {
                     self.metrics.completed.inc();
@@ -1128,8 +1164,9 @@ impl FrontendDriver {
                 None => events.push(FrontendEvent::PassThrough { response }),
             }
         }
+        self.buffers.responses = responses;
         self.metrics.inflight.set(self.inflight_requests() as i64);
-        Ok(events)
+        Ok(())
     }
 
     /// Matches `response` to the in-flight request it answers, removing

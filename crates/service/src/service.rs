@@ -55,6 +55,9 @@ use std::time::Instant;
 /// share one cached compiled plane.
 const SLOT_SEED: u64 = 0x5EED_0000;
 
+/// One evaluated sweep step on its way to apply.
+type Evaluated = (PlannedStep, Result<EvalOutcome, ServiceError>);
+
 /// Routing retry budget per admission.
 const ROUTE_ATTEMPTS: usize = 16;
 
@@ -183,6 +186,24 @@ pub struct ShardedService {
     telemetry: Telemetry,
     /// Handles into `telemetry`'s registry — see [`ServiceMetrics`].
     metrics: ServiceMetrics,
+    /// Reused flush buffers — see [`FlushBuffers`].
+    buffers: FlushBuffers,
+}
+
+/// The working memory of one flush, kept between flushes: once each has
+/// grown to the service's busiest flush, a flush at executor width 1
+/// allocates nothing. (A pooled eval hands its steps to the executor,
+/// which returns a fresh results `Vec`.) Empty between flushes.
+#[derive(Debug, Default)]
+struct FlushBuffers {
+    /// Per shard, the `(context, occupant)` slots to flush.
+    work: Vec<Vec<(usize, TenantId)>>,
+    /// The planned steps, in merge-key order.
+    steps: Vec<PlannedStep>,
+    /// The evaluated steps, in merge-key order.
+    evaluated: Vec<Evaluated>,
+    /// Per shard, the first structural error of the flush.
+    errors: Vec<Option<ServiceError>>,
 }
 
 /// Cloning forks the execution state but **not** the telemetry: the
@@ -212,6 +233,7 @@ impl Clone for ShardedService {
             affinity: self.affinity.clone(),
             telemetry,
             metrics,
+            buffers: FlushBuffers::default(),
         };
         svc.sync_gauges();
         svc
@@ -276,6 +298,7 @@ impl ShardedService {
             affinity: HashMap::new(),
             telemetry,
             metrics,
+            buffers: FlushBuffers::default(),
         })
     }
 
@@ -585,10 +608,8 @@ impl ShardedService {
     /// (see [`take_faults`](Self::take_faults)), and the sweep continues —
     /// one tenant's faulted slot cannot withhold other tenants' responses.
     pub fn drain(&mut self) -> Result<Vec<Response>, ServiceError> {
-        let work: Result<Vec<Vec<(usize, TenantId)>>, ServiceError> = (0..self.engines.len())
-            .map(|s| self.active_slots(s))
-            .collect();
-        self.drain_slots(work?)
+        self.flush(None)?;
+        Ok(std::mem::take(&mut self.ready))
     }
 
     /// Flushes **only** the listed tenants' slots (those with pending
@@ -604,36 +625,94 @@ impl ShardedService {
     /// thread count. Duplicate tenants in `tenants` flush once; tenants
     /// with nothing queued cost nothing.
     pub fn flush_tenants(&mut self, tenants: &[TenantId]) -> Result<Vec<Response>, ServiceError> {
-        let mut work: Vec<Vec<(usize, TenantId)>> = vec![Vec::new(); self.engines.len()];
+        self.flush(Some(tenants))?;
+        Ok(std::mem::take(&mut self.ready))
+    }
+
+    /// [`flush_tenants`](Self::flush_tenants) (`Some(tenants)`) or
+    /// [`drain`](Self::drain) (`None`) appending the responses to `out`
+    /// instead of returning them: the front end's path, which keeps one
+    /// response buffer across pumps, so a steady-state flush at executor
+    /// width 1 allocates nothing. On `Err` the responses stay buffered
+    /// for the next call, exactly as with the public pair.
+    pub(crate) fn flush_into(
+        &mut self,
+        tenants: Option<&[TenantId]>,
+        out: &mut Vec<Response>,
+    ) -> Result<(), ServiceError> {
+        self.flush(tenants)?;
+        out.append(&mut self.ready);
+        Ok(())
+    }
+
+    /// Lists the slots to flush — the listed tenants' busy slots, or
+    /// every busy slot — and runs them through
+    /// [`drain_slots`](Self::drain_slots), leaving the responses in
+    /// `ready`. A tenant or slot that does not resolve fails the flush
+    /// before anything runs.
+    fn flush(&mut self, tenants: Option<&[TenantId]>) -> Result<(), ServiceError> {
+        let mut work = std::mem::take(&mut self.buffers.work);
+        work.resize_with(self.engines.len(), Vec::new);
+        let listed = match tenants {
+            Some(tenants) => self.list_tenants(tenants, &mut work),
+            None => self.list_active(&mut work),
+        };
+        let result = listed.and_then(|()| self.drain_slots(&work));
+        for shard in &mut work {
+            shard.clear();
+        }
+        self.buffers.work = work;
+        result
+    }
+
+    /// Fills `work` with every slot holding pending work, per shard in
+    /// ascending context order. The coordinator resolves occupancy
+    /// *before* the fan-out so engines never touch the registry
+    /// concurrently.
+    fn list_active(&self, work: &mut [Vec<(usize, TenantId)>]) -> Result<(), ServiceError> {
+        for (shard, (engine, slots)) in self.engines.iter().zip(work).enumerate() {
+            for ctx in (0..self.params.contexts).filter(|&c| engine.pending_batch(c).is_some()) {
+                let tenant = self
+                    .registry
+                    .occupant(shard, ctx)
+                    .ok_or(ServiceError::SlotNotProgrammed { shard, ctx })?;
+                slots.push((ctx, tenant));
+            }
+        }
+        Ok(())
+    }
+
+    /// Fills `work` with the listed tenants' busy slots, once each, per
+    /// shard in ascending context order — exactly as
+    /// [`list_active`](Self::list_active) would list them.
+    fn list_tenants(
+        &self,
+        tenants: &[TenantId],
+        work: &mut [Vec<(usize, TenantId)>],
+    ) -> Result<(), ServiceError> {
         for &tenant in tenants {
             let placement = self.registry.tenant(tenant)?.placement;
+            let slots = &mut work[placement.shard];
             if self.engines[placement.shard]
                 .pending_batch(placement.ctx)
                 .is_some()
-                && !work[placement.shard]
-                    .iter()
-                    .any(|&(ctx, _)| ctx == placement.ctx)
+                && !slots.iter().any(|&(ctx, _)| ctx == placement.ctx)
             {
-                work[placement.shard].push((placement.ctx, tenant));
+                slots.push((placement.ctx, tenant));
             }
         }
-        for shard in &mut work {
-            // plan in ascending context order, exactly as drain() sees them
-            shard.sort_by_key(|&(ctx, _)| ctx);
+        for slots in work {
+            slots.sort_unstable_by_key(|&(ctx, _)| ctx);
         }
-        self.drain_slots(work)
+        Ok(())
     }
 
-    /// The shared body of [`drain`](Self::drain) and
-    /// [`flush_tenants`](Self::flush_tenants): plans each shard's sweep
-    /// over its `work` slots, evaluates on the pool, applies in merge-key
-    /// order, and hands back every buffered response.
-    fn drain_slots(
-        &mut self,
-        work: Vec<Vec<(usize, TenantId)>>,
-    ) -> Result<Vec<Response>, ServiceError> {
-        let mut steps = Vec::new();
-        let mut errors: Vec<Option<ServiceError>> = vec![None; self.engines.len()];
+    /// The shared body of every flush: plans each shard's sweep over its
+    /// `work` slots, evaluates on the pool, applies in merge-key order,
+    /// and leaves every response in `ready`.
+    fn drain_slots(&mut self, work: &[Vec<(usize, TenantId)>]) -> Result<(), ServiceError> {
+        let mut steps = std::mem::take(&mut self.buffers.steps);
+        let mut errors = self.take_errors();
         let plan_start = Instant::now();
         for (shard, active) in work.iter().enumerate() {
             if !active.is_empty() {
@@ -646,17 +725,31 @@ impl ShardedService {
         self.metrics
             .plan_us
             .observe(plan_start.elapsed().as_micros() as u64);
-        self.eval_and_apply(steps, &mut errors);
+        self.eval_and_apply(&mut steps, &mut errors);
+        self.buffers.steps = steps;
         self.metrics.drains_total.inc();
         self.sync_gauges();
         // a structural engine failure never drops executed work: every
         // planned step was still evaluated and applied above (consuming
         // its requests), and the first error in shard order is returned —
         // with the responses left buffered for the caller's retry
-        if let Some(e) = errors.into_iter().flatten().next() {
-            return Err(e);
-        }
-        Ok(std::mem::take(&mut self.ready))
+        self.return_errors(errors)
+    }
+
+    /// The per-shard error buffer, one empty entry per shard.
+    fn take_errors(&mut self) -> Vec<Option<ServiceError>> {
+        let mut errors = std::mem::take(&mut self.buffers.errors);
+        errors.resize_with(self.engines.len(), || None);
+        errors
+    }
+
+    /// Hands the error buffer back, emptied, and returns its first error
+    /// in shard order.
+    fn return_errors(&mut self, mut errors: Vec<Option<ServiceError>>) -> Result<(), ServiceError> {
+        let first = errors.iter_mut().find_map(Option::take);
+        errors.clear();
+        self.buffers.errors = errors;
+        first.map_or(Ok(()), Err)
     }
 
     /// Evaluates `steps` — on the persistent pool when both the executor
@@ -665,28 +758,32 @@ impl ShardedService {
     /// applies every result in task order, which **is** merge-key order:
     /// steps were planned shard by shard, each shard in sweep order.
     /// Apply errors are recorded per shard, never overwriting an earlier
-    /// (plan-phase) error.
-    fn eval_and_apply(&mut self, steps: Vec<PlannedStep>, errors: &mut [Option<ServiceError>]) {
+    /// (plan-phase) error. Leaves `steps` empty.
+    fn eval_and_apply(
+        &mut self,
+        steps: &mut Vec<PlannedStep>,
+        errors: &mut [Option<ServiceError>],
+    ) {
         if steps.is_empty() {
             return;
         }
-        type Evaluated = (PlannedStep, Result<EvalOutcome, ServiceError>);
         let eval_start = Instant::now();
         let eval = |mut step: PlannedStep| {
             let outs = eval_step(&mut step);
             (step, outs)
         };
-        let results: Vec<Evaluated> = if self.executor.threads() > 1 && steps.len() > 1 {
-            self.executor.run_owned(steps, eval)
+        let mut results = std::mem::take(&mut self.buffers.evaluated);
+        if self.executor.threads() > 1 && steps.len() > 1 {
+            results = self.executor.run_owned(std::mem::take(steps), eval);
         } else {
-            steps.into_iter().map(eval).collect()
-        };
+            results.extend(steps.drain(..).map(eval));
+        }
         self.metrics
             .eval_us
             .observe(eval_start.elapsed().as_micros() as u64);
         let apply_start = Instant::now();
         let mut prev_key = None;
-        for (mut step, outs) in results {
+        for (mut step, outs) in results.drain(..) {
             let key = (step.shard, step.pos);
             debug_assert!(
                 prev_key < Some(key),
@@ -696,6 +793,7 @@ impl ShardedService {
             prev_key = Some(key);
             self.apply_step_traced(&mut step, outs, errors);
         }
+        self.buffers.evaluated = results;
         self.metrics
             .apply_us
             .observe(apply_start.elapsed().as_micros() as u64);
@@ -768,22 +866,6 @@ impl ShardedService {
         }
     }
 
-    /// The `(context, occupant)` slots of `shard` holding pending work —
-    /// the coordinator resolves occupancy *before* the fan-out so engines
-    /// never touch the registry concurrently.
-    fn active_slots(&self, shard: usize) -> Result<Vec<(usize, TenantId)>, ServiceError> {
-        self.engines[shard]
-            .pending()
-            .into_iter()
-            .map(|ctx| {
-                self.registry
-                    .occupant(shard, ctx)
-                    .map(|t| (ctx, t))
-                    .ok_or(ServiceError::SlotNotProgrammed { shard, ctx })
-            })
-            .collect()
-    }
-
     /// Runs one shard's sweep inline (the lane-full auto-flush path):
     /// same plan → eval → apply pipeline as [`drain`](Self::drain), minus
     /// the pool — a single slot just flushed, so fan-out buys nothing.
@@ -795,19 +877,20 @@ impl ShardedService {
         active: &[(usize, TenantId)],
     ) -> Result<(), ServiceError> {
         let pending_before = self.engines[shard].pending_requests();
-        let mut steps = Vec::new();
-        let mut errors: Vec<Option<ServiceError>> = vec![None; self.engines.len()];
+        let mut steps = std::mem::take(&mut self.buffers.steps);
+        let mut errors = self.take_errors();
         let (toggles, error) =
             self.engines[shard].plan_sweep(active, self.optimize, &self.matrix, &mut steps);
         self.metrics.css_toggles.add(toggles);
         errors[shard] = error;
-        for mut step in steps {
+        for mut step in steps.drain(..) {
             let outs = eval_step(&mut step);
             self.apply_step_traced(&mut step, outs, &mut errors);
         }
+        self.buffers.steps = steps;
         let served = pending_before - self.engines[shard].pending_requests();
         self.metrics.queue_depth.add(-(served as i64));
-        errors.into_iter().flatten().next().map_or(Ok(()), Err)
+        self.return_errors(errors)
     }
 
     /// Resyncs the point-in-time gauges with the structures they mirror.

@@ -523,6 +523,121 @@ fn identical_resubmission_skips_the_dirty_cone() {
     assert_eq!(counter("fabric_kernel_evals"), 3);
 }
 
+/// Lane occupancy that shrinks and grows under stream state: a `reg:*`
+/// tenant runs passes of 200 → 3 → 130 → 1 → 256 lanes (twice) at lane
+/// widths 64 and 256. Each pass evaluates only its occupied words, so a
+/// lane past them restarts from zero state while an empty lane inside them
+/// carries its state on; every answer must match a lane-by-lane
+/// `LogicNetlist::eval` of exactly that, and every register chunk must be
+/// zero past the words its pass occupied — including one copied straight
+/// from a register the previous, wider pass filled.
+#[test]
+fn stream_state_follows_occupancy_that_shrinks_and_grows() {
+    // y = x ⊕ acc, w = z ∧ prev, v = lag;
+    // reg:acc ← y, reg:prev ← x, reg:lag ← acc (the last two pure copies)
+    let mut nl = LogicNetlist::new();
+    let x = nl.add_input("x");
+    let z = nl.add_input("z");
+    let acc = nl.add_input("reg:acc");
+    let prev = nl.add_input("reg:prev");
+    let lag = nl.add_input("reg:lag");
+    let y = nl.add_lut("y", &[x, acc], 0b0110).unwrap();
+    let w = nl.add_lut("w", &[z, prev], 0b1000).unwrap();
+    nl.add_output("y", y).unwrap();
+    nl.add_output("w", w).unwrap();
+    nl.add_output("v", lag).unwrap();
+    nl.add_output("reg:acc", y).unwrap();
+    nl.add_output("reg:prev", x).unwrap();
+    nl.add_output("reg:lag", acc).unwrap();
+    const REGS: [&str; 3] = ["reg:acc", "reg:prev", "reg:lag"];
+    const OUTS: [&str; 3] = ["y", "w", "v"];
+    let bit = |pass: usize, lane: usize, salt: usize| {
+        (pass * 0x9E37 + lane * 0x85EB + salt * 0xC2B2).count_ones() % 2 == 1
+    };
+    for width in [LANES, 256] {
+        let mut svc = ShardedService::new(1, FabricParams::default(), TechParams::default())
+            .expect("service");
+        svc.set_lane_width(width).unwrap();
+        let t = svc.admit("acc", &nl).unwrap();
+        // per lane, the registers as the register file should hold them
+        let mut state = [[false; REGS.len()]; 256];
+        for (burst, lanes) in [200usize, 3, 130, 1, 256, 200, 3, 130, 1, 256]
+            .into_iter()
+            .enumerate()
+        {
+            let mut expected = Vec::new();
+            let mut last_words = 0;
+            // the service cuts a burst into passes of at most `width`
+            let mut first = 0;
+            while first < lanes {
+                let n = (lanes - first).min(width);
+                let words = n.div_ceil(64);
+                for (lane, regs) in state.iter_mut().enumerate() {
+                    if lane >= words * 64 {
+                        *regs = [false; REGS.len()];
+                        continue;
+                    }
+                    // an empty lane inside the occupied words reads zeros
+                    let (xv, zv) = if lane < n {
+                        (bit(burst, first + lane, 1), bit(burst, first + lane, 2))
+                    } else {
+                        (false, false)
+                    };
+                    let mut inputs = vec![("x", xv), ("z", zv)];
+                    inputs.extend(REGS.into_iter().zip(*regs));
+                    let out = nl.eval(&inputs).unwrap();
+                    let get = |name: &str| out.iter().find(|(o, _)| o == name).unwrap().1;
+                    if lane < n {
+                        expected.push(OUTS.map(get));
+                    }
+                    *regs = REGS.map(get);
+                }
+                last_words = words;
+                first += n;
+            }
+            for lane in 0..lanes {
+                let inputs = [("x", bit(burst, lane, 1)), ("z", bit(burst, lane, 2))];
+                svc.submit(t, &inputs).unwrap();
+            }
+            let got: Vec<[bool; 3]> = svc
+                .drain()
+                .unwrap()
+                .iter()
+                .map(|r| OUTS.map(|name| r.outputs.iter().find(|(o, _)| &**o == name).unwrap().1))
+                .collect();
+            assert_eq!(
+                got, expected,
+                "width {width}, burst {burst} ({lanes} lanes)"
+            );
+            let file = svc.register_file(t).unwrap();
+            for (r, name) in REGS.iter().enumerate() {
+                let chunk = file.get_chunk(name).expect("written by the pass");
+                for (lane, regs) in state.iter().enumerate() {
+                    let held = chunk[lane / 64] >> (lane % 64) & 1 == 1;
+                    assert_eq!(
+                        held, regs[r],
+                        "width {width}, burst {burst}, {name} lane {lane}"
+                    );
+                }
+                assert!(
+                    chunk[last_words..].iter().all(|&word| word == 0),
+                    "width {width}, burst {burst}: {name} carries bits past word {last_words}"
+                );
+            }
+        }
+        assert!(svc.take_faults().is_empty());
+        let kernel = svc
+            .telemetry()
+            .registry()
+            .counter_value("fabric_kernel_evals");
+        assert_eq!(
+            kernel,
+            Some(svc.usage(t).unwrap().passes as u64),
+            "every pass ran the kernel"
+        );
+    }
+}
+
 #[test]
 fn lane_width_rejects_bad_values_and_pending_work() {
     let mut svc = service(1);
