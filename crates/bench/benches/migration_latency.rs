@@ -1,7 +1,9 @@
 //! X7 — checkpoint/migration cost on the 8×8 / 4-context reference
-//! workload: checkpoint wire size, checkpoint+encode latency, and
-//! end-to-end live-migration latency (`migrate_tenant`, plane rebased,
-//! pending lane batch moved), plus whole-shard evacuation.
+//! workload: checkpoint wire size, checkpoint+encode latency,
+//! end-to-end live-migration latency (`migrate_tenant`: the cached plane
+//! shared into the new slot, pending lane batch moved), whole-shard
+//! evacuation, and what a node restart costs (a fresh 3-shard service
+//! built, an emptied one dropped).
 //!
 //! Acceptance (asserted, runs in CI): the checkpoint wire round-trips
 //! losslessly, a migrated tenant answers bit-for-bit like its
@@ -44,6 +46,15 @@ fn build_pool(pending: usize) -> (ShardedService, TenantId, TenantId, Vec<(Strin
         svc.submit(twin, &refs).unwrap();
     }
     (svc, mover, twin, vector)
+}
+
+/// A reference pool whose tenants were admitted — routing two shards'
+/// fabrics — and then retired: what a drained node holds at restart.
+fn emptied_pool() -> ShardedService {
+    let (mut svc, mover, twin, _) = build_pool(0);
+    svc.retire_tenant(mover).unwrap();
+    svc.retire_tenant(twin).unwrap();
+    svc
 }
 
 /// The asserted acceptance pass: lossless wire round-trip, bounded
@@ -118,6 +129,17 @@ fn write_artifact() {
         })
     };
 
+    let restart_us = {
+        const RESTARTS: usize = 50;
+        let mut emptied: Vec<ShardedService> = (0..RESTARTS).map(|_| emptied_pool()).collect();
+        let mut fresh = Vec::with_capacity(RESTARTS);
+        time_us(RESTARTS, || {
+            let old = emptied.pop().expect("one emptied pool per restart");
+            fresh.push(old.fresh_like().unwrap());
+            drop(old);
+        })
+    };
+
     let json = write_bench_json(
         "migration_latency",
         &[
@@ -127,6 +149,7 @@ fn write_artifact() {
             ("encode_latency_us", encode_us.into()),
             ("decode_latency_us", decode_us.into()),
             ("migrate_end_to_end_us", migrate_us.into()),
+            ("service_restart_us", restart_us.into()),
         ],
     )
     .expect("write BENCH_migration_latency.json");

@@ -724,12 +724,15 @@ impl Cluster {
             }
         }
 
+        // the node-wide winner is also the first minimum of its own shard,
+        // so restoring into it is what `restore_tenant` on that shard would
+        // pick — scored once, here
         let dst = &self.nodes[dst_node].svc;
         let slot = best_slot_scored(dst.registry(), dst.cost_matrix(), Some(ckpt.ctx), |_| true)?
             .ok_or(ClusterError::CapacityExhausted)?;
         let (new_local, fresh) = self.nodes[dst_node]
             .svc
-            .restore_tenant(&ckpt, slot.slot.shard)?;
+            .restore_tenant_into(&ckpt, slot.slot)?;
 
         // the checkpoint's pending requests (source-local ids, lane
         // order) were re-queued under fresh destination-local ids (same
@@ -807,12 +810,19 @@ impl Cluster {
     }
 
     /// Replaces an **empty** node's service with a freshly constructed
-    /// one (same shard count, geometry and technology), resets its fault
-    /// tally and marks it [`Healthy`](NodeHealth::Healthy) — the recovery
-    /// path for a [`Faulted`](NodeHealth::Faulted) node after
+    /// one, resets its fault tally and marks it
+    /// [`Healthy`](NodeHealth::Healthy) — the recovery path for a
+    /// [`Faulted`](NodeHealth::Faulted) node after
     /// [`drain_node`](Self::drain_node), and the building block of a
     /// rolling restart. Refused with [`ClusterError::NodeBusy`] while
     /// tenants are still resident.
+    ///
+    /// Only the node's *state* starts fresh (registry, plane cache, ids,
+    /// telemetry, fault tally). Its configuration survives the restart —
+    /// see [`ShardedService::fresh_like`]: shard count, geometry,
+    /// technology, lane width, sweep-ordering and placement policies,
+    /// span-ring capacity, and executor width (the cluster's own
+    /// [`set_threads`](Self::set_threads) width, when it has one, wins).
     pub fn restart_node(&mut self, node: usize) -> Result<(), ClusterError> {
         self.check_node(node)?;
         let resident = self.tenants_on(node)?.len();
@@ -823,7 +833,7 @@ impl Cluster {
             });
         }
         let n = &mut self.nodes[node];
-        n.svc = ShardedService::new(n.shards, n.params, n.tech.clone())?;
+        n.svc = n.svc.fresh_like()?;
         if let Some(threads) = self.threads {
             n.svc.set_threads(threads);
         }

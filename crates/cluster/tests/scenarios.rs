@@ -11,7 +11,7 @@ use mcfpga_cluster::{
 use mcfpga_device::TechParams;
 use mcfpga_fabric::netlist_ir::generators;
 use mcfpga_fabric::FabricParams;
-use mcfpga_service::ShardedService;
+use mcfpga_service::{OptimizeMode, PlacementPolicy, ShardedService};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::collections::HashSet;
@@ -447,4 +447,46 @@ fn chaos_run(seed: u64, threads: usize) -> Vec<(u64, usize, Vec<bool>)> {
         "conservation violated: answered set != issued set"
     );
     log
+}
+
+/// A restart starts a node's *state* afresh — no tenants, a cold plane
+/// cache — but keeps its configuration: lane width, sweep-ordering and
+/// placement policies, span-ring capacity, and its executor width unless
+/// the cluster sets one of its own.
+#[test]
+fn restart_keeps_the_node_configuration() {
+    let mut tuned = node(2);
+    tuned.set_lane_width(64).unwrap();
+    tuned.set_optimize_mode(OptimizeMode::Naive);
+    tuned.set_placement_policy(PlacementPolicy::EnergyAware);
+    tuned.telemetry().trace_buffer().set_capacity(17);
+    tuned.set_threads(3);
+    let mut c = Cluster::new(vec![node(2), tuned]).unwrap();
+    let parity = generators::parity_tree(3).unwrap();
+    let tenants: Vec<ClusterTenantId> = (0..4)
+        .map(|i| c.admit(&format!("t{i}"), &parity).unwrap())
+        .collect();
+    for (i, &t) in tenants.iter().enumerate() {
+        submit3(&mut c, t, i as u64);
+    }
+    assert!(!c.tenants_on(1).unwrap().is_empty());
+    let kept = |c: &Cluster, threads: usize| {
+        let svc = c.node(1).unwrap();
+        assert_eq!(svc.lane_width(), 64);
+        assert_eq!(svc.optimize_mode(), OptimizeMode::Naive);
+        assert_eq!(svc.placement_policy(), PlacementPolicy::EnergyAware);
+        assert_eq!(svc.telemetry().trace_buffer().capacity(), 17);
+        assert_eq!(svc.threads(), threads);
+        assert!(svc.registry().is_empty() && svc.cache().is_empty());
+    };
+    c.drain_node(1).unwrap();
+    c.restart_node(1).unwrap();
+    kept(&c, 3);
+    // the cluster's own width wins over the node's
+    c.set_threads(2);
+    c.restart_node(1).unwrap();
+    kept(&c, 2);
+    // every request queued before the drain is still answered once
+    let answered = c.drain().unwrap();
+    assert_eq!(answered.len(), tenants.len());
 }

@@ -125,6 +125,29 @@ pub struct FabricParams {
     pub arch: ArchKind,
 }
 
+impl FabricParams {
+    /// Checks that these parameters describe a buildable fabric, without
+    /// building one: a non-empty grid of at most 64×64 tiles, 1–16 wires
+    /// per channel, 1–64 contexts and a LUT arity in `1..=6`, refused in
+    /// that order with [`FabricError::BadParams`]. [`Fabric::new`] runs
+    /// exactly these checks, so a caller that builds its fabric later can
+    /// refuse bad parameters up front with the same error.
+    pub fn validate(&self) -> Result<(), FabricError> {
+        if self.width == 0
+            || self.height == 0
+            || self.width * self.height > 64 * 64
+            || self.channel_width == 0
+            || self.channel_width > 16
+        {
+            return Err(FabricError::BadParams(format!("{self:?}")));
+        }
+        if self.contexts == 0 || self.contexts > 64 {
+            return Err(FabricError::BadParams("contexts".into()));
+        }
+        MultiContextLut::check_k(self.lut_k)
+    }
+}
+
 impl Default for FabricParams {
     fn default() -> Self {
         FabricParams {
@@ -163,18 +186,9 @@ pub struct Fabric {
 
 impl Fabric {
     /// Builds an unconfigured fabric.
+    /// Refuses `params` exactly as [`FabricParams::validate`] does.
     pub fn new(params: FabricParams) -> Result<Self, FabricError> {
-        if params.width == 0
-            || params.height == 0
-            || params.width * params.height > 64 * 64
-            || params.channel_width == 0
-            || params.channel_width > 16
-        {
-            return Err(FabricError::BadParams(format!("{params:?}")));
-        }
-        if params.contexts == 0 || params.contexts > 64 {
-            return Err(FabricError::BadParams("contexts".into()));
-        }
+        params.validate()?;
         let mut tiles = Vec::with_capacity(params.width * params.height);
         for i in 0..params.width * params.height {
             let t = TileCoord {

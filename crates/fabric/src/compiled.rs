@@ -1240,38 +1240,6 @@ impl CompiledFabric {
         self.only_ctx
     }
 
-    /// Moves a partially-compiled plane to a different context slot.
-    ///
-    /// A [`CompiledPlane`] is context-independent once compiled — its ops
-    /// address arena resources and carry baked truth tables — so the same
-    /// plane evaluates bit-for-bit identically from any slot; only the CSS
-    /// broadcast *energy* of reaching the slot differs. Live migration uses
-    /// this to restore a tenant into whatever context index the destination
-    /// shard has free, without re-routing or recompiling.
-    ///
-    /// Only single-context compilations rebase (a full compile has one
-    /// plane per context and nothing to move); `dst` must be within the
-    /// captured geometry's context count.
-    pub fn rebase_context(&self, dst: usize) -> Result<CompiledFabric, FabricError> {
-        let Some(src) = self.only_ctx else {
-            return Err(FabricError::BadParams(
-                "rebase_context requires a single-context compilation".into(),
-            ));
-        };
-        if dst >= self.params.contexts {
-            return Err(FabricError::ContextOutOfRange {
-                ctx: dst,
-                contexts: self.params.contexts,
-            });
-        }
-        let mut rebased = self.clone();
-        if src != dst {
-            rebased.planes.swap(src, dst);
-        }
-        rebased.only_ctx = Some(dst);
-        Ok(rebased)
-    }
-
     /// Re-targets a partially-compiled plane onto a *different* fabric
     /// geometry — the pad-and-remap path behind heterogeneous restore.
     ///
@@ -1287,16 +1255,16 @@ impl CompiledFabric {
     /// matching `arch` / `lut_k` / `channel_width` / `io_in` / `io_out`
     /// (so tiles have identical resource shapes), destination at least as
     /// wide and tall as the source, and `dst_ctx` within the destination's
-    /// context count. Same-geometry calls fall through to
-    /// [`Self::rebase_context`].
+    /// context count. The same geometry is the identity embedding, but it
+    /// never needs one: a compiled plane is context-independent (its ops
+    /// address arena resources and carry baked truth tables), so any
+    /// context slot of a same-shaped fabric can evaluate it as it is,
+    /// through [`Self::bind`] at its own [`Self::compiled_context`].
     pub fn rebase_onto(
         &self,
         dst_params: FabricParams,
         dst_ctx: usize,
     ) -> Result<CompiledFabric, FabricError> {
-        if dst_params == self.params {
-            return self.rebase_context(dst_ctx);
-        }
         let Some(src) = self.only_ctx else {
             return Err(FabricError::BadParams(
                 "rebase_onto requires a single-context compilation".into(),
@@ -2482,15 +2450,30 @@ mod tests {
 
     #[test]
     fn rebased_plane_evaluates_identically_from_any_slot() {
+        // a compiled plane is context-independent: a slot of any context
+        // index shares it through a binding at the plane's own compiled
+        // context, and the identity embedding (`rebase_onto` the same
+        // geometry) moves it to any context bit for bit
         let nl = generators::parity_tree(3).unwrap();
-        let mut f = Fabric::new(FabricParams::default()).unwrap();
+        let params = FabricParams::default();
+        let mut f = Fabric::new(params).unwrap();
         implement_netlist(&mut f, &nl, 1, 5).unwrap();
         let compiled = CompiledFabric::compile_context(&f, 1).unwrap();
         assert_eq!(compiled.compiled_context(), Some(1));
         let ins: Vec<(&str, u64)> = vec![("x0", 0xF0F0), ("x1", 0xFF00), ("x2", 0xAAAA)];
         let want = eval_sorted(&compiled, 1, &ins).unwrap();
-        for dst in 0..4 {
-            let moved = compiled.rebase_context(dst).unwrap();
+        assert_eq!(compiled.bind(1).unwrap().ctx(), 1);
+        for other in [0, 2, 3] {
+            assert!(
+                matches!(
+                    compiled.bind(other),
+                    Err(FabricError::ContextNotCompiled { ctx, compiled: 1 }) if ctx == other
+                ),
+                "a slot binds the plane's compiled context, not its own"
+            );
+        }
+        for dst in 0..params.contexts {
+            let moved = compiled.rebase_onto(params, dst).unwrap();
             assert_eq!(moved.compiled_context(), Some(dst));
             assert_eq!(eval_sorted(&moved, dst, &ins).unwrap(), want, "dst {dst}");
             if dst != 1 {
@@ -2500,10 +2483,10 @@ mod tests {
                 );
             }
         }
-        assert!(compiled.rebase_context(99).is_err());
+        assert!(compiled.rebase_onto(params, 99).is_err());
         assert!(CompiledFabric::compile(&f)
             .unwrap()
-            .rebase_context(0)
+            .rebase_onto(params, 0)
             .is_err());
     }
 
@@ -2534,7 +2517,7 @@ mod tests {
             assert_eq!(moved.compiled_context(), Some(dst));
             assert_eq!(eval_sorted(&moved, dst, &ins).unwrap(), want, "dst {dst}");
         }
-        // same-geometry calls fall through to rebase_context
+        // the same geometry is the identity embedding
         let same = compiled.rebase_onto(small, 0).unwrap();
         assert_eq!(eval_sorted(&same, 0, &ins).unwrap(), want);
         // out-of-range destination context

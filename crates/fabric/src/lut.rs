@@ -22,9 +22,7 @@ impl MultiContextLut {
 
     /// Creates a LUT with all contexts programmed to constant 0.
     pub fn new(k: usize, contexts: usize) -> Result<Self, FabricError> {
-        if k == 0 || k > Self::MAX_K {
-            return Err(FabricError::BadParams(format!("k={k} not in 1..=6")));
-        }
+        Self::check_k(k)?;
         if contexts == 0 || contexts > 64 {
             return Err(FabricError::BadParams(format!("contexts={contexts}")));
         }
@@ -33,6 +31,14 @@ impl MultiContextLut {
             contexts,
             tables: vec![0; contexts],
         })
+    }
+
+    /// Refuses a LUT arity outside `1..=MAX_K`.
+    pub(crate) fn check_k(k: usize) -> Result<(), FabricError> {
+        if k == 0 || k > Self::MAX_K {
+            return Err(FabricError::BadParams(format!("k={k} not in 1..=6")));
+        }
+        Ok(())
     }
 
     /// Number of inputs.

@@ -49,8 +49,8 @@ pub struct TenantCheckpoint {
     /// differently-shaped service.
     pub params: FabricParams,
     /// Context slot the tenant occupied at checkpoint time (the restore
-    /// affinity hint: landing on the same index reuses the cached plane
-    /// without rebasing).
+    /// affinity hint: equally cheap slots break toward the same index;
+    /// the cached plane serves any index).
     pub ctx: usize,
     /// Where the source shard's CSS broadcast sat at the boundary.
     pub css_position: usize,

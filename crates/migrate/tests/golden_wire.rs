@@ -6,9 +6,67 @@
 //! old-version rejection test honest — never silently re-pin.
 
 use mcfpga_cost::attribution::TenantUsage;
+use mcfpga_device::TechParams;
 use mcfpga_fabric::compiled::{LaneChunk, LANE_WORDS};
-use mcfpga_fabric::{FabricParams, RegisterFile};
+use mcfpga_fabric::{FabricParams, LogicNetlist, RegisterFile};
 use mcfpga_migrate::{MigrateError, PendingBatch, TenantCheckpoint, FORMAT_VERSION};
+use mcfpga_service::{Placement, ShardedService};
+use proptest::prelude::*;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+thread_local! {
+    /// The largest single allocation made on this thread since the last
+    /// [`largest_allocation_during`] began.
+    static LARGEST: Cell<usize> = const { Cell::new(0) };
+}
+
+/// The system allocator, recording each thread's largest allocation (a
+/// const-initialised thread-local, so recording never allocates).
+struct Recording;
+
+fn record(size: usize) {
+    // `try_with`: a thread being torn down may still allocate
+    let _ = LARGEST.try_with(|m| m.set(m.get().max(size)));
+}
+
+// SAFETY: every call forwards unchanged to `System`; recording touches
+// only a const-initialised thread-local `Cell`, which never allocates.
+unsafe impl GlobalAlloc for Recording {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        record(layout.size());
+        // SAFETY: forwarded with the caller's layout contract
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        record(layout.size());
+        // SAFETY: forwarded with the caller's layout contract
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        record(new_size);
+        // SAFETY: `ptr` came from this allocator, i.e. from `System`
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from this allocator, i.e. from `System`
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Recording = Recording;
+
+/// Runs `f`, returning its result and the largest single allocation it
+/// made on this thread.
+fn largest_allocation_during<T>(f: impl FnOnce() -> T) -> (T, usize) {
+    LARGEST.with(|m| m.set(0));
+    let out = f();
+    (out, LARGEST.with(Cell::get))
+}
 
 /// Canonical v2 encoding of [`golden_checkpoint`].
 const GOLDEN_HEX: &str = "4d434b50000200000006676f6c64656e0123456789abcdef00000004000000040000000200000004000000040000000\
@@ -118,5 +176,129 @@ fn every_truncation_fails_typed() {
             ),
             "cut at {cut}: {err}"
         );
+    }
+}
+
+/// The golden blob's length fields: `(byte offset, value)` of each `u32`
+/// that sizes what follows it — the name, the pending lane count, the
+/// input list and each input name, the request-id list, the register
+/// list and the register name.
+const LENGTH_FIELDS: [(usize, u32); 8] = [
+    (6, 6),
+    (61, 2),
+    (65, 2),
+    (69, 2),
+    (107, 2),
+    (145, 2),
+    (165, 1),
+    (169, 5),
+];
+
+/// A live 2-shard service holding, under the golden checkpoint's digest,
+/// a plane whose input columns are the checkpoint's `x0` and `x1` — so
+/// the golden blob, and every mutant that keeps its digest, reaches the
+/// restore's later stages instead of stopping at a cold cache.
+fn live_service() -> ShardedService {
+    let mut nl = LogicNetlist::new();
+    let x0 = nl.add_input("x0");
+    let x1 = nl.add_input("x1");
+    let xor = nl.add_lut("y", &[x0, x1], 0b0110).unwrap();
+    nl.add_output("y", xor).unwrap();
+    let params = FabricParams::default();
+    let mut scratch = ShardedService::new(1, params, TechParams::default()).unwrap();
+    let t = scratch.admit("golden", &nl).unwrap();
+    let digest = scratch.registry().tenant(t).unwrap().digest;
+    let mut svc = ShardedService::new(2, params, TechParams::default()).unwrap();
+    svc.import_plane(
+        golden_checkpoint().digest,
+        scratch.export_plane(digest).unwrap(),
+    );
+    svc
+}
+
+/// Restores `ckpt` into the slot its own fields name (a shard the service
+/// may lack, a context it may not have), serves it once and retires it.
+/// Returns whether the restore was accepted; panicking is the failure.
+fn restore_and_serve(svc: &mut ShardedService, ckpt: &TenantCheckpoint) -> bool {
+    let slot = Placement {
+        shard: ckpt.css_position % 3,
+        ctx: ckpt.ctx,
+    };
+    let Ok((tenant, _)) = svc.restore_tenant_into(ckpt, slot) else {
+        return false;
+    };
+    let _ = svc.drain();
+    let _ = svc.take_faults();
+    svc.retire_tenant(tenant).unwrap();
+    true
+}
+
+/// Checks one hostile mutant of the golden blob: it is refused, or it
+/// decodes to a checkpoint that re-encodes to exactly its bytes and that
+/// a live service restores or refuses without panicking. Decoding never
+/// makes an allocation larger than a small multiple of the input.
+fn check_mutant(svc: &mut ShardedService, blob: &[u8]) -> Result<(), TestCaseError> {
+    let (decoded, largest) = largest_allocation_during(|| TenantCheckpoint::from_bytes(blob));
+    prop_assert!(
+        largest <= 4 * blob.len() + 1024,
+        "decoding {} bytes allocated {largest} at once",
+        blob.len()
+    );
+    if let Ok(ckpt) = decoded {
+        prop_assert_eq!(
+            ckpt.to_bytes(),
+            blob.to_vec(),
+            "a decoded mutant re-encodes differently"
+        );
+        restore_and_serve(svc, &ckpt);
+    }
+    Ok(())
+}
+
+/// The mutation harness's own premises: the length fields sit where
+/// [`LENGTH_FIELDS`] says, and the unmutated golden checkpoint restores.
+#[test]
+fn golden_blob_length_fields_and_restore_are_as_mutated() {
+    let blob = golden_bytes();
+    for (at, value) in LENGTH_FIELDS {
+        let field = u32::from_be_bytes(blob[at..at + 4].try_into().unwrap());
+        assert_eq!(field, value, "length field at byte {at}");
+    }
+    assert!(restore_and_serve(&mut live_service(), &golden_checkpoint()));
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Hostile checkpoint bytes — random byte flips, appended bytes, and
+    /// length fields overwritten with huge values — never panic and never
+    /// allocate without bound, in the decoder or in a live restore.
+    #[test]
+    fn hostile_checkpoint_bytes_fail_typed_or_round_trip(
+        flips in prop::collection::vec((any::<usize>(), 1u8..=255), 0..4),
+        tail in prop::collection::vec(any::<u8>(), 0..12),
+        field in 0usize..LENGTH_FIELDS.len(),
+        huge in any::<u32>(),
+        overwrite in any::<bool>(),
+    ) {
+        let mut svc = live_service();
+        let golden = golden_bytes();
+        let mut flipped = golden.clone();
+        for &(at, mask) in &flips {
+            let at = at % flipped.len();
+            flipped[at] ^= mask;
+        }
+        check_mutant(&mut svc, &flipped)?;
+        let mut extended = golden.clone();
+        extended.extend_from_slice(&tail);
+        check_mutant(&mut svc, &extended)?;
+        if overwrite {
+            let mut lengthened = golden;
+            let (at, _) = LENGTH_FIELDS[field];
+            // at least 2^24: far past anything the blob can hold
+            let value = huge | 0x0100_0000;
+            lengthened[at..at + 4].copy_from_slice(&value.to_be_bytes());
+            check_mutant(&mut svc, &lengthened)?;
+        }
     }
 }

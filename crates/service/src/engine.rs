@@ -1,9 +1,12 @@
 //! The per-shard execution engine.
 //!
 //! A [`ShardEngine`] owns **everything one fabric shard needs to execute a
-//! sweep without touching another shard**: its routed [`Fabric`], the
-//! per-context compiled planes (Arc-shared through the coordinator's plane
-//! cache — installing a plane clones a pointer, never a plane), its own
+//! sweep without touching another shard**: its routed [`Fabric`] (built on
+//! first use — a shard whose tenants all arrived by restore never routes,
+//! so it never builds one), the per-context compiled planes and their
+//! prebound plans (Arc-shared through the coordinator's plane cache, at
+//! any context index — installing a plane clones pointers, never a plane
+//! or a binding), its own
 //! [`ContextSequencer`] (CSS broadcast position is per-shard physical
 //! state), its partition of the service's batch queue, and the usage
 //! counters + stream-register files of the tenants placed on it.
@@ -42,7 +45,7 @@
 use crate::batch::{
     BatchQueue, OutputRows, Outputs, RequestId, RequestIdSource, Response, TakenBatch,
 };
-use crate::registry::TenantId;
+use crate::registry::{CachedPlane, TenantId};
 use crate::service::SlotFault;
 use crate::ServiceError;
 use mcfpga_cost::attribution::TenantUsage;
@@ -56,7 +59,7 @@ use mcfpga_fabric::context::ContextSequencer;
 use mcfpga_fabric::{CompiledFabric, Fabric, FabricParams, RegisterFile};
 use std::cell::RefCell;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Per-tenant state an engine keeps for each tenant placed on it: the
 /// usage counters billing reads, the stream-register file carried
@@ -70,7 +73,7 @@ pub(crate) struct TenantState {
     pub regs: RegisterFile,
     /// The tenant's input columns ([`BoundPlan::input_columns`] of its
     /// plane), fixed when it is admitted or restored. Installing a plane
-    /// — faulted, repaired or rebased — never changes them.
+    /// — faulted, repaired or shared — never changes them.
     pub columns: Arc<[Arc<str>]>,
 }
 
@@ -100,7 +103,8 @@ pub(crate) struct PlannedStep {
     /// Position within the shard's planned sweep (second half of the
     /// merge key).
     pub pos: usize,
-    /// The context slot to evaluate.
+    /// The context slot to evaluate (where the broadcast steps; the plane
+    /// is evaluated at its bound plan's own context).
     pub ctx: usize,
     /// The slot's occupant.
     pub tenant: TenantId,
@@ -159,7 +163,8 @@ pub(crate) fn eval_step(step: &mut PlannedStep) -> Result<EvalOutcome, ServiceEr
     let Some(bound) = step.bound.clone() else {
         // binding failed at install: reproduce the plane-access error the
         // name-keyed path would have raised
-        return match step.plane.plane(step.ctx) {
+        let ctx = step.plane.compiled_context().unwrap_or(step.ctx);
+        return match step.plane.plane(ctx) {
             Err(e) => Err(e.into()),
             Ok(_) => Err(ServiceError::SlotNotProgrammed {
                 shard: step.shard,
@@ -301,8 +306,14 @@ struct PlanScratch {
 pub struct ShardEngine {
     /// This engine's shard index (stamped into fault records).
     shard: usize,
-    fabric: Fabric,
-    /// Per-context compiled plane (Arc-shared through the digest cache).
+    /// The geometry `fabric` is built with.
+    params: FabricParams,
+    /// The routed fabric, built on first use ([`Self::fabric`]): only an
+    /// admission routes, so an engine that only ever receives restored
+    /// or migrated tenants never pays for one.
+    fabric: OnceLock<Fabric>,
+    /// Per-context compiled plane (Arc-shared through the digest cache,
+    /// whatever the context index).
     planes: Vec<Option<Arc<CompiledFabric>>>,
     /// Per-context prebound plan + dirty-cone sweep cache, parallel to
     /// `planes`.
@@ -318,15 +329,19 @@ pub struct ShardEngine {
 
 impl ShardEngine {
     /// A fresh engine for shard `shard` with geometry `params`, batching
-    /// up to `lane_width` requests per slot per pass.
+    /// up to `lane_width` requests per slot per pass. Refuses bad `params`
+    /// here, with [`Fabric::new`]'s error ([`FabricParams::validate`]),
+    /// though the fabric itself is built only when first needed.
     pub fn new(
         shard: usize,
         params: FabricParams,
         lane_width: usize,
     ) -> Result<Self, ServiceError> {
+        params.validate()?;
         Ok(ShardEngine {
             shard,
-            fabric: Fabric::new(params)?,
+            params,
+            fabric: OnceLock::new(),
             planes: vec![None; params.contexts],
             bound: vec![BoundSlot::default(); params.contexts],
             seq: ContextSequencer::new(params.arch, params.contexts)?,
@@ -366,29 +381,52 @@ impl ShardEngine {
         self.shard
     }
 
-    /// The routed fabric, for admission-time routing and digests.
+    /// The routed fabric, for admission-time routing and digests; built
+    /// blank on first use.
     pub(crate) fn fabric_mut(&mut self) -> &mut Fabric {
-        &mut self.fabric
+        self.fabric();
+        self.fabric.get_mut().expect("built by `fabric`")
     }
 
-    /// The routed fabric, read-only.
+    /// Has anything built this engine's fabric yet?
+    #[cfg(test)]
+    pub(crate) fn has_fabric(&self) -> bool {
+        self.fabric.get().is_some()
+    }
+
+    /// The routed fabric, read-only; built blank on first use.
     pub(crate) fn fabric(&self) -> &Fabric {
-        &self.fabric
+        self.fabric.get_or_init(|| {
+            Fabric::new(self.params).expect("`ShardEngine::new` validated the params")
+        })
     }
 
-    /// Installs (or replaces) the compiled plane of context `ctx` — an
-    /// `Arc` clone of a cache entry, never a deep copy. Binding runs
-    /// once, here, and each bound input is resolved to its column of the
-    /// slot's batch; the slot's dirty-cone cache is discarded (it
-    /// described sweeps of the previous plane). Refuses, changing
-    /// nothing, a plane that binds a non-register input the slot's
-    /// columns lack: the tenant's requests never drive it.
+    /// Installs (or replaces) the compiled plane of context `ctx`,
+    /// binding it here — the path for a plane the cache does not hold
+    /// (a chaos hook's poisoned plane). See
+    /// [`install_cached`](Self::install_cached).
     pub(crate) fn install_plane(
         &mut self,
         ctx: usize,
         plane: Arc<CompiledFabric>,
     ) -> Result<(), ServiceError> {
-        let plan = plane.bind(ctx).ok().map(Arc::new);
+        self.install_cached(ctx, &CachedPlane::new(plane))
+    }
+
+    /// Installs (or replaces) the compiled plane of context `ctx` with
+    /// its prebound plan — `Arc` clones of a cache entry, never a copy or
+    /// a re-bind, whatever context the plane was compiled in. Each bound
+    /// input is resolved to its column of the slot's batch; the slot's
+    /// dirty-cone cache is discarded (it described sweeps of the previous
+    /// plane). Refuses, changing nothing, a plane that binds a
+    /// non-register input the slot's columns lack: the tenant's requests
+    /// never drive it.
+    pub(crate) fn install_cached(
+        &mut self,
+        ctx: usize,
+        cached: &CachedPlane,
+    ) -> Result<(), ServiceError> {
+        let plan = cached.bound.clone();
         let columns = self.queue.columns(ctx);
         let mut index = Vec::new();
         let mut next = 0;
@@ -416,7 +454,7 @@ impl ShardEngine {
             columns: index,
             ..BoundSlot::default()
         };
-        self.planes[ctx] = Some(plane);
+        self.planes[ctx] = Some(Arc::clone(&cached.plane));
         Ok(())
     }
 
@@ -427,8 +465,26 @@ impl ShardEngine {
     }
 
     /// The compiled plane of context `ctx`, if programmed.
+    #[cfg(test)]
     pub(crate) fn plane(&self, ctx: usize) -> Option<Arc<CompiledFabric>> {
         self.planes[ctx].clone()
+    }
+
+    /// The prebound plan of context `ctx`, if programmed and bound.
+    #[cfg(test)]
+    pub(crate) fn plan(&self, ctx: usize) -> Option<Arc<BoundPlan>> {
+        self.bound[ctx].plan.clone()
+    }
+
+    /// The plane installed on context `ctx` with its prebound plan and
+    /// the slot's columns, if programmed — what a migration carries to
+    /// the destination slot.
+    pub(crate) fn installed(&self, ctx: usize) -> Option<CachedPlane> {
+        Some(CachedPlane {
+            plane: self.planes[ctx].clone()?,
+            bound: self.bound[ctx].plan.clone(),
+            columns: Arc::clone(self.queue.columns(ctx)),
+        })
     }
 
     /// Where this shard's CSS broadcast currently sits.
@@ -574,7 +630,7 @@ impl ShardEngine {
         self.planes[ctx] = None;
         self.bound[ctx] = BoundSlot::default();
         if resident {
-            self.fabric.clear_context(ctx)?;
+            self.fabric_mut().clear_context(ctx)?;
         }
         let batch = self.queue.vacate(ctx);
         Ok(TenantHandoff { state, batch })
@@ -583,21 +639,21 @@ impl ShardEngine {
     /// Lands `tenant` on the free slot `ctx` — the destination half of a
     /// migration handoff, and how admission and restore place a new
     /// tenant: opens the slot over the tenant's input columns, re-queues
-    /// the moved lanes with their original ids, installs the plane
-    /// (already rebased for `ctx` by the coordinator) and adopts the
-    /// tenant's state.
+    /// the moved lanes with their original ids, installs the shared plane
+    /// and its plan (see [`install_cached`](Self::install_cached)) and
+    /// adopts the tenant's state.
     pub(crate) fn adopt(
         &mut self,
         tenant: TenantId,
         ctx: usize,
-        plane: Arc<CompiledFabric>,
+        plane: &CachedPlane,
         handoff: TenantHandoff,
     ) -> Result<(), ServiceError> {
         self.queue.open(ctx, Arc::clone(&handoff.state.columns));
         if let Some(batch) = handoff.batch {
             self.queue.install(ctx, batch);
         }
-        self.install_plane(ctx, plane)?;
+        self.install_cached(ctx, plane)?;
         self.tenants.insert(tenant, handoff.state);
         Ok(())
     }
@@ -721,7 +777,8 @@ impl ShardEngine {
             // demonstrably describes the same tenant, word count and input
             // arity (the kernel path then skips ops whose cone is clean).
             // The cache's input buffer becomes this step's, either way.
-            let kernel_ok = bound.is_some() && inputs <= 64 && plane.has_kernel(ctx);
+            let kernel_ok =
+                inputs <= 64 && bound.as_ref().is_some_and(|b| plane.has_kernel(b.ctx()));
             let (mut chunks, state, cached) = match slot.cache.take_if(|_| kernel_ok) {
                 Some(cache) => {
                     let cached = cache.tenant == tenant

@@ -58,7 +58,8 @@
 //! Tenants are **mobile**: `checkpoint_tenant` snapshots one at a
 //! context-switch boundary into a [`TenantCheckpoint`] (versioned wire
 //! format, see [`mcfpga_migrate`]), `restore_tenant` resumes it elsewhere
-//! bit-for-bit, `migrate_tenant` moves it live preserving request ids,
+//! bit-for-bit (`restore_tenant_into` in an exact slot),
+//! `migrate_tenant` moves it live preserving request ids,
 //! and `evacuate_shard` clears a faulted/hot shard wholesale — with the
 //! overhead billed per tenant. Outputs a tenant names `reg:*` are stream
 //! registers: captured after each pass and re-driven (lane-aligned) on
@@ -108,7 +109,7 @@ pub use frontend::{
     Ticket,
 };
 pub use placement::{best_slot_scored, netlist_fingerprint, PlacementPolicy, SlotScore};
-pub use registry::{Placement, PlaneCache, TenantId, TenantRegistry};
+pub use registry::{CachedPlane, Placement, PlaneCache, TenantId, TenantRegistry};
 pub use service::{ShardedService, SlotFault};
 
 // the sweep-ordering knob lives in `mcfpga_css::optimize`; re-exported here

@@ -58,8 +58,8 @@ pub(crate) fn choose_energy_aware(
 /// destination shard's, an evacuation every shard *except* the source.
 /// Scores each eligible free slot by the marginal optimized sweep cost it
 /// adds to its shard (from the shard's home context 0); ties break toward
-/// `affinity_ctx` — the slot index where the tenant's compiled plane works
-/// as-is (admission: same digest in the cache; migration: no rebase) —
+/// `affinity_ctx` — admission: the slot index where the same netlist's
+/// digest is already cached; migration: the tenant's own context index —
 /// then toward emptier shards, then the lowest slot. `None` when no
 /// eligible slot is free.
 pub(crate) fn best_slot(
@@ -114,19 +114,29 @@ pub fn best_slot_scored(
     eligible: impl Fn(Placement) -> bool,
 ) -> Result<Option<SlotScore>, ServiceError> {
     let mut best: Option<SlotScore> = None;
+    // the shard being scored, its occupied contexts and their sweep
+    // cost: computed once per shard, not once per free slot
+    let mut shard: Option<(usize, Vec<usize>, usize)> = None;
     for slot in registry.free_slots() {
         if !eligible(slot) {
             continue;
         }
-        let occupied = registry.occupied_contexts(slot.shard);
-        let before = sweep_cost(matrix, Some(0), &occupied)?;
-        let mut with = occupied;
+        let (_, with, before) = match shard {
+            Some(ref mut s) if s.0 == slot.shard => s,
+            _ => {
+                let occupied = registry.occupied_contexts(slot.shard);
+                let before = sweep_cost(matrix, Some(0), &occupied)?;
+                shard.insert((slot.shard, occupied, before))
+            }
+        };
+        let load = with.len();
         with.push(slot.ctx);
-        let marginal = sweep_cost(matrix, Some(0), &with)?.saturating_sub(before);
+        let marginal = sweep_cost(matrix, Some(0), with)?.saturating_sub(*before);
+        with.pop();
         let candidate = SlotScore {
             marginal_toggles: marginal,
             affinity_miss: affinity_ctx != Some(slot.ctx),
-            load: with.len() - 1,
+            load,
             slot,
         };
         // lexicographic: marginal cost, then affinity hit, then shard load,

@@ -8,6 +8,7 @@
 //! never burns a slot.
 
 use crate::ServiceError;
+use mcfpga_fabric::compiled::BoundPlan;
 use mcfpga_fabric::{CompiledFabric, FabricError};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -276,16 +277,60 @@ impl TenantRegistry {
     }
 }
 
+/// One cached compiled plane, bound once: the plane, its prebound IO
+/// plan and that plan's input columns. A compiled plane is
+/// context-independent (its ops address arena resources and carry baked
+/// truth tables), so every slot that installs the plane — on any shard,
+/// at any context index — shares all three `Arc`s: the plan binds the
+/// plane's own [`CompiledFabric::compiled_context`], and the slot's
+/// context index only decides where the CSS broadcast steps.
+#[derive(Debug, Clone)]
+pub struct CachedPlane {
+    pub(crate) plane: Arc<CompiledFabric>,
+    /// `None` when the plane is not a single-context compilation (there
+    /// is no context of its own to bind), or its binding failed.
+    pub(crate) bound: Option<Arc<BoundPlan>>,
+    /// The bound plan's [`BoundPlan::input_columns`]; empty without one.
+    pub(crate) columns: Arc<[Arc<str>]>,
+}
+
+impl CachedPlane {
+    /// Binds `plane` at its own compiled context — the one bind a digest
+    /// ever pays.
+    #[must_use]
+    pub(crate) fn new(plane: Arc<CompiledFabric>) -> Self {
+        let bound = plane
+            .compiled_context()
+            .and_then(|ctx| plane.bind(ctx).ok())
+            .map(Arc::new);
+        let columns = bound
+            .as_ref()
+            .map_or_else(|| Arc::from([]), |b| b.input_columns());
+        CachedPlane {
+            plane,
+            bound,
+            columns,
+        }
+    }
+
+    /// The compiled plane.
+    #[must_use]
+    pub fn plane(&self) -> &Arc<CompiledFabric> {
+        &self.plane
+    }
+}
+
 /// Digest-keyed cache of compiled context planes.
 ///
 /// The key is [`mcfpga_fabric::Fabric::context_digest`], which covers
 /// exactly the state [`CompiledFabric::compile_context`] reads (geometry,
 /// the context's LUT tables, switch-block rows and IO bindings) — so a hit
-/// is always safe to reuse, across shards and across re-admissions of the
-/// same bitstream.
+/// is always safe to reuse, across shards, context indices and
+/// re-admissions of the same bitstream. Each entry is bound once, when it
+/// enters the cache ([`CachedPlane`]).
 #[derive(Debug, Clone, Default)]
 pub struct PlaneCache {
-    planes: HashMap<u64, Arc<CompiledFabric>>,
+    planes: HashMap<u64, CachedPlane>,
     hits: usize,
     misses: usize,
 }
@@ -297,32 +342,33 @@ impl PlaneCache {
         PlaneCache::default()
     }
 
-    /// Returns the cached plane for `digest`, or compiles and caches it.
+    /// Returns the cached plane for `digest`, or compiles, binds and
+    /// caches it.
     pub fn get_or_compile(
         &mut self,
         digest: u64,
         compile: impl FnOnce() -> Result<CompiledFabric, FabricError>,
-    ) -> Result<Arc<CompiledFabric>, ServiceError> {
-        if let Some(plane) = self.planes.get(&digest) {
+    ) -> Result<CachedPlane, ServiceError> {
+        if let Some(entry) = self.planes.get(&digest) {
             self.hits += 1;
-            return Ok(Arc::clone(plane));
+            return Ok(entry.clone());
         }
-        let plane = Arc::new(compile()?);
+        let entry = CachedPlane::new(Arc::new(compile()?));
         self.misses += 1;
-        self.planes.insert(digest, Arc::clone(&plane));
-        Ok(plane)
+        self.planes.insert(digest, entry.clone());
+        Ok(entry)
     }
 
     /// The cached plane for `digest`, if present, without compiling —
     /// the restore path's lookup (a migration ships digests, not
     /// bitstreams, so a miss here is [`ServiceError::Migrate`] with
     /// `PlaneUnavailable`, never a recompile). Counts as a hit.
-    pub fn get(&mut self, digest: u64) -> Option<Arc<CompiledFabric>> {
-        let plane = self.planes.get(&digest).map(Arc::clone);
-        if plane.is_some() {
+    pub fn get(&mut self, digest: u64) -> Option<CachedPlane> {
+        let entry = self.planes.get(&digest).cloned();
+        if entry.is_some() {
             self.hits += 1;
         }
-        plane
+        entry
     }
 
     /// The cached plane for `digest` without touching the hit/miss
@@ -330,7 +376,13 @@ impl PlaneCache {
     /// to a peer node is not a local cache event).
     #[must_use]
     pub fn peek(&self, digest: u64) -> Option<Arc<CompiledFabric>> {
-        self.planes.get(&digest).map(Arc::clone)
+        self.planes.get(&digest).map(|e| Arc::clone(&e.plane))
+    }
+
+    /// The whole cache entry for `digest`, counters untouched.
+    #[cfg(test)]
+    pub(crate) fn entry(&self, digest: u64) -> Option<&CachedPlane> {
+        self.planes.get(&digest)
     }
 
     /// Is a plane cached under `digest`?
@@ -339,13 +391,13 @@ impl PlaneCache {
         self.planes.contains_key(&digest)
     }
 
-    /// Caches `plane` under `digest` — the plane-*import* half of
-    /// cross-node shipping (the exporter vouches for the digest; it was
+    /// Binds and caches `plane` under `digest` — the plane-*import* half
+    /// of cross-node shipping (the exporter vouches for the digest; it was
     /// computed by [`mcfpga_fabric::Fabric::context_digest`] at the
     /// plane's original admission). Overwrites any previous entry, which
     /// is safe because equal digests mean equal configurations.
     pub fn insert(&mut self, digest: u64, plane: Arc<CompiledFabric>) {
-        self.planes.insert(digest, plane);
+        self.planes.insert(digest, CachedPlane::new(plane));
     }
 
     /// Cache hits so far.

@@ -31,7 +31,7 @@ use crate::batch::{RequestId, RequestIdSource, Response, TakenBatch};
 use crate::engine::{eval_step, EvalOutcome, PlannedStep, ShardEngine, TenantHandoff, TenantState};
 use crate::executor::{ExecutorConfig, ParallelExecutor};
 use crate::placement::{best_slot, choose_energy_aware, netlist_fingerprint, PlacementPolicy};
-use crate::registry::{Placement, PlaneCache, TenantId, TenantRegistry};
+use crate::registry::{CachedPlane, Placement, PlaneCache, TenantId, TenantRegistry};
 use crate::ServiceError;
 use mcfpga_cost::attribution::{bill, render_billing, TenantBill, TenantUsage};
 use mcfpga_css::optimize::{sweep_cost, CostMatrix, OptimizeMode};
@@ -57,6 +57,18 @@ const SLOT_SEED: u64 = 0x5EED_0000;
 
 /// One evaluated sweep step on its way to apply.
 type Evaluated = (PlannedStep, Result<EvalOutcome, ServiceError>);
+
+/// Refuses a plane no slot can bind: one that is not a single-context
+/// compilation has no context of its own to evaluate.
+fn check_bindable(plane: &CachedPlane) -> Result<(), ServiceError> {
+    if plane.bound.is_none() {
+        return Err(FabricError::BadParams(
+            "a slot's plane must be a single-context compilation".into(),
+        )
+        .into());
+    }
+    Ok(())
+}
 
 /// Routing retry budget per admission.
 const ROUTE_ATTEMPTS: usize = 16;
@@ -302,6 +314,27 @@ impl ShardedService {
         })
     }
 
+    /// A new, empty service configured like this one — what a node
+    /// restart brings up. Keeps the shard count, geometry, technology,
+    /// lane width, sweep-ordering and placement policies, span-ring
+    /// capacity and executor width; everything else (tenants, plane
+    /// cache, request ids, metrics, spans) starts fresh. Cheap: no shard
+    /// builds its routed fabric until an admission routes into it.
+    pub fn fresh_like(&self) -> Result<Self, ServiceError> {
+        let mut svc = Self::with_policies(
+            self.engines.len(),
+            self.params,
+            self.tech.clone(),
+            self.optimize,
+            self.placement,
+        )?;
+        svc.set_lane_width(self.lane_width)?;
+        let capacity = self.telemetry.trace_buffer().capacity();
+        svc.telemetry.trace_buffer().set_capacity(capacity);
+        svc.executor = self.executor.clone_on(svc.telemetry.registry());
+        Ok(svc)
+    }
+
     /// The active sweep-ordering policy.
     #[must_use]
     pub fn optimize_mode(&self) -> OptimizeMode {
@@ -434,23 +467,25 @@ impl ShardedService {
         placement: Placement,
     ) -> Result<TenantId, ServiceError> {
         self.check_shard(placement.shard)?;
-        if placement.ctx >= self.params.contexts {
+        self.check_free(placement)?;
+        self.admit_into(name, netlist, placement)
+    }
+
+    /// Refuses a slot whose context is out of range or that is occupied.
+    fn check_free(&self, slot: Placement) -> Result<(), ServiceError> {
+        if slot.ctx >= self.params.contexts {
             return Err(ServiceError::BadConfig(format!(
                 "context {} outside 0..{}",
-                placement.ctx, self.params.contexts
+                slot.ctx, self.params.contexts
             )));
         }
-        if self
-            .registry
-            .occupant(placement.shard, placement.ctx)
-            .is_some()
-        {
+        if self.registry.occupant(slot.shard, slot.ctx).is_some() {
             return Err(ServiceError::BadConfig(format!(
                 "slot (shard {}, ctx {}) is occupied",
-                placement.shard, placement.ctx
+                slot.shard, slot.ctx
             )));
         }
-        self.admit_into(name, netlist, placement)
+        Ok(())
     }
 
     fn admit_into(
@@ -477,14 +512,15 @@ impl ShardedService {
         let plane = self.cache.get_or_compile(digest, || {
             CompiledFabric::compile_context(engine.fabric(), placement.ctx)
         })?;
+        check_bindable(&plane)?;
         let state = TenantState {
-            columns: plane.bind(placement.ctx)?.input_columns(),
+            columns: Arc::clone(&plane.columns),
             ..TenantState::default()
         };
         let id = self.registry.commit(name, placement, digest);
         self.affinity.entry(fingerprint).or_insert(placement.ctx);
         let handoff = TenantHandoff { state, batch: None };
-        engine.adopt(id, placement.ctx, plane, handoff)?;
+        engine.adopt(id, placement.ctx, &plane, handoff)?;
         self.sync_gauges();
         Ok(id)
     }
@@ -928,14 +964,14 @@ impl ShardedService {
     /// Restores `tenant`'s true compiled plane after
     /// [`inject_plane_fault`](Self::inject_plane_fault) (or any plane
     /// corruption), by digest: the admission-time digest recorded in the
-    /// registry finds the cached plane — rebased to the tenant's current
-    /// slot if a migration moved it off its admission context — and a
-    /// cache miss recompiles from the tenant's still-routed fabric
-    /// configuration. A *migrated* tenant has no routed configuration to
-    /// recompile from (only the plane travelled), so for it a cache miss
-    /// is [`MigrateError::PlaneUnavailable`] rather than a silent compile
-    /// of an empty context. Queued requests survive and serve normally on
-    /// the next flush.
+    /// registry finds the cached plane (shared at any context index, so a
+    /// tenant a migration moved off its admission context needs no
+    /// rebase), and a cache miss recompiles from the tenant's still-routed
+    /// fabric configuration. A *migrated* tenant has no routed
+    /// configuration to recompile from (only the plane travelled), so for
+    /// it a cache miss is [`MigrateError::PlaneUnavailable`] rather than a
+    /// silent compile of an empty context. Queued requests survive and
+    /// serve normally on the next flush.
     pub fn repair_plane(&mut self, tenant: TenantId) -> Result<(), ServiceError> {
         let record = self.registry.tenant(tenant)?;
         let placement = record.placement;
@@ -951,27 +987,25 @@ impl ShardedService {
                 .ok_or(MigrateError::PlaneUnavailable { digest })?
         };
         let plane = self.plane_for_slot(plane, placement.ctx)?;
-        self.engines[placement.shard].install_plane(placement.ctx, plane)
+        self.engines[placement.shard].install_cached(placement.ctx, &plane)
     }
 
-    /// `plane`, usable from context `ctx` of *this* service's fabrics:
-    /// as-is when it was compiled there, rebased otherwise (compiled
-    /// planes are context-independent; see
-    /// [`CompiledFabric::rebase_context`]). A plane compiled on a smaller
+    /// The cache entry `plane`, usable from context `ctx` of *this*
+    /// service's fabrics. A plane compiled on the same geometry is used
+    /// as it is, with its cached binding, at any context index: a
+    /// compiled plane is context-independent, and a slot binds the
+    /// plane's own compiled context. A plane compiled on a smaller
     /// compatible geometry — a checkpoint restored from a differently
     /// shaped node — is pad-and-remapped onto this service's geometry via
-    /// [`CompiledFabric::rebase_onto`].
-    fn plane_for_slot(
-        &self,
-        plane: Arc<CompiledFabric>,
-        ctx: usize,
-    ) -> Result<Arc<CompiledFabric>, ServiceError> {
-        if plane.params() != &self.params {
-            Ok(Arc::new(plane.rebase_onto(self.params, ctx)?))
-        } else if plane.compiled_context() == Some(ctx) {
-            Ok(plane)
+    /// [`CompiledFabric::rebase_onto`] and bound afresh.
+    fn plane_for_slot(&self, plane: CachedPlane, ctx: usize) -> Result<CachedPlane, ServiceError> {
+        if plane.plane.params() != &self.params {
+            Ok(CachedPlane::new(Arc::new(
+                plane.plane.rebase_onto(self.params, ctx)?,
+            )))
         } else {
-            Ok(Arc::new(plane.rebase_context(ctx)?))
+            check_bindable(&plane)?;
+            Ok(plane)
         }
     }
 
@@ -1078,34 +1112,65 @@ impl ShardedService {
         })
     }
 
-    /// Admits a checkpointed tenant onto `dst_shard` as a **new** tenant:
-    /// the compiled plane is resolved from the plane cache by digest
-    /// (rebased if the free slot differs from the checkpoint's context),
-    /// the register file resumes where the last pass left it, and the
-    /// pending lane words re-enter the queue unchanged — so its responses
-    /// are bit-for-bit what the source would have produced. Returns the
-    /// new id and a *fresh* request id per restored pending lane (in lane
-    /// order): ids recorded in the checkpoint are never reissued, so a
-    /// stale checkpoint cannot resurrect requests answered or discarded
-    /// after it was taken.
-    ///
-    /// Geometry does **not** have to match exactly: a checkpoint taken on
-    /// a smaller fabric restores onto a larger host of the same tile
-    /// shape (same architecture, LUT arity, channel width, IO counts) by
-    /// pad-and-remapping its plane — see [`CompiledFabric::rebase_onto`].
-    /// Fails with [`MigrateError::GeometryMismatch`] only when the
-    /// geometries are truly incompatible, with
-    /// [`MigrateError::PlaneUnavailable`] when no plane with the
-    /// checkpoint's digest is cached (checkpoints ship digests, not
-    /// bitstreams — see [`provision_plane`](Self::provision_plane) for
-    /// the recompile fallback), and with [`MigrateError::NoFreeSlot`]
-    /// when `dst_shard` is full.
+    /// Admits a checkpointed tenant onto `dst_shard` as a **new** tenant,
+    /// into the shard's best free slot (scored like an energy-aware
+    /// admission, ties toward the checkpoint's own context index) — see
+    /// [`restore_tenant_into`](Self::restore_tenant_into), which this
+    /// wraps. Fails with [`MigrateError::NoFreeSlot`] when `dst_shard` is
+    /// full.
     pub fn restore_tenant(
         &mut self,
         ckpt: &TenantCheckpoint,
         dst_shard: usize,
     ) -> Result<(TenantId, Vec<RequestId>), ServiceError> {
-        self.check_shard(dst_shard)?;
+        self.check_restore(ckpt, dst_shard)?;
+        let slot = best_slot(&self.registry, &self.matrix, Some(ckpt.ctx), |p| {
+            p.shard == dst_shard
+        })?
+        .ok_or(MigrateError::NoFreeSlot { shard: dst_shard })?;
+        self.restore_checked(ckpt, slot)
+    }
+
+    /// Admits a checkpointed tenant into the **exact** free slot `slot`
+    /// as a **new** tenant — the cluster's restore primitive (it has
+    /// already scored the slot across nodes, so nothing is scored twice).
+    /// The compiled plane is resolved from the plane cache by digest and
+    /// shared as it is, with its cached binding, whatever the slot's
+    /// context index; the register file resumes where the last pass left
+    /// it, and the pending lane words re-enter the queue unchanged — so
+    /// its responses are bit-for-bit what the source would have produced.
+    /// Returns the new id and a *fresh* request id per restored pending
+    /// lane (in lane order): ids recorded in the checkpoint are never
+    /// reissued, so a stale checkpoint cannot resurrect requests answered
+    /// or discarded after it was taken.
+    ///
+    /// Geometry does **not** have to match exactly: a checkpoint taken on
+    /// a smaller fabric restores onto a larger host of the same tile
+    /// shape (same architecture, LUT arity, channel width, IO counts) by
+    /// pad-and-remapping its plane — see [`CompiledFabric::rebase_onto`].
+    /// Fails with [`ServiceError::NoSuchShard`] for a shard this service
+    /// lacks, with [`MigrateError::GeometryMismatch`] only when the
+    /// geometries are truly incompatible, with
+    /// [`ServiceError::BadConfig`] for a context out of range or an
+    /// occupied slot, and with [`MigrateError::PlaneUnavailable`] when no
+    /// plane with the checkpoint's digest is cached (checkpoints ship
+    /// digests, not bitstreams — see
+    /// [`provision_plane`](Self::provision_plane) for the recompile
+    /// fallback). A refused restore changes nothing.
+    pub fn restore_tenant_into(
+        &mut self,
+        ckpt: &TenantCheckpoint,
+        slot: Placement,
+    ) -> Result<(TenantId, Vec<RequestId>), ServiceError> {
+        self.check_restore(ckpt, slot.shard)?;
+        self.check_free(slot)?;
+        self.restore_checked(ckpt, slot)
+    }
+
+    /// The checks every restore runs first: the shard exists and the
+    /// checkpoint's geometry embeds into this service's.
+    fn check_restore(&self, ckpt: &TenantCheckpoint, shard: usize) -> Result<(), ServiceError> {
+        self.check_shard(shard)?;
         if !self.geometry_admits(&ckpt.params) {
             return Err(MigrateError::GeometryMismatch {
                 expected: format!("{:?}", self.params),
@@ -1113,10 +1178,16 @@ impl ShardedService {
             }
             .into());
         }
-        let slot = best_slot(&self.registry, &self.matrix, Some(ckpt.ctx), |p| {
-            p.shard == dst_shard
-        })?
-        .ok_or(MigrateError::NoFreeSlot { shard: dst_shard })?;
+        Ok(())
+    }
+
+    /// The body of a restore into a free slot of an existing shard.
+    fn restore_checked(
+        &mut self,
+        ckpt: &TenantCheckpoint,
+        slot: Placement,
+    ) -> Result<(TenantId, Vec<RequestId>), ServiceError> {
+        let dst_shard = slot.shard;
         let plane = self
             .cache
             .get(ckpt.digest)
@@ -1124,7 +1195,7 @@ impl ShardedService {
                 digest: ckpt.digest,
             })?;
         let plane = self.plane_for_slot(plane, slot.ctx)?;
-        let columns = plane.bind(slot.ctx)?.input_columns();
+        let columns = Arc::clone(&plane.columns);
         let batch = LaneBatch::from_parts(
             self.lane_width,
             ckpt.pending.lanes,
@@ -1167,7 +1238,7 @@ impl ShardedService {
         let fresh: Vec<RequestId> = (0..batch.len()).map(|_| self.ids.mint()).collect();
         let tickets = fresh.iter().map(|&r| (r, id)).collect();
         let batch = Some(TakenBatch { batch, tickets });
-        self.engines[dst_shard].adopt(id, slot.ctx, plane, TenantHandoff { state, batch })?;
+        self.engines[dst_shard].adopt(id, slot.ctx, &plane, TenantHandoff { state, batch })?;
         self.metrics.migrations.inc();
         // cross-node hop spans are the *cluster's* to record: it alone
         // knows both the source node and the old↔new request-id mapping
@@ -1265,12 +1336,12 @@ impl ShardedService {
 
     /// Live-migrates `tenant` to a free slot on `dst_shard`, preserving
     /// its request ids: the pending lane batch, register file, compiled
-    /// plane (rebased if the slot index changes) and recorded faults all
+    /// plane (shared as it is, at any slot index) and recorded faults all
     /// move, the source context is wiped, and the tenant resumes
     /// bit-for-bit — every in-flight request is still answered exactly
     /// once. The slot is chosen like an energy-aware admission (cheapest
-    /// marginal sweep cost, ties toward the same context index to avoid a
-    /// rebase). Migration overhead — checkpoint bytes, downtime cycles,
+    /// marginal sweep cost, ties toward the same context index).
+    /// Migration overhead — checkpoint bytes, downtime cycles,
     /// destination realignment toggles — is billed to the tenant (see
     /// [`mcfpga_cost::attribution`]). `dst_shard` may be the tenant's own
     /// shard (an intra-shard slot move).
@@ -1306,21 +1377,21 @@ impl ShardedService {
         // the checkpoint is what conceptually crosses the wire: its
         // encoded size is the migration's bytes-moved bill
         let ckpt = self.checkpoint_tenant(tenant)?;
+        // the installed plane and its plan move as they are: every shard
+        // shares this service's geometry, and a plane serves any context
         let plane =
             self.engines[src.shard]
-                .plane(src.ctx)
+                .installed(src.ctx)
                 .ok_or(ServiceError::SlotNotProgrammed {
                     shard: src.shard,
                     ctx: src.ctx,
                 })?;
-        // rebase before any mutation, so an error leaves the service intact
-        let plane = self.plane_for_slot(plane, dst.ctx)?;
         let realign = self.join_cost(dst.shard, dst.ctx, Some(src))?;
         self.registry.relocate(tenant, dst)?;
 
         // point of no return: the cross-engine handoff
         let handoff = self.engines[src.shard].expel(tenant, src.ctx, resident)?;
-        self.engines[dst.shard].adopt(tenant, dst.ctx, plane, handoff)?;
+        self.engines[dst.shard].adopt(tenant, dst.ctx, &plane, handoff)?;
         // recorded faults describe the tenant's slot; the slot moved
         for fault in &mut self.faults {
             if fault.tenant == tenant {
@@ -1486,6 +1557,7 @@ impl ShardedService {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::placement::best_slot_scored;
     use mcfpga_fabric::bitstream;
     use mcfpga_fabric::netlist_ir::generators;
 
@@ -1696,6 +1768,202 @@ mod tests {
         };
         let first = first_row();
         assert_eq!(first, first_row(), "a free table is rewritten, not rebuilt");
+    }
+
+    /// `y = x XOR reg:acc`, `reg:acc = y`: a one-bit stream accumulator.
+    fn accumulator() -> LogicNetlist {
+        let mut nl = LogicNetlist::new();
+        let x = nl.add_input("x");
+        let acc = nl.add_input("reg:acc");
+        let xor = nl.add_lut("t", &[x, acc], 0b0110).unwrap();
+        nl.add_output("y", xor).unwrap();
+        nl.add_output("reg:acc", xor).unwrap();
+        nl
+    }
+
+    /// The slot `tenant` occupies holds the very plane and plan `Arc`s
+    /// its digest's cache entry holds: shared, never copied or re-bound.
+    fn assert_shares_cache_entry(svc: &ShardedService, tenant: TenantId) {
+        let record = svc.registry().tenant(tenant).unwrap();
+        let Placement { shard, ctx } = record.placement;
+        let entry = svc.cache.entry(record.digest).unwrap();
+        let engine = &svc.engines[shard];
+        assert!(
+            Arc::ptr_eq(&engine.plane(ctx).unwrap(), &entry.plane),
+            "slot ({shard}, {ctx}) holds a copy of its plane"
+        );
+        assert!(
+            Arc::ptr_eq(&engine.plan(ctx).unwrap(), entry.bound.as_ref().unwrap()),
+            "slot ({shard}, {ctx}) bound its plane again"
+        );
+    }
+
+    /// Moves `tenant` from `src` to `dst` the way the cluster moves a
+    /// tenant across nodes: checkpoint, plane shipment on a cold cache,
+    /// restore into the scored slot, retire at the source.
+    fn hop_node(src: &mut ShardedService, dst: &mut ShardedService, tenant: TenantId) -> TenantId {
+        let ckpt = src.checkpoint_tenant(tenant).unwrap();
+        if !dst.cache().contains(ckpt.digest) {
+            dst.import_plane(ckpt.digest, src.export_plane(ckpt.digest).unwrap());
+        }
+        let matrix = dst.cost_matrix();
+        let slot = best_slot_scored(dst.registry(), matrix, Some(ckpt.ctx), |_| true)
+            .unwrap()
+            .unwrap();
+        let (moved, _) = dst.restore_tenant_into(&ckpt, slot.slot).unwrap();
+        src.retire_tenant(tenant).unwrap();
+        moved
+    }
+
+    /// The `y` answers `responses` hold for `tenant`.
+    fn answers(responses: &[Response], tenant: TenantId) -> Vec<bool> {
+        responses
+            .iter()
+            .filter(|r| r.tenant == tenant)
+            .map(|r| r.outputs.iter().find(|(n, _)| &**n == "y").unwrap().1)
+            .collect()
+    }
+
+    /// Plane sharing holds its invariants: a tenant with a stream
+    /// register moves, a pending request riding along each time, through
+    /// every context index of two shards and then between two services
+    /// (the cluster's cross-node path). After every move its slot shares
+    /// the cache entry's plane and plan, every answer equals both a
+    /// never-migrated twin's and the netlist's own evaluation, and each
+    /// cache holds one entry per digest.
+    #[test]
+    fn migrated_slots_share_the_cached_plane() {
+        let nl = accumulator();
+        let params = FabricParams::default();
+        let mut a = ShardedService::new(3, params, TechParams::default()).unwrap();
+        let mut b = ShardedService::new(2, params, TechParams::default()).unwrap();
+        let twin = a.admit("twin", &nl).unwrap(); // (0, 0)
+        let mut mover = a.admit("mover", &nl).unwrap(); // (1, 0)
+        assert_eq!(a.cache().len(), 1, "both admissions route ctx 0 alike");
+        assert_shares_cache_entry(&a, mover);
+        // every context of shards 1 and 2, ending where the mover began
+        let slots: Vec<Placement> = [
+            (1, 1),
+            (1, 2),
+            (1, 3),
+            (2, 0),
+            (2, 1),
+            (2, 2),
+            (2, 3),
+            (1, 0),
+        ]
+        .into_iter()
+        .map(|(shard, ctx)| Placement { shard, ctx })
+        .collect();
+        let hops = 4;
+        let (mut on_b, mut state) = (false, false);
+        for step in 0..slots.len() + hops {
+            let x = step % 3 != 1;
+            a.submit(twin, &[("x", x)]).unwrap();
+            let home = if on_b { &mut b } else { &mut a };
+            home.submit(mover, &[("x", x)]).unwrap();
+            match slots.get(step) {
+                Some(&slot) => assert_eq!(a.migrate_to_slot(mover, slot).unwrap(), slot),
+                None if on_b => mover = hop_node(&mut b, &mut a, mover),
+                None => mover = hop_node(&mut a, &mut b, mover),
+            }
+            on_b ^= step >= slots.len();
+            let want = nl.eval(&[("x", x), ("reg:acc", state)]).unwrap();
+            let y = want.iter().find(|(n, _)| n == "y").unwrap().1;
+            state = want.iter().find(|(n, _)| n == "reg:acc").unwrap().1;
+            let (from_a, from_b) = (a.drain().unwrap(), b.drain().unwrap());
+            assert_eq!(answers(&from_a, twin), [y], "twin, step {step}");
+            let moved = answers(if on_b { &from_b } else { &from_a }, mover);
+            assert_eq!(moved, [y], "mover, step {step}");
+            assert_shares_cache_entry(if on_b { &b } else { &a }, mover);
+            assert_eq!(a.cache().len(), 1, "step {step}");
+            assert_eq!(
+                b.cache().len(),
+                usize::from(step >= slots.len()),
+                "step {step}"
+            );
+        }
+        assert!(a.take_faults().is_empty() && b.take_faults().is_empty());
+    }
+
+    /// Every invalid `FabricParams` field is refused at construction with
+    /// the error an eagerly built fabric gives, though the fabric itself
+    /// is now built only when first needed.
+    #[test]
+    fn bad_params_are_refused_before_any_fabric_is_built() {
+        let d = FabricParams::default();
+        let geometry = |p: FabricParams| format!("fabric: bad fabric params: {p:?}");
+        let cases = [
+            FabricParams { width: 0, ..d },
+            FabricParams { height: 0, ..d },
+            FabricParams {
+                width: 65,
+                height: 64,
+                ..d
+            },
+            FabricParams {
+                channel_width: 0,
+                ..d
+            },
+            FabricParams {
+                channel_width: 17,
+                ..d
+            },
+        ]
+        .map(|p| (p, geometry(p), geometry(p)));
+        let contexts = "fabric: bad fabric params: contexts".to_string();
+        let more = [
+            (
+                FabricParams { contexts: 0, ..d },
+                "bad service config: 2 shards × 0 contexts".to_string(),
+                contexts.clone(),
+            ),
+            (
+                FabricParams { contexts: 65, ..d },
+                contexts.clone(),
+                contexts,
+            ),
+            (
+                FabricParams { lut_k: 0, ..d },
+                "fabric: bad fabric params: k=0 not in 1..=6".to_string(),
+                "fabric: bad fabric params: k=0 not in 1..=6".to_string(),
+            ),
+            (
+                FabricParams { lut_k: 7, ..d },
+                "fabric: bad fabric params: k=7 not in 1..=6".to_string(),
+                "fabric: bad fabric params: k=7 not in 1..=6".to_string(),
+            ),
+        ];
+        for (params, service, engine) in cases.into_iter().chain(more) {
+            let err = ShardedService::new(2, params, TechParams::default()).unwrap_err();
+            assert_eq!(err.to_string(), service, "{params:?}");
+            let err = ShardEngine::new(0, params, MAX_LANES).unwrap_err();
+            assert_eq!(err.to_string(), engine, "{params:?}");
+        }
+    }
+
+    /// An engine nothing was admitted to builds, on first read, exactly
+    /// the blank fabric `Fabric::new` builds — and a restore builds none.
+    #[test]
+    fn an_unrouted_engine_reads_as_a_blank_fabric() {
+        let params = FabricParams {
+            width: 6,
+            height: 5,
+            channel_width: 3,
+            contexts: 8,
+            ..FabricParams::default()
+        };
+        let mut src = ShardedService::new(1, params, TechParams::default()).unwrap();
+        let t = src.admit("acc", &accumulator()).unwrap();
+        let ckpt = src.checkpoint_tenant(t).unwrap();
+        let mut dst = ShardedService::new(2, params, TechParams::default()).unwrap();
+        dst.import_plane(ckpt.digest, src.export_plane(ckpt.digest).unwrap());
+        dst.restore_tenant(&ckpt, 1).unwrap();
+        assert!(!dst.engines.iter().any(ShardEngine::has_fabric));
+        let blank = bitstream::pack(&Fabric::new(params).unwrap()).unwrap();
+        for engine in &dst.engines {
+            assert_eq!(bitstream::pack(engine.fabric()).unwrap(), blank);
+        }
     }
 
     /// The same seeded traffic must produce identical responses, faults
