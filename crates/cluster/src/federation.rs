@@ -8,16 +8,12 @@ use crate::ClusterError;
 use mcfpga_cost::attribution::{render_billing, TenantUsage};
 use mcfpga_device::TechParams;
 use mcfpga_fabric::{FabricParams, LogicNetlist};
-use mcfpga_service::{
-    best_slot_scored, netlist_fingerprint, Outputs, Response, ServiceError, ShardedService,
-    TenantId,
-};
+use mcfpga_service::{best_slot_scored, Outputs, Response, ServiceError, ShardedService, TenantId};
 use mcfpga_telemetry::{
     sort_timeline, tenant_key, ClusterHealthSnapshot, Counter, Gauge, MetricClass,
     NodeHealthSample, SpanEvent, SpanKind, Telemetry, ACTIVE_TENANTS_METRIC, FAULT_TALLY_METRIC,
     QUEUE_DEPTH_METRIC,
 };
-use std::collections::HashMap;
 
 /// Requests submitted through the cluster façade
 /// ([`MetricClass::Deterministic`]).
@@ -182,22 +178,6 @@ impl std::fmt::Display for NodeHealth {
     }
 }
 
-/// How the cluster router picks a node (and slot) for a new tenant.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum RouterPolicy {
-    /// One cursor over the **global shard space** (node-major), probed
-    /// exactly like a single `N·S`-shard service's round-robin registry —
-    /// the policy under which a cluster is bit-identical to fewer, larger
-    /// nodes.
-    #[default]
-    RoundRobin,
-    /// Every admitting node reports its best free slot's
-    /// [`SlotScore`](mcfpga_service::SlotScore); the smallest
-    /// `(marginal sweep cost, affinity miss, load)` key wins, node index
-    /// as the final tiebreak.
-    EnergyAware,
-}
-
 /// One member node: the service plus the router's view of it.
 struct Node {
     svc: ShardedService,
@@ -245,14 +225,10 @@ struct RouteEntry {
 /// [crate docs](crate) for the model.
 pub struct Cluster {
     nodes: Vec<Node>,
-    policy: RouterPolicy,
     routes: Vec<RouteEntry>,
     next_request: u64,
     /// Round-robin cursor over the global shard space.
     cursor: usize,
-    /// Netlist fingerprint → context index of a previous admission
-    /// (cross-node plane-affinity hint for energy-aware routing).
-    affinity: HashMap<u64, usize>,
     /// Virtual clock, advanced by the caller; drives the rebalancer.
     clock: u64,
     last_check: u64,
@@ -267,8 +243,7 @@ pub struct Cluster {
 }
 
 impl Cluster {
-    /// Federates `nodes` (at least one) under the default
-    /// [`RouterPolicy::RoundRobin`]. Node order is load-bearing: it fixes
+    /// Federates `nodes` (at least one). Node order is load-bearing: it fixes
     /// the global shard space (node 0's shards first) and therefore the
     /// merge order of every response, fault and billing row.
     pub fn new(nodes: Vec<ShardedService>) -> Result<Self, ClusterError> {
@@ -298,11 +273,9 @@ impl Cluster {
         let metrics = ClusterMetrics::register(&telemetry);
         Ok(Cluster {
             nodes,
-            policy: RouterPolicy::default(),
             routes: Vec::new(),
             next_request: 0,
             cursor: 0,
-            affinity: HashMap::new(),
             clock: 0,
             last_check: 0,
             rebalancer: None,
@@ -346,17 +319,6 @@ impl Cluster {
         Ok(())
     }
 
-    /// The active router policy.
-    #[must_use]
-    pub fn router_policy(&self) -> RouterPolicy {
-        self.policy
-    }
-
-    /// Switches the router policy for subsequent admissions.
-    pub fn set_router_policy(&mut self, policy: RouterPolicy) {
-        self.policy = policy;
-    }
-
     /// Sets every node's executor width (and re-applies it to nodes
     /// rebuilt by [`restart_node`](Self::restart_node)). Output is
     /// bit-identical at any width; this only trades wall-clock for cores.
@@ -394,23 +356,23 @@ impl Cluster {
     // Routing and admission
     // ------------------------------------------------------------------
 
-    /// Admits `netlist` onto the cluster under the active
-    /// [`RouterPolicy`], returning a cluster-global tenant id. The chosen
-    /// node admits at the exact scored slot
-    /// ([`ShardedService::admit_placed`]), so the result is bit-for-bit
-    /// what that node's own policy admission would have produced.
+    /// Admits `netlist` onto the cluster, returning a cluster-global
+    /// tenant id. The router keeps one round-robin cursor over the
+    /// **global shard space** (node-major), so a cluster is bit-identical
+    /// to fewer, larger nodes; the chosen node admits at the slot its
+    /// registry reserves on that shard
+    /// ([`ShardedService::admit_placed`]), bit-for-bit what its own
+    /// round-robin admission would have produced.
     pub fn admit(
         &mut self,
         name: &str,
         netlist: &LogicNetlist,
     ) -> Result<ClusterTenantId, ClusterError> {
-        let (node_idx, shard) = self.place(netlist)?;
+        let (node_idx, shard) = self.place()?;
         let placement = self.nodes[node_idx].svc.registry().reserve_on(shard)?;
         let local = self.nodes[node_idx]
             .svc
             .admit_placed(name, netlist, placement)?;
-        self.affinity
-            .insert(netlist_fingerprint(netlist), placement.ctx);
         self.cursor = (self.nodes[node_idx].shard_base + placement.shard + 1) % self.total_shards();
         let id = ClusterTenantId(self.routes.len());
         self.routes.push(RouteEntry {
@@ -424,54 +386,22 @@ impl Cluster {
         Ok(id)
     }
 
-    /// Picks `(node, local shard)` for a new tenant under the active
-    /// policy, considering only nodes whose health
-    /// [`admits`](NodeHealth::admits).
-    fn place(&self, netlist: &LogicNetlist) -> Result<(usize, usize), ClusterError> {
-        match self.policy {
-            RouterPolicy::RoundRobin => {
-                let total = self.total_shards();
-                for probe in 0..total {
-                    let g = (self.cursor + probe) % total;
-                    let (node, shard) = self.node_of_global(g);
-                    if !self.nodes[node].health.admits() {
-                        continue;
-                    }
-                    if self.nodes[node].svc.registry().reserve_on(shard).is_ok() {
-                        return Ok((node, shard));
-                    }
-                }
-                Err(ClusterError::CapacityExhausted)
-            }
-            RouterPolicy::EnergyAware => {
-                let hint = self.affinity.get(&netlist_fingerprint(netlist)).copied();
-                let mut best: Option<((usize, bool, usize), usize, usize)> = None;
-                for (i, node) in self.nodes.iter().enumerate() {
-                    if !node.health.admits() {
-                        continue;
-                    }
-                    let score = best_slot_scored(
-                        node.svc.registry(),
-                        node.svc.cost_matrix(),
-                        hint,
-                        |_| true,
-                    )?;
-                    if let Some(score) = score {
-                        let key = score.key();
-                        let better = match &best {
-                            None => true,
-                            // strict <: equal keys fall to the lower node
-                            Some((bk, _, _)) => key < *bk,
-                        };
-                        if better {
-                            best = Some((key, i, score.slot.shard));
-                        }
-                    }
-                }
-                best.map(|(_, node, shard)| (node, shard))
-                    .ok_or(ClusterError::CapacityExhausted)
+    /// Picks `(node, local shard)` for a new tenant: the first shard at
+    /// or after the round-robin cursor, in the global shard space, with a
+    /// free slot on a node whose health [`admits`](NodeHealth::admits)
+    /// — exactly the probe a single `N·S`-shard service's registry makes.
+    fn place(&self) -> Result<(usize, usize), ClusterError> {
+        let total = self.total_shards();
+        for probe in 0..total {
+            let g = (self.cursor + probe) % total;
+            let (node, shard) = self.node_of_global(g);
+            if self.nodes[node].health.admits()
+                && self.nodes[node].svc.registry().reserve_on(shard).is_ok()
+            {
+                return Ok((node, shard));
             }
         }
+        Err(ClusterError::CapacityExhausted)
     }
 
     /// Maps a global shard index to `(node, node-local shard)`.

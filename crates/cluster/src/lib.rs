@@ -5,15 +5,13 @@
 //! federates **N such nodes** behind a single façade, the [`Cluster`]:
 //!
 //! * **Routing.** Admissions go through the cluster's router, which
-//!   reuses the exact slot-scoring a single node uses
-//!   ([`best_slot_scored`](mcfpga_service::best_slot_scored)) and extends
-//!   it across nodes. Under [`RouterPolicy::RoundRobin`] the cluster
-//!   keeps one cursor over the **global shard space** — node 0's shards
-//!   first, then node 1's, and so on (node-major) — and probes it exactly
-//!   the way a single `N·S`-shard service's registry would. Under
-//!   [`RouterPolicy::EnergyAware`] every healthy node reports its best
-//!   free slot's `(marginal sweep cost, affinity miss, load)` score and
-//!   the smallest score wins, node index as the final tiebreak.
+//!   keeps one round-robin cursor over the **global shard space** — node
+//!   0's shards first, then node 1's, and so on (node-major) — and probes
+//!   it exactly the way a single `N·S`-shard service's registry would,
+//!   skipping nodes whose health refuses new tenants. A migration picks
+//!   its slot on the destination node with the scoring a single node's
+//!   energy-aware admission uses
+//!   ([`best_slot_scored`](mcfpga_service::best_slot_scored)).
 //! * **Deterministic merge.** The cluster mints its own tenant ids
 //!   (admission order) and request ids (submission order), and merges
 //!   node outputs — responses, fault records, billing rows — in **node,
@@ -88,7 +86,7 @@ mod rebalancer;
 
 pub use federation::{
     Cluster, ClusterFault, ClusterRequestId, ClusterResponse, ClusterTenantId, NodeHealth,
-    RouterPolicy, CLUSTER_FAULTS_METRIC, CLUSTER_ID_RUNS_METRIC, CLUSTER_MIGRATIONS_METRIC,
+    CLUSTER_FAULTS_METRIC, CLUSTER_ID_RUNS_METRIC, CLUSTER_MIGRATIONS_METRIC,
     CLUSTER_REBALANCE_ACTIONS_METRIC, CLUSTER_REQUESTS_METRIC, CLUSTER_RESPONSES_METRIC,
 };
 pub use rebalancer::{RebalanceAction, RebalancerPolicy};

@@ -16,6 +16,9 @@ const MAGIC: u32 = 0x4D43_4647; // "MCFG"
 const VERSION: u16 = 1;
 /// Bytes of one io binding with an empty name: x, y, port, ctx, name length.
 const BIND_MIN_BYTES: usize = 2 + 2 + 1 + 2 + 2;
+/// Bytes of one tile's record for one context with no sinks: the LUT
+/// table and the sink count.
+const TILE_CONTEXT_MIN_BYTES: usize = 8 + 2;
 
 /// `value` narrowed to its field's width, or an error naming the field —
 /// a value that does not fit must never be written truncated.
@@ -73,8 +76,12 @@ pub fn pack(fabric: &Fabric) -> Result<Vec<u8>, FabricError> {
 
 /// Reconstructs a fabric (geometry + full configuration) from a bitstream.
 /// Truncated, trailing or undecodable bytes fail with
-/// [`FabricError::BadBitstream`]; a geometry or binding the fabric itself
-/// rejects fails with that error. No input makes it panic.
+/// [`FabricError::BadBitstream`] — so does a header whose geometry the
+/// bytes after it cannot hold, before any fabric is built, a LUT table
+/// with bits set past its `2^k` entries, and a port bound twice in one
+/// context; a geometry or binding the fabric itself rejects fails with
+/// that error. No input makes it panic, and whatever it accepts, [`pack`]
+/// writes back byte for byte.
 pub fn unpack(data: &[u8]) -> Result<Fabric, FabricError> {
     let mut r = Reader::new(data);
     if r.u32()? != MAGIC {
@@ -103,12 +110,31 @@ pub fn unpack(data: &[u8]) -> Result<Fabric, FabricError> {
         io_out,
         arch,
     };
+    params.validate()?;
+    // the header is untrusted: refuse a geometry whose tile records the
+    // bytes left cannot hold before building (and allocating) the fabric
+    if r.remaining() / TILE_CONTEXT_MIN_BYTES < width * height * contexts {
+        return Err(FabricError::BadBitstream(format!(
+            "{} bytes cannot hold the tile records of a {width}x{height}, \
+             {contexts}-context fabric",
+            r.remaining()
+        )));
+    }
     let mut fabric = Fabric::new(params)?;
     let tiles: Vec<_> = fabric.tiles().collect();
     for t in tiles {
         for ctx in 0..contexts {
             let table = r.u64()?;
-            fabric.tile_mut(t)?.lut.program(ctx, table)?;
+            let lut = &mut fabric.tile_mut(t)?.lut;
+            lut.program(ctx, table)?;
+            // `program` keeps only the 2^k entries: a stray high bit
+            // would be dropped silently, and re-packing would differ
+            if lut.table(ctx)? != table {
+                return Err(FabricError::BadBitstream(format!(
+                    "tile {t} ctx {ctx}: LUT table {table:#x} sets bits past its {} entries",
+                    1usize << lut_k
+                )));
+            }
         }
         let expect = fabric.sinks(t).len();
         for ctx in 0..contexts {
@@ -128,17 +154,27 @@ pub fn unpack(data: &[u8]) -> Result<Fabric, FabricError> {
         // the count is untrusted: `count` refuses more binds than the
         // bytes left could hold before anything is allocated
         let n = r.count(BIND_MIN_BYTES)?;
-        for _ in 0..n {
+        for i in 0..n {
             let x = r.u16()? as usize;
             let y = r.u16()? as usize;
             let port = r.u8()? as usize;
             let ctx = r.u16()? as usize;
             let len = r.u16()? as usize;
             let name = r.utf8(len)?;
-            if input {
-                fabric.bind_input(TileCoord { x, y }, port, ctx, &name)?;
+            let t = TileCoord { x, y };
+            let bound = if input {
+                fabric.bind_input(t, port, ctx, &name)?;
+                fabric.input_binds().len()
             } else {
-                fabric.bind_output(TileCoord { x, y }, port, ctx, &name)?;
+                fabric.bind_output(t, port, ctx, &name)?;
+                fabric.output_binds().len()
+            };
+            // a second binding of one port replaces the first: `pack`
+            // would write one, so the stream is not a packed fabric
+            if bound != i + 1 {
+                return Err(FabricError::BadBitstream(format!(
+                    "tile {t} port {port} ctx {ctx} is bound twice"
+                )));
             }
         }
     }

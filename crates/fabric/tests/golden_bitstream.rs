@@ -10,6 +10,78 @@ use mcfpga_fabric::array::{Dir, Sink, Source};
 use mcfpga_fabric::bitstream::{pack, unpack};
 use mcfpga_fabric::sim::evaluate_sorted;
 use mcfpga_fabric::{Fabric, FabricError, FabricParams, TileCoord};
+use proptest::prelude::*;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+thread_local! {
+    /// The largest single allocation made on this thread since the last
+    /// [`largest_allocation_during`] began.
+    static LARGEST: Cell<usize> = const { Cell::new(0) };
+}
+
+/// The system allocator, recording each thread's largest allocation (a
+/// const-initialised thread-local, so recording never allocates).
+struct Recording;
+
+fn record(size: usize) {
+    // `try_with`: a thread being torn down may still allocate
+    let _ = LARGEST.try_with(|m| m.set(m.get().max(size)));
+}
+
+// SAFETY: every call forwards unchanged to `System`; recording touches
+// only a const-initialised thread-local `Cell`, which never allocates.
+unsafe impl GlobalAlloc for Recording {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        record(layout.size());
+        // SAFETY: forwarded with the caller's layout contract
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        record(layout.size());
+        // SAFETY: forwarded with the caller's layout contract
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        record(new_size);
+        // SAFETY: `ptr` came from this allocator, i.e. from `System`
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from this allocator, i.e. from `System`
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Recording = Recording;
+
+/// Runs `f`, returning its result and the largest single allocation it
+/// made on this thread.
+fn largest_allocation_during<T>(f: impl FnOnce() -> T) -> (T, usize) {
+    LARGEST.with(|m| m.set(0));
+    let out = f();
+    (out, LARGEST.with(Cell::get))
+}
+
+/// The most a refused header may make one decode allocate at once for
+/// `len` input bytes: a small multiple of the input plus a fixed
+/// allowance for error text — nothing sized by the geometry it claims.
+fn header_bound(len: usize) -> usize {
+    4 * len + 1024
+}
+
+/// The most any decode may allocate at once for `len` input bytes: the
+/// built fabric's tile table, which the length check keeps under 8 bytes
+/// per input byte, or the list of one tile's switch-block sinks (at most
+/// 64 channel wires, 6 LUT pins and 255 output ports), whichever is
+/// larger.
+fn allocation_bound(len: usize) -> usize {
+    8 * len + 16 * 1024
+}
 
 /// Canonical v1 encoding of [`golden_fabric`].
 const GOLDEN_HEX: &str = "4d4346470001010200020002000100020101000000000000000500000000000000000005000300000004000000030005\
@@ -132,4 +204,133 @@ fn context_digests_match_golden() {
     let f = golden_fabric();
     assert_eq!(f.context_digest(0).unwrap(), 0xdc95_1727_9093_a1b9);
     assert_eq!(f.context_digest(1).unwrap(), 0xdb96_c469_dfce_6401);
+}
+
+/// The header's geometry fields: `(byte offset, width in bytes)` of the
+/// architecture code, LUT arity, width, height, channel width, context
+/// count and the two IO counts.
+const HEADER_FIELDS: [(usize, usize); 8] = [
+    (6, 1),
+    (7, 1),
+    (8, 2),
+    (10, 2),
+    (12, 2),
+    (14, 2),
+    (16, 1),
+    (17, 1),
+];
+
+/// Bytes of the header: magic, version, then [`HEADER_FIELDS`].
+const HEADER_BYTES: usize = 18;
+
+/// Checks one hostile mutant of the golden bitstream: it is refused, or
+/// it decodes to a fabric that packs back to exactly its bytes. Decoding
+/// never makes an allocation larger than [`allocation_bound`].
+fn check_mutant(bytes: &[u8]) -> Result<(), TestCaseError> {
+    let (decoded, largest) = largest_allocation_during(|| unpack(bytes));
+    prop_assert!(
+        largest <= allocation_bound(bytes.len()),
+        "decoding {} bytes allocated {largest} at once",
+        bytes.len()
+    );
+    if let Ok(fabric) = decoded {
+        prop_assert_eq!(
+            pack(&fabric).ok(),
+            Some(bytes.to_vec()),
+            "a decoded mutant packs differently"
+        );
+    }
+    Ok(())
+}
+
+/// The mutation harness's own premises: the header is [`HEADER_BYTES`]
+/// long with its fields where [`HEADER_FIELDS`] says, and the unmutated
+/// golden bitstream passes [`check_mutant`].
+#[test]
+fn golden_header_fields_are_as_mutated() {
+    let bytes = packed(&golden_fabric());
+    let p = *golden_fabric().params();
+    let read = |(at, width): (usize, usize)| {
+        bytes[at..at + width]
+            .iter()
+            .fold(0usize, |v, b| v << 8 | usize::from(*b))
+    };
+    let fields = HEADER_FIELDS.map(read);
+    let want = [
+        usize::from(p.arch.code()),
+        p.lut_k,
+        p.width,
+        p.height,
+        p.channel_width,
+        p.contexts,
+        p.io_in,
+        p.io_out,
+    ];
+    assert_eq!(fields, want);
+    let (last, width) = HEADER_FIELDS[HEADER_FIELDS.len() - 1];
+    assert_eq!(last + width, HEADER_BYTES);
+    check_mutant(&bytes).unwrap();
+}
+
+/// A bare header announcing the largest geometry `FabricParams::validate`
+/// admits (64×64 tiles, 64 contexts) is refused from its length alone:
+/// no fabric is built, so nothing near its size is allocated.
+#[test]
+fn a_header_only_maximum_geometry_is_refused_before_any_fabric_is_built() {
+    let params = FabricParams {
+        width: 64,
+        height: 64,
+        channel_width: 16,
+        lut_k: 6,
+        contexts: 64,
+        ..*golden_fabric().params()
+    };
+    params.validate().unwrap();
+    let mut header = packed(&golden_fabric());
+    header.truncate(HEADER_BYTES);
+    for (value, (at, width)) in [params.lut_k, 64, 64, 16, 64]
+        .into_iter()
+        .zip(&HEADER_FIELDS[1..6])
+    {
+        header[*at..at + width].copy_from_slice(&value.to_be_bytes()[8 - width..]);
+    }
+    let (decoded, largest) = largest_allocation_during(|| unpack(&header));
+    assert!(
+        matches!(decoded, Err(FabricError::BadBitstream(_))),
+        "{decoded:?}"
+    );
+    assert!(
+        largest <= header_bound(header.len()),
+        "an {}-byte header allocated {largest} at once",
+        header.len()
+    );
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Hostile bitstream bytes — random byte flips, appended bytes, and a
+    /// header field set to its maximum — never panic and never allocate
+    /// without bound: each mutant is refused or packs back to itself.
+    #[test]
+    fn hostile_bitstream_bytes_fail_typed_or_round_trip(
+        flips in prop::collection::vec((any::<usize>(), 1u8..=255), 0..4),
+        tail in prop::collection::vec(any::<u8>(), 0..12),
+        field in 0usize..HEADER_FIELDS.len(),
+    ) {
+        let golden = packed(&golden_fabric());
+        let mut flipped = golden.clone();
+        for &(at, mask) in &flips {
+            let at = at % flipped.len();
+            flipped[at] ^= mask;
+        }
+        check_mutant(&flipped)?;
+        let mut extended = golden.clone();
+        extended.extend_from_slice(&tail);
+        check_mutant(&extended)?;
+        let mut maxed = golden;
+        let (at, width) = HEADER_FIELDS[field];
+        maxed[at..at + width].fill(0xFF);
+        check_mutant(&maxed)?;
+    }
 }

@@ -217,19 +217,26 @@ fn live_service() -> ShardedService {
 }
 
 /// Restores `ckpt` into the slot its own fields name (a shard the service
-/// may lack, a context it may not have), serves it once and retires it.
-/// Returns whether the restore was accepted; panicking is the failure.
+/// may lack, a context it may not have) twice: once to discard its
+/// restored lanes, once to serve them; retires it after each. Returns
+/// whether the restores were accepted; panicking is the failure.
 fn restore_and_serve(svc: &mut ShardedService, ckpt: &TenantCheckpoint) -> bool {
     let slot = Placement {
         shard: ckpt.css_position % 3,
         ctx: ckpt.ctx,
     };
-    let Ok((tenant, _)) = svc.restore_tenant_into(ckpt, slot) else {
-        return false;
-    };
-    let _ = svc.drain();
-    let _ = svc.take_faults();
-    svc.retire_tenant(tenant).unwrap();
+    for serve in [false, true] {
+        let Ok((tenant, _)) = svc.restore_tenant_into(ckpt, slot) else {
+            return false;
+        };
+        if serve {
+            let _ = svc.drain();
+            let _ = svc.take_faults();
+        } else {
+            svc.discard_pending(tenant).unwrap();
+        }
+        svc.retire_tenant(tenant).unwrap();
+    }
     true
 }
 

@@ -3,20 +3,23 @@
 //! A [`ShardEngine`] owns **everything one fabric shard needs to execute a
 //! sweep without touching another shard**: its routed [`Fabric`] (built on
 //! first use — a shard whose tenants all arrived by restore never routes,
-//! so it never builds one), the per-context compiled planes and their
-//! prebound plans (Arc-shared through the coordinator's plane cache, at
-//! any context index — installing a plane clones pointers, never a plane
-//! or a binding), its own
-//! [`ContextSequencer`] (CSS broadcast position is per-shard physical
-//! state), its partition of the service's batch queue, and the usage
-//! counters + stream-register files of the tenants placed on it.
+//! so it never builds one), its own [`ContextSequencer`] (CSS broadcast
+//! position is per-shard physical state), and one record per context
+//! slot. As in the paper's MC-FPGA, where a context is one configuration
+//! plane the switching signal selects, a slot is one unit: its occupant
+//! (tenant id, usage counters, stream-register file, queued lanes and
+//! their request ids), the installed compiled plane with its prebound
+//! plan (Arc-shared through the coordinator's plane cache, at any context
+//! index — installing a plane clones pointers, never a plane or a
+//! binding), and the slot's dirty-cone cache and recycled buffers. A free
+//! slot holds nothing.
 //!
 //! A sweep is split into three phases so its only parallel part is pure:
 //!
 //! 1. **Plan** (`plan_sweep`), sequential on
 //!    the coordinator: the CSS schedule is computed, the broadcast steps
 //!    through it (switch toggles are charged here — the broadcast spends
-//!    that energy whether or not the pass later resolves), and each active
+//!    that energy whether or not the pass later resolves), and each busy
 //!    slot becomes one owned `PlannedStep` carrying its compiled-plane
 //!    `Arc`, input lane chunks (queued requests plus the tenant's `reg:*`
 //!    stream state) and its `(shard, sweep-position)` merge key.
@@ -36,15 +39,14 @@
 //!
 //! Tenant mobility across engines is an explicit two-step handoff —
 //! `expel` on the source, then `adopt` on the destination (both
-//! crate-internal; the coordinator's migration ops drive them) — so
-//! ownership of a
-//! tenant's plane, queued lanes, registers and usage moves atomically from
-//! one engine to another (the coordinator sequences the two calls; they
-//! work unchanged when source and destination are the same engine).
+//! crate-internal; the coordinator's migration ops drive them). What
+//! moves is one record, the slot's `Occupant`, with the installed
+//! plane's `Arc`s beside it, so a tenant's queued lanes, registers and
+//! usage change engines atomically (the coordinator sequences the two
+//! calls; they work unchanged when source and destination are the same
+//! engine).
 
-use crate::batch::{
-    BatchQueue, OutputRows, Outputs, RequestId, RequestIdSource, Response, TakenBatch,
-};
+use crate::batch::{OutputRows, Outputs, RequestId, RequestIdSource, Response};
 use crate::registry::{CachedPlane, TenantId};
 use crate::service::SlotFault;
 use crate::ServiceError;
@@ -58,44 +60,83 @@ use mcfpga_fabric::compiled::{
 use mcfpga_fabric::context::ContextSequencer;
 use mcfpga_fabric::{CompiledFabric, Fabric, FabricParams, RegisterFile};
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
-/// Per-tenant state an engine keeps for each tenant placed on it: the
-/// usage counters billing reads, the stream-register file carried
-/// between the tenant's passes, and the input columns its requests
-/// drive. Moves wholesale in a migration handoff.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct TenantState {
+/// The tenant a context slot holds, with everything that moves with it
+/// in a migration handoff: produced by [`ShardEngine::expel`], consumed
+/// by [`ShardEngine::adopt`] (admission and restore build a new one).
+#[derive(Debug, Clone)]
+pub(crate) struct Occupant {
+    /// The tenant.
+    pub tenant: TenantId,
     /// Accumulated usage counters (requests, passes, toggles, migrations).
     pub usage: TenantUsage,
     /// `reg:*` stream state (lane words from the tenant's previous pass).
     pub regs: RegisterFile,
-    /// The tenant's input columns ([`BoundPlan::input_columns`] of its
-    /// plane), fixed when it is admitted or restored. Installing a plane
-    /// — faulted, repaired or shared — never changes them.
-    pub columns: Arc<[Arc<str>]>,
+    /// The queued, not yet executed lanes. Its columns are the tenant's
+    /// input columns ([`BoundPlan::input_columns`] of its plane), fixed
+    /// when it is admitted or restored: installing a plane — faulted,
+    /// repaired or shared — never changes them.
+    pub batch: LaneBatch,
+    /// The request id of each queued lane, lane order.
+    pub requests: Vec<RequestId>,
 }
 
-/// Everything a tenant hands from one engine to another in a migration:
-/// produced by [`ShardEngine::expel`], consumed by
-/// [`ShardEngine::adopt`].
-#[derive(Debug)]
-pub(crate) struct TenantHandoff {
-    /// Usage + registers, moved (the source engine forgets the tenant).
-    pub state: TenantState,
-    /// The tenant's queued-but-unexecuted requests, original ids intact.
-    pub batch: Option<TakenBatch>,
+impl Occupant {
+    /// `tenant` with nothing charged, no stream state, and `batch` (empty)
+    /// to queue its requests in.
+    pub(crate) fn new(tenant: TenantId, batch: LaneBatch) -> Self {
+        Occupant {
+            tenant,
+            usage: TenantUsage::default(),
+            regs: RegisterFile::default(),
+            batch,
+            requests: Vec::new(),
+        }
+    }
+
+    /// Settles one request offered to the batch: on success mints its id
+    /// (never for a refusal, so a refused request burns none), records it
+    /// and charges the request counter, returning the id and whether the
+    /// batch is now full; a refusal is typed for slot `(shard, ctx)`.
+    fn enqueued(
+        &mut self,
+        pushed: Result<usize, PushRefusal>,
+        ids: &mut RequestIdSource,
+        shard: usize,
+        ctx: usize,
+    ) -> Result<(RequestId, bool), ServiceError> {
+        match pushed {
+            Ok(lane) => debug_assert_eq!(lane, self.requests.len()),
+            Err(PushRefusal::Full) => return Err(ServiceError::SlotBacklogged { shard, ctx }),
+            Err(PushRefusal::MissingInput(col)) => {
+                let name = self.batch.columns()[col].to_string();
+                return Err(ServiceError::MissingInput { name });
+            }
+        }
+        let id = ids.mint();
+        self.requests.push(id);
+        self.usage.requests += 1;
+        Ok((id, self.batch.is_full()))
+    }
+
+    /// Empties the queued lanes in place, columns and buffers kept, and
+    /// returns how many there were.
+    fn clear(&mut self) -> usize {
+        self.batch.clear();
+        let dropped = self.requests.len();
+        self.requests.clear();
+        dropped
+    }
 }
 
 /// One per-context sweep task, planned sequentially and evaluated (maybe
 /// concurrently, on whichever pool worker claims it) by [`eval_step`].
 /// Owns everything its evaluation needs — plane `Arc`, prebound plan,
 /// dense input chunks, occupied word count — so the worker borrows
-/// nothing from the engine: the engine's queue still holds the slot's
-/// batch, which is consumed only at apply time on success, and the
-/// `(shard, pos)` pair is the deterministic merge key the coordinator
-/// orders applies by.
+/// nothing from the engine: the slot still holds its batch, which is
+/// consumed only at apply time on success, and the `(shard, pos)` pair
+/// is the deterministic merge key the coordinator orders applies by.
 #[derive(Debug, Clone)]
 pub(crate) struct PlannedStep {
     /// Shard of the slot (first half of the merge key).
@@ -217,34 +258,35 @@ pub(crate) fn eval_step(step: &mut PlannedStep) -> Result<EvalOutcome, ServiceEr
 /// pass's responses while the next pass writes the other table.
 const POOLED_TABLES: usize = 2;
 
-/// Admission-time binding state of one context slot, kept parallel to
-/// the engine's plane pointers and rebuilt whenever a plane is installed
-/// or the slot is freed — the "resolve names once" half of the v2
-/// pipeline.
-#[derive(Debug, Clone, Default)]
-struct BoundSlot {
-    /// The installed plane's prebound IO plan.
-    plan: Option<Arc<BoundPlan>>,
+/// One occupied context slot: the occupant, the plane installed for it,
+/// and the caches its passes reuse. Replaced wholesale when the occupant
+/// leaves, so nothing here can outlive the tenant it describes.
+#[derive(Debug, Clone)]
+struct Slot {
+    /// The tenant and what moves with it.
+    occupant: Occupant,
+    /// The installed plane with its prebound plan: `Arc` clones of a
+    /// cache entry (or of a chaos hook's uncached plane).
+    plane: CachedPlane,
+    /// Batch column of each bound input, in bind order, so planning
+    /// reads request chunks without comparing names — the "resolve names
+    /// once" half of the v2 pipeline. A `reg:*` input has no column (it
+    /// is fed from the occupant's [`RegisterFile`]) and holds 0, unused.
+    columns: Vec<u32>,
     /// The completed previous sweep (kernel slots only), fueling the
     /// dirty-cone incremental path.
     cache: Option<SlotCache>,
-    /// Batch column of each bound input, in bind order, so planning
-    /// reads request chunks without comparing names. A `reg:*` input has
-    /// no column (it is fed from the tenant's [`RegisterFile`]) and holds
-    /// 0, unused.
-    columns: Vec<u32>,
     /// Up to [`POOLED_TABLES`] output tables of this slot's past passes,
-    /// least recently written first. Their rows already hold `plan`'s
-    /// visible output names, which is why a rebuilt slot (new plan, or
-    /// none) starts with no tables. A cloned engine shares them, so
-    /// neither copy rewrites them.
+    /// least recently written first. Their rows already hold the plan's
+    /// visible output names, which is why installing a plane empties the
+    /// pool. A cloned engine shares them, so neither copy rewrites them.
     tables: Vec<Arc<OutputRows>>,
     /// The output-chunk buffer of this slot's passes, lent to each
     /// [`PlannedStep`] and returned by its apply.
     outs: Vec<LaneChunk>,
 }
 
-impl BoundSlot {
+impl Slot {
     /// The output table the next pass writes: the most recently written
     /// pooled table that no response views any more (`Arc::get_mut`
     /// proves it), else a new one, evicting the least recently written
@@ -273,12 +315,44 @@ impl BoundSlot {
     }
 }
 
+/// Resolves each input `plane` binds to its column among `columns` (see
+/// [`Slot::columns`]). Refuses a plane that binds a non-register input
+/// `columns` lack: the tenant's requests never drive it.
+fn bind_columns(
+    shard: usize,
+    ctx: usize,
+    plane: &CachedPlane,
+    columns: &[Arc<str>],
+) -> Result<Vec<u32>, ServiceError> {
+    let mut index = Vec::new();
+    let mut next = 0;
+    for (_, name, is_reg) in plane.bound.iter().flat_map(|p| p.inputs()) {
+        if *is_reg {
+            index.push(0);
+            continue;
+        }
+        // columns follow bind order: probe the one after the last match
+        let col = match columns.get(next) {
+            Some(c) if c == name => next,
+            _ => columns.iter().position(|c| c == name).ok_or_else(|| {
+                ServiceError::BadConfig(format!(
+                    "plane for slot (shard {shard}, ctx {ctx}) binds input '{name}', \
+                     which is not one of its tenant's input columns"
+                ))
+            })?,
+        };
+        next = col + 1;
+        index.push(col as u32);
+    }
+    Ok(index)
+}
+
 /// A kernel slot's completed sweep: the dense input chunks it consumed
 /// and the evaluation arena it filled, reused by the next sweep to skip
-/// ops outside the dirty cone.
+/// ops outside the dirty cone. It lives in its [`Slot`], so it always
+/// describes the slot's current occupant.
 #[derive(Debug, Clone)]
 struct SlotCache {
-    tenant: TenantId,
     words: usize,
     inputs: Vec<LaneChunk>,
     state: CompiledState,
@@ -312,17 +386,11 @@ pub struct ShardEngine {
     /// admission routes, so an engine that only ever receives restored
     /// or migrated tenants never pays for one.
     fabric: OnceLock<Fabric>,
-    /// Per-context compiled plane (Arc-shared through the digest cache,
-    /// whatever the context index).
-    planes: Vec<Option<Arc<CompiledFabric>>>,
-    /// Per-context prebound plan + dirty-cone sweep cache, parallel to
-    /// `planes`.
-    bound: Vec<BoundSlot>,
+    /// One record per context, `None` while the slot is free.
+    slots: Vec<Option<Slot>>,
     seq: ContextSequencer,
-    /// This shard's partition of the service's pending work.
-    queue: BatchQueue,
-    /// Usage + stream registers of tenants placed on this shard.
-    tenants: HashMap<TenantId, TenantState>,
+    /// Lanes each slot's batch holds.
+    lane_width: usize,
     /// Planning buffers, reused by every sweep.
     scratch: PlanScratch,
 }
@@ -338,15 +406,17 @@ impl ShardEngine {
         lane_width: usize,
     ) -> Result<Self, ServiceError> {
         params.validate()?;
+        let seq = ContextSequencer::new(params.arch, params.contexts)?;
+        // a bad width is refused here, with the batch's own error, though
+        // no slot builds a batch until a tenant lands on it
+        LaneBatch::with_width(lane_width, Arc::default())?;
         Ok(ShardEngine {
             shard,
             params,
             fabric: OnceLock::new(),
-            planes: vec![None; params.contexts],
-            bound: vec![BoundSlot::default(); params.contexts],
-            seq: ContextSequencer::new(params.arch, params.contexts)?,
-            queue: BatchQueue::with_width(params.contexts, lane_width)?,
-            tenants: HashMap::new(),
+            slots: vec![None; params.contexts],
+            seq,
+            lane_width,
             scratch: PlanScratch::default(),
         })
     }
@@ -354,24 +424,28 @@ impl ShardEngine {
     /// Lanes coalesced per slot per pass.
     #[must_use]
     pub fn lane_width(&self) -> usize {
-        self.queue.width()
+        self.lane_width
     }
 
-    /// Rebuilds this engine's queue partition at `width` lanes per slot,
-    /// keeping every slot's columns. The coordinator guarantees no work is
-    /// pending (it refuses the width change otherwise — a rebuild would
-    /// silently drop queued requests).
+    /// Rebuilds every occupied slot's batch at `width` lanes, keeping its
+    /// columns. The coordinator guarantees no work is pending (it refuses
+    /// the width change otherwise — a rebuild would silently drop queued
+    /// requests).
     pub(crate) fn set_lane_width(&mut self, width: usize) -> Result<(), ServiceError> {
         debug_assert_eq!(
-            self.queue.pending_total(),
+            self.pending_requests(),
             0,
             "lane-width change with requests pending"
         );
-        self.queue.set_width(width)?;
-        for slot in &mut self.bound {
+        // refuse a bad width before any slot is rebuilt
+        LaneBatch::with_width(width, Arc::default())?;
+        for slot in self.slots.iter_mut().flatten() {
+            let columns = Arc::clone(slot.occupant.batch.columns());
+            slot.occupant.batch = LaneBatch::with_width(width, columns)?;
             // a cached sweep at the old width cannot seed the new one
             slot.cache = None;
         }
+        self.lane_width = width;
         Ok(())
     }
 
@@ -401,9 +475,33 @@ impl ShardEngine {
         })
     }
 
-    /// Installs (or replaces) the compiled plane of context `ctx`,
-    /// binding it here — the path for a plane the cache does not hold
-    /// (a chaos hook's poisoned plane). See
+    /// The slot `ctx`, if `tenant` occupies it.
+    fn slot(&self, ctx: usize, tenant: TenantId) -> Result<&Slot, ServiceError> {
+        self.slots
+            .get(ctx)
+            .and_then(Option::as_ref)
+            .filter(|s| s.occupant.tenant == tenant)
+            .ok_or(ServiceError::UnknownTenant(tenant.index()))
+    }
+
+    /// The slot `ctx`, mutable, if `tenant` occupies it.
+    fn slot_mut(&mut self, ctx: usize, tenant: TenantId) -> Result<&mut Slot, ServiceError> {
+        self.slots
+            .get_mut(ctx)
+            .and_then(Option::as_mut)
+            .filter(|s| s.occupant.tenant == tenant)
+            .ok_or(ServiceError::UnknownTenant(tenant.index()))
+    }
+
+    /// `tenant`, which occupies slot `ctx`: [`ServiceError::UnknownTenant`]
+    /// when it does not.
+    pub(crate) fn occupant(&self, ctx: usize, tenant: TenantId) -> Result<&Occupant, ServiceError> {
+        Ok(&self.slot(ctx, tenant)?.occupant)
+    }
+
+    /// Installs (or replaces) the compiled plane of the occupied slot
+    /// `ctx`, binding it here — the path for a plane the cache does not
+    /// hold (a chaos hook's poisoned plane). See
     /// [`install_cached`](Self::install_cached).
     pub(crate) fn install_plane(
         &mut self,
@@ -413,78 +511,47 @@ impl ShardEngine {
         self.install_cached(ctx, &CachedPlane::new(plane))
     }
 
-    /// Installs (or replaces) the compiled plane of context `ctx` with
-    /// its prebound plan — `Arc` clones of a cache entry, never a copy or
-    /// a re-bind, whatever context the plane was compiled in. Each bound
-    /// input is resolved to its column of the slot's batch; the slot's
-    /// dirty-cone cache is discarded (it described sweeps of the previous
-    /// plane). Refuses, changing nothing, a plane that binds a
-    /// non-register input the slot's columns lack: the tenant's requests
-    /// never drive it.
+    /// Installs (or replaces) the compiled plane of the occupied slot
+    /// `ctx` with its prebound plan — `Arc` clones of a cache entry, never
+    /// a copy or a re-bind, whatever context the plane was compiled in.
+    /// Each bound input is resolved to its column of the slot's batch;
+    /// the slot's dirty-cone cache and output tables are discarded (they
+    /// describe passes of the previous plane). Refuses, changing nothing,
+    /// a plane that binds a non-register input the occupant's columns
+    /// lack.
     pub(crate) fn install_cached(
         &mut self,
         ctx: usize,
         cached: &CachedPlane,
     ) -> Result<(), ServiceError> {
-        let plan = cached.bound.clone();
-        let columns = self.queue.columns(ctx);
-        let mut index = Vec::new();
-        let mut next = 0;
-        for (_, name, is_reg) in plan.iter().flat_map(|p| p.inputs()) {
-            if *is_reg {
-                index.push(0);
-                continue;
-            }
-            // columns follow bind order: probe the one after the last match
-            let col = match columns.get(next) {
-                Some(c) if c == name => next,
-                _ => columns.iter().position(|c| c == name).ok_or_else(|| {
-                    ServiceError::BadConfig(format!(
-                        "plane for slot (shard {}, ctx {ctx}) binds input '{name}', \
-                         which is not one of its tenant's input columns",
-                        self.shard
-                    ))
-                })?,
-            };
-            next = col + 1;
-            index.push(col as u32);
-        }
-        self.bound[ctx] = BoundSlot {
-            plan,
-            columns: index,
-            ..BoundSlot::default()
-        };
-        self.planes[ctx] = Some(Arc::clone(&cached.plane));
+        let shard = self.shard;
+        let slot = self.slots[ctx]
+            .as_mut()
+            .ok_or(ServiceError::SlotNotProgrammed { shard, ctx })?;
+        slot.columns = bind_columns(shard, ctx, cached, slot.occupant.batch.columns())?;
+        slot.plane = cached.clone();
+        slot.cache = None;
+        slot.tables.clear();
+        slot.outs = Vec::new();
         Ok(())
     }
 
     /// Output tables pooled on slot `ctx`.
     #[cfg(test)]
     pub(crate) fn pooled_tables(&self, ctx: usize) -> usize {
-        self.bound[ctx].tables.len()
+        self.slots[ctx].as_ref().map_or(0, |s| s.tables.len())
     }
 
     /// The compiled plane of context `ctx`, if programmed.
     #[cfg(test)]
     pub(crate) fn plane(&self, ctx: usize) -> Option<Arc<CompiledFabric>> {
-        self.planes[ctx].clone()
+        Some(Arc::clone(&self.slots[ctx].as_ref()?.plane.plane))
     }
 
     /// The prebound plan of context `ctx`, if programmed and bound.
     #[cfg(test)]
     pub(crate) fn plan(&self, ctx: usize) -> Option<Arc<BoundPlan>> {
-        self.bound[ctx].plan.clone()
-    }
-
-    /// The plane installed on context `ctx` with its prebound plan and
-    /// the slot's columns, if programmed — what a migration carries to
-    /// the destination slot.
-    pub(crate) fn installed(&self, ctx: usize) -> Option<CachedPlane> {
-        Some(CachedPlane {
-            plane: self.planes[ctx].clone()?,
-            bound: self.bound[ctx].plan.clone(),
-            columns: Arc::clone(self.queue.columns(ctx)),
-        })
+        self.slots[ctx].as_ref()?.plane.bound.clone()
     }
 
     /// Where this shard's CSS broadcast currently sits.
@@ -505,27 +572,10 @@ impl ShardEngine {
         &self.seq
     }
 
-    /// One placed tenant's state, read-only.
-    pub(crate) fn tenant_state(&self, tenant: TenantId) -> Result<&TenantState, ServiceError> {
-        self.tenants
-            .get(&tenant)
-            .ok_or(ServiceError::UnknownTenant(tenant.index()))
-    }
-
-    /// One placed tenant's state, mutable (usage charging at the
-    /// coordinator's side of a migration).
-    pub(crate) fn tenant_state_mut(
-        &mut self,
-        tenant: TenantId,
-    ) -> Result<&mut TenantState, ServiceError> {
-        self.tenants
-            .get_mut(&tenant)
-            .ok_or(ServiceError::UnknownTenant(tenant.index()))
-    }
-
-    /// Enqueues one request on `ctx`'s lane batch, charging the tenant's
-    /// request counter. Returns the minted id and whether the slot's
-    /// lanes are now full (the coordinator should flush this engine).
+    /// Enqueues one request on the lane batch of `tenant`'s slot `ctx`,
+    /// charging its request counter. Returns the minted id and whether
+    /// the slot's lanes are now full (the coordinator should flush this
+    /// engine).
     pub(crate) fn submit(
         &mut self,
         ctx: usize,
@@ -533,8 +583,10 @@ impl ShardEngine {
         inputs: &[(&str, bool)],
         ids: &mut RequestIdSource,
     ) -> Result<(RequestId, bool), ServiceError> {
-        let pushed = self.queue.enqueue(ctx, tenant, inputs, ids);
-        self.charge_enqueued(ctx, tenant, pushed)
+        let shard = self.shard;
+        let occupant = &mut self.slot_mut(ctx, tenant)?.occupant;
+        let pushed = occupant.batch.push(inputs);
+        occupant.enqueued(pushed, ids, shard, ctx)
     }
 
     /// [`submit`](Self::submit) for a request already resolved into an
@@ -547,119 +599,110 @@ impl ShardEngine {
         row: &[u64],
         ids: &mut RequestIdSource,
     ) -> Result<(RequestId, bool), ServiceError> {
-        let pushed = self.queue.enqueue_row(ctx, tenant, row, ids);
-        self.charge_enqueued(ctx, tenant, pushed)
+        let shard = self.shard;
+        let occupant = &mut self.slot_mut(ctx, tenant)?.occupant;
+        let pushed = occupant.batch.push_row(row);
+        occupant.enqueued(pushed, ids, shard, ctx)
     }
 
-    /// The shared tail of [`submit`](Self::submit) and
-    /// [`submit_row`](Self::submit_row): types a refusal, or charges the
-    /// tenant's request counter.
-    fn charge_enqueued(
-        &mut self,
-        ctx: usize,
-        tenant: TenantId,
-        pushed: Result<(RequestId, bool), PushRefusal>,
-    ) -> Result<(RequestId, bool), ServiceError> {
-        let (id, full) = match pushed {
-            Ok(ok) => ok,
-            Err(PushRefusal::Full) => {
-                return Err(ServiceError::SlotBacklogged {
-                    shard: self.shard,
-                    ctx,
-                })
-            }
-            Err(PushRefusal::MissingInput(col)) => {
-                let name = self.queue.columns(ctx)[col].to_string();
-                return Err(ServiceError::MissingInput { name });
-            }
-        };
-        self.tenant_state_mut(tenant)?.usage.requests += 1;
-        Ok((id, full))
-    }
-
-    /// Discards `ctx`'s queued, not-yet-executed requests (un-counting
-    /// them from `tenant`'s usage) and returns how many were dropped.
+    /// Discards the queued, not-yet-executed requests of `tenant`'s slot
+    /// `ctx` (un-counting them from its usage) and returns how many were
+    /// dropped.
     pub(crate) fn discard_pending(
         &mut self,
         ctx: usize,
         tenant: TenantId,
     ) -> Result<usize, ServiceError> {
-        let dropped = self.queue.clear(ctx);
-        self.tenant_state_mut(tenant)?.usage.requests -= dropped;
+        let occupant = &mut self.slot_mut(ctx, tenant)?.occupant;
+        let dropped = occupant.clear();
+        // every queued lane was charged when it was submitted, or counted
+        // in a restored checkpoint's usage (restore refuses fewer)
+        occupant.usage.requests -= dropped;
         Ok(dropped)
     }
 
     /// Context slots with pending work, ascending.
     #[must_use]
     pub fn pending(&self) -> Vec<usize> {
-        self.queue.pending()
+        self.busy().collect()
+    }
+
+    /// Context slots with pending work, ascending, without allocating.
+    pub(crate) fn busy(&self) -> impl Iterator<Item = usize> + '_ {
+        (0..self.slots.len()).filter(|&ctx| self.pending_batch(ctx).is_some())
     }
 
     /// Requests parked on this shard, not yet executed.
     #[must_use]
     pub fn pending_requests(&self) -> usize {
-        self.queue.pending_total()
+        self.slots
+            .iter()
+            .flatten()
+            .map(|s| s.occupant.requests.len())
+            .sum()
     }
 
-    /// A slot's pending lane batch, if non-empty (checkpoint capture).
+    /// A slot's pending lane batch, if non-empty.
     pub(crate) fn pending_batch(&self, ctx: usize) -> Option<&LaneBatch> {
-        self.queue.slot(ctx)
+        let batch = &self.slots[ctx].as_ref()?.occupant.batch;
+        (!batch.is_empty()).then_some(batch)
     }
 
-    /// A slot's `(request, tenant)` tickets, lane order.
-    pub(crate) fn tickets(&self, ctx: usize) -> &[(RequestId, TenantId)] {
-        self.queue.tickets(ctx)
+    /// The request ids of a slot's queued lanes, lane order.
+    pub(crate) fn requests(&self, ctx: usize) -> &[RequestId] {
+        self.slots[ctx]
+            .as_ref()
+            .map_or(&[], |s| &s.occupant.requests)
     }
 
-    /// The source half of a migration handoff: surrenders `tenant`'s
-    /// per-tenant state and queued lanes, wipes its slot (plane pointer,
-    /// queue names, and — for a fabric-resident tenant — the routed
-    /// context itself), and forgets the tenant. The caller has already
-    /// cloned the plane `Arc` and completed every fallible pre-check, so
-    /// this only performs the destructive move.
+    /// The source half of a migration handoff: frees `tenant`'s slot
+    /// `ctx`, wiping — for a fabric-resident tenant — the routed context
+    /// itself, and returns the occupant with the installed plane. Refuses
+    /// with [`ServiceError::UnknownTenant`], changing nothing, when
+    /// `tenant` does not occupy the slot; the caller has completed every
+    /// other fallible pre-check, so this only performs the move.
     pub(crate) fn expel(
         &mut self,
         tenant: TenantId,
         ctx: usize,
         resident: bool,
-    ) -> Result<TenantHandoff, ServiceError> {
-        let state = self
-            .tenants
-            .remove(&tenant)
+    ) -> Result<(Occupant, CachedPlane), ServiceError> {
+        let slot = self.slots[ctx]
+            .take_if(|s| s.occupant.tenant == tenant)
             .ok_or(ServiceError::UnknownTenant(tenant.index()))?;
-        self.planes[ctx] = None;
-        self.bound[ctx] = BoundSlot::default();
         if resident {
             self.fabric_mut().clear_context(ctx)?;
         }
-        let batch = self.queue.vacate(ctx);
-        Ok(TenantHandoff { state, batch })
+        Ok((slot.occupant, slot.plane))
     }
 
-    /// Lands `tenant` on the free slot `ctx` — the destination half of a
-    /// migration handoff, and how admission and restore place a new
-    /// tenant: opens the slot over the tenant's input columns, re-queues
-    /// the moved lanes with their original ids, installs the shared plane
-    /// and its plan (see [`install_cached`](Self::install_cached)) and
-    /// adopts the tenant's state.
+    /// Lands `occupant` on the free slot `ctx` with `plane` installed for
+    /// it — the destination half of a migration handoff, and how
+    /// admission and restore place a new tenant. Queued lanes keep their
+    /// request ids; `plane`'s `Arc`s are shared as they are. Refuses,
+    /// changing nothing, a plane that binds an input the occupant's
+    /// columns lack (see [`install_cached`](Self::install_cached)).
     pub(crate) fn adopt(
         &mut self,
-        tenant: TenantId,
         ctx: usize,
         plane: &CachedPlane,
-        handoff: TenantHandoff,
+        occupant: Occupant,
     ) -> Result<(), ServiceError> {
-        self.queue.open(ctx, Arc::clone(&handoff.state.columns));
-        if let Some(batch) = handoff.batch {
-            self.queue.install(ctx, batch);
-        }
-        self.install_cached(ctx, plane)?;
-        self.tenants.insert(tenant, handoff.state);
+        debug_assert!(self.slots[ctx].is_none(), "adopt onto a busy slot {ctx}");
+        debug_assert_eq!(occupant.batch.width(), self.lane_width);
+        let columns = bind_columns(self.shard, ctx, plane, occupant.batch.columns())?;
+        self.slots[ctx] = Some(Slot {
+            occupant,
+            plane: plane.clone(),
+            columns,
+            cache: None,
+            tables: Vec::new(),
+            outs: Vec::new(),
+        });
         Ok(())
     }
 
-    /// Plans this shard's sweep over its `active` slots — each
-    /// `(context, occupant)` precomputed by the coordinator — in CSS
+    /// Plans this shard's sweep over its `active` contexts in CSS
     /// schedule order, reordered for minimum broadcast toggles under
     /// [`OptimizeMode::Optimized`]. One [`PlannedStep`] is appended to
     /// `steps` per active slot with queued work, carrying its
@@ -675,14 +718,14 @@ impl ShardEngine {
     /// Returns the CSS toggles charged, so the coordinator can mirror them
     /// into its counter without re-summing every tenant's usage.
     ///
-    /// A structural failure (a broken schedule domain or plane invariant
-    /// — never a mere failed pass, which surfaces at apply time as a
-    /// [`SlotFault`]) stops the planning and is returned **alongside**
-    /// the steps planned (and toggles charged) first: those steps still
-    /// evaluate and apply, so no already-scheduled switch loses its pass.
+    /// A structural failure (a broken schedule domain — never a mere
+    /// failed pass, which surfaces at apply time as a [`SlotFault`])
+    /// stops the planning and is returned **alongside** the steps planned
+    /// (and toggles charged) first: those steps still evaluate and apply,
+    /// so no already-scheduled switch loses its pass.
     pub(crate) fn plan_sweep(
         &mut self,
-        active: &[(usize, TenantId)],
+        active: &[usize],
         optimize: OptimizeMode,
         matrix: &CostMatrix,
         steps: &mut Vec<PlannedStep>,
@@ -700,7 +743,7 @@ impl ShardEngine {
     /// step already pushed and no toggle already charged.
     fn plan_into(
         &mut self,
-        active: &[(usize, TenantId)],
+        active: &[usize],
         optimize: OptimizeMode,
         matrix: &CostMatrix,
         scratch: &mut PlanScratch,
@@ -720,7 +763,7 @@ impl ShardEngine {
         // the naive sweep: each active context once, ascending (what
         // `Schedule::active_sweep` builds)
         naive.clear();
-        for &(ctx, _) in active {
+        for &ctx in active {
             if ctx >= contexts {
                 return Err(CssError::ContextOutOfRange { ctx, contexts }.into());
             }
@@ -740,50 +783,41 @@ impl ShardEngine {
             .plan_sweep_into(naive, optimize, matrix, sweep, order)?;
         let mut pos = 0;
         for &ctx in order.iter() {
-            let Some(batch) = self.queue.slot(ctx) else {
+            let Some(slot) = self.slots[ctx].as_mut() else {
                 continue;
             };
-            let tenant = active
-                .iter()
-                .find(|(c, _)| *c == ctx)
-                .map(|(_, t)| *t)
-                .ok_or(ServiceError::SlotNotProgrammed {
-                    shard: self.shard,
-                    ctx,
-                })?;
-            let plane = self.planes[ctx]
-                .clone()
-                .ok_or(ServiceError::SlotNotProgrammed {
-                    shard: self.shard,
-                    ctx,
-                })?;
+            if slot.occupant.batch.is_empty() {
+                continue;
+            }
             let toggles = self.seq.step_to(ctx)?;
             // each active context appears exactly once in a sweep, so the
             // naive step into `ctx` is its baseline
             let toggles_baseline = naive.binary_search(&ctx).map_or(toggles, |i| baseline[i]);
-            let tenant_state = self
-                .tenants
-                .get_mut(&tenant)
-                .ok_or(ServiceError::UnknownTenant(tenant.index()))?;
-            tenant_state.usage.css_toggles += toggles;
-            tenant_state.usage.css_toggles_baseline += toggles_baseline;
+            let Slot {
+                occupant,
+                plane,
+                columns,
+                cache,
+                outs,
+                ..
+            } = slot;
+            occupant.usage.css_toggles += toggles;
+            occupant.usage.css_toggles_baseline += toggles_baseline;
             *charged += toggles as u64;
-            let tenant_regs = &tenant_state.regs;
-            let words = batch.words();
-            let slot = &mut self.bound[ctx];
-            let bound = slot.plan.clone();
+            let words = occupant.batch.words();
+            let bound = plane.bound.clone();
             let inputs = bound.as_ref().map_or(0, |b| b.inputs().len());
             // dirty-cone basis: reuse the slot's cached sweep only when it
-            // demonstrably describes the same tenant, word count and input
-            // arity (the kernel path then skips ops whose cone is clean).
-            // The cache's input buffer becomes this step's, either way.
-            let kernel_ok =
-                inputs <= 64 && bound.as_ref().is_some_and(|b| plane.has_kernel(b.ctx()));
-            let (mut chunks, state, cached) = match slot.cache.take_if(|_| kernel_ok) {
+            // demonstrably describes the same word count and input arity
+            // (the kernel path then skips ops whose cone is clean). The
+            // cache's input buffer becomes this step's, either way.
+            let kernel_ok = inputs <= 64
+                && bound
+                    .as_ref()
+                    .is_some_and(|b| plane.plane.has_kernel(b.ctx()));
+            let (mut chunks, state, cached) = match cache.take_if(|_| kernel_ok) {
                 Some(cache) => {
-                    let cached = cache.tenant == tenant
-                        && cache.words == words
-                        && cache.inputs.len() == inputs;
+                    let cached = cache.words == words && cache.inputs.len() == inputs;
                     (cache.inputs, Some(cache.state), cached)
                 }
                 None => (Vec::new(), None, false),
@@ -793,8 +827,8 @@ impl ShardEngine {
                 chunks.clear();
             }
             if let Some(bound) = &bound {
-                let column_chunks = batch.chunks();
-                let sources = bound.inputs().iter().zip(&slot.columns);
+                let column_chunks = occupant.batch.chunks();
+                let sources = bound.inputs().iter().zip(columns.iter());
                 for (i, ((_, name, is_reg), &col)) in sources.enumerate() {
                     let chunk = if *is_reg {
                         // stream registers come only from the tenant's
@@ -802,7 +836,7 @@ impl ShardEngine {
                         // lane-aligned, so lane `l` of pass `p+1`
                         // consumes the state lane `l` of pass `p`
                         // produced
-                        tenant_regs.get_chunk(name).unwrap_or([0u64; LANE_WORDS])
+                        occupant.regs.get_chunk(name).unwrap_or([0u64; LANE_WORDS])
                     } else {
                         column_chunks[col as usize]
                     };
@@ -818,14 +852,14 @@ impl ShardEngine {
                 shard: self.shard,
                 pos,
                 ctx,
-                tenant,
+                tenant: occupant.tenant,
                 words,
-                plane,
+                plane: Arc::clone(&plane.plane),
                 bound,
                 chunks,
                 dirty,
                 state,
-                outs: std::mem::take(&mut slot.outs),
+                outs: std::mem::take(outs),
             });
             pos += 1;
         }
@@ -837,7 +871,7 @@ impl ShardEngine {
     /// requests stay queued and a [`SlotFault`] is recorded (the switch
     /// into the context was already charged at plan time). On success the
     /// slot's batch is consumed: `reg:*` output chunks are harvested into
-    /// the tenant's register file (state, not answers), the visible
+    /// the occupant's register file (state, not answers), the visible
     /// outputs are written into one lane-major **output table** (a
     /// reused table only rewrites its values, so a steady-state pass
     /// allocates no rows and clones no names), every lane's response
@@ -847,11 +881,11 @@ impl ShardEngine {
     /// coordinator can bump the deterministic op counters in apply order.
     ///
     /// An `Err` from *this* function is structural and leaves the slot's
-    /// requests queued: [`ServiceError::UnknownTenant`] if the planned
-    /// tenant vanished, [`ServiceError::StaleStep`] if the pass did not
+    /// requests queued: [`ServiceError::StaleStep`] if the pass did not
     /// run through the slot's current bound plan or the slot's batch is
-    /// gone. The coordinator sequences every mutation between plan and
-    /// apply, so neither happens through the public API.
+    /// gone, [`ServiceError::UnknownTenant`] if the planned tenant no
+    /// longer occupies the slot. The coordinator sequences every mutation
+    /// between plan and apply, so neither happens through the public API.
     pub(crate) fn apply_step(
         &mut self,
         step: &mut PlannedStep,
@@ -870,7 +904,9 @@ impl ShardEngine {
                     error,
                 });
                 // a faulted pass leaves no completed sweep to reuse
-                self.bound[step.ctx].cache = None;
+                if let Some(slot) = self.slots[step.ctx].as_mut() {
+                    slot.cache = None;
+                }
                 return Ok(None);
             }
         };
@@ -878,24 +914,24 @@ impl ShardEngine {
             shard: self.shard,
             ctx: step.ctx,
         };
-        let slot = &mut self.bound[step.ctx];
+        let Some(slot) = self.slots[step.ctx].as_mut() else {
+            return Err(stale);
+        };
         // the pooled tables' names are the slot plan's: only a pass run
         // through that very plan may write them
-        let bound = match (&step.bound, &slot.plan) {
+        let bound = match (&step.bound, &slot.plane.bound) {
             (Some(bound), Some(plan)) if Arc::ptr_eq(bound, plan) => bound,
             _ => return Err(stale),
         };
-        let state = self
-            .tenants
-            .get_mut(&step.tenant)
-            .ok_or(ServiceError::UnknownTenant(step.tenant.index()))?;
-        let tickets = self.queue.tickets(step.ctx);
-        if tickets.is_empty() {
+        if slot.occupant.tenant != step.tenant {
+            return Err(ServiceError::UnknownTenant(step.tenant.index()));
+        }
+        let lanes = slot.occupant.requests.len();
+        if lanes == 0 {
             return Err(stale);
         }
-        state.usage.passes += 1;
+        slot.occupant.usage.passes += 1;
         let width = bound.outputs().iter().filter(|(_, _, reg)| !reg).count();
-        let lanes = tickets.len();
         let mut table = slot.claim_table();
         let rows = Arc::make_mut(&mut table);
         if width > 0 && rows.len() < lanes * width {
@@ -914,7 +950,7 @@ impl ShardEngine {
         let mut col = 0;
         for ((_, name, is_reg), chunk) in bound.outputs().iter().zip(&outcome.outs) {
             if *is_reg {
-                state.regs.set_chunk(name, *chunk);
+                slot.occupant.regs.set_chunk(name, *chunk);
                 continue;
             }
             let column = rows[col..].iter_mut().step_by(width).take(lanes);
@@ -924,10 +960,10 @@ impl ShardEngine {
             col += 1;
         }
         responses.reserve(lanes);
-        for (lane, (request, owner)) in tickets.iter().enumerate() {
+        for (lane, &request) in slot.occupant.requests.iter().enumerate() {
             responses.push(Response {
-                request: *request,
-                tenant: *owner,
+                request,
+                tenant: step.tenant,
                 outputs: Outputs::view(&table, lane * width, (lane + 1) * width),
             });
         }
@@ -935,11 +971,10 @@ impl ShardEngine {
         slot.outs = outcome.outs;
         // empty the batch in place, buffers kept, so steady-state flushes
         // re-allocate nothing
-        self.queue.clear(step.ctx);
+        slot.occupant.clear();
         if outcome.stats.kernel {
             if let Some(arena) = step.state.take() {
                 slot.cache = Some(SlotCache {
-                    tenant: step.tenant,
                     words: step.words,
                     inputs: std::mem::take(&mut step.chunks),
                     state: arena,
@@ -960,3 +995,204 @@ const _: () = {
     assert_send_sync::<PlannedStep>();
     assert_send_sync::<ServiceError>();
 };
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::TenantRegistry;
+    use mcfpga_fabric::compiled::{LANES, MAX_LANES};
+    use mcfpga_fabric::TileCoord;
+
+    fn tenant(reg: &mut TenantRegistry, name: &str) -> TenantId {
+        let p = reg.reserve().unwrap();
+        reg.commit(name, p, 0)
+    }
+
+    fn cols(names: &[&str]) -> Arc<[Arc<str>]> {
+        names.iter().map(|n| Arc::from(*n)).collect()
+    }
+
+    fn engine(shard: usize, width: usize) -> ShardEngine {
+        ShardEngine::new(shard, FabricParams::default(), width).unwrap()
+    }
+
+    /// Lands `tenant` on slot `ctx` of `engine`, its requests driving
+    /// `columns`, under a plane that binds no input (so it installs over
+    /// any columns) — enough to exercise the slot's queue.
+    fn occupy(engine: &mut ShardEngine, ctx: usize, tenant: TenantId, columns: &[&str]) {
+        let mut blank = Fabric::new(FabricParams::default()).unwrap();
+        blank
+            .bind_output(TileCoord { x: 0, y: 0 }, 0, 0, "y")
+            .unwrap();
+        let plane = CachedPlane::new(Arc::new(
+            CompiledFabric::compile_context(&blank, 0).unwrap(),
+        ));
+        let batch = LaneBatch::with_width(engine.lane_width(), cols(columns)).unwrap();
+        engine
+            .adopt(ctx, &plane, Occupant::new(tenant, batch))
+            .unwrap();
+    }
+
+    fn missing(name: &str) -> ServiceError {
+        ServiceError::MissingInput { name: name.into() }
+    }
+
+    #[test]
+    fn fills_a_slot_lane_by_lane() {
+        let mut reg = TenantRegistry::new(1, 4).unwrap();
+        let t = tenant(&mut reg, "a");
+        let mut e = engine(0, LANES);
+        occupy(&mut e, 0, t, &["x"]);
+        let mut ids = RequestIdSource::new();
+        for i in 0..LANES {
+            let (_, full) = e.submit(0, t, &[("x", i % 2 == 0)], &mut ids).unwrap();
+            assert_eq!(full, i == LANES - 1, "lane {i}");
+        }
+        assert_eq!(e.pending_requests(), LANES);
+        assert_eq!(e.pending(), vec![0]);
+        // a full, unflushed slot refuses further submits instead of panicking
+        assert_eq!(
+            e.submit(0, t, &[("x", true)], &mut ids),
+            Err(ServiceError::SlotBacklogged { shard: 0, ctx: 0 })
+        );
+        let (occupant, _) = e.expel(t, 0, false).unwrap();
+        assert_eq!(occupant.requests.len(), LANES);
+        assert_eq!(occupant.usage.requests, LANES);
+        assert!(occupant.batch.is_full());
+        assert_eq!(e.pending_requests(), 0);
+        assert_eq!(
+            e.expel(t, 0, false).unwrap_err(),
+            ServiceError::UnknownTenant(t.index())
+        );
+    }
+
+    #[test]
+    fn slots_are_independent() {
+        let mut reg = TenantRegistry::new(2, 2).unwrap();
+        let a = tenant(&mut reg, "a"); // shard 0, ctx 0
+        let b = tenant(&mut reg, "b"); // shard 1, ctx 0
+        let mut ids = RequestIdSource::new();
+        // one engine per shard; a shared id source keeps ids global
+        let (mut e0, mut e1) = (engine(0, LANES), engine(1, LANES));
+        occupy(&mut e0, 0, a, &["x"]);
+        occupy(&mut e1, 0, b, &["y"]);
+        e0.submit(0, a, &[("x", true)], &mut ids).unwrap();
+        e1.submit(0, b, &[("y", false)], &mut ids).unwrap();
+        e1.submit(0, b, &[("y", true)], &mut ids).unwrap();
+        assert_eq!(e0.pending(), vec![0]);
+        assert_eq!(e1.pending(), vec![0]);
+        assert_eq!(e1.expel(b, 0, false).unwrap().0.requests.len(), 2);
+        assert_eq!(e0.pending_requests() + e1.pending_requests(), 1);
+        // a slot answers only to its occupant
+        assert_eq!(
+            e0.submit(0, b, &[("x", true)], &mut ids),
+            Err(ServiceError::UnknownTenant(b.index()))
+        );
+    }
+
+    #[test]
+    fn open_columns_gate_enqueue() {
+        let mut reg = TenantRegistry::new(1, 4).unwrap();
+        let t = tenant(&mut reg, "a");
+        let mut e = engine(0, LANES);
+        let mut ids = RequestIdSource::new();
+        occupy(&mut e, 0, t, &["x", "y"]);
+        assert_eq!(e.submit(0, t, &[("x", true)], &mut ids), Err(missing("y")));
+        // any order, extras allowed
+        e.submit(0, t, &[("y", true), ("x", false), ("zz", true)], &mut ids)
+            .unwrap();
+        assert_eq!(e.pending_requests(), 1);
+        assert_eq!(e.pending_batch(0).unwrap().chunks(), [[0; 4], [1, 0, 0, 0]]);
+    }
+
+    #[test]
+    fn clear_keeps_columns_and_vacate_drops_them() {
+        let mut reg = TenantRegistry::new(1, 4).unwrap();
+        let t = tenant(&mut reg, "a");
+        let mut e = engine(0, LANES);
+        let mut ids = RequestIdSource::new();
+        occupy(&mut e, 0, t, &["a"]);
+        e.submit(0, t, &[("a", true), ("extra", true)], &mut ids)
+            .unwrap();
+        assert_eq!(e.discard_pending(0, t).unwrap(), 1);
+        assert!(e.pending_batch(0).is_none() && e.requests(0).is_empty());
+        assert_eq!(e.occupant(0, t).unwrap().usage.requests, 0);
+        // the columns survive, and coverage is still enforced
+        assert_eq!(e.occupant(0, t).unwrap().batch.columns(), &cols(&["a"]));
+        assert_eq!(
+            e.submit(0, t, &[("other", true)], &mut ids),
+            Err(missing("a"))
+        );
+        e.submit(0, t, &[("a", false)], &mut ids).unwrap();
+        // an expelled tenant takes its columns along; the slot keeps none
+        let (occupant, _) = e.expel(t, 0, false).unwrap();
+        assert_eq!(occupant.batch.columns(), &cols(&["a"]));
+        assert!(e.occupant(0, t).is_err());
+        assert!(e.pending_batch(0).is_none() && e.requests(0).is_empty());
+    }
+
+    #[test]
+    fn wide_queue_fills_past_64_and_keeps_width_through_take_and_clear() {
+        let mut reg = TenantRegistry::new(1, 2).unwrap();
+        let t = tenant(&mut reg, "a");
+        let u = tenant(&mut reg, "b");
+        let mut e = engine(0, 128);
+        assert_eq!(e.lane_width(), 128);
+        occupy(&mut e, 0, t, &["x"]);
+        let mut ids = RequestIdSource::new();
+        for i in 0..128 {
+            let (_, full) = e.submit(0, t, &[("x", i % 2 == 0)], &mut ids).unwrap();
+            assert_eq!(full, i == 127, "lane {i}");
+        }
+        assert_eq!(
+            e.submit(0, t, &[("x", true)], &mut ids),
+            Err(ServiceError::SlotBacklogged { shard: 0, ctx: 0 })
+        );
+        // a discard empties the 128-lane batch in place
+        assert_eq!(e.discard_pending(0, t).unwrap(), 128);
+        for i in 0..65 {
+            e.submit(0, t, &[("x", true)], &mut ids)
+                .unwrap_or_else(|err| panic!("lane {i} after the discard refused: {err:?}"));
+        }
+        // a slot adopted later batches at the engine's width too
+        occupy(&mut e, 1, u, &["y"]);
+        for _ in 0..65 {
+            e.submit(1, u, &[("y", false)], &mut ids).unwrap();
+        }
+        assert_eq!(e.pending_requests(), 65 + 65);
+        // a width change keeps every slot's columns
+        e.discard_pending(0, t).unwrap();
+        e.discard_pending(1, u).unwrap();
+        e.set_lane_width(64).unwrap();
+        let batch = &e.occupant(1, u).unwrap().batch;
+        assert_eq!((batch.width(), batch.columns()), (64, &cols(&["y"])));
+        assert_eq!(e.lane_width(), 64);
+        // width bounds are validated
+        let params = FabricParams::default();
+        assert!(ShardEngine::new(0, params, 0).is_err());
+        assert!(ShardEngine::new(0, params, MAX_LANES + 1).is_err());
+        assert!(e.set_lane_width(0).is_err());
+    }
+
+    #[test]
+    fn ids_stay_global_and_refusals_burn_nothing() {
+        let mut reg = TenantRegistry::new(1, 2).unwrap();
+        let t = tenant(&mut reg, "a");
+        let u = tenant(&mut reg, "b");
+        let mut ids = RequestIdSource::new();
+        let mut e = engine(0, LANES);
+        occupy(&mut e, 0, t, &[]);
+        occupy(&mut e, 1, u, &[]);
+        let (r0, _) = e.submit(0, t, &[], &mut ids).unwrap();
+        let (r1, _) = e.submit(1, u, &[], &mut ids).unwrap();
+        assert!(r0 < r1);
+        // a refused push must not consume an id, nor a tenant the slot
+        // does not hold
+        e.expel(t, 0, false).unwrap();
+        occupy(&mut e, 0, t, &["x"]);
+        assert!(e.submit(0, t, &[("nope", true)], &mut ids).is_err());
+        assert!(e.submit(0, u, &[], &mut ids).is_err());
+        let (r2, _) = e.submit(1, u, &[], &mut ids).unwrap();
+        assert_eq!(r2.value(), r1.value() + 1, "refusal burned an id");
+    }
+}

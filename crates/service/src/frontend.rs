@@ -1214,8 +1214,8 @@ impl FrontendDriver {
     }
 
     /// Sets the wrapped service's lane width. Refused while any stream
-    /// holds queued requests: a width change rebuilds the service's
-    /// queue partitions, and the front-end's flush decisions are sized
+    /// holds queued requests: a width change rebuilds every slot's lane
+    /// batch in the service, and the front-end's flush decisions are sized
     /// by the width, so changing it mid-stream would silently reshape
     /// admitted work. (The service additionally refuses while *its own*
     /// queues hold requests.)

@@ -8,7 +8,7 @@
 //! resident in one context slot, their single-vector requests coalesced
 //! into wide multi-lane passes.
 //!
-//! Five layers:
+//! Four layers:
 //!
 //! * [`registry::TenantRegistry`] — admits per-tenant programmed
 //!   configurations, mapping each tenant to a `(shard, context)` slot in
@@ -17,19 +17,18 @@
 //!   re-admitting an identical bitstream never recompiles, and compiled
 //!   planes are `Arc`-shared — installing one in an engine slot clones a
 //!   pointer, never a plane.
-//! * [`batch::BatchQueue`] — **one shard's** partition of the pending
-//!   work: per-context [`LaneBatch`]es coalescing single-vector requests,
-//!   flushed the moment every configured lane fills (256 by default; see
+//! * [`engine::ShardEngine`] — one shard's complete execution state: its
+//!   own [`ContextSequencer`](mcfpga_fabric::ContextSequencer) and **one
+//!   record per context slot** holding the occupant (tenant id, usage,
+//!   stream registers, and the [`LaneBatch`] coalescing its single-vector
+//!   requests with their request ids), the installed compiled plane with
+//!   its prebound plan, and the slot's caches. A slot flushes the moment
+//!   every configured lane fills (256 by default; see
 //!   [`ShardedService::set_lane_width`]) or on an explicit
 //!   [`ShardedService::drain`], with each tenant's responses demuxed back
-//!   out of the lane chunks. Request ids stay service-global through the
-//!   coordinator's single [`batch::RequestIdSource`].
-//! * [`engine::ShardEngine`] — one shard's complete execution state:
-//!   compiled planes, its own
-//!   [`ContextSequencer`](mcfpga_fabric::ContextSequencer), queue
-//!   partition, and the usage + stream registers of its tenants. Engines
-//!   share no execution state, so sweeps of different shards run
-//!   concurrently.
+//!   out of the lane chunks; request ids stay service-global through the
+//!   coordinator's single [`batch::RequestIdSource`]. Engines share no
+//!   execution state, so sweeps of different shards run concurrently.
 //! * [`service::ShardedService`] — the thin coordinator: registry, plane
 //!   cache, policies, and the [`executor::ParallelExecutor`] whose
 //!   **persistent fork-join pool** (the calling thread plus parked helper
@@ -98,7 +97,7 @@ pub mod placement;
 pub mod registry;
 pub mod service;
 
-pub use batch::{BatchQueue, Outputs, RequestId, RequestIdSource, Response};
+pub use batch::{Outputs, RequestId, RequestIdSource, Response};
 pub use engine::ShardEngine;
 pub use executor::{
     ExecutorConfig, ParallelExecutor, ThreadSource, SPAWN_EVENTS_METRIC, TASKS_EXECUTED_METRIC,

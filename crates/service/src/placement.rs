@@ -71,13 +71,9 @@ pub(crate) fn best_slot(
     Ok(best_slot_scored(registry, matrix, affinity_ctx, eligible)?.map(|s| s.slot))
 }
 
-/// The full lexicographic score [`best_slot_scored`] ranks slots by.
-///
-/// The cluster router compares these *across nodes*: each node reports
-/// its best free slot's score, and the router admits to the node whose
-/// score is smallest under the same
-/// `(marginal cost, affinity miss, load)` ordering a single-node
-/// admission uses, with the node index as the final tiebreak.
+/// The full lexicographic score [`best_slot_scored`] ranks slots by:
+/// `(marginal cost, affinity miss, load)`, the ordering an energy-aware
+/// admission uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SlotScore {
     /// Broadcast toggles the slot's shard gains per sweep when this slot
@@ -102,9 +98,10 @@ impl SlotScore {
     }
 }
 
-/// `best_slot`'s scoring, with the winning score exposed — the reusable
-/// half the cluster router runs per node. Semantics are identical to an
-/// energy-aware admission: free slots filtered by `eligible`, ranked by
+/// `best_slot`'s scoring, with the winning score exposed — what the
+/// cluster runs on a migration's destination node. Semantics are
+/// identical to an energy-aware admission: free slots filtered by
+/// `eligible`, ranked by
 /// `(marginal sweep cost from home context 0, affinity miss, shard load,
 /// slot order)`. `None` when no eligible slot is free.
 pub fn best_slot_scored(

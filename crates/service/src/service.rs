@@ -7,9 +7,10 @@
 //! digest-keyed [`PlaneCache`] (compiled planes are `Arc`-shared across
 //! shards and re-admissions), the global [`RequestIdSource`], the
 //! placement/sweep-order policies, and the merged response/fault streams.
-//! Everything execution-local — compiled planes, CSS sequencer, queue
-//! partition, tenant usage and stream registers — lives in the engine of
-//! the shard hosting the tenant (see [`crate::engine`]).
+//! Everything execution-local — CSS sequencer and one record per context
+//! slot (compiled plane, queued lanes, tenant usage and stream registers)
+//! — lives in the engine of the shard hosting the tenant (see
+//! [`crate::engine`]).
 //!
 //! [`drain`](ShardedService::drain) plans every busy shard's sweep
 //! sequentially (one owned `PlannedStep` per active context), evaluates
@@ -27,8 +28,8 @@
 //! [`set_threads`]: ShardedService::set_threads
 //! [`set_lane_width`]: ShardedService::set_lane_width
 
-use crate::batch::{RequestId, RequestIdSource, Response, TakenBatch};
-use crate::engine::{eval_step, EvalOutcome, PlannedStep, ShardEngine, TenantHandoff, TenantState};
+use crate::batch::{RequestId, RequestIdSource, Response};
+use crate::engine::{eval_step, EvalOutcome, Occupant, PlannedStep, ShardEngine};
 use crate::executor::{ExecutorConfig, ParallelExecutor};
 use crate::placement::{best_slot, choose_energy_aware, netlist_fingerprint, PlacementPolicy};
 use crate::registry::{CachedPlane, Placement, PlaneCache, TenantId, TenantRegistry};
@@ -187,7 +188,7 @@ pub struct ShardedService {
     /// The arch's pairwise transition-toggle matrix — shared by the sweep
     /// optimizer, the baseline accounting and energy-aware placement.
     matrix: CostMatrix,
-    /// Lanes coalesced per slot per pass (every engine queue is built at
+    /// Lanes coalesced per slot per pass (every slot's batch is built at
     /// this width). Default [`MAX_LANES`].
     lane_width: usize,
     /// Netlist fingerprint → context index of its first admission: the
@@ -208,8 +209,8 @@ pub struct ShardedService {
 /// which returns a fresh results `Vec`.) Empty between flushes.
 #[derive(Debug, Default)]
 struct FlushBuffers {
-    /// Per shard, the `(context, occupant)` slots to flush.
-    work: Vec<Vec<(usize, TenantId)>>,
+    /// Per shard, the contexts to flush.
+    work: Vec<Vec<usize>>,
     /// The planned steps, in merge-key order.
     steps: Vec<PlannedStep>,
     /// The evaluated steps, in merge-key order.
@@ -414,9 +415,8 @@ impl ShardedService {
     /// Sets how many requests one evaluation pass serves per slot
     /// (`1..=MAX_LANES`). **Never changes output** — a narrower width
     /// just flushes more often — but it may only change while no request
-    /// is pending: every engine's queue partition is rebuilt at the new
-    /// width, which would silently drop queued lanes. Drain or discard
-    /// first.
+    /// is pending: every slot's batch is rebuilt at the new width, which
+    /// would silently drop queued lanes. Drain or discard first.
     pub fn set_lane_width(&mut self, width: usize) -> Result<(), ServiceError> {
         if width == 0 || width > MAX_LANES {
             return Err(ServiceError::BadConfig(format!(
@@ -455,8 +455,8 @@ impl ShardedService {
 
     /// [`admit`](Self::admit) into an **exact** free slot, bypassing the
     /// placement policy — the cluster router's admission primitive (it
-    /// scores slots across *nodes*, something no single service can do,
-    /// then pins the winner here). Routing, compilation, plane caching
+    /// probes shards across *nodes*, something no single service can do,
+    /// then pins the slot here). Routing, compilation, plane caching
     /// and registry commit are identical to a policy admission, so a
     /// pinned admission is bit-for-bit equivalent to a policy admission
     /// that happened to choose the same slot.
@@ -513,14 +513,10 @@ impl ShardedService {
             CompiledFabric::compile_context(engine.fabric(), placement.ctx)
         })?;
         check_bindable(&plane)?;
-        let state = TenantState {
-            columns: Arc::clone(&plane.columns),
-            ..TenantState::default()
-        };
+        let batch = LaneBatch::with_width(self.lane_width, Arc::clone(&plane.columns))?;
         let id = self.registry.commit(name, placement, digest);
         self.affinity.entry(fingerprint).or_insert(placement.ctx);
-        let handoff = TenantHandoff { state, batch: None };
-        engine.adopt(id, placement.ctx, &plane, handoff)?;
+        engine.adopt(placement.ctx, &plane, Occupant::new(id, batch))?;
         self.sync_gauges();
         Ok(id)
     }
@@ -554,7 +550,7 @@ impl ShardedService {
         let placement = self.registry.tenant(tenant)?.placement;
         let (id, full) =
             self.engines[placement.shard].submit(placement.ctx, tenant, inputs, &mut self.ids)?;
-        self.enqueued(placement, tenant, id, full)
+        self.enqueued(placement, id, full)
     }
 
     /// [`submit`](Self::submit) for a request already resolved into an
@@ -571,7 +567,7 @@ impl ShardedService {
         let placement = self.registry.tenant(tenant)?.placement;
         let (id, full) =
             self.engines[placement.shard].submit_row(placement.ctx, tenant, row, &mut self.ids)?;
-        self.enqueued(placement, tenant, id, full)
+        self.enqueued(placement, id, full)
     }
 
     /// The input columns `tenant`'s requests drive, in the order an input
@@ -579,8 +575,8 @@ impl ShardedService {
     /// them, and a restore mints a new tenant.
     pub(crate) fn input_columns(&self, tenant: TenantId) -> Result<Arc<[Arc<str>]>, ServiceError> {
         let placement = self.registry.tenant(tenant)?.placement;
-        let state = self.engines[placement.shard].tenant_state(tenant)?;
-        Ok(Arc::clone(&state.columns))
+        let occupant = self.engines[placement.shard].occupant(placement.ctx, tenant)?;
+        Ok(Arc::clone(occupant.batch.columns()))
     }
 
     /// The shared tail of [`submit`](Self::submit) and
@@ -590,17 +586,16 @@ impl ShardedService {
     fn enqueued(
         &mut self,
         placement: Placement,
-        tenant: TenantId,
         id: RequestId,
         full: bool,
     ) -> Result<RequestId, ServiceError> {
         self.metrics.requests_submitted.add_to(placement.shard, 1);
         self.metrics.queue_depth.add(1);
-        let queued = self.engines[placement.shard].tickets(placement.ctx).len();
+        let queued = self.engines[placement.shard].requests(placement.ctx).len();
         self.telemetry
             .span(SpanKind::Queued, id.value(), queued as i64);
         if full {
-            self.run_engine(placement.shard, &[(placement.ctx, tenant)])?;
+            self.run_engine(placement.shard, &[placement.ctx])?;
         }
         Ok(id)
     }
@@ -684,14 +679,17 @@ impl ShardedService {
     /// Lists the slots to flush — the listed tenants' busy slots, or
     /// every busy slot — and runs them through
     /// [`drain_slots`](Self::drain_slots), leaving the responses in
-    /// `ready`. A tenant or slot that does not resolve fails the flush
+    /// `ready`. A listed tenant that does not resolve fails the flush
     /// before anything runs.
     fn flush(&mut self, tenants: Option<&[TenantId]>) -> Result<(), ServiceError> {
         let mut work = std::mem::take(&mut self.buffers.work);
         work.resize_with(self.engines.len(), Vec::new);
         let listed = match tenants {
             Some(tenants) => self.list_tenants(tenants, &mut work),
-            None => self.list_active(&mut work),
+            None => {
+                self.list_active(&mut work);
+                Ok(())
+            }
         };
         let result = listed.and_then(|()| self.drain_slots(&work));
         for shard in &mut work {
@@ -702,20 +700,11 @@ impl ShardedService {
     }
 
     /// Fills `work` with every slot holding pending work, per shard in
-    /// ascending context order. The coordinator resolves occupancy
-    /// *before* the fan-out so engines never touch the registry
-    /// concurrently.
-    fn list_active(&self, work: &mut [Vec<(usize, TenantId)>]) -> Result<(), ServiceError> {
-        for (shard, (engine, slots)) in self.engines.iter().zip(work).enumerate() {
-            for ctx in (0..self.params.contexts).filter(|&c| engine.pending_batch(c).is_some()) {
-                let tenant = self
-                    .registry
-                    .occupant(shard, ctx)
-                    .ok_or(ServiceError::SlotNotProgrammed { shard, ctx })?;
-                slots.push((ctx, tenant));
-            }
+    /// ascending context order.
+    fn list_active(&self, work: &mut [Vec<usize>]) {
+        for (engine, slots) in self.engines.iter().zip(work) {
+            slots.extend(engine.busy());
         }
-        Ok(())
     }
 
     /// Fills `work` with the listed tenants' busy slots, once each, per
@@ -724,21 +713,17 @@ impl ShardedService {
     fn list_tenants(
         &self,
         tenants: &[TenantId],
-        work: &mut [Vec<(usize, TenantId)>],
+        work: &mut [Vec<usize>],
     ) -> Result<(), ServiceError> {
         for &tenant in tenants {
-            let placement = self.registry.tenant(tenant)?.placement;
-            let slots = &mut work[placement.shard];
-            if self.engines[placement.shard]
-                .pending_batch(placement.ctx)
-                .is_some()
-                && !slots.iter().any(|&(ctx, _)| ctx == placement.ctx)
-            {
-                slots.push((placement.ctx, tenant));
+            let Placement { shard, ctx } = self.registry.tenant(tenant)?.placement;
+            let slots = &mut work[shard];
+            if self.engines[shard].pending_batch(ctx).is_some() && !slots.contains(&ctx) {
+                slots.push(ctx);
             }
         }
         for slots in work {
-            slots.sort_unstable_by_key(|&(ctx, _)| ctx);
+            slots.sort_unstable();
         }
         Ok(())
     }
@@ -746,7 +731,7 @@ impl ShardedService {
     /// The shared body of every flush: plans each shard's sweep over its
     /// `work` slots, evaluates on the pool, applies in merge-key order,
     /// and leaves every response in `ready`.
-    fn drain_slots(&mut self, work: &[Vec<(usize, TenantId)>]) -> Result<(), ServiceError> {
+    fn drain_slots(&mut self, work: &[Vec<usize>]) -> Result<(), ServiceError> {
         let mut steps = std::mem::take(&mut self.buffers.steps);
         let mut errors = self.take_errors();
         let plan_start = Instant::now();
@@ -907,11 +892,7 @@ impl ShardedService {
     /// the pool — a single slot just flushed, so fan-out buys nothing.
     /// Moves the queue-depth gauge by the requests the sweep served,
     /// whether or not it faulted.
-    fn run_engine(
-        &mut self,
-        shard: usize,
-        active: &[(usize, TenantId)],
-    ) -> Result<(), ServiceError> {
+    fn run_engine(&mut self, shard: usize, active: &[usize]) -> Result<(), ServiceError> {
         let pending_before = self.engines[shard].pending_requests();
         let mut steps = std::mem::take(&mut self.buffers.steps);
         let mut errors = self.take_errors();
@@ -1082,8 +1063,12 @@ impl ShardedService {
         let record = self.registry.tenant(tenant)?;
         let placement = record.placement;
         let engine = &self.engines[placement.shard];
-        let pending = match engine.pending_batch(placement.ctx) {
-            Some(batch) => PendingBatch {
+        let occupant = engine.occupant(placement.ctx, tenant)?;
+        let batch = &occupant.batch;
+        let pending = if batch.is_empty() {
+            PendingBatch::default()
+        } else {
+            PendingBatch {
                 lanes: batch.len(),
                 inputs: batch
                     .columns()
@@ -1091,15 +1076,9 @@ impl ShardedService {
                     .zip(batch.chunks())
                     .map(|(n, v)| (n.to_string(), *v))
                     .collect(),
-                requests: engine
-                    .tickets(placement.ctx)
-                    .iter()
-                    .map(|(r, _)| r.value())
-                    .collect(),
-            },
-            None => PendingBatch::default(),
+                requests: occupant.requests.iter().map(|r| r.value()).collect(),
+            }
         };
-        let state = engine.tenant_state(tenant)?;
         Ok(TenantCheckpoint {
             name: record.name.clone(),
             digest: record.digest,
@@ -1107,8 +1086,8 @@ impl ShardedService {
             ctx: placement.ctx,
             css_position: engine.css_position(),
             pending,
-            regs: state.regs.clone(),
-            usage: state.usage,
+            regs: occupant.regs.clone(),
+            usage: occupant.usage,
         })
     }
 
@@ -1195,17 +1174,26 @@ impl ShardedService {
                 digest: ckpt.digest,
             })?;
         let plane = self.plane_for_slot(plane, slot.ctx)?;
-        let columns = Arc::clone(&plane.columns);
         let batch = LaneBatch::from_parts(
             self.lane_width,
             ckpt.pending.lanes,
-            Arc::clone(&columns),
+            Arc::clone(&plane.columns),
             &ckpt.pending.inputs,
         )
         .map_err(|e| match e {
             FabricError::BadParams(what) => MigrateError::Corrupt(what).into(),
             e => ServiceError::from(e),
         })?;
+        // every pending lane was counted when it was submitted: fewer
+        // counted requests would make discarding the lanes underflow
+        if ckpt.usage.requests < batch.len() {
+            return Err(MigrateError::Corrupt(format!(
+                "usage counts {} requests, fewer than the {} pending lanes",
+                ckpt.usage.requests,
+                batch.len()
+            ))
+            .into());
+        }
         // an idle destination shard adopts the checkpointed CSS sweep
         // position: its broadcast resumes where the source's sat at the
         // boundary, so subsequent sweeps are planned and charged from the
@@ -1227,18 +1215,18 @@ impl ShardedService {
         usage.migration_bytes += ckpt.encoded_len();
         usage.migration_downtime_cycles += 1 + ckpt.pending.lanes;
         usage.migration_css_toggles += realign;
-        let state = TenantState {
-            usage,
-            regs: ckpt.regs.clone(),
-            columns,
-        };
         // restored lanes never reuse their recorded ids: the originals may
         // have been answered or discarded since the checkpoint was taken,
         // and a resurrected id would break queue conservation
         let fresh: Vec<RequestId> = (0..batch.len()).map(|_| self.ids.mint()).collect();
-        let tickets = fresh.iter().map(|&r| (r, id)).collect();
-        let batch = Some(TakenBatch { batch, tickets });
-        self.engines[dst_shard].adopt(id, slot.ctx, &plane, TenantHandoff { state, batch })?;
+        let occupant = Occupant {
+            tenant: id,
+            usage,
+            regs: ckpt.regs.clone(),
+            batch,
+            requests: fresh.clone(),
+        };
+        self.engines[dst_shard].adopt(slot.ctx, &plane, occupant)?;
         self.metrics.migrations.inc();
         // cross-node hop spans are the *cluster's* to record: it alone
         // knows both the source node and the old↔new request-id mapping
@@ -1361,8 +1349,9 @@ impl ShardedService {
 
     /// The migration mechanics, to an exact free destination slot: an
     /// explicit engine-to-engine handoff — `expel` on the source engine
-    /// surrenders the tenant's state, plane slot and queued lanes;
-    /// `adopt` on the destination installs them.
+    /// frees the slot and surrenders its occupant (state and queued
+    /// lanes) with the installed plane; `adopt` on the destination
+    /// installs both.
     /// The two calls are sequenced by the coordinator (never concurrent
     /// with a drain), and work unchanged when source and destination are
     /// the same engine (an intra-shard slot move).
@@ -1377,21 +1366,19 @@ impl ShardedService {
         // the checkpoint is what conceptually crosses the wire: its
         // encoded size is the migration's bytes-moved bill
         let ckpt = self.checkpoint_tenant(tenant)?;
-        // the installed plane and its plan move as they are: every shard
-        // shares this service's geometry, and a plane serves any context
-        let plane =
-            self.engines[src.shard]
-                .installed(src.ctx)
-                .ok_or(ServiceError::SlotNotProgrammed {
-                    shard: src.shard,
-                    ctx: src.ctx,
-                })?;
         let realign = self.join_cost(dst.shard, dst.ctx, Some(src))?;
         self.registry.relocate(tenant, dst)?;
 
-        // point of no return: the cross-engine handoff
-        let handoff = self.engines[src.shard].expel(tenant, src.ctx, resident)?;
-        self.engines[dst.shard].adopt(tenant, dst.ctx, &plane, handoff)?;
+        // point of no return: the cross-engine handoff. The installed
+        // plane and its plan move as they are: every shard shares this
+        // service's geometry, and a plane serves any context
+        let (mut occupant, plane) = self.engines[src.shard].expel(tenant, src.ctx, resident)?;
+        let usage = &mut occupant.usage;
+        usage.migrations += 1;
+        usage.migration_bytes += ckpt.encoded_len();
+        usage.migration_downtime_cycles += 1 + ckpt.pending.lanes;
+        usage.migration_css_toggles += realign;
+        self.engines[dst.shard].adopt(dst.ctx, &plane, occupant)?;
         // recorded faults describe the tenant's slot; the slot moved
         for fault in &mut self.faults {
             if fault.tenant == tenant {
@@ -1399,11 +1386,6 @@ impl ShardedService {
                 fault.ctx = dst.ctx;
             }
         }
-        let usage = &mut self.engines[dst.shard].tenant_state_mut(tenant)?.usage;
-        usage.migrations += 1;
-        usage.migration_bytes += ckpt.encoded_len();
-        usage.migration_downtime_cycles += 1 + ckpt.pending.lanes;
-        usage.migration_css_toggles += realign;
         self.metrics.migrations.inc();
         // every in-flight request hops with its tenant: one span each,
         // keyed by the (preserved) request id, detail = source shard
@@ -1461,14 +1443,14 @@ impl ShardedService {
     /// One tenant's stream-register file (`reg:*` state carried between
     /// its passes). Empty for purely combinational tenants.
     pub fn register_file(&self, tenant: TenantId) -> Result<&RegisterFile, ServiceError> {
-        let placement = self.registry.tenant(tenant)?.placement;
-        Ok(&self.engines[placement.shard].tenant_state(tenant)?.regs)
+        let Placement { shard, ctx } = self.registry.tenant(tenant)?.placement;
+        Ok(&self.engines[shard].occupant(ctx, tenant)?.regs)
     }
 
     /// Raw usage counters of one tenant (owned by its shard's engine).
     pub fn usage(&self, tenant: TenantId) -> Result<TenantUsage, ServiceError> {
-        let placement = self.registry.tenant(tenant)?.placement;
-        Ok(self.engines[placement.shard].tenant_state(tenant)?.usage)
+        let Placement { shard, ctx } = self.registry.tenant(tenant)?.placement;
+        Ok(self.engines[shard].occupant(ctx, tenant)?.usage)
     }
 
     /// One tenant's usage billed in physical units.
@@ -1483,17 +1465,20 @@ impl ShardedService {
             .registry
             .iter()
             .map(|(id, rec)| {
-                // every registered tenant has state in its placement
-                // engine (admission/restore add it, migration hands it
+                // every registered tenant occupies its placement's slot
+                // (admission/restore land it there, migration hands it
                 // off); a miss is a registry/engine desync — fail loudly
                 // in tests instead of rendering a plausible zero row
-                let state = self.engines[rec.placement.shard].tenant_state(id);
+                let Placement { shard, ctx } = rec.placement;
+                let occupant = self.engines[shard].occupant(ctx, id);
                 debug_assert!(
-                    state.is_ok(),
-                    "tenant {id} registered on shard {} but unknown to its engine",
-                    rec.placement.shard
+                    occupant.is_ok(),
+                    "tenant {id} registered in slot ({shard}, {ctx}) but not in it"
                 );
-                (rec.name.clone(), state.map(|s| s.usage).unwrap_or_default())
+                (
+                    rec.name.clone(),
+                    occupant.map(|o| o.usage).unwrap_or_default(),
+                )
             })
             .collect();
         render_billing(&rows, &self.tech)
@@ -1545,8 +1530,8 @@ impl ShardedService {
     }
 
     /// The CSS transition-cost matrix placement scoring runs against —
-    /// shared with the cluster router so cross-node slot comparisons use
-    /// exactly the scoring a local admission would (see
+    /// shared with the cluster so a migration's destination slot is
+    /// scored exactly as a local admission would score it (see
     /// [`crate::placement::best_slot_scored`]).
     #[must_use]
     pub fn cost_matrix(&self) -> &CostMatrix {
@@ -1689,7 +1674,7 @@ mod tests {
         let mut apply = |tamper: &dyn Fn(&mut PlannedStep, &mut ShardEngine)| {
             let mut steps = Vec::new();
             let (_, error) =
-                svc.engines[0].plan_sweep(&[(ctx, t)], svc.optimize, &svc.matrix, &mut steps);
+                svc.engines[0].plan_sweep(&[ctx], svc.optimize, &svc.matrix, &mut steps);
             assert!(error.is_none());
             let mut step = steps.pop().unwrap();
             let outcome = eval_step(&mut step);

@@ -742,6 +742,39 @@ fn restore_refuses_a_pending_batch_missing_or_repeating_a_name() {
     assert!(responses.iter().all(|r| r.outputs[0].1));
 }
 
+/// A checkpoint whose usage counts fewer requests than it has pending
+/// lanes is corrupt: every pending lane was counted when submitted, and
+/// discarding the restored lanes would take the counter below zero.
+/// Restore refuses it and changes nothing; a checkpoint counting exactly
+/// its pending lanes restores, and discarding them leaves zero.
+#[test]
+fn restore_refuses_usage_counting_fewer_requests_than_pending_lanes() {
+    let mut svc = service(2);
+    let parity = generators::parity_tree(3).unwrap();
+    let t = svc.admit("t", &parity).unwrap();
+    submit3(&mut svc, t, 0b100);
+    submit3(&mut svc, t, 0b010);
+    let ckpt = svc.checkpoint_tenant(t).unwrap();
+    assert_eq!((ckpt.usage.requests, ckpt.pending.lanes), (2, 2));
+
+    let mut undercounted = ckpt.clone();
+    undercounted.usage.requests = 1;
+    let (tenants, pending) = (svc.registry().len(), svc.pending_requests());
+    let report = svc.billing_report();
+    let err = svc.restore_tenant(&undercounted, 1).unwrap_err();
+    assert!(
+        matches!(err, ServiceError::Migrate(MigrateError::Corrupt(_))),
+        "{err}"
+    );
+    assert_eq!(svc.registry().len(), tenants);
+    assert_eq!(svc.pending_requests(), pending);
+    assert_eq!(svc.billing_report(), report);
+
+    let (restored, _) = svc.restore_tenant(&ckpt, 1).unwrap();
+    assert_eq!(svc.discard_pending(restored).unwrap(), 2);
+    assert_eq!(svc.usage(restored).unwrap().requests, 0);
+}
+
 /// A request naming a stream register does not drive it: `reg:*` inputs
 /// come only from the tenant's register file, so one lane cannot
 /// overwrite its siblings' stream state.

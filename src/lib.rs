@@ -77,7 +77,7 @@ pub use mcfpga_telemetry as telemetry;
 
 /// The most commonly used items in one import.
 pub mod prelude {
-    pub use mcfpga_cluster::{Cluster, NodeHealth, RebalancerPolicy, RouterPolicy};
+    pub use mcfpga_cluster::{Cluster, NodeHealth, RebalancerPolicy};
     pub use mcfpga_core::{
         AnySwitch, ArchKind, HybridMcSwitch, McSwitch, MvFgfpMcSwitch, SramMcSwitch,
     };
