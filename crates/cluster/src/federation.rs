@@ -445,7 +445,7 @@ impl Cluster {
         self.metrics.requests.inc();
         // the admission hop at the cluster level carries *where* the
         // request landed; node-local hops are stitched in by `trace`
-        self.telemetry.trace_buffer().record(
+        self.telemetry.trace_buffer_mut().record(
             id.value(),
             SpanKind::Admitted,
             self.clock,
@@ -537,7 +537,7 @@ impl Cluster {
                 self.nodes[node].fault_gauge.add(1);
                 self.metrics.faults.inc();
                 if let Some(tenant) = self.nodes[node].ids.tenant(f.tenant) {
-                    self.telemetry.trace_buffer().record(
+                    self.telemetry.trace_buffer_mut().record(
                         tenant_key(tenant.index()),
                         SpanKind::Fault,
                         self.clock,
@@ -672,7 +672,7 @@ impl Cluster {
                 self.nodes[dst_node].ids.record(new_rid.value(), cid);
                 // the hop every in-flight request takes when its tenant
                 // moves: recorded on the *destination*, detail = source
-                self.telemetry.trace_buffer().record(
+                self.telemetry.trace_buffer_mut().record(
                     cid.value(),
                     SpanKind::MigrationHop,
                     self.clock,
@@ -682,7 +682,7 @@ impl Cluster {
             }
         }
         self.metrics.migrations.inc();
-        self.telemetry.trace_buffer().record(
+        self.telemetry.trace_buffer_mut().record(
             tenant_key(tenant.index()),
             SpanKind::MigrationHop,
             self.clock,

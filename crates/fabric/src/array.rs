@@ -357,6 +357,29 @@ impl Fabric {
         Ok(self.tiles[i].sb[ctx][sink_idx].map(|si| self.sources(t)[si as usize]))
     }
 
+    /// Refuses a binding of `kind` port `port` (of `ports`) on tile `t`
+    /// in context `ctx` unless all three exist on this fabric.
+    fn check_bind(
+        &self,
+        t: TileCoord,
+        port: usize,
+        ports: usize,
+        ctx: usize,
+        kind: &str,
+    ) -> Result<(), FabricError> {
+        self.tile_index(t)?;
+        if port >= ports {
+            return Err(FabricError::BadParams(format!("{kind} port {port}")));
+        }
+        let contexts = self.params.contexts;
+        if ctx >= contexts {
+            return Err(FabricError::BadParams(format!(
+                "{kind} port {port} bound in context {ctx} of {contexts}"
+            )));
+        }
+        Ok(())
+    }
+
     /// Binds an external input port to a named signal in one context.
     pub fn bind_input(
         &mut self,
@@ -365,10 +388,7 @@ impl Fabric {
         ctx: usize,
         name: &str,
     ) -> Result<(), FabricError> {
-        self.tile_index(t)?;
-        if port >= self.params.io_in {
-            return Err(FabricError::BadParams(format!("io_in port {port}")));
-        }
+        self.check_bind(t, port, self.params.io_in, ctx, "io_in")?;
         self.input_binds
             .retain(|(t2, p, c, _)| !(*t2 == t && *p == port && *c == ctx));
         self.input_binds.push((t, port, ctx, name.to_string()));
@@ -383,10 +403,7 @@ impl Fabric {
         ctx: usize,
         name: &str,
     ) -> Result<(), FabricError> {
-        self.tile_index(t)?;
-        if port >= self.params.io_out {
-            return Err(FabricError::BadParams(format!("io_out port {port}")));
-        }
+        self.check_bind(t, port, self.params.io_out, ctx, "io_out")?;
         self.output_binds
             .retain(|(t2, p, c, _)| !(*t2 == t && *p == port && *c == ctx));
         self.output_binds.push((t, port, ctx, name.to_string()));
@@ -597,6 +614,25 @@ mod tests {
         assert!(f.bind_input(t, 5, 0, "x").is_err());
         f.bind_output(t, 1, 0, "y").unwrap();
         assert_eq!(f.output_binds().len(), 1);
+    }
+
+    #[test]
+    fn bindings_refuse_a_context_the_fabric_lacks() {
+        let mut f = small();
+        let t = TileCoord { x: 0, y: 1 };
+        for ctx in [4, 99] {
+            assert!(matches!(
+                f.bind_input(t, 0, ctx, "a"),
+                Err(FabricError::BadParams(_))
+            ));
+            assert!(matches!(
+                f.bind_output(t, 0, ctx, "y"),
+                Err(FabricError::BadParams(_))
+            ));
+        }
+        assert!(f.input_binds().is_empty() && f.output_binds().is_empty());
+        f.bind_input(t, 0, 3, "a").unwrap();
+        f.bind_output(t, 0, 3, "y").unwrap();
     }
 
     #[test]

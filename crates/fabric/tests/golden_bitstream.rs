@@ -306,6 +306,33 @@ fn a_header_only_maximum_geometry_is_refused_before_any_fabric_is_built() {
     );
 }
 
+/// A packed bind record naming a context the fabric lacks is refused:
+/// the golden stream's ctx-1 bindings of input `p` and output `r`,
+/// rewritten to context 2 (= `contexts`) or 65535, decode to `Err`.
+#[test]
+fn a_bind_in_a_context_past_the_header_is_refused() {
+    let golden = packed(&golden_fabric());
+    for name in [b'p', b'r'] {
+        // a record ends `ctx: u16, len: u16 = 1, name`
+        let len_at = golden
+            .windows(3)
+            .position(|w| w == [0, 1, name])
+            .expect("bind record in the golden stream");
+        let ctx_at = len_at - 2;
+        assert_eq!(golden[ctx_at..len_at], [0, 1], "premise: bound in ctx 1");
+        for ctx in [2u16, u16::MAX] {
+            let mut bytes = golden.clone();
+            bytes[ctx_at..len_at].copy_from_slice(&ctx.to_be_bytes());
+            let decoded = unpack(&bytes);
+            assert!(
+                matches!(decoded, Err(FabricError::BadParams(_))),
+                "`{}` bound in ctx {ctx}: {decoded:?}",
+                char::from(name)
+            );
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 

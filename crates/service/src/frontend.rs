@@ -989,7 +989,7 @@ impl FrontendDriver {
                     let deadline = req.deadline.expect("overdue implies a deadline");
                     // ticket-keyed: an expired request never earned a
                     // service RequestId, the ticket is all it ever had
-                    self.svc.telemetry().span_at(
+                    self.svc.telemetry_mut().span_at(
                         SpanKind::Expired,
                         ticket_key(req.ticket.value()),
                         now,
@@ -1060,7 +1060,7 @@ impl FrontendDriver {
                         // admission hop at the cycle it actually arrived
                         // (detail: deadline slack at admission, -1 = none)
                         let slack = req.deadline.map_or(-1, |d| (d - req.arrived) as i64);
-                        let telemetry = self.svc.telemetry();
+                        let telemetry = self.svc.telemetry_mut();
                         telemetry.span_at(SpanKind::Admitted, request.value(), req.arrived, slack);
                         telemetry.span_at(
                             SpanKind::Flushed,
@@ -1082,7 +1082,7 @@ impl FrontendDriver {
                         let req = stream.dequeue(0);
                         stream.usage.failed += 1;
                         self.metrics.failed.inc();
-                        self.svc.telemetry().span_at(
+                        self.svc.telemetry_mut().span_at(
                             SpanKind::Fault,
                             ticket_key(req.ticket.value()),
                             now,
@@ -1116,7 +1116,7 @@ impl FrontendDriver {
             for meta in stream.inflight.drain(..) {
                 stream.usage.failed += 1;
                 self.metrics.failed.inc();
-                self.svc.telemetry().span_at(
+                self.svc.telemetry_mut().span_at(
                     SpanKind::Fault,
                     meta.request.value(),
                     now,

@@ -71,6 +71,28 @@ fn check_bindable(plane: &CachedPlane) -> Result<(), ServiceError> {
     Ok(())
 }
 
+/// `ckpt.usage` with one more move billed: the checkpoint's bytes, one
+/// downtime cycle plus one per pending lane, and `realign` toggles. The
+/// counters come from checkpoint bytes, so a sum that would overflow is
+/// refused as corrupt, before the caller commits anything.
+fn bill_migration(ckpt: &TenantCheckpoint, realign: usize) -> Result<TenantUsage, ServiceError> {
+    fn billed(ckpt: &TenantCheckpoint, realign: usize) -> Option<TenantUsage> {
+        let u = ckpt.usage;
+        Some(TenantUsage {
+            migrations: u.migrations.checked_add(1)?,
+            migration_bytes: u.migration_bytes.checked_add(ckpt.encoded_len())?,
+            migration_downtime_cycles: u
+                .migration_downtime_cycles
+                .checked_add(ckpt.pending.lanes.checked_add(1)?)?,
+            migration_css_toggles: u.migration_css_toggles.checked_add(realign)?,
+            ..u
+        })
+    }
+    billed(ckpt, realign).ok_or_else(|| {
+        MigrateError::Corrupt("billing the move overflows a usage migration counter".into()).into()
+    })
+}
+
 /// Routing retry budget per admission.
 const ROUTE_ATTEMPTS: usize = 16;
 
@@ -390,11 +412,18 @@ impl ShardedService {
     /// The service's telemetry surface: its metric registry (service
     /// counters/gauges/histograms plus the executor's `executor_*`
     /// accounting), its span ring buffer, and the virtual-clock cell the
-    /// owning driver stamps spans with. Read-only handles are cheap to
-    /// clone out of it.
+    /// owning driver stamps spans with. Metric handles are cheap to
+    /// clone out of it; only the service and its front end record
+    /// spans, through `&mut`.
     #[must_use]
     pub fn telemetry(&self) -> &Telemetry {
         &self.telemetry
+    }
+
+    /// The service's telemetry, for an owning driver (the front end) to
+    /// record its own spans into the service's ring.
+    pub(crate) fn telemetry_mut(&mut self) -> &mut Telemetry {
+        &mut self.telemetry
     }
 
     /// Reconstructs one request's recorded lifecycle — queued → planned
@@ -1022,12 +1051,14 @@ impl ShardedService {
     /// `ctx` joins its occupied set — the migration's realignment charge.
     /// `vacating` is the slot the mover is leaving: for an intra-shard
     /// move it sits on the destination shard but will not be occupied
-    /// after the move, so it is excluded from both sweeps.
+    /// after the move, so it is excluded from both sweeps. Both sweeps
+    /// start from the broadcast position `start`.
     fn join_cost(
         &self,
         dst_shard: usize,
         ctx: usize,
         vacating: Option<Placement>,
+        start: usize,
     ) -> Result<usize, ServiceError> {
         let mut occupied = self.registry.occupied_contexts(dst_shard);
         occupied.retain(|&c| {
@@ -1038,7 +1069,6 @@ impl ShardedService {
                         ctx: c,
                     })
         });
-        let start = self.engines[dst_shard].css_position();
         let before = sweep_cost(&self.matrix, Some(start), &occupied)?;
         occupied.push(ctx);
         let after = sweep_cost(&self.matrix, Some(start), &occupied)?;
@@ -1201,20 +1231,21 @@ impl ShardedService {
         // — realigning it would falsify *their* accounting); a checkpoint
         // from a deeper-context fabric may carry a position this host
         // doesn't have, in which case the host keeps its own
-        if self.registry.occupied_contexts(dst_shard).is_empty()
-            && ckpt.css_position < self.params.contexts
-        {
-            self.engines[dst_shard].resume_css_at(ckpt.css_position)?;
+        let resume = self.registry.occupied_contexts(dst_shard).is_empty()
+            && ckpt.css_position < self.params.contexts;
+        let start = if resume {
+            ckpt.css_position
+        } else {
+            self.engines[dst_shard].css_position()
+        };
+        let realign = self.join_cost(dst_shard, slot.ctx, None, start)?;
+        let usage = bill_migration(ckpt, realign)?;
+        if resume {
+            self.engines[dst_shard].resume_css_at(start)?;
         }
-        let realign = self.join_cost(dst_shard, slot.ctx, None)?;
 
         // all fallible steps done — commit the restore
         let id = self.registry.commit_restored(&ckpt.name, slot, ckpt.digest);
-        let mut usage = ckpt.usage;
-        usage.migrations += 1;
-        usage.migration_bytes += ckpt.encoded_len();
-        usage.migration_downtime_cycles += 1 + ckpt.pending.lanes;
-        usage.migration_css_toggles += realign;
         // restored lanes never reuse their recorded ids: the originals may
         // have been answered or discarded since the checkpoint was taken,
         // and a resurrected id would break queue conservation
@@ -1366,18 +1397,16 @@ impl ShardedService {
         // the checkpoint is what conceptually crosses the wire: its
         // encoded size is the migration's bytes-moved bill
         let ckpt = self.checkpoint_tenant(tenant)?;
-        let realign = self.join_cost(dst.shard, dst.ctx, Some(src))?;
+        let start = self.engines[dst.shard].css_position();
+        let realign = self.join_cost(dst.shard, dst.ctx, Some(src), start)?;
+        let usage = bill_migration(&ckpt, realign)?;
         self.registry.relocate(tenant, dst)?;
 
         // point of no return: the cross-engine handoff. The installed
         // plane and its plan move as they are: every shard shares this
         // service's geometry, and a plane serves any context
         let (mut occupant, plane) = self.engines[src.shard].expel(tenant, src.ctx, resident)?;
-        let usage = &mut occupant.usage;
-        usage.migrations += 1;
-        usage.migration_bytes += ckpt.encoded_len();
-        usage.migration_downtime_cycles += 1 + ckpt.pending.lanes;
-        usage.migration_css_toggles += realign;
+        occupant.usage = usage;
         self.engines[dst.shard].adopt(dst.ctx, &plane, occupant)?;
         // recorded faults describe the tenant's slot; the slot moved
         for fault in &mut self.faults {

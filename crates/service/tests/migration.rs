@@ -796,3 +796,66 @@ fn a_request_naming_a_register_does_not_drive_it() {
     let err = svc.submit(t, &[("reg:acc", true)]).unwrap_err();
     assert!(matches!(err, ServiceError::MissingInput { ref name } if name == "x"));
 }
+
+/// Usage counters arrive in checkpoint bytes, so billing a move must not
+/// overflow them. A restore whose billed counter would pass `usize::MAX`
+/// is refused as corrupt with nothing committed — not the tenant, not
+/// the idle shard's adopted sweep position — and an in-service move of a
+/// tenant whose counter is already full is refused the same way, with
+/// the tenant left where it was.
+#[test]
+fn restore_and_move_refuse_usage_counters_that_would_overflow() {
+    let mut svc = service(2);
+    let parity = generators::parity_tree(3).unwrap();
+    let t = svc.admit("t", &parity).unwrap();
+    submit3(&mut svc, t, 0b101);
+    let mut ckpt = svc.checkpoint_tenant(t).unwrap();
+    ckpt.css_position = 1;
+
+    let overflowing: [fn(&mut TenantCheckpoint); 4] = [
+        |c| c.usage.migrations = usize::MAX,
+        |c| c.usage.migration_bytes = usize::MAX,
+        |c| c.usage.migration_downtime_cycles = usize::MAX - 1,
+        |c| c.usage.migration_css_toggles = usize::MAX,
+    ];
+    let (tenants, pending) = (svc.registry().len(), svc.pending_requests());
+    let report = svc.billing_report();
+    let position = svc.engines()[1].css_position();
+    for set in overflowing {
+        let mut bad = ckpt.clone();
+        set(&mut bad);
+        let err = svc.restore_tenant(&bad, 1).unwrap_err();
+        assert!(
+            matches!(err, ServiceError::Migrate(MigrateError::Corrupt(_))),
+            "{err}"
+        );
+        assert_eq!(svc.registry().len(), tenants);
+        assert_eq!(svc.pending_requests(), pending);
+        assert_eq!(svc.billing_report(), report);
+        assert_eq!(svc.engines()[1].css_position(), position);
+    }
+
+    // one below the limit restores, and the counter reads exactly full
+    let mut full = ckpt.clone();
+    full.usage.migrations = usize::MAX - 1;
+    let (restored, _) = svc.restore_tenant(&full, 1).unwrap();
+    assert_eq!(svc.usage(restored).unwrap().migrations, usize::MAX);
+    let placement = svc.registry().tenant(restored).unwrap().placement;
+
+    let (tenants, pending) = (svc.registry().len(), svc.pending_requests());
+    let report = svc.billing_report();
+    let err = svc.migrate_tenant(restored, 0).unwrap_err();
+    assert!(
+        matches!(err, ServiceError::Migrate(MigrateError::Corrupt(_))),
+        "{err}"
+    );
+    assert_eq!(
+        svc.registry().tenant(restored).unwrap().placement,
+        placement
+    );
+    assert_eq!(svc.registry().len(), tenants);
+    assert_eq!(svc.pending_requests(), pending);
+    assert_eq!(svc.billing_report(), report);
+    // both tenants still answer their pending lane
+    assert_eq!(svc.drain().unwrap().len(), 2);
+}

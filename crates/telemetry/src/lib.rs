@@ -22,11 +22,12 @@
 //!   of typed [`SpanEvent`]s (admitted → queued → flushed → planned →
 //!   evaluated → applied → demuxed, plus expiry / fault / migration
 //!   hops) keyed by request id and stamped with the virtual clock.
-//!   Overflow drops the oldest span and counts it in the
-//!   `trace_dropped` metric; recording never panics or blocks. A
-//!   `trace(key)` query reconstructs one request's timeline, and
-//!   [`sort_timeline`] merges per-node buffers into one cross-node
-//!   timeline.
+//!   The ring has one writer, its owner: recording takes `&mut`, no
+//!   lock and no atomic read-modify-write. Overflow drops the oldest
+//!   span and counts it in the `trace_dropped` metric; recording never
+//!   panics or blocks. A `trace(key)` query reconstructs one request's
+//!   timeline, and [`sort_timeline`] merges per-node buffers into one
+//!   cross-node timeline.
 //! * **Health snapshots** ([`ClusterHealthSnapshot`]) — per-node
 //!   queue-depth / fault-tally / tenant gauges published under fixed
 //!   names, so fleet-management decisions (Hot/Faulted classification)
@@ -35,7 +36,7 @@
 //! ```
 //! use mcfpga_telemetry::{MetricClass, SpanKind, Telemetry};
 //!
-//! let telemetry = Telemetry::new();
+//! let mut telemetry = Telemetry::new();
 //! let admitted = telemetry
 //!     .registry()
 //!     .counter("admitted", MetricClass::Deterministic);
@@ -69,7 +70,6 @@ pub use trace::{
 };
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 /// Default span ring capacity for a [`Telemetry::new`] instance.
 pub const DEFAULT_TRACE_CAPACITY: usize = 4096;
@@ -78,15 +78,17 @@ pub const DEFAULT_TRACE_CAPACITY: usize = 4096;
 /// overflow.
 pub const TRACE_DROPPED_METRIC: &str = "trace_dropped";
 
-/// One subsystem's telemetry handle: a metric [`Registry`], a span
-/// [`TraceBuffer`] and a shared virtual-clock cell used to stamp spans.
+/// One subsystem's telemetry: a metric [`Registry`], a span
+/// [`TraceBuffer`] and a virtual-clock cell used to stamp spans.
 ///
-/// Cloning shares all three — hand clones to sub-components freely.
-#[derive(Debug, Clone)]
+/// Owned by exactly one service, front end or cluster, which records
+/// its spans through `&mut`. Metric handles are cheap to clone out of
+/// the registry; the span ring and the clock are not shared.
+#[derive(Debug)]
 pub struct Telemetry {
     registry: Registry,
     trace: TraceBuffer,
-    cycle: Arc<AtomicU64>,
+    cycle: AtomicU64,
 }
 
 impl Telemetry {
@@ -104,7 +106,7 @@ impl Telemetry {
         Telemetry {
             trace: TraceBuffer::new(capacity, dropped),
             registry,
-            cycle: Arc::new(AtomicU64::new(0)),
+            cycle: AtomicU64::new(0),
         }
     }
 
@@ -116,6 +118,12 @@ impl Telemetry {
     /// The span ring buffer.
     pub fn trace_buffer(&self) -> &TraceBuffer {
         &self.trace
+    }
+
+    /// The span ring buffer, for recording spans with an explicit node
+    /// stamp ([`TraceBuffer::record`]).
+    pub fn trace_buffer_mut(&mut self) -> &mut TraceBuffer {
+        &mut self.trace
     }
 
     /// Push the current virtual-clock cycle down into the handle; all
@@ -130,12 +138,13 @@ impl Telemetry {
     }
 
     /// Record a span at the current cycle on node 0.
-    pub fn span(&self, kind: SpanKind, key: u64, detail: i64) {
-        self.trace.record(key, kind, self.cycle(), 0, detail);
+    pub fn span(&mut self, kind: SpanKind, key: u64, detail: i64) {
+        let cycle = self.cycle();
+        self.trace.record(key, kind, cycle, 0, detail);
     }
 
     /// Record a span with an explicit cycle stamp on node 0.
-    pub fn span_at(&self, kind: SpanKind, key: u64, cycle: u64, detail: i64) {
+    pub fn span_at(&mut self, kind: SpanKind, key: u64, cycle: u64, detail: i64) {
         self.trace.record(key, kind, cycle, 0, detail);
     }
 
@@ -155,32 +164,46 @@ impl Default for Telemetry {
 mod tests {
     use super::*;
 
+    const _: () = {
+        const fn send_sync<T: Send + Sync>() {}
+        send_sync::<Telemetry>();
+    };
+
     #[test]
     fn spans_stamp_the_pushed_cycle() {
-        let t = Telemetry::new();
+        let mut t = Telemetry::new();
         t.span(SpanKind::Queued, 1, 0);
         t.set_cycle(9);
         t.span(SpanKind::Demuxed, 1, 0);
+        t.span_at(SpanKind::Fault, 1, 4, 0);
         let timeline = t.trace(1);
         assert_eq!(timeline[0].cycle, 0);
-        assert_eq!(timeline[1].cycle, 9);
+        assert_eq!(timeline[1].cycle, 4);
+        assert_eq!(timeline[2].cycle, 9);
     }
 
     #[test]
-    fn clone_shares_registry_trace_and_clock() {
-        let t = Telemetry::new();
-        let t2 = t.clone();
+    fn one_handle_owns_registry_trace_and_clock() {
+        let mut t = Telemetry::new();
         t.set_cycle(4);
-        t2.span(SpanKind::Admitted, 5, 0);
-        assert_eq!(t.trace(5)[0].cycle, 4);
+        let cycle = t.cycle();
+        t.trace_buffer_mut()
+            .record(5, SpanKind::Admitted, cycle, 2, 0);
+        t.span(SpanKind::Queued, 5, 0);
+        let timeline = t.trace(5);
+        assert_eq!(timeline.len(), 2);
+        assert!(timeline.iter().all(|e| e.cycle == 4));
+        assert_eq!(timeline[0].node, 2);
+        // metric handles cloned out of the registry still share cells
         let c = t.registry().counter("x", MetricClass::Deterministic);
         c.add(2);
-        assert_eq!(t2.registry().counter_value("x"), Some(2));
+        let registry = t.registry().clone();
+        assert_eq!(registry.counter_value("x"), Some(2));
     }
 
     #[test]
     fn trace_dropped_counter_registered_eagerly() {
-        let t = Telemetry::with_trace_capacity(2);
+        let mut t = Telemetry::with_trace_capacity(2);
         assert_eq!(t.registry().counter_value(TRACE_DROPPED_METRIC), Some(0));
         for i in 0..5 {
             t.span(SpanKind::Queued, i, 0);

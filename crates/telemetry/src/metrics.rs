@@ -91,6 +91,13 @@ impl Counter {
             .collect()
     }
 
+    /// Set the first cell to `total` with a plain store — for a counter
+    /// that mirrors a tally its one writer keeps itself (the span ring's
+    /// drop count), where a read-modify-write would buy nothing.
+    pub(crate) fn mirror(&self, total: u64) {
+        self.cells[0].store(total, Ordering::Relaxed);
+    }
+
     fn reset(&self) {
         for c in self.cells.iter() {
             c.store(0, Ordering::Relaxed);

@@ -2,16 +2,18 @@
 //! events keyed by request id, with a `trace(key)` query that
 //! reconstructs one request's timeline.
 //!
-//! Spans are recorded only from the sequential phases of the drain
-//! pipeline (plan / apply / demux run on the coordinating thread), so
-//! the recording order — and therefore the whole buffer — is
-//! bit-identical at any `MCFPGA_THREADS` and lane width. On overflow
-//! the ring drops the **oldest** span and counts the drop in the
+//! A ring has one writer, its owner: [`TraceBuffer::record`] takes
+//! `&mut self`, so spans are recorded only from the owner's sequential
+//! phases (plan / apply / demux run on the coordinating thread) and the
+//! recording order — and therefore the whole buffer — is bit-identical
+//! at any `MCFPGA_THREADS` and lane width. The borrow checker enforces
+//! that rule, and recording takes no lock. On overflow the ring drops
+//! the **oldest** span and mirrors its drop tally into the
 //! `trace_dropped` metric; it never panics and never blocks recording.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
 use crate::metrics::Counter;
 
@@ -149,23 +151,24 @@ struct Inner {
     capacity: usize,
 }
 
-/// A bounded ring buffer of [`SpanEvent`]s.
+/// A bounded ring buffer of [`SpanEvent`]s, written only by its owner.
 ///
-/// Handles are cheap to clone and share the same ring. Recording into a
-/// full ring evicts the oldest span and bumps both the internal drop
-/// tally and the `trace_dropped` metric counter; it never panics and
-/// never blocks.
+/// [`record`](Self::record) takes `&mut self` and writes through
+/// [`Mutex::get_mut`], so recording takes no lock. Readers and
+/// [`set_capacity`](Self::set_capacity) work through `&self` and lock.
+/// Recording into a full ring evicts the oldest span, bumps the
+/// internal drop tally and mirrors it into the `trace_dropped` metric
+/// counter with a plain store; it never panics and never blocks.
 ///
 /// A buffer with capacity 0 is **disabled**: [`record`](Self::record)
-/// returns before taking the lock, nothing is retained, and nothing is
-/// counted as dropped. Hot paths should consult
-/// [`is_enabled`](Self::is_enabled) before even *formatting* span
-/// details, so a disabled buffer costs one relaxed atomic load per
-/// would-be span.
-#[derive(Debug, Clone)]
+/// returns at once, nothing is retained, and nothing is counted as
+/// dropped. Hot paths should consult [`is_enabled`](Self::is_enabled)
+/// before even *formatting* span details, so a disabled buffer costs
+/// one relaxed atomic load per would-be span.
+#[derive(Debug)]
 pub struct TraceBuffer {
-    inner: Arc<Mutex<Inner>>,
-    enabled: Arc<AtomicBool>,
+    inner: Mutex<Inner>,
+    enabled: AtomicBool,
     dropped_metric: Counter,
 }
 
@@ -174,13 +177,13 @@ impl TraceBuffer {
     /// drops through `dropped_metric`. Capacity 0 disables tracing.
     pub fn new(capacity: usize, dropped_metric: Counter) -> Self {
         TraceBuffer {
-            inner: Arc::new(Mutex::new(Inner {
+            inner: Mutex::new(Inner {
                 ring: VecDeque::with_capacity(capacity),
                 seq: 0,
                 dropped: 0,
                 capacity,
-            })),
-            enabled: Arc::new(AtomicBool::new(capacity > 0)),
+            }),
+            enabled: AtomicBool::new(capacity > 0),
             dropped_metric,
         }
     }
@@ -191,10 +194,11 @@ impl TraceBuffer {
         self.enabled.load(Ordering::Relaxed)
     }
 
-    /// Resize the ring in place, shared by every clone of this handle.
-    /// Shrinking evicts the oldest spans *without* counting them as
-    /// dropped (resizing is an operator action, not overflow); capacity
-    /// 0 disables recording entirely.
+    /// Resize the ring in place (through a shared reference, so an
+    /// operator can resize a ring it does not own). Shrinking evicts the
+    /// oldest spans *without* counting them as dropped (resizing is an
+    /// operator action, not overflow); capacity 0 disables recording
+    /// entirely.
     pub fn set_capacity(&self, capacity: usize) {
         let mut inner = self.inner.lock().expect("trace buffer poisoned");
         inner.capacity = capacity;
@@ -204,20 +208,21 @@ impl TraceBuffer {
         self.enabled.store(capacity > 0, Ordering::Relaxed);
     }
 
-    /// Record one span event. A no-op (no lock, no drop tally) when the
-    /// buffer is disabled.
-    pub fn record(&self, key: u64, kind: SpanKind, cycle: u64, node: u32, detail: i64) {
+    /// Record one span event through the owner's exclusive borrow: no
+    /// lock, no atomic read-modify-write, and no allocation once the
+    /// ring is full. A no-op (no drop tally) when the buffer is
+    /// disabled.
+    pub fn record(&mut self, key: u64, kind: SpanKind, cycle: u64, node: u32, detail: i64) {
         if !self.is_enabled() {
             return;
         }
-        let mut inner = self.inner.lock().expect("trace buffer poisoned");
-        if inner.capacity == 0 {
-            return;
-        }
+        // `&mut self` excludes a concurrent `set_capacity`, so an enabled
+        // ring has capacity > 0
+        let inner = self.inner.get_mut().expect("trace buffer poisoned");
         if inner.ring.len() >= inner.capacity {
             inner.ring.pop_front();
             inner.dropped += 1;
-            self.dropped_metric.inc();
+            self.dropped_metric.mirror(inner.dropped);
         }
         let seq = inner.seq;
         inner.seq += 1;
@@ -302,7 +307,7 @@ mod tests {
 
     #[test]
     fn overflow_drops_oldest_and_counts_without_panicking() {
-        let (buf, registry) = buffer(4);
+        let (mut buf, registry) = buffer(4);
         for i in 0..10 {
             buf.record(i, SpanKind::Queued, i, 0, 0);
         }
@@ -316,7 +321,7 @@ mod tests {
 
     #[test]
     fn disabled_buffer_records_nothing_and_counts_no_drops() {
-        let (buf, registry) = buffer(0);
+        let (mut buf, registry) = buffer(0);
         assert!(!buf.is_enabled());
         for i in 0..1000 {
             buf.record(i, SpanKind::Queued, i, 0, 0);
@@ -327,35 +332,65 @@ mod tests {
     }
 
     #[test]
-    fn set_capacity_resizes_shared_ring_without_counting_drops() {
-        let (buf, registry) = buffer(8);
-        let clone = buf.clone();
+    fn set_capacity_resizes_ring_without_counting_drops() {
+        let (mut buf, registry) = buffer(8);
         for i in 0..8 {
             buf.record(i, SpanKind::Queued, i, 0, 0);
         }
-        // shrink via the clone: oldest spans evicted, not "dropped"
-        clone.set_capacity(3);
+        // shrink through a shared reference, as an operator does:
+        // oldest spans evicted, not "dropped"
+        let shared: &TraceBuffer = &buf;
+        shared.set_capacity(3);
         assert_eq!(buf.capacity(), 3);
         assert_eq!(buf.len(), 3);
         assert_eq!(buf.dropped(), 0);
         assert_eq!(registry.counter_value("trace_dropped"), Some(0));
         let keys: Vec<u64> = buf.events().iter().map(|e| e.key).collect();
         assert_eq!(keys, vec![5, 6, 7]);
-        // shrink to zero disables recording on every clone
-        clone.set_capacity(0);
+        // shrink to zero disables recording
+        buf.set_capacity(0);
         assert!(!buf.is_enabled());
         buf.record(99, SpanKind::Queued, 0, 0, 0);
         assert_eq!(buf.len(), 0);
+        assert_eq!(buf.dropped(), 0);
         // re-enable and confirm recording resumes
         buf.set_capacity(2);
-        assert!(clone.is_enabled());
-        clone.record(1, SpanKind::Queued, 0, 0, 0);
+        assert!(buf.is_enabled());
+        buf.record(1, SpanKind::Queued, 0, 0, 0);
         assert_eq!(buf.len(), 1);
     }
 
     #[test]
+    fn trace_dropped_mirrors_the_ring_tally_through_overflow_shrink_and_regrow() {
+        let (mut buf, registry) = buffer(3);
+        let mirrored = |buf: &TraceBuffer| {
+            assert_eq!(registry.counter_value("trace_dropped"), Some(buf.dropped()));
+        };
+        for i in 0..7 {
+            buf.record(i, SpanKind::Queued, i, 0, 0);
+            mirrored(&buf);
+        }
+        assert_eq!(buf.dropped(), 4);
+        // a shrink evicts without dropping; overflow at the new size does
+        buf.set_capacity(1);
+        mirrored(&buf);
+        buf.record(7, SpanKind::Queued, 7, 0, 0);
+        assert_eq!(buf.dropped(), 5);
+        mirrored(&buf);
+        // a regrow fills before it drops again
+        buf.set_capacity(4);
+        for i in 8..14 {
+            buf.record(i, SpanKind::Queued, i, 0, 0);
+            mirrored(&buf);
+        }
+        assert_eq!(buf.len(), 4);
+        assert_eq!(buf.dropped(), 8);
+        mirrored(&buf);
+    }
+
+    #[test]
     fn trace_filters_by_key_and_sorts_by_lifecycle() {
-        let (buf, _r) = buffer(16);
+        let (mut buf, _r) = buffer(16);
         // record out of lifecycle order within one cycle
         buf.record(7, SpanKind::Demuxed, 5, 0, 0);
         buf.record(7, SpanKind::Applied, 5, 0, 0);
@@ -372,7 +407,7 @@ mod tests {
 
     #[test]
     fn key_spaces_do_not_collide_and_render_distinctly() {
-        let (buf, _r) = buffer(8);
+        let (mut buf, _r) = buffer(8);
         buf.record(3, SpanKind::Queued, 0, 0, 0);
         buf.record(ticket_key(3), SpanKind::Expired, 0, 0, 0);
         buf.record(tenant_key(3), SpanKind::Fault, 0, 0, 0);
