@@ -6,9 +6,8 @@ use crate::ids::NodeIds;
 use crate::rebalancer::{RebalanceAction, RebalancerPolicy};
 use crate::ClusterError;
 use mcfpga_cost::attribution::{render_billing, TenantUsage};
-use mcfpga_device::TechParams;
 use mcfpga_fabric::{FabricParams, LogicNetlist};
-use mcfpga_service::{best_slot_scored, Outputs, Response, ServiceError, ShardedService, TenantId};
+use mcfpga_service::{best_slot, Outputs, Response, ServiceError, ShardedService, TenantId};
 use mcfpga_telemetry::{
     sort_timeline, tenant_key, ClusterHealthSnapshot, Counter, Gauge, MetricClass,
     NodeHealthSample, SpanEvent, SpanKind, Telemetry, ACTIVE_TENANTS_METRIC, FAULT_TALLY_METRIC,
@@ -184,9 +183,6 @@ struct Node {
     health: NodeHealth,
     /// First global shard index owned by this node (node-major blocks).
     shard_base: usize,
-    shards: usize,
-    params: FabricParams,
-    tech: TechParams,
     /// Cumulative slot faults since the last restart, *published* on the
     /// node's own telemetry registry under [`FAULT_TALLY_METRIC`] — the
     /// rebalancer reads it back through a [`ClusterHealthSnapshot`]
@@ -229,15 +225,13 @@ pub struct Cluster {
     next_request: u64,
     /// Round-robin cursor over the global shard space.
     cursor: usize,
-    /// Virtual clock, advanced by the caller; drives the rebalancer.
-    clock: u64,
     last_check: u64,
     rebalancer: Option<RebalancerPolicy>,
     fault_log: Vec<ClusterFault>,
-    threads: Option<usize>,
     /// The cluster's own telemetry: façade-level metrics plus the span
     /// ring holding `Admitted`/`MigrationHop`/`Fault` hops keyed by
-    /// cluster request/tenant ids.
+    /// cluster request/tenant ids. Its cycle cell is the cluster's
+    /// virtual clock, advanced by the caller; it drives the rebalancer.
     telemetry: Telemetry,
     metrics: ClusterMetrics,
 }
@@ -245,7 +239,8 @@ pub struct Cluster {
 impl Cluster {
     /// Federates `nodes` (at least one). Node order is load-bearing: it fixes
     /// the global shard space (node 0's shards first) and therefore the
-    /// merge order of every response, fault and billing row.
+    /// merge order of every response, fault and billing row. The virtual
+    /// clock starts at 0, on every node too.
     pub fn new(nodes: Vec<ShardedService>) -> Result<Self, ClusterError> {
         if nodes.is_empty() {
             return Err(ClusterError::NoNodes);
@@ -254,18 +249,15 @@ impl Cluster {
         let nodes = nodes
             .into_iter()
             .map(|svc| {
-                let shards = svc.shard_count();
+                svc.telemetry().set_cycle(0);
                 let node = Node {
                     health: NodeHealth::Healthy,
                     shard_base: base,
-                    shards,
-                    params: *svc.params(),
-                    tech: svc.tech().clone(),
                     fault_gauge: Node::register_fault_gauge(&svc),
                     ids: NodeIds::default(),
                     svc,
                 };
-                base += shards;
+                base += node.svc.shard_count();
                 node
             })
             .collect();
@@ -276,11 +268,9 @@ impl Cluster {
             routes: Vec::new(),
             next_request: 0,
             cursor: 0,
-            clock: 0,
             last_check: 0,
             rebalancer: None,
             fault_log: Vec::new(),
-            threads: None,
             telemetry,
             metrics,
         })
@@ -295,7 +285,9 @@ impl Cluster {
     /// Total shards across all nodes — the size of the global shard space.
     #[must_use]
     pub fn total_shards(&self) -> usize {
-        self.nodes.last().map_or(0, |n| n.shard_base + n.shards)
+        self.nodes
+            .last()
+            .map_or(0, |n| n.shard_base + n.svc.shard_count())
     }
 
     /// Read-only view of one member node's service.
@@ -319,11 +311,10 @@ impl Cluster {
         Ok(())
     }
 
-    /// Sets every node's executor width (and re-applies it to nodes
-    /// rebuilt by [`restart_node`](Self::restart_node)). Output is
-    /// bit-identical at any width; this only trades wall-clock for cores.
+    /// Sets every node's executor width, which a node keeps through
+    /// [`restart_node`](Self::restart_node). Output is bit-identical at
+    /// any width; this only trades wall-clock for cores.
     pub fn set_threads(&mut self, threads: usize) {
-        self.threads = Some(threads);
         for node in &mut self.nodes {
             node.svc.set_threads(threads);
         }
@@ -378,7 +369,7 @@ impl Cluster {
         self.routes.push(RouteEntry {
             name: name.to_string(),
             netlist: netlist.clone(),
-            admit_params: self.nodes[node_idx].params,
+            admit_params: *self.nodes[node_idx].svc.params(),
             node: node_idx,
             local,
         });
@@ -408,7 +399,7 @@ impl Cluster {
     fn node_of_global(&self, g: usize) -> (usize, usize) {
         debug_assert!(g < self.total_shards());
         for (i, node) in self.nodes.iter().enumerate() {
-            if g < node.shard_base + node.shards {
+            if g < node.shard_base + node.svc.shard_count() {
                 return (i, g - node.shard_base);
             }
         }
@@ -445,10 +436,11 @@ impl Cluster {
         self.metrics.requests.inc();
         // the admission hop at the cluster level carries *where* the
         // request landed; node-local hops are stitched in by `trace`
+        let now = self.now();
         self.telemetry.trace_buffer_mut().record(
             id.value(),
             SpanKind::Admitted,
-            self.clock,
+            now,
             node as u32,
             rid.value() as i64,
         );
@@ -531,6 +523,7 @@ impl Cluster {
     /// Drains every node's fault buffer into the cluster log, tallying
     /// per-node counts for the rebalancer.
     fn collect_faults(&mut self) {
+        let now = self.now();
         for node in 0..self.nodes.len() {
             let base = self.nodes[node].shard_base;
             for f in self.nodes[node].svc.take_faults() {
@@ -540,7 +533,7 @@ impl Cluster {
                     self.telemetry.trace_buffer_mut().record(
                         tenant_key(tenant.index()),
                         SpanKind::Fault,
-                        self.clock,
+                        now,
                         node as u32,
                         (base + f.shard) as i64,
                     );
@@ -578,7 +571,7 @@ impl Cluster {
                 (r.name.clone(), usage)
             })
             .collect();
-        render_billing(&rows, &self.nodes[0].tech)
+        render_billing(&rows, self.nodes[0].svc.tech())
     }
 
     // ------------------------------------------------------------------
@@ -639,7 +632,7 @@ impl Cluster {
         // cold cache
         if !self.nodes[dst_node].svc.cache().contains(ckpt.digest) {
             match self.nodes[src_node].svc.export_plane(ckpt.digest) {
-                Some(plane) => self.nodes[dst_node].svc.import_plane(ckpt.digest, plane),
+                Some(plane) => self.nodes[dst_node].svc.import_plane(ckpt.digest, plane)?,
                 None => {
                     let (netlist, admit_params) = {
                         let r = self.route(tenant)?;
@@ -658,15 +651,14 @@ impl Cluster {
         // so restoring into it is what `restore_tenant` on that shard would
         // pick — scored once, here
         let dst = &self.nodes[dst_node].svc;
-        let slot = best_slot_scored(dst.registry(), dst.cost_matrix(), Some(ckpt.ctx), |_| true)?
+        let slot = best_slot(dst.registry(), dst.cost_matrix(), Some(ckpt.ctx), |_| true)?
             .ok_or(ClusterError::CapacityExhausted)?;
-        let (new_local, fresh) = self.nodes[dst_node]
-            .svc
-            .restore_tenant_into(&ckpt, slot.slot)?;
+        let (new_local, fresh) = self.nodes[dst_node].svc.restore_tenant_into(&ckpt, slot)?;
 
         // the checkpoint's pending requests (source-local ids, lane
         // order) were re-queued under fresh destination-local ids (same
         // order): re-point each one at its original cluster id
+        let now = self.now();
         for (&old_raw, new_rid) in ckpt.pending.requests.iter().zip(&fresh) {
             if let Some(cid) = self.nodes[src_node].ids.consume(old_raw) {
                 self.nodes[dst_node].ids.record(new_rid.value(), cid);
@@ -675,7 +667,7 @@ impl Cluster {
                 self.telemetry.trace_buffer_mut().record(
                     cid.value(),
                     SpanKind::MigrationHop,
-                    self.clock,
+                    now,
                     dst_node as u32,
                     src_node as i64,
                 );
@@ -685,7 +677,7 @@ impl Cluster {
         self.telemetry.trace_buffer_mut().record(
             tenant_key(tenant.index()),
             SpanKind::MigrationHop,
-            self.clock,
+            now,
             dst_node as u32,
             src_node as i64,
         );
@@ -751,8 +743,8 @@ impl Cluster {
     /// telemetry, fault tally). Its configuration survives the restart —
     /// see [`ShardedService::fresh_like`]: shard count, geometry,
     /// technology, lane width, sweep-ordering and placement policies,
-    /// span-ring capacity, and executor width (the cluster's own
-    /// [`set_threads`](Self::set_threads) width, when it has one, wins).
+    /// span-ring capacity, and executor width. The fresh service's clock
+    /// is set to the cluster's.
     pub fn restart_node(&mut self, node: usize) -> Result<(), ClusterError> {
         self.check_node(node)?;
         let resident = self.tenants_on(node)?.len();
@@ -762,12 +754,10 @@ impl Cluster {
                 tenants: resident,
             });
         }
+        let now = self.now();
         let n = &mut self.nodes[node];
         n.svc = n.svc.fresh_like()?;
-        if let Some(threads) = self.threads {
-            n.svc.set_threads(threads);
-        }
-        n.svc.telemetry().set_cycle(self.clock);
+        n.svc.telemetry().set_cycle(now);
         n.health = NodeHealth::Healthy;
         // the fresh service brings a fresh registry: re-register the
         // published fault gauge there, zeroed
@@ -783,10 +773,10 @@ impl Cluster {
     // Virtual clock + rebalancer pump
     // ------------------------------------------------------------------
 
-    /// The cluster's virtual clock (cycles).
+    /// The cluster's virtual clock (cycles): its telemetry's cycle cell.
     #[must_use]
     pub fn now(&self) -> u64 {
-        self.clock
+        self.telemetry.cycle()
     }
 
     /// Advances the virtual clock — the same externally-driven clock
@@ -795,10 +785,10 @@ impl Cluster {
     /// every node's, so spans recorded anywhere in the fleet share one
     /// timeline.
     pub fn advance(&mut self, cycles: u64) {
-        self.clock = self.clock.saturating_add(cycles);
-        self.telemetry.set_cycle(self.clock);
+        let now = self.now().saturating_add(cycles);
+        self.telemetry.set_cycle(now);
         for node in &self.nodes {
-            node.svc.telemetry().set_cycle(self.clock);
+            node.svc.telemetry().set_cycle(now);
         }
     }
 
@@ -835,7 +825,7 @@ impl Cluster {
             })
             .collect();
         ClusterHealthSnapshot {
-            cycle: self.clock,
+            cycle: self.now(),
             nodes,
         }
     }
@@ -853,10 +843,10 @@ impl Cluster {
         let Some(policy) = self.rebalancer else {
             return Ok(Vec::new());
         };
-        if self.clock.saturating_sub(self.last_check) < policy.check_period {
+        if self.now().saturating_sub(self.last_check) < policy.check_period {
             return Ok(Vec::new());
         }
-        self.last_check = self.clock;
+        self.last_check = self.now();
         self.collect_faults();
         let mut actions = Vec::new();
 

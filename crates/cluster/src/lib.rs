@@ -11,7 +11,7 @@
 //!   skipping nodes whose health refuses new tenants. A migration picks
 //!   its slot on the destination node with the scoring a single node's
 //!   energy-aware admission uses
-//!   ([`best_slot_scored`](mcfpga_service::best_slot_scored)).
+//!   ([`best_slot`](mcfpga_service::best_slot)).
 //! * **Deterministic merge.** The cluster mints its own tenant ids
 //!   (admission order) and request ids (submission order), and merges
 //!   node outputs — responses, fault records, billing rows — in **node,

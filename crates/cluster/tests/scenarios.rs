@@ -451,8 +451,8 @@ fn chaos_run(seed: u64, threads: usize) -> Vec<(u64, usize, Vec<bool>)> {
 
 /// A restart starts a node's *state* afresh — no tenants, a cold plane
 /// cache — but keeps its configuration: lane width, sweep-ordering and
-/// placement policies, span-ring capacity, and its executor width unless
-/// the cluster sets one of its own.
+/// placement policies, span-ring capacity, and its executor width,
+/// whether set on the node or through the cluster.
 #[test]
 fn restart_keeps_the_node_configuration() {
     let mut tuned = node(2);
@@ -482,11 +482,32 @@ fn restart_keeps_the_node_configuration() {
     c.drain_node(1).unwrap();
     c.restart_node(1).unwrap();
     kept(&c, 3);
-    // the cluster's own width wins over the node's
+    // a width set through the cluster is the node's own
     c.set_threads(2);
     c.restart_node(1).unwrap();
     kept(&c, 2);
     // every request queued before the drain is still answered once
     let answered = c.drain().unwrap();
     assert_eq!(answered.len(), tenants.len());
+}
+
+/// The cluster's clock is its telemetry's cycle cell, pushed into every
+/// node's: a new cluster starts them all at 0, whatever a node held, and
+/// `advance` and `restart_node` keep them equal.
+#[test]
+fn one_clock_for_the_cluster_and_its_nodes() {
+    let stale = node(1);
+    stale.telemetry().set_cycle(9);
+    let mut c = Cluster::new(vec![node(2), stale]).unwrap();
+    let clocks = |c: &Cluster| {
+        let nodes = (0..c.node_count()).map(|n| c.node(n).unwrap().telemetry().cycle());
+        (c.now(), c.telemetry().cycle(), nodes.collect::<Vec<_>>())
+    };
+    assert_eq!(clocks(&c), (0, 0, vec![0, 0]));
+    c.advance(7);
+    assert_eq!(clocks(&c), (7, 7, vec![7, 7]));
+    c.restart_node(1).unwrap();
+    assert_eq!(clocks(&c), (7, 7, vec![7, 7]));
+    c.advance(3);
+    assert_eq!(clocks(&c), (10, 10, vec![10, 10]));
 }

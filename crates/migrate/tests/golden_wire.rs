@@ -212,7 +212,8 @@ fn live_service() -> ShardedService {
     svc.import_plane(
         golden_checkpoint().digest,
         scratch.export_plane(digest).unwrap(),
-    );
+    )
+    .unwrap();
     svc
 }
 

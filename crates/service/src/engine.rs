@@ -11,8 +11,9 @@
 //! their request ids), the installed compiled plane with its prebound
 //! plan (Arc-shared through the coordinator's plane cache, at any context
 //! index — installing a plane clones pointers, never a plane or a
-//! binding), and the slot's dirty-cone cache and recycled buffers. A free
-//! slot holds nothing.
+//! binding), and the slot's evaluation arena, input and output buffers
+//! and output tables, all reused pass after pass. A free slot holds
+//! nothing.
 //!
 //! A sweep is split into three phases so its only parallel part is pure:
 //!
@@ -25,14 +26,15 @@
 //!    stream state) and its `(shard, sweep-position)` merge key.
 //! 2. **Eval** (`eval_step`), the only concurrent phase: a pure
 //!    function from a `PlannedStep` to output lane chunks, safe to run on
-//!    any worker in any order — steps share nothing but immutable `Arc`s
-//!    and a per-thread scratch.
+//!    any worker in any order — steps share nothing but immutable `Arc`s;
+//!    each evaluates in the arena its slot lent it.
 //! 3. **Apply** (`apply_step`), sequential on
 //!    the coordinator **in merge-key order** (shard, then sweep
 //!    position): consumes the slot's batch on success, harvests `reg:*`
 //!    chunks, writes the visible outputs into the slot's recycled output
 //!    table and hands each response a view of its lane's row, records a
-//!    [`crate::service::SlotFault`] on failure (requests stay queued).
+//!    [`crate::service::SlotFault`] on failure (requests stay queued),
+//!    and either way returns the step's buffers to its slot.
 //!    Thread completion order never
 //!    reaches this phase, so output is bit-for-bit identical at every
 //!    worker count and lane width.
@@ -59,7 +61,6 @@ use mcfpga_fabric::compiled::{
 };
 use mcfpga_fabric::context::ContextSequencer;
 use mcfpga_fabric::{CompiledFabric, Fabric, FabricParams, RegisterFile};
-use std::cell::RefCell;
 use std::sync::{Arc, OnceLock};
 
 /// The tenant a context slot holds, with everything that moves with it
@@ -133,10 +134,11 @@ impl Occupant {
 /// One per-context sweep task, planned sequentially and evaluated (maybe
 /// concurrently, on whichever pool worker claims it) by [`eval_step`].
 /// Owns everything its evaluation needs — plane `Arc`, prebound plan,
-/// dense input chunks, occupied word count — so the worker borrows
-/// nothing from the engine: the slot still holds its batch, which is
-/// consumed only at apply time on success, and the `(shard, pos)` pair
-/// is the deterministic merge key the coordinator orders applies by.
+/// dense input chunks, occupied word count and the buffers its slot lent
+/// it — so the worker borrows nothing from the engine: the slot still
+/// holds its batch, which is consumed only at apply time on success, and
+/// the `(shard, pos)` pair is the deterministic merge key the coordinator
+/// orders applies by.
 #[derive(Debug, Clone)]
 pub(crate) struct PlannedStep {
     /// Shard of the slot (first half of the merge key).
@@ -155,103 +157,38 @@ pub(crate) struct PlannedStep {
     pub words: usize,
     /// The slot's compiled plane (shared, immutable).
     pub plane: Arc<CompiledFabric>,
-    /// The slot's prebound IO plan (shared, immutable). `None` only when
-    /// binding failed at install time — evaluation then reproduces the
-    /// plane-access error.
-    pub bound: Option<Arc<BoundPlan>>,
+    /// The slot's prebound IO plan (shared, immutable).
+    pub bound: Arc<BoundPlan>,
     /// Dense input chunks, parallel to the bound plan's inputs: queued
     /// request lanes plus the tenant's `reg:*` stream state, captured at
-    /// plan time. A kernel slot's buffer is its slot cache's previous
-    /// inputs, overwritten in place, and returns to the cache at apply.
+    /// plan time into the slot's input buffer (overwritten in place).
     pub chunks: Vec<LaneChunk>,
     /// Dirty mask over the bound inputs vs the slot's previous sweep
     /// ([`DIRTY_ALL`] when no valid cached sweep exists).
     pub dirty: u64,
-    /// The slot's persistent evaluation state (kernel slots only): moved
-    /// out of the slot cache at plan time, returned to it at apply time —
-    /// the arena the dirty-cone path reuses values from.
+    /// The slot's evaluation arena — the one the dirty-cone path reuses
+    /// values from — or `None` before the slot's first pass.
     pub state: Option<CompiledState>,
-    /// The buffer evaluation writes the output chunks into: the slot's,
-    /// lent out at plan time and returned by a successful apply.
+    /// The output chunks, parallel to the bound plan's outputs, written
+    /// into the slot's output buffer.
     pub outs: Vec<LaneChunk>,
-}
-
-/// What one evaluated step hands to the apply phase.
-#[derive(Debug)]
-pub(crate) struct EvalOutcome {
-    /// Output chunks, parallel to the bound plan's outputs.
-    pub outs: Vec<LaneChunk>,
-    /// Deterministic op accounting for the pass.
-    pub stats: EvalStats,
-}
-
-thread_local! {
-    /// Per-thread evaluation scratch for steps without a persistent slot
-    /// state (non-kernel planes), reused across steps: pool workers and
-    /// the coordinator thread each keep one, so steady-state sweeps
-    /// re-allocate no arenas. `eval_bound_into` rebuilds it when a
-    /// plane's resource layout differs from the scratch's.
-    static EVAL_SCRATCH: RefCell<Option<CompiledState>> = const { RefCell::new(None) };
 }
 
 /// Evaluates one planned step — the **pure** phase of a sweep, safe on
-/// any thread: reads only the step's own data (and a thread-local
-/// scratch), mutates no engine state beyond the step's own carried
-/// arena. An `Err` here is the *pass* failing;
-/// [`ShardEngine::apply_step`] turns it into a [`SlotFault`] with the
-/// requests left queued.
-pub(crate) fn eval_step(step: &mut PlannedStep) -> Result<EvalOutcome, ServiceError> {
-    let Some(bound) = step.bound.clone() else {
-        // binding failed at install: reproduce the plane-access error the
-        // name-keyed path would have raised
-        let ctx = step.plane.compiled_context().unwrap_or(step.ctx);
-        return match step.plane.plane(ctx) {
-            Err(e) => Err(e.into()),
-            Ok(_) => Err(ServiceError::SlotNotProgrammed {
-                shard: step.shard,
-                ctx: step.ctx,
-            }),
-        };
-    };
-    let mut outs = std::mem::take(&mut step.outs);
-    let stats = if let Some(state) = step.state.as_mut() {
-        step.plane.eval_bound_into(
-            &bound,
-            &step.chunks,
-            step.words,
-            step.dirty,
-            state,
-            &mut outs,
-        )?
-    } else if step.plane.has_kernel(bound.ctx()) {
-        // first sweep of a kernel slot: allocate the arena that will
-        // persist in the slot cache from here on
-        let mut st = step.plane.new_state();
-        let stats = step.plane.eval_bound_into(
-            &bound,
-            &step.chunks,
-            step.words,
-            DIRTY_ALL,
-            &mut st,
-            &mut outs,
-        )?;
-        step.state = Some(st);
-        stats
-    } else {
-        EVAL_SCRATCH.with(|cell| {
-            let mut slot = cell.borrow_mut();
-            let scratch = slot.get_or_insert_with(|| step.plane.new_state());
-            step.plane.eval_bound_into(
-                &bound,
-                &step.chunks,
-                step.words,
-                DIRTY_ALL,
-                scratch,
-                &mut outs,
-            )
-        })?
-    };
-    Ok(EvalOutcome { outs, stats })
+/// any thread: reads only the step's own data and writes only the
+/// buffers it carries (allocating the slot's arena on its first pass).
+/// An `Err` here is the *pass* failing; [`ShardEngine::apply_step`]
+/// turns it into a [`SlotFault`] with the requests left queued.
+pub(crate) fn eval_step(step: &mut PlannedStep) -> Result<EvalStats, ServiceError> {
+    let state = step.state.get_or_insert_with(|| step.plane.new_state());
+    Ok(step.plane.eval_bound_into(
+        &step.bound,
+        &step.chunks,
+        step.words,
+        step.dirty,
+        state,
+        &mut step.outs,
+    )?)
 }
 
 /// Output tables a slot keeps for reuse. Two let a consumer hold one
@@ -273,9 +210,15 @@ struct Slot {
     /// once" half of the v2 pipeline. A `reg:*` input has no column (it
     /// is fed from the occupant's [`RegisterFile`]) and holds 0, unused.
     columns: Vec<u32>,
-    /// The completed previous sweep (kernel slots only), fueling the
-    /// dirty-cone incremental path.
-    cache: Option<SlotCache>,
+    /// The occupied word count of the completed kernel sweep `arena` and
+    /// `inputs` hold, fueling the dirty-cone incremental path; `None`
+    /// when they hold none.
+    swept: Option<usize>,
+    /// The evaluation arena (`None` until the first pass), lent to each
+    /// [`PlannedStep`] and returned by its apply.
+    arena: Option<CompiledState>,
+    /// The dense input-chunk buffer, lent and returned like `arena`.
+    inputs: Vec<LaneChunk>,
     /// Up to [`POOLED_TABLES`] output tables of this slot's past passes,
     /// least recently written first. Their rows already hold the plan's
     /// visible output names, which is why installing a plane empties the
@@ -313,6 +256,15 @@ impl Slot {
         debug_assert!(self.tables.len() < POOLED_TABLES, "pool over capacity");
         self.tables.push(table);
     }
+
+    /// Takes back the buffers `step` borrowed at plan time; `swept` is
+    /// the word count of the completed kernel sweep they now hold, if any.
+    fn reclaim(&mut self, step: &mut PlannedStep, swept: Option<usize>) {
+        self.arena = step.state.take();
+        self.inputs = std::mem::take(&mut step.chunks);
+        self.outs = std::mem::take(&mut step.outs);
+        self.swept = swept;
+    }
 }
 
 /// Resolves each input `plane` binds to its column among `columns` (see
@@ -326,7 +278,7 @@ fn bind_columns(
 ) -> Result<Vec<u32>, ServiceError> {
     let mut index = Vec::new();
     let mut next = 0;
-    for (_, name, is_reg) in plane.bound.iter().flat_map(|p| p.inputs()) {
+    for (_, name, is_reg) in plane.bound.inputs() {
         if *is_reg {
             index.push(0);
             continue;
@@ -345,17 +297,6 @@ fn bind_columns(
         index.push(col as u32);
     }
     Ok(index)
-}
-
-/// A kernel slot's completed sweep: the dense input chunks it consumed
-/// and the evaluation arena it filled, reused by the next sweep to skip
-/// ops outside the dirty cone. It lives in its [`Slot`], so it always
-/// describes the slot's current occupant.
-#[derive(Debug, Clone)]
-struct SlotCache {
-    words: usize,
-    inputs: Vec<LaneChunk>,
-    state: CompiledState,
 }
 
 /// An engine's reusable planning buffers. A shard sweeps at most its
@@ -443,7 +384,7 @@ impl ShardEngine {
             let columns = Arc::clone(slot.occupant.batch.columns());
             slot.occupant.batch = LaneBatch::with_width(width, columns)?;
             // a cached sweep at the old width cannot seed the new one
-            slot.cache = None;
+            slot.swept = None;
         }
         self.lane_width = width;
         Ok(())
@@ -508,14 +449,14 @@ impl ShardEngine {
         ctx: usize,
         plane: Arc<CompiledFabric>,
     ) -> Result<(), ServiceError> {
-        self.install_cached(ctx, &CachedPlane::new(plane))
+        self.install_cached(ctx, &CachedPlane::new(plane)?)
     }
 
     /// Installs (or replaces) the compiled plane of the occupied slot
     /// `ctx` with its prebound plan — `Arc` clones of a cache entry, never
     /// a copy or a re-bind, whatever context the plane was compiled in.
     /// Each bound input is resolved to its column of the slot's batch;
-    /// the slot's dirty-cone cache and output tables are discarded (they
+    /// the slot's cached sweep and output tables are discarded (they
     /// describe passes of the previous plane). Refuses, changing nothing,
     /// a plane that binds a non-register input the occupant's columns
     /// lack.
@@ -530,9 +471,8 @@ impl ShardEngine {
             .ok_or(ServiceError::SlotNotProgrammed { shard, ctx })?;
         slot.columns = bind_columns(shard, ctx, cached, slot.occupant.batch.columns())?;
         slot.plane = cached.clone();
-        slot.cache = None;
+        slot.swept = None;
         slot.tables.clear();
-        slot.outs = Vec::new();
         Ok(())
     }
 
@@ -548,10 +488,10 @@ impl ShardEngine {
         Some(Arc::clone(&self.slots[ctx].as_ref()?.plane.plane))
     }
 
-    /// The prebound plan of context `ctx`, if programmed and bound.
+    /// The prebound plan of context `ctx`, if programmed.
     #[cfg(test)]
     pub(crate) fn plan(&self, ctx: usize) -> Option<Arc<BoundPlan>> {
-        self.slots[ctx].as_ref()?.plane.bound.clone()
+        Some(Arc::clone(&self.slots[ctx].as_ref()?.plane.bound))
     }
 
     /// Where this shard's CSS broadcast currently sits.
@@ -656,23 +596,20 @@ impl ShardEngine {
     }
 
     /// The source half of a migration handoff: frees `tenant`'s slot
-    /// `ctx`, wiping — for a fabric-resident tenant — the routed context
-    /// itself, and returns the occupant with the installed plane. Refuses
-    /// with [`ServiceError::UnknownTenant`], changing nothing, when
-    /// `tenant` does not occupy the slot; the caller has completed every
-    /// other fallible pre-check, so this only performs the move.
+    /// `ctx` and returns the occupant with the installed plane. The
+    /// routed context is left as it is: the next admission into `ctx`
+    /// clears it before routing. Refuses with
+    /// [`ServiceError::UnknownTenant`], changing nothing, when `tenant`
+    /// does not occupy the slot; the caller has completed every other
+    /// fallible pre-check, so this only performs the move.
     pub(crate) fn expel(
         &mut self,
         tenant: TenantId,
         ctx: usize,
-        resident: bool,
     ) -> Result<(Occupant, CachedPlane), ServiceError> {
         let slot = self.slots[ctx]
             .take_if(|s| s.occupant.tenant == tenant)
             .ok_or(ServiceError::UnknownTenant(tenant.index()))?;
-        if resident {
-            self.fabric_mut().clear_context(ctx)?;
-        }
         Ok((slot.occupant, slot.plane))
     }
 
@@ -695,7 +632,9 @@ impl ShardEngine {
             occupant,
             plane: plane.clone(),
             columns,
-            cache: None,
+            swept: None,
+            arena: None,
+            inputs: Vec::new(),
             tables: Vec::new(),
             outs: Vec::new(),
         });
@@ -797,7 +736,9 @@ impl ShardEngine {
                 occupant,
                 plane,
                 columns,
-                cache,
+                swept,
+                arena,
+                inputs,
                 outs,
                 ..
             } = slot;
@@ -805,47 +746,36 @@ impl ShardEngine {
             occupant.usage.css_toggles_baseline += toggles_baseline;
             *charged += toggles as u64;
             let words = occupant.batch.words();
-            let bound = plane.bound.clone();
-            let inputs = bound.as_ref().map_or(0, |b| b.inputs().len());
-            // dirty-cone basis: reuse the slot's cached sweep only when it
-            // demonstrably describes the same word count and input arity
-            // (the kernel path then skips ops whose cone is clean). The
-            // cache's input buffer becomes this step's, either way.
-            let kernel_ok = inputs <= 64
-                && bound
-                    .as_ref()
-                    .is_some_and(|b| plane.plane.has_kernel(b.ctx()));
-            let (mut chunks, state, cached) = match cache.take_if(|_| kernel_ok) {
-                Some(cache) => {
-                    let cached = cache.words == words && cache.inputs.len() == inputs;
-                    (cache.inputs, Some(cache.state), cached)
-                }
-                None => (Vec::new(), None, false),
-            };
+            let bound = &plane.bound;
+            let arity = bound.inputs().len();
+            // dirty-cone basis: reuse the slot's cached kernel sweep only
+            // when it describes the same word count and input arity, and
+            // the dirty mask can address every input (the kernel path
+            // then skips ops whose cone is clean). The slot's buffers
+            // become this step's, either way.
+            let cached = swept.take() == Some(words) && arity <= 64 && inputs.len() == arity;
+            let mut chunks = std::mem::take(inputs);
             let mut dirty = if cached { 0 } else { DIRTY_ALL };
             if !cached {
                 chunks.clear();
             }
-            if let Some(bound) = &bound {
-                let column_chunks = occupant.batch.chunks();
-                let sources = bound.inputs().iter().zip(columns.iter());
-                for (i, ((_, name, is_reg), &col)) in sources.enumerate() {
-                    let chunk = if *is_reg {
-                        // stream registers come only from the tenant's
-                        // register file (0 before the first pass) —
-                        // lane-aligned, so lane `l` of pass `p+1`
-                        // consumes the state lane `l` of pass `p`
-                        // produced
-                        occupant.regs.get_chunk(name).unwrap_or([0u64; LANE_WORDS])
-                    } else {
-                        column_chunks[col as usize]
-                    };
-                    if !cached {
-                        chunks.push(chunk);
-                    } else if chunks[i] != chunk {
-                        chunks[i] = chunk;
-                        dirty |= 1 << i;
-                    }
+            let column_chunks = occupant.batch.chunks();
+            let sources = bound.inputs().iter().zip(columns.iter());
+            for (i, ((_, name, is_reg), &col)) in sources.enumerate() {
+                let chunk = if *is_reg {
+                    // stream registers come only from the tenant's
+                    // register file (0 before the first pass) —
+                    // lane-aligned, so lane `l` of pass `p+1` consumes
+                    // the state lane `l` of pass `p` produced
+                    occupant.regs.get_chunk(name).unwrap_or([0u64; LANE_WORDS])
+                } else {
+                    column_chunks[col as usize]
+                };
+                if !cached {
+                    chunks.push(chunk);
+                } else if chunks[i] != chunk {
+                    chunks[i] = chunk;
+                    dirty |= 1 << i;
                 }
             }
             steps.push(PlannedStep {
@@ -855,10 +785,10 @@ impl ShardEngine {
                 tenant: occupant.tenant,
                 words,
                 plane: Arc::clone(&plane.plane),
-                bound,
+                bound: Arc::clone(bound),
                 chunks,
                 dirty,
-                state,
+                state: arena.take(),
                 outs: std::mem::take(outs),
             });
             pos += 1;
@@ -875,8 +805,9 @@ impl ShardEngine {
     /// outputs are written into one lane-major **output table** (a
     /// reused table only rewrites its values, so a steady-state pass
     /// allocates no rows and clones no names), every lane's response
-    /// gets a view of its row, and a kernel slot's inputs + arena return
-    /// to the slot cache to fuel the next sweep's dirty-cone skip.
+    /// gets a view of its row. On success and on failure alike the step's
+    /// buffers return to the slot; after a kernel pass they hold the
+    /// completed sweep the next one's dirty-cone skip reuses.
     /// Returns the pass's [`EvalStats`] (`None` for a faulted pass) so the
     /// coordinator can bump the deterministic op counters in apply order.
     ///
@@ -889,13 +820,13 @@ impl ShardEngine {
     pub(crate) fn apply_step(
         &mut self,
         step: &mut PlannedStep,
-        outcome: Result<EvalOutcome, ServiceError>,
+        outcome: Result<EvalStats, ServiceError>,
         responses: &mut Vec<Response>,
         faults: &mut Vec<SlotFault>,
     ) -> Result<Option<EvalStats>, ServiceError> {
         debug_assert_eq!(step.shard, self.shard, "step applied to the wrong engine");
-        let outcome = match outcome {
-            Ok(outcome) => outcome,
+        let stats = match outcome {
+            Ok(stats) => stats,
             Err(error) => {
                 faults.push(SlotFault {
                     tenant: step.tenant,
@@ -905,7 +836,7 @@ impl ShardEngine {
                 });
                 // a faulted pass leaves no completed sweep to reuse
                 if let Some(slot) = self.slots[step.ctx].as_mut() {
-                    slot.cache = None;
+                    slot.reclaim(step, None);
                 }
                 return Ok(None);
             }
@@ -919,10 +850,10 @@ impl ShardEngine {
         };
         // the pooled tables' names are the slot plan's: only a pass run
         // through that very plan may write them
-        let bound = match (&step.bound, &slot.plane.bound) {
-            (Some(bound), Some(plan)) if Arc::ptr_eq(bound, plan) => bound,
-            _ => return Err(stale),
-        };
+        let bound = &step.bound;
+        if !Arc::ptr_eq(bound, &slot.plane.bound) {
+            return Err(stale);
+        }
         if slot.occupant.tenant != step.tenant {
             return Err(ServiceError::UnknownTenant(step.tenant.index()));
         }
@@ -948,7 +879,7 @@ impl ShardEngine {
             }
         }
         let mut col = 0;
-        for ((_, name, is_reg), chunk) in bound.outputs().iter().zip(&outcome.outs) {
+        for ((_, name, is_reg), chunk) in bound.outputs().iter().zip(&step.outs) {
             if *is_reg {
                 slot.occupant.regs.set_chunk(name, *chunk);
                 continue;
@@ -968,27 +899,17 @@ impl ShardEngine {
             });
         }
         slot.pool_table(table);
-        slot.outs = outcome.outs;
         // empty the batch in place, buffers kept, so steady-state flushes
         // re-allocate nothing
         slot.occupant.clear();
-        if outcome.stats.kernel {
-            if let Some(arena) = step.state.take() {
-                slot.cache = Some(SlotCache {
-                    words: step.words,
-                    inputs: std::mem::take(&mut step.chunks),
-                    state: arena,
-                });
-            }
-        }
-        Ok(Some(outcome.stats))
+        slot.reclaim(step, stats.kernel.then_some(step.words));
+        Ok(Some(stats))
     }
 }
 
 // A future `Rc`, raw pointer or other non-thread-safe field anywhere in
 // these ownership trees must fail the *build*, not a code review: the
-// fork-join pool moves owned `PlannedStep`s across threads, and engines are
-// carried inside `ShardedService` clones.
+// fork-join pool moves owned `PlannedStep`s across threads.
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<ShardEngine>();
@@ -1026,7 +947,8 @@ mod tests {
             .unwrap();
         let plane = CachedPlane::new(Arc::new(
             CompiledFabric::compile_context(&blank, 0).unwrap(),
-        ));
+        ))
+        .unwrap();
         let batch = LaneBatch::with_width(engine.lane_width(), cols(columns)).unwrap();
         engine
             .adopt(ctx, &plane, Occupant::new(tenant, batch))
@@ -1055,13 +977,13 @@ mod tests {
             e.submit(0, t, &[("x", true)], &mut ids),
             Err(ServiceError::SlotBacklogged { shard: 0, ctx: 0 })
         );
-        let (occupant, _) = e.expel(t, 0, false).unwrap();
+        let (occupant, _) = e.expel(t, 0).unwrap();
         assert_eq!(occupant.requests.len(), LANES);
         assert_eq!(occupant.usage.requests, LANES);
         assert!(occupant.batch.is_full());
         assert_eq!(e.pending_requests(), 0);
         assert_eq!(
-            e.expel(t, 0, false).unwrap_err(),
+            e.expel(t, 0).unwrap_err(),
             ServiceError::UnknownTenant(t.index())
         );
     }
@@ -1081,7 +1003,7 @@ mod tests {
         e1.submit(0, b, &[("y", true)], &mut ids).unwrap();
         assert_eq!(e0.pending(), vec![0]);
         assert_eq!(e1.pending(), vec![0]);
-        assert_eq!(e1.expel(b, 0, false).unwrap().0.requests.len(), 2);
+        assert_eq!(e1.expel(b, 0).unwrap().0.requests.len(), 2);
         assert_eq!(e0.pending_requests() + e1.pending_requests(), 1);
         // a slot answers only to its occupant
         assert_eq!(
@@ -1125,7 +1047,7 @@ mod tests {
         );
         e.submit(0, t, &[("a", false)], &mut ids).unwrap();
         // an expelled tenant takes its columns along; the slot keeps none
-        let (occupant, _) = e.expel(t, 0, false).unwrap();
+        let (occupant, _) = e.expel(t, 0).unwrap();
         assert_eq!(occupant.batch.columns(), &cols(&["a"]));
         assert!(e.occupant(0, t).is_err());
         assert!(e.pending_batch(0).is_none() && e.requests(0).is_empty());
@@ -1188,7 +1110,7 @@ mod tests {
         assert!(r0 < r1);
         // a refused push must not consume an id, nor a tenant the slot
         // does not hold
-        e.expel(t, 0, false).unwrap();
+        e.expel(t, 0).unwrap();
         occupy(&mut e, 0, t, &["x"]);
         assert!(e.submit(0, t, &[("nope", true)], &mut ids).is_err());
         assert!(e.submit(0, u, &[], &mut ids).is_err());

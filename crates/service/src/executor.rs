@@ -407,9 +407,11 @@ impl ParallelExecutor {
         &self.registry
     }
 
-    /// A clone that shares the configuration but publishes fresh zeroed
-    /// `executor_*` metrics on `registry` and spawns its own helpers on
-    /// first parallel use.
+    /// A clone that shares the configuration but never the helpers or the
+    /// metrics: it publishes fresh zeroed `executor_*` metrics on
+    /// `registry` and spawns its own helpers on first parallel use (shared
+    /// helpers would entangle two services' runs). What a restarted node
+    /// keeps of its executor ([`crate::ShardedService::fresh_like`]).
     #[must_use]
     pub fn clone_on(&self, registry: &Registry) -> Self {
         Self::with_config(self.config.clone(), registry.clone())
@@ -522,18 +524,6 @@ impl Default for ParallelExecutor {
     }
 }
 
-/// Cloning shares the *configuration*, never the helpers or the metrics:
-/// the clone publishes fresh zeroed counters on its own private registry
-/// and spawns its own helpers on first parallel use. (Shared helpers
-/// would entangle two services' runs; `ShardedService`'s `Clone` relies
-/// on this isolation and re-homes the clone's metrics via
-/// [`clone_on`](ParallelExecutor::clone_on).)
-impl Clone for ParallelExecutor {
-    fn clone(&self) -> Self {
-        self.clone_on(&Registry::new())
-    }
-}
-
 impl std::fmt::Debug for ParallelExecutor {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ParallelExecutor")
@@ -547,8 +537,8 @@ impl std::fmt::Debug for ParallelExecutor {
     }
 }
 
-// the executor moves across threads inside `ShardedService` clones and
-// test harnesses; a future non-Send field must fail the build
+// the executor moves across threads inside its `ShardedService` and test
+// harnesses; a future non-Send field must fail the build
 const _: () = {
     const fn assert_send<T: Send>() {}
     assert_send::<ParallelExecutor>();
@@ -778,7 +768,7 @@ mod tests {
         let mut exec = ParallelExecutor::new(2);
         exec.run_owned((0..4).collect(), |x: usize| x);
         assert_eq!(counter(&exec, SPAWN_EVENTS_METRIC), 1);
-        let clone = exec.clone();
+        let clone = exec.clone_on(&Registry::new());
         assert_eq!(clone.config(), exec.config());
         assert_eq!(counter(&clone, SPAWN_EVENTS_METRIC), 0);
         assert_eq!(counter(&clone, TASKS_TOTAL_METRIC), 0);

@@ -627,8 +627,6 @@ pub struct FrontendDriver {
     /// Streams in registration order — every per-stream scan walks this
     /// order, so front-end behavior is deterministic.
     streams: Vec<Stream>,
-    /// Virtual clock, in cycles. Advanced only by the caller.
-    now: u64,
     next_ticket: u64,
     /// A pump's working memory, kept between pumps.
     buffers: PumpBuffers,
@@ -651,38 +649,16 @@ struct PumpBuffers {
     events: Vec<FrontendEvent>,
 }
 
-impl Clone for FrontendDriver {
-    /// The clone gets the wrapped service's fresh [`Telemetry`] (zeroed
-    /// metrics, empty trace ring) with the front-end's own metrics
-    /// re-registered and the virtual clock pushed down — queue contents
-    /// and admission state carry over, history does not.
-    fn clone(&self) -> Self {
-        let svc = self.svc.clone();
-        let metrics = FrontendMetrics::register(svc.telemetry());
-        svc.telemetry().set_cycle(self.now);
-        metrics.inflight.set(self.inflight_requests() as i64);
-        FrontendDriver {
-            svc,
-            streams: self.streams.clone(),
-            now: self.now,
-            next_ticket: self.next_ticket,
-            buffers: PumpBuffers::default(),
-            direct_access: self.direct_access,
-            metrics,
-        }
-    }
-}
-
 impl FrontendDriver {
     /// Wraps `svc` in a front-end with an empty stream table and the
-    /// virtual clock at 0.
+    /// virtual clock — the service telemetry's cycle cell — at 0.
     #[must_use]
     pub fn new(svc: ShardedService) -> Self {
         let metrics = FrontendMetrics::register(svc.telemetry());
+        svc.telemetry().set_cycle(0);
         FrontendDriver {
             svc,
             streams: Vec::new(),
-            now: 0,
             next_ticket: 0,
             buffers: PumpBuffers::default(),
             direct_access: false,
@@ -711,19 +687,19 @@ impl FrontendDriver {
         Ok(self.svc.admit(name, netlist)?)
     }
 
-    /// The virtual clock, in cycles.
+    /// The virtual clock, in cycles: the wrapped service telemetry's
+    /// cycle cell, so spans the service records during a flush carry the
+    /// front-end's cycle.
     #[must_use]
     pub fn now(&self) -> u64 {
-        self.now
+        self.svc.telemetry().cycle()
     }
 
     /// Advances the virtual clock. Time never advances on its own — the
-    /// caller owns it, which is what keeps every test wall-time-free. The
-    /// clock is pushed down into the service [`Telemetry`], so spans the
-    /// service records during a flush carry the front-end's cycle.
+    /// caller owns it, which is what keeps every test wall-time-free.
     pub fn advance(&mut self, cycles: u64) {
-        self.now = self.now.saturating_add(cycles);
-        self.svc.telemetry().set_cycle(self.now);
+        let now = self.now().saturating_add(cycles);
+        self.svc.telemetry().set_cycle(now);
     }
 
     /// The wrapped service's telemetry (the front-end publishes its
@@ -767,7 +743,7 @@ impl FrontendDriver {
             }
         }
         self.streams
-            .push(Stream::new(tenant, policy, columns, self.now));
+            .push(Stream::new(tenant, policy, columns, self.now()));
         Ok(())
     }
 
@@ -804,7 +780,7 @@ impl FrontendDriver {
         inputs: &[(&str, bool)],
         deadline: Option<u64>,
     ) -> Result<Ticket, FrontendError> {
-        let now = self.now;
+        let now = self.now();
         let idx = self
             .stream_index(tenant)
             .ok_or(FrontendError::NoStream(tenant))?;
@@ -974,7 +950,7 @@ impl FrontendDriver {
         force: bool,
         events: &mut Vec<FrontendEvent>,
     ) -> Result<(), FrontendError> {
-        let now = self.now;
+        let now = self.now();
         let lane_width = self.svc.lane_width();
         // 1. expiry: a queued request whose deadline has passed is
         // removed with a typed event, never silently served late

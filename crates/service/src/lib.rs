@@ -107,7 +107,7 @@ pub use frontend::{
     FrontendDriver, FrontendError, FrontendEvent, QosClass, RateLimit, RejectReason, StreamPolicy,
     Ticket,
 };
-pub use placement::{best_slot_scored, netlist_fingerprint, PlacementPolicy, SlotScore};
+pub use placement::{best_slot, netlist_fingerprint, PlacementPolicy};
 pub use registry::{CachedPlane, Placement, PlaneCache, TenantId, TenantRegistry};
 pub use service::{ShardedService, SlotFault};
 

@@ -55,62 +55,22 @@ pub(crate) fn choose_energy_aware(
 
 /// The energy-aware slot chooser, generalized over an eligibility filter:
 /// admission considers every free slot, a directed migration only the
-/// destination shard's, an evacuation every shard *except* the source.
-/// Scores each eligible free slot by the marginal optimized sweep cost it
-/// adds to its shard (from the shard's home context 0); ties break toward
-/// `affinity_ctx` — admission: the slot index where the same netlist's
-/// digest is already cached; migration: the tenant's own context index —
-/// then toward emptier shards, then the lowest slot. `None` when no
-/// eligible slot is free.
-pub(crate) fn best_slot(
+/// destination shard's, an evacuation every shard *except* the source,
+/// and the cluster a migration's destination node. Scores each eligible
+/// free slot by the marginal optimized sweep cost it adds to its shard
+/// (from the shard's home context 0); ties break toward `affinity_ctx` —
+/// admission: the slot index where the same netlist's digest is already
+/// cached; migration: the tenant's own context index — then toward
+/// emptier shards, then the lowest slot. `None` when no eligible slot is
+/// free.
+pub fn best_slot(
     registry: &TenantRegistry,
     matrix: &CostMatrix,
     affinity_ctx: Option<usize>,
     eligible: impl Fn(Placement) -> bool,
 ) -> Result<Option<Placement>, ServiceError> {
-    Ok(best_slot_scored(registry, matrix, affinity_ctx, eligible)?.map(|s| s.slot))
-}
-
-/// The full lexicographic score [`best_slot_scored`] ranks slots by:
-/// `(marginal cost, affinity miss, load)`, the ordering an energy-aware
-/// admission uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SlotScore {
-    /// Broadcast toggles the slot's shard gains per sweep when this slot
-    /// joins its occupied set — the primary ranking key.
-    pub marginal_toggles: usize,
-    /// Did the slot miss the plane-cache affinity hint? (`false` sorts
-    /// first: an affinity hit reuses a compiled plane.)
-    pub affinity_miss: bool,
-    /// Tenants already resident on the slot's shard.
-    pub load: usize,
-    /// The scored slot itself.
-    pub slot: Placement,
-}
-
-impl SlotScore {
-    /// The ranking key, for lexicographic comparison across candidates
-    /// (smaller is better; compare equal-slot candidates by appending
-    /// your own tiebreak, e.g. the node index).
-    #[must_use]
-    pub fn key(&self) -> (usize, bool, usize) {
-        (self.marginal_toggles, self.affinity_miss, self.load)
-    }
-}
-
-/// `best_slot`'s scoring, with the winning score exposed — what the
-/// cluster runs on a migration's destination node. Semantics are
-/// identical to an energy-aware admission: free slots filtered by
-/// `eligible`, ranked by
-/// `(marginal sweep cost from home context 0, affinity miss, shard load,
-/// slot order)`. `None` when no eligible slot is free.
-pub fn best_slot_scored(
-    registry: &TenantRegistry,
-    matrix: &CostMatrix,
-    affinity_ctx: Option<usize>,
-    eligible: impl Fn(Placement) -> bool,
-) -> Result<Option<SlotScore>, ServiceError> {
-    let mut best: Option<SlotScore> = None;
+    // the winning slot and its key: (marginal cost, affinity miss, load)
+    let mut best: Option<((usize, bool, usize), Placement)> = None;
     // the shard being scored, its occupied contexts and their sweep
     // cost: computed once per shard, not once per free slot
     let mut shard: Option<(usize, Vec<usize>, usize)> = None;
@@ -130,23 +90,14 @@ pub fn best_slot_scored(
         with.push(slot.ctx);
         let marginal = sweep_cost(matrix, Some(0), with)?.saturating_sub(*before);
         with.pop();
-        let candidate = SlotScore {
-            marginal_toggles: marginal,
-            affinity_miss: affinity_ctx != Some(slot.ctx),
-            load,
-            slot,
-        };
+        let key = (marginal, affinity_ctx != Some(slot.ctx), load);
         // lexicographic: marginal cost, then affinity hit, then shard load,
         // then shard-major slot order (free_slots() is already sorted)
-        let better = match &best {
-            None => true,
-            Some(b) => candidate.key() < b.key(),
-        };
-        if better {
-            best = Some(candidate);
+        if best.is_none_or(|(b, _)| key < b) {
+            best = Some((key, slot));
         }
     }
-    Ok(best)
+    Ok(best.map(|(_, slot)| slot))
 }
 
 /// Structural fingerprint of a netlist (FNV-1a over nodes and outputs).

@@ -47,14 +47,9 @@ pub struct TenantRecord {
     pub name: String,
     /// The slot the tenant occupies.
     pub placement: Placement,
-    /// Configuration digest of the tenant's routed context plane.
+    /// Configuration digest of the tenant's routed context plane — its
+    /// key in the plane cache, wherever the tenant moves.
     pub digest: u64,
-    /// Does the tenant's routed fabric configuration still live in its
-    /// placement shard? True from admission (the netlist was routed there);
-    /// false once the tenant migrates — from then on its compiled plane is
-    /// recoverable only through the digest-keyed plane cache, never by
-    /// recompiling from a fabric.
-    pub resident: bool,
     /// Has the tenant been retired ([`TenantRegistry::retire`])? A
     /// retired record keeps its id slot (ids are dense admission indices
     /// and are never reissued) but no longer occupies a context slot and
@@ -113,31 +108,14 @@ impl TenantRegistry {
         })
     }
 
-    /// Claims the reserved slot for a routed, compiled tenant.
+    /// Claims the reserved slot for an admitted or restored tenant whose
+    /// compiled plane is cached under `digest`.
     pub fn commit(&mut self, name: &str, placement: Placement, digest: u64) -> TenantId {
-        self.commit_with_residency(name, placement, digest, true)
-    }
-
-    /// [`commit`](Self::commit) for a tenant restored from a checkpoint:
-    /// its compiled plane came from the cache, not from routing into this
-    /// shard's fabric, so the record starts non-resident.
-    pub fn commit_restored(&mut self, name: &str, placement: Placement, digest: u64) -> TenantId {
-        self.commit_with_residency(name, placement, digest, false)
-    }
-
-    fn commit_with_residency(
-        &mut self,
-        name: &str,
-        placement: Placement,
-        digest: u64,
-        resident: bool,
-    ) -> TenantId {
         let id = TenantId(self.records.len());
         self.records.push(TenantRecord {
             name: name.to_string(),
             placement,
             digest,
-            resident,
             retired: false,
         });
         self.slots[placement.shard][placement.ctx] = Some(id);
@@ -179,9 +157,8 @@ impl TenantRegistry {
     }
 
     /// Moves an admitted tenant to a free slot (live migration). The old
-    /// slot frees, the record's placement updates, and the tenant stops
-    /// being fabric-resident (its routed configuration does not follow —
-    /// only the compiled plane does, through the cache).
+    /// slot frees and the record's placement updates; the digest stays,
+    /// so the tenant's compiled plane is still found in the cache.
     pub fn relocate(&mut self, id: TenantId, to: Placement) -> Result<(), ServiceError> {
         let from = self.tenant(id)?.placement;
         if to.shard >= self.shards || to.ctx >= self.contexts {
@@ -198,9 +175,7 @@ impl TenantRegistry {
         }
         self.slots[from.shard][from.ctx] = None;
         self.slots[to.shard][to.ctx] = Some(id);
-        let record = &mut self.records[id.0];
-        record.placement = to;
-        record.resident = false;
+        self.records[id.0].placement = to;
         Ok(())
     }
 
@@ -287,30 +262,26 @@ impl TenantRegistry {
 #[derive(Debug, Clone)]
 pub struct CachedPlane {
     pub(crate) plane: Arc<CompiledFabric>,
-    /// `None` when the plane is not a single-context compilation (there
-    /// is no context of its own to bind), or its binding failed.
-    pub(crate) bound: Option<Arc<BoundPlan>>,
-    /// The bound plan's [`BoundPlan::input_columns`]; empty without one.
+    pub(crate) bound: Arc<BoundPlan>,
+    /// The bound plan's [`BoundPlan::input_columns`].
     pub(crate) columns: Arc<[Arc<str>]>,
 }
 
 impl CachedPlane {
     /// Binds `plane` at its own compiled context — the one bind a digest
-    /// ever pays.
-    #[must_use]
-    pub(crate) fn new(plane: Arc<CompiledFabric>) -> Self {
-        let bound = plane
-            .compiled_context()
-            .and_then(|ctx| plane.bind(ctx).ok())
-            .map(Arc::new);
-        let columns = bound
-            .as_ref()
-            .map_or_else(|| Arc::from([]), |b| b.input_columns());
-        CachedPlane {
+    /// ever pays. Refuses a plane that is not a single-context
+    /// compilation: it has no context of its own for a slot to evaluate.
+    pub(crate) fn new(plane: Arc<CompiledFabric>) -> Result<Self, FabricError> {
+        let ctx = plane.compiled_context().ok_or_else(|| {
+            FabricError::BadParams("a slot's plane must be a single-context compilation".into())
+        })?;
+        let bound = Arc::new(plane.bind(ctx)?);
+        let columns = bound.input_columns();
+        Ok(CachedPlane {
             plane,
             bound,
             columns,
-        }
+        })
     }
 
     /// The compiled plane.
@@ -353,7 +324,7 @@ impl PlaneCache {
             self.hits += 1;
             return Ok(entry.clone());
         }
-        let entry = CachedPlane::new(Arc::new(compile()?));
+        let entry = CachedPlane::new(Arc::new(compile()?))?;
         self.misses += 1;
         self.planes.insert(digest, entry.clone());
         Ok(entry)
@@ -395,9 +366,11 @@ impl PlaneCache {
     /// of cross-node shipping (the exporter vouches for the digest; it was
     /// computed by [`mcfpga_fabric::Fabric::context_digest`] at the
     /// plane's original admission). Overwrites any previous entry, which
-    /// is safe because equal digests mean equal configurations.
-    pub fn insert(&mut self, digest: u64, plane: Arc<CompiledFabric>) {
-        self.planes.insert(digest, CachedPlane::new(plane));
+    /// is safe because equal digests mean equal configurations. Refuses,
+    /// caching nothing, a plane that is not a single-context compilation.
+    pub fn insert(&mut self, digest: u64, plane: Arc<CompiledFabric>) -> Result<(), ServiceError> {
+        self.planes.insert(digest, CachedPlane::new(plane)?);
+        Ok(())
     }
 
     /// Cache hits so far.
@@ -468,18 +441,16 @@ mod tests {
     }
 
     #[test]
-    fn relocate_moves_slot_and_clears_residency() {
+    fn relocate_moves_slot_and_keeps_digest() {
         let mut reg = TenantRegistry::new(2, 2).unwrap();
         let p = reg.reserve().unwrap();
         let id = reg.commit("mover", p, 7);
-        assert!(reg.tenant(id).unwrap().resident);
         let to = Placement { shard: 1, ctx: 1 };
         reg.relocate(id, to).unwrap();
         assert_eq!(reg.occupant(0, 0), None, "old slot freed");
         assert_eq!(reg.occupant(1, 1), Some(id));
         let rec = reg.tenant(id).unwrap();
         assert_eq!(rec.placement, to);
-        assert!(!rec.resident, "routed config did not follow the tenant");
         assert_eq!(rec.digest, 7, "digest travels with the record");
         // occupied and out-of-range targets refuse
         let other = reg.commit("other", Placement { shard: 0, ctx: 0 }, 9);

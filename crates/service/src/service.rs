@@ -29,7 +29,7 @@
 //! [`set_lane_width`]: ShardedService::set_lane_width
 
 use crate::batch::{RequestId, RequestIdSource, Response};
-use crate::engine::{eval_step, EvalOutcome, Occupant, PlannedStep, ShardEngine};
+use crate::engine::{eval_step, Occupant, PlannedStep, ShardEngine};
 use crate::executor::{ExecutorConfig, ParallelExecutor};
 use crate::placement::{best_slot, choose_energy_aware, netlist_fingerprint, PlacementPolicy};
 use crate::registry::{CachedPlane, Placement, PlaneCache, TenantId, TenantRegistry};
@@ -37,7 +37,7 @@ use crate::ServiceError;
 use mcfpga_cost::attribution::{bill, render_billing, TenantBill, TenantUsage};
 use mcfpga_css::optimize::{sweep_cost, CostMatrix, OptimizeMode};
 use mcfpga_device::TechParams;
-use mcfpga_fabric::compiled::{LaneBatch, MAX_LANES};
+use mcfpga_fabric::compiled::{EvalStats, LaneBatch, MAX_LANES};
 use mcfpga_fabric::route::implement_netlist_robust;
 use mcfpga_fabric::{
     CompiledFabric, Fabric, FabricError, FabricParams, LogicNetlist, RegisterFile, TileCoord,
@@ -57,19 +57,7 @@ use std::time::Instant;
 const SLOT_SEED: u64 = 0x5EED_0000;
 
 /// One evaluated sweep step on its way to apply.
-type Evaluated = (PlannedStep, Result<EvalOutcome, ServiceError>);
-
-/// Refuses a plane no slot can bind: one that is not a single-context
-/// compilation has no context of its own to evaluate.
-fn check_bindable(plane: &CachedPlane) -> Result<(), ServiceError> {
-    if plane.bound.is_none() {
-        return Err(FabricError::BadParams(
-            "a slot's plane must be a single-context compilation".into(),
-        )
-        .into());
-    }
-    Ok(())
-}
+type Evaluated = (PlannedStep, Result<EvalStats, ServiceError>);
 
 /// `ckpt.usage` with one more move billed: the checkpoint's bytes, one
 /// downtime cycle plus one per pending lane, and `realign` toggles. The
@@ -210,9 +198,6 @@ pub struct ShardedService {
     /// The arch's pairwise transition-toggle matrix — shared by the sweep
     /// optimizer, the baseline accounting and energy-aware placement.
     matrix: CostMatrix,
-    /// Lanes coalesced per slot per pass (every slot's batch is built at
-    /// this width). Default [`MAX_LANES`].
-    lane_width: usize,
     /// Netlist fingerprint → context index of its first admission: the
     /// plane-cache affinity hint energy-aware placement tie-breaks on.
     affinity: HashMap<u64, usize>,
@@ -239,40 +224,6 @@ struct FlushBuffers {
     evaluated: Vec<Evaluated>,
     /// Per shard, the first structural error of the flush.
     errors: Vec<Option<ServiceError>>,
-}
-
-/// Cloning forks the execution state but **not** the telemetry: the
-/// clone gets a fresh registry/span ring (with gauges resynced and the
-/// `executor_*` metrics re-registered there), so two services never
-/// double-record into one registry. Matches the executor's own clone
-/// isolation.
-impl Clone for ShardedService {
-    fn clone(&self) -> Self {
-        let telemetry = Telemetry::with_trace_capacity(self.telemetry.trace_buffer().capacity());
-        let metrics = ServiceMetrics::register(&telemetry, self.engines.len());
-        let executor = self.executor.clone_on(telemetry.registry());
-        let svc = ShardedService {
-            params: self.params,
-            tech: self.tech.clone(),
-            registry: self.registry.clone(),
-            cache: self.cache.clone(),
-            engines: self.engines.clone(),
-            executor,
-            ids: self.ids.clone(),
-            ready: self.ready.clone(),
-            faults: self.faults.clone(),
-            optimize: self.optimize,
-            placement: self.placement,
-            matrix: self.matrix.clone(),
-            lane_width: self.lane_width,
-            affinity: self.affinity.clone(),
-            telemetry,
-            metrics,
-            buffers: FlushBuffers::default(),
-        };
-        svc.sync_gauges();
-        svc
-    }
 }
 
 impl ShardedService {
@@ -329,7 +280,6 @@ impl ShardedService {
             optimize,
             placement,
             matrix,
-            lane_width: MAX_LANES,
             affinity: HashMap::new(),
             telemetry,
             metrics,
@@ -351,7 +301,7 @@ impl ShardedService {
             self.optimize,
             self.placement,
         )?;
-        svc.set_lane_width(self.lane_width)?;
+        svc.set_lane_width(self.lane_width())?;
         let capacity = self.telemetry.trace_buffer().capacity();
         svc.telemetry.trace_buffer().set_capacity(capacity);
         svc.executor = self.executor.clone_on(svc.telemetry.registry());
@@ -435,10 +385,11 @@ impl ShardedService {
         self.telemetry.trace(request.value())
     }
 
-    /// Lanes coalesced per slot per pass (the auto-flush threshold).
+    /// Lanes coalesced per slot per pass (the auto-flush threshold),
+    /// the same on every shard. Default [`MAX_LANES`].
     #[must_use]
     pub fn lane_width(&self) -> usize {
-        self.lane_width
+        self.engines[0].lane_width()
     }
 
     /// Sets how many requests one evaluation pass serves per slot
@@ -461,7 +412,6 @@ impl ShardedService {
         for engine in &mut self.engines {
             engine.set_lane_width(width)?;
         }
-        self.lane_width = width;
         Ok(())
     }
 
@@ -479,7 +429,7 @@ impl ShardedService {
                 self.affinity.get(&fingerprint).copied(),
             )?,
         };
-        self.admit_into(name, netlist, placement)
+        self.admit_into(name, netlist, placement, fingerprint)
     }
 
     /// [`admit`](Self::admit) into an **exact** free slot, bypassing the
@@ -497,7 +447,7 @@ impl ShardedService {
     ) -> Result<TenantId, ServiceError> {
         self.check_shard(placement.shard)?;
         self.check_free(placement)?;
-        self.admit_into(name, netlist, placement)
+        self.admit_into(name, netlist, placement, netlist_fingerprint(netlist))
     }
 
     /// Refuses a slot whose context is out of range or that is occupied.
@@ -517,32 +467,32 @@ impl ShardedService {
         Ok(())
     }
 
+    /// Routes `netlist` (structural `fingerprint`) into the free slot
+    /// `placement` and commits it. The slot's context is cleared first:
+    /// a departed tenant's or a failed admission's routing stays in its
+    /// context until the next admission there.
     fn admit_into(
         &mut self,
         name: &str,
         netlist: &LogicNetlist,
         placement: Placement,
+        fingerprint: u64,
     ) -> Result<TenantId, ServiceError> {
-        let fingerprint = netlist_fingerprint(netlist);
         let engine = &mut self.engines[placement.shard];
-        let routed = implement_netlist_robust(
-            engine.fabric_mut(),
+        let fabric = engine.fabric_mut();
+        fabric.clear_context(placement.ctx)?;
+        implement_netlist_robust(
+            fabric,
             netlist,
             placement.ctx,
             SLOT_SEED + placement.ctx as u64,
             ROUTE_ATTEMPTS,
-        );
-        if let Err(e) = routed {
-            // leave the slot exactly as reserved: free and unconfigured
-            engine.fabric_mut().clear_context(placement.ctx)?;
-            return Err(e.into());
-        }
+        )?;
         let digest = engine.fabric().context_digest(placement.ctx)?;
         let plane = self.cache.get_or_compile(digest, || {
             CompiledFabric::compile_context(engine.fabric(), placement.ctx)
         })?;
-        check_bindable(&plane)?;
-        let batch = LaneBatch::with_width(self.lane_width, Arc::clone(&plane.columns))?;
+        let batch = LaneBatch::with_width(engine.lane_width(), Arc::clone(&plane.columns))?;
         let id = self.registry.commit(name, placement, digest);
         self.affinity.entry(fingerprint).or_insert(placement.ctx);
         engine.adopt(placement.ctx, &plane, Occupant::new(id, batch))?;
@@ -859,7 +809,7 @@ impl ShardedService {
     fn apply_step_traced(
         &mut self,
         step: &mut PlannedStep,
-        outcome: Result<EvalOutcome, ServiceError>,
+        outcome: Result<EvalStats, ServiceError>,
         errors: &mut [Option<ServiceError>],
     ) {
         let shard = step.shard;
@@ -973,29 +923,21 @@ impl ShardedService {
 
     /// Restores `tenant`'s true compiled plane after
     /// [`inject_plane_fault`](Self::inject_plane_fault) (or any plane
-    /// corruption), by digest: the admission-time digest recorded in the
-    /// registry finds the cached plane (shared at any context index, so a
-    /// tenant a migration moved off its admission context needs no
-    /// rebase), and a cache miss recompiles from the tenant's still-routed
-    /// fabric configuration. A *migrated* tenant has no routed
-    /// configuration to recompile from (only the plane travelled), so for
-    /// it a cache miss is [`MigrateError::PlaneUnavailable`] rather than a
-    /// silent compile of an empty context. Queued requests survive and
-    /// serve normally on the next flush.
+    /// corruption), by digest: the digest recorded in the registry finds
+    /// the cached plane (shared at any context index, so a tenant a
+    /// migration moved off its admission context needs no rebase). Every
+    /// live tenant's digest entered the cache when it was admitted or
+    /// restored, and the cache never evicts, so a miss is
+    /// [`MigrateError::PlaneUnavailable`], never a recompile. Queued
+    /// requests survive and serve normally on the next flush.
     pub fn repair_plane(&mut self, tenant: TenantId) -> Result<(), ServiceError> {
         let record = self.registry.tenant(tenant)?;
         let placement = record.placement;
         let digest = record.digest;
-        let plane = if record.resident {
-            let engine = &self.engines[placement.shard];
-            self.cache.get_or_compile(digest, || {
-                CompiledFabric::compile_context(engine.fabric(), placement.ctx)
-            })?
-        } else {
-            self.cache
-                .get(digest)
-                .ok_or(MigrateError::PlaneUnavailable { digest })?
-        };
+        let plane = self
+            .cache
+            .get(digest)
+            .ok_or(MigrateError::PlaneUnavailable { digest })?;
         let plane = self.plane_for_slot(plane, placement.ctx)?;
         self.engines[placement.shard].install_cached(placement.ctx, &plane)
     }
@@ -1012,9 +954,8 @@ impl ShardedService {
         if plane.plane.params() != &self.params {
             Ok(CachedPlane::new(Arc::new(
                 plane.plane.rebase_onto(self.params, ctx)?,
-            )))
+            ))?)
         } else {
-            check_bindable(&plane)?;
             Ok(plane)
         }
     }
@@ -1205,7 +1146,7 @@ impl ShardedService {
             })?;
         let plane = self.plane_for_slot(plane, slot.ctx)?;
         let batch = LaneBatch::from_parts(
-            self.lane_width,
+            self.lane_width(),
             ckpt.pending.lanes,
             Arc::clone(&plane.columns),
             &ckpt.pending.inputs,
@@ -1245,7 +1186,7 @@ impl ShardedService {
         }
 
         // all fallible steps done — commit the restore
-        let id = self.registry.commit_restored(&ckpt.name, slot, ckpt.digest);
+        let id = self.registry.commit(&ckpt.name, slot, ckpt.digest);
         // restored lanes never reuse their recorded ids: the originals may
         // have been answered or discarded since the checkpoint was taken,
         // and a resurrected id would break queue conservation
@@ -1278,9 +1219,15 @@ impl ShardedService {
     /// one's cache, so a subsequent [`restore_tenant`](Self::restore_tenant)
     /// of a checkpoint carrying `digest` finds it even though this node
     /// never routed the design. The exporter vouches that `digest` is the
-    /// plane's admission-time [`Fabric::context_digest`].
-    pub fn import_plane(&mut self, digest: u64, plane: Arc<CompiledFabric>) {
-        self.cache.insert(digest, plane);
+    /// plane's admission-time [`Fabric::context_digest`]. Refuses, caching
+    /// nothing, a plane that is not a single-context compilation
+    /// ([`FabricError::BadParams`]): no slot could evaluate it.
+    pub fn import_plane(
+        &mut self,
+        digest: u64,
+        plane: Arc<CompiledFabric>,
+    ) -> Result<(), ServiceError> {
+        self.cache.insert(digest, plane)
     }
 
     /// Re-provisions the compiled plane a checkpoint demands on a node
@@ -1328,8 +1275,7 @@ impl ShardedService {
             }
             if scratch.context_digest(ctx)? == digest {
                 let plane = CompiledFabric::compile_context(&scratch, ctx)?;
-                self.cache.insert(digest, Arc::new(plane));
-                return Ok(());
+                return self.cache.insert(digest, Arc::new(plane));
             }
         }
         Err(MigrateError::NetlistDigestMismatch { digest }.into())
@@ -1339,14 +1285,12 @@ impl ShardedService {
     /// of a cross-node migration, called **after** the destination's
     /// [`restore_tenant`](Self::restore_tenant) succeeded. The engine
     /// surrenders the tenant's state and queued lanes (the checkpoint
-    /// already carried them to the destination), a resident routed
-    /// configuration is wiped, its recorded faults are dropped, and the
-    /// slot frees for re-admission. The id is never reissued.
+    /// already carried them to the destination), its recorded faults are
+    /// dropped, and the slot frees for re-admission. The id is never
+    /// reissued.
     pub fn retire_tenant(&mut self, tenant: TenantId) -> Result<(), ServiceError> {
-        let record = self.registry.tenant(tenant)?;
-        let placement = record.placement;
-        let resident = record.resident;
-        let _ = self.engines[placement.shard].expel(tenant, placement.ctx, resident)?;
+        let placement = self.registry.tenant(tenant)?.placement;
+        let _ = self.engines[placement.shard].expel(tenant, placement.ctx)?;
         self.registry.retire(tenant)?;
         self.faults.retain(|f| f.tenant != tenant);
         self.sync_gauges();
@@ -1356,7 +1300,7 @@ impl ShardedService {
     /// Live-migrates `tenant` to a free slot on `dst_shard`, preserving
     /// its request ids: the pending lane batch, register file, compiled
     /// plane (shared as it is, at any slot index) and recorded faults all
-    /// move, the source context is wiped, and the tenant resumes
+    /// move, the source slot frees, and the tenant resumes
     /// bit-for-bit — every in-flight request is still answered exactly
     /// once. The slot is chosen like an energy-aware admission (cheapest
     /// marginal sweep cost, ties toward the same context index).
@@ -1391,9 +1335,7 @@ impl ShardedService {
         tenant: TenantId,
         dst: Placement,
     ) -> Result<Placement, ServiceError> {
-        let record = self.registry.tenant(tenant)?;
-        let src = record.placement;
-        let resident = record.resident;
+        let src = self.registry.tenant(tenant)?.placement;
         // the checkpoint is what conceptually crosses the wire: its
         // encoded size is the migration's bytes-moved bill
         let ckpt = self.checkpoint_tenant(tenant)?;
@@ -1405,7 +1347,7 @@ impl ShardedService {
         // point of no return: the cross-engine handoff. The installed
         // plane and its plan move as they are: every shard shares this
         // service's geometry, and a plane serves any context
-        let (mut occupant, plane) = self.engines[src.shard].expel(tenant, src.ctx, resident)?;
+        let (mut occupant, plane) = self.engines[src.shard].expel(tenant, src.ctx)?;
         occupant.usage = usage;
         self.engines[dst.shard].adopt(dst.ctx, &plane, occupant)?;
         // recorded faults describe the tenant's slot; the slot moved
@@ -1561,7 +1503,7 @@ impl ShardedService {
     /// The CSS transition-cost matrix placement scoring runs against —
     /// shared with the cluster so a migration's destination slot is
     /// scored exactly as a local admission would score it (see
-    /// [`crate::placement::best_slot_scored`]).
+    /// [`crate::placement::best_slot`]).
     #[must_use]
     pub fn cost_matrix(&self) -> &CostMatrix {
         &self.matrix
@@ -1571,8 +1513,8 @@ impl ShardedService {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::placement::best_slot_scored;
     use mcfpga_fabric::bitstream;
+    use mcfpga_fabric::compiled::BoundPlan;
     use mcfpga_fabric::netlist_ir::generators;
 
     /// Two fresh services admitting the same netlists route them into the
@@ -1718,8 +1660,11 @@ mod tests {
             (error, pending)
         };
         let stale = ServiceError::StaleStep { shard: 0, ctx };
-        // the step lost its bound plan
-        assert_eq!(apply(&|step, _| step.bound = None), (stale.clone(), 1));
+        // the step ran through a plan other than the slot's
+        let other_plan = |step: &mut PlannedStep, _: &mut ShardEngine| {
+            step.bound = Arc::new(BoundPlan::clone(&step.bound));
+        };
+        assert_eq!(apply(&other_plan), (stale.clone(), 1));
         // the slot's plane was reinstalled (a new bound plan) after planning
         let reinstall = |_: &mut PlannedStep, engine: &mut ShardEngine| {
             let plane = engine.plane(ctx).unwrap();
@@ -1807,7 +1752,7 @@ mod tests {
             "slot ({shard}, {ctx}) holds a copy of its plane"
         );
         assert!(
-            Arc::ptr_eq(&engine.plan(ctx).unwrap(), entry.bound.as_ref().unwrap()),
+            Arc::ptr_eq(&engine.plan(ctx).unwrap(), &entry.bound),
             "slot ({shard}, {ctx}) bound its plane again"
         );
     }
@@ -1818,13 +1763,14 @@ mod tests {
     fn hop_node(src: &mut ShardedService, dst: &mut ShardedService, tenant: TenantId) -> TenantId {
         let ckpt = src.checkpoint_tenant(tenant).unwrap();
         if !dst.cache().contains(ckpt.digest) {
-            dst.import_plane(ckpt.digest, src.export_plane(ckpt.digest).unwrap());
+            dst.import_plane(ckpt.digest, src.export_plane(ckpt.digest).unwrap())
+                .unwrap();
         }
         let matrix = dst.cost_matrix();
-        let slot = best_slot_scored(dst.registry(), matrix, Some(ckpt.ctx), |_| true)
+        let slot = best_slot(dst.registry(), matrix, Some(ckpt.ctx), |_| true)
             .unwrap()
             .unwrap();
-        let (moved, _) = dst.restore_tenant_into(&ckpt, slot.slot).unwrap();
+        let (moved, _) = dst.restore_tenant_into(&ckpt, slot).unwrap();
         src.retire_tenant(tenant).unwrap();
         moved
     }
@@ -1971,7 +1917,8 @@ mod tests {
         let t = src.admit("acc", &accumulator()).unwrap();
         let ckpt = src.checkpoint_tenant(t).unwrap();
         let mut dst = ShardedService::new(2, params, TechParams::default()).unwrap();
-        dst.import_plane(ckpt.digest, src.export_plane(ckpt.digest).unwrap());
+        dst.import_plane(ckpt.digest, src.export_plane(ckpt.digest).unwrap())
+            .unwrap();
         dst.restore_tenant(&ckpt, 1).unwrap();
         assert!(!dst.engines.iter().any(ShardEngine::has_fabric));
         let blank = bitstream::pack(&Fabric::new(params).unwrap()).unwrap();

@@ -6,7 +6,9 @@
 //! * `deadline < now` at the offer is dead on arrival: typed rejection;
 //! * a pump over empty streams is a pure no-op;
 //! * `set_lane_width` is refused while front-end queues are non-empty —
-//!   from both the front-end's own guard and the service's.
+//!   from both the front-end's own guard and the service's;
+//! * the front end's clock is the service telemetry's cycle cell, reset
+//!   to 0 by `FrontendDriver::new`.
 
 use mcfpga_device::TechParams;
 use mcfpga_fabric::netlist_ir::generators;
@@ -205,4 +207,19 @@ fn zero_deadline_budget_means_flush_every_pump() {
         3,
         "zero batching: one pass per request"
     );
+}
+
+#[test]
+fn the_clock_is_the_service_telemetry_cycle() {
+    let svc = ShardedService::new(1, FabricParams::default(), TechParams::default()).unwrap();
+    svc.telemetry().set_cycle(9);
+    let mut fe = FrontendDriver::new(svc);
+    assert_eq!((fe.now(), fe.telemetry().cycle()), (0, 0));
+    fe.advance(5);
+    assert_eq!((fe.now(), fe.telemetry().cycle()), (5, 5));
+    // there is no second copy to fall out of step
+    fe.service().telemetry().set_cycle(12);
+    assert_eq!(fe.now(), 12);
+    fe.advance(1);
+    assert_eq!((fe.now(), fe.telemetry().cycle()), (13, 13));
 }

@@ -4,10 +4,12 @@
 
 use mcfpga_device::TechParams;
 use mcfpga_fabric::netlist_ir::generators;
-use mcfpga_fabric::{FabricParams, LogicNetlist};
+use mcfpga_fabric::route::implement_netlist;
+use mcfpga_fabric::{CompiledFabric, Fabric, FabricError, FabricParams, LogicNetlist};
 use mcfpga_service::{
-    MigrateError, Placement, ServiceError, ShardedService, TenantCheckpoint, TenantId,
+    MigrateError, Outputs, Placement, ServiceError, ShardedService, TenantCheckpoint, TenantId,
 };
+use std::sync::Arc;
 
 fn service(shards: usize) -> ShardedService {
     ShardedService::new(shards, FabricParams::default(), TechParams::default()).unwrap()
@@ -367,7 +369,7 @@ fn smaller_geometry_checkpoint_restores_onto_larger_host() {
         Err(ServiceError::Migrate(MigrateError::PlaneUnavailable { .. }))
     ));
     let plane = src.export_plane(ckpt.digest).expect("source holds plane");
-    dst.import_plane(ckpt.digest, plane);
+    dst.import_plane(ckpt.digest, plane).unwrap();
 
     // the old code rejected this restore with GeometryMismatch
     let (restored, fresh) = dst.restore_tenant(&ckpt, 0).unwrap();
@@ -858,4 +860,93 @@ fn restore_and_move_refuse_usage_counters_that_would_overflow() {
     assert_eq!(svc.billing_report(), report);
     // both tenants still answer their pending lane
     assert_eq!(svc.drain().unwrap().len(), 2);
+}
+
+/// Admission owns a context's hygiene. Whichever way the context was
+/// freed — its tenant retired, its tenant migrated off in service, or an
+/// admission into it failed — admitting a netlist there routes it exactly
+/// as into the same slot of a fresh service: the same digest, the same
+/// cache hit, the same answers.
+#[test]
+fn an_admission_into_a_freed_context_matches_a_fresh_one() {
+    let parity = generators::parity_tree(3).unwrap();
+    let adder = generators::ripple_adder(2).unwrap();
+    // 40 inputs for the 32 input ports of a default fabric: the first 32
+    // bind before placement fails
+    let mut too_wide = LogicNetlist::new();
+    let inputs: Vec<_> = (0..40)
+        .map(|i| too_wide.add_input(&format!("w{i}")))
+        .collect();
+    let lut = too_wide.add_lut("y", &inputs[..2], 0b0110).unwrap();
+    too_wide.add_output("y", lut).unwrap();
+    let slot = Placement { shard: 0, ctx: 0 };
+    // every service has the parity plane cached (admitted at the same
+    // context index of shard 1) before the measured admission
+    let primed = || {
+        let mut svc = service(2);
+        let elsewhere = Placement { shard: 1, ctx: 0 };
+        svc.admit_placed("primer", &parity, elsewhere).unwrap();
+        svc
+    };
+    let admit_parity = |svc: &mut ShardedService| -> (u64, (usize, usize), Vec<Outputs>) {
+        let (hits, misses) = (svc.cache().hits(), svc.cache().misses());
+        let t = svc.admit_placed("parity", &parity, slot).unwrap();
+        let cache = (svc.cache().hits() - hits, svc.cache().misses() - misses);
+        for v in 0..8 {
+            submit3(svc, t, v);
+        }
+        let answers = svc
+            .drain()
+            .unwrap()
+            .into_iter()
+            .map(|r| r.outputs)
+            .collect();
+        (svc.registry().tenant(t).unwrap().digest, cache, answers)
+    };
+    let want = admit_parity(&mut primed());
+    assert_eq!(want.1, (1, 0), "the fresh admission is a cache hit");
+
+    let mut retired = primed();
+    let t = retired.admit_placed("adder", &adder, slot).unwrap();
+    retired.retire_tenant(t).unwrap();
+    let mut migrated = primed();
+    let t = migrated.admit_placed("adder", &adder, slot).unwrap();
+    assert_ne!(migrated.migrate_tenant(t, 0).unwrap(), slot);
+    let mut failed = primed();
+    assert!(matches!(
+        failed.admit_placed("too wide", &too_wide, slot),
+        Err(ServiceError::Fabric(FabricError::PlacementFailed(_)))
+    ));
+    for (how, mut svc) in [
+        ("retired", retired),
+        ("migrated", migrated),
+        ("failed", failed),
+    ] {
+        assert_eq!(
+            admit_parity(&mut svc),
+            want,
+            "context freed by a {how} tenant"
+        );
+    }
+}
+
+/// A plane is bound when it enters the cache: a multi-context
+/// compilation has no context of its own for a slot to evaluate, so
+/// importing one is refused as `BadParams` and caches nothing.
+#[test]
+fn importing_a_multi_context_compilation_is_refused() {
+    let mut fabric = Fabric::new(FabricParams::default()).unwrap();
+    implement_netlist(&mut fabric, &generators::parity_tree(3).unwrap(), 0, 7).unwrap();
+    let digest = fabric.context_digest(0).unwrap();
+    let every_context = Arc::new(CompiledFabric::compile(&fabric).unwrap());
+    let mut svc = service(1);
+    assert!(matches!(
+        svc.import_plane(digest, every_context),
+        Err(ServiceError::Fabric(FabricError::BadParams(_)))
+    ));
+    assert!(!svc.cache().contains(digest));
+    // the same context compiled alone imports
+    let alone = Arc::new(CompiledFabric::compile_context(&fabric, 0).unwrap());
+    svc.import_plane(digest, alone).unwrap();
+    assert!(svc.cache().contains(digest));
 }

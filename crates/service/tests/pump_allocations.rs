@@ -11,6 +11,11 @@
 //! allocate nothing; the pump's one allowed allocation is the exactly
 //! sized `Vec` of events it hands back, and a pump that returns no events
 //! allocates nothing at all.
+//!
+//! A tenant whose plane binds more than 64 inputs — past the reach of the
+//! dirty mask, so it never reuses a cached sweep — still evaluates in its
+//! slot's own arena and input buffer: its steady-state `flush_tenants`
+//! allocates no more than a 2-input tenant's.
 
 use mcfpga_device::TechParams;
 use mcfpga_fabric::netlist_ir::{generators, LogicNetlist, Node};
@@ -188,4 +193,67 @@ fn steady_state_sparse_pumps_allocate_only_their_events() {
         allocated, with_events,
         "the flush path allocated: {allocated} allocations over {flushes} flushing pumps"
     );
+}
+
+/// `inputs` inputs `x0`, `x1`, … of which one LUT reads the first two:
+/// every input is bound to an IO port, so the plane binds all of them.
+fn one_lut(inputs: usize) -> (LogicNetlist, Vec<String>) {
+    let mut nl = LogicNetlist::new();
+    let ids: Vec<_> = (0..inputs)
+        .map(|i| nl.add_input(&format!("x{i}")))
+        .collect();
+    let y = nl.add_lut("y", &ids[..2], 0b0110).unwrap();
+    nl.add_output("y", y).unwrap();
+    let names = input_names(&nl);
+    (nl, names)
+}
+
+#[test]
+fn a_wide_tenants_flush_allocates_no_more_than_a_narrow_ones() {
+    let params = FabricParams {
+        width: 6,
+        height: 6,
+        io_in: 2,
+        ..FabricParams::default()
+    };
+    let mut svc = ShardedService::new(1, params, TechParams::default()).expect("service");
+    svc.set_threads(1);
+    let (wide_nl, wide_names) = one_lut(70);
+    let (narrow_nl, narrow_names) = one_lut(2);
+    let wide = svc.admit("wide", &wide_nl).expect("admit wide");
+    let narrow = svc.admit("narrow", &narrow_nl).expect("admit narrow");
+    // one request, then a flush of its tenant: the flush's allocations
+    let flush = |svc: &mut ShardedService, tenant: TenantId, names: &[String], round: u64| {
+        let inputs: Vec<(&str, bool)> = names
+            .iter()
+            .enumerate()
+            .map(|(i, n)| (n.as_str(), (round >> (i % 8)) & 1 == 1))
+            .collect();
+        svc.submit(tenant, &inputs).expect("submit");
+        let before = allocations();
+        let responses = svc.flush_tenants(&[tenant]).expect("flush");
+        let n = allocations() - before;
+        assert_eq!(responses.len(), 1);
+        n
+    };
+    // warm-up: every buffer at its working size, the span ring full
+    for round in 0..1_000 {
+        flush(&mut svc, wide, &wide_names, round);
+        flush(&mut svc, narrow, &narrow_names, round);
+    }
+    for round in 1_000..1_100 {
+        let w = flush(&mut svc, wide, &wide_names, round);
+        let n = flush(&mut svc, narrow, &narrow_names, round);
+        assert!(
+            w <= n,
+            "round {round}: the 70-input tenant's flush allocated {w} times, \
+             the 2-input tenant's {n}"
+        );
+    }
+    let kernel_passes = svc
+        .telemetry()
+        .registry()
+        .counter_value("fabric_kernel_evals")
+        .expect("registered");
+    assert_eq!(kernel_passes, 2 * 1_100, "both planes run the kernel");
 }
