@@ -2,12 +2,14 @@
 //! node-then-shard-then-lane merge, live migration, and the virtual-clock
 //! rebalancer pump.
 
-use crate::ids::NodeIds;
 use crate::rebalancer::{RebalanceAction, RebalancerPolicy};
 use crate::ClusterError;
 use mcfpga_cost::attribution::{render_billing, TenantUsage};
 use mcfpga_fabric::{FabricParams, LogicNetlist};
-use mcfpga_service::{best_slot, Outputs, Response, ServiceError, ShardedService, TenantId};
+use mcfpga_service::{
+    best_slot, Outputs, RequestId, RequestIdSource, Response, ServiceError, ShardedService,
+    TenantId,
+};
 use mcfpga_telemetry::{
     sort_timeline, tenant_key, ClusterHealthSnapshot, Counter, Gauge, MetricClass,
     NodeHealthSample, SpanEvent, SpanKind, Telemetry, ACTIVE_TENANTS_METRIC, FAULT_TALLY_METRIC,
@@ -26,10 +28,6 @@ pub const CLUSTER_FAULTS_METRIC: &str = "cluster_faults_total";
 /// Interventions taken by the rebalancer pump
 /// ([`MetricClass::Deterministic`]).
 pub const CLUSTER_REBALANCE_ACTIONS_METRIC: &str = "cluster_rebalance_actions";
-/// Id runs the cluster's translation tables hold across all nodes
-/// ([`MetricClass::Deterministic`]); published after every drain,
-/// migration and restart, never per submit.
-pub const CLUSTER_ID_RUNS_METRIC: &str = "cluster_id_runs";
 
 /// The cluster façade's own metric handles, registered on the cluster
 /// [`Telemetry`] (distinct from each member node's registry).
@@ -40,7 +38,6 @@ struct ClusterMetrics {
     migrations: Counter,
     faults: Counter,
     rebalance_actions: Counter,
-    id_runs: Gauge,
 }
 
 impl ClusterMetrics {
@@ -53,7 +50,6 @@ impl ClusterMetrics {
             migrations: r.counter(CLUSTER_MIGRATIONS_METRIC, det),
             faults: r.counter(CLUSTER_FAULTS_METRIC, det),
             rebalance_actions: r.counter(CLUSTER_REBALANCE_ACTIONS_METRIC, det),
-            id_runs: r.gauge(CLUSTER_ID_RUNS_METRIC, det),
         }
     }
 }
@@ -79,31 +75,15 @@ impl std::fmt::Display for ClusterTenantId {
     }
 }
 
-/// Cluster-global request handle, minted in submission order starting
-/// at 0. Survives migration: a request queued on the source node is
-/// answered under the same cluster id from the destination.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct ClusterRequestId(pub(crate) u64);
+/// A request's id: minted from the cluster's one [`RequestIdSource`] in
+/// submission order starting at 0, and the same at every node the
+/// request visits — a live migration carries it along.
+pub type ClusterRequestId = RequestId;
 
-impl ClusterRequestId {
-    /// The raw sequence number (cluster submission order).
-    #[must_use]
-    pub fn value(self) -> u64 {
-        self.0
-    }
-}
-
-impl std::fmt::Display for ClusterRequestId {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "creq#{}", self.0)
-    }
-}
-
-/// One answered request, with node-local ids already translated to
-/// cluster ids — bit-identical for a given workload at any node count
-/// and any executor width. Translation moves the node's [`Outputs`]
-/// view across unchanged: no output is copied and no reference count
-/// moves.
+/// One answered request, with its node-local tenant id translated to
+/// the cluster's — bit-identical for a given workload at any node count
+/// and any executor width. The node's [`Outputs`] view moves across
+/// unchanged: no output is copied and no reference count moves.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ClusterResponse {
     /// The cluster id the answered submission returned.
@@ -188,8 +168,9 @@ struct Node {
     /// rebalancer reads it back through a [`ClusterHealthSnapshot`]
     /// rather than poking cluster-private state.
     fault_gauge: Gauge,
-    /// Translation between this node's ids and the cluster's.
-    ids: NodeIds,
+    /// The cluster tenant of each resident node-local tenant, indexed by
+    /// [`TenantId::index`] (the node's registry mints those densely).
+    tenants: Vec<Option<ClusterTenantId>>,
 }
 
 impl Node {
@@ -199,6 +180,22 @@ impl Node {
         svc.telemetry()
             .registry()
             .gauge(FAULT_TALLY_METRIC, MetricClass::Deterministic)
+    }
+
+    fn bind_tenant(&mut self, local: TenantId, tenant: Option<ClusterTenantId>) {
+        let i = local.index();
+        if self.tenants.len() <= i {
+            self.tenants.resize(i + 1, None);
+        }
+        self.tenants[i] = tenant;
+    }
+
+    fn tenant(&self, local: TenantId) -> Result<ClusterTenantId, ClusterError> {
+        self.tenants
+            .get(local.index())
+            .copied()
+            .flatten()
+            .ok_or(ClusterError::UnknownTenant(local.index()))
     }
 }
 
@@ -222,7 +219,8 @@ struct RouteEntry {
 pub struct Cluster {
     nodes: Vec<Node>,
     routes: Vec<RouteEntry>,
-    next_request: u64,
+    /// The only request-id source of the cluster's nodes.
+    ids: RequestIdSource,
     /// Round-robin cursor over the global shard space.
     cursor: usize,
     last_check: u64,
@@ -240,7 +238,10 @@ impl Cluster {
     /// Federates `nodes` (at least one). Node order is load-bearing: it fixes
     /// the global shard space (node 0's shards first) and therefore the
     /// merge order of every response, fault and billing row. The virtual
-    /// clock starts at 0, on every node too.
+    /// clock starts at 0, on every node too. Request ids come from the
+    /// cluster's own source: a node that already minted ids of its own
+    /// cannot take part in a live migration
+    /// ([`ShardedService::hand_over`]).
     pub fn new(nodes: Vec<ShardedService>) -> Result<Self, ClusterError> {
         if nodes.is_empty() {
             return Err(ClusterError::NoNodes);
@@ -254,7 +255,7 @@ impl Cluster {
                     health: NodeHealth::Healthy,
                     shard_base: base,
                     fault_gauge: Node::register_fault_gauge(&svc),
-                    ids: NodeIds::default(),
+                    tenants: Vec::new(),
                     svc,
                 };
                 base += node.svc.shard_count();
@@ -266,7 +267,7 @@ impl Cluster {
         Ok(Cluster {
             nodes,
             routes: Vec::new(),
-            next_request: 0,
+            ids: RequestIdSource::new(),
             cursor: 0,
             last_check: 0,
             rebalancer: None,
@@ -373,7 +374,7 @@ impl Cluster {
             node: node_idx,
             local,
         });
-        self.nodes[node_idx].ids.bind_tenant(local, id);
+        self.nodes[node_idx].bind_tenant(local, Some(id));
         Ok(id)
     }
 
@@ -411,7 +412,8 @@ impl Cluster {
     // ------------------------------------------------------------------
 
     /// Submits one input vector to `tenant`, wherever it currently runs,
-    /// returning a cluster-global request id. Refused with
+    /// returning the request's id, minted from the cluster's source: the
+    /// same id at every node the request visits. Refused with
     /// [`ClusterError::NodeUnavailable`] when the tenant's node is
     /// [`Faulted`](NodeHealth::Faulted).
     pub fn submit(
@@ -429,20 +431,19 @@ impl Cluster {
                 health: self.nodes[node].health,
             });
         }
-        let rid = self.nodes[node].svc.submit(local, inputs)?;
-        let id = ClusterRequestId(self.next_request);
-        self.next_request += 1;
-        self.nodes[node].ids.record(rid.value(), id);
+        let id = self.nodes[node]
+            .svc
+            .submit_from(&mut self.ids, local, inputs)?;
         self.metrics.requests.inc();
         // the admission hop at the cluster level carries *where* the
-        // request landed; node-local hops are stitched in by `trace`
+        // request landed; `trace` gathers the node-local hops
         let now = self.now();
         self.telemetry.trace_buffer_mut().record(
             id.value(),
             SpanKind::Admitted,
             now,
             node as u32,
-            rid.value() as i64,
+            id.value() as i64,
         );
         Ok(id)
     }
@@ -458,7 +459,6 @@ impl Cluster {
             let responses = self.nodes[node].svc.drain()?;
             self.merge(node, responses, &mut merged)?;
         }
-        self.publish_id_runs();
         Ok(merged)
     }
 
@@ -481,13 +481,11 @@ impl Cluster {
             let responses = self.nodes[node].svc.flush_tenants(&locals)?;
             self.merge(node, responses, &mut merged)?;
         }
-        self.publish_id_runs();
         Ok(merged)
     }
 
-    /// Translates one node's responses to cluster ids onto `merged`
-    /// (each admitted request is answered exactly once), then prunes the
-    /// node's id runs that its span ring no longer needs.
+    /// Appends one node's responses to `merged` under their cluster
+    /// tenant ids, refusing a tenant the cluster never bound there.
     fn merge(
         &mut self,
         node: usize,
@@ -496,19 +494,15 @@ impl Cluster {
     ) -> Result<(), ClusterError> {
         let count = responses.len() as u64;
         merged.reserve(responses.len());
-        let n = &mut self.nodes[node];
         for r in responses {
-            merged.push(n.ids.translate(node, r)?);
+            merged.push(ClusterResponse {
+                request: r.request,
+                tenant: self.nodes[node].tenant(r.tenant)?,
+                outputs: r.outputs,
+            });
         }
         self.metrics.responses.add(count);
-        n.ids.prune(n.svc.telemetry().trace_buffer().capacity());
         Ok(())
-    }
-
-    /// Publishes the id runs held across all nodes.
-    fn publish_id_runs(&self) {
-        let runs: usize = self.nodes.iter().map(|n| n.ids.runs()).sum();
-        self.metrics.id_runs.set(runs as i64);
     }
 
     /// Removes and returns every fault recorded since the last call,
@@ -529,7 +523,7 @@ impl Cluster {
             for f in self.nodes[node].svc.take_faults() {
                 self.nodes[node].fault_gauge.add(1);
                 self.metrics.faults.inc();
-                if let Some(tenant) = self.nodes[node].ids.tenant(f.tenant) {
+                if let Ok(tenant) = self.nodes[node].tenant(f.tenant) {
                     self.telemetry.trace_buffer_mut().record(
                         tenant_key(tenant.index()),
                         SpanKind::Fault,
@@ -602,13 +596,13 @@ impl Cluster {
     // Migration and node lifecycle
     // ------------------------------------------------------------------
 
-    /// Live-migrates `tenant` to `dst_node`: checkpoint at the source,
-    /// make the compiled plane available at the destination (cache hit,
-    /// plane shipment from the source, or — when the source's cache is
-    /// gone — recompilation from the admission netlist), restore into the
-    /// destination's cheapest slot, re-point every pending request to its
-    /// original cluster id, then retire the source copy. A no-op when the
-    /// tenant already runs on `dst_node`.
+    /// Live-migrates `tenant` to `dst_node`: make the compiled plane
+    /// available at the destination (cache hit, plane shipment from the
+    /// source, or — when the source's cache is gone — recompilation from
+    /// the admission netlist), then hand the tenant over into the
+    /// destination's cheapest slot ([`ShardedService::hand_over`]):
+    /// its pending requests keep their ids. A no-op when the tenant
+    /// already runs on `dst_node`.
     ///
     /// Works across heterogeneous geometries: a tenant admitted on an
     /// 8×8 node restores onto a 10×10 node bit-for-bit (pad-and-remap).
@@ -625,24 +619,20 @@ impl Cluster {
         if src_node == dst_node {
             return Ok(());
         }
-        let ckpt = self.nodes[src_node].svc.checkpoint_tenant(src_local)?;
+        let record = self.nodes[src_node].svc.registry().tenant(src_local)?;
+        let (digest, ctx) = (record.digest, record.placement.ctx);
 
         // plane re-provisioning: ship it, or recompile it at the
         // destination from the admission netlist — never dead-end on a
         // cold cache
-        if !self.nodes[dst_node].svc.cache().contains(ckpt.digest) {
-            match self.nodes[src_node].svc.export_plane(ckpt.digest) {
-                Some(plane) => self.nodes[dst_node].svc.import_plane(ckpt.digest, plane)?,
+        if !self.nodes[dst_node].svc.cache().contains(digest) {
+            match self.nodes[src_node].svc.export_plane(digest) {
+                Some(plane) => self.nodes[dst_node].svc.import_plane(digest, plane)?,
                 None => {
-                    let (netlist, admit_params) = {
-                        let r = self.route(tenant)?;
-                        (r.netlist.clone(), r.admit_params)
-                    };
-                    self.nodes[dst_node].svc.provision_plane(
-                        ckpt.digest,
-                        &netlist,
-                        admit_params,
-                    )?;
+                    let r = &self.routes[tenant.0];
+                    self.nodes[dst_node]
+                        .svc
+                        .provision_plane(digest, &r.netlist, r.admit_params)?;
                 }
             }
         }
@@ -651,43 +641,34 @@ impl Cluster {
         // so restoring into it is what `restore_tenant` on that shard would
         // pick — scored once, here
         let dst = &self.nodes[dst_node].svc;
-        let slot = best_slot(dst.registry(), dst.cost_matrix(), Some(ckpt.ctx), |_| true)?
+        let slot = best_slot(dst.registry(), dst.cost_matrix(), Some(ctx), |_| true)?
             .ok_or(ClusterError::CapacityExhausted)?;
-        let (new_local, fresh) = self.nodes[dst_node].svc.restore_tenant_into(&ckpt, slot)?;
+        let [src, dst] = self
+            .nodes
+            .get_disjoint_mut([src_node, dst_node])
+            .expect("distinct nodes, both checked");
+        let (new_local, kept) = src.svc.hand_over(src_local, &mut dst.svc, slot)?;
+        src.bind_tenant(src_local, None);
+        dst.bind_tenant(new_local, Some(tenant));
 
-        // the checkpoint's pending requests (source-local ids, lane
-        // order) were re-queued under fresh destination-local ids (same
-        // order): re-point each one at its original cluster id
+        // the hop every in-flight request takes when its tenant moves:
+        // recorded on the *destination*, detail = source
         let now = self.now();
-        for (&old_raw, new_rid) in ckpt.pending.requests.iter().zip(&fresh) {
-            if let Some(cid) = self.nodes[src_node].ids.consume(old_raw) {
-                self.nodes[dst_node].ids.record(new_rid.value(), cid);
-                // the hop every in-flight request takes when its tenant
-                // moves: recorded on the *destination*, detail = source
-                self.telemetry.trace_buffer_mut().record(
-                    cid.value(),
-                    SpanKind::MigrationHop,
-                    now,
-                    dst_node as u32,
-                    src_node as i64,
-                );
-            }
+        let ring = self.telemetry.trace_buffer_mut();
+        for id in kept
+            .iter()
+            .map(|id| id.value())
+            .chain([tenant_key(tenant.index())])
+        {
+            ring.record(
+                id,
+                SpanKind::MigrationHop,
+                now,
+                dst_node as u32,
+                src_node as i64,
+            );
         }
         self.metrics.migrations.inc();
-        self.telemetry.trace_buffer_mut().record(
-            tenant_key(tenant.index()),
-            SpanKind::MigrationHop,
-            now,
-            dst_node as u32,
-            src_node as i64,
-        );
-
-        self.nodes[src_node].svc.retire_tenant(src_local)?;
-        let src = &mut self.nodes[src_node];
-        src.ids.unbind_tenant(src_local);
-        src.ids.prune(src.svc.telemetry().trace_buffer().capacity());
-        self.nodes[dst_node].ids.bind_tenant(new_local, tenant);
-        self.publish_id_runs();
         let route = &mut self.routes[tenant.0];
         route.node = dst_node;
         route.local = new_local;
@@ -739,7 +720,7 @@ impl Cluster {
     /// rolling restart. Refused with [`ClusterError::NodeBusy`] while
     /// tenants are still resident.
     ///
-    /// Only the node's *state* starts fresh (registry, plane cache, ids,
+    /// Only the node's *state* starts fresh (registry, plane cache,
     /// telemetry, fault tally). Its configuration survives the restart —
     /// see [`ShardedService::fresh_like`]: shard count, geometry,
     /// technology, lane width, sweep-ordering and placement policies,
@@ -762,10 +743,6 @@ impl Cluster {
         // the fresh service brings a fresh registry: re-register the
         // published fault gauge there, zeroed
         n.fault_gauge = Node::register_fault_gauge(&n.svc);
-        // the fresh service mints its ids from 0 again and its telemetry
-        // knows nothing of the old ones: the node's translation starts over
-        n.ids = NodeIds::default();
-        self.publish_id_runs();
         Ok(())
     }
 
@@ -925,30 +902,19 @@ impl Cluster {
     }
 
     /// Reconstructs `request`'s complete cross-node timeline: the
-    /// cluster-level `Admitted` and `MigrationHop` spans, merged with
-    /// every node-local span the request produced under each of its
-    /// node-local incarnations — re-keyed to the cluster id and stamped
-    /// with the owning node — in virtual-clock order
+    /// cluster-level `Admitted` and `MigrationHop` spans plus every
+    /// node's spans for the same id ([`ShardedService::trace`]), each
+    /// stamped with its node, in virtual-clock order
     /// ([`sort_timeline`]). The result is exactly what the rings still
-    /// hold: a node's incarnation is forgotten only once that node's ring
-    /// can hold none of its spans, and a restarted node's old
-    /// incarnations contribute nothing.
+    /// hold; a restarted node's ring starts empty.
     #[must_use]
     pub fn trace(&self, request: ClusterRequestId) -> Vec<SpanEvent> {
-        let mut events: Vec<SpanEvent> = self
-            .telemetry
-            .trace_buffer()
-            .trace(request.value())
-            .into_iter()
-            .collect();
+        let mut events = self.telemetry.trace(request.value());
         for (i, node) in self.nodes.iter().enumerate() {
-            for raw in node.ids.incarnations(request) {
-                for mut ev in node.svc.telemetry().trace(raw) {
-                    ev.key = request.value();
-                    ev.node = i as u32;
-                    events.push(ev);
-                }
-            }
+            events.extend(node.svc.trace(request).into_iter().map(|mut ev| {
+                ev.node = i as u32;
+                ev
+            }));
         }
         sort_timeline(&mut events);
         events
@@ -980,3 +946,32 @@ const _: () = {
     const fn assert_send<T: Send>() {}
     assert_send::<Cluster>();
 };
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn tenants_translate_densely() {
+        let params = FabricParams::default();
+        let mut svc = ShardedService::new(1, params, mcfpga_device::TechParams::default()).unwrap();
+        let parity = mcfpga_fabric::netlist_ir::generators::parity_tree(3).unwrap();
+        let locals: Vec<TenantId> = (0..4)
+            .map(|i| svc.admit(&format!("t{i}"), &parity).unwrap())
+            .collect();
+        let mut node = Node {
+            fault_gauge: Node::register_fault_gauge(&svc),
+            svc,
+            health: NodeHealth::Healthy,
+            shard_base: 0,
+            tenants: Vec::new(),
+        };
+        let t = locals[3];
+        assert_eq!(node.tenant(t), Err(ClusterError::UnknownTenant(3)));
+        node.bind_tenant(t, Some(ClusterTenantId(7)));
+        assert_eq!(node.tenant(t), Ok(ClusterTenantId(7)));
+        assert!(node.tenant(locals[1]).is_err());
+        node.bind_tenant(t, None);
+        assert!(node.tenant(t).is_err());
+    }
+}

@@ -13,8 +13,10 @@
 //!   energy-aware admission uses
 //!   ([`best_slot`](mcfpga_service::best_slot)).
 //! * **Deterministic merge.** The cluster mints its own tenant ids
-//!   (admission order) and request ids (submission order), and merges
-//!   node outputs — responses, fault records, billing rows — in **node,
+//!   (admission order), owns the only request-id source of its nodes and
+//!   lends it to each submit, so a request's id (submission order) is the
+//!   same at the cluster and at every node it visits. It merges node
+//!   outputs — responses, fault records, billing rows — in **node,
 //!   then shard, then lane order**. A workload replayed against one node
 //!   or against three nodes holding the same global shards produces
 //!   bit-identical [`ClusterResponse`]s, [`ClusterFault`]s and billing
@@ -27,19 +29,16 @@
 //!   [`ClusterHealthSnapshot`] ([`Cluster::health_snapshot`]), marks
 //!   nodes [`Hot`](NodeHealth::Hot) or [`Faulted`](NodeHealth::Faulted)
 //!   as a pure function of that snapshot, and live-migrates tenants to
-//!   healthy nodes — checkpoint, plane transfer, restore — preserving
-//!   every in-flight request id.
+//!   healthy nodes — plane transfer, then a hand-over that keeps every
+//!   in-flight request id.
 //! * **Observability.** The façade keeps its own
 //!   [`Telemetry`](mcfpga_telemetry::Telemetry): deterministic
 //!   `cluster_*` counters, plus cluster-level `Admitted`,
 //!   `MigrationHop` and `Fault` spans keyed by [`ClusterRequestId`] /
-//!   [`ClusterTenantId`]. [`Cluster::trace`] stitches those together
-//!   with every node-local span a request produced under each of its
-//!   node-local incarnations, yielding the complete cross-node
-//!   admitted→…→demuxed timeline in virtual-clock order. The per-node
-//!   id-translation tables behind it forget an incarnation only once no
-//!   span ring can still show it, so they stay O(in-flight + ring
-//!   capacity) per node (the `cluster_id_runs` gauge).
+//!   [`ClusterTenantId`]. [`Cluster::trace`] gathers those and every
+//!   node's spans under the same id, yielding the complete cross-node
+//!   admitted→…→demuxed timeline in virtual-clock order. The cluster
+//!   keeps no per-request state.
 //!
 //! Tenant moves never lose planes: checkpoints carry a configuration
 //! *digest*, and if the destination's cache misses it the cluster first
@@ -81,13 +80,12 @@
 #![forbid(unsafe_code)]
 
 mod federation;
-mod ids;
 mod rebalancer;
 
 pub use federation::{
     Cluster, ClusterFault, ClusterRequestId, ClusterResponse, ClusterTenantId, NodeHealth,
-    CLUSTER_FAULTS_METRIC, CLUSTER_ID_RUNS_METRIC, CLUSTER_MIGRATIONS_METRIC,
-    CLUSTER_REBALANCE_ACTIONS_METRIC, CLUSTER_REQUESTS_METRIC, CLUSTER_RESPONSES_METRIC,
+    CLUSTER_FAULTS_METRIC, CLUSTER_MIGRATIONS_METRIC, CLUSTER_REBALANCE_ACTIONS_METRIC,
+    CLUSTER_REQUESTS_METRIC, CLUSTER_RESPONSES_METRIC,
 };
 pub use rebalancer::{RebalanceAction, RebalancerPolicy};
 

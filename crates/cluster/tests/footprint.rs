@@ -1,28 +1,40 @@
-//! Bounded translation state: the cluster's id tables grow with the
-//! requests in flight, never with the requests ever submitted.
+//! The cluster holds no per-request state: a request's id is the one its
+//! submit returned at every node, so answers need no translation table.
 
-use mcfpga_cluster::{Cluster, ClusterTenantId, CLUSTER_ID_RUNS_METRIC};
+use mcfpga_cluster::{Cluster, ClusterResponse, ClusterTenantId};
 use mcfpga_device::TechParams;
 use mcfpga_fabric::netlist_ir::generators;
 use mcfpga_fabric::FabricParams;
 use mcfpga_service::ShardedService;
+use mcfpga_telemetry::QUEUE_DEPTH_METRIC;
 
 const REQUESTS: usize = 100_000;
 
-fn id_runs(c: &Cluster) -> usize {
-    c.telemetry()
-        .registry()
-        .gauge_value(CLUSTER_ID_RUNS_METRIC)
-        .expect("gauge registered") as usize
+/// Takes each response's submitting tenant out of `issued` (indexed by
+/// request id), asserting it matches; returns how many were answered.
+fn answer(issued: &mut [Option<ClusterTenantId>], responses: &[ClusterResponse]) -> usize {
+    for r in responses {
+        let tenant = issued
+            .get_mut(r.request.value() as usize)
+            .and_then(Option::take);
+        assert_eq!(
+            tenant,
+            Some(r.tenant),
+            "{} answered once, as issued",
+            r.request
+        );
+    }
+    responses.len()
 }
 
 /// 100k requests through a [3,3,2] cluster with every span ring off:
 /// partial flushes leave requests in flight, full drains answer them
 /// all, and a migration every few rounds carries queued requests across
-/// nodes. After every flush the `cluster_id_runs` gauge is at most the
-/// number of requests in flight, and zero exactly when none are.
+/// nodes. Every answer carries the id its submit returned, for the
+/// tenant that submitted it, exactly once; after the final drain every
+/// node's queue-depth gauge reads 0.
 #[test]
-fn id_runs_stay_at_inflight_size() {
+fn answers_carry_their_submit_ids_exactly_once() {
     let nodes = [3, 3, 2]
         .iter()
         .map(|&s| ShardedService::new(s, FabricParams::default(), TechParams::default()).unwrap())
@@ -41,21 +53,25 @@ fn id_runs_stay_at_inflight_size() {
         .map(|i| c.admit(&format!("t{i}"), &parity).unwrap())
         .collect();
 
+    let mut issued: Vec<Option<ClusterTenantId>> = Vec::new();
     let (mut submitted, mut answered, mut peak) = (0usize, 0usize, 0usize);
     let mut round = 0usize;
     while submitted < REQUESTS {
         for (i, &t) in tenants.iter().enumerate() {
             for j in 0..(round * 7 + i * 3) % 41 {
                 let bits = (round + j) as u64;
-                c.submit(
-                    t,
-                    &[
-                        ("x0", bits & 1 == 1),
-                        ("x1", bits >> 1 & 1 == 1),
-                        ("x2", bits >> 2 & 1 == 1),
-                    ],
-                )
-                .unwrap();
+                let id = c
+                    .submit(
+                        t,
+                        &[
+                            ("x0", bits & 1 == 1),
+                            ("x1", bits >> 1 & 1 == 1),
+                            ("x2", bits >> 2 & 1 == 1),
+                        ],
+                    )
+                    .unwrap();
+                assert_eq!(id.value() as usize, issued.len(), "ids are dense");
+                issued.push(Some(t));
                 submitted += 1;
             }
         }
@@ -71,19 +87,20 @@ fn id_runs_stay_at_inflight_size() {
                 tenants.iter().copied().skip(round % 2).step_by(2).collect();
             c.flush_tenants(&half).unwrap()
         };
-        answered += responses.len();
-        let inflight = submitted - answered;
-        let runs = id_runs(&c);
-        assert!(
-            runs <= inflight,
-            "round {round}: {runs} id runs for {inflight} requests in flight"
-        );
-        assert_eq!(runs == 0, inflight == 0, "round {round}");
-        peak = peak.max(runs);
+        answered += answer(&mut issued, &responses);
+        assert_eq!(c.pending_requests(), submitted - answered, "round {round}");
+        peak = peak.max(submitted - answered);
         round += 1;
     }
-    let tail = c.drain().unwrap().len();
-    assert_eq!(answered + tail, submitted, "every request answered once");
-    assert_eq!(id_runs(&c), 0);
-    assert!(peak > 0, "the bound was exercised");
+    answered += answer(&mut issued, &c.drain().unwrap());
+    assert_eq!(answered, submitted, "every request answered");
+    assert!(peak > 0, "partial flushes left requests in flight");
+    for n in 0..c.node_count() {
+        let registry = c.node(n).unwrap().telemetry().registry();
+        assert_eq!(
+            registry.gauge_value(QUEUE_DEPTH_METRIC),
+            Some(0),
+            "node {n}"
+        );
+    }
 }

@@ -111,6 +111,29 @@ fn rolling_restart_keeps_the_cluster_serving() {
     assert!(last[0].outputs[0].1, "parity(1,1,1) is odd");
 }
 
+/// A restarted node mints nothing of its own: requests it serves after
+/// the restart carry the cluster's next ids, never ones already issued.
+#[test]
+fn a_restarted_node_serves_under_the_clusters_next_ids() {
+    let mut c = Cluster::new(vec![node(1), node(1)]).unwrap();
+    let parity = generators::parity_tree(3).unwrap();
+    let t = c.admit("t", &parity).unwrap();
+    let u = c.admit("u", &parity).unwrap();
+    assert_eq!(c.tenant_node(u).unwrap(), 1);
+    let before: Vec<ClusterRequestId> = (0..3).map(|b| submit3(&mut c, u, b)).collect();
+    c.drain_node(1).unwrap();
+    c.restart_node(1).unwrap();
+    c.migrate_tenant(u, 1).unwrap();
+    let after = submit3(&mut c, u, 0b111);
+    let other = submit3(&mut c, t, 0b001);
+    assert_eq!(after.value(), before[2].value() + 1);
+    assert_eq!(other.value(), after.value() + 1);
+    let mut answered: Vec<ClusterRequestId> =
+        c.drain().unwrap().iter().map(|r| r.request).collect();
+    answered.sort();
+    assert_eq!(answered, [before, vec![after, other]].concat());
+}
+
 #[test]
 fn thundering_herd_readmits_across_the_restarted_node() {
     let mut c = Cluster::new(vec![node(2), node(2)]).unwrap();

@@ -109,6 +109,49 @@ fn trace_of_local_request_covers_full_lifecycle() {
     assert!(c.trace(rid).iter().all(|e| e.node == 0));
 }
 
+/// One id at every layer: a request queued on node 0 behind earlier
+/// traffic there, then carried to node 1 by a live migration, is
+/// answered under the id its submit returned, and both nodes' rings know
+/// it by that id — node 0 queued it, node 1 demuxed it.
+#[test]
+fn a_moved_request_keeps_one_id_at_every_layer() {
+    let mut c = Cluster::new(vec![node(2), node(2)]).unwrap();
+    let parity = generators::parity_tree(3).unwrap();
+    let busy = c.admit("busy", &parity).unwrap();
+    let mover = c.admit("mover", &parity).unwrap();
+    assert_eq!(c.tenant_node(busy).unwrap(), 0);
+    assert_eq!(c.tenant_node(mover).unwrap(), 0);
+    for bits in 0..3 {
+        submit3(&mut c, busy, bits);
+    }
+    assert_eq!(c.drain().unwrap().len(), 3);
+
+    let rid = submit3(&mut c, mover, 0b110);
+    c.migrate_tenant(mover, 1).unwrap();
+    let responses = c.drain().unwrap();
+    assert_eq!(responses.len(), 1);
+    assert_eq!((responses[0].request, responses[0].tenant), (rid, mover));
+    let kinds = |n: usize| -> Vec<SpanKind> {
+        let svc = c.node(n).unwrap();
+        svc.trace(rid).iter().map(|e| e.kind).collect()
+    };
+    assert!(
+        kinds(0).contains(&SpanKind::Queued),
+        "node 0: {:?}",
+        kinds(0)
+    );
+    assert!(
+        !kinds(0).contains(&SpanKind::Demuxed),
+        "node 0: {:?}",
+        kinds(0)
+    );
+    assert!(
+        kinds(1).contains(&SpanKind::Demuxed),
+        "node 1: {:?}",
+        kinds(1)
+    );
+}
+
 /// Sets the cluster's span ring and every node's to `capacity`.
 fn set_rings(c: &Cluster, capacity: usize) {
     c.telemetry().trace_buffer().set_capacity(capacity);
@@ -121,47 +164,37 @@ fn set_rings(c: &Cluster, capacity: usize) {
     }
 }
 
-/// A shadow of the cluster's id translation, built from the one fact the
-/// façade relies on: each node mints node-local ids densely, in submit
-/// and restore order.
+/// A shadow of where each request has been, built from the one fact the
+/// façade relies on: a request's id is the same at every node it visits,
+/// and it visits its tenant's node at submit and at every move.
 #[derive(Default)]
 struct IdModel {
-    next_local: Vec<u64>,
-    /// Cluster request → every `(node, node-local id)` it has had.
-    hops: HashMap<u64, Vec<(usize, u64)>>,
+    /// Cluster request → every node it has been queued on, once each.
+    hops: HashMap<u64, Vec<usize>>,
     /// Per cluster tenant, its queued requests in submit order.
     queued: HashMap<ClusterTenantId, Vec<ClusterRequestId>>,
 }
 
 impl IdModel {
-    fn new(nodes: usize) -> Self {
-        IdModel {
-            next_local: vec![0; nodes],
-            ..IdModel::default()
+    fn visit(&mut self, node: usize, rid: ClusterRequestId) {
+        let hops = self.hops.entry(rid.value()).or_default();
+        if !hops.contains(&node) {
+            hops.push(node);
         }
-    }
-
-    fn mint(&mut self, node: usize, rid: ClusterRequestId) {
-        let local = self.next_local[node];
-        self.next_local[node] += 1;
-        self.hops
-            .entry(rid.value())
-            .or_default()
-            .push((node, local));
     }
 
     fn submit(&mut self, c: &mut Cluster, t: ClusterTenantId, bits: u64) -> ClusterRequestId {
         let rid = submit3(c, t, bits);
-        self.mint(c.tenant_node(t).unwrap(), rid);
+        self.visit(c.tenant_node(t).unwrap(), rid);
         self.queued.entry(t).or_default().push(rid);
         rid
     }
 
-    /// A migration re-queues the tenant's requests on its new node.
+    /// A migration carries the tenant's requests to its new node.
     fn moved(&mut self, c: &Cluster, t: ClusterTenantId) {
         let dst = c.tenant_node(t).unwrap();
         for rid in self.queued.get(&t).cloned().unwrap_or_default() {
-            self.mint(dst, rid);
+            self.visit(dst, rid);
         }
     }
 
@@ -169,20 +202,25 @@ impl IdModel {
         self.queued.clear();
     }
 
+    /// A restarted node's fresh ring holds nothing of what it served.
     fn restarted(&mut self, node: usize) {
-        self.next_local[node] = 0;
         for hops in self.hops.values_mut() {
-            hops.retain(|&(n, _)| n != node);
+            hops.retain(|&n| n != node);
         }
     }
 
-    /// The timeline stitched straight from the rings: the cluster ring's
-    /// spans for `rid` plus each node ring's spans for each incarnation.
+    /// The timeline read straight from the rings: the cluster ring's
+    /// spans for `rid` plus the rings of the nodes it visited.
     fn expected(&self, c: &Cluster, rid: ClusterRequestId) -> Vec<SpanEvent> {
         let mut events = c.telemetry().trace_buffer().trace(rid.value());
-        for &(n, local) in self.hops.get(&rid.value()).into_iter().flatten() {
-            for mut ev in c.node(n).unwrap().telemetry().trace_buffer().trace(local) {
-                ev.key = rid.value();
+        for &n in self.hops.get(&rid.value()).into_iter().flatten() {
+            for mut ev in c
+                .node(n)
+                .unwrap()
+                .telemetry()
+                .trace_buffer()
+                .trace(rid.value())
+            {
                 ev.node = n as u32;
                 events.push(ev);
             }
@@ -192,11 +230,10 @@ impl IdModel {
     }
 }
 
-/// With every ring at 16 spans, `trace` still returns exactly what the
-/// rings hold, while the cluster forgets translations the rings have
-/// evicted: 240 requests with a mid-stream migration, then a node drain
-/// and restart whose fresh service mints the restarted node's old ids
-/// again.
+/// With every ring at 16 spans, `trace` returns exactly what the rings
+/// hold of the nodes a request visited: 240 requests with a mid-stream
+/// migration, then a node drain and restart whose fresh ring must not
+/// show the requests its old service served.
 #[test]
 fn trace_follows_bounded_rings_through_migration_and_restart() {
     const RING: usize = 16;
@@ -208,7 +245,7 @@ fn trace_follows_bounded_rings_through_migration_and_restart() {
         .collect();
     let homes: Vec<usize> = tenants.iter().map(|&t| c.tenant_node(t).unwrap()).collect();
     assert_eq!(homes, vec![0, 0, 1, 1, 2]);
-    let mut model = IdModel::new(c.node_count());
+    let mut model = IdModel::default();
     let mut all = Vec::new();
 
     // 20 rounds of 3 requests to each of tenants 0..4; round 10 moves
@@ -228,8 +265,8 @@ fn trace_follows_bounded_rings_through_migration_and_restart() {
         model.drained();
     }
 
-    // node 2 mints ids 0..3 for the only requests it ever serves, then
-    // drains them away to another node before answering
+    // node 2 queues the only requests it ever serves, then drains them
+    // away to another node before answering
     c.advance(1);
     let old: Vec<ClusterRequestId> = (0..3)
         .map(|j| model.submit(&mut c, tenants[4], j))
@@ -240,8 +277,8 @@ fn trace_follows_bounded_rings_through_migration_and_restart() {
     assert_eq!(c.drain().unwrap().len(), 3);
     model.drained();
 
-    // the restarted node's fresh service mints ids 0..3 again, for new
-    // requests that old traces must not pick up
+    // the restarted node's fresh service serves new requests, whose
+    // spans old traces must not pick up
     c.restart_node(2).unwrap();
     model.restarted(2);
     set_rings(&c, RING);

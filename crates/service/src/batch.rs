@@ -5,9 +5,9 @@
 //! which the shard's [`crate::engine::ShardEngine`] owns with the rest of
 //! the slot, so engines flush concurrently without sharing queue state.
 //! Request ids, however, are service-global (responses are ordered and
-//! audited by id), so no slot mints them itself — the coordinator owns
-//! the single [`RequestIdSource`] and lends it to whichever engine is
-//! enqueuing.
+//! audited by id), so no slot mints them itself — the coordinator (or
+//! the cluster above it) owns the [`RequestIdSource`] and lends it to
+//! whichever engine is enqueuing.
 //!
 //! [`LaneBatch`]: mcfpga_fabric::compiled::LaneBatch
 
@@ -20,9 +20,9 @@ pub struct RequestId(u64);
 
 impl RequestId {
     /// The raw id, as recorded in checkpoint audit trails. There is no
-    /// inverse: ids enter the system only through the service's single
-    /// [`RequestIdSource`], so a deserialized checkpoint can never mint an
-    /// id that collides with (or resurrects) one this service issued.
+    /// inverse: ids enter the system only through a [`RequestIdSource`],
+    /// so a deserialized checkpoint can never mint an id that collides
+    /// with (or resurrects) one already issued.
     #[must_use]
     pub fn value(self) -> u64 {
         self.0
@@ -35,14 +35,15 @@ impl std::fmt::Display for RequestId {
     }
 }
 
-/// The service-global request-id counter.
+/// A request-id counter. A standalone service owns one; a cluster owns
+/// one for all its nodes and lends it to each submit
+/// ([`ShardedService::submit_from`]), so a request keeps one id at the
+/// cluster and at every node it visits. Engines borrow it at enqueue
+/// time, which keeps ids unique and issued in submit order even though
+/// each context slot queues its own lanes. Ids are only minted *after* a
+/// push succeeds, so a refused request burns nothing.
 ///
-/// Exactly one exists per service, owned by the coordinator — engines
-/// borrow it at enqueue time and the coordinator mints restored lanes'
-/// ids, which is what keeps ids globally unique and issued in submit
-/// order even though each context slot queues its own lanes. Ids are
-/// only minted *after* a push succeeds, so a refused request burns
-/// nothing.
+/// [`ShardedService::submit_from`]: crate::ShardedService::submit_from
 #[derive(Debug, Clone, Default)]
 pub struct RequestIdSource {
     next: u64,
@@ -60,6 +61,11 @@ impl RequestIdSource {
         let id = RequestId(self.next);
         self.next += 1;
         id
+    }
+
+    /// Has this source issued any id?
+    pub(crate) fn minted(&self) -> bool {
+        self.next > 0
     }
 }
 

@@ -139,7 +139,7 @@ impl Occupant {
 /// holds its batch, which is consumed only at apply time on success, and
 /// the `(shard, pos)` pair is the deterministic merge key the coordinator
 /// orders applies by.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub(crate) struct PlannedStep {
     /// Shard of the slot (first half of the merge key).
     pub shard: usize,
@@ -222,7 +222,7 @@ struct Slot {
     /// Up to [`POOLED_TABLES`] output tables of this slot's past passes,
     /// least recently written first. Their rows already hold the plan's
     /// visible output names, which is why installing a plane empties the
-    /// pool. A cloned engine shares them, so neither copy rewrites them.
+    /// pool. A table a response still views is never rewritten.
     tables: Vec<Arc<OutputRows>>,
     /// The output-chunk buffer of this slot's passes, lent to each
     /// [`PlannedStep`] and returned by its apply.
@@ -302,7 +302,7 @@ fn bind_columns(
 /// An engine's reusable planning buffers. A shard sweeps at most its
 /// context count, so once these have grown to it planning allocates
 /// nothing.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 struct PlanScratch {
     /// The naive sweep: the active contexts, ascending.
     naive: Vec<usize>,
@@ -317,7 +317,7 @@ struct PlanScratch {
 
 /// One independent fabric shard's execution engine. See the
 /// [module docs](self) for the ownership map.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct ShardEngine {
     /// This engine's shard index (stamped into fault records).
     shard: usize,

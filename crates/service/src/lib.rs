@@ -57,8 +57,9 @@
 //! Tenants are **mobile**: `checkpoint_tenant` snapshots one at a
 //! context-switch boundary into a [`TenantCheckpoint`] (versioned wire
 //! format, see [`mcfpga_migrate`]), `restore_tenant` resumes it elsewhere
-//! bit-for-bit (`restore_tenant_into` in an exact slot),
-//! `migrate_tenant` moves it live preserving request ids,
+//! bit-for-bit under fresh request ids (`restore_tenant_into` in an exact
+//! slot), `migrate_tenant` moves it live preserving request ids,
+//! `hand_over` does the same into another service's exact slot,
 //! and `evacuate_shard` clears a faulted/hot shard wholesale — with the
 //! overhead billed per tenant. Outputs a tenant names `reg:*` are stream
 //! registers: captured after each pass and re-driven (lane-aligned) on

@@ -63,7 +63,7 @@ pub struct TenantRecord {
 /// tenant 1 → shard 1, …), each taking the lowest free context slot of its
 /// shard, so load spreads across shards before contexts fill up. When the
 /// preferred shard is full the next shard with a free slot is used.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct TenantRegistry {
     shards: usize,
     contexts: usize,
@@ -299,7 +299,7 @@ impl CachedPlane {
 /// is always safe to reuse, across shards, context indices and
 /// re-admissions of the same bitstream. Each entry is bound once, when it
 /// enters the cache ([`CachedPlane`]).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 pub struct PlaneCache {
     planes: HashMap<u64, CachedPlane>,
     hits: usize,

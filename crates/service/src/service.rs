@@ -526,9 +526,25 @@ impl ShardedService {
         tenant: TenantId,
         inputs: &[(&str, bool)],
     ) -> Result<RequestId, ServiceError> {
+        let mut ids = std::mem::take(&mut self.ids);
+        let submitted = self.submit_from(&mut ids, tenant, inputs);
+        self.ids = ids;
+        submitted
+    }
+
+    /// [`submit`](Self::submit) minting the request's id from `ids`
+    /// instead of this service's own source: a cluster lends its one
+    /// source to every node, so a request's id is the same at the cluster
+    /// and at every node it visits.
+    pub fn submit_from(
+        &mut self,
+        ids: &mut RequestIdSource,
+        tenant: TenantId,
+        inputs: &[(&str, bool)],
+    ) -> Result<RequestId, ServiceError> {
         let placement = self.registry.tenant(tenant)?.placement;
         let (id, full) =
-            self.engines[placement.shard].submit(placement.ctx, tenant, inputs, &mut self.ids)?;
+            self.engines[placement.shard].submit(placement.ctx, tenant, inputs, ids)?;
         self.enqueued(placement, id, full)
     }
 
@@ -1078,12 +1094,12 @@ impl ShardedService {
             p.shard == dst_shard
         })?
         .ok_or(MigrateError::NoFreeSlot { shard: dst_shard })?;
-        self.restore_checked(ckpt, slot)
+        self.restore_checked(ckpt, slot, None)
     }
 
     /// Admits a checkpointed tenant into the **exact** free slot `slot`
-    /// as a **new** tenant — the cluster's restore primitive (it has
-    /// already scored the slot across nodes, so nothing is scored twice).
+    /// as a **new** tenant, for a caller that has already scored the slot
+    /// (a live move between services is [`hand_over`](Self::hand_over)).
     /// The compiled plane is resolved from the plane cache by digest and
     /// shared as it is, with its cached binding, whatever the slot's
     /// context index; the register file resumes where the last pass left
@@ -1114,7 +1130,7 @@ impl ShardedService {
     ) -> Result<(TenantId, Vec<RequestId>), ServiceError> {
         self.check_restore(ckpt, slot.shard)?;
         self.check_free(slot)?;
-        self.restore_checked(ckpt, slot)
+        self.restore_checked(ckpt, slot, None)
     }
 
     /// The checks every restore runs first: the shard exists and the
@@ -1131,11 +1147,13 @@ impl ShardedService {
         Ok(())
     }
 
-    /// The body of a restore into a free slot of an existing shard.
+    /// The body of a restore into a free slot of an existing shard. The
+    /// restored lanes take `kept`'s ids, or fresh ones minted at commit.
     fn restore_checked(
         &mut self,
         ckpt: &TenantCheckpoint,
         slot: Placement,
+        kept: Option<Vec<RequestId>>,
     ) -> Result<(TenantId, Vec<RequestId>), ServiceError> {
         let dst_shard = slot.shard;
         let plane = self
@@ -1187,23 +1205,54 @@ impl ShardedService {
 
         // all fallible steps done — commit the restore
         let id = self.registry.commit(&ckpt.name, slot, ckpt.digest);
-        // restored lanes never reuse their recorded ids: the originals may
-        // have been answered or discarded since the checkpoint was taken,
-        // and a resurrected id would break queue conservation
-        let fresh: Vec<RequestId> = (0..batch.len()).map(|_| self.ids.mint()).collect();
+        // a stored checkpoint's lanes never reuse their recorded ids: the
+        // originals may have been answered or discarded since it was
+        // taken, and a resurrected id would break queue conservation
+        let requests = kept.unwrap_or_else(|| (0..batch.len()).map(|_| self.ids.mint()).collect());
         let occupant = Occupant {
             tenant: id,
             usage,
             regs: ckpt.regs.clone(),
             batch,
-            requests: fresh.clone(),
+            requests: requests.clone(),
         };
         self.engines[dst_shard].adopt(slot.ctx, &plane, occupant)?;
         self.metrics.migrations.inc();
         // cross-node hop spans are the *cluster's* to record: it alone
-        // knows both the source node and the old↔new request-id mapping
+        // knows the source node
         self.sync_gauges();
-        Ok((id, fresh))
+        Ok((id, requests))
+    }
+
+    /// Moves `tenant` live into the exact free `slot` of `dst`, keeping
+    /// its request ids — the cross-service sibling of
+    /// [`migrate_tenant`](Self::migrate_tenant): checkpoint, restore into
+    /// `slot` like [`restore_tenant_into`](Self::restore_tenant_into)
+    /// (billed the same) but under the pending lanes' own ids, retire
+    /// here. Returns the tenant's id at `dst` and those ids. A refused
+    /// hand-over changes neither service. Refused with
+    /// [`ServiceError::BadConfig`] when either service has minted from its
+    /// own source, as kept ids could collide there; a cluster's nodes
+    /// mint only from the cluster's ([`submit_from`](Self::submit_from)).
+    pub fn hand_over(
+        &mut self,
+        tenant: TenantId,
+        dst: &mut ShardedService,
+        slot: Placement,
+    ) -> Result<(TenantId, Vec<RequestId>), ServiceError> {
+        if self.ids.minted() || dst.ids.minted() {
+            return Err(ServiceError::BadConfig(
+                "a hand-over keeps request ids: neither service may mint its own".into(),
+            ));
+        }
+        let ckpt = self.checkpoint_tenant(tenant)?;
+        let src = self.registry.tenant(tenant)?.placement;
+        let kept = self.engines[src.shard].requests(src.ctx).to_vec();
+        dst.check_restore(&ckpt, slot.shard)?;
+        dst.check_free(slot)?;
+        let moved = dst.restore_checked(&ckpt, slot, Some(kept))?;
+        self.retire_tenant(tenant)?;
+        Ok(moved)
     }
 
     /// Exports the compiled plane cached under `digest` for shipping to
@@ -1282,8 +1331,8 @@ impl ShardedService {
     }
 
     /// Removes `tenant` from this service for good — the source-side end
-    /// of a cross-node migration, called **after** the destination's
-    /// [`restore_tenant`](Self::restore_tenant) succeeded. The engine
+    /// of a cross-node migration ([`hand_over`](Self::hand_over)), called
+    /// **after** the destination's restore succeeded. The engine
     /// surrenders the tenant's state and queued lanes (the checkpoint
     /// already carried them to the destination), its recorded faults are
     /// dropped, and the slot frees for re-admission. The id is never

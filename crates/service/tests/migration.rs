@@ -7,7 +7,8 @@ use mcfpga_fabric::netlist_ir::generators;
 use mcfpga_fabric::route::implement_netlist;
 use mcfpga_fabric::{CompiledFabric, Fabric, FabricError, FabricParams, LogicNetlist};
 use mcfpga_service::{
-    MigrateError, Outputs, Placement, ServiceError, ShardedService, TenantCheckpoint, TenantId,
+    MigrateError, Outputs, Placement, RequestId, RequestIdSource, ServiceError, ShardedService,
+    TenantCheckpoint, TenantId,
 };
 use std::sync::Arc;
 
@@ -949,4 +950,199 @@ fn importing_a_multi_context_compilation_is_refused() {
     let alone = Arc::new(CompiledFabric::compile_context(&fabric, 0).unwrap());
     svc.import_plane(digest, alone).unwrap();
     assert!(svc.cache().contains(digest));
+}
+
+fn submit3_from(
+    svc: &mut ShardedService,
+    ids: &mut RequestIdSource,
+    t: TenantId,
+    v: u32,
+) -> RequestId {
+    let owned = parity_inputs(v);
+    let refs: Vec<(&str, bool)> = owned.iter().map(|(n, b)| (n.as_str(), *b)).collect();
+    svc.submit_from(ids, t, &refs).unwrap()
+}
+
+/// The input vectors [`hand_over_setup`] queues.
+const QUEUED: [u32; 4] = [0b101, 0b010, 0b111, 0b001];
+
+/// Two services that mint only from `ids` (as a cluster's nodes do): a
+/// parity tenant on `src` with [`QUEUED`] pending under `ids`, and an
+/// empty `dst` holding the tenant's plane. Returns the pending ids too.
+fn hand_over_setup(
+    ids: &mut RequestIdSource,
+) -> (ShardedService, ShardedService, TenantId, Vec<RequestId>) {
+    let mut src = service(2);
+    let t = src
+        .admit("mover", &generators::parity_tree(3).unwrap())
+        .unwrap();
+    let sent = QUEUED.map(|v| submit3_from(&mut src, ids, t, v)).to_vec();
+    let mut dst = service(2);
+    let digest = src.registry().tenant(t).unwrap().digest;
+    dst.import_plane(digest, src.export_plane(digest).unwrap())
+        .unwrap();
+    (src, dst, t, sent)
+}
+
+/// What a refused hand-over must leave unchanged: pending requests,
+/// every tenant's usage, and the registry's occupancy.
+fn hand_over_state(svc: &ShardedService) -> (usize, String, usize, Vec<Placement>) {
+    let registry = svc.registry();
+    (
+        svc.pending_requests(),
+        svc.billing_report(),
+        registry.len(),
+        registry.free_slots(),
+    )
+}
+
+/// `submit` is `submit_from` over the service's own source: the same
+/// ids, answers and deterministic metrics.
+#[test]
+fn submit_from_queues_like_submit() {
+    let parity = generators::parity_tree(3).unwrap();
+    let (mut own, mut lent) = (service(2), service(2));
+    let (a, b) = (
+        own.admit("t", &parity).unwrap(),
+        lent.admit("t", &parity).unwrap(),
+    );
+    let mut ids = RequestIdSource::new();
+    for v in 0..8 {
+        let owned = parity_inputs(v);
+        let refs: Vec<(&str, bool)> = owned.iter().map(|(n, b)| (n.as_str(), *b)).collect();
+        assert_eq!(
+            own.submit(a, &refs).unwrap(),
+            lent.submit_from(&mut ids, b, &refs).unwrap()
+        );
+    }
+    assert_eq!(own.drain().unwrap(), lent.drain().unwrap());
+    assert_eq!(
+        own.telemetry().registry().deterministic_json(),
+        lent.telemetry().registry().deterministic_json()
+    );
+}
+
+/// A hand-over moves the tenant into the exact slot asked for, and its
+/// pending lanes are answered there under the ids their submits
+/// returned; the next id comes from the same source.
+#[test]
+fn hand_over_keeps_request_ids() {
+    let mut ids = RequestIdSource::new();
+    let (mut src, mut dst, t, sent) = hand_over_setup(&mut ids);
+    let slot = Placement { shard: 1, ctx: 2 };
+    let (moved, kept) = src.hand_over(t, &mut dst, slot).unwrap();
+    assert_eq!(kept, sent);
+    assert!(src.registry().tenant(t).is_err(), "retired at the source");
+    assert_eq!(src.pending_requests(), 0);
+    assert_eq!(dst.registry().tenant(moved).unwrap().placement, slot);
+
+    let next = submit3_from(&mut dst, &mut ids, moved, 0b011);
+    let answers: Vec<(RequestId, bool)> = dst
+        .drain()
+        .unwrap()
+        .iter()
+        .map(|r| (r.request, r.outputs[0].1))
+        .collect();
+    let parity = |v: u32| v.count_ones() % 2 == 1;
+    let want: Vec<(RequestId, bool)> = sent
+        .iter()
+        .chain([&next])
+        .zip(QUEUED.iter().chain([&0b011]))
+        .map(|(&id, &v)| (id, parity(v)))
+        .collect();
+    assert_eq!(answers, want);
+}
+
+/// A hand-over bills exactly what a checkpoint, `restore_tenant_into`
+/// the same slot and `retire_tenant` bill on an identical setup.
+#[test]
+fn hand_over_bills_like_checkpoint_restore_and_retire() {
+    let slot = Placement { shard: 0, ctx: 3 };
+    let (mut src, mut dst, t, _) = hand_over_setup(&mut RequestIdSource::new());
+    let (moved, _) = src.hand_over(t, &mut dst, slot).unwrap();
+
+    let (mut src2, mut dst2, t2, _) = hand_over_setup(&mut RequestIdSource::new());
+    let ckpt = src2.checkpoint_tenant(t2).unwrap();
+    let (restored, _) = dst2.restore_tenant_into(&ckpt, slot).unwrap();
+    src2.retire_tenant(t2).unwrap();
+
+    let usage = dst.usage(moved).unwrap();
+    assert_eq!(usage, dst2.usage(restored).unwrap());
+    assert_eq!(usage.migrations, 1);
+    assert_eq!(dst.billing_report(), dst2.billing_report());
+    assert_eq!(src.billing_report(), src2.billing_report());
+}
+
+/// Every check a restore runs happens before the source changes: an
+/// occupied slot, a plane the destination has not cached and a usage
+/// counter the move would overflow each refuse the hand-over and leave
+/// both services as they were.
+#[test]
+fn a_refused_hand_over_changes_neither_service() {
+    let parity = generators::parity_tree(3).unwrap();
+    let mut ids = RequestIdSource::new();
+    let refused = |src: &mut ShardedService, dst: &mut ShardedService, t, slot| {
+        let before = (hand_over_state(src), hand_over_state(dst));
+        let err = src.hand_over(t, dst, slot).unwrap_err();
+        assert_eq!(
+            (hand_over_state(src), hand_over_state(dst)),
+            before,
+            "{err}"
+        );
+        err
+    };
+
+    // occupied slot
+    let (mut src, mut dst, t, _) = hand_over_setup(&mut ids);
+    let taken = dst.admit("resident", &parity).unwrap();
+    let slot = dst.registry().tenant(taken).unwrap().placement;
+    let err = refused(&mut src, &mut dst, t, slot);
+    assert!(matches!(err, ServiceError::BadConfig(_)), "{err}");
+
+    // plane not cached at the destination
+    let mut cold = service(2);
+    let err = refused(&mut src, &mut cold, t, Placement { shard: 0, ctx: 0 });
+    assert!(
+        matches!(
+            err,
+            ServiceError::Migrate(MigrateError::PlaneUnavailable { .. })
+        ),
+        "{err}"
+    );
+
+    // a usage counter already full: restore (no pending lane, so no id
+    // minted) a tenant whose move count the restore bills up to the limit
+    let mut ckpt = src.checkpoint_tenant(t).unwrap();
+    ckpt.pending = Default::default();
+    ckpt.usage.migrations = usize::MAX - 1;
+    let (full, none) = src.restore_tenant(&ckpt, 1).unwrap();
+    assert!(none.is_empty());
+    submit3_from(&mut src, &mut ids, full, 0b110);
+    let err = refused(&mut src, &mut dst, full, Placement { shard: 1, ctx: 1 });
+    assert!(
+        matches!(err, ServiceError::Migrate(MigrateError::Corrupt(_))),
+        "{err}"
+    );
+}
+
+/// Kept ids could collide with ids a service minted from its own
+/// source, so a hand-over from or to such a service is refused.
+#[test]
+fn hand_over_refuses_a_service_that_minted_its_own_ids() {
+    let slot = Placement { shard: 0, ctx: 0 };
+    for minted_at_src in [true, false] {
+        let (mut src, mut dst, t, _) = hand_over_setup(&mut RequestIdSource::new());
+        if minted_at_src {
+            submit3(&mut src, t, 0b001);
+        } else {
+            let seeder = dst
+                .admit("seeder", &generators::parity_tree(3).unwrap())
+                .unwrap();
+            submit3(&mut dst, seeder, 0b001);
+        }
+        let before = (hand_over_state(&src), hand_over_state(&dst));
+        let err = src.hand_over(t, &mut dst, slot).unwrap_err();
+        assert!(matches!(err, ServiceError::BadConfig(_)), "{err}");
+        assert_eq!((hand_over_state(&src), hand_over_state(&dst)), before);
+    }
 }
