@@ -239,12 +239,16 @@ impl Cluster {
     /// the global shard space (node 0's shards first) and therefore the
     /// merge order of every response, fault and billing row. The virtual
     /// clock starts at 0, on every node too. Request ids come from the
-    /// cluster's own source: a node that already minted ids of its own
-    /// cannot take part in a live migration
-    /// ([`ShardedService::hand_over`]).
+    /// cluster's own source, so a node that already minted ids of its own
+    /// ([`ShardedService::has_minted_ids`]) is refused with
+    /// [`ClusterError::NodeMintedIds`]: it could not take part in a live
+    /// migration ([`ShardedService::hand_over`]).
     pub fn new(nodes: Vec<ShardedService>) -> Result<Self, ClusterError> {
         if nodes.is_empty() {
             return Err(ClusterError::NoNodes);
+        }
+        if let Some(node) = nodes.iter().position(ShardedService::has_minted_ids) {
+            return Err(ClusterError::NodeMintedIds { node });
         }
         let mut base = 0;
         let nodes = nodes

@@ -119,6 +119,16 @@ pub enum ClusterError {
     },
     /// No healthy node has a free context slot left.
     CapacityExhausted,
+    /// A node offered to [`Cluster::new`] already minted request ids from
+    /// its own source ([`ShardedService::has_minted_ids`]): the cluster's
+    /// ids could collide with them, and no tenant could migrate to or
+    /// from it.
+    ///
+    /// [`ShardedService::has_minted_ids`]: mcfpga_service::ShardedService::has_minted_ids
+    NodeMintedIds {
+        /// The refused node's position in the list.
+        node: usize,
+    },
     /// A node operation (restart) requires the node to be empty first.
     NodeBusy {
         /// The busy node.
@@ -162,6 +172,10 @@ impl std::fmt::Display for ClusterError {
                     "node {node} still hosts {tenants} tenant(s); drain it first"
                 )
             }
+            ClusterError::NodeMintedIds { node } => write!(
+                f,
+                "node {node} already minted request ids of its own; a cluster mints them all"
+            ),
             ClusterError::Service(e) => write!(f, "node service: {e}"),
         }
     }

@@ -111,6 +111,34 @@ fn rolling_restart_keeps_the_cluster_serving() {
     assert!(last[0].outputs[0].1, "parity(1,1,1) is odd");
 }
 
+/// A service that took `submit` calls of its own before it was federated
+/// is refused when the cluster is built, not at its first migration.
+#[test]
+fn a_node_that_minted_its_own_ids_is_refused_at_construction() {
+    let parity = generators::parity_tree(3).unwrap();
+    let mut used = node(1);
+    let t = used.admit("solo", &parity).unwrap();
+    assert!(!used.has_minted_ids(), "admission mints no request id");
+    used.submit(t, &[("x0", true), ("x1", false), ("x2", true)])
+        .unwrap();
+    used.drain().unwrap();
+    used.retire_tenant(t).unwrap();
+    assert!(used.has_minted_ids(), "emptied, but it minted");
+    assert_eq!(
+        Cluster::new(vec![node(1), used, node(1)]).err(),
+        Some(ClusterError::NodeMintedIds { node: 1 })
+    );
+    // the cluster's own submits lend its source: its nodes mint nothing,
+    // and a tenant still moves between them
+    let mut c = Cluster::new(vec![node(1), node(1)]).unwrap();
+    let t = c.admit("t", &parity).unwrap();
+    submit3(&mut c, t, 0b011);
+    assert!(!c.node(0).unwrap().has_minted_ids());
+    assert!(!c.node(1).unwrap().has_minted_ids());
+    c.migrate_tenant(t, 1 - c.tenant_node(t).unwrap()).unwrap();
+    assert_eq!(c.drain().unwrap().len(), 1);
+}
+
 /// A restarted node mints nothing of its own: requests it serves after
 /// the restart carry the cluster's next ids, never ones already issued.
 #[test]

@@ -304,16 +304,45 @@ impl Fabric {
         Self::sinks_static(&self.params, t)
     }
 
-    /// Index of a source within `t`'s row list.
-    #[must_use]
-    pub fn source_index(&self, t: TileCoord, s: Source) -> Option<usize> {
-        self.sources(t).iter().position(|&x| x == s)
+    /// `t`'s wire rows (equally, wire columns) toward the first `n`
+    /// directions of [`Dir::ALL`]: wires come first, `channel_width` per
+    /// existing neighbour, in that order.
+    fn wires_before(params: &FabricParams, t: TileCoord, n: usize) -> usize {
+        let dirs = Dir::ALL[..n]
+            .iter()
+            .filter(|d| Self::has_neighbor(params, t, **d))
+            .count();
+        dirs * params.channel_width
     }
 
-    /// Index of a sink within `t`'s column list.
+    /// Index of wire `w` toward `dir` among `t`'s wire rows (or columns).
+    fn wire_index(params: &FabricParams, t: TileCoord, dir: Dir, w: usize) -> Option<usize> {
+        (w < params.channel_width && Self::has_neighbor(params, t, dir))
+            .then(|| Self::wires_before(params, t, dir as usize) + w)
+    }
+
+    /// Index of a source within `t`'s row list ([`sources`](Self::sources)),
+    /// computed without building the list.
+    #[must_use]
+    pub fn source_index(&self, t: TileCoord, s: Source) -> Option<usize> {
+        let p = &self.params;
+        match s {
+            Source::WireFrom { dir, w } => Self::wire_index(p, t, dir, w),
+            Source::LutOut => Some(Self::wires_before(p, t, 4)),
+            Source::IoIn(i) => (i < p.io_in).then(|| Self::wires_before(p, t, 4) + 1 + i),
+        }
+    }
+
+    /// Index of a sink within `t`'s column list ([`sinks`](Self::sinks)),
+    /// computed without building the list.
     #[must_use]
     pub fn sink_index(&self, t: TileCoord, s: Sink) -> Option<usize> {
-        self.sinks(t).iter().position(|&x| x == s)
+        let p = &self.params;
+        match s {
+            Sink::WireTo { dir, w } => Self::wire_index(p, t, dir, w),
+            Sink::LutIn(pin) => (pin < p.lut_k).then(|| Self::wires_before(p, t, 4) + pin),
+            Sink::IoOut(i) => (i < p.io_out).then(|| Self::wires_before(p, t, 4) + p.lut_k + i),
+        }
     }
 
     /// Sets (or clears) the driver of a sink in one context.
@@ -585,6 +614,60 @@ mod tests {
         assert_eq!(f.sources(mid).len(), 9);
         // sinks: corner = 4 wires + 4 lutin + 2 ioout = 10
         assert_eq!(f.sinks(corner).len(), 10);
+    }
+
+    #[test]
+    fn arithmetic_indices_are_list_positions() {
+        // (width, height, channel_width, lut_k, io_in, io_out)
+        for (width, height, channel_width, lut_k, io_in, io_out) in [
+            (1, 1, 1, 1, 1, 1),
+            (3, 2, 2, 4, 2, 2),
+            (8, 8, 6, 4, 2, 2),
+            (5, 3, 3, 6, 3, 1),
+            (1, 4, 16, 2, 0, 0),
+        ] {
+            let f = Fabric::new(FabricParams {
+                width,
+                height,
+                channel_width,
+                lut_k,
+                io_in,
+                io_out,
+                ..FabricParams::default()
+            })
+            .unwrap();
+            // every tile, plus coordinates just off and far off the grid
+            let off = [
+                TileCoord { x: width, y: 0 },
+                TileCoord { x: 0, y: height },
+                TileCoord {
+                    x: width + 3,
+                    y: height + 3,
+                },
+            ];
+            for t in f.tiles().chain(off) {
+                let (sinks, sources) = (f.sinks(t), f.sources(t));
+                let mut all_sinks = vec![];
+                let mut all_sources = vec![Source::LutOut];
+                for dir in Dir::ALL {
+                    for w in 0..=channel_width {
+                        all_sinks.push(Sink::WireTo { dir, w });
+                        all_sources.push(Source::WireFrom { dir, w });
+                    }
+                }
+                all_sinks.extend((0..=lut_k).map(Sink::LutIn));
+                all_sinks.extend((0..=io_out).map(Sink::IoOut));
+                all_sources.extend((0..=io_in).map(Source::IoIn));
+                for s in all_sinks {
+                    let at = sinks.iter().position(|x| *x == s);
+                    assert_eq!(f.sink_index(t, s), at, "{t} {s:?}");
+                }
+                for s in all_sources {
+                    let at = sources.iter().position(|x| *x == s);
+                    assert_eq!(f.source_index(t, s), at, "{t} {s:?}");
+                }
+            }
+        }
     }
 
     #[test]

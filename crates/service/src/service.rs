@@ -1224,6 +1224,15 @@ impl ShardedService {
         Ok((id, requests))
     }
 
+    /// Has this service minted a request id from its own source (through
+    /// [`submit`](Self::submit) or a restore without kept ids)? Such a
+    /// service cannot take part in a [`hand_over`](Self::hand_over), so
+    /// a cluster refuses it as a node.
+    #[must_use]
+    pub fn has_minted_ids(&self) -> bool {
+        self.ids.minted()
+    }
+
     /// Moves `tenant` live into the exact free `slot` of `dst`, keeping
     /// its request ids — the cross-service sibling of
     /// [`migrate_tenant`](Self::migrate_tenant): checkpoint, restore into
@@ -1240,7 +1249,7 @@ impl ShardedService {
         dst: &mut ShardedService,
         slot: Placement,
     ) -> Result<(TenantId, Vec<RequestId>), ServiceError> {
-        if self.ids.minted() || dst.ids.minted() {
+        if self.has_minted_ids() || dst.has_minted_ids() {
             return Err(ServiceError::BadConfig(
                 "a hand-over keeps request ids: neither service may mint its own".into(),
             ));
