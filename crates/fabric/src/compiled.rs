@@ -14,7 +14,12 @@
 //!    An acyclic plane evaluates in a single pass; a genuinely cyclic
 //!    configuration falls back to a bounded monotone sweep over the same op
 //!    list (identical semantics to the reference simulator).
-//! 3. **Bit-parallelize** — values are [`LaneChunk`]s of [`LANE_WORDS`]
+//! 3. **Elide the routing** — a switch-block hop is a configured
+//!    connection, not a gate: an acyclic plane's straight-line kernel
+//!    resolves every routed copy at compile time, so it executes only its
+//!    LUTs, over a value array with one slot per bound input and per LUT
+//!    rather than one per fabric resource.
+//! 4. **Bit-parallelize** — values are [`LaneChunk`]s of [`LANE_WORDS`]
 //!    contiguous `u64` lane words: one evaluation pass pushes up to
 //!    **[`MAX_LANES`] input vectors** through the fabric, with LUTs
 //!    evaluated by lane-wise mux reduction of their truth tables. Sparse
@@ -25,11 +30,12 @@
 //! The execution core is [`CompiledFabric::bind`] +
 //! [`CompiledFabric::eval_bound_into`]: a context's IO names resolve once
 //! into a [`BoundPlan`], and every pass after that indexes arrays.
-//! [`CompiledFabric::eval_batch_into`] is the one name-keyed adapter over
-//! that core ([`crate::context::run_schedule`], staged temporal execution,
-//! [`crate::sim::evaluate_sorted`]), and
 //! [`CompiledFabric::eval_bound_reference`] runs the reference interpreter
-//! in the same bound order as the test oracle. Independent single-vector
+//! in the same bound order as the test oracle, and
+//! [`CompiledFabric::eval_batch_into`] is the one name-keyed adapter over
+//! it ([`crate::context::run_schedule`], staged temporal execution,
+//! [`crate::sim::evaluate_sorted`]), leaving every resource's value
+//! readable in its [`CompiledState`]. Independent single-vector
 //! requests are coalesced into one pass with [`LaneBatch`], which keeps
 //! one lane chunk per fixed input column
 //! ([`BoundPlan::input_columns`]).
@@ -696,46 +702,51 @@ impl CompiledPlane {
     }
 }
 
-/// One step of a [`PlaneKernel`]'s straight-line program. Unlike [`Op`],
-/// every pin is a pre-resolved arena index — unconfigured pins point at
-/// the arena's always-zero sentinel cell — so execution needs no `Option`
-/// dispatch and no `known`-bitmap branching.
+/// One LUT of a [`PlaneKernel`]'s straight-line program. Unlike
+/// [`Op::Lut`], every pin is the plane slot its routed source resolves to
+/// — an unconfigured pin reads slot 0, which is always zero — so
+/// execution needs no `Option` dispatch and no `known`-bitmap branching.
 #[derive(Debug, Clone)]
-enum KernelOp {
-    /// `values[dst] = values[src]`, the whole chunk.
-    Copy { src: u32, dst: u32 },
-    /// `values[dst] = lut(tables[table], pins…)`, one word at a time.
-    Lut {
-        pins: [u32; MultiContextLut::MAX_K],
-        k: u8,
-        /// Index into [`PlaneKernel::tables`].
-        table: u32,
-        dst: u32,
-    },
+struct KernelLut {
+    pins: [u32; MultiContextLut::MAX_K],
+    k: u8,
+    table: u64,
 }
 
-impl KernelOp {
-    fn dst(&self) -> u32 {
-        match *self {
-            KernelOp::Copy { dst, .. } | KernelOp::Lut { dst, .. } => dst,
-        }
-    }
-}
-
-/// The compiled straight-line program of one acyclic plane: ops already
-/// filtered down to the subset reachable from the bound inputs (exactly
-/// the ops the branchy interpreter would ever run), in topological order,
-/// with truth tables flattened into one contiguous arena and a per-op
-/// *input cone* mask for dirty-cone skipping.
+/// The compiled straight-line program of one acyclic plane: the LUTs
+/// reachable from the bound inputs (exactly the ones the branchy
+/// interpreter would ever run), in topological order, over a dense
+/// **value array** of plane slots — slot 0 the always-zero pin, then one
+/// slot per bound input in bind order, then one per LUT in program order.
+///
+/// A routed copy needs no op: its destination carries its source's
+/// value, so every wire and output port resolves at compile time to the
+/// slot it aliases. To keep [`EvalStats`] counting the compiled plane,
+/// each slot carries a **weight**: the copies elided into an alias of it,
+/// plus one for a LUT.
 #[derive(Debug, Clone)]
 struct PlaneKernel {
-    ops: Vec<KernelOp>,
-    /// `cones[i]`: bit `b` set ⇔ op `i`'s value depends on bound input
+    /// LUT `j` writes slot `lut_base + j`.
+    luts: Vec<KernelLut>,
+    /// `cones[j]`: bit `b` set ⇔ LUT `j`'s value depends on bound input
     /// `b`. All-ones when the plane binds more than 64 inputs (cone
     /// tracking disabled, every sweep is a full sweep).
     cones: Vec<u64>,
-    /// Flattened LUT truth tables, indexed by [`KernelOp::Lut::table`].
-    tables: Vec<u64>,
+    /// The first LUT slot: 1 + the bound input count.
+    lut_base: usize,
+    /// Ops each slot stands for, per slot.
+    weights: Vec<u32>,
+    /// The slot of each bound output, in bind order.
+    outputs: Vec<u32>,
+    /// Sum of `weights`: the reachable ops of the compiled plane.
+    ops_total: u64,
+}
+
+impl PlaneKernel {
+    /// Length of the value array.
+    fn slots(&self) -> usize {
+        self.lut_base + self.luts.len()
+    }
 }
 
 /// A context's IO names resolved to dense resource ids once, at tenant
@@ -793,8 +804,10 @@ impl BoundPlan {
 /// thread count and lane width.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct EvalStats {
-    /// Ops in the executed program (kernel ops, or interpreter ops for
-    /// planes without a kernel).
+    /// Ops of the compiled plane the pass stands for: on a kernel pass,
+    /// the ops reachable from the bound inputs (its LUTs plus the routed
+    /// copies it resolved at compile time); on an interpreter pass, every
+    /// op of the plane.
     pub ops_total: u64,
     /// Ops skipped because no bound input in their cone was dirty.
     pub ops_skipped: u64,
@@ -803,53 +816,105 @@ pub struct EvalStats {
     pub kernel: bool,
 }
 
-/// Dense lane values of every resource after one batch evaluation.
+/// Caller-owned evaluation scratch, reusable across passes.
 ///
-/// Each resource holds a [`LaneChunk`]; lane `l` of the chunk is its
-/// boolean value in input vector `l`. Known-ness is per-resource, not
-/// per-lane: whether a resource resolves depends only on the configuration
-/// and which inputs are driven, never on input values. The single-word
-/// accessors ([`wire`](Self::wire), [`lut_out`](Self::lut_out),
-/// [`io_out`](Self::io_out)) read word 0 — the legacy 64-lane view.
-#[derive(Debug, Clone)]
+/// A kernel pass ([`CompiledFabric::eval_bound_into`] on a plane with a
+/// straight-line kernel) keeps only its plane's **value array** — one
+/// [`LaneChunk`] per bound input and per LUT, what the dirty-cone path
+/// reuses between sweeps. An interpreter pass
+/// ([`CompiledFabric::eval_bound_reference`],
+/// [`CompiledFabric::eval_batch_into`]) fills a **resource arena** with
+/// every routing resource's value, allocated on its first use; a kernel
+/// pass drops it again.
+///
+/// The single-word accessors ([`wire`](Self::wire),
+/// [`lut_out`](Self::lut_out), [`io_out`](Self::io_out)) read word 0 —
+/// the legacy 64-lane view — of the last interpreter sweep: lane `l` is
+/// the resource's value in input vector `l`. They return `None` for a
+/// resource that sweep left unresolved, and for every resource when the
+/// last pass was a kernel pass or there was none. Known-ness is
+/// per-resource, not per-lane: whether a resource resolves depends only
+/// on the configuration and which inputs are driven, never on input
+/// values.
+#[derive(Debug, Clone, Default)]
 pub struct CompiledState {
+    /// The kernel's value array; emptied by an interpreter pass, so a
+    /// kernel pass after one sweeps in full.
+    slots: Vec<LaneChunk>,
+    /// The interpreter's resource arena, if its sweep is the last one.
+    arena: Option<Arena>,
+}
+
+/// Every routing resource's value and known flag after an interpreter
+/// sweep, indexed by [`ResourceId`].
+#[derive(Debug, Clone)]
+struct Arena {
     layout: ResourceLayout,
     values: Vec<LaneChunk>,
     known: Vec<bool>,
 }
 
-impl CompiledState {
+impl Arena {
     fn read_chunk(&self, id: ResourceId) -> Option<LaneChunk> {
-        self.known[id as usize].then(|| self.values[id as usize])
+        let id = id as usize;
+        self.known.get(id)?.then(|| self.values[id])
+    }
+}
+
+impl CompiledState {
+    /// The interpreter's arena for `layout`, every resource marked
+    /// unknown, allocated on first use. Empties the kernel's value array.
+    /// Stale values behind a cleared `known` flag are unobservable (every
+    /// read is gated on it), so only the flag array needs zeroing.
+    fn fresh_arena(&mut self, layout: ResourceLayout) -> &mut Arena {
+        self.slots.clear();
+        if self.arena.as_ref().is_some_and(|a| a.layout != layout) {
+            self.arena = None;
+        }
+        let arena = self.arena.get_or_insert_with(|| Arena {
+            layout,
+            values: vec![[0u64; LANE_WORDS]; layout.total()],
+            known: vec![false; layout.total()],
+        });
+        arena.known.fill(false);
+        arena
     }
 
-    fn read(&self, id: ResourceId) -> Option<u64> {
-        self.read_chunk(id).map(|c| c[0])
-    }
-
-    /// Marks every resource unknown again. Stale values behind a cleared
-    /// `known` flag are unobservable (every read is gated on it), so only
-    /// the flag array needs zeroing.
-    fn reset(&mut self) {
-        self.known.fill(false);
+    /// Word 0 of the resource `id` picks out of the last interpreter
+    /// sweep, if it resolved.
+    fn read(&self, id: impl FnOnce(&ResourceLayout) -> ResourceId) -> Option<u64> {
+        let arena = self.arena.as_ref()?;
+        arena.read_chunk(id(&arena.layout)).map(|c| c[0])
     }
 
     /// Word-0 lanes on output wire `(tile, dir, w)`, if resolved.
     #[must_use]
     pub fn wire(&self, tile: TileCoord, dir: Dir, w: usize) -> Option<u64> {
-        self.read(self.layout.wire(tile, dir, w))
+        self.read(|l| l.wire(tile, dir, w))
     }
 
     /// Word-0 LUT output lanes of `tile`, if resolved.
     #[must_use]
     pub fn lut_out(&self, tile: TileCoord) -> Option<u64> {
-        self.read(self.layout.lut_out(tile))
+        self.read(|l| l.lut_out(tile))
     }
 
     /// Word-0 external output port lanes, if resolved.
     #[must_use]
     pub fn io_out(&self, tile: TileCoord, port: usize) -> Option<u64> {
-        self.read(self.layout.io_out(tile, port))
+        self.read(|l| l.io_out(tile, port))
+    }
+
+    /// Bytes of lane values and flags this state holds: the kernel's
+    /// value array plus the interpreter's arena, if allocated.
+    #[must_use]
+    pub fn state_bytes(&self) -> usize {
+        let chunk = std::mem::size_of::<LaneChunk>();
+        let arena = self
+            .arena
+            .as_ref()
+            .map_or(0, |a| a.values.len() * chunk + a.known.len());
+        self.slots.len() * chunk + arena
     }
 }
 
@@ -909,7 +974,7 @@ fn lut_chunk<const W: usize>(
 }
 
 /// One kernel LUT over the first `W` words of its first `k` pin chunks
-/// (arena indices into `values`), as a chunk that is zero past word `W`:
+/// (slots of the value array `values`), as a chunk that is zero past word `W`:
 /// per word, [`mux_reduce`] monomorphized to the pin count.
 #[inline(always)]
 fn lut_words<const W: usize>(
@@ -1077,7 +1142,7 @@ impl CompiledFabric {
         let kernel = if cyclic {
             None
         } else {
-            Self::build_kernel(&ops, &inputs, &outputs, layout)
+            Self::build_kernel(&ops, &inputs, &outputs, layout.total())
         };
 
         Ok(CompiledPlane {
@@ -1091,42 +1156,40 @@ impl CompiledFabric {
     }
 
     /// Compiles the straight-line kernel of an acyclic, topologically
-    /// sorted op list: a single forward pass keeps exactly the ops the
-    /// interpreter's unknown propagation would ever run (those whose
-    /// configured sources are all reachable from the bound inputs) and
-    /// accumulates each op's input-cone mask. Returns `None` when any
+    /// sorted op list over `resources` routing resources: a single
+    /// forward pass keeps exactly the ops the interpreter's unknown
+    /// propagation would ever run (those whose configured sources are all
+    /// reachable from the bound inputs), resolves every kept copy into an
+    /// alias of its source's slot, numbers the kept LUTs' slots and
+    /// accumulates each LUT's input-cone mask. Returns `None` when any
     /// bound output is unreachable — such planes must keep faulting
     /// through the interpreter with its exact error.
     fn build_kernel(
         ops: &[Op],
         inputs: &[(ResourceId, String)],
         outputs: &[(ResourceId, String)],
-        layout: &ResourceLayout,
+        resources: usize,
     ) -> Option<PlaneKernel> {
-        let zero_pin = layout.total() as u32;
-        // cone[r] = Some(mask of bound inputs r depends on) ⇔ r reachable
-        let mut cone: Vec<Option<u64>> = vec![None; layout.total()];
-        let wide = inputs.len() > 64;
+        let lut_base = 1 + inputs.len();
+        // slot[r] = the plane slot whose value resource r carries, if r
+        // is reachable; bound inputs own slots 1.. (binds are unique per
+        // port, so no two share a resource)
+        let mut slot: Vec<Option<u32>> = vec![None; resources];
         for (i, (id, _)) in inputs.iter().enumerate() {
-            let mask = if wide { DIRTY_ALL } else { 1u64 << i };
-            let slot = &mut cone[*id as usize];
-            *slot = Some(slot.unwrap_or(0) | mask);
+            slot[*id as usize] = Some(1 + i as u32);
         }
-        let mut kops = Vec::with_capacity(ops.len());
-        let mut cones = Vec::with_capacity(ops.len());
-        let mut tables = Vec::new();
+        let wide = inputs.len() > 64;
+        let mut weights = vec![0u32; lut_base];
+        let mut luts = Vec::new();
+        let mut cones: Vec<u64> = Vec::new();
         for op in ops {
             match op {
                 Op::Copy { src, dst } => {
-                    let Some(c) = cone[*src as usize] else {
+                    let Some(s) = slot[*src as usize] else {
                         continue;
                     };
-                    cone[*dst as usize] = Some(c);
-                    kops.push(KernelOp::Copy {
-                        src: *src,
-                        dst: *dst,
-                    });
-                    cones.push(c);
+                    slot[*dst as usize] = Some(s);
+                    weights[s as usize] += 1;
                 }
                 Op::Lut {
                     pins,
@@ -1134,48 +1197,52 @@ impl CompiledFabric {
                     table,
                     dst,
                 } => {
-                    // unconfigured pins read the always-zero sentinel and
+                    // unconfigured pins read the always-zero slot 0 and
                     // impose no reachability requirement (run_op parity)
-                    let mut c = 0u64;
-                    let mut resolved = [zero_pin; MultiContextLut::MAX_K];
+                    let mut cone = 0u64;
+                    let mut resolved = [0u32; MultiContextLut::MAX_K];
                     let mut runnable = true;
                     for (i, pin) in pins.iter().take(*k as usize).enumerate() {
-                        if let Some(src) = pin {
-                            match cone[*src as usize] {
-                                Some(pc) => {
-                                    c |= pc;
-                                    resolved[i] = *src;
-                                }
-                                None => {
-                                    runnable = false;
-                                    break;
-                                }
-                            }
-                        }
+                        let Some(src) = pin else {
+                            continue;
+                        };
+                        let Some(s) = slot[*src as usize] else {
+                            runnable = false;
+                            break;
+                        };
+                        let s = s as usize;
+                        cone |= match s.checked_sub(lut_base) {
+                            Some(j) => cones[j],
+                            None if wide => DIRTY_ALL,
+                            None => 1u64 << (s - 1),
+                        };
+                        resolved[i] = s as u32;
                     }
                     if !runnable {
                         continue;
                     }
-                    cone[*dst as usize] = Some(c);
-                    let ti = tables.len() as u32;
-                    tables.push(*table);
-                    kops.push(KernelOp::Lut {
+                    slot[*dst as usize] = Some(weights.len() as u32);
+                    weights.push(1);
+                    cones.push(cone);
+                    luts.push(KernelLut {
                         pins: resolved,
                         k: *k,
-                        table: ti,
-                        dst: *dst,
+                        table: *table,
                     });
-                    cones.push(c);
                 }
             }
         }
-        if outputs.iter().any(|(id, _)| cone[*id as usize].is_none()) {
-            return None;
-        }
+        let outputs = outputs
+            .iter()
+            .map(|(id, _)| slot[*id as usize])
+            .collect::<Option<Vec<u32>>>()?;
         Some(PlaneKernel {
-            ops: kops,
+            luts,
             cones,
-            tables,
+            lut_base,
+            ops_total: weights.iter().map(|&w| u64::from(w)).sum(),
+            weights,
+            outputs,
         })
     }
 
@@ -1319,22 +1386,14 @@ impl CompiledFabric {
                 .map(|(r, n)| (remap(*r), n.clone()))
                 .collect::<Vec<_>>()
         };
-        let inputs = remap_binds(&plane.inputs);
-        let outputs = remap_binds(&plane.outputs);
-        // the kernel bakes arena indices, so it is rebuilt against the
-        // destination layout rather than remapped op by op
-        let kernel = if plane.cyclic {
-            None
-        } else {
-            Self::build_kernel(&ops, &inputs, &outputs, &dst_layout)
-        };
+        // the kernel addresses plane slots, not resources: it moves as it is
         let moved = CompiledPlane {
             ops,
             cyclic: plane.cyclic,
             levels: plane.levels,
-            inputs,
-            outputs,
-            kernel,
+            inputs: remap_binds(&plane.inputs),
+            outputs: remap_binds(&plane.outputs),
+            kernel: plane.kernel.clone(),
         };
         let empty = CompiledPlane {
             ops: Vec::new(),
@@ -1373,30 +1432,26 @@ impl CompiledFabric {
         })
     }
 
-    /// A scratch state sized for this fabric, reusable across
-    /// [`Self::eval_bound_into`] calls. The arena carries one extra
-    /// always-zero cell past [`ResourceLayout::total`] — the sentinel an
-    /// unconfigured kernel pin reads; nothing ever writes it.
+    /// An empty evaluation state, reusable across passes of any plane: a
+    /// kernel pass sizes its value array on first use, an interpreter
+    /// pass allocates its resource arena on first use.
     #[must_use]
     pub fn new_state(&self) -> CompiledState {
-        CompiledState {
-            layout: self.layout,
-            values: vec![[0u64; LANE_WORDS]; self.layout.total() + 1],
-            known: vec![false; self.layout.total() + 1],
-        }
+        CompiledState::default()
     }
 
     /// Evaluates context `ctx` on up to [`LANES`] input vectors keyed by
     /// signal name — the one name-keyed adapter over
-    /// [`Self::eval_bound_into`]: bind, resolve the names into bound
-    /// order, run one full single-word sweep.
+    /// [`Self::eval_bound_reference`]: bind, resolve the names into bound
+    /// order, run one single-word interpreter sweep.
     ///
     /// Bit `l` of each input's `u64` is that signal's value in vector `l`;
     /// outputs use the same lane packing, in the plane's bind order.
     /// Unknown-propagation semantics are identical to
     /// [`crate::sim::evaluate_fixpoint`]: every bound input of the context
     /// must be supplied, and every bound output must resolve. `st` is
-    /// caller-owned scratch; afterwards it holds the whole sweep.
+    /// caller-owned scratch; afterwards it holds the whole sweep, every
+    /// resolved resource readable through its accessors.
     pub fn eval_batch_into(
         &self,
         ctx: usize,
@@ -1416,7 +1471,7 @@ impl CompiledFabric {
             })
             .collect::<Result<Vec<_>, _>>()?;
         let mut outs = Vec::with_capacity(bound.outputs.len());
-        self.eval_bound_into(&bound, &chunks, 1, DIRTY_ALL, st, &mut outs)?;
+        self.eval_bound_reference(&bound, &chunks, 1, st, &mut outs)?;
         Ok(bound
             .outputs
             .iter()
@@ -1461,10 +1516,12 @@ impl CompiledFabric {
     /// call on this same `st`. Passing anything other than [`DIRTY_ALL`]
     /// is a contract that `st` holds the completed previous sweep of this
     /// plan **at the same `words`** and that every un-dirty chunk equals
-    /// the chunk passed then; ops whose input cone misses every dirty bit
+    /// the chunk passed then; LUTs whose input cone misses every dirty bit
     /// are skipped and their cached values reused — observationally
-    /// equivalent to a full sweep. Planes without a kernel (cyclic, or
-    /// with an unreachable bound output) ignore `dirty` and run
+    /// equivalent to a full sweep. (A state whose value array does not fit
+    /// this plan's kernel, such as one an interpreter pass used last,
+    /// sweeps in full.) Planes without a kernel (cyclic, or with an
+    /// unreachable bound output) ignore `dirty` and run
     /// [`Self::eval_bound_reference`], with identical results and errors.
     pub fn eval_bound_into(
         &self,
@@ -1481,8 +1538,10 @@ impl CompiledFabric {
         };
         let words = words.clamp(1, LANE_WORDS);
         let mut dirty = dirty;
-        if st.layout != self.layout {
-            *st = self.new_state();
+        if st.slots.len() != kernel.slots() {
+            // nothing is ever written to slot 0, so it reads zero
+            // whatever the array held before
+            st.slots.resize(kernel.slots(), [0u64; LANE_WORDS]);
             dirty = DIRTY_ALL;
         }
         if bound.inputs.len() > 64 && dirty != 0 {
@@ -1490,39 +1549,38 @@ impl CompiledFabric {
             // tracking is disabled for such planes): sweep fully
             dirty = DIRTY_ALL;
         }
+        st.arena = None;
         outs.clear();
-        let ops_total = kernel.ops.len() as u64;
+        let slots = &mut st.slots;
         let run = if dirty == DIRTY_ALL {
-            st.reset();
-            for ((id, _, _), chunk) in bound.inputs.iter().zip(chunks) {
-                Self::seed_input(st, *id, *chunk, words);
+            for (slot, chunk) in slots[1..].iter_mut().zip(chunks) {
+                *slot = masked(chunk, words);
             }
-            Self::kernel_run(kernel, words, DIRTY_ALL, st)
+            Self::kernel_run(kernel, words, DIRTY_ALL, slots)
         } else if dirty == 0 {
             0
         } else {
-            for (i, ((id, _, _), chunk)) in bound.inputs.iter().zip(chunks).enumerate() {
+            for (i, chunk) in chunks.iter().enumerate() {
                 if dirty >> i & 1 == 1 {
-                    Self::seed_input(st, *id, *chunk, words);
+                    slots[1 + i] = masked(chunk, words);
                 }
             }
-            Self::kernel_run(kernel, words, dirty, st)
+            Self::kernel_run(kernel, words, dirty, slots)
         };
-        for (id, _, _) in &bound.outputs {
-            outs.push(st.values[*id as usize]);
-        }
+        outs.extend(kernel.outputs.iter().map(|&s| slots[s as usize]));
         Ok(EvalStats {
-            ops_total,
-            ops_skipped: ops_total - run,
+            ops_total: kernel.ops_total,
+            ops_skipped: kernel.ops_total - run,
             kernel: true,
         })
     }
 
     /// [`Self::eval_bound_into`] through the branchy reference
     /// interpreter, unconditionally, with the same bound-order inputs and
-    /// outputs and always a full sweep. It is the equivalence oracle for
-    /// the kernel path (property tests, the `eval_kernel` bench) and the
-    /// executable statement of the semantics the kernel must reproduce.
+    /// outputs and always a full sweep over every routing resource. It is
+    /// the equivalence oracle for the kernel path (property tests, the
+    /// `eval_kernel` bench) and the executable statement of the semantics
+    /// the kernel must reproduce.
     pub fn eval_bound_reference(
         &self,
         bound: &BoundPlan,
@@ -1533,18 +1591,15 @@ impl CompiledFabric {
     ) -> Result<EvalStats, FabricError> {
         let plane = self.bound_plane(bound, chunks)?;
         let words = words.clamp(1, LANE_WORDS);
-        if st.layout == self.layout {
-            st.reset();
-        } else {
-            *st = self.new_state();
-        }
+        let arena = st.fresh_arena(self.layout);
         outs.clear();
         for ((id, _, _), chunk) in bound.inputs.iter().zip(chunks) {
-            Self::seed_input(st, *id, *chunk, words);
+            arena.values[*id as usize] = masked(chunk, words);
+            arena.known[*id as usize] = true;
         }
-        Self::run_interpreter(plane, words, st);
+        Self::run_interpreter(plane, words, arena);
         for (id, name, _) in &bound.outputs {
-            let v = st
+            let v = arena
                 .read_chunk(*id)
                 .ok_or_else(|| FabricError::Unresolved(format!("output '{name}' unresolved")))?;
             outs.push(v);
@@ -1574,31 +1629,16 @@ impl CompiledFabric {
         Ok(plane)
     }
 
-    /// Seeds one bound input chunk, zeroing lanes past the occupied words
-    /// — the invariant that every known chunk is zero beyond `words`, so
-    /// outputs (and harvested stream registers) never carry stale or
-    /// stray high-word bits.
-    #[inline]
-    fn seed_input(st: &mut CompiledState, id: ResourceId, chunk: LaneChunk, words: usize) {
-        // masked, not zeroed word by word: the chunk then goes out in
-        // full-width stores, which the kernel's whole-chunk copy loads
-        // can forward from (per-word stores would stall every one-word
-        // sweep on store forwarding)
-        let mask = WORD_MASKS[words];
-        st.values[id as usize] = std::array::from_fn(|w| chunk[w] & mask[w]);
-        st.known[id as usize] = true;
-    }
-
-    /// One full interpreter sweep over a seeded state: the monotone
+    /// One full interpreter sweep over a seeded arena: the monotone
     /// fixpoint loop for cyclic planes (each productive pass resolves ≥1
     /// resource, so `ops.len() + 1` passes suffice), a single in-order
     /// pass otherwise.
-    fn run_interpreter(plane: &CompiledPlane, words: usize, st: &mut CompiledState) {
+    fn run_interpreter(plane: &CompiledPlane, words: usize, arena: &mut Arena) {
         if plane.cyclic {
             for _ in 0..=plane.ops.len() {
                 let mut changed = false;
                 for op in &plane.ops {
-                    changed |= Self::run_op(op, words, st);
+                    changed |= Self::run_op(op, words, arena);
                 }
                 if !changed {
                     break;
@@ -1606,112 +1646,95 @@ impl CompiledFabric {
             }
         } else {
             for op in &plane.ops {
-                Self::run_op(op, words, st);
+                Self::run_op(op, words, arena);
             }
         }
     }
 
-    /// Runs a kernel sweep at `words` occupied lane words: every op when
-    /// `dirty` is [`DIRTY_ALL`], else only the ops whose input cone
-    /// intersects `dirty`, reusing every other op's value from the
-    /// previous sweep held in `st`. Returns the number of ops run.
+    /// Runs a kernel sweep at `words` occupied lane words over a seeded
+    /// value array: every LUT when `dirty` is [`DIRTY_ALL`], else only the
+    /// LUTs whose input cone intersects `dirty`, reusing every other
+    /// LUT's value from the previous sweep held in `slots`. Returns the
+    /// number of compiled ops the sweep stands for: the weights of the
+    /// LUTs it ran and of the dirty inputs.
     ///
-    /// The word count is dispatched once per sweep, not once per op: each
+    /// The word count is dispatched once per sweep, not once per LUT: each
     /// arm is a copy of [`Self::kernel_run_words`] monomorphised to its
     /// width, so the full-width sweep keeps its fixed-trip, unrolled
     /// inner loops and a one-word sweep computes a quarter of the LUT
-    /// words. (Copies move a whole chunk at any width — two vector moves,
-    /// cheaper than moving one word and zeroing three.)
-    fn kernel_run(kernel: &PlaneKernel, words: usize, dirty: u64, st: &mut CompiledState) -> u64 {
+    /// words.
+    fn kernel_run(kernel: &PlaneKernel, words: usize, dirty: u64, slots: &mut [LaneChunk]) -> u64 {
         debug_assert!((1..=LANE_WORDS).contains(&words), "words {words} unclamped");
         match words {
-            1 => Self::kernel_run_words::<1>(kernel, dirty, st),
-            2 => Self::kernel_run_words::<2>(kernel, dirty, st),
-            3 => Self::kernel_run_words::<3>(kernel, dirty, st),
-            _ => Self::kernel_run_words::<LANE_WORDS>(kernel, dirty, st),
+            1 => Self::kernel_run_words::<1>(kernel, dirty, slots),
+            2 => Self::kernel_run_words::<2>(kernel, dirty, slots),
+            3 => Self::kernel_run_words::<3>(kernel, dirty, slots),
+            _ => Self::kernel_run_words::<LANE_WORDS>(kernel, dirty, slots),
         }
     }
 
-    /// [`Self::kernel_run`] at a compile-time word count `W`. A full sweep
-    /// executes the straight-line program in topological op order (every
-    /// source chunk is fully written before it is read, so no `known`
-    /// checks are needed) and marks each produced chunk known; the
-    /// resulting value *and* known arrays are bit-identical to an
-    /// interpreter sweep. A dirty sweep leaves `known` as the previous
-    /// sweep set it: the same ops produce the same resources.
+    /// [`Self::kernel_run`] at a compile-time word count `W`. The LUTs
+    /// run in topological order, so every pin's slot is fully written
+    /// before it is read and no `known` checks are needed.
     ///
-    /// Every produced chunk is zero past word `W` by construction (see
-    /// [`Self::run_kernel_op_chunk`]), so no op pays a separate zeroing
-    /// pass over the high words.
+    /// Every slot is zero past word `W` by construction: an input is
+    /// seeded masked, and a LUT computes `W` words into a zero-initialised
+    /// chunk ([`lut_words`]) whatever its slot held before. So no LUT pays
+    /// a separate zeroing pass over the high words.
     fn kernel_run_words<const W: usize>(
         kernel: &PlaneKernel,
         dirty: u64,
-        st: &mut CompiledState,
+        slots: &mut [LaneChunk],
     ) -> u64 {
+        let base = kernel.lut_base;
         if dirty == DIRTY_ALL {
-            for op in &kernel.ops {
-                Self::run_kernel_op_chunk::<W>(kernel, op, st);
-                st.known[op.dst() as usize] = true;
+            for (j, lut) in kernel.luts.iter().enumerate() {
+                slots[base + j] = Self::lut_slot::<W>(lut, slots);
             }
-            return kernel.ops.len() as u64;
+            return kernel.ops_total;
         }
-        let mut run = 0u64;
-        for (op, cone) in kernel.ops.iter().zip(&kernel.cones) {
+        // a dirty input's elided copies count as run; the plane binds at
+        // most 64 inputs here, or the sweep would be a full one
+        let mut run: u64 = kernel.weights[1..base]
+            .iter()
+            .enumerate()
+            .filter(|(i, _)| dirty >> i & 1 == 1)
+            .map(|(_, &w)| u64::from(w))
+            .sum();
+        for (j, (lut, cone)) in kernel.luts.iter().zip(&kernel.cones).enumerate() {
             if cone & dirty != 0 {
-                Self::run_kernel_op_chunk::<W>(kernel, op, st);
-                run += 1;
+                slots[base + j] = Self::lut_slot::<W>(lut, slots);
+                run += u64::from(kernel.weights[base + j]);
             }
         }
         run
     }
 
-    /// One kernel op over the first `W` words of its [`LaneChunk`]s,
-    /// branch-free on `known` and `Option`-free on pins. The destination
-    /// chunk is written whole: a LUT computes `W` words into a
-    /// zero-initialised chunk ([`lut_words`]), and a copy — most of a
-    /// routed plane's ops — moves its source's whole chunk, which is
-    /// already zero past word `W` (a seeded input, or an earlier op's
-    /// output). So every produced chunk is zero past `W` whatever the
-    /// destination held before.
+    /// One kernel LUT over the first `W` words of its pins' slots,
+    /// branch-free on `known` and `Option`-free on pins.
     #[inline(always)]
-    fn run_kernel_op_chunk<const W: usize>(
-        kernel: &PlaneKernel,
-        op: &KernelOp,
-        st: &mut CompiledState,
-    ) {
-        match *op {
-            KernelOp::Copy { src, dst } => {
-                st.values[dst as usize] = st.values[src as usize];
-            }
-            KernelOp::Lut {
-                ref pins,
-                k,
-                table,
-                dst,
-            } => {
-                let table = kernel.tables[table as usize];
-                // a one-word LUT is small enough to inline; wider ones
-                // stay out of line, keeping the sweep loop small
-                st.values[dst as usize] = if W == 1 {
-                    lut_words::<W>(table, pins, k, &st.values)
-                } else {
-                    lut_chunk::<W>(table, pins, k, &st.values)
-                };
-            }
+    fn lut_slot<const W: usize>(lut: &KernelLut, slots: &[LaneChunk]) -> LaneChunk {
+        // a one-word LUT is small enough to inline; wider ones stay out
+        // of line, keeping the sweep loop small
+        if W == 1 {
+            lut_words::<W>(lut.table, &lut.pins, lut.k, slots)
+        } else {
+            lut_chunk::<W>(lut.table, &lut.pins, lut.k, slots)
         }
     }
 
     /// Runs one op on the first `words` lane words; returns true when
     /// `dst` transitioned unknown→known.
     #[inline]
-    fn run_op(op: &Op, words: usize, st: &mut CompiledState) -> bool {
+    fn run_op(op: &Op, words: usize, arena: &mut Arena) -> bool {
+        let Arena { values, known, .. } = arena;
         match op {
             Op::Copy { src, dst } => {
-                if st.known[*dst as usize] || !st.known[*src as usize] {
+                if known[*dst as usize] || !known[*src as usize] {
                     return false;
                 }
-                st.values[*dst as usize] = st.values[*src as usize];
-                st.known[*dst as usize] = true;
+                values[*dst as usize] = values[*src as usize];
+                known[*dst as usize] = true;
                 true
             }
             Op::Lut {
@@ -1720,13 +1743,13 @@ impl CompiledFabric {
                 table,
                 dst,
             } => {
-                if st.known[*dst as usize] {
+                if known[*dst as usize] {
                     return false;
                 }
                 let mut pin_ids = [None; MultiContextLut::MAX_K];
                 for (i, pin) in pins.iter().take(*k as usize).enumerate() {
                     if let Some(src) = pin {
-                        if !st.known[*src as usize] {
+                        if !known[*src as usize] {
                             return false;
                         }
                         pin_ids[i] = Some(*src as usize);
@@ -1737,17 +1760,28 @@ impl CompiledFabric {
                     let mut lanes = [0u64; MultiContextLut::MAX_K];
                     for (i, id) in pin_ids.iter().take(*k as usize).enumerate() {
                         if let Some(id) = id {
-                            lanes[i] = st.values[*id][w];
+                            lanes[i] = values[*id][w];
                         }
                     }
                     *slot = lut_lanes(*table, &lanes[..*k as usize]);
                 }
-                st.values[*dst as usize] = out;
-                st.known[*dst as usize] = true;
+                values[*dst as usize] = out;
+                known[*dst as usize] = true;
                 true
             }
         }
     }
+}
+
+/// `chunk` with the lanes past the occupied `words` zeroed — the
+/// invariant that every value is zero beyond `words`, so outputs (and
+/// harvested stream registers) never carry stale or stray high-word bits.
+/// Masked, not zeroed word by word, so the chunk goes out in full-width
+/// stores.
+#[inline]
+fn masked(chunk: &LaneChunk, words: usize) -> LaneChunk {
+    let mask = WORD_MASKS[words];
+    std::array::from_fn(|w| chunk[w] & mask[w])
 }
 
 // The multi-tenant service fans per-shard sweeps out across worker
@@ -2281,23 +2315,26 @@ mod tests {
 
     #[test]
     fn narrow_sweeps_after_a_wide_one_leave_no_high_words() {
-        // a one-word sweep on an arena a four-word sweep filled must leave
-        // every output and every op destination zero past word 0 — the
+        // a one-word sweep on a value array a four-word sweep filled must
+        // leave every output and every LUT slot zero past word 0 — the
         // kernel's invariant now that no zeroing pass backs it up
         let nl = generators::parity_tree(4).unwrap();
         let mut f = Fabric::new(FabricParams::default()).unwrap();
         implement_netlist(&mut f, &nl, 0, 11).unwrap();
         let compiled = CompiledFabric::compile(&f).unwrap();
         let bound = compiled.bind(0).unwrap();
-        let kernel = compiled.plane(0).unwrap().kernel.as_ref().unwrap();
-        assert!(kernel
-            .ops
+        let plane = compiled.plane(0).unwrap();
+        let kernel = plane.kernel.as_ref().unwrap();
+        // the routed plane copies, but the kernel keeps only its LUTs and
+        // still counts every op
+        let plane_luts = plane
+            .ops()
             .iter()
-            .any(|op| matches!(op, KernelOp::Copy { .. })));
-        assert!(kernel
-            .ops
-            .iter()
-            .any(|op| matches!(op, KernelOp::Lut { .. })));
+            .filter(|op| matches!(op, Op::Lut { .. }))
+            .count();
+        assert!(plane.ops().len() > plane_luts, "the plane routes copies");
+        assert_eq!(kernel.luts.len(), plane_luts, "no copy remains");
+        assert_eq!(kernel.ops_total, plane.ops().len() as u64);
         // dense in every word, so the wide sweep leaves high bits behind
         let mut chunks: Vec<LaneChunk> = (0..bound.inputs().len())
             .map(|i| pack_chunk(|l| (l * 0x9E37 + i * 31) % (i + 3) < 2))
@@ -2309,14 +2346,15 @@ mod tests {
                 .unwrap();
             outs
         };
+        let lut_slots = kernel.lut_base..kernel.slots();
         let clean_past_word0 =
             |st: &CompiledState, outs: &[LaneChunk], ran: &dyn Fn(usize) -> bool| {
                 for c in outs {
                     assert_eq!(c[1..], [0u64; LANE_WORDS - 1], "output");
                 }
-                for (i, op) in kernel.ops.iter().enumerate().filter(|(i, _)| ran(*i)) {
-                    let v = st.values[op.dst() as usize];
-                    assert_eq!(v[1..], [0u64; LANE_WORDS - 1], "op {i} ({op:?})");
+                for (j, s) in lut_slots.clone().enumerate().filter(|(j, _)| ran(*j)) {
+                    let v = st.slots[s];
+                    assert_eq!(v[1..], [0u64; LANE_WORDS - 1], "LUT {j} (slot {s})");
                 }
             };
         let mut outs = Vec::new();
@@ -2326,10 +2364,7 @@ mod tests {
             .eval_bound_into(&bound, &chunks, LANE_WORDS, DIRTY_ALL, &mut st, &mut outs)
             .unwrap();
         assert!(
-            kernel
-                .ops
-                .iter()
-                .all(|op| st.values[op.dst() as usize][1..] != [0; 3]),
+            st.slots[lut_slots.clone()].iter().all(|v| v[1..] != [0; 3]),
             "the wide sweep must fill the high words this test watches"
         );
         let stats = compiled
@@ -2347,7 +2382,7 @@ mod tests {
         assert_eq!(outs, reference(&chunks));
         clean_past_word0(&st, &outs, &|_| true);
         // a dirty-cone sweep straight after the wide one, every input
-        // dirty: each op it runs must shed the wide sweep's high words
+        // dirty: each LUT it runs must shed the wide sweep's high words
         let mut st = compiled.new_state();
         compiled
             .eval_bound_into(&bound, &chunks, LANE_WORDS, DIRTY_ALL, &mut st, &mut outs)
@@ -2357,7 +2392,67 @@ mod tests {
             .eval_bound_into(&bound, &chunks, 1, all, &mut st, &mut outs)
             .unwrap();
         assert_eq!(outs, reference(&chunks));
-        clean_past_word0(&st, &outs, &|i| kernel.cones[i] & all != 0);
+        clean_past_word0(&st, &outs, &|j| kernel.cones[j] & all != 0);
+    }
+
+    #[test]
+    fn accessors_read_only_an_interpreter_sweep() {
+        let nl = generators::parity_tree(3).unwrap();
+        let mut f = Fabric::new(FabricParams::default()).unwrap();
+        let routed = implement_netlist(&mut f, &nl, 0, 5).unwrap();
+        let compiled = CompiledFabric::compile(&f).unwrap();
+        let bound = compiled.bind(0).unwrap();
+        let lut_tile = *routed.placement.values().next().unwrap();
+        let (out_tile, out_port, _, _) = f.output_binds()[0].clone();
+        let mut filled = compiled.new_state();
+        compiled
+            .eval_batch_into(0, &[("x0", 1), ("x1", 0), ("x2", 0)], &mut filled)
+            .unwrap();
+        let wire = f
+            .tiles()
+            .flat_map(|t| Dir::ALL.into_iter().map(move |d| (t, d)))
+            .find(|&(t, d)| filled.wire(t, d, 0).is_some())
+            .expect("a routed wire");
+        let far = TileCoord { x: 99, y: 99 };
+        let read = |st: &CompiledState| {
+            [
+                st.wire(wire.0, wire.1, 0),
+                st.lut_out(lut_tile),
+                st.io_out(out_tile, out_port),
+                st.wire(far, Dir::North, 0),
+                st.lut_out(far),
+                st.io_out(far, 0),
+            ]
+        };
+        // a fresh state holds no sweep: nothing reads, nothing panics
+        let mut st = compiled.new_state();
+        assert_eq!(read(&st), [None; 6]);
+        assert_eq!(st.state_bytes(), 0);
+        // a kernel pass fills only the plane's value array
+        let chunks = vec![chunk_of_word(0b0110); bound.inputs().len()];
+        let mut outs = Vec::new();
+        compiled
+            .eval_bound_into(&bound, &chunks, 1, DIRTY_ALL, &mut st, &mut outs)
+            .unwrap();
+        assert_eq!(read(&st), [None; 6]);
+        let kernel_bytes = st.state_bytes();
+        let slots = compiled.plane(0).unwrap().kernel.as_ref().unwrap().slots();
+        assert_eq!(kernel_bytes, slots * std::mem::size_of::<LaneChunk>());
+        // an interpreter pass fills the arena, and every resource reads
+        compiled
+            .eval_bound_reference(&bound, &chunks, 1, &mut st, &mut outs)
+            .unwrap();
+        let [w, l, o, ..] = read(&st);
+        assert!(w.is_some() && l.is_some());
+        assert_eq!(o, Some(outs[0][0]));
+        assert_eq!(read(&st)[3..], [None; 3], "off-grid reads stay None");
+        assert!(st.state_bytes() > 10 * kernel_bytes);
+        // a kernel pass after it drops the arena again
+        compiled
+            .eval_bound_into(&bound, &chunks, 1, DIRTY_ALL, &mut st, &mut outs)
+            .unwrap();
+        assert_eq!(read(&st), [None; 6]);
+        assert_eq!(st.state_bytes(), kernel_bytes);
     }
 
     #[test]

@@ -11,9 +11,9 @@
 //! their request ids), the installed compiled plane with its prebound
 //! plan (Arc-shared through the coordinator's plane cache, at any context
 //! index — installing a plane clones pointers, never a plane or a
-//! binding), and the slot's evaluation arena, input and output buffers
-//! and output tables, all reused pass after pass. A free slot holds
-//! nothing.
+//! binding), and the slot's evaluation state (its plane's value array),
+//! input and output buffers and output tables, all reused pass after
+//! pass. A free slot holds nothing.
 //!
 //! A sweep is split into three phases so its only parallel part is pure:
 //!
@@ -27,7 +27,7 @@
 //! 2. **Eval** (`eval_step`), the only concurrent phase: a pure
 //!    function from a `PlannedStep` to output lane chunks, safe to run on
 //!    any worker in any order — steps share nothing but immutable `Arc`s;
-//!    each evaluates in the arena its slot lent it.
+//!    each evaluates in the state its slot lent it.
 //! 3. **Apply** (`apply_step`), sequential on
 //!    the coordinator **in merge-key order** (shard, then sweep
 //!    position): consumes the slot's batch on success, harvests `reg:*`
@@ -166,9 +166,10 @@ pub(crate) struct PlannedStep {
     /// Dirty mask over the bound inputs vs the slot's previous sweep
     /// ([`DIRTY_ALL`] when no valid cached sweep exists).
     pub dirty: u64,
-    /// The slot's evaluation arena — the one the dirty-cone path reuses
-    /// values from — or `None` before the slot's first pass.
-    pub state: Option<CompiledState>,
+    /// The slot's evaluation state — the plane's value array the
+    /// dirty-cone path reuses values from; empty before the slot's first
+    /// pass.
+    pub state: CompiledState,
     /// The output chunks, parallel to the bound plan's outputs, written
     /// into the slot's output buffer.
     pub outs: Vec<LaneChunk>,
@@ -176,17 +177,16 @@ pub(crate) struct PlannedStep {
 
 /// Evaluates one planned step — the **pure** phase of a sweep, safe on
 /// any thread: reads only the step's own data and writes only the
-/// buffers it carries (allocating the slot's arena on its first pass).
+/// buffers it carries (sizing the slot's value array on its first pass).
 /// An `Err` here is the *pass* failing; [`ShardEngine::apply_step`]
 /// turns it into a [`SlotFault`] with the requests left queued.
 pub(crate) fn eval_step(step: &mut PlannedStep) -> Result<EvalStats, ServiceError> {
-    let state = step.state.get_or_insert_with(|| step.plane.new_state());
     Ok(step.plane.eval_bound_into(
         &step.bound,
         &step.chunks,
         step.words,
         step.dirty,
-        state,
+        &mut step.state,
         &mut step.outs,
     )?)
 }
@@ -210,14 +210,14 @@ struct Slot {
     /// once" half of the v2 pipeline. A `reg:*` input has no column (it
     /// is fed from the occupant's [`RegisterFile`]) and holds 0, unused.
     columns: Vec<u32>,
-    /// The occupied word count of the completed kernel sweep `arena` and
+    /// The occupied word count of the completed kernel sweep `state` and
     /// `inputs` hold, fueling the dirty-cone incremental path; `None`
     /// when they hold none.
     swept: Option<usize>,
-    /// The evaluation arena (`None` until the first pass), lent to each
-    /// [`PlannedStep`] and returned by its apply.
-    arena: Option<CompiledState>,
-    /// The dense input-chunk buffer, lent and returned like `arena`.
+    /// The evaluation state, lent to each [`PlannedStep`] and returned by
+    /// its apply.
+    state: CompiledState,
+    /// The dense input-chunk buffer, lent and returned like `state`.
     inputs: Vec<LaneChunk>,
     /// Up to [`POOLED_TABLES`] output tables of this slot's past passes,
     /// least recently written first. Their rows already hold the plan's
@@ -260,7 +260,7 @@ impl Slot {
     /// Takes back the buffers `step` borrowed at plan time; `swept` is
     /// the word count of the completed kernel sweep they now hold, if any.
     fn reclaim(&mut self, step: &mut PlannedStep, swept: Option<usize>) {
-        self.arena = step.state.take();
+        self.state = std::mem::take(&mut step.state);
         self.inputs = std::mem::take(&mut step.chunks);
         self.outs = std::mem::take(&mut step.outs);
         self.swept = swept;
@@ -633,7 +633,7 @@ impl ShardEngine {
             plane: plane.clone(),
             columns,
             swept: None,
-            arena: None,
+            state: CompiledState::default(),
             inputs: Vec::new(),
             tables: Vec::new(),
             outs: Vec::new(),
@@ -737,7 +737,7 @@ impl ShardEngine {
                 plane,
                 columns,
                 swept,
-                arena,
+                state,
                 inputs,
                 outs,
                 ..
@@ -788,7 +788,7 @@ impl ShardEngine {
                 bound: Arc::clone(bound),
                 chunks,
                 dirty,
-                state: arena.take(),
+                state: std::mem::take(state),
                 outs: std::mem::take(outs),
             });
             pos += 1;

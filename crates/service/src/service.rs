@@ -81,6 +81,12 @@ fn bill_migration(ckpt: &TenantCheckpoint, realign: usize) -> Result<TenantUsage
     })
 }
 
+/// Whole microseconds from `start` to `end`, as the wall-clock phase
+/// histograms record them.
+fn micros_between(start: Instant, end: Instant) -> u64 {
+    end.duration_since(start).as_micros() as u64
+}
+
 /// Routing retry budget per admission.
 const ROUTE_ATTEMPTS: usize = 16;
 
@@ -738,10 +744,11 @@ impl ShardedService {
                 errors[shard] = error;
             }
         }
+        let plan_end = Instant::now();
         self.metrics
             .plan_us
-            .observe(plan_start.elapsed().as_micros() as u64);
-        self.eval_and_apply(&mut steps, &mut errors);
+            .observe(micros_between(plan_start, plan_end));
+        self.eval_and_apply(&mut steps, &mut errors, plan_end);
         self.buffers.steps = steps;
         self.metrics.drains_total.inc();
         self.sync_gauges();
@@ -774,16 +781,18 @@ impl ShardedService {
     /// applies every result in task order, which **is** merge-key order:
     /// steps were planned shard by shard, each shard in sweep order.
     /// Apply errors are recorded per shard, never overwriting an earlier
-    /// (plan-phase) error. Leaves `steps` empty.
+    /// (plan-phase) error. Leaves `steps` empty. The eval and apply
+    /// histograms time from `eval_start`, the plan phase's end reading,
+    /// each phase's end reading being the next one's start.
     fn eval_and_apply(
         &mut self,
         steps: &mut Vec<PlannedStep>,
         errors: &mut [Option<ServiceError>],
+        eval_start: Instant,
     ) {
         if steps.is_empty() {
             return;
         }
-        let eval_start = Instant::now();
         let eval = |mut step: PlannedStep| {
             let outs = eval_step(&mut step);
             (step, outs)
@@ -794,10 +803,10 @@ impl ShardedService {
         } else {
             results.extend(steps.drain(..).map(eval));
         }
+        let apply_start = Instant::now();
         self.metrics
             .eval_us
-            .observe(eval_start.elapsed().as_micros() as u64);
-        let apply_start = Instant::now();
+            .observe(micros_between(eval_start, apply_start));
         let mut prev_key = None;
         for (mut step, outs) in results.drain(..) {
             let key = (step.shard, step.pos);
@@ -812,7 +821,7 @@ impl ShardedService {
         self.buffers.evaluated = results;
         self.metrics
             .apply_us
-            .observe(apply_start.elapsed().as_micros() as u64);
+            .observe(micros_between(apply_start, Instant::now()));
     }
 
     /// Applies one evaluated step, recording its telemetry: per-shard
@@ -1735,6 +1744,63 @@ mod tests {
         };
         assert_eq!(apply(&discard), (stale, 0));
         assert_eq!(svc.usage(t).unwrap().passes, 0, "no refused pass billed");
+    }
+
+    /// A different plane installed into a slot that already ran a kernel
+    /// pass discards the slot's cached sweep: the same request again
+    /// sweeps the new plane in full and answers as its interpreter does,
+    /// though both planes' value arrays are the same size.
+    #[test]
+    fn a_reinstalled_plane_sweeps_afresh() {
+        let params = FabricParams::default();
+        let mut svc = ShardedService::new(1, params, TechParams::default()).unwrap();
+        let parity = generators::parity_tree(3).unwrap();
+        let t = svc.admit("p", &parity).unwrap();
+        let ctx = svc.registry().tenant(t).unwrap().placement.ctx;
+        let request = [("x0", true), ("x1", false), ("x2", false)];
+        let counter = |svc: &ShardedService, name: &str| {
+            svc.telemetry().registry().counter_value(name).unwrap()
+        };
+        let pass = |svc: &mut ShardedService| {
+            svc.submit(t, &request).unwrap();
+            let skipped = counter(svc, "fabric_ops_skipped");
+            let responses = svc.drain().unwrap();
+            assert_eq!(responses.len(), 1);
+            let outputs = responses[0].outputs.to_vec();
+            (outputs, counter(svc, "fabric_ops_skipped") - skipped)
+        };
+        let (first, _) = pass(&mut svc);
+        assert_eq!(first, vec![(Arc::from("parity"), true)]);
+        // parity's topology with AND tables: the same inputs, output and
+        // LUT count, another function
+        let mut and3 = LogicNetlist::new();
+        let x: Vec<_> = (0..3).map(|i| and3.add_input(&format!("x{i}"))).collect();
+        let a = and3.add_lut("a", &[x[0], x[1]], 0b1000).unwrap();
+        let b = and3.add_lut("b", &[a, x[2]], 0b1000).unwrap();
+        and3.add_output("parity", b).unwrap();
+        let mut fabric = Fabric::new(params).unwrap();
+        mcfpga_fabric::route::implement_netlist(&mut fabric, &and3, ctx, 7).unwrap();
+        let plane = Arc::new(CompiledFabric::compile_context(&fabric, ctx).unwrap());
+        svc.engines[0]
+            .install_plane(ctx, Arc::clone(&plane))
+            .unwrap();
+        let (second, skipped) = pass(&mut svc);
+        assert_eq!(skipped, 0, "the pass after a reinstall sweeps in full");
+        let bound = plane.bind(ctx).unwrap();
+        let chunks: Vec<_> = bound
+            .inputs()
+            .iter()
+            .map(|(_, name, _)| {
+                let bit = request.iter().any(|(n, v)| *n == &**name && *v);
+                mcfpga_fabric::compiled::chunk_of_word(u64::from(bit))
+            })
+            .collect();
+        let mut want = Vec::new();
+        plane
+            .eval_bound_reference(&bound, &chunks, 1, &mut plane.new_state(), &mut want)
+            .unwrap();
+        assert_eq!(second, vec![(Arc::from("parity"), want[0][0] & 1 == 1)]);
+        assert_eq!(second, vec![(Arc::from("parity"), false)]);
     }
 
     /// A consumer that keeps every response leaves at most two pooled
