@@ -10,25 +10,29 @@
 //! reference interpreter, the branch-free straight-line kernel (full
 //! sweeps), and the prebound dirty-cone path under a service-like
 //! repeat/partial-change request mix — and the kernel is timed once more
-//! at one word (64 lanes), the width of a sparse pass. Outputs are
+//! at one word (64 lanes), the width of a sparse pass. Every timed kernel
+//! pass is a full sweep: the passes alternate between two input sets
+//! that differ in every chunk, and each asserts it skipped nothing (in
+//! smoke mode too), so no timing can pick up a reused sweep. Outputs are
 //! cross-checked bit-for-bit on every path, in smoke mode too; outside
 //! smoke mode the bench **fails if the kernel is slower than the
 //! interpreter**, or if a one-word sweep costs more than 0.6× a four-word
 //! one, on this workload. The kernel keeps one lane chunk per bound input
-//! and per LUT; the interpreter one per routing resource of the fabric.
+//! and per LUT, plus each input's raw chunk; the interpreter one per
+//! routing resource of the fabric.
 //!
 //! Last run (2-core shared host, `cargo bench -p mcfpga-bench --bench
-//! eval_kernel`): the kernel is 3.69× faster than the interpreter at 256
-//! lanes (7.8 against 28.7 µs per 4-context sweep), and a one-word
-//! sweep costs 0.25× a four-word one (2.0 µs). It keeps 2,048 bytes of
+//! eval_kernel`): the kernel is 3.77× faster than the interpreter at 256
+//! lanes (4.8 against 18.2 µs per 4-context sweep), and a one-word
+//! sweep costs 0.30× a four-word one (1.5 µs). It keeps 3,072 bytes of
 //! state per plane, against the interpreter's 61,248-byte arena.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use mcfpga_bench::{smoke, time_us, write_bench_json};
-use mcfpga_fabric::compiled::{CompiledFabric, LaneChunk, LANE_WORDS, MAX_LANES};
+use mcfpga_fabric::compiled::{BoundPlan, CompiledFabric, LaneChunk, LANE_WORDS, MAX_LANES};
 use mcfpga_fabric::netlist_ir::{generators, LogicNetlist};
 use mcfpga_fabric::route::implement_netlist;
-use mcfpga_fabric::{Fabric, FabricParams, DIRTY_ALL};
+use mcfpga_fabric::{Fabric, FabricParams};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::hint::black_box;
@@ -68,6 +72,31 @@ fn random_chunk(rng: &mut StdRng) -> LaneChunk {
     std::array::from_fn(|_| rng.random_range(0..u64::MAX))
 }
 
+/// Mean µs of `iters` kernel passes of `bound` at `words`, each a full
+/// sweep: the passes alternate between `chunks` and its complement, so
+/// every input changes on every pass and no cone is clean to skip.
+fn time_full_sweeps(
+    compiled: &CompiledFabric,
+    bound: &BoundPlan,
+    chunks: &[LaneChunk],
+    words: usize,
+    iters: usize,
+) -> f64 {
+    let flipped: Vec<LaneChunk> = chunks.iter().map(|c| c.map(|w| !w)).collect();
+    let sets = [chunks, &flipped[..]];
+    let mut st = compiled.new_state();
+    let mut outs = Vec::new();
+    let mut pass = 0;
+    time_us(iters, || {
+        pass += 1;
+        let s = compiled
+            .eval_bound_into(bound, sets[pass % 2], words, &mut st, &mut outs)
+            .expect("kernel eval");
+        assert_eq!(s.ops_skipped, 0, "a timed kernel pass reused a sweep");
+        black_box(s);
+    })
+}
+
 /// One context's measurements.
 struct CtxRun {
     ops_total: u64,
@@ -81,7 +110,6 @@ struct CtxRun {
 }
 
 fn run_context(compiled: &CompiledFabric, ctx: usize) -> CtxRun {
-    assert!(compiled.has_kernel(ctx), "comparator planes are acyclic");
     let bound = compiled.bind(ctx).expect("bind");
     let mut rng = StdRng::seed_from_u64(0xEA17 + ctx as u64);
     let chunks: Vec<LaneChunk> = bound
@@ -100,13 +128,12 @@ fn run_context(compiled: &CompiledFabric, ctx: usize) -> CtxRun {
     let mut kst = compiled.new_state();
     let mut outs = Vec::new();
     let stats = compiled
-        .eval_bound_into(&bound, &chunks, LANE_WORDS, DIRTY_ALL, &mut kst, &mut outs)
+        .eval_bound_into(&bound, &chunks, LANE_WORDS, &mut kst, &mut outs)
         .expect("kernel eval");
-    assert!(stats.kernel);
     assert_eq!(reference, outs, "kernel diverged from the interpreter");
     // one occupied word: word 0 as at full width, nothing past it
     compiled
-        .eval_bound_into(&bound, &chunks, 1, DIRTY_ALL, &mut kst, &mut outs)
+        .eval_bound_into(&bound, &chunks, 1, &mut kst, &mut outs)
         .expect("one-word kernel eval");
     for (narrow, full) in outs.iter().zip(&reference) {
         assert_eq!(narrow[0], full[0], "one-word kernel diverged in word 0");
@@ -124,50 +151,42 @@ fn run_context(compiled: &CompiledFabric, ctx: usize) -> CtxRun {
             .expect("reference eval");
         black_box(s);
     });
-    let kernel_us = time_us(iters, || {
-        let s = compiled
-            .eval_bound_into(&bound, &chunks, LANE_WORDS, DIRTY_ALL, &mut kst, &mut outs)
-            .expect("kernel eval");
-        black_box(s);
-    });
-    let kernel_1word_us = time_us(iters, || {
-        let s = compiled
-            .eval_bound_into(&bound, &chunks, 1, DIRTY_ALL, &mut kst, &mut outs)
-            .expect("one-word kernel eval");
-        black_box(s);
-    });
+    let kernel_us = time_full_sweeps(compiled, &bound, &chunks, LANE_WORDS, iters);
+    let kernel_1word_us = time_full_sweeps(compiled, &bound, &chunks, 1, iters);
 
-    // service-like request mix on the persistent state: half the sweeps
-    // repeat the previous vectors exactly, a quarter flip one input, a
-    // quarter redraw everything — the dirty-cone hit rate is what the
-    // incremental path saves across the whole mix
+    // service-like request mix on a state that swept `chunks` at full
+    // width: half the sweeps repeat the previous vectors exactly, a
+    // quarter change one input, a quarter redraw everything — the
+    // dirty-cone hit rate is what the kernel's own input diff saves
+    // across the whole mix
     let mut mix = chunks.clone();
+    compiled
+        .eval_bound_into(&bound, &mix, LANE_WORDS, &mut kst, &mut outs)
+        .expect("kernel eval");
     let (mut mix_total, mut mix_skipped) = (0u64, 0u64);
     for sweep in 0..MIX_SWEEPS {
-        let dirty = match sweep % 4 {
-            0 | 2 => 0u64,
+        match sweep % 4 {
+            0 | 2 => {}
             1 => {
                 let i = rng.random_range(0..mix.len());
                 mix[i] = random_chunk(&mut rng);
-                1u64 << i
             }
             _ => {
                 for c in mix.iter_mut() {
                     *c = random_chunk(&mut rng);
                 }
-                DIRTY_ALL
             }
-        };
+        }
         let s = compiled
-            .eval_bound_into(&bound, &mix, LANE_WORDS, dirty, &mut kst, &mut outs)
+            .eval_bound_into(&bound, &mix, LANE_WORDS, &mut kst, &mut outs)
             .expect("incremental eval");
         mix_total += s.ops_total;
         mix_skipped += s.ops_skipped;
-        // every incremental answer equals a cold full sweep
+        // every incremental answer equals a full sweep on a fresh state
         let mut cold_st = compiled.new_state();
         let mut cold = Vec::new();
         compiled
-            .eval_bound_into(&bound, &mix, LANE_WORDS, DIRTY_ALL, &mut cold_st, &mut cold)
+            .eval_bound_into(&bound, &mix, LANE_WORDS, &mut cold_st, &mut cold)
             .expect("cold eval");
         assert_eq!(outs, cold, "incremental sweep diverged (ctx {ctx})");
     }
@@ -277,14 +296,17 @@ fn bench(c: &mut Criterion) {
         .iter()
         .map(|b| b.inputs().iter().map(|_| random_chunk(&mut rng)).collect())
         .collect();
+    // one state across the four planes: each pass finds another plane's
+    // sweep there and runs in full
     c.bench_function("fabric/kernel_4ctx_256lane_sweep", |b| {
         let mut st = compiled.new_state();
         let mut outs = Vec::new();
         b.iter(|| {
             for (bound, c) in bounds.iter().zip(&chunks) {
                 let s = compiled
-                    .eval_bound_into(bound, c, LANE_WORDS, DIRTY_ALL, &mut st, &mut outs)
+                    .eval_bound_into(bound, c, LANE_WORDS, &mut st, &mut outs)
                     .expect("eval");
+                assert_eq!(s.ops_skipped, 0, "a timed kernel pass reused a sweep");
                 black_box(s);
             }
         });

@@ -11,14 +11,14 @@
 //!    evaluation indexes flat arrays instead of hash maps.
 //! 2. **Levelize** — each context's configured switch-block routes and LUT
 //!    pins become a list of [`Op`]s, topologically sorted at compile time.
-//!    An acyclic plane evaluates in a single pass; a genuinely cyclic
-//!    configuration falls back to a bounded monotone sweep over the same op
-//!    list (identical semantics to the reference simulator).
+//!    The ops on or past a genuine combinational cycle follow the sorted
+//!    part: like in the reference simulator, they never resolve.
 //! 3. **Elide the routing** — a switch-block hop is a configured
-//!    connection, not a gate: an acyclic plane's straight-line kernel
-//!    resolves every routed copy at compile time, so it executes only its
-//!    LUTs, over a value array with one slot per bound input and per LUT
-//!    rather than one per fabric resource.
+//!    connection, not a gate: every plane's straight-line kernel keeps
+//!    the ops the bound inputs reach, resolves every routed copy at
+//!    compile time and executes only its LUTs, over a value array with
+//!    one slot per bound input and per LUT rather than one per fabric
+//!    resource.
 //! 4. **Bit-parallelize** — values are [`LaneChunk`]s of [`LANE_WORDS`]
 //!    contiguous `u64` lane words: one evaluation pass pushes up to
 //!    **[`MAX_LANES`] input vectors** through the fabric, with LUTs
@@ -29,7 +29,9 @@
 //!
 //! The execution core is [`CompiledFabric::bind`] +
 //! [`CompiledFabric::eval_bound_into`]: a context's IO names resolve once
-//! into a [`BoundPlan`], and every pass after that indexes arrays.
+//! into a [`BoundPlan`], and every pass after that runs the plane's kernel
+//! over arrays, re-running only the LUTs whose inputs changed since the
+//! sweep its [`CompiledState`] holds.
 //! [`CompiledFabric::eval_bound_reference`] runs the reference interpreter
 //! in the same bound order as the test oracle, and
 //! [`CompiledFabric::eval_batch_into`] is the one name-keyed adapter over
@@ -67,6 +69,7 @@
 use crate::array::{Dir, Fabric, FabricParams, Sink, Source, TileCoord};
 use crate::lut::MultiContextLut;
 use crate::FabricError;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Lanes per `u64` word — the legacy single-word batch width, kept as the
@@ -80,9 +83,11 @@ pub const LANES: usize = 64;
 /// engine's [`BoundPlan`] and the service's register harvesting.
 pub const REG_PREFIX: &str = "reg:";
 
-/// Dirty mask treating every bound input as changed — the full-sweep
-/// sentinel for [`CompiledFabric::eval_bound_into`].
-pub const DIRTY_ALL: u64 = u64::MAX;
+/// Dirty mask treating every bound input as changed: a full kernel sweep.
+const DIRTY_ALL: u64 = u64::MAX;
+
+/// The id the next compiled [`PlaneKernel`] takes.
+static NEXT_KERNEL_ID: AtomicU64 = AtomicU64::new(0);
 
 /// `u64` words per [`LaneChunk`].
 pub const LANE_WORDS: usize = 4;
@@ -644,23 +649,21 @@ impl Op {
 /// One context's compiled configuration plane.
 #[derive(Debug, Clone)]
 pub struct CompiledPlane {
-    /// Ops in topological order (acyclic planes) or deterministic tile
-    /// order (cyclic fallback).
+    /// Ops in topological order; on a cyclic plane the ops on or past a
+    /// cycle follow, in tile order.
     ops: Vec<Op>,
-    /// True when the configured routing contains a combinational cycle and
-    /// evaluation must sweep to a fixpoint instead of a single pass.
+    /// True when the configured routing contains a combinational cycle,
+    /// whose ops (and every op past them) never resolve.
     cyclic: bool,
-    /// Depth of the levelized DAG (longest op chain; 0 for empty planes
-    /// and for cyclic fallbacks).
+    /// Depth of the levelized DAG (longest op chain; 0 for empty and for
+    /// cyclic planes).
     levels: usize,
     /// `(io_in resource, signal name)` for this context's bound inputs.
     inputs: Vec<(ResourceId, String)>,
     /// `(io_out resource, signal name)` for this context's bound outputs.
     outputs: Vec<(ResourceId, String)>,
-    /// Branch-free straight-line program for the steady-state path; `None`
-    /// for cyclic planes and planes with an unreachable bound output
-    /// (which must fault through the interpreter's unknown propagation).
-    kernel: Option<PlaneKernel>,
+    /// Branch-free straight-line program of the serving path.
+    kernel: PlaneKernel,
 }
 
 impl CompiledPlane {
@@ -670,7 +673,7 @@ impl CompiledPlane {
         &self.ops
     }
 
-    /// Does this plane need the cyclic fallback sweep?
+    /// Does the configured routing contain a combinational cycle?
     #[must_use]
     pub fn is_cyclic(&self) -> bool {
         self.cyclic
@@ -694,11 +697,17 @@ impl CompiledPlane {
         &self.outputs
     }
 
-    /// Does this plane carry a straight-line kernel (acyclic, every bound
-    /// output reachable from the bound inputs)?
-    #[must_use]
-    pub fn has_kernel(&self) -> bool {
-        self.kernel.is_some()
+    /// A plane with no ops and no binds: the uncompiled contexts of a
+    /// single-context compilation.
+    fn empty() -> Self {
+        CompiledPlane {
+            ops: Vec::new(),
+            cyclic: false,
+            levels: 0,
+            inputs: Vec::new(),
+            outputs: Vec::new(),
+            kernel: CompiledFabric::build_kernel(&[], &[], &[], 0),
+        }
     }
 }
 
@@ -713,9 +722,9 @@ struct KernelLut {
     table: u64,
 }
 
-/// The compiled straight-line program of one acyclic plane: the LUTs
-/// reachable from the bound inputs (exactly the ones the branchy
-/// interpreter would ever run), in topological order, over a dense
+/// The compiled straight-line program of one plane: the LUTs reachable
+/// from the bound inputs (exactly the ones the branchy interpreter ever
+/// resolves, cyclic planes included), in topological order, over a dense
 /// **value array** of plane slots — slot 0 the always-zero pin, then one
 /// slot per bound input in bind order, then one per LUT in program order.
 ///
@@ -726,6 +735,9 @@ struct KernelLut {
 /// plus one for a LUT.
 #[derive(Debug, Clone)]
 struct PlaneKernel {
+    /// Process-wide identity of this program, taken at compile time; a
+    /// clone keeps it, as it runs the same program over the same slots.
+    id: u64,
     /// LUT `j` writes slot `lut_base + j`.
     luts: Vec<KernelLut>,
     /// `cones[j]`: bit `b` set ⇔ LUT `j`'s value depends on bound input
@@ -736,8 +748,12 @@ struct PlaneKernel {
     lut_base: usize,
     /// Ops each slot stands for, per slot.
     weights: Vec<u32>,
-    /// The slot of each bound output, in bind order.
+    /// The slot of each bound output, in bind order (slot 0 for an
+    /// unreachable one).
     outputs: Vec<u32>,
+    /// The first bound output, in bind order, that no bound input
+    /// reaches: every pass of the plane fails on it.
+    unresolved: Option<usize>,
     /// Sum of `weights`: the reachable ops of the compiled plane.
     ops_total: u64,
 }
@@ -804,24 +820,22 @@ impl BoundPlan {
 /// thread count and lane width.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct EvalStats {
-    /// Ops of the compiled plane the pass stands for: on a kernel pass,
-    /// the ops reachable from the bound inputs (its LUTs plus the routed
-    /// copies it resolved at compile time); on an interpreter pass, every
-    /// op of the plane.
+    /// Ops of the compiled plane the pass stands for: the ops reachable
+    /// from the bound inputs (its LUTs plus the routed copies resolved
+    /// at compile time). A reference-interpreter pass counts every op of
+    /// the plane.
     pub ops_total: u64,
-    /// Ops skipped because no bound input in their cone was dirty.
+    /// Ops skipped because no bound input in their cone changed.
     pub ops_skipped: u64,
-    /// Whether the straight-line kernel ran (vs the reference
-    /// interpreter).
-    pub kernel: bool,
 }
 
 /// Caller-owned evaluation scratch, reusable across passes.
 ///
-/// A kernel pass ([`CompiledFabric::eval_bound_into`] on a plane with a
-/// straight-line kernel) keeps only its plane's **value array** — one
-/// [`LaneChunk`] per bound input and per LUT, what the dirty-cone path
-/// reuses between sweeps. An interpreter pass
+/// A kernel pass ([`CompiledFabric::eval_bound_into`]) keeps only its
+/// plane's **value array** — one [`LaneChunk`] per bound input and per
+/// LUT — with the raw input chunks it swept and a stamp of the kernel
+/// and word count it ran: the dirty-cone path reuses that sweep when the
+/// next pass runs the same kernel at the same width. An interpreter pass
 /// ([`CompiledFabric::eval_bound_reference`],
 /// [`CompiledFabric::eval_batch_into`]) fills a **resource arena** with
 /// every routing resource's value, allocated on its first use; a kernel
@@ -838,9 +852,15 @@ pub struct EvalStats {
 /// values.
 #[derive(Debug, Clone, Default)]
 pub struct CompiledState {
-    /// The kernel's value array; emptied by an interpreter pass, so a
-    /// kernel pass after one sweeps in full.
+    /// The kernel's value array; emptied by an interpreter pass.
     slots: Vec<LaneChunk>,
+    /// The raw input chunks of the sweep `slots` holds, unmasked, as the
+    /// caller passed them.
+    inputs: Vec<LaneChunk>,
+    /// `(kernel id, words)` of the completed sweep `slots` holds; `None`
+    /// when it holds none (fresh, after an interpreter pass or a failed
+    /// pass).
+    swept: Option<(u64, usize)>,
     /// The interpreter's resource arena, if its sweep is the last one.
     arena: Option<Arena>,
 }
@@ -863,11 +883,13 @@ impl Arena {
 
 impl CompiledState {
     /// The interpreter's arena for `layout`, every resource marked
-    /// unknown, allocated on first use. Empties the kernel's value array.
+    /// unknown, allocated on first use. Drops the kernel's sweep.
     /// Stale values behind a cleared `known` flag are unobservable (every
     /// read is gated on it), so only the flag array needs zeroing.
     fn fresh_arena(&mut self, layout: ResourceLayout) -> &mut Arena {
         self.slots.clear();
+        self.inputs.clear();
+        self.swept = None;
         if self.arena.as_ref().is_some_and(|a| a.layout != layout) {
             self.arena = None;
         }
@@ -906,7 +928,8 @@ impl CompiledState {
     }
 
     /// Bytes of lane values and flags this state holds: the kernel's
-    /// value array plus the interpreter's arena, if allocated.
+    /// value array and raw input chunks, plus the interpreter's arena, if
+    /// allocated.
     #[must_use]
     pub fn state_bytes(&self) -> usize {
         let chunk = std::mem::size_of::<LaneChunk>();
@@ -914,7 +937,7 @@ impl CompiledState {
             .arena
             .as_ref()
             .map_or(0, |a| a.values.len() * chunk + a.known.len());
-        self.slots.len() * chunk + arena
+        (self.slots.len() + self.inputs.len()) * chunk + arena
     }
 }
 
@@ -1046,15 +1069,7 @@ impl CompiledFabric {
             });
         }
         let layout = ResourceLayout::new(&params);
-        let empty = CompiledPlane {
-            ops: Vec::new(),
-            cyclic: false,
-            levels: 0,
-            inputs: Vec::new(),
-            outputs: Vec::new(),
-            kernel: None,
-        };
-        let mut planes = vec![empty; params.contexts];
+        let mut planes = vec![CompiledPlane::empty(); params.contexts];
         planes[ctx] = Self::compile_plane(fabric, &layout, ctx)?;
         Ok(CompiledFabric {
             params,
@@ -1139,12 +1154,7 @@ impl CompiledFabric {
             .map(|(t, p, _, name)| (layout.io_out(*t, *p), name.clone()))
             .collect();
 
-        let kernel = if cyclic {
-            None
-        } else {
-            Self::build_kernel(&ops, &inputs, &outputs, layout.total())
-        };
-
+        let kernel = Self::build_kernel(&ops, &inputs, &outputs, layout.total());
         Ok(CompiledPlane {
             ops,
             cyclic,
@@ -1155,21 +1165,22 @@ impl CompiledFabric {
         })
     }
 
-    /// Compiles the straight-line kernel of an acyclic, topologically
-    /// sorted op list over `resources` routing resources: a single
+    /// Compiles the straight-line kernel of a levelized op list
+    /// ([`Self::levelize`]) over `resources` routing resources: a single
     /// forward pass keeps exactly the ops the interpreter's unknown
-    /// propagation would ever run (those whose configured sources are all
-    /// reachable from the bound inputs), resolves every kept copy into an
-    /// alias of its source's slot, numbers the kept LUTs' slots and
-    /// accumulates each LUT's input-cone mask. Returns `None` when any
-    /// bound output is unreachable — such planes must keep faulting
-    /// through the interpreter with its exact error.
+    /// propagation ever runs (those whose configured sources are all
+    /// reachable from the bound inputs — never an op on or past a cycle,
+    /// as one of its sources is produced later in the list or not at
+    /// all), resolves every kept copy into an alias of its source's slot,
+    /// numbers the kept LUTs' slots and accumulates each LUT's input-cone
+    /// mask. The first unreachable bound output is recorded: a pass of
+    /// the plane fails on it with the interpreter's exact error.
     fn build_kernel(
         ops: &[Op],
         inputs: &[(ResourceId, String)],
         outputs: &[(ResourceId, String)],
         resources: usize,
-    ) -> Option<PlaneKernel> {
+    ) -> PlaneKernel {
         let lut_base = 1 + inputs.len();
         // slot[r] = the plane slot whose value resource r carries, if r
         // is reachable; bound inputs own slots 1.. (binds are unique per
@@ -1232,23 +1243,34 @@ impl CompiledFabric {
                 }
             }
         }
+        let mut unresolved = None;
         let outputs = outputs
             .iter()
-            .map(|(id, _)| slot[*id as usize])
-            .collect::<Option<Vec<u32>>>()?;
-        Some(PlaneKernel {
+            .enumerate()
+            .map(|(i, (id, _))| {
+                slot[*id as usize].unwrap_or_else(|| {
+                    unresolved.get_or_insert(i);
+                    0
+                })
+            })
+            .collect();
+        PlaneKernel {
+            id: NEXT_KERNEL_ID.fetch_add(1, Ordering::Relaxed),
             luts,
             cones,
             lut_base,
             ops_total: weights.iter().map(|&w| u64::from(w)).sum(),
             weights,
             outputs,
-        })
+            unresolved,
+        }
     }
 
     /// Kahn topological sort of `ops` by data dependency. Returns the
-    /// sorted ops, whether a cycle forced the fallback order, and the DAG
-    /// depth. Every resource has at most one producer op (each sink stores
+    /// sorted ops, whether the routing holds a combinational cycle, and
+    /// the DAG depth (0 when cyclic). The ops on or past a cycle, which
+    /// Kahn's order never reaches, follow the sorted ones in tile order.
+    /// Every resource has at most one producer op (each sink stores
     /// one source per context), so the dependency graph is exactly
     /// producer→consumer between ops.
     fn levelize(ops: Vec<Op>, total_resources: usize) -> (Vec<Op>, bool, usize) {
@@ -1282,15 +1304,16 @@ impl CompiledFabric {
                 }
             }
         }
-        if order.len() == ops.len() {
-            let depth = order.iter().map(|&i| level[i] + 1).max().unwrap_or(0);
-            let sorted = order.iter().map(|&i| ops[i].clone()).collect();
-            (sorted, false, depth)
+        let cyclic = order.len() < ops.len();
+        let depth = if cyclic {
+            // an op left with inputs pending sits on or past a cycle
+            order.extend((0..ops.len()).filter(|&i| indegree[i] > 0));
+            0
         } else {
-            // genuine combinational cycle: keep deterministic tile order and
-            // let evaluation sweep to the monotone fixpoint
-            (ops, true, 0)
-        }
+            order.iter().map(|&i| level[i] + 1).max().unwrap_or(0)
+        };
+        let sorted = order.iter().map(|&i| ops[i].clone()).collect();
+        (sorted, cyclic, depth)
     }
 
     /// Fabric parameters the compilation captured.
@@ -1395,15 +1418,7 @@ impl CompiledFabric {
             outputs: remap_binds(&plane.outputs),
             kernel: plane.kernel.clone(),
         };
-        let empty = CompiledPlane {
-            ops: Vec::new(),
-            cyclic: false,
-            levels: 0,
-            inputs: Vec::new(),
-            outputs: Vec::new(),
-            kernel: None,
-        };
-        let mut planes = vec![empty; dst_params.contexts];
+        let mut planes = vec![CompiledPlane::empty(); dst_params.contexts];
         planes[dst_ctx] = moved;
         Ok(CompiledFabric {
             params: dst_params,
@@ -1495,12 +1510,6 @@ impl CompiledFabric {
         })
     }
 
-    /// Does context `ctx` carry a straight-line kernel?
-    #[must_use]
-    pub fn has_kernel(&self, ctx: usize) -> bool {
-        self.plane(ctx).is_ok_and(CompiledPlane::has_kernel)
-    }
-
     /// Evaluates a prebound plan on up to [`MAX_LANES`] input vectors:
     /// `chunks` parallel to [`BoundPlan::inputs`], outputs pushed into
     /// `outs` parallel to [`BoundPlan::outputs`] — no name resolution, no
@@ -1511,67 +1520,70 @@ impl CompiledFabric {
     /// ([`LaneBatch::words`], clamped to `1..=LANE_WORDS`): words past it
     /// come back zero, even when an input chunk carries stray bits there.
     ///
-    /// `dirty` drives the dirty-cone incremental path on kernel planes:
-    /// bit `i` set means input `i`'s chunk may differ from the previous
-    /// call on this same `st`. Passing anything other than [`DIRTY_ALL`]
-    /// is a contract that `st` holds the completed previous sweep of this
-    /// plan **at the same `words`** and that every un-dirty chunk equals
-    /// the chunk passed then; LUTs whose input cone misses every dirty bit
-    /// are skipped and their cached values reused — observationally
-    /// equivalent to a full sweep. (A state whose value array does not fit
-    /// this plan's kernel, such as one an interpreter pass used last,
-    /// sweeps in full.) Planes without a kernel (cyclic, or with an
-    /// unreachable bound output) ignore `dirty` and run
-    /// [`Self::eval_bound_reference`], with identical results and errors.
+    /// The pass runs the plane's straight-line kernel. When `st` holds a
+    /// completed sweep of this same kernel at the same `words` and the
+    /// plane binds at most 64 inputs, only the LUTs whose input cone
+    /// holds an input whose raw chunk changed since that sweep run; the
+    /// others keep their values — observationally equivalent to a full
+    /// sweep. Any other state (fresh, another plane's, another width's,
+    /// an interpreter pass's or a failed pass's) is swept in full. A
+    /// plane with a bound output no bound input reaches — such as one
+    /// past a combinational cycle, whose ops never resolve — fails with
+    /// the interpreter's exact error.
     pub fn eval_bound_into(
         &self,
         bound: &BoundPlan,
         chunks: &[LaneChunk],
         words: usize,
-        dirty: u64,
         st: &mut CompiledState,
         outs: &mut Vec<LaneChunk>,
     ) -> Result<EvalStats, FabricError> {
+        // a failed pass leaves no sweep to reuse
+        let swept = st.swept.take();
         let plane = self.bound_plane(bound, chunks)?;
-        let Some(kernel) = &plane.kernel else {
-            return self.eval_bound_reference(bound, chunks, words, st, outs);
-        };
+        let kernel = &plane.kernel;
+        if let Some(i) = kernel.unresolved {
+            let name = &plane.outputs[i].1;
+            return Err(FabricError::Unresolved(format!(
+                "output '{name}' unresolved"
+            )));
+        }
         let words = words.clamp(1, LANE_WORDS);
-        let mut dirty = dirty;
-        if st.slots.len() != kernel.slots() {
-            // nothing is ever written to slot 0, so it reads zero
-            // whatever the array held before
-            st.slots.resize(kernel.slots(), [0u64; LANE_WORDS]);
-            dirty = DIRTY_ALL;
-        }
-        if bound.inputs.len() > 64 && dirty != 0 {
-            // the dirty mask cannot address inputs past bit 63 (and cone
-            // tracking is disabled for such planes): sweep fully
-            dirty = DIRTY_ALL;
-        }
+        let stamp = (kernel.id, words);
         st.arena = None;
         outs.clear();
-        let slots = &mut st.slots;
-        let run = if dirty == DIRTY_ALL {
+        let CompiledState { slots, inputs, .. } = st;
+        let run = if swept == Some(stamp) && chunks.len() <= 64 {
+            // the dirty mask addresses every input of such a plane
+            let mut dirty = 0u64;
+            for (i, (held, chunk)) in inputs.iter_mut().zip(chunks).enumerate() {
+                if held != chunk {
+                    *held = *chunk;
+                    slots[1 + i] = masked(chunk, words);
+                    dirty |= 1 << i;
+                }
+            }
+            if dirty == 0 {
+                0
+            } else {
+                Self::kernel_run(kernel, words, dirty, slots)
+            }
+        } else {
+            // nothing is ever written to slot 0, so it reads zero
+            // whatever the array held before
+            slots.resize(kernel.slots(), [0u64; LANE_WORDS]);
+            inputs.clear();
+            inputs.extend_from_slice(chunks);
             for (slot, chunk) in slots[1..].iter_mut().zip(chunks) {
                 *slot = masked(chunk, words);
             }
             Self::kernel_run(kernel, words, DIRTY_ALL, slots)
-        } else if dirty == 0 {
-            0
-        } else {
-            for (i, chunk) in chunks.iter().enumerate() {
-                if dirty >> i & 1 == 1 {
-                    slots[1 + i] = masked(chunk, words);
-                }
-            }
-            Self::kernel_run(kernel, words, dirty, slots)
         };
         outs.extend(kernel.outputs.iter().map(|&s| slots[s as usize]));
+        st.swept = Some(stamp);
         Ok(EvalStats {
             ops_total: kernel.ops_total,
             ops_skipped: kernel.ops_total - run,
-            kernel: true,
         })
     }
 
@@ -1607,7 +1619,6 @@ impl CompiledFabric {
         Ok(EvalStats {
             ops_total: plane.ops.len() as u64,
             ops_skipped: 0,
-            kernel: false,
         })
     }
 
@@ -1801,7 +1812,7 @@ const _: () = {
 mod tests {
     use super::*;
     use crate::array::FabricParams;
-    use crate::netlist_ir::generators;
+    use crate::netlist_ir::{generators, LogicNetlist};
     use crate::route::implement_netlist;
     use crate::sim::evaluate_fixpoint;
 
@@ -1935,6 +1946,13 @@ mod tests {
         let (gold, gst) = evaluate_fixpoint(&f, 0, &[("x", true)]).unwrap();
         assert_eq!(gold, vec![("y".to_string(), true)]);
         assert_eq!(gst.wire(a, Dir::East, 0), None);
+        // the kernel serves the cyclic plane, and agrees
+        let bound = compiled.bind(0).unwrap();
+        let mut outs = Vec::new();
+        compiled
+            .eval_bound_into(&bound, &[chunk_of_word(0b10)], 1, &mut st, &mut outs)
+            .unwrap();
+        assert_eq!(outs, vec![chunk_of_word(0b10)]);
     }
 
     #[test]
@@ -2261,7 +2279,6 @@ mod tests {
                 &bound,
                 batch.chunks(),
                 batch.words(),
-                DIRTY_ALL,
                 &mut compiled.new_state(),
                 &mut outs,
             )
@@ -2286,7 +2303,7 @@ mod tests {
         let mut st = compiled.new_state();
         let mut wide = Vec::new();
         compiled
-            .eval_bound_into(&bound, &chunks, LANE_WORDS, DIRTY_ALL, &mut st, &mut wide)
+            .eval_bound_into(&bound, &chunks, LANE_WORDS, &mut st, &mut wide)
             .unwrap();
         for w in 0..LANE_WORDS {
             let words: Vec<(&str, u64)> = bound
@@ -2305,7 +2322,7 @@ mod tests {
         // input chunk carries stray bits there
         let mut sparse = Vec::new();
         compiled
-            .eval_bound_into(&bound, &chunks, 1, DIRTY_ALL, &mut st, &mut sparse)
+            .eval_bound_into(&bound, &chunks, 1, &mut st, &mut sparse)
             .unwrap();
         for (c, full) in sparse.iter().zip(&wide) {
             assert_eq!(c[0], full[0]);
@@ -2324,7 +2341,7 @@ mod tests {
         let compiled = CompiledFabric::compile(&f).unwrap();
         let bound = compiled.bind(0).unwrap();
         let plane = compiled.plane(0).unwrap();
-        let kernel = plane.kernel.as_ref().unwrap();
+        let kernel = &plane.kernel;
         // the routed plane copies, but the kernel keeps only its LUTs and
         // still counts every op
         let plane_luts = plane
@@ -2347,52 +2364,182 @@ mod tests {
             outs
         };
         let lut_slots = kernel.lut_base..kernel.slots();
-        let clean_past_word0 =
-            |st: &CompiledState, outs: &[LaneChunk], ran: &dyn Fn(usize) -> bool| {
-                for c in outs {
-                    assert_eq!(c[1..], [0u64; LANE_WORDS - 1], "output");
-                }
-                for (j, s) in lut_slots.clone().enumerate().filter(|(j, _)| ran(*j)) {
-                    let v = st.slots[s];
-                    assert_eq!(v[1..], [0u64; LANE_WORDS - 1], "LUT {j} (slot {s})");
-                }
-            };
+        let clean_past_word0 = |st: &CompiledState, outs: &[LaneChunk]| {
+            for c in outs {
+                assert_eq!(c[1..], [0u64; LANE_WORDS - 1], "output");
+            }
+            for (j, v) in st.slots[lut_slots.clone()].iter().enumerate() {
+                assert_eq!(v[1..], [0u64; LANE_WORDS - 1], "LUT {j}");
+            }
+        };
         let mut outs = Vec::new();
-        // full, full, then dirty-cone on one state
+        // wide, then the same inputs at one word: the width is part of
+        // the sweep the state holds, so the narrow pass sweeps in full
         let mut st = compiled.new_state();
         compiled
-            .eval_bound_into(&bound, &chunks, LANE_WORDS, DIRTY_ALL, &mut st, &mut outs)
+            .eval_bound_into(&bound, &chunks, LANE_WORDS, &mut st, &mut outs)
             .unwrap();
         assert!(
             st.slots[lut_slots.clone()].iter().all(|v| v[1..] != [0; 3]),
             "the wide sweep must fill the high words this test watches"
         );
         let stats = compiled
-            .eval_bound_into(&bound, &chunks, 1, DIRTY_ALL, &mut st, &mut outs)
+            .eval_bound_into(&bound, &chunks, 1, &mut st, &mut outs)
             .unwrap();
-        assert_eq!(stats.ops_skipped, 0);
+        assert_eq!(stats.ops_skipped, 0, "a width change sweeps in full");
         assert_eq!(outs, reference(&chunks));
-        clean_past_word0(&st, &outs, &|_| true);
+        clean_past_word0(&st, &outs);
+        // then a dirty-cone pass at one word
         chunks[1][0] ^= 0xF0F0;
         chunks[1][2] ^= u64::MAX; // stray bits past the occupied word
         let stats = compiled
-            .eval_bound_into(&bound, &chunks, 1, 1 << 1, &mut st, &mut outs)
+            .eval_bound_into(&bound, &chunks, 1, &mut st, &mut outs)
             .unwrap();
         assert!(stats.ops_skipped > 0, "the cone of input 1 is not every op");
         assert_eq!(outs, reference(&chunks));
-        clean_past_word0(&st, &outs, &|_| true);
-        // a dirty-cone sweep straight after the wide one, every input
-        // dirty: each LUT it runs must shed the wide sweep's high words
-        let mut st = compiled.new_state();
-        compiled
-            .eval_bound_into(&bound, &chunks, LANE_WORDS, DIRTY_ALL, &mut st, &mut outs)
+        clean_past_word0(&st, &outs);
+    }
+
+    /// A state that swept plane A, then a pass of plane B whose value
+    /// array has the same length: B must sweep in full and answer as its
+    /// interpreter does, not read A's values.
+    #[test]
+    fn another_planes_state_of_the_same_size_sweeps_in_full() {
+        let params = FabricParams::default();
+        let parity = generators::parity_tree(3).unwrap();
+        // parity's topology with AND tables: same inputs, output and LUT
+        // count, another function
+        let mut and3 = LogicNetlist::new();
+        let x: Vec<_> = (0..3).map(|i| and3.add_input(&format!("x{i}"))).collect();
+        let a = and3.add_lut("a", &[x[0], x[1]], 0b1000).unwrap();
+        let b = and3.add_lut("b", &[a, x[2]], 0b1000).unwrap();
+        and3.add_output("parity", b).unwrap();
+        let compile = |nl: &LogicNetlist| {
+            let mut f = Fabric::new(params).unwrap();
+            implement_netlist(&mut f, nl, 0, 7).unwrap();
+            let compiled = CompiledFabric::compile_context(&f, 0).unwrap();
+            let bound = compiled.bind(0).unwrap();
+            (compiled, bound)
+        };
+        let (pa, ba) = compile(&parity);
+        let (pb, bb) = compile(&and3);
+        let slots = |c: &CompiledFabric| c.plane(0).unwrap().kernel.slots();
+        assert_eq!(slots(&pa), slots(&pb), "the value arrays fit each other");
+        assert_eq!(ba.inputs().len(), bb.inputs().len());
+        let chunks: Vec<LaneChunk> = (0..ba.inputs().len())
+            .map(|i| pack_chunk(|l| (l >> i) & 1 == 1))
+            .collect();
+        let mut st = pa.new_state();
+        let mut outs = Vec::new();
+        pa.eval_bound_into(&ba, &chunks, LANE_WORDS, &mut st, &mut outs)
             .unwrap();
-        let all = (1u64 << bound.inputs().len()) - 1;
-        compiled
-            .eval_bound_into(&bound, &chunks, 1, all, &mut st, &mut outs)
+        let parity_outs = outs.clone();
+        let stats = pb
+            .eval_bound_into(&bb, &chunks, LANE_WORDS, &mut st, &mut outs)
             .unwrap();
-        assert_eq!(outs, reference(&chunks));
-        clean_past_word0(&st, &outs, &|j| kernel.cones[j] & all != 0);
+        assert_eq!(stats.ops_skipped, 0, "another plane's sweep is not reused");
+        let mut want = Vec::new();
+        pb.eval_bound_reference(&bb, &chunks, LANE_WORDS, &mut pb.new_state(), &mut want)
+            .unwrap();
+        assert_eq!(outs, want);
+        assert_ne!(outs, parity_outs, "the two planes answer differently");
+    }
+
+    /// A bound output no bound input reaches fails a kernel pass with the
+    /// interpreter's exact error: the poisoned plane of the service's
+    /// fault injection (an empty fabric binding one output), and a cyclic
+    /// plane whose output lies past its cycle. A failed pass leaves no
+    /// sweep behind: the next pass of the plane the state swept before
+    /// sweeps in full.
+    #[test]
+    fn an_unreachable_output_fails_with_the_interpreters_error() {
+        let params = FabricParams::default();
+        let mut poisoned = Fabric::new(params).unwrap();
+        poisoned
+            .bind_output(TileCoord { x: 0, y: 0 }, 0, 0, "poisoned")
+            .unwrap();
+        // a wire loop between two tiles, and an output fed from it, next
+        // to a resolvable input-to-output lane
+        let mut looped = Fabric::new(params).unwrap();
+        let a = TileCoord { x: 0, y: 0 };
+        let b = TileCoord { x: 1, y: 0 };
+        let east = Sink::WireTo {
+            dir: Dir::East,
+            w: 0,
+        };
+        let west = Sink::WireTo {
+            dir: Dir::West,
+            w: 0,
+        };
+        looped
+            .set_route(
+                a,
+                0,
+                east,
+                Some(Source::WireFrom {
+                    dir: Dir::East,
+                    w: 0,
+                }),
+            )
+            .unwrap();
+        looped
+            .set_route(
+                b,
+                0,
+                west,
+                Some(Source::WireFrom {
+                    dir: Dir::West,
+                    w: 0,
+                }),
+            )
+            .unwrap();
+        looped
+            .set_route(a, 0, Sink::IoOut(0), Some(Source::IoIn(0)))
+            .unwrap();
+        looped
+            .set_route(
+                b,
+                0,
+                Sink::IoOut(0),
+                Some(Source::WireFrom {
+                    dir: Dir::West,
+                    w: 0,
+                }),
+            )
+            .unwrap();
+        looped.bind_input(a, 0, 0, "x").unwrap();
+        looped.bind_output(a, 0, 0, "y").unwrap();
+        looped.bind_output(b, 0, 0, "z").unwrap();
+        let mut good = Fabric::new(params).unwrap();
+        implement_netlist(&mut good, &generators::parity_tree(3).unwrap(), 0, 5).unwrap();
+        let good = CompiledFabric::compile(&good).unwrap();
+        let good_bound = good.bind(0).unwrap();
+        let good_chunks = vec![chunk_of_word(0b0110); good_bound.inputs().len()];
+        for (fabric, name) in [(&poisoned, "poisoned"), (&looped, "z")] {
+            let compiled = CompiledFabric::compile_context(fabric, 0).unwrap();
+            let bound = compiled.bind(0).unwrap();
+            let chunks = vec![chunk_of_word(0b10); bound.inputs().len()];
+            let mut want = Vec::new();
+            let reference = compiled
+                .eval_bound_reference(&bound, &chunks, 1, &mut compiled.new_state(), &mut want)
+                .unwrap_err();
+            let mut st = compiled.new_state();
+            let mut outs = Vec::new();
+            good.eval_bound_into(&good_bound, &good_chunks, 1, &mut st, &mut outs)
+                .unwrap();
+            let got = compiled
+                .eval_bound_into(&bound, &chunks, 1, &mut st, &mut outs)
+                .unwrap_err();
+            assert_eq!(got.to_string(), reference.to_string());
+            assert!(
+                matches!(&got, FabricError::Unresolved(m) if *m == format!("output '{name}' unresolved")),
+                "{got:?}"
+            );
+            let stats = good
+                .eval_bound_into(&good_bound, &good_chunks, 1, &mut st, &mut outs)
+                .unwrap();
+            assert_eq!(stats.ops_skipped, 0, "a failed pass leaves no sweep");
+        }
     }
 
     #[test]
@@ -2428,15 +2575,16 @@ mod tests {
         let mut st = compiled.new_state();
         assert_eq!(read(&st), [None; 6]);
         assert_eq!(st.state_bytes(), 0);
-        // a kernel pass fills only the plane's value array
+        // a kernel pass fills only the plane's value array and keeps its
+        // raw inputs
         let chunks = vec![chunk_of_word(0b0110); bound.inputs().len()];
         let mut outs = Vec::new();
         compiled
-            .eval_bound_into(&bound, &chunks, 1, DIRTY_ALL, &mut st, &mut outs)
+            .eval_bound_into(&bound, &chunks, 1, &mut st, &mut outs)
             .unwrap();
         assert_eq!(read(&st), [None; 6]);
         let kernel_bytes = st.state_bytes();
-        let slots = compiled.plane(0).unwrap().kernel.as_ref().unwrap().slots();
+        let slots = compiled.plane(0).unwrap().kernel.slots() + chunks.len();
         assert_eq!(kernel_bytes, slots * std::mem::size_of::<LaneChunk>());
         // an interpreter pass fills the arena, and every resource reads
         compiled
@@ -2447,10 +2595,11 @@ mod tests {
         assert_eq!(o, Some(outs[0][0]));
         assert_eq!(read(&st)[3..], [None; 3], "off-grid reads stay None");
         assert!(st.state_bytes() > 10 * kernel_bytes);
-        // a kernel pass after it drops the arena again
-        compiled
-            .eval_bound_into(&bound, &chunks, 1, DIRTY_ALL, &mut st, &mut outs)
+        // a kernel pass after it drops the arena again, and sweeps in full
+        let stats = compiled
+            .eval_bound_into(&bound, &chunks, 1, &mut st, &mut outs)
             .unwrap();
+        assert_eq!(stats.ops_skipped, 0);
         assert_eq!(read(&st), [None; 6]);
         assert_eq!(st.state_bytes(), kernel_bytes);
     }

@@ -22,11 +22,15 @@
 //! 6. [`compiled`] — **compile → levelize → bit-parallel**: the production
 //!    simulation engine. [`compiled::CompiledFabric::compile`] flattens
 //!    every routing resource into a dense `u32` arena, turns each context's
-//!    routed configuration into a topologically levelized op list (with a
-//!    bounded-sweep fallback for genuinely cyclic configs), and evaluates
-//!    up to **256 input vectors per pass** in 4-word lane chunks. Its one
+//!    routed configuration into a topologically levelized op list and a
+//!    straight-line kernel of the LUTs its inputs reach (the ops of a
+//!    genuine combinational cycle never resolve), and evaluates up to
+//!    **256 input vectors per pass** in 4-word lane chunks. Its one
 //!    execution core is [`CompiledFabric::bind`] +
-//!    [`CompiledFabric::eval_bound_into`].
+//!    [`CompiledFabric::eval_bound_into`], which re-runs only the LUTs
+//!    whose inputs changed since the sweep its state holds;
+//!    [`CompiledFabric::eval_bound_reference`] is the interpreter it is
+//!    verified against.
 //! 7. [`sim`] — the one-vector API ([`sim::evaluate_sorted`], over the
 //!    compiled engine's name-keyed adapter) and the reference fixpoint
 //!    sweep ([`sim::evaluate_fixpoint`]) the engine is verified against;
@@ -57,7 +61,7 @@ pub mod temporal;
 pub mod wire;
 
 pub use array::{Fabric, FabricParams, TileCoord};
-pub use compiled::{BoundPlan, CompiledFabric, EvalStats, DIRTY_ALL, REG_PREFIX};
+pub use compiled::{BoundPlan, CompiledFabric, EvalStats, REG_PREFIX};
 pub use context::{run_schedule, ContextSequencer};
 pub use lut::MultiContextLut;
 pub use netlist_ir::{LogicNetlist, NodeId};

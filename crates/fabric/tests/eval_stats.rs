@@ -11,7 +11,7 @@
 use mcfpga_fabric::compiled::{CompiledFabric, LaneChunk, LANE_WORDS};
 use mcfpga_fabric::netlist_ir::{generators, LogicNetlist};
 use mcfpga_fabric::route::implement_netlist_robust;
-use mcfpga_fabric::{Fabric, FabricParams, DIRTY_ALL};
+use mcfpga_fabric::{Fabric, FabricParams};
 
 /// The service's per-slot seed base: a slot in context `ctx` is routed
 /// with seed `SLOT_SEED + ctx`.
@@ -74,11 +74,10 @@ fn measure(netlist: &LogicNetlist, ctx: usize) -> (u64, u64, u64) {
         .collect();
     let mut st = compiled.new_state();
     let mut outs = Vec::new();
-    let mut pass = |chunks: &[LaneChunk], dirty: u64| {
+    let mut pass = |chunks: &[LaneChunk]| {
         let stats = compiled
-            .eval_bound_into(&bound, chunks, LANE_WORDS, dirty, &mut st, &mut outs)
+            .eval_bound_into(&bound, chunks, LANE_WORDS, &mut st, &mut outs)
             .unwrap();
-        assert!(stats.kernel, "the reference designs compile a kernel");
         let mut want = Vec::new();
         compiled
             .eval_bound_reference(
@@ -92,13 +91,13 @@ fn measure(netlist: &LogicNetlist, ctx: usize) -> (u64, u64, u64) {
         assert_eq!(outs, want, "kernel diverged from the interpreter");
         stats
     };
-    let full = pass(&chunks, DIRTY_ALL);
+    let full = pass(&chunks);
     assert_eq!(full.ops_skipped, 0);
     chunks[0][0] ^= 0xF0F0;
-    let first = pass(&chunks, 1);
+    let first = pass(&chunks);
     let last = chunks.len() - 1;
     chunks[last][1] ^= 0x0FF0;
-    let tail = pass(&chunks, 1 << last);
+    let tail = pass(&chunks);
     for stats in [first, tail] {
         assert_eq!(stats.ops_total, full.ops_total);
     }

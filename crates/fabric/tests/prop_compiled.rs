@@ -10,7 +10,7 @@ use mcfpga_fabric::compiled::{BoundPlan, CompiledFabric, LaneChunk, LANES, LANE_
 use mcfpga_fabric::netlist_ir::{LogicNetlist, NodeId};
 use mcfpga_fabric::route::implement_netlist;
 use mcfpga_fabric::sim::evaluate_fixpoint;
-use mcfpga_fabric::{Fabric, FabricParams, TileCoord, DIRTY_ALL};
+use mcfpga_fabric::{Fabric, FabricParams, TileCoord};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -271,7 +271,6 @@ proptest! {
         let mut f = fabric();
         prop_assume!(implement_netlist(&mut f, &nl, 0, seed).is_ok());
         let compiled = CompiledFabric::compile(&f).unwrap();
-        prop_assert!(compiled.has_kernel(0), "acyclic plane must compile a kernel");
 
         // the bound plan flags the reg-ness of the IO
         let bound = compiled.bind(0).unwrap();
@@ -284,24 +283,24 @@ proptest! {
 
         let (mut kernel_outs, mut ref_outs) = (Vec::new(), Vec::new());
         let stats = compiled
-            .eval_bound_into(&bound, &chunks, words, DIRTY_ALL, &mut compiled.new_state(), &mut kernel_outs)
+            .eval_bound_into(&bound, &chunks, words, &mut compiled.new_state(), &mut kernel_outs)
             .unwrap();
-        prop_assert!(stats.kernel);
-        prop_assert_eq!(stats.ops_skipped, 0, "a DIRTY_ALL sweep skips nothing");
-        let reference = compiled
+        prop_assert_eq!(stats.ops_skipped, 0, "a fresh state's sweep skips nothing");
+        compiled
             .eval_bound_reference(&bound, &chunks, words, &mut compiled.new_state(), &mut ref_outs)
             .unwrap();
-        prop_assert!(!reference.kernel);
         prop_assert_eq!(&kernel_outs, &ref_outs, "kernel vs interpreter at {} words", words);
         assert_zero_past(&kernel_outs, words)?;
         assert_lanes_match_fixpoint(&f, &bound, &chunks, &kernel_outs, words)?;
     }
 
-    /// A cyclic plane compiles no kernel; `eval_bound_into` falls back to
-    /// the interpreter — a full non-kernel sweep regardless of the dirty
-    /// mask — and stays bit-exact with the reference at every width.
+    /// A cyclic plane runs on the kernel too: the ops on or past its
+    /// loop never resolve, so the kernel keeps the rest and stays
+    /// bit-exact with the reference interpreter and the fixpoint sweep at
+    /// every width — on a fresh state, and again when a repeat of the
+    /// same inputs reuses the sweep.
     #[test]
-    fn cyclic_overlay_falls_back_to_the_interpreter(
+    fn cyclic_overlay_kernel_matches_interpreter_and_fixpoint(
         seed in 0u64..3000,
         lane_seed in any::<u64>(),
         words in 1usize..=LANE_WORDS,
@@ -313,31 +312,38 @@ proptest! {
         prop_assume!(inject_wire_loop(&mut f, 0));
         let compiled = CompiledFabric::compile(&f).unwrap();
         prop_assert!(compiled.plane(0).unwrap().is_cyclic());
-        prop_assert!(!compiled.has_kernel(0), "cyclic planes carry no kernel");
 
         let bound = compiled.bind(0).unwrap();
         let mut rng = StdRng::seed_from_u64(lane_seed);
         let chunks: Vec<LaneChunk> =
             bound.inputs().iter().map(|_| random_chunk(&mut rng)).collect();
         let (mut got, mut reference) = (Vec::new(), Vec::new());
-        // dirty = 0 is ignored off the kernel path: still a full sweep
+        let mut st = compiled.new_state();
         let stats = compiled
-            .eval_bound_into(&bound, &chunks, words, 0, &mut compiled.new_state(), &mut got)
+            .eval_bound_into(&bound, &chunks, words, &mut st, &mut got)
             .unwrap();
-        prop_assert!(!stats.kernel);
         prop_assert_eq!(stats.ops_skipped, 0);
-        compiled
+        let interpreted = compiled
             .eval_bound_reference(&bound, &chunks, words, &mut compiled.new_state(), &mut reference)
             .unwrap();
+        prop_assert!(
+            stats.ops_total < interpreted.ops_total,
+            "the kernel counts only the ops its inputs reach, not the loop's"
+        );
         prop_assert_eq!(&got, &reference);
         assert_zero_past(&got, words)?;
         assert_lanes_match_fixpoint(&f, &bound, &chunks, &got, words)?;
+        let repeat = compiled
+            .eval_bound_into(&bound, &chunks, words, &mut st, &mut got)
+            .unwrap();
+        prop_assert_eq!(repeat.ops_skipped, repeat.ops_total);
+        prop_assert_eq!(&got, &reference);
     }
 
     /// Dirty-cone partial sweeps on a persistent state are
     /// observationally equivalent to fresh full sweeps at every width:
     /// after any sequence of partial input changes, outputs match both a
-    /// cold DIRTY_ALL kernel run and the reference interpreter, with
+    /// kernel run on a fresh state and the reference interpreter, with
     /// every word past the width zero.
     #[test]
     fn dirty_cone_partial_sweeps_match_full_evals(
@@ -351,7 +357,6 @@ proptest! {
         let mut f = fabric();
         prop_assume!(implement_netlist(&mut f, &nl, 0, seed).is_ok());
         let compiled = CompiledFabric::compile(&f).unwrap();
-        prop_assume!(compiled.has_kernel(0));
         let bound = compiled.bind(0).unwrap();
 
         let mut rng = StdRng::seed_from_u64(lane_seed);
@@ -360,26 +365,24 @@ proptest! {
         let mut st = compiled.new_state();
         let mut outs = Vec::new();
         let full = compiled
-            .eval_bound_into(&bound, &chunks, words, DIRTY_ALL, &mut st, &mut outs)
+            .eval_bound_into(&bound, &chunks, words, &mut st, &mut outs)
             .unwrap();
-        prop_assert!(full.kernel);
         prop_assert_eq!(full.ops_skipped, 0);
 
         for round in 0..rounds {
-            // flip a random subset of inputs (possibly none)
-            let mut dirty = 0u64;
-            for (i, chunk) in chunks.iter_mut().enumerate() {
+            // redraw a random subset of inputs (possibly none)
+            let mut changed = false;
+            for chunk in chunks.iter_mut() {
                 if rng.random_range(0..2u32) == 1 {
                     *chunk = random_chunk(&mut rng);
-                    dirty |= 1 << i;
+                    changed = true;
                 }
             }
             let stats = compiled
-                .eval_bound_into(&bound, &chunks, words, dirty, &mut st, &mut outs)
+                .eval_bound_into(&bound, &chunks, words, &mut st, &mut outs)
                 .unwrap();
-            prop_assert!(stats.kernel);
             prop_assert_eq!(stats.ops_total, full.ops_total);
-            if dirty == 0 {
+            if !changed {
                 prop_assert_eq!(
                     stats.ops_skipped, stats.ops_total,
                     "an unchanged sweep skips the whole op program"
@@ -388,9 +391,9 @@ proptest! {
             let incremental = outs.clone();
             assert_zero_past(&incremental, words)?;
 
-            // oracle 1: a cold full kernel sweep on a fresh state
+            // oracle 1: a full kernel sweep on a fresh state
             let cold = compiled
-                .eval_bound_into(&bound, &chunks, words, DIRTY_ALL, &mut compiled.new_state(), &mut outs)
+                .eval_bound_into(&bound, &chunks, words, &mut compiled.new_state(), &mut outs)
                 .unwrap();
             prop_assert_eq!(cold.ops_skipped, 0);
             prop_assert_eq!(&incremental, &outs, "round {}: partial vs cold", round);

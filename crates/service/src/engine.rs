@@ -56,8 +56,7 @@ use mcfpga_cost::attribution::TenantUsage;
 use mcfpga_css::optimize::{CostMatrix, OptimizeMode};
 use mcfpga_css::{CssError, SweepScratch};
 use mcfpga_fabric::compiled::{
-    chunk_bit, BoundPlan, CompiledState, EvalStats, LaneBatch, LaneChunk, PushRefusal, DIRTY_ALL,
-    LANE_WORDS,
+    chunk_bit, BoundPlan, CompiledState, EvalStats, LaneBatch, LaneChunk, PushRefusal, LANE_WORDS,
 };
 use mcfpga_fabric::context::ContextSequencer;
 use mcfpga_fabric::{CompiledFabric, Fabric, FabricParams, RegisterFile};
@@ -163,12 +162,9 @@ pub(crate) struct PlannedStep {
     /// request lanes plus the tenant's `reg:*` stream state, captured at
     /// plan time into the slot's input buffer (overwritten in place).
     pub chunks: Vec<LaneChunk>,
-    /// Dirty mask over the bound inputs vs the slot's previous sweep
-    /// ([`DIRTY_ALL`] when no valid cached sweep exists).
-    pub dirty: u64,
-    /// The slot's evaluation state — the plane's value array the
-    /// dirty-cone path reuses values from; empty before the slot's first
-    /// pass.
+    /// The slot's evaluation state: the last sweep, which the kernel
+    /// reuses when it ran the same plane at the same width; empty before
+    /// the slot's first pass.
     pub state: CompiledState,
     /// The output chunks, parallel to the bound plan's outputs, written
     /// into the slot's output buffer.
@@ -185,7 +181,6 @@ pub(crate) fn eval_step(step: &mut PlannedStep) -> Result<EvalStats, ServiceErro
         &step.bound,
         &step.chunks,
         step.words,
-        step.dirty,
         &mut step.state,
         &mut step.outs,
     )?)
@@ -210,10 +205,6 @@ struct Slot {
     /// once" half of the v2 pipeline. A `reg:*` input has no column (it
     /// is fed from the occupant's [`RegisterFile`]) and holds 0, unused.
     columns: Vec<u32>,
-    /// The occupied word count of the completed kernel sweep `state` and
-    /// `inputs` hold, fueling the dirty-cone incremental path; `None`
-    /// when they hold none.
-    swept: Option<usize>,
     /// The evaluation state, lent to each [`PlannedStep`] and returned by
     /// its apply.
     state: CompiledState,
@@ -257,13 +248,11 @@ impl Slot {
         self.tables.push(table);
     }
 
-    /// Takes back the buffers `step` borrowed at plan time; `swept` is
-    /// the word count of the completed kernel sweep they now hold, if any.
-    fn reclaim(&mut self, step: &mut PlannedStep, swept: Option<usize>) {
+    /// Takes back the buffers `step` borrowed at plan time.
+    fn reclaim(&mut self, step: &mut PlannedStep) {
         self.state = std::mem::take(&mut step.state);
         self.inputs = std::mem::take(&mut step.chunks);
         self.outs = std::mem::take(&mut step.outs);
-        self.swept = swept;
     }
 }
 
@@ -383,8 +372,8 @@ impl ShardEngine {
         for slot in self.slots.iter_mut().flatten() {
             let columns = Arc::clone(slot.occupant.batch.columns());
             slot.occupant.batch = LaneBatch::with_width(width, columns)?;
-            // a cached sweep at the old width cannot seed the new one
-            slot.swept = None;
+            // the rebuilt batch's first pass sweeps in full
+            slot.state = CompiledState::default();
         }
         self.lane_width = width;
         Ok(())
@@ -456,7 +445,7 @@ impl ShardEngine {
     /// `ctx` with its prebound plan — `Arc` clones of a cache entry, never
     /// a copy or a re-bind, whatever context the plane was compiled in.
     /// Each bound input is resolved to its column of the slot's batch;
-    /// the slot's cached sweep and output tables are discarded (they
+    /// the slot's evaluation state and output tables are discarded (they
     /// describe passes of the previous plane). Refuses, changing nothing,
     /// a plane that binds a non-register input the occupant's columns
     /// lack.
@@ -471,7 +460,7 @@ impl ShardEngine {
             .ok_or(ServiceError::SlotNotProgrammed { shard, ctx })?;
         slot.columns = bind_columns(shard, ctx, cached, slot.occupant.batch.columns())?;
         slot.plane = cached.clone();
-        slot.swept = None;
+        slot.state = CompiledState::default();
         slot.tables.clear();
         Ok(())
     }
@@ -632,7 +621,6 @@ impl ShardEngine {
             occupant,
             plane: plane.clone(),
             columns,
-            swept: None,
             state: CompiledState::default(),
             inputs: Vec::new(),
             tables: Vec::new(),
@@ -736,7 +724,6 @@ impl ShardEngine {
                 occupant,
                 plane,
                 columns,
-                swept,
                 state,
                 inputs,
                 outs,
@@ -747,22 +734,13 @@ impl ShardEngine {
             *charged += toggles as u64;
             let words = occupant.batch.words();
             let bound = &plane.bound;
-            let arity = bound.inputs().len();
-            // dirty-cone basis: reuse the slot's cached kernel sweep only
-            // when it describes the same word count and input arity, and
-            // the dirty mask can address every input (the kernel path
-            // then skips ops whose cone is clean). The slot's buffers
-            // become this step's, either way.
-            let cached = swept.take() == Some(words) && arity <= 64 && inputs.len() == arity;
+            // the slot's input buffer becomes this step's
             let mut chunks = std::mem::take(inputs);
-            let mut dirty = if cached { 0 } else { DIRTY_ALL };
-            if !cached {
-                chunks.clear();
-            }
+            chunks.clear();
             let column_chunks = occupant.batch.chunks();
             let sources = bound.inputs().iter().zip(columns.iter());
-            for (i, ((_, name, is_reg), &col)) in sources.enumerate() {
-                let chunk = if *is_reg {
+            chunks.extend(sources.map(|((_, name, is_reg), &col)| {
+                if *is_reg {
                     // stream registers come only from the tenant's
                     // register file (0 before the first pass) —
                     // lane-aligned, so lane `l` of pass `p+1` consumes
@@ -770,14 +748,8 @@ impl ShardEngine {
                     occupant.regs.get_chunk(name).unwrap_or([0u64; LANE_WORDS])
                 } else {
                     column_chunks[col as usize]
-                };
-                if !cached {
-                    chunks.push(chunk);
-                } else if chunks[i] != chunk {
-                    chunks[i] = chunk;
-                    dirty |= 1 << i;
                 }
-            }
+            }));
             steps.push(PlannedStep {
                 shard: self.shard,
                 pos,
@@ -787,7 +759,6 @@ impl ShardEngine {
                 plane: Arc::clone(&plane.plane),
                 bound: Arc::clone(bound),
                 chunks,
-                dirty,
                 state: std::mem::take(state),
                 outs: std::mem::take(outs),
             });
@@ -806,8 +777,8 @@ impl ShardEngine {
     /// reused table only rewrites its values, so a steady-state pass
     /// allocates no rows and clones no names), every lane's response
     /// gets a view of its row. On success and on failure alike the step's
-    /// buffers return to the slot; after a kernel pass they hold the
-    /// completed sweep the next one's dirty-cone skip reuses.
+    /// buffers return to the slot; the evaluation state carries the sweep
+    /// the next pass may reuse.
     /// Returns the pass's [`EvalStats`] (`None` for a faulted pass) so the
     /// coordinator can bump the deterministic op counters in apply order.
     ///
@@ -834,9 +805,8 @@ impl ShardEngine {
                     ctx: step.ctx,
                     error,
                 });
-                // a faulted pass leaves no completed sweep to reuse
                 if let Some(slot) = self.slots[step.ctx].as_mut() {
-                    slot.reclaim(step, None);
+                    slot.reclaim(step);
                 }
                 return Ok(None);
             }
@@ -902,7 +872,7 @@ impl ShardEngine {
         // empty the batch in place, buffers kept, so steady-state flushes
         // re-allocate nothing
         slot.occupant.clear();
-        slot.reclaim(step, stats.kernel.then_some(step.words));
+        slot.reclaim(step);
         Ok(Some(stats))
     }
 }

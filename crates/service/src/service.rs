@@ -129,14 +129,14 @@ struct ServiceMetrics {
     migrations: Counter,
     /// CSS broadcast toggles charged at plan time.
     css_toggles: Counter,
-    /// Compiled ops in every applied pass's program (kernel or
-    /// interpreter) — the denominator of the dirty-cone skip rate.
+    /// Compiled ops in every applied pass's program — the denominator
+    /// of the dirty-cone skip rate.
     fabric_ops_total: Counter,
     /// Ops skipped by dirty-cone incremental sweeps (clean input cone,
     /// cached chunks reused) — observationally equivalent to running.
     fabric_ops_skipped: Counter,
-    /// Applied passes evaluated by the straight-line kernel (vs the
-    /// reference interpreter).
+    /// Applied passes, every one run by the straight-line kernel: the
+    /// numerator of perfbench's `fabric.kernel_pass_pct`.
     fabric_kernel_evals: Counter,
     /// Requests parked in lane batches right now.
     queue_depth: Gauge,
@@ -847,9 +847,7 @@ impl ShardedService {
             Ok(Some(stats)) => {
                 self.metrics.fabric_ops_total.add(stats.ops_total);
                 self.metrics.fabric_ops_skipped.add(stats.ops_skipped);
-                if stats.kernel {
-                    self.metrics.fabric_kernel_evals.inc();
-                }
+                self.metrics.fabric_kernel_evals.inc();
                 Ok(())
             }
             Ok(None) => Ok(()),

@@ -7,7 +7,7 @@ use mcfpga_device::TechParams;
 use mcfpga_fabric::compiled::LANES;
 use mcfpga_fabric::netlist_ir::{generators, LogicNetlist};
 use mcfpga_fabric::FabricParams;
-use mcfpga_service::{OptimizeMode, PlacementPolicy, ServiceError, ShardedService};
+use mcfpga_service::{OptimizeMode, PlacementPolicy, ServiceError, ShardedService, TenantId};
 
 fn service(shards: usize) -> ShardedService {
     ShardedService::new(
@@ -521,6 +521,49 @@ fn identical_resubmission_skips_the_dirty_cone() {
     );
     assert_ne!(first[0].outputs[0].1, third[0].outputs[0].1);
     assert_eq!(counter("fabric_kernel_evals"), 3);
+}
+
+/// Runs an unchanged one-request batch on a parity tenant twice (the
+/// second pass reuses the first's sweep), then `reset`, then once more:
+/// that pass must answer the same and sweep in full.
+fn assert_next_pass_sweeps_afresh(reset: impl FnOnce(&mut ShardedService, TenantId)) {
+    let mut svc = service(1);
+    let nl = generators::parity_tree(4).unwrap();
+    let t = svc.admit("parity", &nl).unwrap();
+    let inputs = [("x0", true), ("x1", false), ("x2", true), ("x3", false)];
+    let registry = svc.telemetry().registry().clone();
+    let skipped = move || registry.counter_value("fabric_ops_skipped").unwrap_or(0);
+    let pass = |svc: &mut ShardedService| {
+        svc.submit(t, &inputs).unwrap();
+        let out = svc.drain().unwrap();
+        assert_eq!(out.len(), 1);
+        out[0].outputs.to_vec()
+    };
+    let first = pass(&mut svc);
+    pass(&mut svc);
+    let reused = skipped();
+    assert!(reused > 0, "an unchanged batch reuses the sweep");
+    reset(&mut svc, t);
+    assert_eq!(pass(&mut svc), first);
+    assert_eq!(skipped(), reused, "the next pass sweeps in full");
+    assert!(svc.take_faults().is_empty());
+}
+
+/// `repair_plane` reinstalls the very plane the slot ran before
+/// `inject_plane_fault`, and the slot's evaluation state starts afresh.
+#[test]
+fn a_repaired_plane_sweeps_afresh() {
+    assert_next_pass_sweeps_afresh(|svc, t| {
+        svc.inject_plane_fault(t).unwrap();
+        svc.repair_plane(t).unwrap();
+    });
+}
+
+/// `set_lane_width` rebuilds every batch, and each slot's evaluation
+/// state starts afresh, even at the same occupied word count.
+#[test]
+fn a_lane_width_change_sweeps_afresh() {
+    assert_next_pass_sweeps_afresh(|svc, _| svc.set_lane_width(LANES).unwrap());
 }
 
 /// Lane occupancy that shrinks and grows under stream state: a `reg:*`

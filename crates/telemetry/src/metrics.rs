@@ -97,12 +97,6 @@ impl Counter {
     pub(crate) fn mirror(&self, total: u64) {
         self.cells[0].store(total, Ordering::Relaxed);
     }
-
-    fn reset(&self) {
-        for c in self.cells.iter() {
-            c.store(0, Ordering::Relaxed);
-        }
-    }
 }
 
 /// A signed integer gauge (set to the current value of something).
@@ -367,18 +361,6 @@ impl Registry {
         let h = Histogram::new();
         self.register(name, class, Metric::Histogram(h.clone()));
         h
-    }
-
-    /// Zero every cell of the counter registered under `name`, if any.
-    pub fn reset_counter(&self, name: &str) {
-        let table = self.inner.lock().expect("metric registry poisoned");
-        if let Some(Entry {
-            metric: Metric::Counter(c),
-            ..
-        }) = table.iter().find(|e| e.name == name)
-        {
-            c.reset();
-        }
     }
 
     /// Current total of the counter registered under `name`.
