@@ -72,6 +72,35 @@ fn random_chunk(rng: &mut StdRng) -> LaneChunk {
     std::array::from_fn(|_| rng.random_range(0..u64::MAX))
 }
 
+/// Makes every comparator input `b{i}` equal to its `a{i}` on the lanes
+/// of a random mask drawn from `rng` — about half of them — so the
+/// comparator answers "equal" there: independent random inputs never
+/// agree on every bit of a lane, and outputs that are all zero would let
+/// a wrong kernel pass the cross-checks.
+fn agree_on_half_the_lanes(bound: &BoundPlan, chunks: &mut [LaneChunk], rng: &mut StdRng) {
+    let equal = random_chunk(rng);
+    let names: Vec<&str> = bound.inputs().iter().map(|(_, n, _)| &**n).collect();
+    for (b, name) in names.iter().enumerate() {
+        let Some(bit) = name.strip_prefix('b') else {
+            continue;
+        };
+        let a = names
+            .iter()
+            .position(|n| n.strip_prefix('a') == Some(bit))
+            .expect("every b input has its a");
+        let a_chunk = chunks[a];
+        for (w, word) in chunks[b].iter_mut().enumerate() {
+            *word = (a_chunk[w] & equal[w]) | (*word & !equal[w]);
+        }
+    }
+}
+
+/// Does `outs` answer both "equal" and "not equal" somewhere?
+fn mixed(outs: &[LaneChunk]) -> bool {
+    let ones: u32 = outs.iter().flatten().map(|w| w.count_ones()).sum();
+    ones > 0 && (ones as usize) < outs.len() * MAX_LANES
+}
+
 /// Mean µs of `iters` kernel passes of `bound` at `words`, each a full
 /// sweep: the passes alternate between `chunks` and its complement, so
 /// every input changes on every pass and no cone is clean to skip.
@@ -112,11 +141,15 @@ struct CtxRun {
 fn run_context(compiled: &CompiledFabric, ctx: usize) -> CtxRun {
     let bound = compiled.bind(ctx).expect("bind");
     let mut rng = StdRng::seed_from_u64(0xEA17 + ctx as u64);
-    let chunks: Vec<LaneChunk> = bound
+    // the equality masks come from their own stream, so `rng` draws the
+    // same inputs (and mix changes) as it would without them
+    let mut masks = StdRng::seed_from_u64(0xE9A1 + ctx as u64);
+    let mut chunks: Vec<LaneChunk> = bound
         .inputs()
         .iter()
         .map(|_| random_chunk(&mut rng))
         .collect();
+    agree_on_half_the_lanes(&bound, &mut chunks, &mut masks);
 
     // correctness first, always (smoke mode included): kernel output ==
     // interpreter output, bit for bit, across all 256 lanes
@@ -125,6 +158,10 @@ fn run_context(compiled: &CompiledFabric, ctx: usize) -> CtxRun {
     compiled
         .eval_bound_reference(&bound, &chunks, LANE_WORDS, &mut st, &mut reference)
         .expect("reference eval");
+    assert!(
+        mixed(&reference),
+        "ctx {ctx}: the reference answers must hold ones and zeros"
+    );
     let mut kst = compiled.new_state();
     let mut outs = Vec::new();
     let stats = compiled
@@ -163,7 +200,7 @@ fn run_context(compiled: &CompiledFabric, ctx: usize) -> CtxRun {
     compiled
         .eval_bound_into(&bound, &mix, LANE_WORDS, &mut kst, &mut outs)
         .expect("kernel eval");
-    let (mut mix_total, mut mix_skipped) = (0u64, 0u64);
+    let (mut mix_total, mut mix_skipped, mut mix_mixed) = (0u64, 0u64, 0usize);
     for sweep in 0..MIX_SWEEPS {
         match sweep % 4 {
             0 | 2 => {}
@@ -175,6 +212,7 @@ fn run_context(compiled: &CompiledFabric, ctx: usize) -> CtxRun {
                 for c in mix.iter_mut() {
                     *c = random_chunk(&mut rng);
                 }
+                agree_on_half_the_lanes(&bound, &mut mix, &mut masks);
             }
         }
         let s = compiled
@@ -189,7 +227,12 @@ fn run_context(compiled: &CompiledFabric, ctx: usize) -> CtxRun {
             .eval_bound_into(&bound, &mix, LANE_WORDS, &mut cold_st, &mut cold)
             .expect("cold eval");
         assert_eq!(outs, cold, "incremental sweep diverged (ctx {ctx})");
+        mix_mixed += usize::from(mixed(&outs));
     }
+    assert!(
+        mix_mixed >= MIX_SWEEPS / 4,
+        "ctx {ctx}: only {mix_mixed} mix sweeps answered both ways"
+    );
 
     CtxRun {
         ops_total: stats.ops_total,

@@ -7,8 +7,8 @@ use crate::ClusterError;
 use mcfpga_cost::attribution::{render_billing, TenantUsage};
 use mcfpga_fabric::{FabricParams, LogicNetlist};
 use mcfpga_service::{
-    best_slot, Outputs, RequestId, RequestIdSource, Response, ServiceError, ShardedService,
-    TenantId,
+    best_slot, RequestId, RequestIdSource, Response, ServiceError, ShardedService, TenantId,
+    TenantIdSource,
 };
 use mcfpga_telemetry::{
     sort_timeline, tenant_key, ClusterHealthSnapshot, Counter, Gauge, MetricClass,
@@ -54,48 +54,23 @@ impl ClusterMetrics {
     }
 }
 
-/// Cluster-global tenant handle, minted in admission order starting at 0.
-///
-/// Stable across live migration: the handle keeps working wherever the
+/// A tenant's id: minted from the cluster's one [`TenantIdSource`] in
+/// admission order starting at 0, and the same at every node the tenant
+/// runs on — a live migration keeps it, so the handle works wherever the
 /// tenant currently runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct ClusterTenantId(pub(crate) usize);
-
-impl ClusterTenantId {
-    /// The dense index of this tenant (cluster admission order).
-    #[must_use]
-    pub fn index(self) -> usize {
-        self.0
-    }
-}
-
-impl std::fmt::Display for ClusterTenantId {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "cten#{}", self.0)
-    }
-}
+pub type ClusterTenantId = TenantId;
 
 /// A request's id: minted from the cluster's one [`RequestIdSource`] in
 /// submission order starting at 0, and the same at every node the
 /// request visits — a live migration carries it along.
 pub type ClusterRequestId = RequestId;
 
-/// One answered request, with its node-local tenant id translated to
-/// the cluster's — bit-identical for a given workload at any node count
-/// and any executor width. The node's [`Outputs`] view moves across
-/// unchanged: no output is copied and no reference count moves.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ClusterResponse {
-    /// The cluster id the answered submission returned.
-    pub request: ClusterRequestId,
-    /// The tenant the request belonged to.
-    pub tenant: ClusterTenantId,
-    /// `(output name, value)` pairs, netlist output order: the view of
-    /// the request's lane in its pass's output table.
-    pub outputs: Outputs,
-}
+/// One answered request: a node's [`Response`] as it is, since its
+/// request and tenant ids are the cluster's — bit-identical for a given
+/// workload at any node count and any executor width.
+pub type ClusterResponse = Response;
 
-/// One slot-execution fault, translated to cluster coordinates.
+/// One slot-execution fault, placed in the cluster's shard space.
 ///
 /// `shard` is the **global** shard index (node-major: node 0's shards
 /// first), so fault logs — like responses — compare bit-for-bit across
@@ -168,9 +143,6 @@ struct Node {
     /// rebalancer reads it back through a [`ClusterHealthSnapshot`]
     /// rather than poking cluster-private state.
     fault_gauge: Gauge,
-    /// The cluster tenant of each resident node-local tenant, indexed by
-    /// [`TenantId::index`] (the node's registry mints those densely).
-    tenants: Vec<Option<ClusterTenantId>>,
 }
 
 impl Node {
@@ -181,28 +153,12 @@ impl Node {
             .registry()
             .gauge(FAULT_TALLY_METRIC, MetricClass::Deterministic)
     }
-
-    fn bind_tenant(&mut self, local: TenantId, tenant: Option<ClusterTenantId>) {
-        let i = local.index();
-        if self.tenants.len() <= i {
-            self.tenants.resize(i + 1, None);
-        }
-        self.tenants[i] = tenant;
-    }
-
-    fn tenant(&self, local: TenantId) -> Result<ClusterTenantId, ClusterError> {
-        self.tenants
-            .get(local.index())
-            .copied()
-            .flatten()
-            .ok_or(ClusterError::UnknownTenant(local.index()))
-    }
 }
 
 /// Everything the cluster must remember about an admitted tenant to
-/// route, re-route and — when the source node is gone — re-provision it.
+/// route, re-route and — when the source node is gone — re-provision it,
+/// indexed by the tenant's id.
 struct RouteEntry {
-    name: String,
     /// The admission netlist, kept so a destination whose plane cache
     /// misses the digest can recompile instead of dead-ending.
     netlist: LogicNetlist,
@@ -210,7 +166,6 @@ struct RouteEntry {
     /// its configuration digest was computed over.
     admit_params: FabricParams,
     node: usize,
-    local: TenantId,
 }
 
 /// A federation of [`ShardedService`] nodes behind one deterministic
@@ -221,6 +176,8 @@ pub struct Cluster {
     routes: Vec<RouteEntry>,
     /// The only request-id source of the cluster's nodes.
     ids: RequestIdSource,
+    /// The only tenant-id source of the cluster's nodes.
+    tenants: TenantIdSource,
     /// Round-robin cursor over the global shard space.
     cursor: usize,
     last_check: u64,
@@ -238,9 +195,9 @@ impl Cluster {
     /// Federates `nodes` (at least one). Node order is load-bearing: it fixes
     /// the global shard space (node 0's shards first) and therefore the
     /// merge order of every response, fault and billing row. The virtual
-    /// clock starts at 0, on every node too. Request ids come from the
-    /// cluster's own source, so a node that already minted ids of its own
-    /// ([`ShardedService::has_minted_ids`]) is refused with
+    /// clock starts at 0, on every node too. Tenant and request ids come
+    /// from the cluster's own sources, so a node that already minted ids
+    /// of its own ([`ShardedService::has_minted_ids`]) is refused with
     /// [`ClusterError::NodeMintedIds`]: it could not take part in a live
     /// migration ([`ShardedService::hand_over`]).
     pub fn new(nodes: Vec<ShardedService>) -> Result<Self, ClusterError> {
@@ -259,7 +216,6 @@ impl Cluster {
                     health: NodeHealth::Healthy,
                     shard_base: base,
                     fault_gauge: Node::register_fault_gauge(&svc),
-                    tenants: Vec::new(),
                     svc,
                 };
                 base += node.svc.shard_count();
@@ -272,6 +228,7 @@ impl Cluster {
             nodes,
             routes: Vec::new(),
             ids: RequestIdSource::new(),
+            tenants: TenantIdSource::new(),
             cursor: 0,
             last_check: 0,
             rebalancer: None,
@@ -334,12 +291,11 @@ impl Cluster {
     /// Cluster tenants currently resident on `node`, id order.
     pub fn tenants_on(&self, node: usize) -> Result<Vec<ClusterTenantId>, ClusterError> {
         self.check_node(node)?;
-        Ok(self
-            .routes
+        Ok(self.nodes[node]
+            .svc
+            .registry()
             .iter()
-            .enumerate()
-            .filter(|(_, r)| r.node == node)
-            .map(|(i, _)| ClusterTenantId(i))
+            .map(|(id, _)| id)
             .collect())
     }
 
@@ -352,12 +308,12 @@ impl Cluster {
     // Routing and admission
     // ------------------------------------------------------------------
 
-    /// Admits `netlist` onto the cluster, returning a cluster-global
-    /// tenant id. The router keeps one round-robin cursor over the
-    /// **global shard space** (node-major), so a cluster is bit-identical
-    /// to fewer, larger nodes; the chosen node admits at the slot its
-    /// registry reserves on that shard
-    /// ([`ShardedService::admit_placed`]), bit-for-bit what its own
+    /// Admits `netlist` onto the cluster, returning the tenant's id,
+    /// minted from the cluster's source. The router keeps one round-robin
+    /// cursor over the **global shard space** (node-major), so a cluster
+    /// is bit-identical to fewer, larger nodes; the chosen node admits at
+    /// the slot its registry reserves on that shard, under the cluster's
+    /// id ([`ShardedService::admit_placed`]), bit-for-bit what its own
     /// round-robin admission would have produced.
     pub fn admit(
         &mut self,
@@ -365,20 +321,19 @@ impl Cluster {
         netlist: &LogicNetlist,
     ) -> Result<ClusterTenantId, ClusterError> {
         let (node_idx, shard) = self.place()?;
-        let placement = self.nodes[node_idx].svc.registry().reserve_on(shard)?;
-        let local = self.nodes[node_idx]
+        let node = &mut self.nodes[node_idx];
+        let placement = node.svc.registry().reserve_on(shard)?;
+        let id = node
             .svc
-            .admit_placed(name, netlist, placement)?;
-        self.cursor = (self.nodes[node_idx].shard_base + placement.shard + 1) % self.total_shards();
-        let id = ClusterTenantId(self.routes.len());
+            .admit_placed(&mut self.tenants, name, netlist, placement)?;
+        let admit_params = *node.svc.params();
+        self.cursor = (node.shard_base + placement.shard + 1) % self.total_shards();
+        debug_assert_eq!(id.index(), self.routes.len(), "routes are indexed by id");
         self.routes.push(RouteEntry {
-            name: name.to_string(),
             netlist: netlist.clone(),
-            admit_params: *self.nodes[node_idx].svc.params(),
+            admit_params,
             node: node_idx,
-            local,
         });
-        self.nodes[node_idx].bind_tenant(local, Some(id));
         Ok(id)
     }
 
@@ -425,10 +380,7 @@ impl Cluster {
         tenant: ClusterTenantId,
         inputs: &[(&str, bool)],
     ) -> Result<ClusterRequestId, ClusterError> {
-        let (node, local) = {
-            let route = self.route(tenant)?;
-            (route.node, route.local)
-        };
+        let node = self.route(tenant)?.node;
         if !self.nodes[node].health.serves() {
             return Err(ClusterError::NodeUnavailable {
                 node,
@@ -437,7 +389,7 @@ impl Cluster {
         }
         let id = self.nodes[node]
             .svc
-            .submit_from(&mut self.ids, local, inputs)?;
+            .submit_from(&mut self.ids, tenant, inputs)?;
         self.metrics.requests.inc();
         // the admission hop at the cluster level carries *where* the
         // request landed; `trace` gathers the node-local hops
@@ -459,9 +411,10 @@ impl Cluster {
     /// count over the same global shard space.
     pub fn drain(&mut self) -> Result<Vec<ClusterResponse>, ClusterError> {
         let mut merged = Vec::new();
-        for node in 0..self.nodes.len() {
-            let responses = self.nodes[node].svc.drain()?;
-            self.merge(node, responses, &mut merged)?;
+        for node in &mut self.nodes {
+            let mut responses = node.svc.drain()?;
+            self.metrics.responses.add(responses.len() as u64);
+            merged.append(&mut responses);
         }
         Ok(merged)
     }
@@ -474,45 +427,22 @@ impl Cluster {
     ) -> Result<Vec<ClusterResponse>, ClusterError> {
         let mut per_node: Vec<Vec<TenantId>> = vec![Vec::new(); self.nodes.len()];
         for &t in tenants {
-            let route = self.route(t)?;
-            per_node[route.node].push(route.local);
+            per_node[self.route(t)?.node].push(t);
         }
         let mut merged = Vec::new();
-        for (node, locals) in per_node.into_iter().enumerate() {
-            if locals.is_empty() {
-                continue;
+        for (node, ids) in self.nodes.iter_mut().zip(per_node) {
+            if !ids.is_empty() {
+                let mut responses = node.svc.flush_tenants(&ids)?;
+                self.metrics.responses.add(responses.len() as u64);
+                merged.append(&mut responses);
             }
-            let responses = self.nodes[node].svc.flush_tenants(&locals)?;
-            self.merge(node, responses, &mut merged)?;
         }
         Ok(merged)
     }
 
-    /// Appends one node's responses to `merged` under their cluster
-    /// tenant ids, refusing a tenant the cluster never bound there.
-    fn merge(
-        &mut self,
-        node: usize,
-        responses: Vec<Response>,
-        merged: &mut Vec<ClusterResponse>,
-    ) -> Result<(), ClusterError> {
-        let count = responses.len() as u64;
-        merged.reserve(responses.len());
-        for r in responses {
-            merged.push(ClusterResponse {
-                request: r.request,
-                tenant: self.nodes[node].tenant(r.tenant)?,
-                outputs: r.outputs,
-            });
-        }
-        self.metrics.responses.add(count);
-        Ok(())
-    }
-
     /// Removes and returns every fault recorded since the last call,
-    /// merged in node order and translated to cluster coordinates
-    /// (tenant id, **global** shard index) — bit-identical at any node
-    /// count, like responses.
+    /// merged in node order, its shard offset to the **global** shard
+    /// index — bit-identical at any node count, like responses.
     pub fn take_faults(&mut self) -> Vec<ClusterFault> {
         self.collect_faults();
         std::mem::take(&mut self.fault_log)
@@ -527,21 +457,19 @@ impl Cluster {
             for f in self.nodes[node].svc.take_faults() {
                 self.nodes[node].fault_gauge.add(1);
                 self.metrics.faults.inc();
-                if let Ok(tenant) = self.nodes[node].tenant(f.tenant) {
-                    self.telemetry.trace_buffer_mut().record(
-                        tenant_key(tenant.index()),
-                        SpanKind::Fault,
-                        now,
-                        node as u32,
-                        (base + f.shard) as i64,
-                    );
-                    self.fault_log.push(ClusterFault {
-                        tenant,
-                        shard: base + f.shard,
-                        ctx: f.ctx,
-                        error: f.error,
-                    });
-                }
+                self.telemetry.trace_buffer_mut().record(
+                    tenant_key(f.tenant.index()),
+                    SpanKind::Fault,
+                    now,
+                    node as u32,
+                    (base + f.shard) as i64,
+                );
+                self.fault_log.push(ClusterFault {
+                    tenant: f.tenant,
+                    shard: base + f.shard,
+                    ctx: f.ctx,
+                    error: f.error,
+                });
             }
         }
     }
@@ -549,8 +477,7 @@ impl Cluster {
     /// Accumulated usage counters for one tenant (they follow the tenant
     /// across migrations).
     pub fn usage(&self, tenant: ClusterTenantId) -> Result<TenantUsage, ClusterError> {
-        let route = self.route(tenant)?;
-        Ok(self.nodes[route.node].svc.usage(route.local)?)
+        Ok(self.nodes[self.route(tenant)?.node].svc.usage(tenant)?)
     }
 
     /// The cluster billing table: one row per tenant in **cluster
@@ -559,16 +486,18 @@ impl Cluster {
     /// node count.
     #[must_use]
     pub fn billing_report(&self) -> String {
-        let rows: Vec<(String, TenantUsage)> = self
-            .routes
+        let mut rows: Vec<(TenantId, String, TenantUsage)> = self
+            .nodes
             .iter()
-            .map(|r| {
-                // a route always points at a live tenant; default only
-                // guards the window inside a migration
-                let usage = self.nodes[r.node].svc.usage(r.local).unwrap_or_default();
-                (r.name.clone(), usage)
+            .flat_map(|n| {
+                n.svc.registry().iter().map(|(id, r)| {
+                    let usage = n.svc.usage(id).unwrap_or_default();
+                    (id, r.name.clone(), usage)
+                })
             })
             .collect();
+        rows.sort_unstable_by_key(|row| row.0);
+        let rows: Vec<_> = rows.into_iter().map(|(_, name, u)| (name, u)).collect();
         render_billing(&rows, self.nodes[0].svc.tech())
     }
 
@@ -579,21 +508,15 @@ impl Cluster {
     /// Corrupts the tenant's installed plane (testing hook; see
     /// [`ShardedService::inject_plane_fault`]).
     pub fn inject_plane_fault(&mut self, tenant: ClusterTenantId) -> Result<(), ClusterError> {
-        let (node, local) = {
-            let r = self.route(tenant)?;
-            (r.node, r.local)
-        };
-        Ok(self.nodes[node].svc.inject_plane_fault(local)?)
+        let node = self.route(tenant)?.node;
+        Ok(self.nodes[node].svc.inject_plane_fault(tenant)?)
     }
 
     /// Re-installs the tenant's true compiled plane from the owning
     /// node's cache (see [`ShardedService::repair_plane`]).
     pub fn repair_plane(&mut self, tenant: ClusterTenantId) -> Result<(), ClusterError> {
-        let (node, local) = {
-            let r = self.route(tenant)?;
-            (r.node, r.local)
-        };
-        Ok(self.nodes[node].svc.repair_plane(local)?)
+        let node = self.route(tenant)?.node;
+        Ok(self.nodes[node].svc.repair_plane(tenant)?)
     }
 
     // ------------------------------------------------------------------
@@ -605,25 +528,23 @@ impl Cluster {
     /// source, or — when the source's cache is gone — recompilation from
     /// the admission netlist), then hand the tenant over into the
     /// destination's cheapest slot ([`ShardedService::hand_over`]):
-    /// its pending requests keep their ids. A no-op when the tenant
-    /// already runs on `dst_node`.
+    /// the tenant keeps its id there and its pending requests keep
+    /// theirs. A no-op when the tenant already runs on `dst_node`.
     ///
     /// Works across heterogeneous geometries: a tenant admitted on an
-    /// 8×8 node restores onto a 10×10 node bit-for-bit (pad-and-remap).
+    /// 8×8 node runs on a 10×10 node bit-for-bit, its plane installed as
+    /// it was compiled.
     pub fn migrate_tenant(
         &mut self,
         tenant: ClusterTenantId,
         dst_node: usize,
     ) -> Result<(), ClusterError> {
         self.check_node(dst_node)?;
-        let (src_node, src_local) = {
-            let r = self.route(tenant)?;
-            (r.node, r.local)
-        };
+        let src_node = self.route(tenant)?.node;
         if src_node == dst_node {
             return Ok(());
         }
-        let record = self.nodes[src_node].svc.registry().tenant(src_local)?;
+        let record = self.nodes[src_node].svc.registry().tenant(tenant)?;
         let (digest, ctx) = (record.digest, record.placement.ctx);
 
         // plane re-provisioning: ship it, or recompile it at the
@@ -633,7 +554,7 @@ impl Cluster {
             match self.nodes[src_node].svc.export_plane(digest) {
                 Some(plane) => self.nodes[dst_node].svc.import_plane(digest, plane)?,
                 None => {
-                    let r = &self.routes[tenant.0];
+                    let r = &self.routes[tenant.index()];
                     self.nodes[dst_node]
                         .svc
                         .provision_plane(digest, &r.netlist, r.admit_params)?;
@@ -651,9 +572,7 @@ impl Cluster {
             .nodes
             .get_disjoint_mut([src_node, dst_node])
             .expect("distinct nodes, both checked");
-        let (new_local, kept) = src.svc.hand_over(src_local, &mut dst.svc, slot)?;
-        src.bind_tenant(src_local, None);
-        dst.bind_tenant(new_local, Some(tenant));
+        let kept = src.svc.hand_over(tenant, &mut dst.svc, slot)?;
 
         // the hop every in-flight request takes when its tenant moves:
         // recorded on the *destination*, detail = source
@@ -673,9 +592,7 @@ impl Cluster {
             );
         }
         self.metrics.migrations.inc();
-        let route = &mut self.routes[tenant.0];
-        route.node = dst_node;
-        route.local = new_local;
+        self.routes[tenant.index()].node = dst_node;
         Ok(())
     }
 
@@ -940,8 +857,8 @@ impl Cluster {
 
     fn route(&self, tenant: ClusterTenantId) -> Result<&RouteEntry, ClusterError> {
         self.routes
-            .get(tenant.0)
-            .ok_or(ClusterError::UnknownTenant(tenant.0))
+            .get(tenant.index())
+            .ok_or(ClusterError::UnknownTenant(tenant.index()))
     }
 }
 
@@ -950,32 +867,3 @@ const _: () = {
     const fn assert_send<T: Send>() {}
     assert_send::<Cluster>();
 };
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn tenants_translate_densely() {
-        let params = FabricParams::default();
-        let mut svc = ShardedService::new(1, params, mcfpga_device::TechParams::default()).unwrap();
-        let parity = mcfpga_fabric::netlist_ir::generators::parity_tree(3).unwrap();
-        let locals: Vec<TenantId> = (0..4)
-            .map(|i| svc.admit(&format!("t{i}"), &parity).unwrap())
-            .collect();
-        let mut node = Node {
-            fault_gauge: Node::register_fault_gauge(&svc),
-            svc,
-            health: NodeHealth::Healthy,
-            shard_base: 0,
-            tenants: Vec::new(),
-        };
-        let t = locals[3];
-        assert_eq!(node.tenant(t), Err(ClusterError::UnknownTenant(3)));
-        node.bind_tenant(t, Some(ClusterTenantId(7)));
-        assert_eq!(node.tenant(t), Ok(ClusterTenantId(7)));
-        assert!(node.tenant(locals[1]).is_err());
-        node.bind_tenant(t, None);
-        assert!(node.tenant(t).is_err());
-    }
-}

@@ -12,11 +12,12 @@
 //!   its slot on the destination node with the scoring a single node's
 //!   energy-aware admission uses
 //!   ([`best_slot`](mcfpga_service::best_slot)).
-//! * **Deterministic merge.** The cluster mints its own tenant ids
-//!   (admission order), owns the only request-id source of its nodes and
-//!   lends it to each submit, so a request's id (submission order) is the
-//!   same at the cluster and at every node it visits. It merges node
-//!   outputs — responses, fault records, billing rows — in **node,
+//! * **Deterministic merge.** The cluster owns the only tenant-id and
+//!   request-id sources of its nodes and lends them to each admission
+//!   and submit, so a tenant's id (admission order) and a request's id
+//!   (submission order) are the same at the cluster and at every node
+//!   they visit, and a node's responses need no translation. It merges
+//!   node outputs — responses, fault records, billing rows — in **node,
 //!   then shard, then lane order**. A workload replayed against one node
 //!   or against three nodes holding the same global shards produces
 //!   bit-identical [`ClusterResponse`]s, [`ClusterFault`]s and billing
@@ -48,9 +49,10 @@
 //! when the source is gone (restarted node) it **recompiles at the
 //! destination** from the admission netlist kept in the route table
 //! ([`provision_plane`](mcfpga_service::ShardedService::provision_plane)).
-//! Nodes may be heterogeneous: a tenant admitted on an 8×8 node restores
-//! onto a 10×10 node bit-for-bit via pad-and-remap
-//! ([`rebase_onto`](mcfpga_fabric::CompiledFabric::rebase_onto)).
+//! Nodes may be heterogeneous: a tenant admitted on an 8×8 node runs on a
+//! 10×10 node bit-for-bit, its plane installed exactly as it was
+//! compiled (the serving kernel addresses plane slots, not fabric
+//! resources).
 //!
 //! ```
 //! use mcfpga_cluster::Cluster;
@@ -119,10 +121,10 @@ pub enum ClusterError {
     },
     /// No healthy node has a free context slot left.
     CapacityExhausted,
-    /// A node offered to [`Cluster::new`] already minted request ids from
-    /// its own source ([`ShardedService::has_minted_ids`]): the cluster's
-    /// ids could collide with them, and no tenant could migrate to or
-    /// from it.
+    /// A node offered to [`Cluster::new`] already minted tenant or request
+    /// ids from its own sources ([`ShardedService::has_minted_ids`]): the
+    /// cluster's ids could collide with them, and no tenant could migrate
+    /// to or from it.
     ///
     /// [`ShardedService::has_minted_ids`]: mcfpga_service::ShardedService::has_minted_ids
     NodeMintedIds {
@@ -174,7 +176,7 @@ impl std::fmt::Display for ClusterError {
             }
             ClusterError::NodeMintedIds { node } => write!(
                 f,
-                "node {node} already minted request ids of its own; a cluster mints them all"
+                "node {node} already minted ids of its own; a cluster mints them all"
             ),
             ClusterError::Service(e) => write!(f, "node service: {e}"),
         }

@@ -11,7 +11,7 @@ use mcfpga_cluster::{
 use mcfpga_device::TechParams;
 use mcfpga_fabric::netlist_ir::generators;
 use mcfpga_fabric::FabricParams;
-use mcfpga_service::{OptimizeMode, PlacementPolicy, ShardedService};
+use mcfpga_service::{OptimizeMode, PlacementPolicy, ShardedService, TenantIdSource};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::collections::HashSet;
@@ -111,25 +111,42 @@ fn rolling_restart_keeps_the_cluster_serving() {
     assert!(last[0].outputs[0].1, "parity(1,1,1) is odd");
 }
 
-/// A service that took `submit` calls of its own before it was federated
-/// is refused when the cluster is built, not at its first migration.
+/// A service that admitted a tenant or took a `submit` call of its own
+/// before it was federated is refused when the cluster is built, not at
+/// its first migration.
 #[test]
 fn a_node_that_minted_its_own_ids_is_refused_at_construction() {
     let parity = generators::parity_tree(3).unwrap();
+    let mut admitted = node(1);
+    let t = admitted.admit("solo", &parity).unwrap();
+    assert!(
+        admitted.has_minted_ids(),
+        "its own admission mints a tenant id"
+    );
+    admitted.retire_tenant(t).unwrap();
+    assert!(admitted.has_minted_ids(), "emptied, but it minted");
+    assert_eq!(
+        Cluster::new(vec![node(1), admitted, node(1)]).err(),
+        Some(ClusterError::NodeMintedIds { node: 1 })
+    );
+
     let mut used = node(1);
-    let t = used.admit("solo", &parity).unwrap();
-    assert!(!used.has_minted_ids(), "admission mints no request id");
+    let slot = used.registry().reserve().unwrap();
+    let t = used
+        .admit_placed(&mut TenantIdSource::new(), "solo", &parity, slot)
+        .unwrap();
+    assert!(!used.has_minted_ids(), "a lent tenant id is not its own");
     used.submit(t, &[("x0", true), ("x1", false), ("x2", true)])
         .unwrap();
     used.drain().unwrap();
     used.retire_tenant(t).unwrap();
-    assert!(used.has_minted_ids(), "emptied, but it minted");
+    assert!(used.has_minted_ids(), "emptied, but it minted a request id");
     assert_eq!(
-        Cluster::new(vec![node(1), used, node(1)]).err(),
-        Some(ClusterError::NodeMintedIds { node: 1 })
+        Cluster::new(vec![used, node(1)]).err(),
+        Some(ClusterError::NodeMintedIds { node: 0 })
     );
-    // the cluster's own submits lend its source: its nodes mint nothing,
-    // and a tenant still moves between them
+    // the cluster's own admissions and submits lend its sources: its
+    // nodes mint nothing, and a tenant still moves between them
     let mut c = Cluster::new(vec![node(1), node(1)]).unwrap();
     let t = c.admit("t", &parity).unwrap();
     submit3(&mut c, t, 0b011);

@@ -587,20 +587,6 @@ impl ResourceLayout {
     pub fn total(&self) -> usize {
         self.width * self.height * self.per_tile
     }
-
-    /// Remaps a resource id from this arena into `dst`'s arena, keeping
-    /// the tile coordinate and intra-tile offset. Both layouts must share
-    /// `per_tile` (same channel width, IO counts) and `dst` must be at
-    /// least as wide and tall as `self`.
-    fn remap_into(&self, dst: &ResourceLayout, id: ResourceId) -> ResourceId {
-        debug_assert_eq!(self.per_tile, dst.per_tile);
-        let tile = id as usize / self.per_tile;
-        let offset = id as usize % self.per_tile;
-        let x = tile % self.width;
-        let y = tile / self.width;
-        debug_assert!(x < dst.width && y < dst.height);
-        (((y * dst.width + x) * dst.per_tile) + offset) as ResourceId
-    }
 }
 
 /// One evaluation step of a compiled plane.
@@ -1328,104 +1314,6 @@ impl CompiledFabric {
     #[must_use]
     pub fn compiled_context(&self) -> Option<usize> {
         self.only_ctx
-    }
-
-    /// Re-targets a partially-compiled plane onto a *different* fabric
-    /// geometry — the pad-and-remap path behind heterogeneous restore.
-    ///
-    /// A small grid embeds into the top-left corner of a larger one: every
-    /// tile keeps its `(x, y)` coordinate and every resource keeps its
-    /// intra-tile offset, so remapping each [`Op`] and IO bind through the
-    /// destination arena preserves op order, dependencies and truth tables.
-    /// Evaluation of the rebased plane is therefore bit-for-bit identical
-    /// to the original — the extra tiles of the larger grid are simply
-    /// never addressed.
-    ///
-    /// Requirements: a single-context compilation ([`Self::compile_context`]),
-    /// matching `arch` / `lut_k` / `channel_width` / `io_in` / `io_out`
-    /// (so tiles have identical resource shapes), destination at least as
-    /// wide and tall as the source, and `dst_ctx` within the destination's
-    /// context count. The same geometry is the identity embedding, but it
-    /// never needs one: a compiled plane is context-independent (its ops
-    /// address arena resources and carry baked truth tables), so any
-    /// context slot of a same-shaped fabric can evaluate it as it is,
-    /// through [`Self::bind`] at its own [`Self::compiled_context`].
-    pub fn rebase_onto(
-        &self,
-        dst_params: FabricParams,
-        dst_ctx: usize,
-    ) -> Result<CompiledFabric, FabricError> {
-        let Some(src) = self.only_ctx else {
-            return Err(FabricError::BadParams(
-                "rebase_onto requires a single-context compilation".into(),
-            ));
-        };
-        let compatible = dst_params.arch == self.params.arch
-            && dst_params.lut_k == self.params.lut_k
-            && dst_params.channel_width == self.params.channel_width
-            && dst_params.io_in == self.params.io_in
-            && dst_params.io_out == self.params.io_out
-            && dst_params.width >= self.params.width
-            && dst_params.height >= self.params.height;
-        if !compatible {
-            return Err(FabricError::BadParams(format!(
-                "cannot rebase {:?} plane onto incompatible geometry {:?}",
-                self.params, dst_params
-            )));
-        }
-        if dst_ctx >= dst_params.contexts {
-            return Err(FabricError::ContextOutOfRange {
-                ctx: dst_ctx,
-                contexts: dst_params.contexts,
-            });
-        }
-        let dst_layout = ResourceLayout::new(&dst_params);
-        let remap = |id: ResourceId| self.layout.remap_into(&dst_layout, id);
-        let plane = &self.planes[src];
-        let ops: Vec<Op> = plane
-            .ops
-            .iter()
-            .map(|op| match op {
-                Op::Copy { src, dst } => Op::Copy {
-                    src: remap(*src),
-                    dst: remap(*dst),
-                },
-                Op::Lut {
-                    pins,
-                    k,
-                    table,
-                    dst,
-                } => Op::Lut {
-                    pins: pins.map(|p| p.map(remap)),
-                    k: *k,
-                    table: *table,
-                    dst: remap(*dst),
-                },
-            })
-            .collect();
-        let remap_binds = |binds: &[(ResourceId, String)]| {
-            binds
-                .iter()
-                .map(|(r, n)| (remap(*r), n.clone()))
-                .collect::<Vec<_>>()
-        };
-        // the kernel addresses plane slots, not resources: it moves as it is
-        let moved = CompiledPlane {
-            ops,
-            cyclic: plane.cyclic,
-            levels: plane.levels,
-            inputs: remap_binds(&plane.inputs),
-            outputs: remap_binds(&plane.outputs),
-            kernel: plane.kernel.clone(),
-        };
-        let mut planes = vec![CompiledPlane::empty(); dst_params.contexts];
-        planes[dst_ctx] = moved;
-        Ok(CompiledFabric {
-            params: dst_params,
-            layout: dst_layout,
-            planes,
-            only_ctx: Some(dst_ctx),
-        })
     }
 
     /// The resource arena layout.
@@ -2690,122 +2578,6 @@ mod tests {
             }
         }
         assert!(seen.into_iter().all(|b| b), "arena has holes");
-    }
-
-    #[test]
-    fn rebased_plane_evaluates_identically_from_any_slot() {
-        // a compiled plane is context-independent: a slot of any context
-        // index shares it through a binding at the plane's own compiled
-        // context, and the identity embedding (`rebase_onto` the same
-        // geometry) moves it to any context bit for bit
-        let nl = generators::parity_tree(3).unwrap();
-        let params = FabricParams::default();
-        let mut f = Fabric::new(params).unwrap();
-        implement_netlist(&mut f, &nl, 1, 5).unwrap();
-        let compiled = CompiledFabric::compile_context(&f, 1).unwrap();
-        assert_eq!(compiled.compiled_context(), Some(1));
-        let ins: Vec<(&str, u64)> = vec![("x0", 0xF0F0), ("x1", 0xFF00), ("x2", 0xAAAA)];
-        let want = eval_sorted(&compiled, 1, &ins).unwrap();
-        assert_eq!(compiled.bind(1).unwrap().ctx(), 1);
-        for other in [0, 2, 3] {
-            assert!(
-                matches!(
-                    compiled.bind(other),
-                    Err(FabricError::ContextNotCompiled { ctx, compiled: 1 }) if ctx == other
-                ),
-                "a slot binds the plane's compiled context, not its own"
-            );
-        }
-        for dst in 0..params.contexts {
-            let moved = compiled.rebase_onto(params, dst).unwrap();
-            assert_eq!(moved.compiled_context(), Some(dst));
-            assert_eq!(eval_sorted(&moved, dst, &ins).unwrap(), want, "dst {dst}");
-            if dst != 1 {
-                assert!(
-                    eval_sorted(&moved, 1, &ins).is_err(),
-                    "old slot must refuse"
-                );
-            }
-        }
-        assert!(compiled.rebase_onto(params, 99).is_err());
-        assert!(CompiledFabric::compile(&f)
-            .unwrap()
-            .rebase_onto(params, 0)
-            .is_err());
-    }
-
-    #[test]
-    fn rebase_onto_larger_geometry_is_bit_identical() {
-        // an 8x8 plane pad-and-remapped onto 10x10 must evaluate
-        // bit-for-bit identically from every destination slot
-        let nl = generators::parity_tree(3).unwrap();
-        let small = FabricParams {
-            width: 8,
-            height: 8,
-            ..FabricParams::default()
-        };
-        let big = FabricParams {
-            width: 10,
-            height: 10,
-            contexts: 6,
-            ..FabricParams::default()
-        };
-        let mut f = Fabric::new(small).unwrap();
-        implement_netlist(&mut f, &nl, 2, 5).unwrap();
-        let compiled = CompiledFabric::compile_context(&f, 2).unwrap();
-        let ins: Vec<(&str, u64)> = vec![("x0", 0xF0F0), ("x1", 0xFF00), ("x2", 0xAAAA)];
-        let want = eval_sorted(&compiled, 2, &ins).unwrap();
-        for dst in 0..big.contexts {
-            let moved = compiled.rebase_onto(big, dst).unwrap();
-            assert_eq!(moved.params(), &big);
-            assert_eq!(moved.compiled_context(), Some(dst));
-            assert_eq!(eval_sorted(&moved, dst, &ins).unwrap(), want, "dst {dst}");
-        }
-        // the same geometry is the identity embedding
-        let same = compiled.rebase_onto(small, 0).unwrap();
-        assert_eq!(eval_sorted(&same, 0, &ins).unwrap(), want);
-        // out-of-range destination context
-        assert!(compiled.rebase_onto(big, big.contexts).is_err());
-        // full compilations have nothing to move
-        assert!(CompiledFabric::compile(&f)
-            .unwrap()
-            .rebase_onto(big, 0)
-            .is_err());
-    }
-
-    #[test]
-    fn rebase_onto_rejects_incompatible_geometry() {
-        let nl = generators::parity_tree(2).unwrap();
-        let mut f = Fabric::new(FabricParams::default()).unwrap();
-        implement_netlist(&mut f, &nl, 0, 5).unwrap();
-        let compiled = CompiledFabric::compile_context(&f, 0).unwrap();
-        let d = FabricParams::default();
-        let narrower = FabricParams { width: 3, ..d };
-        let shorter = FabricParams { height: 3, ..d };
-        let fatter_channel = FabricParams {
-            width: 10,
-            height: 10,
-            channel_width: d.channel_width + 1,
-            ..d
-        };
-        let bigger_lut = FabricParams {
-            width: 10,
-            height: 10,
-            lut_k: d.lut_k + 1,
-            ..d
-        };
-        let other_arch = FabricParams {
-            width: 10,
-            height: 10,
-            arch: mcfpga_core::ArchKind::Sram,
-            ..d
-        };
-        for bad in [narrower, shorter, fatter_channel, bigger_lut, other_arch] {
-            assert!(
-                matches!(compiled.rebase_onto(bad, 0), Err(FabricError::BadParams(_))),
-                "{bad:?} must be rejected"
-            );
-        }
     }
 
     #[test]

@@ -20,10 +20,10 @@
 //! * and the tenant's accumulated usage counters, so billing follows it.
 //!
 //! A restored tenant is bit-for-bit indistinguishable from one that never
-//! moved: the compiled plane is context-independent (the destination's
-//! cached plane serves whatever slot it has free, bound at the plane's
-//! own compiled context — only a different geometry needs
-//! [`mcfpga_fabric::CompiledFabric::rebase_onto`]), the lane words
+//! moved: the compiled plane is context- and geometry-independent (the
+//! destination's cached plane serves whatever slot it has free, bound at
+//! the plane's own compiled context, on any host its design fits), the
+//! lane words
 //! re-enter the queue unchanged (resolved to the tenant's input columns
 //! by name), and the register file resumes exactly
 //! where the last pass left it. Only the *energy* differs, and that

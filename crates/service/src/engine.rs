@@ -890,14 +890,9 @@ const _: () = {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::TenantRegistry;
+    use crate::TenantIdSource;
     use mcfpga_fabric::compiled::{LANES, MAX_LANES};
     use mcfpga_fabric::TileCoord;
-
-    fn tenant(reg: &mut TenantRegistry, name: &str) -> TenantId {
-        let p = reg.reserve().unwrap();
-        reg.commit(name, p, 0)
-    }
 
     fn cols(names: &[&str]) -> Arc<[Arc<str>]> {
         names.iter().map(|n| Arc::from(*n)).collect()
@@ -931,8 +926,8 @@ mod tests {
 
     #[test]
     fn fills_a_slot_lane_by_lane() {
-        let mut reg = TenantRegistry::new(1, 4).unwrap();
-        let t = tenant(&mut reg, "a");
+        let mut tenants = TenantIdSource::new();
+        let t = tenants.mint();
         let mut e = engine(0, LANES);
         occupy(&mut e, 0, t, &["x"]);
         let mut ids = RequestIdSource::new();
@@ -960,9 +955,9 @@ mod tests {
 
     #[test]
     fn slots_are_independent() {
-        let mut reg = TenantRegistry::new(2, 2).unwrap();
-        let a = tenant(&mut reg, "a"); // shard 0, ctx 0
-        let b = tenant(&mut reg, "b"); // shard 1, ctx 0
+        let mut tenants = TenantIdSource::new();
+        let a = tenants.mint();
+        let b = tenants.mint();
         let mut ids = RequestIdSource::new();
         // one engine per shard; a shared id source keeps ids global
         let (mut e0, mut e1) = (engine(0, LANES), engine(1, LANES));
@@ -984,8 +979,8 @@ mod tests {
 
     #[test]
     fn open_columns_gate_enqueue() {
-        let mut reg = TenantRegistry::new(1, 4).unwrap();
-        let t = tenant(&mut reg, "a");
+        let mut tenants = TenantIdSource::new();
+        let t = tenants.mint();
         let mut e = engine(0, LANES);
         let mut ids = RequestIdSource::new();
         occupy(&mut e, 0, t, &["x", "y"]);
@@ -999,8 +994,8 @@ mod tests {
 
     #[test]
     fn clear_keeps_columns_and_vacate_drops_them() {
-        let mut reg = TenantRegistry::new(1, 4).unwrap();
-        let t = tenant(&mut reg, "a");
+        let mut tenants = TenantIdSource::new();
+        let t = tenants.mint();
         let mut e = engine(0, LANES);
         let mut ids = RequestIdSource::new();
         occupy(&mut e, 0, t, &["a"]);
@@ -1025,9 +1020,9 @@ mod tests {
 
     #[test]
     fn wide_queue_fills_past_64_and_keeps_width_through_take_and_clear() {
-        let mut reg = TenantRegistry::new(1, 2).unwrap();
-        let t = tenant(&mut reg, "a");
-        let u = tenant(&mut reg, "b");
+        let mut tenants = TenantIdSource::new();
+        let t = tenants.mint();
+        let u = tenants.mint();
         let mut e = engine(0, 128);
         assert_eq!(e.lane_width(), 128);
         occupy(&mut e, 0, t, &["x"]);
@@ -1068,9 +1063,9 @@ mod tests {
 
     #[test]
     fn ids_stay_global_and_refusals_burn_nothing() {
-        let mut reg = TenantRegistry::new(1, 2).unwrap();
-        let t = tenant(&mut reg, "a");
-        let u = tenant(&mut reg, "b");
+        let mut tenants = TenantIdSource::new();
+        let t = tenants.mint();
+        let u = tenants.mint();
         let mut ids = RequestIdSource::new();
         let mut e = engine(0, LANES);
         occupy(&mut e, 0, t, &[]);

@@ -59,7 +59,8 @@
 //! format, see [`mcfpga_migrate`]), `restore_tenant` resumes it elsewhere
 //! bit-for-bit under fresh request ids (`restore_tenant_into` in an exact
 //! slot), `migrate_tenant` moves it live preserving request ids,
-//! `hand_over` does the same into another service's exact slot,
+//! `hand_over` does the same into another service's exact slot under the
+//! tenant's own id,
 //! and `evacuate_shard` clears a faulted/hot shard wholesale — with the
 //! overhead billed per tenant. Outputs a tenant names `reg:*` are stream
 //! registers: captured after each pass and re-driven (lane-aligned) on
@@ -109,7 +110,7 @@ pub use frontend::{
     Ticket,
 };
 pub use placement::{best_slot, netlist_fingerprint, PlacementPolicy};
-pub use registry::{CachedPlane, Placement, PlaneCache, TenantId, TenantRegistry};
+pub use registry::{CachedPlane, Placement, PlaneCache, TenantId, TenantIdSource, TenantRegistry};
 pub use service::{ShardedService, SlotFault};
 
 // the sweep-ordering knob lives in `mcfpga_css::optimize`; re-exported here

@@ -144,12 +144,20 @@ pub fn netlist_fingerprint(nl: &LogicNetlist) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::TenantIdSource;
     use mcfpga_fabric::netlist_ir::generators;
 
     fn registry_with(shards: usize, contexts: usize, taken: &[(usize, usize)]) -> TenantRegistry {
         let mut reg = TenantRegistry::new(shards, contexts).unwrap();
+        let mut ids = TenantIdSource::new();
         for &(shard, ctx) in taken {
-            reg.commit(&format!("t{shard}_{ctx}"), Placement { shard, ctx }, 0);
+            reg.commit(
+                ids.mint(),
+                &format!("t{shard}_{ctx}"),
+                Placement { shard, ctx },
+                0,
+            )
+            .unwrap();
         }
         reg
     }

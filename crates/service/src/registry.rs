@@ -13,12 +13,13 @@ use mcfpga_fabric::{CompiledFabric, FabricError};
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// Opaque handle of an admitted tenant.
+/// Opaque handle of an admitted tenant, minted by a [`TenantIdSource`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TenantId(usize);
 
 impl TenantId {
-    /// The dense index of this tenant (admission order, starting at 0).
+    /// The dense index of this tenant (its source's admission order,
+    /// starting at 0).
     #[must_use]
     pub fn index(self) -> usize {
         self.0
@@ -28,6 +29,39 @@ impl TenantId {
 impl std::fmt::Display for TenantId {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "tenant#{}", self.0)
+    }
+}
+
+/// A tenant-id counter. A standalone service owns one; a cluster owns
+/// one for all its nodes and lends it to each admission
+/// ([`ShardedService::admit_placed`]), so a tenant keeps one id at the
+/// cluster and at every node it moves to. Ids are only minted once an
+/// admission has routed and compiled, so a refused admission burns
+/// nothing.
+///
+/// [`ShardedService::admit_placed`]: crate::ShardedService::admit_placed
+#[derive(Debug, Clone, Default)]
+pub struct TenantIdSource {
+    next: usize,
+}
+
+impl TenantIdSource {
+    /// A source starting at id 0.
+    #[must_use]
+    pub fn new() -> Self {
+        TenantIdSource::default()
+    }
+
+    /// Issues the next id.
+    pub fn mint(&mut self) -> TenantId {
+        let id = TenantId(self.next);
+        self.next += 1;
+        id
+    }
+
+    /// Has this source issued any id?
+    pub(crate) fn minted(&self) -> bool {
+        self.next > 0
     }
 }
 
@@ -50,11 +84,6 @@ pub struct TenantRecord {
     /// Configuration digest of the tenant's routed context plane — its
     /// key in the plane cache, wherever the tenant moves.
     pub digest: u64,
-    /// Has the tenant been retired ([`TenantRegistry::retire`])? A
-    /// retired record keeps its id slot (ids are dense admission indices
-    /// and are never reissued) but no longer occupies a context slot and
-    /// is invisible to lookups and iteration.
-    pub retired: bool,
 }
 
 /// Maps tenants to `(shard, context)` slots, round-robin across shards.
@@ -67,12 +96,12 @@ pub struct TenantRecord {
 pub struct TenantRegistry {
     shards: usize,
     contexts: usize,
-    records: Vec<TenantRecord>,
+    /// Live records indexed by [`TenantId::index`]; a retired tenant's
+    /// entry is empty until the tenant returns.
+    records: Vec<Option<TenantRecord>>,
     slots: Vec<Vec<Option<TenantId>>>,
     cursor: usize,
-    /// Non-retired records — kept alongside `records`, which keeps every
-    /// retired record too, so [`len`](Self::len) is O(1) however many
-    /// tenants migrated away.
+    /// Live records, so [`len`](Self::len) is O(1).
     live: usize,
 }
 
@@ -108,20 +137,34 @@ impl TenantRegistry {
         })
     }
 
-    /// Claims the reserved slot for an admitted or restored tenant whose
-    /// compiled plane is cached under `digest`.
-    pub fn commit(&mut self, name: &str, placement: Placement, digest: u64) -> TenantId {
-        let id = TenantId(self.records.len());
-        self.records.push(TenantRecord {
+    /// Claims the reserved slot for tenant `id`, admitted or restored,
+    /// whose compiled plane is cached under `digest`. Refused with
+    /// [`ServiceError::BadConfig`], changing nothing, when `id` is
+    /// already live here.
+    pub fn commit(
+        &mut self,
+        id: TenantId,
+        name: &str,
+        placement: Placement,
+        digest: u64,
+    ) -> Result<(), ServiceError> {
+        if self.tenant(id).is_ok() {
+            return Err(ServiceError::BadConfig(format!(
+                "{id} is already registered"
+            )));
+        }
+        if self.records.len() <= id.0 {
+            self.records.resize_with(id.0 + 1, || None);
+        }
+        self.records[id.0] = Some(TenantRecord {
             name: name.to_string(),
             placement,
             digest,
-            retired: false,
         });
         self.slots[placement.shard][placement.ctx] = Some(id);
         self.cursor = (placement.shard + 1) % self.shards;
         self.live += 1;
-        id
+        Ok(())
     }
 
     /// The lowest free context slot of `shard`, without claiming it —
@@ -144,14 +187,14 @@ impl TenantRegistry {
             })
     }
 
-    /// Permanently removes a tenant from the slot grid — the end of a
-    /// cross-node migration (the tenant lives on elsewhere under a new
-    /// id). Its context slot frees immediately; its record stays (ids
-    /// are dense admission indices) but reads as unknown from then on.
+    /// Removes a tenant from the slot grid — the end of a cross-node
+    /// migration (the tenant lives on elsewhere under the same id). Its
+    /// context slot frees and its record is dropped; the id reads as
+    /// unknown here until the tenant is committed here again.
     pub fn retire(&mut self, id: TenantId) -> Result<Placement, ServiceError> {
         let placement = self.tenant(id)?.placement;
         self.slots[placement.shard][placement.ctx] = None;
-        self.records[id.0].retired = true;
+        self.records[id.0] = None;
         self.live -= 1;
         Ok(placement)
     }
@@ -175,17 +218,19 @@ impl TenantRegistry {
         }
         self.slots[from.shard][from.ctx] = None;
         self.slots[to.shard][to.ctx] = Some(id);
-        self.records[id.0].placement = to;
+        if let Some(record) = &mut self.records[id.0] {
+            record.placement = to;
+        }
         Ok(())
     }
 
-    /// The record of an admitted tenant. Retired tenants read as unknown:
+    /// The record of a live tenant. Retired tenants read as unknown:
     /// their slots are freed and their engine state is gone, so letting a
     /// stale id resolve would hand out another tenant's slot.
     pub fn tenant(&self, id: TenantId) -> Result<&TenantRecord, ServiceError> {
         self.records
             .get(id.0)
-            .filter(|r| !r.retired)
+            .and_then(Option::as_ref)
             .ok_or(ServiceError::UnknownTenant(id.0))
     }
 
@@ -224,7 +269,7 @@ impl TenantRegistry {
         })
     }
 
-    /// Number of admitted, non-retired tenants.
+    /// Number of live tenants.
     #[must_use]
     pub fn len(&self) -> usize {
         self.live
@@ -242,13 +287,12 @@ impl TenantRegistry {
         self.shards * self.contexts
     }
 
-    /// All live (non-retired) tenants in admission order.
+    /// All live tenants in id order (their source's admission order).
     pub fn iter(&self) -> impl Iterator<Item = (TenantId, &TenantRecord)> {
         self.records
             .iter()
             .enumerate()
-            .filter(|(_, r)| !r.retired)
-            .map(|(i, r)| (TenantId(i), r))
+            .filter_map(|(i, r)| Some((TenantId(i), r.as_ref()?)))
     }
 }
 
@@ -408,7 +452,8 @@ mod tests {
         let mut placements = Vec::new();
         for i in 0..4 {
             let p = reg.reserve().unwrap();
-            reg.commit(&format!("t{i}"), p, i as u64);
+            reg.commit(TenantId(i), &format!("t{i}"), p, i as u64)
+                .unwrap();
             placements.push((p.shard, p.ctx));
         }
         assert_eq!(placements, vec![(0, 0), (1, 0), (0, 1), (1, 1)]);
@@ -429,7 +474,8 @@ mod tests {
     fn occupant_and_lookup() {
         let mut reg = TenantRegistry::new(1, 4).unwrap();
         let p = reg.reserve().unwrap();
-        let id = reg.commit("alpha", p, 42);
+        let id = TenantId(0);
+        reg.commit(id, "alpha", p, 42).unwrap();
         assert_eq!(reg.occupant(0, 0), Some(id));
         assert_eq!(reg.occupant(0, 1), None);
         assert_eq!(reg.tenant(id).unwrap().name, "alpha");
@@ -444,7 +490,8 @@ mod tests {
     fn relocate_moves_slot_and_keeps_digest() {
         let mut reg = TenantRegistry::new(2, 2).unwrap();
         let p = reg.reserve().unwrap();
-        let id = reg.commit("mover", p, 7);
+        let id = TenantId(0);
+        reg.commit(id, "mover", p, 7).unwrap();
         let to = Placement { shard: 1, ctx: 1 };
         reg.relocate(id, to).unwrap();
         assert_eq!(reg.occupant(0, 0), None, "old slot freed");
@@ -453,7 +500,9 @@ mod tests {
         assert_eq!(rec.placement, to);
         assert_eq!(rec.digest, 7, "digest travels with the record");
         // occupied and out-of-range targets refuse
-        let other = reg.commit("other", Placement { shard: 0, ctx: 0 }, 9);
+        let other = TenantId(1);
+        reg.commit(other, "other", Placement { shard: 0, ctx: 0 }, 9)
+            .unwrap();
         assert!(reg.relocate(other, to).is_err());
         assert!(reg.relocate(other, Placement { shard: 5, ctx: 0 }).is_err());
         assert_eq!(reg.tenant(other).unwrap().placement.shard, 0, "unchanged");
@@ -463,9 +512,11 @@ mod tests {
     fn retire_frees_slot_and_hides_record() {
         let mut reg = TenantRegistry::new(2, 2).unwrap();
         let p = reg.reserve().unwrap();
-        let id = reg.commit("leaver", p, 1);
+        let id = TenantId(0);
+        reg.commit(id, "leaver", p, 1).unwrap();
         let q = reg.reserve().unwrap();
-        let stay = reg.commit("stayer", q, 2);
+        let stay = TenantId(1);
+        reg.commit(stay, "stayer", q, 2).unwrap();
         assert_eq!(reg.len(), 2);
         assert_eq!(reg.retire(id).unwrap(), p);
         assert_eq!(reg.occupant(p.shard, p.ctx), None, "slot freed");
@@ -477,11 +528,46 @@ mod tests {
         assert_eq!(reg.len(), 1);
         let live: Vec<_> = reg.iter().map(|(t, _)| t).collect();
         assert_eq!(live, vec![stay]);
-        // the freed slot is reusable and the id is never reissued
+        // the freed slot is reusable by another tenant
         let r = reg.reserve_on(p.shard).unwrap();
         assert_eq!(r, p);
-        let fresh = reg.commit("reuse", r, 3);
-        assert!(fresh.index() > stay.index());
+        reg.commit(TenantId(2), "reuse", r, 3).unwrap();
+        assert_eq!(reg.occupant(p.shard, p.ctx), Some(TenantId(2)));
+    }
+
+    /// Records are indexed by id: ids minted elsewhere (a cluster's) may
+    /// arrive sparse and out of order, iteration stays in id order, a
+    /// live id cannot be committed twice, and a tenant that leaves and
+    /// comes back takes its own entry again — so a tenant moving back and
+    /// forth grows nothing.
+    #[test]
+    fn records_are_indexed_by_the_tenants_own_id() {
+        let mut reg = TenantRegistry::new(2, 2).unwrap();
+        let (far, near) = (TenantId(7), TenantId(3));
+        reg.commit(far, "far", Placement { shard: 0, ctx: 0 }, 7)
+            .unwrap();
+        reg.commit(near, "near", Placement { shard: 1, ctx: 0 }, 3)
+            .unwrap();
+        let ids: Vec<_> = reg.iter().map(|(t, r)| (t, r.digest)).collect();
+        assert_eq!(ids, vec![(near, 3), (far, 7)]);
+        let again = reg.commit(far, "again", Placement { shard: 0, ctx: 1 }, 9);
+        assert!(matches!(again, Err(ServiceError::BadConfig(_))));
+        assert_eq!(reg.occupant(0, 1), None, "a refused commit claims nothing");
+        assert_eq!(reg.len(), 2);
+
+        let entries = reg.records.len();
+        for round in 0..4 {
+            let p = reg.retire(far).unwrap();
+            assert!(reg.tenant(far).is_err());
+            reg.commit(far, "far", p, 7).unwrap();
+            assert_eq!(reg.tenant(far).unwrap().placement, p, "round {round}");
+        }
+        assert_eq!(
+            reg.records.len(),
+            entries,
+            "a returning tenant reuses its entry"
+        );
+        assert_eq!(reg.len(), 2);
     }
 
     #[test]
@@ -489,9 +575,10 @@ mod tests {
         let mut reg = TenantRegistry::new(2, 2).unwrap();
         assert_eq!(reg.reserve_on(1).unwrap(), Placement { shard: 1, ctx: 0 });
         let p = reg.reserve_on(1).unwrap();
-        reg.commit("a", p, 0);
+        reg.commit(TenantId(0), "a", p, 0).unwrap();
         assert_eq!(reg.reserve_on(1).unwrap(), Placement { shard: 1, ctx: 1 });
-        reg.commit("b", reg.reserve_on(1).unwrap(), 1);
+        reg.commit(TenantId(1), "b", reg.reserve_on(1).unwrap(), 1)
+            .unwrap();
         assert!(matches!(
             reg.reserve_on(1),
             Err(ServiceError::CapacityExhausted { .. })
@@ -509,5 +596,14 @@ mod tests {
     fn zero_sized_registry_rejected() {
         assert!(TenantRegistry::new(0, 4).is_err());
         assert!(TenantRegistry::new(4, 0).is_err());
+    }
+
+    #[test]
+    fn tenant_ids_mint_densely_from_zero() {
+        let mut ids = TenantIdSource::new();
+        assert!(!ids.minted());
+        let minted: Vec<_> = (0..3).map(|_| ids.mint().index()).collect();
+        assert_eq!(minted, vec![0, 1, 2]);
+        assert!(ids.minted());
     }
 }

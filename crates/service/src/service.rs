@@ -5,7 +5,8 @@
 //! geometry, same architecture) plus exactly the cross-shard state no
 //! engine can own alone: the [`TenantRegistry`] (who lives where), the
 //! digest-keyed [`PlaneCache`] (compiled planes are `Arc`-shared across
-//! shards and re-admissions), the global [`RequestIdSource`], the
+//! shards and re-admissions), the global [`RequestIdSource`] and
+//! [`TenantIdSource`], the
 //! placement/sweep-order policies, and the merged response/fault streams.
 //! Everything execution-local — CSS sequencer and one record per context
 //! slot (compiled plane, queued lanes, tenant usage and stream registers)
@@ -32,7 +33,7 @@ use crate::batch::{RequestId, RequestIdSource, Response};
 use crate::engine::{eval_step, Occupant, PlannedStep, ShardEngine};
 use crate::executor::{ExecutorConfig, ParallelExecutor};
 use crate::placement::{best_slot, choose_energy_aware, netlist_fingerprint, PlacementPolicy};
-use crate::registry::{CachedPlane, Placement, PlaneCache, TenantId, TenantRegistry};
+use crate::registry::{Placement, PlaneCache, TenantId, TenantIdSource, TenantRegistry};
 use crate::ServiceError;
 use mcfpga_cost::attribution::{bill, render_billing, TenantBill, TenantUsage};
 use mcfpga_css::optimize::{sweep_cost, CostMatrix, OptimizeMode};
@@ -193,6 +194,9 @@ pub struct ShardedService {
     executor: ParallelExecutor,
     /// The single service-global request-id counter (engines borrow it).
     ids: RequestIdSource,
+    /// The tenant-id counter [`admit`](Self::admit) and the restores
+    /// mint from.
+    tenants: TenantIdSource,
     /// Merged responses, shard-then-lane order per flush.
     ready: Vec<Response>,
     /// Merged fault records, shard order per flush, oldest first.
@@ -281,6 +285,7 @@ impl ShardedService {
             engines,
             executor,
             ids: RequestIdSource::new(),
+            tenants: TenantIdSource::new(),
             ready: Vec::new(),
             faults: Vec::new(),
             optimize,
@@ -297,8 +302,9 @@ impl ShardedService {
     /// restart brings up. Keeps the shard count, geometry, technology,
     /// lane width, sweep-ordering and placement policies, span-ring
     /// capacity and executor width; everything else (tenants, plane
-    /// cache, request ids, metrics, spans) starts fresh. Cheap: no shard
-    /// builds its routed fabric until an admission routes into it.
+    /// cache, request and tenant ids, metrics, spans) starts fresh.
+    /// Cheap: no shard builds its routed fabric until an admission routes
+    /// into it.
     pub fn fresh_like(&self) -> Result<Self, ServiceError> {
         let mut svc = Self::with_policies(
             self.engines.len(),
@@ -435,25 +441,34 @@ impl ShardedService {
                 self.affinity.get(&fingerprint).copied(),
             )?,
         };
-        self.admit_into(name, netlist, placement, fingerprint)
+        let mut tenants = std::mem::take(&mut self.tenants);
+        let admitted = self.admit_into(&mut tenants, name, netlist, placement, fingerprint);
+        self.tenants = tenants;
+        admitted
     }
 
     /// [`admit`](Self::admit) into an **exact** free slot, bypassing the
-    /// placement policy — the cluster router's admission primitive (it
-    /// probes shards across *nodes*, something no single service can do,
-    /// then pins the slot here). Routing, compilation, plane caching
-    /// and registry commit are identical to a policy admission, so a
-    /// pinned admission is bit-for-bit equivalent to a policy admission
-    /// that happened to choose the same slot.
+    /// placement policy, minting the tenant's id from `ids` instead of
+    /// this service's own source — the cluster router's admission
+    /// primitive (it probes shards across *nodes*, something no single
+    /// service can do, then pins the slot here, and lends its one source
+    /// to every node so a tenant's id is the same at the cluster and at
+    /// every node it moves to). Routing, compilation, plane caching and
+    /// registry commit are identical to a policy admission, so a pinned
+    /// admission is bit-for-bit equivalent to a policy admission that
+    /// happened to choose the same slot. Refused with
+    /// [`ServiceError::BadConfig`] when the minted id is already live
+    /// here (a service that also admitted from its own source).
     pub fn admit_placed(
         &mut self,
+        ids: &mut TenantIdSource,
         name: &str,
         netlist: &LogicNetlist,
         placement: Placement,
     ) -> Result<TenantId, ServiceError> {
         self.check_shard(placement.shard)?;
         self.check_free(placement)?;
-        self.admit_into(name, netlist, placement, netlist_fingerprint(netlist))
+        self.admit_into(ids, name, netlist, placement, netlist_fingerprint(netlist))
     }
 
     /// Refuses a slot whose context is out of range or that is occupied.
@@ -474,11 +489,13 @@ impl ShardedService {
     }
 
     /// Routes `netlist` (structural `fingerprint`) into the free slot
-    /// `placement` and commits it. The slot's context is cleared first:
-    /// a departed tenant's or a failed admission's routing stays in its
-    /// context until the next admission there.
+    /// `placement` and commits it under an id minted from `ids`. The
+    /// slot's context is cleared first: a departed tenant's or a failed
+    /// admission's routing stays in its context until the next admission
+    /// there.
     fn admit_into(
         &mut self,
+        ids: &mut TenantIdSource,
         name: &str,
         netlist: &LogicNetlist,
         placement: Placement,
@@ -499,7 +516,8 @@ impl ShardedService {
             CompiledFabric::compile_context(engine.fabric(), placement.ctx)
         })?;
         let batch = LaneBatch::with_width(engine.lane_width(), Arc::clone(&plane.columns))?;
-        let id = self.registry.commit(name, placement, digest);
+        let id = ids.mint();
+        self.registry.commit(id, name, placement, digest)?;
         self.affinity.entry(fingerprint).or_insert(placement.ctx);
         engine.adopt(placement.ctx, &plane, Occupant::new(id, batch))?;
         self.sync_gauges();
@@ -947,8 +965,9 @@ impl ShardedService {
     /// Restores `tenant`'s true compiled plane after
     /// [`inject_plane_fault`](Self::inject_plane_fault) (or any plane
     /// corruption), by digest: the digest recorded in the registry finds
-    /// the cached plane (shared at any context index, so a tenant a
-    /// migration moved off its admission context needs no rebase). Every
+    /// the cached plane, installed exactly as it was compiled (a plane
+    /// serves any context index, so a tenant a migration moved off its
+    /// admission context needs nothing else). Every
     /// live tenant's digest entered the cache when it was admitted or
     /// restored, and the cache never evicts, so a miss is
     /// [`MigrateError::PlaneUnavailable`], never a recompile. Queued
@@ -961,35 +980,16 @@ impl ShardedService {
             .cache
             .get(digest)
             .ok_or(MigrateError::PlaneUnavailable { digest })?;
-        let plane = self.plane_for_slot(plane, placement.ctx)?;
         self.engines[placement.shard].install_cached(placement.ctx, &plane)
-    }
-
-    /// The cache entry `plane`, usable from context `ctx` of *this*
-    /// service's fabrics. A plane compiled on the same geometry is used
-    /// as it is, with its cached binding, at any context index: a
-    /// compiled plane is context-independent, and a slot binds the
-    /// plane's own compiled context. A plane compiled on a smaller
-    /// compatible geometry — a checkpoint restored from a differently
-    /// shaped node — is pad-and-remapped onto this service's geometry via
-    /// [`CompiledFabric::rebase_onto`] and bound afresh.
-    fn plane_for_slot(&self, plane: CachedPlane, ctx: usize) -> Result<CachedPlane, ServiceError> {
-        if plane.plane.params() != &self.params {
-            Ok(CachedPlane::new(Arc::new(
-                plane.plane.rebase_onto(self.params, ctx)?,
-            ))?)
-        } else {
-            Ok(plane)
-        }
     }
 
     /// Can a checkpoint taken on a `ckpt`-shaped fabric be restored onto
     /// this service's fabrics? Tiles must have identical resource shapes
     /// (same switch architecture, LUT arity, channel width and IO counts)
-    /// and the host grid must be at least as large in both dimensions —
-    /// the pad-and-remap embedding of [`CompiledFabric::rebase_onto`].
-    /// Context counts may differ freely: a restored plane occupies
-    /// whatever slot the host has free.
+    /// and the host grid must be at least as large in both dimensions, so
+    /// the tenant's design physically fits the host. Context counts may
+    /// differ freely: a restored plane occupies whatever slot the host
+    /// has free.
     fn geometry_admits(&self, ckpt: &FabricParams) -> bool {
         let host = &self.params;
         host.arch == ckpt.arch
@@ -1112,20 +1112,21 @@ impl ShardedService {
     /// context index; the register file resumes where the last pass left
     /// it, and the pending lane words re-enter the queue unchanged — so
     /// its responses are bit-for-bit what the source would have produced.
-    /// Returns the new id and a *fresh* request id per restored pending
-    /// lane (in lane order): ids recorded in the checkpoint are never
-    /// reissued, so a stale checkpoint cannot resurrect requests answered
-    /// or discarded after it was taken.
+    /// Returns a new tenant id and a *fresh* request id per restored
+    /// pending lane (in lane order), all minted from this service's own
+    /// sources: ids recorded in the checkpoint are never reissued, so a
+    /// stale checkpoint cannot resurrect requests answered or discarded
+    /// after it was taken.
     ///
     /// Geometry does **not** have to match exactly: a checkpoint taken on
     /// a smaller fabric restores onto a larger host of the same tile
-    /// shape (same architecture, LUT arity, channel width, IO counts) by
-    /// pad-and-remapping its plane — see [`CompiledFabric::rebase_onto`].
-    /// Fails with [`ServiceError::NoSuchShard`] for a shard this service
-    /// lacks, with [`MigrateError::GeometryMismatch`] only when the
-    /// geometries are truly incompatible, with
-    /// [`ServiceError::BadConfig`] for a context out of range or an
-    /// occupied slot, and with [`MigrateError::PlaneUnavailable`] when no
+    /// shape (same architecture, LUT arity, channel width, IO counts),
+    /// its plane installed exactly as it was compiled — the kernel
+    /// addresses plane slots, not fabric resources. Fails with
+    /// [`ServiceError::NoSuchShard`] for a shard this service lacks, with
+    /// [`MigrateError::GeometryMismatch`] only when the geometries are
+    /// truly incompatible, with [`ServiceError::BadConfig`] for a context
+    /// out of range or an occupied slot, and with [`MigrateError::PlaneUnavailable`] when no
     /// plane with the checkpoint's digest is cached (checkpoints ship
     /// digests, not bitstreams — see
     /// [`provision_plane`](Self::provision_plane) for the recompile
@@ -1154,13 +1155,14 @@ impl ShardedService {
         Ok(())
     }
 
-    /// The body of a restore into a free slot of an existing shard. The
-    /// restored lanes take `kept`'s ids, or fresh ones minted at commit.
+    /// The body of a restore into a free slot of an existing shard. A
+    /// hand-over passes the tenant's own id and its lanes' ids as `kept`;
+    /// otherwise the tenant and its lanes take fresh ids minted at commit.
     fn restore_checked(
         &mut self,
         ckpt: &TenantCheckpoint,
         slot: Placement,
-        kept: Option<Vec<RequestId>>,
+        kept: Option<(TenantId, Vec<RequestId>)>,
     ) -> Result<(TenantId, Vec<RequestId>), ServiceError> {
         let dst_shard = slot.shard;
         let plane = self
@@ -1169,7 +1171,6 @@ impl ShardedService {
             .ok_or(MigrateError::PlaneUnavailable {
                 digest: ckpt.digest,
             })?;
-        let plane = self.plane_for_slot(plane, slot.ctx)?;
         let batch = LaneBatch::from_parts(
             self.lane_width(),
             ckpt.pending.lanes,
@@ -1210,12 +1211,18 @@ impl ShardedService {
             self.engines[dst_shard].resume_css_at(start)?;
         }
 
-        // all fallible steps done — commit the restore
-        let id = self.registry.commit(&ckpt.name, slot, ckpt.digest);
-        // a stored checkpoint's lanes never reuse their recorded ids: the
-        // originals may have been answered or discarded since it was
-        // taken, and a resurrected id would break queue conservation
-        let requests = kept.unwrap_or_else(|| (0..batch.len()).map(|_| self.ids.mint()).collect());
+        // all fallible steps done — commit the restore. A stored
+        // checkpoint's lanes never reuse their recorded ids: the originals
+        // may have been answered or discarded since it was taken, and a
+        // resurrected id would break queue conservation
+        let (id, requests) = match kept {
+            Some(kept) => kept,
+            None => {
+                let id = self.tenants.mint();
+                (id, (0..batch.len()).map(|_| self.ids.mint()).collect())
+            }
+        };
+        self.registry.commit(id, &ckpt.name, slot, ckpt.digest)?;
         let occupant = Occupant {
             tenant: id,
             usage,
@@ -1231,44 +1238,50 @@ impl ShardedService {
         Ok((id, requests))
     }
 
-    /// Has this service minted a request id from its own source (through
-    /// [`submit`](Self::submit) or a restore without kept ids)? Such a
-    /// service cannot take part in a [`hand_over`](Self::hand_over), so
-    /// a cluster refuses it as a node.
+    /// Has this service minted a request id or a tenant id from its own
+    /// sources (through [`submit`](Self::submit), [`admit`](Self::admit)
+    /// or a restore)? Such a service cannot take part in a
+    /// [`hand_over`](Self::hand_over), so a cluster refuses it as a node.
     #[must_use]
     pub fn has_minted_ids(&self) -> bool {
-        self.ids.minted()
+        self.ids.minted() || self.tenants.minted()
     }
 
     /// Moves `tenant` live into the exact free `slot` of `dst`, keeping
-    /// its request ids — the cross-service sibling of
+    /// its tenant id and its request ids — the cross-service sibling of
     /// [`migrate_tenant`](Self::migrate_tenant): checkpoint, restore into
     /// `slot` like [`restore_tenant_into`](Self::restore_tenant_into)
-    /// (billed the same) but under the pending lanes' own ids, retire
-    /// here. Returns the tenant's id at `dst` and those ids. A refused
-    /// hand-over changes neither service. Refused with
-    /// [`ServiceError::BadConfig`] when either service has minted from its
-    /// own source, as kept ids could collide there; a cluster's nodes
-    /// mint only from the cluster's ([`submit_from`](Self::submit_from)).
+    /// (billed the same) but under the tenant's and the pending lanes' own
+    /// ids, retire here. Returns those request ids. A refused hand-over
+    /// changes neither service. Refused with [`ServiceError::BadConfig`]
+    /// when either service has minted from its own sources, as kept ids
+    /// could collide there; a cluster's nodes mint only from the
+    /// cluster's ([`admit_placed`](Self::admit_placed),
+    /// [`submit_from`](Self::submit_from)).
     pub fn hand_over(
         &mut self,
         tenant: TenantId,
         dst: &mut ShardedService,
         slot: Placement,
-    ) -> Result<(TenantId, Vec<RequestId>), ServiceError> {
+    ) -> Result<Vec<RequestId>, ServiceError> {
         if self.has_minted_ids() || dst.has_minted_ids() {
             return Err(ServiceError::BadConfig(
-                "a hand-over keeps request ids: neither service may mint its own".into(),
+                "a hand-over keeps tenant and request ids: neither service may mint its own".into(),
             ));
+        }
+        if dst.registry.tenant(tenant).is_ok() {
+            return Err(ServiceError::BadConfig(format!(
+                "{tenant} already lives at the destination"
+            )));
         }
         let ckpt = self.checkpoint_tenant(tenant)?;
         let src = self.registry.tenant(tenant)?.placement;
         let kept = self.engines[src.shard].requests(src.ctx).to_vec();
         dst.check_restore(&ckpt, slot.shard)?;
         dst.check_free(slot)?;
-        let moved = dst.restore_checked(&ckpt, slot, Some(kept))?;
+        let (_, kept) = dst.restore_checked(&ckpt, slot, Some((tenant, kept)))?;
         self.retire_tenant(tenant)?;
-        Ok(moved)
+        Ok(kept)
     }
 
     /// Exports the compiled plane cached under `digest` for shipping to
@@ -1351,8 +1364,7 @@ impl ShardedService {
     /// **after** the destination's restore succeeded. The engine
     /// surrenders the tenant's state and queued lanes (the checkpoint
     /// already carried them to the destination), its recorded faults are
-    /// dropped, and the slot frees for re-admission. The id is never
-    /// reissued.
+    /// dropped, and the slot frees for re-admission.
     pub fn retire_tenant(&mut self, tenant: TenantId) -> Result<(), ServiceError> {
         let placement = self.registry.tenant(tenant)?.placement;
         let _ = self.engines[placement.shard].expel(tenant, placement.ctx)?;

@@ -8,7 +8,7 @@ use mcfpga_fabric::route::implement_netlist;
 use mcfpga_fabric::{CompiledFabric, Fabric, FabricError, FabricParams, LogicNetlist};
 use mcfpga_service::{
     MigrateError, Outputs, Placement, RequestId, RequestIdSource, ServiceError, ShardedService,
-    TenantCheckpoint, TenantId,
+    TenantCheckpoint, TenantId, TenantIdSource,
 };
 use std::sync::Arc;
 
@@ -882,21 +882,23 @@ fn an_admission_into_a_freed_context_matches_a_fresh_one() {
     too_wide.add_output("y", lut).unwrap();
     let slot = Placement { shard: 0, ctx: 0 };
     // every service has the parity plane cached (admitted at the same
-    // context index of shard 1) before the measured admission
+    // context index of shard 1) before the measured admission; each
+    // service's pinned admissions mint from its own tenant-id source
     let primed = || {
-        let mut svc = service(2);
+        let (mut svc, mut ids) = (service(2), TenantIdSource::new());
         let elsewhere = Placement { shard: 1, ctx: 0 };
-        svc.admit_placed("primer", &parity, elsewhere).unwrap();
-        svc
+        svc.admit_placed(&mut ids, "primer", &parity, elsewhere)
+            .unwrap();
+        (svc, ids)
     };
-    let admit_parity = |svc: &mut ShardedService| -> (u64, (usize, usize), Vec<Outputs>) {
+    let admit_parity = |(svc, ids): &mut (ShardedService, TenantIdSource)| {
         let (hits, misses) = (svc.cache().hits(), svc.cache().misses());
-        let t = svc.admit_placed("parity", &parity, slot).unwrap();
+        let t = svc.admit_placed(ids, "parity", &parity, slot).unwrap();
         let cache = (svc.cache().hits() - hits, svc.cache().misses() - misses);
         for v in 0..8 {
             submit3(svc, t, v);
         }
-        let answers = svc
+        let answers: Vec<Outputs> = svc
             .drain()
             .unwrap()
             .into_iter()
@@ -907,17 +909,24 @@ fn an_admission_into_a_freed_context_matches_a_fresh_one() {
     let want = admit_parity(&mut primed());
     assert_eq!(want.1, (1, 0), "the fresh admission is a cache hit");
 
-    let mut retired = primed();
-    let t = retired.admit_placed("adder", &adder, slot).unwrap();
+    let (mut retired, mut ids) = primed();
+    let t = retired
+        .admit_placed(&mut ids, "adder", &adder, slot)
+        .unwrap();
     retired.retire_tenant(t).unwrap();
-    let mut migrated = primed();
-    let t = migrated.admit_placed("adder", &adder, slot).unwrap();
+    let retired = (retired, ids);
+    let (mut migrated, mut ids) = primed();
+    let t = migrated
+        .admit_placed(&mut ids, "adder", &adder, slot)
+        .unwrap();
     assert_ne!(migrated.migrate_tenant(t, 0).unwrap(), slot);
-    let mut failed = primed();
+    let migrated = (migrated, ids);
+    let (mut failed, mut ids) = primed();
     assert!(matches!(
-        failed.admit_placed("too wide", &too_wide, slot),
+        failed.admit_placed(&mut ids, "too wide", &too_wide, slot),
         Err(ServiceError::Fabric(FabricError::PlacementFailed(_)))
     ));
+    let failed = (failed, ids);
     for (how, mut svc) in [
         ("retired", retired),
         ("migrated", migrated),
@@ -966,22 +975,44 @@ fn submit3_from(
 /// The input vectors [`hand_over_setup`] queues.
 const QUEUED: [u32; 4] = [0b101, 0b010, 0b111, 0b001];
 
-/// Two services that mint only from `ids` (as a cluster's nodes do): a
-/// parity tenant on `src` with [`QUEUED`] pending under `ids`, and an
-/// empty `dst` holding the tenant's plane. Returns the pending ids too.
+/// Admits `netlist` into the slot `svc`'s round robin would pick, under
+/// an id minted from `tenants` — how a cluster admits into its nodes.
+fn admit_from(
+    svc: &mut ShardedService,
+    tenants: &mut TenantIdSource,
+    name: &str,
+    netlist: &LogicNetlist,
+) -> TenantId {
+    let slot = svc.registry().reserve().unwrap();
+    svc.admit_placed(tenants, name, netlist, slot).unwrap()
+}
+
+/// Two services that mint only from `ids` and `tenants` (as a cluster's
+/// nodes do): a parity tenant on `src` with [`QUEUED`] pending under
+/// `ids`, and an empty `dst` holding the tenant's plane. Returns the
+/// pending ids too.
 fn hand_over_setup(
     ids: &mut RequestIdSource,
+    tenants: &mut TenantIdSource,
 ) -> (ShardedService, ShardedService, TenantId, Vec<RequestId>) {
     let mut src = service(2);
-    let t = src
-        .admit("mover", &generators::parity_tree(3).unwrap())
-        .unwrap();
+    let t = admit_from(
+        &mut src,
+        tenants,
+        "mover",
+        &generators::parity_tree(3).unwrap(),
+    );
     let sent = QUEUED.map(|v| submit3_from(&mut src, ids, t, v)).to_vec();
     let mut dst = service(2);
     let digest = src.registry().tenant(t).unwrap().digest;
     dst.import_plane(digest, src.export_plane(digest).unwrap())
         .unwrap();
     (src, dst, t, sent)
+}
+
+/// A fresh [`hand_over_setup`] with sources of its own.
+fn fresh_hand_over_setup() -> (ShardedService, ShardedService, TenantId, Vec<RequestId>) {
+    hand_over_setup(&mut RequestIdSource::new(), &mut TenantIdSource::new())
 }
 
 /// What a refused hand-over must leave unchanged: pending requests,
@@ -1022,33 +1053,33 @@ fn submit_from_queues_like_submit() {
     );
 }
 
-/// A hand-over moves the tenant into the exact slot asked for, and its
-/// pending lanes are answered there under the ids their submits
-/// returned; the next id comes from the same source.
+/// A hand-over moves the tenant into the exact slot asked for, under its
+/// own id, and its pending lanes are answered there under the ids their
+/// submits returned; the next id comes from the same source.
 #[test]
 fn hand_over_keeps_request_ids() {
     let mut ids = RequestIdSource::new();
-    let (mut src, mut dst, t, sent) = hand_over_setup(&mut ids);
+    let (mut src, mut dst, t, sent) = hand_over_setup(&mut ids, &mut TenantIdSource::new());
     let slot = Placement { shard: 1, ctx: 2 };
-    let (moved, kept) = src.hand_over(t, &mut dst, slot).unwrap();
+    let kept = src.hand_over(t, &mut dst, slot).unwrap();
     assert_eq!(kept, sent);
     assert!(src.registry().tenant(t).is_err(), "retired at the source");
     assert_eq!(src.pending_requests(), 0);
-    assert_eq!(dst.registry().tenant(moved).unwrap().placement, slot);
+    assert_eq!(dst.registry().tenant(t).unwrap().placement, slot);
 
-    let next = submit3_from(&mut dst, &mut ids, moved, 0b011);
-    let answers: Vec<(RequestId, bool)> = dst
+    let next = submit3_from(&mut dst, &mut ids, t, 0b011);
+    let answers: Vec<(RequestId, TenantId, bool)> = dst
         .drain()
         .unwrap()
         .iter()
-        .map(|r| (r.request, r.outputs[0].1))
+        .map(|r| (r.request, r.tenant, r.outputs[0].1))
         .collect();
     let parity = |v: u32| v.count_ones() % 2 == 1;
-    let want: Vec<(RequestId, bool)> = sent
+    let want: Vec<(RequestId, TenantId, bool)> = sent
         .iter()
         .chain([&next])
         .zip(QUEUED.iter().chain([&0b011]))
-        .map(|(&id, &v)| (id, parity(v)))
+        .map(|(&id, &v)| (id, t, parity(v)))
         .collect();
     assert_eq!(answers, want);
 }
@@ -1058,15 +1089,15 @@ fn hand_over_keeps_request_ids() {
 #[test]
 fn hand_over_bills_like_checkpoint_restore_and_retire() {
     let slot = Placement { shard: 0, ctx: 3 };
-    let (mut src, mut dst, t, _) = hand_over_setup(&mut RequestIdSource::new());
-    let (moved, _) = src.hand_over(t, &mut dst, slot).unwrap();
+    let (mut src, mut dst, t, _) = fresh_hand_over_setup();
+    src.hand_over(t, &mut dst, slot).unwrap();
 
-    let (mut src2, mut dst2, t2, _) = hand_over_setup(&mut RequestIdSource::new());
+    let (mut src2, mut dst2, t2, _) = fresh_hand_over_setup();
     let ckpt = src2.checkpoint_tenant(t2).unwrap();
     let (restored, _) = dst2.restore_tenant_into(&ckpt, slot).unwrap();
     src2.retire_tenant(t2).unwrap();
 
-    let usage = dst.usage(moved).unwrap();
+    let usage = dst.usage(t).unwrap();
     assert_eq!(usage, dst2.usage(restored).unwrap());
     assert_eq!(usage.migrations, 1);
     assert_eq!(dst.billing_report(), dst2.billing_report());
@@ -1074,13 +1105,14 @@ fn hand_over_bills_like_checkpoint_restore_and_retire() {
 }
 
 /// Every check a restore runs happens before the source changes: an
-/// occupied slot, a plane the destination has not cached and a usage
-/// counter the move would overflow each refuse the hand-over and leave
-/// both services as they were.
+/// occupied slot, a destination already holding the tenant's id, a plane
+/// the destination has not cached and pending lanes wider than the
+/// destination's lane width each refuse the hand-over and leave both
+/// services as they were.
 #[test]
 fn a_refused_hand_over_changes_neither_service() {
     let parity = generators::parity_tree(3).unwrap();
-    let mut ids = RequestIdSource::new();
+    let mut tenants = TenantIdSource::new();
     let refused = |src: &mut ShardedService, dst: &mut ShardedService, t, slot| {
         let before = (hand_over_state(src), hand_over_state(dst));
         let err = src.hand_over(t, dst, slot).unwrap_err();
@@ -1093,10 +1125,23 @@ fn a_refused_hand_over_changes_neither_service() {
     };
 
     // occupied slot
-    let (mut src, mut dst, t, _) = hand_over_setup(&mut ids);
-    let taken = dst.admit("resident", &parity).unwrap();
+    let (mut src, mut dst, t, _) = hand_over_setup(&mut RequestIdSource::new(), &mut tenants);
+    let taken = admit_from(&mut dst, &mut tenants, "resident", &parity);
     let slot = dst.registry().tenant(taken).unwrap().placement;
     let err = refused(&mut src, &mut dst, t, slot);
+    assert!(matches!(err, ServiceError::BadConfig(_)), "{err}");
+
+    // a destination whose own admissions (from another source) already
+    // hold the tenant's id
+    let mut twin = service(2);
+    let digest = src.registry().tenant(t).unwrap().digest;
+    twin.import_plane(digest, src.export_plane(digest).unwrap())
+        .unwrap();
+    assert_eq!(
+        admit_from(&mut twin, &mut TenantIdSource::new(), "twin", &parity),
+        t
+    );
+    let err = refused(&mut src, &mut twin, t, Placement { shard: 1, ctx: 0 });
     assert!(matches!(err, ServiceError::BadConfig(_)), "{err}");
 
     // plane not cached at the destination
@@ -1110,15 +1155,13 @@ fn a_refused_hand_over_changes_neither_service() {
         "{err}"
     );
 
-    // a usage counter already full: restore (no pending lane, so no id
-    // minted) a tenant whose move count the restore bills up to the limit
-    let mut ckpt = src.checkpoint_tenant(t).unwrap();
-    ckpt.pending = Default::default();
-    ckpt.usage.migrations = usize::MAX - 1;
-    let (full, none) = src.restore_tenant(&ckpt, 1).unwrap();
-    assert!(none.is_empty());
-    submit3_from(&mut src, &mut ids, full, 0b110);
-    let err = refused(&mut src, &mut dst, full, Placement { shard: 1, ctx: 1 });
+    // the 4 pending lanes do not fit a 2-lane destination batch
+    let mut narrow = service(2);
+    narrow.set_lane_width(2).unwrap();
+    narrow
+        .import_plane(digest, src.export_plane(digest).unwrap())
+        .unwrap();
+    let err = refused(&mut src, &mut narrow, t, Placement { shard: 1, ctx: 1 });
     assert!(
         matches!(err, ServiceError::Migrate(MigrateError::Corrupt(_))),
         "{err}"
@@ -1131,13 +1174,16 @@ fn a_refused_hand_over_changes_neither_service() {
 fn hand_over_refuses_a_service_that_minted_its_own_ids() {
     let slot = Placement { shard: 0, ctx: 0 };
     for minted_at_src in [true, false] {
-        let (mut src, mut dst, t, _) = hand_over_setup(&mut RequestIdSource::new());
+        let (mut src, mut dst, t, _) = fresh_hand_over_setup();
         if minted_at_src {
             submit3(&mut src, t, 0b001);
         } else {
-            let seeder = dst
-                .admit("seeder", &generators::parity_tree(3).unwrap())
-                .unwrap();
+            let seeder = admit_from(
+                &mut dst,
+                &mut TenantIdSource::new(),
+                "seeder",
+                &generators::parity_tree(3).unwrap(),
+            );
             submit3(&mut dst, seeder, 0b001);
         }
         let before = (hand_over_state(&src), hand_over_state(&dst));
@@ -1145,4 +1191,56 @@ fn hand_over_refuses_a_service_that_minted_its_own_ids() {
         assert!(matches!(err, ServiceError::BadConfig(_)), "{err}");
         assert_eq!((hand_over_state(&src), hand_over_state(&dst)), before);
     }
+}
+
+/// A kept tenant id could collide with one a service minted from its
+/// own tenant-id source — through `admit` or a restore — so a hand-over
+/// from or to a service that admitted a tenant on its own is refused,
+/// even before any request was submitted. An own admission whose id
+/// collides with a lent one already live is refused by the registry.
+#[test]
+fn hand_over_refuses_a_service_that_admitted_on_its_own() {
+    let parity = generators::parity_tree(3).unwrap();
+    let refused = |src: &mut ShardedService, dst: &mut ShardedService, t| {
+        assert!(src.has_minted_ids() || dst.has_minted_ids());
+        let before = (hand_over_state(src), hand_over_state(dst));
+        let err = src
+            .hand_over(t, dst, Placement { shard: 1, ctx: 1 })
+            .unwrap_err();
+        assert!(matches!(err, ServiceError::BadConfig(_)), "{err}");
+        assert_eq!((hand_over_state(src), hand_over_state(dst)), before);
+    };
+    // a destination that admitted, or restored, a tenant of its own
+    for by_restore in [false, true] {
+        let (mut src, mut dst, t, _) = fresh_hand_over_setup();
+        if by_restore {
+            // the mover without its pending lanes: restoring it mints a
+            // tenant id and no request id
+            let mut ckpt = src.checkpoint_tenant(t).unwrap();
+            ckpt.pending = Default::default();
+            dst.restore_tenant(&ckpt, 0).unwrap();
+        } else {
+            dst.admit("own", &parity).unwrap();
+        }
+        refused(&mut src, &mut dst, t);
+    }
+
+    // a source that admitted a tenant of its own before the lent one
+    let mut src = service(2);
+    src.admit("own", &parity).unwrap();
+    let mut tenants = TenantIdSource::new();
+    tenants.mint(); // id 0 is the service's own tenant's
+    let t = admit_from(&mut src, &mut tenants, "mover", &parity);
+    let mut dst = service(2);
+    let digest = src.registry().tenant(t).unwrap().digest;
+    dst.import_plane(digest, src.export_plane(digest).unwrap())
+        .unwrap();
+    refused(&mut src, &mut dst, t);
+
+    // an own admission after a lent one mints the lent tenant's id
+    let (mut src, _, t, _) = fresh_hand_over_setup();
+    let err = src.admit("own", &parity).unwrap_err();
+    assert!(matches!(err, ServiceError::BadConfig(_)), "{err}");
+    assert_eq!(src.registry().len(), 1);
+    assert_eq!(src.registry().tenant(t).unwrap().name, "mover");
 }
